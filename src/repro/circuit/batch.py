@@ -7,8 +7,9 @@ every member marches the same time grid through the same matrix structure.
 This module assembles such a scenario group **once** and advances all members
 per time step with a leading "scenario" array axis:
 
-* per-member base matrices stack into one ``(N, size, size)`` tensor solved
-  with numpy's batched dense LU (``np.linalg.solve``),
+* per-member base matrices stack into one ``(N, size, size)`` tensor,
+  inverted once per group (the matrix is constant over the run), so each
+  step's linear solve is one batched matmul,
 * per-member :class:`~repro.circuit.mna.SourceTable` objects merge into one
   :class:`~repro.circuit.mna.StackedSourceTable`,
 * companion/line histories live in shared struct-of-arrays groups
@@ -17,7 +18,8 @@ per time step with a leading "scenario" array axis:
 * the single nonlinear port element per bench (the paper's pw-RBF driver) is
   evaluated through a vectorized *bank* (``batch_bank``) and solved with the
   same rank-1 Sherman-Morrison update as the serial Woodbury path, iterating
-  all members' damped Newton loops in lockstep with per-member freezing.
+  all members' damped Newton loops in lockstep with per-member freezing;
+  the inverse's node column is the update's ``A^-1 e_node``.
 
 Eligibility is conservative: members must share a structural signature
 (:func:`batch_signature`), store densely, use the vector-group/fast-path
@@ -126,53 +128,54 @@ def _make_bank(circuits: list, systems: list):
     return bank
 
 
-def _newton_lockstep(A_sub, Zcol, svals, node, evalf, b_sub, X0,
-                     n_nodes, opts):
+def _newton_lockstep(Zcol, svals, node, evalf, Y0, X0, n_nodes, opts):
     """Damped Newton over a member subset, all members advanced per pass.
 
     Mirrors :func:`repro.circuit.newton.newton_solve` per member -- same
     rank-1 Woodbury solve, same ``max_dv`` clamp (including the
     recompute-as-``x + delta`` behaviour when a clamp fires), same
     convergence tests against the new iterate -- with converged members
-    frozen while the rest keep iterating.
+    frozen while the rest keep iterating.  Arrays are unknown-major,
+    ``(size, n)`` with one column per member, so every per-member test
+    reduces over the short outer axis: ``Y0`` holds the members' linear
+    solutions ``A^-1 b`` of the step, ``Zcol`` their ``A^-1 e_node`` and
+    ``svals`` its node entries.
 
     Returns ``(X, converged, delta_norm, iters)`` over the subset, where
     ``iters`` counts member-iterations (one per still-active member per
     pass) for the observability layer.
     """
-    n_mem, size = X0.shape
-    X = X0.copy()
-    Y0 = np.linalg.solve(A_sub, b_sub[:, :, None])[:, :, 0]
-    active = np.ones(n_mem, dtype=bool)
-    delta_norm = np.full(n_mem, np.inf)
+    X = X0.copy()       # C order: contiguous member rows per unknown
+    atol = np.full((X.shape[0], 1), opts.iabstol)
+    atol[:n_nodes] = opts.vabstol
+    Y0n = Y0[node]
+    active = np.ones(X.shape[1], dtype=bool)
+    last = np.full(X.shape, np.inf)     # |delta| of each member's last pass
     iters = 0
     for _ in range(opts.max_iter):
-        iters += int(active.sum())
-        V = X[:, node]
+        iters += np.count_nonzero(active)
+        V = X[node]
         i_val, g_val = evalf(V)
         ieq = i_val - g_val * V
-        Y = Y0 - ieq[:, None] * Zcol
-        w = Y[:, node] / (1.0 + g_val * svals)
-        X_new = Y - Zcol * (g_val * w)[:, None]
+        # Sherman-Morrison: the driver's conductance g on the node
+        # diagonal, its equivalent current ieq on the node's RHS
+        w = (Y0n - ieq * svals) / (1.0 + g_val * svals)
+        X_new = Y0 - Zcol * (ieq + g_val * w)
         delta = X_new - X
-        dv = delta[:, :n_nodes]
-        clip = np.abs(dv) > opts.max_dv
-        member_clip = clip.any(axis=1)
-        if member_clip.any():
+        ad = np.abs(delta)
+        clip = ad[:n_nodes] > opts.max_dv
+        if clip.any():
+            dv = delta[:n_nodes]
             dv[clip] = np.sign(dv[clip]) * opts.max_dv
-            X_new = np.where(member_clip[:, None], X + delta, X_new)
-        v_ok = (np.abs(delta[:, :n_nodes]) <= opts.vabstol
-                + opts.reltol * np.abs(X_new[:, :n_nodes])).all(axis=1)
-        i_ok = (np.abs(delta[:, n_nodes:]) <= opts.iabstol
-                + opts.reltol * np.abs(X_new[:, n_nodes:])).all(axis=1)
-        dn = np.abs(delta).max(axis=1)
-        X[active] = X_new[active]
-        delta_norm[active] = dn[active]
-        newly = active & v_ok & i_ok
-        active &= ~newly
+            X_new = np.where(clip.any(axis=0), X + delta, X_new)
+            ad = np.abs(delta)
+        ok = (ad <= atol + opts.reltol * np.abs(X_new)).all(axis=0)
+        np.copyto(X, X_new, where=active)
+        np.copyto(last, ad, where=active)
+        active &= ~ok
         if not active.any():
             break
-    return X, ~active, delta_norm, iters
+    return X, ~active, last.max(axis=0), iters
 
 
 def run_transient_batch(circuits, options: TransientOptions
@@ -197,6 +200,15 @@ def run_transient_batch(circuits, options: TransientOptions
         return _run_transient_batch(list(circuits), options, sp)
 
 
+def _fallback(circuits: list, options: TransientOptions, sp, reason: str
+              ) -> list[TransientResult]:
+    """Run a declined group member by member, recording why it was
+    declined on the span and in ``batch_fallbacks_total{reason}``."""
+    sp.set(members=len(circuits), fallback=reason)
+    get_metrics().inc("batch_fallbacks_total", reason=reason)
+    return [run_transient(c, options) for c in circuits]
+
+
 def _run_transient_batch(circuits: list, options: TransientOptions,
                          sp) -> list[TransientResult]:
     if not circuits:
@@ -204,8 +216,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     reason = ("single member" if len(circuits) == 1
               else _ineligible_reason(circuits, options))
     if reason:
-        sp.set(members=len(circuits), fallback=reason)
-        return [run_transient(c, options) for c in circuits]
+        return _fallback(circuits, options, sp, reason)
     if options.dt <= 0.0 or options.t_stop <= options.dt:
         raise CircuitError("need 0 < dt < t_stop")
     theta = options.resolved_theta()
@@ -213,9 +224,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     try:
         bank = _make_bank(circuits, systems)
     except CircuitError:
-        sp.set(members=len(circuits),
-               fallback="nonlinear elements are not bank-compatible")
-        return [run_transient(c, options) for c in circuits]
+        return _fallback(circuits, options, sp,
+                         "nonlinear elements are not bank-compatible")
 
     n_mem = len(circuits)
     size = systems[0].size
@@ -232,7 +242,6 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
 
     n_steps = int(round(options.t_stop / options.dt))
     t_grid = options.dt * np.arange(n_steps + 1)
-    A_stack = np.stack([np.asarray(s._A_base) for s in systems])
     src = StackedSourceTable([s.build_source_table(t_grid)
                               for s in systems])
     offsets = {id(el): m * size
@@ -252,41 +261,43 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     xs = np.empty((n_mem, n_steps + 1, size))
     xs[:, 0] = X
     warnings: list[list[str]] = [[] for _ in range(n_mem)]
-    B = np.empty((n_mem, size))
+    B = np.empty((n_mem, size, 1))
     B_flat = B.reshape(-1)  # the flat view the offset companion groups stamp
+    # the system matrix is constant over the run: invert it once per
+    # member, so each step's linear solve is one batched matmul
+    A_inv = np.linalg.inv(np.stack([np.asarray(s._A_base) for s in systems]))
     if bank is not None:
         node = bank.node
-        E = np.zeros((n_mem, size, 1))
-        E[:, node, 0] = 1.0
-        Zcol = np.linalg.solve(A_stack, E)[:, :, 0]   # B^-1 e_node per member
-        svals = Zcol[:, node]
+        Zcol = np.ascontiguousarray(A_inv[:, :, node].T)   # A^-1 e_node
+        svals = Zcol[node]
     X_prev = X.copy()
     newton = options.newton
     newton_iters = 0
     try:
         for k in range(1, n_steps + 1):
             t = float(t_grid[k])
-            src.fill_row(k, B)
+            src.fill_row(k, B[:, :, 0])
             comp.add_rhs(B_flat)
+            Y0 = np.matmul(A_inv, B)[:, :, 0]
             if bank is None:
-                x_new = np.linalg.solve(A_stack, B[:, :, None])[:, :, 0]
-                X_prev, X = X, x_new
+                X_prev, X = X, Y0
             else:
-                guess = 2.0 * X - X_prev if k > 1 else X.copy()
+                guess = 2.0 * X - X_prev if k > 1 else X
+                Y0 = Y0.T.copy()
                 x_try, conv, dnorm, it = _newton_lockstep(
-                    A_stack, Zcol, svals, node,
-                    lambda V: bank.eval(V, t), B, guess, n_nodes, newton)
+                    Zcol, svals, node, lambda V: bank.eval(V, t), Y0,
+                    guess.T, n_nodes, newton)
                 newton_iters += it
                 if not conv.all():
                     # retry failed members from the previous accepted
                     # solution, no predictor -- exactly like the serial loop
                     idx = np.flatnonzero(~conv)
                     x_re, conv_re, dn_re, it_re = _newton_lockstep(
-                        A_stack[idx], Zcol[idx], svals[idx], node,
-                        lambda V: bank.eval(V, t, idx), B[idx], X[idx],
-                        n_nodes, newton)
+                        Zcol[:, idx], svals[idx], node,
+                        lambda V: bank.eval(V, t, idx), Y0[:, idx],
+                        X[idx].T, n_nodes, newton)
                     newton_iters += it_re
-                    x_try[idx] = x_re
+                    x_try[:, idx] = x_re
                     dnorm[idx] = dn_re
                     conv = conv.copy()
                     conv[idx] = conv_re
@@ -298,7 +309,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                                                residual=float(dnorm[m]))
                     warnings[m].append(msg)
                 X_prev = X
-                X = np.ascontiguousarray(x_try)
+                X = x_try.T.copy()
             comp.update(X.reshape(-1))
             if bank is not None:
                 bank.update(X[:, node], t)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConvergenceError
+from ..obs import get_metrics
 from .mna import MNASystem
 from .netlist import Circuit
 from .newton import NewtonOptions, newton_solve
@@ -43,13 +44,21 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
 
     Strategy: plain Newton first; on failure, gmin stepping (a conductance to
     ground on every node, progressively removed); on failure, source stepping
-    (all sources scaled from 10% to 100%, warm-starting each stage).
+    (all sources scaled from 10% to 100%, warm-starting each stage).  Every
+    Newton iteration of every stage counts into the ``dcop_newton_iters``
+    counter.
     """
     sys_ = system or MNASystem(circuit)
     sys_.build_base(None, 1.0)
     x = np.zeros(sys_.size) if x0 is None else np.array(x0, dtype=float)
+    metrics = get_metrics()
 
-    res = newton_solve(sys_, x, 0.0, options)
+    def newton(x, **kw):
+        res = newton_solve(sys_, x, 0.0, options, **kw)
+        metrics.inc("dcop_newton_iters", res.iterations)
+        return res
+
+    res = newton(x)
     if res.converged:
         return OperatingPoint(circuit, sys_, res.x)
 
@@ -57,7 +66,7 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
     x = np.zeros(sys_.size)
     ok = True
     for gmin in gmin_steps:
-        res = newton_solve(sys_, x, 0.0, options, extra_gmin=gmin)
+        res = newton(x, extra_gmin=gmin)
         if not res.converged:
             ok = False
             break
@@ -68,7 +77,7 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
     # source stepping
     x = np.zeros(sys_.size)
     for scale in np.linspace(0.1, 1.0, 10):
-        res = newton_solve(sys_, x, 0.0, options, source_scale=float(scale))
+        res = newton(x, source_scale=float(scale))
         if not res.converged:
             raise ConvergenceError(
                 f"DC operating point failed (source stepping at {scale:.0%})",

@@ -4,9 +4,9 @@ The transient engine pays O(timesteps) per scenario even when the whole
 interconnect is linear and the only nonlinear device is the driver
 macromodel at the near-end port.  This module is the fast path for that
 case: the interconnect is an ABCD (chain-parameter) two-port composed
-block by block over the record's rfft frequency grid, the driver port is
-solved by a trust-region inexact-Newton harmonic-balance iteration
-(one batched NARX evaluation per outer iteration), and the port
+block by block over an rfft frequency grid, the driver port is solved
+by a Newton-Krylov harmonic balance over the record plus a settling
+tail (batched NARX evaluations over the whole period), and the port
 voltage/current records come back on exactly the transient time grid --
 so windowed spectra, detector weighting and mask verdicts downstream are
 computed by the very same :mod:`repro.emc` code path.
@@ -290,6 +290,7 @@ def check_passivity(network, f_lo: float, f_hi: float,
         margin_tol=float(margin_tol))
 
 
+
 # ---------------------------------------------------------------------------
 # the driver-side periodic source: two-load Thevenin identification
 # ---------------------------------------------------------------------------
@@ -298,11 +299,16 @@ def check_passivity(network, f_lo: float, f_hi: float,
 class TheveninSource:
     """Frequency-domain Thevenin equivalent of a driver's pattern drive.
 
+    The harmonic balance runs over a *solve period* of ``n_period``
+    samples: the ``n``-sample record (time grid ``t``) followed by a
+    settling tail in which the driver returns to its initial logic state
+    and the interconnect rings down, so the periodic solution restricted
+    to the record is the from-rest response the transient engine
+    computes.  ``f`` is the rfft grid of that period and ``wh``/``wl``
+    the driver macromodel's high/low weighting timelines over it.
     ``vth``/``zth`` are the per-bin open-circuit source spectrum and
     source impedance identified from two resistive reference transients
-    (:func:`extract_thevenin`); ``f`` is the rfft grid of the ``n``-
-    sample record on time grid ``t``; ``wh``/``wl`` are the driver
-    macromodel's high/low weighting timelines on that grid.  The
+    (:func:`extract_thevenin`), carried onto the period grid.  The
     equivalent seeds the harmonic-balance iteration -- the NARX model
     itself, not this linearization, sets the converged waveform.
     """
@@ -311,9 +317,29 @@ class TheveninSource:
     vth: np.ndarray
     zth: np.ndarray
     n: int
+    n_period: int
     t: np.ndarray
     wh: np.ndarray
     wl: np.ndarray
+
+
+def _period_samples(n: int) -> int:
+    """Solve-period length for an ``n``-sample record: at least twice the
+    record (an equally long settling tail), rounded up to a 2-3-5-smooth
+    FFT size."""
+    target = 2 * n
+    best = 5 * target
+    p2 = 1
+    while p2 < best:
+        p3 = p2
+        while p3 < best:
+            p5 = p3
+            while p5 < target:
+                p5 *= 5
+            best = min(best, p5)
+            p3 *= 3
+        p2 *= 2
+    return best
 
 
 # memoized per (driver model identity, pattern, bit_time, t_stop): the two
@@ -335,9 +361,12 @@ def extract_thevenin(model, pattern: str, bit_time: float,
 
     Bins where the system is ill-conditioned (the two loads see the same
     voltage, e.g. deep nulls) fall back to the median real source
-    impedance.  Memoized per (model identity, pattern, bit_time,
-    t_stop): one load grid shares one extraction, which is how the FD
-    backend amortizes to ~10x under the transient engine's cost.
+    impedance.  The source waveform is then extended over the settling
+    tail at its initial level and ``Zth`` interpolated onto the period
+    grid (see :class:`TheveninSource`).  Memoized per (model identity,
+    pattern, bit_time, t_stop): one load grid shares one extraction,
+    which is how the FD backend amortizes to ~10x under the transient
+    engine's cost.
     """
     key = (id(model), pattern, float(bit_time), float(t_stop))
     memo = _THEVENIN_MEMO.get(key)
@@ -370,12 +399,23 @@ def extract_thevenin(model, pattern: str, bit_time: float,
     if np.any(~bad):
         zth[bad] = np.median(zth[~bad].real)
     vth = va * (ra_ohm + zth) / ra_ohm
-    wave = BitPattern(pattern, bit_time=bit_time, v_low=0.0,
-                      v_high=model.vdd)
-    wh, wl = model.weights_timeline(wave.edges(), n,
+
+    n_period = _period_samples(n)
+    f_rec = np.fft.rfftfreq(n, model.ts)
+    f = np.fft.rfftfreq(n_period, model.ts)
+    vth_t = np.fft.irfft(vth, n)
+    vth = np.fft.rfft(np.concatenate(
+        [vth_t, np.full(n_period - n, vth_t[0])]))
+    zth = np.interp(f, f_rec, zth.real) + 1j * np.interp(f, f_rec, zth.imag)
+    edges = BitPattern(pattern, bit_time=bit_time, v_low=0.0,
+                       v_high=model.vdd).edges()
+    if pattern[-1] != pattern[0]:
+        # back to the initial state right after the record
+        edges.append((n * model.ts, "up" if pattern[0] == "1" else "down"))
+    wh, wl = model.weights_timeline(edges, n_period,
                                     initial_state=pattern[0])
-    src = TheveninSource(f=np.fft.rfftfreq(n, model.ts), vth=vth, zth=zth,
-                         n=n, t=res_a.t, wh=wh, wl=wl)
+    src = TheveninSource(f=f, vth=vth, zth=zth, n=n, n_period=n_period,
+                         t=res_a.t, wh=wh, wl=wl)
     if len(_THEVENIN_MEMO) >= _THEVENIN_MEMO_MAX:
         _THEVENIN_MEMO.pop(next(iter(_THEVENIN_MEMO)))
     _THEVENIN_MEMO[key] = (model, src)
@@ -392,6 +432,7 @@ class _SubLin:
 
     def __init__(self, sub):
         self.centers = np.asarray(sub.centers, float)
+        self.c2 = np.sum(self.centers ** 2, axis=1)
         self.weights = np.asarray(sub.weights, float)
         self.affine = np.asarray(sub.affine, float)
         self.bias = float(sub.bias)
@@ -411,42 +452,74 @@ class _SubLin:
         """
         clipped = (x < self.lo) | (x > self.hi)
         z = (np.clip(x, self.lo, self.hi) - self.mean) / self.scale
-        diff = z[:, None, :] - self.centers[None, :, :]
-        d2 = np.einsum("nmd,nmd->nm", diff, diff)
-        act = self.weights * np.exp(-d2 / (2.0 * self.sigma2))
+        # |z - c|^2 expanded, so the work is two (n, d) x (d, M) matmuls
+        d2 = np.sum(z * z, axis=1)[:, None] - 2.0 * (z @ self.centers.T) \
+            + self.c2
+        act = self.weights * np.exp(-np.maximum(d2, 0.0)
+                                    / (2.0 * self.sigma2))
         val = self.bias + act.sum(axis=1) + z @ self.affine
-        grads = (-np.einsum("nm,nmd->nd", act, diff) / self.sigma2
-                 + self.affine) / self.scale
+        grads = ((act @ self.centers - act.sum(axis=1)[:, None] * z)
+                 / self.sigma2 + self.affine) / self.scale
         grads[clipped] = 0.0
         return val, grads
 
 
-def _regressors(v: np.ndarray, im: np.ndarray, order: int) -> np.ndarray:
-    """NARX regressor matrix [v(k), v(k-1..r), i(k-1..r)] per sample."""
-    n = v.size
-    x = np.zeros((n, 2 * order + 1))
+def _narx_periodic(sub_h: _SubLin, sub_l: _SubLin, order: int, v, im,
+                   wh, wl):
+    """Weighted driver current + full gradient matrix over one period.
+
+    The regressors ``[v(k), v(k-1..r), i(k-1..r)]`` wrap around the
+    period.  Returns ``(i, G)``: the model port current (into the
+    device) and the (n, 2r+1) gradient w.r.t. the regressors, both
+    already combined with the high/low weighting timelines.
+    """
+    x = np.empty((v.size, 2 * order + 1))
     x[:, 0] = v
     for j in range(1, order + 1):
-        x[j:, j] = v[:-j]
-        x[j:, order + j] = im[:-j]
-    return x
-
-
-def _narx_full(sub_h: _SubLin, sub_l: _SubLin, order: int, v, im, wh, wl):
-    """Weighted driver current + full gradient matrix for one record.
-
-    Returns ``(i, G)``: the model port current (into the device) and the
-    (n, 2r+1) gradient w.r.t. the regressors, both already combined with
-    the high/low weighting timelines.  The first ``order`` samples are
-    zeroed exactly like the transient element's warm-up.
-    """
-    x = _regressors(v, im, order)
+        x[:, j] = np.roll(v, j)
+        x[:, order + j] = np.roll(im, j)
     fh, gh = sub_h.eval_full(x)
     fl, gl = sub_l.eval_full(x)
-    i = wh * fh + wl * fl
-    i[:order] = 0.0
-    grad = wh[:, None] * gh + wl[:, None] * gl
-    return i, grad
+    return wh * fh + wl * fl, wh[:, None] * gh + wl[:, None] * gl
+
+
+def _gmres(matvec, psolve, b: np.ndarray, rtol: float,
+           maxiter: int) -> np.ndarray:
+    """Right-preconditioned GMRES without restarts.
+
+    Solves ``A x = b`` for ``A = matvec`` with ``psolve`` approximating
+    ``A^-1``; stops once the least-squares residual falls under ``rtol``
+    times ``|b|`` or after ``maxiter`` Arnoldi steps.  At these sizes
+    (a few hundred unknowns, ~10 steps) ``scipy.sparse.linalg.gmres``
+    spends more in call overhead than in the products: it made the
+    64-scenario FD grid about 1.5x slower.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis = np.empty((maxiter + 1, b.size))
+    hess = np.zeros((maxiter + 1, maxiter))
+    rhs = np.zeros(maxiter + 1)
+    rhs[0] = beta
+    basis[0] = b / beta
+    k = 0
+    y = np.zeros(0)
+    while k < maxiter:
+        w = matvec(psolve(basis[k]))
+        # classical Gram-Schmidt, applied twice for orthogonality
+        hcol = basis[:k + 1] @ w
+        w = w - hcol @ basis[:k + 1]
+        corr = basis[:k + 1] @ w
+        w = w - corr @ basis[:k + 1]
+        hess[:k + 1, k] = hcol + corr
+        hess[k + 1, k] = np.linalg.norm(w)
+        k += 1
+        y, *_ = np.linalg.lstsq(hess[:k + 1, :k], rhs[:k + 1], rcond=None)
+        resid = np.linalg.norm(hess[:k + 1, :k] @ y - rhs[:k + 1])
+        if resid <= rtol * beta or hess[k, k - 1] <= 1e-14 * beta:
+            break
+        basis[k] = w / hess[k, k - 1]
+    return psolve(y @ basis[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +533,9 @@ class FDNetwork:
     ``chain`` is the composed ABCD cascade from the driver pad to the
     observation port (``None`` means the observation port *is* the pad);
     ``y_term`` is the per-bin termination admittance loading that port.
-    ``delay`` (seconds) is the chain's total propagation delay, used to
-    size the solver's startup guard band; ``n_blocks`` counts the
-    cascaded blocks (observability only).  Produced per scenario by
+    ``delay`` (seconds) is the chain's total propagation delay and
+    ``n_blocks`` counts the cascaded blocks (both observability only).
+    Produced per scenario by
     :meth:`repro.studies.kinds.ScenarioKind.fd_network`.
     """
 
@@ -495,8 +568,8 @@ class FDSolution:
     records, ``i_port`` the current flowing from the pad into the
     interconnect (the series-probe sign of the transient backend).
     ``residual`` is the final max-norm KCL residual (amperes, over the
-    tapered window) with ``converged`` its verdict against the
-    requested tolerance; ``n_iter`` counts outer Newton iterations and
+    whole solve period) with ``converged`` its verdict against the
+    requested tolerance; ``n_iter`` counts Newton iterations and
     ``n_bins`` the rfft bins solved.
     """
 
@@ -516,108 +589,109 @@ def solve_driver_port(model, pattern: str, bit_time: float, t_stop: float,
                       tol_rel: float = 1e-3) -> FDSolution:
     """Solve the nonlinear driver port against a linear FD network.
 
-    Harmonic balance on the record's rfft grid: KCL at the pad is
-    ``Yin(f) V(f) + I_model(v) = 0`` with ``Yin`` from
-    :meth:`FDNetwork.transfer` and ``I_model`` the PW-RBF NARX driver
-    current (positive into the device).  A trust-region inexact Newton
-    iteration drives it down: each outer iteration spends exactly one
-    batched NARX evaluation (values + full gradients), preconditions the
-    time-domain residual with the scalar frequency response
-    ``P = Yin + A0 / (1 - B0)`` built from the median NARX gradients
-    over voltage and current lags, and steps from the best state seen
-    with a scale that doubles on improvement and halves (reverting) on
-    failure.  The iteration stops when the tapered residual max-norm
-    falls under ``tol_rel`` times the port current scale, after three
-    stalled iterations, or at ``max_outer``.
+    Harmonic balance over the solve period of
+    :func:`extract_thevenin` (the record plus a settling tail, so the
+    periodic solution is the from-rest response on the record): KCL at
+    the pad is ``Yin(f) V(f) + I_model(v) = 0`` with ``Yin`` from
+    :meth:`FDNetwork.transfer` -- which must be sampled on the period
+    grid ``TheveninSource.f`` -- and ``I_model`` the PW-RBF NARX driver
+    current (positive into the device).  The NARX current-history
+    regressors take the port current ``-Yin v`` of the same iterate, so
+    the residual depends on ``v`` alone.
 
-    The first ``order + 2 delay/ts + 8`` samples are cosine-tapered out
-    of the residual: the FFT network term is circular while the NARX
-    term starts from rest, so the startup/wrap boundary carries an
-    irreducible mismatch that must not dominate the norm.  A
-    non-converged solve is still returned (best state found) with a
-    warning string -- the caller decides whether to fall back.
+    Each Newton iteration solves the exact linearization (network
+    convolution plus the per-sample NARX gradients) by GMRES,
+    preconditioned with the scalar frequency response
+    ``P = (1 - B0) Yin + A0`` built from the median NARX gradients over
+    voltage and current lags, then backtracks the step until the
+    residual norm falls.  The iteration stops when the residual
+    max-norm falls under ``tol_rel`` times the port current scale, when
+    a step no longer reduces it, or at ``max_outer``.  A non-converged
+    solve is still returned with a warning string.
     """
     src = extract_thevenin(model, pattern, bit_time, t_stop)
-    n = src.n
+    n, n_per = src.n, src.n_period
     order = model.order
     e, h = network.transfer()
     if e.shape != src.f.shape:
         raise ExperimentError(
-            f"FDNetwork has {e.shape[0]} bins; the {n}-sample record "
-            f"needs {src.f.size}")
+            f"FDNetwork has {e.shape[0]} bins; the {n_per}-sample solve "
+            f"period needs {src.f.size}")
     esafe = np.where(np.abs(e) < 1e-12, 1e-12, e)
     yin = h / esafe
+
+    def net_current(x):
+        return np.fft.irfft(yin * np.fft.rfft(x), n_per)
 
     with get_tracer().span("fd.solve", bins=int(src.f.size),
                            n_blocks=int(network.n_blocks)) as sp:
         sub_h = _SubLin(model.sub_high)
         sub_l = _SubLin(model.sub_low)
-        # Thevenin linear estimate seeds the iteration
-        v_obs0 = src.vth / (e + src.zth * h)
-        v = np.fft.irfft(e * v_obs0, n)
-        im = -np.fft.irfft(h * v_obs0, n)
+        zlag = np.exp(-2j * np.pi * src.f * model.ts)
+        zpow = [zlag ** j for j in range(order + 1)]
 
-        w = 2.0 * np.pi * src.f
-        zlag = np.exp(-1j * w * model.ts)
-        ntd = int(round(network.delay / model.ts))
-        guard = min(order + 2 * ntd + 8, n // 4)
-        taper = np.ones(n)
-        if guard > 0:
-            taper[:guard] = 0.5 - 0.5 * np.cos(
-                np.pi * np.arange(guard) / guard)
+        def evaluate(v):
+            yv = net_current(v)
+            i_mod, grad = _narx_periodic(sub_h, sub_l, order, v, -yv,
+                                         src.wh, src.wl)
+            return yv + i_mod, i_mod, grad
 
         def precond(grad):
-            # scalar frequency-domain surrogate of the NARX Jacobian:
-            # voltage-lag polynomial A0 over the current-history
-            # feedback 1 - B0, medians over the record, floored away
-            # from resonance/negative-conductance blowups
-            a0 = sum(np.median(grad[:, j]) * zlag ** j
-                     for j in range(order + 1))
-            b0 = sum(np.median(grad[:, order + j]) * zlag ** j
-                     for j in range(1, order + 1))
+            # scalar frequency-domain surrogate of the Jacobian
+            # (1 - B0) Yin + A0: voltage-lag polynomial A0 and
+            # current-history feedback B0 (the history is -Yin v, so it
+            # loops back through the network), medians over the period,
+            # floored away from resonance/negative-conductance blowups
+            med = np.median(grad, axis=0)
+            a0 = sum(med[j] * zpow[j] for j in range(order + 1))
+            b0 = sum(med[order + j] * zpow[j] for j in range(1, order + 1))
             den = 1.0 - b0
             mag = np.abs(den)
             den = np.where(mag < 0.05,
                            den * (0.05 / np.maximum(mag, 1e-12)), den)
             aeff = a0 / den
             aeff = np.clip(aeff.real, 1e-3, None) + 1j * aeff.imag
-            return yin + aeff
+            p = (yin + aeff) * den
+            return lambda x: np.fft.irfft(np.fft.rfft(x) / p, n_per)
 
+        def jacobian(grad):
+            def matvec(x):
+                yx = net_current(x)
+                out = yx + grad[:, 0] * x
+                for j in range(1, order + 1):
+                    out += grad[:, j] * np.roll(x, j) \
+                        - grad[:, order + j] * np.roll(yx, j)
+                return out
+            return matvec
+
+        # Thevenin linear estimate seeds the iteration
+        v = np.fft.irfft(e * src.vth / (e + src.zth * h), n_per)
+        res, i_mod, grad = evaluate(v)
         n_iter = 0
-        best = None      # (residual, v, i_model, res_t, P)
-        scale = 1.0
-        stall = 0
-        for outer in range(max_outer):
-            n_iter = outer + 1
-            i_new, grad = _narx_full(sub_h, sub_l, order, v, im,
-                                     src.wh, src.wl)
-            res_t = (np.fft.irfft(yin * np.fft.rfft(v), n) + i_new) * taper
-            rn = float(np.max(np.abs(res_t)))
-            if best is None or rn < best[0]:
-                if best is not None and rn > 0.99 * best[0]:
-                    stall += 1
-                else:
-                    stall = 0
-                best = (rn, v, i_new, res_t, precond(grad))
-                scale = min(1.0, 2.0 * scale)
-            else:
-                stall += 1
-                scale *= 0.5
-            iscale = max(float(np.max(np.abs(i_new))), 1e-6)
-            if rn < tol_rel * iscale or stall >= 3:
+        while True:
+            rn = float(np.max(np.abs(res)))
+            iscale = max(float(np.max(np.abs(i_mod))), 1e-6)
+            if rn < tol_rel * iscale or n_iter >= max_outer:
                 break
-            _, bv, bim, bres, bp = best
-            step = -np.fft.irfft(np.fft.rfft(bres) / bp, n)
-            v = bv + scale * step
-            im = bim
+            n_iter += 1
+            step = _gmres(jacobian(grad), precond(grad), -res,
+                          rtol=1e-2, maxiter=40)
+            norm0 = float(np.linalg.norm(res))
+            lam = 1.0
+            trial = evaluate(v + step)
+            while np.linalg.norm(trial[0]) >= norm0 and lam > 1.0 / 16:
+                lam *= 0.5
+                trial = evaluate(v + lam * step)
+            if np.linalg.norm(trial[0]) >= norm0:
+                break           # stalled: no step length reduces the residual
+            v = v + lam * step
+            res, i_mod, grad = trial
 
-        rn, v = best[0], best[1]
-        iscale = max(float(np.max(np.abs(best[2]))), 1e-6)
         converged = rn < tol_rel * iscale
         v_spec = np.fft.rfft(v)
-        v_obs = np.fft.irfft(v_spec / esafe, n) \
-            if network.chain is not None else v
-        i_port = np.fft.irfft(yin * v_spec, n)
+        v_obs = np.fft.irfft(v_spec / esafe, n_per)[:n] \
+            if network.chain is not None else v[:n]
+        i_port = np.fft.irfft(yin * v_spec, n_per)[:n]
         sp.set(outers=n_iter, residual=rn, converged=converged)
 
     warnings = []
@@ -625,6 +699,6 @@ def solve_driver_port(model, pattern: str, bit_time: float, t_stop: float,
         warnings.append(
             f"fd solver stopped at residual {rn:.2e} A after {n_iter} "
             f"iterations (tol {tol_rel * iscale:.2e} A)")
-    return FDSolution(t=src.t, v_pad=v, v_obs=v_obs, i_port=i_port,
+    return FDSolution(t=src.t, v_pad=v[:n], v_obs=v_obs, i_port=i_port,
                       n_iter=n_iter, residual=rn, converged=converged,
                       n_bins=int(src.f.size), warnings=warnings)

@@ -17,6 +17,7 @@ from ..circuit.netlist import Element
 from ..circuit.waveforms import BitPattern
 from ..errors import ModelError
 from .driver import PWRBFDriverModel
+from .rbf import StackedRBF
 from .receiver import CVReceiverModel, ParametricReceiverModel
 
 __all__ = ["PWRBFDriverElement", "ParametricReceiverElement",
@@ -302,12 +303,15 @@ class _DriverBank:
     """Struct-of-arrays lockstep evaluator over N driver elements.
 
     Built by :meth:`PWRBFDriverElement.batch_bank` for the grid-batched
-    transient backend: the members' NARX histories stack into ``(N, r)``
-    arrays, their switching-weight timelines into ``(N, n_w)`` arrays, and
-    each Newton pass evaluates both RBF submodels for the whole batch with
-    one vectorized call.  Zero-weight submodels are multiplied by exactly
-    ``0.0``, matching the scalar path's skip.  ``flush`` writes the
-    advanced histories back onto the elements, like the companion groups.
+    transient backend: the members' NARX histories stack into one
+    ``(2r, N)`` array ``[v(k-1..k-r), i(k-1..k-r)]``, their
+    switching-weight timelines into one ``(n_w, 2, N)`` array (high, low
+    per step), and both RBF submodels evaluate through one
+    :class:`~repro.models.rbf.StackedRBF`.  The history terms are reduced
+    once per accepted step, so a Newton pass only adds the present
+    voltage.  Zero-weight submodels are multiplied by exactly ``0.0``,
+    matching the scalar path's skip.  ``flush`` writes the advanced
+    histories back onto the elements, like the companion groups.
     """
 
     def __init__(self, els: list[PWRBFDriverElement]):
@@ -317,56 +321,58 @@ class _DriverBank:
         self.node = first.nodes[0]
         self.ts = first.ts
         self.order = self.model.order
-        self.WH = np.stack([el.wh for el in els])       # (N, n_w)
-        self.WL = np.stack([el.wl for el in els])
-        self._bh = self.model.sub_high.compile_batch()
-        self._bl = self.model.sub_low.compile_batch()
-        self.Vh = np.zeros((len(els), self.order))      # v(k-1) .. v(k-r)
-        self.Ih = np.zeros((len(els), self.order))      # i(k-1) .. i(k-r)
-        self._last_i = np.zeros(len(els))
+        self.W = np.empty((first.wh.size, 2, len(els)))
+        for m, el in enumerate(els):
+            self.W[:, 0, m] = el.wh
+            self.W[:, 1, m] = el.wl
+        self.rbf = StackedRBF((self.model.sub_high, self.model.sub_low))
+        self.load()
 
     def load(self) -> None:
         """Snapshot per-element NARX histories (call after ``init_state``)."""
-        n, r = len(self.els), self.order
-        self.Vh = np.array([el._v_hist for el in self.els],
-                           dtype=float).reshape(n, r)
-        self.Ih = np.array([el._i_hist for el in self.els],
-                           dtype=float).reshape(n, r)
+        H = np.array([el._v_hist + el._i_hist for el in self.els],
+                     dtype=float).reshape(len(self.els), 2 * self.order)
+        self.H = np.ascontiguousarray(H.T)
         self._last_i = np.array([getattr(el, "_last_i", 0.0)
                                  for el in self.els])
+        self._terms = self.rbf.history(self.H)
+
+    def _weights(self, t: float) -> np.ndarray:
+        """``(2, N)`` high/low weights at the step of time ``t``, indexed
+        like the element: ``round(t / ts)`` clamped to the timeline."""
+        k = int(round(t / self.ts))
+        return self.W[min(max(k, 0), self.W.shape[0] - 1)]
 
     def eval(self, V: np.ndarray, t: float, idx=None
              ) -> tuple[np.ndarray, np.ndarray]:
         """Port current and conductance of members ``idx`` (all when None).
 
-        Mirrors the element's ``stamp_nonlinear`` transient branch: the
-        weight index is ``round(t / ts)`` clamped to the timeline, the
-        regressor is ``[v(k), v-history, i-history]``.
+        Mirrors the element's ``stamp_nonlinear`` transient branch on the
+        history terms of the step in progress.
         """
-        k = int(round(t / self.ts))
-        k = min(max(k, 0), self.WH.shape[1] - 1)
-        if idx is None:
-            wh, wl = self.WH[:, k], self.WL[:, k]
-            Vh, Ih = self.Vh, self.Ih
-        else:
-            wh, wl = self.WH[idx, k], self.WL[idx, k]
-            Vh, Ih = self.Vh[idx], self.Ih[idx]
-        X = np.concatenate([V[:, None], Vh, Ih], axis=1)
-        fh, gh = self._bh.eval_grad(X)
-        fl, gl = self._bl.eval_grad(X)
-        return wh * fh + wl * fl, wh * gh + wl * gl
+        w = self._weights(t)
+        D, A = self._terms
+        if idx is not None:
+            w, D, A = w[:, idx], D[:, :, idx], A[:, idx]
+        f, g = self.rbf.eval(V, D, A)
+        return (w * f).sum(axis=0), (w * g).sum(axis=0)
 
     def update(self, V: np.ndarray, t: float) -> None:
         """Accept the step: shift every member's NARX history by one."""
-        i, _ = self.eval(V, t)
-        if self.order:
-            self.Vh = np.hstack([V[:, None], self.Vh[:, :-1]])
-            self.Ih = np.hstack([i[:, None], self.Ih[:, :-1]])
+        f = self.rbf.eval(V, *self._terms, grad=False)
+        i = (self._weights(t) * f).sum(axis=0)
+        r = self.order
+        if r:
+            H = self.H
+            self.H = np.concatenate([V[None], H[:r - 1], i[None],
+                                     H[r:-1]])
+            self._terms = self.rbf.history(self.H)
         self._last_i = i
 
     def flush(self) -> None:
         """Write bank state back onto the owning elements."""
+        r = self.order
         for m, el in enumerate(self.els):
-            el._v_hist = self.Vh[m].tolist()
-            el._i_hist = self.Ih[m].tolist()
+            el._v_hist = self.H[:r, m].tolist()
+            el._i_hist = self.H[r:, m].tolist()
             el._last_i = float(self._last_i[m])

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ModelError
 from .regressors import RegressorScaler
 
-__all__ = ["GaussianRBF"]
+__all__ = ["GaussianRBF", "StackedRBF"]
 
 
 @dataclass
@@ -133,18 +133,6 @@ class GaussianRBF:
         """
         return _CompiledRBF(self)
 
-    def compile_batch(self) -> "_BatchedRBF":
-        """Return a vectorized evaluator for many-instance lockstep loops.
-
-        The grid-batched transient backend evaluates the same network at N
-        scenario operating points per Newton pass; one numpy call over an
-        ``(N, dim)`` regressor block amortizes the dispatch the scalar
-        compiled form avoids.  Semantics match :meth:`compile`'s
-        ``eval_grad`` (box clipping, zero gradient when the present-voltage
-        column clips).
-        """
-        return _BatchedRBF(self)
-
     # -- persistence ---------------------------------------------------------------
     def to_dict(self) -> dict:
         return {"centers": self.centers.tolist(), "sigma": self.sigma,
@@ -158,46 +146,6 @@ class GaussianRBF:
                    weights=np.asarray(d["weights"]),
                    affine=np.asarray(d["affine"]), bias=float(d["bias"]),
                    scaler=RegressorScaler.from_dict(d["scaler"]))
-
-
-class _BatchedRBF:
-    """Vectorized ``(f, df/dx0)`` evaluator over rows of raw regressors.
-
-    Mirrors :meth:`_CompiledRBF.eval_grad` -- the evaluator the driver
-    element actually runs -- including its *strict* box-clip test for the
-    zero-gradient condition on the present-voltage column.
-    """
-
-    __slots__ = ("centers", "weights", "affine", "bias", "inv_two_sigma2",
-                 "inv_sigma2", "mean", "scale", "lo", "hi")
-
-    def __init__(self, model: "GaussianRBF"):
-        self.centers = np.asarray(model.centers, dtype=float)   # (M, dim)
-        self.weights = np.asarray(model.weights, dtype=float)
-        self.affine = np.asarray(model.affine, dtype=float)
-        self.bias = float(model.bias)
-        self.inv_two_sigma2 = 1.0 / (2.0 * model.sigma ** 2)
-        self.inv_sigma2 = 1.0 / model.sigma ** 2
-        sc = model.scaler
-        self.mean = np.asarray(sc.mean, dtype=float)
-        self.scale = np.asarray(sc.scale, dtype=float)
-        self.lo = np.asarray(sc.lo, dtype=float)
-        self.hi = np.asarray(sc.hi, dtype=float)
-
-    def eval_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(f, df/dx0)`` arrays for an ``(N, dim)`` regressor block."""
-        X = np.asarray(X, dtype=float)
-        clipped0 = (X[:, 0] < self.lo[0]) | (X[:, 0] > self.hi[0])
-        Z = (np.clip(X, self.lo, self.hi) - self.mean) / self.scale
-        diff = Z[:, None, :] - self.centers[None, :, :]         # (N, M, dim)
-        d2 = np.einsum("nmd,nmd->nm", diff, diff)
-        act = self.weights * np.exp(-d2 * self.inv_two_sigma2)  # (N, M)
-        f = self.bias + act.sum(axis=1) + Z @ self.affine
-        g = (act * (-diff[:, :, 0] * self.inv_sigma2)).sum(axis=1) \
-            + self.affine[0]
-        g /= self.scale[0]
-        g[clipped0] = 0.0
-        return f, g
 
 
 class _CompiledRBF:
@@ -278,3 +226,110 @@ class _CompiledRBF:
         if clipped0:
             return f, 0.0
         return f, g / scale[0]
+
+
+class StackedRBF:
+    """Lockstep evaluator of S networks at N operating points, split at
+    the present-voltage column.
+
+    The grid-batched transient backend evaluates a driver's submodels at
+    every member's port voltage on every Newton pass of a time step, but
+    within a step only the regressor's first column ``v(k)`` changes: the
+    history columns ``[v(k-1..k-r), i(k-1..k-r)]`` are fixed until the
+    step is accepted.  :meth:`history` therefore reduces them once per
+    step to each network's squared distance to its centers plus its
+    affine part, and :meth:`eval` adds only the ``v(k)`` term.  The S
+    networks stack on a leading axis (each keeps its own scaler, sigma and
+    weights; a network with fewer centers pads with zero-weight ones), so
+    one pass is one set of numpy calls for all of them.  The member axis
+    N is innermost everywhere: numpy's inner loops then run over N
+    rather than over the handful of centers or regressor columns.
+
+    Semantics match :meth:`_CompiledRBF.eval_grad`, the evaluator the
+    serial driver element runs: box clipping on every column, and a zero
+    gradient when the present-voltage column clips.
+    """
+
+    __slots__ = ("lo0", "hi0", "mean0", "scale0", "a0", "c0", "w",
+                 "neg_inv_two_sigma2", "neg_inv_sigma2",
+                 "lo_h", "hi_h", "mean_h", "scale_h", "c_h", "a_h", "bias")
+
+    def __init__(self, models):
+        models = list(models)
+        if len({m.dim for m in models}) != 1:
+            raise ModelError("stacked networks need one regressor dimension")
+        n_s, n_m, dim = len(models), max(m.n_bases for m in models), \
+            models[0].dim
+        centers = np.zeros((n_s, n_m, dim))
+        weights = np.zeros((n_s, n_m))
+        for s, m in enumerate(models):
+            centers[s, :m.n_bases] = m.centers
+            weights[s, :m.n_bases] = m.weights
+        mean = np.array([m.scaler.mean for m in models], dtype=float)
+        scale = np.array([m.scaler.scale for m in models], dtype=float)
+        lo = np.array([m.scaler.lo for m in models], dtype=float)
+        hi = np.array([m.scaler.hi for m in models], dtype=float)
+        affine = np.array([m.affine for m in models], dtype=float)
+        sigma2 = np.array([m.sigma ** 2 for m in models])
+        # present-voltage column, shaped to broadcast on (S, N) / (S, M, N)
+        self.lo0, self.hi0 = lo[:, :1], hi[:, :1]
+        self.mean0, self.scale0 = mean[:, :1], scale[:, :1]
+        self.a0 = affine[:, :1]
+        self.c0 = centers[:, :, :1]
+        self.w = weights[:, None, :]
+        self.neg_inv_two_sigma2 = (-0.5 / sigma2)[:, None, None]
+        self.neg_inv_sigma2 = (-1.0 / sigma2)[:, None]
+        # history columns, shaped to broadcast on (S, dim - 1, [M,] N)
+        self.lo_h, self.hi_h = lo[:, 1:, None], hi[:, 1:, None]
+        self.mean_h, self.scale_h = mean[:, 1:, None], scale[:, 1:, None]
+        self.c_h = centers[:, :, 1:].transpose(0, 2, 1)[..., None]
+        self.a_h = affine[:, None, 1:]
+        self.bias = np.array([[float(m.bias)] for m in models])
+
+    def history(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step terms of the raw history columns ``H`` (dim - 1, N).
+
+        Returns ``(D, A)``: ``D`` (S, M, N) is the squared scaled distance
+        of each member's history to every center, ``A`` (S, N) the
+        history's affine part plus the bias.  Slices of both on the last
+        axis are the terms of the matching member subset.
+        """
+        Z = np.maximum(H, self.lo_h)
+        np.minimum(Z, self.hi_h, out=Z)
+        Z -= self.mean_h
+        Z /= self.scale_h
+        diff = Z[:, :, None, :] - self.c_h
+        diff *= diff
+        A = np.matmul(self.a_h, Z)[:, 0]
+        A += self.bias
+        return np.add.reduce(diff, axis=1), A
+
+    def eval(self, V: np.ndarray, D: np.ndarray, A: np.ndarray,
+             grad: bool = True):
+        """Every network at present voltages ``V`` (N,) on the history
+        terms ``(D, A)`` of :meth:`history`.
+
+        Returns ``(f, df/dv)``, each (S, N), or ``f`` alone when ``grad``
+        is false.
+        """
+        Vc = np.maximum(V, self.lo0)
+        np.minimum(Vc, self.hi0, out=Vc)
+        z0 = Vc - self.mean0
+        z0 /= self.scale0
+        diff = z0[:, None, :] - self.c0
+        act = diff * diff
+        act += D
+        act *= self.neg_inv_two_sigma2
+        np.exp(act, out=act)
+        f = np.matmul(self.w, act)[:, 0]
+        f += A
+        f += self.a0 * z0
+        if not grad:
+            return f
+        act *= diff
+        g = np.matmul(self.w, act)[:, 0]
+        g *= self.neg_inv_sigma2
+        g += self.a0
+        g /= self.scale0
+        g *= Vc == V        # zero where the present-voltage column clipped
+        return f, g

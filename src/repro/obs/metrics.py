@@ -2,7 +2,8 @@
 
 A :class:`MetricsRegistry` is a lock-protected map from
 ``(name, labels)`` to scalar state.  The stack increments it from the
-solver (``solver_steps``, ``newton_iters``), the runner
+solver (``solver_steps``, ``newton_iters``, ``dcop_newton_iters``,
+``batch_fallbacks_total{reason}``), the runner
 (``cache_hits``/``cache_misses``, ``scenarios_total{status,kind}``,
 ``worker_restarts``) and the service (``shard_retries``, the
 ``job_seconds`` latency histogram).  Registries are cheap plain-Python

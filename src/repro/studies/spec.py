@@ -333,6 +333,32 @@ class BaseLoadSpec:
         return get_kind(self.kind).load_to_dict(self)
 
 
+def _study_table(d) -> dict:
+    """The field table of a serialized study: ``d`` itself, or the table
+    nested under its ``"study"`` key.  Anything but a table raises
+    :class:`ExperimentError`."""
+    if isinstance(d, dict) and isinstance(d.get("study"), dict):
+        d = d["study"]
+    if not isinstance(d, dict):
+        raise ExperimentError(
+            f"a study must be a table of fields, not {type(d).__name__}")
+    return d
+
+
+def _coerce_field(name: str, convert, value):
+    """``convert(value)`` for the top-level study field ``name``.
+
+    A value of the wrong type or form (``bit_time = "fast"``, ``loads =
+    5``) raises :class:`ExperimentError` naming the field, so the service
+    answers 400 and the CLI exits 2 instead of surfacing a bare
+    ``TypeError``/``ValueError``.
+    """
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ExperimentError(f"study field {name!r}: {exc}") from exc
+
+
 def load_from_dict(d: dict):
     """Rebuild any load spec from its ``to_dict`` form.
 
@@ -662,8 +688,7 @@ class Study:
         classmethod, so the dispatch keeps Monte Carlo studies
         round-tripping everywhere a plain study does.
         """
-        if "study" in d and isinstance(d["study"], dict):
-            d = d["study"]
+        d = _study_table(d)
         if "stochastic" in d and cls is Study:
             from .stochastic import StochasticStudy
             return StochasticStudy.from_dict(d)
@@ -672,12 +697,13 @@ class Study:
         if unknown:
             raise ExperimentError(f"unknown Study fields {sorted(unknown)}")
         if "loads" in kw:
-            kw["loads"] = tuple(
+            kw["loads"] = _coerce_field("loads", lambda lds: tuple(
                 ld if isinstance(ld, BaseLoadSpec) else load_from_dict(ld)
-                for ld in kw["loads"])
+                for ld in lds), kw["loads"])
         if "spectral" in kw and not isinstance(kw["spectral"],
                                                SpectralSpec):
-            kw["spectral"] = SpectralSpec.from_dict(kw["spectral"])
+            kw["spectral"] = _coerce_field("spectral", SpectralSpec.from_dict,
+                                          kw["spectral"])
         # the serialized table is named "runner", but accept the
         # dataclass-field spelling "options" too -- either way a plain
         # dict must coerce here, not surface as an AttributeError inside
@@ -690,15 +716,16 @@ class Study:
         if options is None:
             options = kw.pop("options", None)
         if options is not None and not isinstance(options, RunnerOptions):
-            options = RunnerOptions.from_dict(options)
+            options = _coerce_field("runner", RunnerOptions.from_dict,
+                                   options)
         if options is not None:
             kw["options"] = options
         for fname in ("bit_time", "dt", "t_stop"):
             if kw.get(fname) is not None:
-                kw[fname] = float(kw[fname])
+                kw[fname] = _coerce_field(fname, float, kw[fname])
         for fname in ("patterns", "drivers", "corners"):
             if fname in kw:
-                kw[fname] = tuple(kw[fname])
+                kw[fname] = _coerce_field(fname, tuple, kw[fname])
         return cls(**kw)
 
     def canonical(self) -> str:

@@ -46,7 +46,8 @@ from ..errors import ExperimentError
 from ..experiments.cache import canonical_json as _canonical_json
 from ..obs import get_metrics, get_tracer
 from .outcomes import StudyResult
-from .spec import BaseLoadSpec, Scenario, Study
+from .spec import (BaseLoadSpec, Scenario, Study, _coerce_field,
+                   _study_table)
 
 __all__ = ["Distribution", "TrafficModel", "JitterSpec",
            "StochasticSpec", "StochasticStudy", "StochasticResult",
@@ -660,15 +661,14 @@ class StochasticStudy(Study):
     def from_dict(cls, d: dict) -> "StochasticStudy":
         """Rebuild from :meth:`to_dict` output (also accepts the dict
         nested under a ``"study"`` table, like the base class)."""
-        if "study" in d and isinstance(d["study"], dict):
-            d = d["study"]
-        kw = dict(d)
+        kw = dict(_study_table(d))
         sto = kw.get("stochastic")
         if sto is None:
             raise ExperimentError(
                 "a StochasticStudy needs a [stochastic] table")
         if not isinstance(sto, StochasticSpec):
-            kw["stochastic"] = StochasticSpec.from_dict(sto)
+            kw["stochastic"] = _coerce_field(
+                "stochastic", StochasticSpec.from_dict, sto)
         return super().from_dict(kw)
 
     def canonical(self) -> str:

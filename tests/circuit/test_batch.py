@@ -104,6 +104,68 @@ class TestNonlinearEquivalence:
             assert res.warnings == ref.warnings
 
 
+class TestDriverLineGroup:
+    """Driver -> line -> far-end load, the paper's EMC bench, batched."""
+
+    PATTERNS = ("0110100111010010", "1001011000101101",
+                "0011001101011100", "1110001010011011",
+                "0101110010100110", "1011010001110001")
+    R_FAR = (33.0, 50.0, 75.0, 120.0, 220.0, 470.0)
+    BIT = 0.4e-9
+
+    def bench(self, model, pattern, r):
+        t_stop = len(pattern) * self.BIT
+        ckt = Circuit("drv-line")
+        ckt.add(PWRBFDriverElement.for_pattern(
+            "drv", "out", model, pattern, self.BIT, t_stop))
+        ckt.add(IdealLine("tl", "out", "far", 60.0, 0.3e-9))
+        ckt.add(Resistor("rl", "far", "0", r))
+        ckt.add(Capacitor("cl", "far", "0", 1e-12))
+        return ckt
+
+    def run_both(self, model, opts):
+        members = list(zip(self.PATTERNS, self.R_FAR))
+        batched = run_transient_batch(
+            [self.bench(model, p, r) for p, r in members], opts)
+        for (p, r), res in zip(members, batched):
+            assert res.batched
+            ref = run_transient(self.bench(model, p, r), opts)
+            np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
+            assert res.warnings == ref.warnings
+        return batched
+
+    def test_unique_patterns_match_serial(self, md2_model):
+        opts = TransientOptions(dt=md2_model.ts,
+                                t_stop=16 * self.BIT, method="damped")
+        self.run_both(md2_model, opts)
+
+    @pytest.mark.parametrize("max_iter", [3, 2])
+    def test_forced_retries_match_serial(self, md2_model, monkeypatch,
+                                         max_iter):
+        """A small Newton budget fails members in lockstep; they retry
+        through the subset path and still track serial exactly.  At 3
+        passes every retry converges, at 2 some fail and warn."""
+        from repro.circuit.newton import NewtonOptions
+        from repro.models.elements import _DriverBank
+        subsets = []
+        original = _DriverBank.eval
+
+        def spy(bank, V, t, idx=None):
+            if idx is not None:
+                subsets.append(len(idx))
+            return original(bank, V, t, idx)
+
+        monkeypatch.setattr(_DriverBank, "eval", spy)
+        # zero initial conditions: so small a budget would fail the DC
+        # operating point before stepping starts
+        opts = TransientOptions(dt=md2_model.ts, t_stop=16 * self.BIT,
+                                method="damped", strict=False, ic="zero",
+                                newton=NewtonOptions(max_iter=max_iter))
+        batched = self.run_both(md2_model, opts)
+        assert subsets and max(subsets) < len(self.PATTERNS)
+        assert any(res.warnings for res in batched) == (max_iter == 2)
+
+
 class TestEligibilityAndFallback:
     def test_empty_and_singleton(self):
         assert run_transient_batch([], OPTS) == []

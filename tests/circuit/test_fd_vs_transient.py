@@ -6,10 +6,10 @@ frequency-domain backend's port spectrum tracks the transient engine's
 at every mask-relevant bin -- within 40 dB of the spectral peak, inside
 the 10 MHz - 2 GHz EMC band -- to the backend's documented 6 dB
 envelope (``docs/fd_backend.md``; in practice the median disagreement is
-a fraction of a dB, dominated by the transient record's startup
-transient, which the periodic FD solution does not contain).  Compliance
-verdicts against masks sitting well clear of that envelope must agree
-exactly.
+about a tenth of a dB: the FD solve period appends a settling tail, so
+its periodic solution is the from-rest response the transient engine
+computes).  Compliance verdicts against masks sitting well clear of
+that envelope must agree exactly.
 """
 
 import numpy as np
@@ -102,9 +102,28 @@ def test_fd_verdicts_agree_with_transient(sc, md2_model):
         assert out_fd.verdict.passed == out_tr.verdict.passed
 
 
+@pytest.mark.parametrize("pattern, load", [
+    # a heavily mismatched line whose far-end R||C rings for several
+    # round trips (the lagged-history iteration diverged from its seed)
+    ("0110", LoadSpec(kind="line", z0=93.0, td=0.6e-9, r=22.0, c=5e-12)),
+    # a record that ends off its initial state (the wrap of a plain
+    # record-length period puts a spurious edge into the first bit)
+    ("01", LoadSpec(kind="line", z0=120.0, td=0.56e-9, r=20.0, c=5e-12)),
+])
+def test_fd_converges_on_reflective_lines(pattern, load, md2_model):
+    sc = Scenario(pattern=pattern, load=load, bit_time=2e-9,
+                  spectral=SpectralSpec(quantity="v_port", window="hann"))
+    out_fd, out_tr = _run_both(sc, md2_model)
+    assert not out_fd.warnings
+    db_fd = out_fd.spectra["v_port"].db()
+    db_tr = out_tr.spectra["v_port"].db()
+    rel = _mask_relevant(out_tr.spectra["v_port"].f, db_tr)
+    assert float(np.abs(db_fd[rel] - db_tr[rel]).max()) < TOL_DB
+
+
 def test_fd_waveform_is_periodic_steady_state(md2_model):
-    """The FD waveform matches the transient record after the startup
-    transient dies out (the engines differ mostly in the first bits)."""
+    """The FD waveform matches the transient record once the driver has
+    left its initial state."""
     sc = Scenario(pattern="0110", bit_time=2e-9,
                   load=LoadSpec(kind="line", z0=65.0, td=0.4e-9, r=150.0))
     out_fd, out_tr = _run_both(sc, md2_model)

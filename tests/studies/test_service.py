@@ -313,6 +313,21 @@ class TestHTTPService:
         with pytest.raises(ExperimentError, match="409"):
             fetch_result(url, status["job"])
 
+    @pytest.mark.parametrize("doc, field", [
+        (5, "table of fields"),
+        ({"loads": 5}, "'loads'"),
+        ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]},
+         "'loads'"),
+        ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
+    ])
+    def test_malformed_study_is_400(self, http_service, doc, field):
+        """A malformed body answers 400 naming the field; the
+        connection is not dropped."""
+        url, _service = http_service
+        with pytest.raises(ExperimentError,
+                           match=f"service error 400.*{field}"):
+            submit_study(url, doc)
+
     def test_concurrent_clients_share_one_job(self, http_service,
                                               models, tmp_path):
         """Two clients submitting the same study share one job -- and

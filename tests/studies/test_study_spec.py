@@ -285,3 +285,30 @@ class TestCanonicalFormIsPinned:
         named = SpectralSpec(mask="board-b")
         inline = SpectralSpec(mask=get_mask("board-b"))
         assert named.canonical() == inline.canonical()
+
+
+#: malformed study documents and the top-level field each error must name
+MALFORMED = [
+    (5, "table of fields"),
+    ({"loads": 5}, "'loads'"),
+    ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]}, "'loads'"),
+    ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
+]
+
+
+class TestMalformedInputs:
+    """Bad field types surface as ExperimentError naming the field, not
+    as a bare TypeError/ValueError."""
+
+    @pytest.mark.parametrize("doc, field", MALFORMED)
+    def test_from_dict_names_the_field(self, doc, field):
+        with pytest.raises(ExperimentError, match=field):
+            Study.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, field", MALFORMED)
+    def test_cli_exits_2(self, doc, field, tmp_path, capsys):
+        from repro.studies.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
