@@ -17,8 +17,9 @@ from ..circuit.netlist import Element
 from ..circuit.waveforms import BitPattern
 from ..errors import ModelError
 from .driver import PWRBFDriverModel
-from .rbf import StackedRBF
+from .rbf import GaussianRBF, StackedRBF
 from .receiver import CVReceiverModel, ParametricReceiverModel
+from .regressors import RegressorScaler
 
 __all__ = ["PWRBFDriverElement", "ParametricReceiverElement",
            "CVReceiverElement"]
@@ -151,28 +152,27 @@ class PWRBFDriverElement(_DiscretePortElement):
 
     @classmethod
     def batch_bank(cls, els) -> "_DriverBank | None":
-        """Vectorized lockstep evaluator over same-model elements.
+        """Vectorized lockstep evaluator over driver elements.
 
         The grid-batched transient backend
         (:mod:`repro.circuit.batch`) calls this to advance every member's
-        driver in one numpy pass per Newton iteration.  Returns ``None``
-        when the elements are not bank-compatible -- different model
-        objects, different weight-timeline lengths, a grounded port, or a
-        subclass (whose overridden evaluation the bank could not honor) --
-        in which case the group falls back to per-member simulation.
+        driver in one numpy pass per Newton iteration.  Members may run
+        different models of one driver (its corners) and weight
+        timelines of different lengths.  Returns ``None`` when the
+        elements are not bank-compatible -- different sampling times or
+        model orders, different or grounded ports, or a subclass (whose
+        overridden evaluation the bank could not honor) -- in which case
+        the group falls back to per-member simulation.
         """
         els = list(els)
-        if cls is not PWRBFDriverElement:
+        if cls is not PWRBFDriverElement \
+                or any(type(el) is not cls for el in els):
             return None
         first = els[0]
-        if any(type(el) is not cls for el in els):
+        if any(el.ts != first.ts or el.model.order != first.model.order
+               for el in els[1:]):
             return None
-        if any(el.model is not first.model for el in els[1:]):
-            return None
-        if any(el.wh.shape != first.wh.shape for el in els[1:]):
-            return None
-        if first.nodes[0] < 0 \
-                or any(el.nodes[0] != first.nodes[0] for el in els[1:]):
+        if not _one_port(els):
             return None
         return _DriverBank(els)
 
@@ -243,6 +243,26 @@ class ParametricReceiverElement(_DiscretePortElement):
     def current(self, x) -> float:
         return getattr(self, "_last_i", 0.0)
 
+    @classmethod
+    def batch_bank(cls, els) -> "_ReceiverBank | None":
+        """Vectorized lockstep evaluator over receiver elements.
+
+        The receiver counterpart of :meth:`PWRBFDriverElement.batch_bank`:
+        the ARX part and both NFIR protection submodels of every member
+        advance in one numpy pass per Newton iteration.  Returns ``None``
+        when the elements differ in sampling time or submodel orders, sit
+        on different or grounded ports, or are a subclass.
+        """
+        els = list(els)
+        if cls is not ParametricReceiverElement \
+                or any(type(el) is not cls for el in els):
+            return None
+        orders = {(el.ts, el.model.linear.order, el.model.up_order,
+                   el.model.down_order) for el in els}
+        if len(orders) != 1 or not _one_port(els):
+            return None
+        return _ReceiverBank(els)
+
 
 class CVReceiverElement(Element):
     """C-V baseline receiver: shunt C plus static nonlinear resistor.
@@ -299,6 +319,36 @@ class CVReceiverElement(Element):
         return float(self.model.static_current(np.array(v))) + self._ic_prev
 
 
+def _one_port(els) -> bool:
+    """Whether every element sits on the same ungrounded node."""
+    node = els[0].nodes[0]
+    return node >= 0 and all(el.nodes[0] == node for el in els)
+
+
+def _padded(net: GaussianRBF, dim: int) -> GaussianRBF:
+    """``net`` over ``dim`` regressor columns, ignoring the extra ones.
+
+    Each added column clips to the single point 0 and has a zero center
+    and affine coefficient, so it adds nothing to any distance; this
+    lets NFIR submodels of different orders share one
+    :class:`~repro.models.rbf.StackedRBF`.
+    """
+    extra = dim - net.dim
+    if extra == 0:
+        return net
+    zeros = np.zeros(extra)
+    sc = net.scaler
+    scaler = RegressorScaler(
+        mean=np.concatenate([sc.mean, zeros]),
+        scale=np.concatenate([sc.scale, np.ones(extra)]),
+        lo=np.concatenate([sc.lo, zeros]), hi=np.concatenate([sc.hi, zeros]))
+    return GaussianRBF(
+        centers=np.hstack([net.centers, np.zeros((net.n_bases, extra))]),
+        sigma=net.sigma, weights=net.weights,
+        affine=np.concatenate([net.affine, zeros]), bias=net.bias,
+        scaler=scaler)
+
+
 class _DriverBank:
     """Struct-of-arrays lockstep evaluator over N driver elements.
 
@@ -306,7 +356,9 @@ class _DriverBank:
     transient backend: the members' NARX histories stack into one
     ``(2r, N)`` array ``[v(k-1..k-r), i(k-1..k-r)]``, their
     switching-weight timelines into one ``(n_w, 2, N)`` array (high, low
-    per step), and both RBF submodels evaluate through one
+    per step; a shorter timeline pads with its last sample, which is
+    exactly the element's own clamp), and both RBF submodels of every
+    member's model evaluate through one
     :class:`~repro.models.rbf.StackedRBF`.  The history terms are reduced
     once per accepted step, so a Newton pass only adds the present
     voltage.  Zero-weight submodels are multiplied by exactly ``0.0``,
@@ -317,15 +369,18 @@ class _DriverBank:
     def __init__(self, els: list[PWRBFDriverElement]):
         self.els = els
         first = els[0]
-        self.model = first.model
         self.node = first.nodes[0]
         self.ts = first.ts
-        self.order = self.model.order
-        self.W = np.empty((first.wh.size, 2, len(els)))
+        self.order = first.model.order
+        self.n_models = len({id(el.model) for el in els})
+        self.W = np.empty((max(el.wh.size for el in els), 2, len(els)))
         for m, el in enumerate(els):
-            self.W[:, 0, m] = el.wh
-            self.W[:, 1, m] = el.wl
-        self.rbf = StackedRBF((self.model.sub_high, self.model.sub_low))
+            n = el.wh.size
+            self.W[:n, 0, m] = el.wh
+            self.W[:n, 1, m] = el.wl
+            self.W[n:, :, m] = (el.wh[-1], el.wl[-1])
+        self.rbf = StackedRBF(([el.model.sub_high for el in els],
+                               [el.model.sub_low for el in els]))
         self.load()
 
     def load(self) -> None:
@@ -354,7 +409,7 @@ class _DriverBank:
         D, A = self._terms
         if idx is not None:
             w, D, A = w[:, idx], D[:, :, idx], A[:, idx]
-        f, g = self.rbf.eval(V, D, A)
+        f, g = self.rbf.eval(V, D, A, idx)
         return (w * f).sum(axis=0), (w * g).sum(axis=0)
 
     def update(self, V: np.ndarray, t: float) -> None:
@@ -375,4 +430,83 @@ class _DriverBank:
         for m, el in enumerate(self.els):
             el._v_hist = self.H[:r, m].tolist()
             el._i_hist = self.H[r:, m].tolist()
+            el._last_i = float(self._last_i[m])
+
+
+class _ReceiverBank:
+    """Struct-of-arrays lockstep evaluator over N receiver elements.
+
+    Built by :meth:`ParametricReceiverElement.batch_bank`.  Eq. (2) per
+    member: the ARX part's history terms ``c + sum b_j v(k-j) - a_j
+    i_L(k-j)`` reduce once per accepted step to one ``(N,)`` vector, so
+    a Newton pass adds ``b_0 v(k)``; the up/down NFIR submodels
+    (padded to one regressor dimension, see :func:`_padded`) evaluate
+    through one history-split :class:`~repro.models.rbf.StackedRBF`.
+    Histories are ``(r, N)`` arrays; ``flush`` writes them back onto the
+    elements.
+    """
+
+    def __init__(self, els: list[ParametricReceiverElement]):
+        self.els = els
+        first = els[0]
+        self.node = first.nodes[0]
+        self.n_models = len({id(el.model) for el in els})
+        m0 = first.model
+        self.r_lin = m0.linear.order
+        self.r_nfir = max(m0.up_order, m0.down_order)
+        self.b0 = np.array([el._b_lin[0] for el in els])
+        self.b_h = np.array([el._b_lin[1:] for el in els]).T.reshape(
+            self.r_lin, len(els))
+        self.a = np.array([el._a_lin for el in els]).T.reshape(
+            self.r_lin, len(els))
+        self.c = np.array([el._c_lin for el in els])
+        dim = self.r_nfir + 1
+        self.rbf = StackedRBF(([_padded(el.model.up, dim) for el in els],
+                               [_padded(el.model.down, dim) for el in els]))
+        self.load()
+
+    def load(self) -> None:
+        """Snapshot per-element histories (call after ``init_state``)."""
+        self.Hv = np.array([el._v_hist for el in self.els],
+                           dtype=float).reshape(len(self.els), -1).T.copy()
+        self.Hl = np.array([el._lin_hist for el in self.els],
+                           dtype=float).reshape(len(self.els), -1).T.copy()
+        self._last_i = np.array([getattr(el, "_last_i", 0.0)
+                                 for el in self.els])
+        self._terms = self._history()
+
+    def _history(self):
+        """``(D, A, lin)``: the NFIR history terms and the ARX part's
+        history sum of the step in progress."""
+        r = self.r_lin
+        lin = self.c + (self.b_h * self.Hv[:r]).sum(axis=0) \
+            - (self.a * self.Hl[:r]).sum(axis=0)
+        return (*self.rbf.history(self.Hv[:self.r_nfir]), lin)
+
+    def eval(self, V: np.ndarray, t: float, idx=None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Port current and conductance of members ``idx`` (all when None),
+        mirroring the element's ``stamp_nonlinear``."""
+        D, A, lin = self._terms
+        b0 = self.b0
+        if idx is not None:
+            D, A, lin, b0 = D[:, :, idx], A[:, idx], lin[idx], b0[idx]
+        f, g = self.rbf.eval(V, D, A, idx)
+        return lin + b0 * V + f.sum(axis=0), b0 + g.sum(axis=0)
+
+    def update(self, V: np.ndarray, t: float) -> None:
+        """Accept the step: shift every member's histories by one."""
+        D, A, lin = self._terms
+        i_lin = lin + self.b0 * V
+        f = self.rbf.eval(V, D, A, grad=False)
+        self.Hv = np.concatenate([V[None], self.Hv[:-1]])
+        self.Hl = np.concatenate([i_lin[None], self.Hl[:-1]])
+        self._last_i = i_lin + f.sum(axis=0)
+        self._terms = self._history()
+
+    def flush(self) -> None:
+        """Write bank state back onto the owning elements."""
+        for m, el in enumerate(self.els):
+            el._v_hist = self.Hv[:, m].tolist()
+            el._lin_hist = self.Hl[:, m].tolist()
             el._last_i = float(self._last_i[m])

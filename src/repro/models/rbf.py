@@ -229,8 +229,8 @@ class _CompiledRBF:
 
 
 class StackedRBF:
-    """Lockstep evaluator of S networks at N operating points, split at
-    the present-voltage column.
+    """Lockstep evaluator of S networks per member over N members, split
+    at the present-voltage column.
 
     The grid-batched transient backend evaluates a driver's submodels at
     every member's port voltage on every Newton pass of a time step, but
@@ -238,15 +238,19 @@ class StackedRBF:
     history columns ``[v(k-1..k-r), i(k-1..k-r)]`` are fixed until the
     step is accepted.  :meth:`history` therefore reduces them once per
     step to each network's squared distance to its centers plus its
-    affine part, and :meth:`eval` adds only the ``v(k)`` term.  The S
-    networks stack on a leading axis (each keeps its own scaler, sigma and
-    weights; a network with fewer centers pads with zero-weight ones), so
-    one pass is one set of numpy calls for all of them.  The member axis
-    N is innermost everywhere: numpy's inner loops then run over N
-    rather than over the handful of centers or regressor columns.
+    affine part, and :meth:`eval` adds only the ``v(k)`` term.
+
+    ``models[s][n]`` is network ``s`` of member ``n``: every member
+    carries its own centers, weights, clip box, scaling, affine part,
+    sigma and bias, so members built on different models (the slow, typ
+    and fast corners of one driver) share one bank.  Those parameters
+    sit on the innermost axis N of every array, next to the members'
+    data, so numpy's inner loops run over N rather than over the handful
+    of centers or regressor columns; a network with fewer centers pads
+    with zero-weight ones.  All networks need one regressor dimension.
 
     Semantics match :meth:`_CompiledRBF.eval_grad`, the evaluator the
-    serial driver element runs: box clipping on every column, and a zero
+    serial elements run: box clipping on every column, and a zero
     gradient when the present-voltage column clips.
     """
 
@@ -255,36 +259,43 @@ class StackedRBF:
                  "lo_h", "hi_h", "mean_h", "scale_h", "c_h", "a_h", "bias")
 
     def __init__(self, models):
-        models = list(models)
-        if len({m.dim for m in models}) != 1:
+        rows = [list(row) for row in models]
+        n_s, n = len(rows), len(rows[0])
+        if any(len(row) != n for row in rows):
+            raise ModelError("stacked networks need one network per "
+                             "member in every row")
+        nets = [m for row in rows for m in row]
+        if len({m.dim for m in nets}) != 1:
             raise ModelError("stacked networks need one regressor dimension")
-        n_s, n_m, dim = len(models), max(m.n_bases for m in models), \
-            models[0].dim
-        centers = np.zeros((n_s, n_m, dim))
-        weights = np.zeros((n_s, n_m))
-        for s, m in enumerate(models):
-            centers[s, :m.n_bases] = m.centers
-            weights[s, :m.n_bases] = m.weights
-        mean = np.array([m.scaler.mean for m in models], dtype=float)
-        scale = np.array([m.scaler.scale for m in models], dtype=float)
-        lo = np.array([m.scaler.lo for m in models], dtype=float)
-        hi = np.array([m.scaler.hi for m in models], dtype=float)
-        affine = np.array([m.affine for m in models], dtype=float)
-        sigma2 = np.array([m.sigma ** 2 for m in models])
+        n_m, dim = max(m.n_bases for m in nets), nets[0].dim
+        centers = np.zeros((n_s, n_m, dim, n))
+        weights = np.zeros((n_s, n_m, n))
+        box = np.empty((5, n_s, dim, n))    # mean, scale, lo, hi, affine
+        sigma2 = np.empty((n_s, n))
+        bias = np.empty((n_s, n))
+        for s, row in enumerate(rows):
+            for j, m in enumerate(row):
+                centers[s, :m.n_bases, :, j] = m.centers
+                weights[s, :m.n_bases, j] = m.weights
+                sc = m.scaler
+                box[:, s, :, j] = (sc.mean, sc.scale, sc.lo, sc.hi, m.affine)
+                sigma2[s, j] = m.sigma ** 2
+                bias[s, j] = m.bias
+        mean, scale, lo, hi, affine = box
         # present-voltage column, shaped to broadcast on (S, N) / (S, M, N)
-        self.lo0, self.hi0 = lo[:, :1], hi[:, :1]
-        self.mean0, self.scale0 = mean[:, :1], scale[:, :1]
-        self.a0 = affine[:, :1]
-        self.c0 = centers[:, :, :1]
-        self.w = weights[:, None, :]
-        self.neg_inv_two_sigma2 = (-0.5 / sigma2)[:, None, None]
-        self.neg_inv_sigma2 = (-1.0 / sigma2)[:, None]
+        self.lo0, self.hi0 = lo[:, 0], hi[:, 0]
+        self.mean0, self.scale0 = mean[:, 0], scale[:, 0]
+        self.a0 = affine[:, 0]
+        self.c0 = centers[:, :, 0]
+        self.w = weights
+        self.neg_inv_two_sigma2 = (-0.5 / sigma2)[:, None]
+        self.neg_inv_sigma2 = -1.0 / sigma2
         # history columns, shaped to broadcast on (S, dim - 1, [M,] N)
-        self.lo_h, self.hi_h = lo[:, 1:, None], hi[:, 1:, None]
-        self.mean_h, self.scale_h = mean[:, 1:, None], scale[:, 1:, None]
-        self.c_h = centers[:, :, 1:].transpose(0, 2, 1)[..., None]
-        self.a_h = affine[:, None, 1:]
-        self.bias = np.array([[float(m.bias)] for m in models])
+        self.lo_h, self.hi_h = lo[:, 1:], hi[:, 1:]
+        self.mean_h, self.scale_h = mean[:, 1:], scale[:, 1:]
+        self.c_h = centers[:, :, 1:].transpose(0, 2, 1, 3).copy()
+        self.a_h = affine[:, 1:]
+        self.bias = bias
 
     def history(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-step terms of the raw history columns ``H`` (dim - 1, N).
@@ -300,36 +311,45 @@ class StackedRBF:
         Z /= self.scale_h
         diff = Z[:, :, None, :] - self.c_h
         diff *= diff
-        A = np.matmul(self.a_h, Z)[:, 0]
+        A = np.add.reduce(self.a_h * Z, axis=1)
         A += self.bias
         return np.add.reduce(diff, axis=1), A
 
     def eval(self, V: np.ndarray, D: np.ndarray, A: np.ndarray,
-             grad: bool = True):
-        """Every network at present voltages ``V`` (N,) on the history
-        terms ``(D, A)`` of :meth:`history`.
+             idx=None, grad: bool = True):
+        """Every network at present voltages ``V`` on the history terms
+        ``(D, A)`` of :meth:`history`.
 
-        Returns ``(f, df/dv)``, each (S, N), or ``f`` alone when ``grad``
-        is false.
+        ``idx`` selects the member subset ``V``, ``D`` and ``A`` belong
+        to (all members when None).  Returns ``(f, df/dv)``, each
+        (S, len(V)), or ``f`` alone when ``grad`` is false.
         """
-        Vc = np.maximum(V, self.lo0)
-        np.minimum(Vc, self.hi0, out=Vc)
-        z0 = Vc - self.mean0
-        z0 /= self.scale0
-        diff = z0[:, None, :] - self.c0
+        lo0, hi0, mean0, scale0, a0, c0, w, nits2, nis2 = (
+            self.lo0, self.hi0, self.mean0, self.scale0, self.a0, self.c0,
+            self.w, self.neg_inv_two_sigma2, self.neg_inv_sigma2)
+        if idx is not None:
+            lo0, hi0, mean0, scale0, a0, c0, w, nits2, nis2 = (
+                p[..., idx] for p in (lo0, hi0, mean0, scale0, a0, c0, w,
+                                      nits2, nis2))
+        Vc = np.maximum(V, lo0)
+        np.minimum(Vc, hi0, out=Vc)
+        z0 = Vc - mean0
+        z0 /= scale0
+        diff = z0[:, None, :] - c0
         act = diff * diff
         act += D
-        act *= self.neg_inv_two_sigma2
+        act *= nits2
         np.exp(act, out=act)
-        f = np.matmul(self.w, act)[:, 0]
+        act *= w
+        f = np.add.reduce(act, axis=1)
         f += A
-        f += self.a0 * z0
+        f += a0 * z0
         if not grad:
             return f
         act *= diff
-        g = np.matmul(self.w, act)[:, 0]
-        g *= self.neg_inv_sigma2
-        g += self.a0
-        g /= self.scale0
+        g = np.add.reduce(act, axis=1)
+        g *= nis2
+        g += a0
+        g /= scale0
         g *= Vc == V        # zero where the present-voltage column clipped
         return f, g

@@ -93,6 +93,21 @@ def kind_names() -> tuple:
     return tuple(sorted(KINDS))
 
 
+def _check_fields(kind: str, load, positive=(), nonnegative=()) -> None:
+    """Reject non-physical load values, naming the offending field.
+
+    ``positive`` fields must be ``> 0``, ``nonnegative`` ones ``>= 0``
+    (NaN fails both).
+    """
+    for fname in (*positive, *nonnegative):
+        value = getattr(load, fname)
+        strict = fname in positive
+        if not (value > 0.0 if strict else value >= 0.0):
+            raise ExperimentError(
+                f"{kind} load field {fname!r} must be "
+                f"{'> 0' if strict else '>= 0'}, got {value!r}")
+
+
 def _num(value):
     """Numeric field values canonicalize as floats (TOML may parse ``50``
     as an int; the cache digest must not care)."""
@@ -180,9 +195,9 @@ class ScenarioKind:
 
         The default ``None`` opts the kind out of batching entirely; the
         runner then simulates its scenarios one by one, which is always
-        correct.  Built-in linear kinds (``"r"``, ``"rc"``, ``"line"``,
-        ``"coupled"``) opt in; ``"rx"`` stays out (its receiver
-        macromodel is a second nonlinear element per bench).
+        correct.  Every built-in kind opts in; an ``"rx"`` bench carries
+        its receiver macromodel as a second nonlinear port, which the
+        batched backend banks like the driver.
         """
         return None
 
@@ -288,7 +303,9 @@ class _ResistorKind(ScenarioKind):
     physics_fields = ("r", "c")
 
     def validate(self, load) -> None:
-        """A pure-R load with a stray capacitance is a labeling hazard."""
+        """A positive resistor; a pure-R load with a stray capacitance is
+        a labeling hazard."""
+        _check_fields(self.name, load, positive=("r",))
         if load.c != 0.0:
             raise ExperimentError(
                 "kind='r' is a pure resistor; use kind='rc' for R||C")
@@ -325,9 +342,9 @@ class _RCKind(ScenarioKind):
     physics_fields = ("r", "c")
 
     def validate(self, load) -> None:
-        """R||C only makes sense with a real capacitor."""
-        if load.c <= 0.0:
-            raise ExperimentError("rc load needs c > 0")
+        """R||C only makes sense with a positive resistor and a real
+        capacitor."""
+        _check_fields(self.name, load, positive=("r", "c"))
 
     def describe(self, load) -> str:
         """``r150c5p`` style tag."""
@@ -361,6 +378,12 @@ class _LineKind(ScenarioKind):
     name = "line"
     physics_fields = ("r", "c", "z0", "td")
 
+    def validate(self, load) -> None:
+        """A real line (positive ``z0`` and ``td``) into a positive far-end
+        resistor; the optional capacitor may be absent, not negative."""
+        _check_fields(self.name, load, positive=("r", "z0", "td"),
+                      nonnegative=("c",))
+
     def describe(self, load) -> str:
         """``line75x1n-r1e5`` style tag (optional far-end cap suffix)."""
         if load.label:
@@ -370,6 +393,7 @@ class _LineKind(ScenarioKind):
 
     def build_circuit(self, load, ckt, port: str) -> str:
         """Line from the pad; the far end is the observation node."""
+        self.validate(load)
         ckt.add(IdealLine("tload", port, "far", load.z0, load.td))
         ckt.add(Resistor("rload", "far", "0", load.r))
         if load.c > 0.0:
@@ -410,10 +434,10 @@ class _ReceiverKind(ScenarioKind):
     physics_fields = ("r", "c", "z0", "td", "receiver")
 
     def validate(self, load) -> None:
-        """``r = 0`` means unterminated; negative values are nonsense."""
-        if load.r < 0.0:
-            raise ExperimentError("rx load needs r >= 0 (0 = no "
-                                  "termination at the receiver pad)")
+        """``r = 0`` means unterminated and ``td = 0`` no line; negative
+        values, and a non-positive line impedance, are nonsense."""
+        _check_fields(self.name, load, positive=("z0",),
+                      nonnegative=("r", "td", "c"))
 
     def describe(self, load) -> str:
         """``line50x1n-MD4r50`` style tag."""
@@ -445,6 +469,11 @@ class _ReceiverKind(ScenarioKind):
         if load.c > 0.0:
             ckt.add(Capacitor("cload", pad, "0", load.c))
         return pad
+
+    def batch_structure(self, load) -> tuple:
+        """The line (``td > 0``) and the pad capacitor are optional, and
+        the receiver names the macromodel the bench embeds."""
+        return (load.td > 0.0, load.c > 0.0, load.receiver)
 
     def extra_metrics(self, load, sc, t, v, vdd, probes: dict) -> dict:
         """Receiver logic-eye check at the observed pad."""

@@ -61,27 +61,41 @@ __all__ = ["ScenarioRunner", "batch_key"]
 def batch_key(sc: Scenario):
     """Batching identity of a scenario (``None`` = run it alone).
 
-    Scenarios with equal keys build structurally identical benches on
-    identical time grids, so the grid-batched backend can advance them
-    together: the key folds the load kind's
+    Scenarios with equal keys build benches of one topology, so the
+    grid-batched backend advances them together in one lockstep group:
+    the key folds the load kind's
     :meth:`~repro.studies.kinds.ScenarioKind.batch_structure` (which is
     ``None`` for kinds that opt out) with everything else that shapes
-    the circuit or the grid -- driver and corner (one shared model
-    object and sampling time), the explicit ``dt``, the resolved
-    ``t_stop`` and the spectral quantity (``"i_port"`` adds a series
-    probe element).  Shared by :meth:`ScenarioRunner._batch_key` and the
-    service shard planner (:func:`repro.studies.service.shard_plan`), so
-    the two layers can never disagree about what batches together.
+    the circuit or the time step -- the driver, the explicit ``dt`` and
+    the spectral quantity (``"i_port"`` adds a series probe element).
+    Corners, patterns and pattern lengths stay out: the driver bank
+    carries each member's own model, and members with shorter runs
+    freeze once their own grid ends.  Shared by
+    :meth:`ScenarioRunner._batch_key` and the service shard planner
+    (:func:`repro.studies.service.shard_plan`), so the two layers can
+    never disagree about what batches together.
     """
     structure = get_kind(sc.load.kind).batch_structure(sc.load)
     if structure is None:
         return None
     spec = sc.spectral_spec()
-    t_stop = sc.t_stop if sc.t_stop is not None \
-        else (len(sc.pattern) + 2) * sc.bit_time
-    return (sc.load.kind, structure, sc.driver, sc.corner,
-            None if sc.dt is None else float(sc.dt), float(t_stop),
+    return (sc.load.kind, structure, sc.driver,
+            None if sc.dt is None else float(sc.dt),
             None if spec is None else spec.quantity)
+
+
+def _split_group(group: list, workers: int, n_groups: int) -> list:
+    """The dispatch jobs of one batch group on a pool of ``workers``.
+
+    A lockstep step costs about as much for a few members as for many,
+    so a group is split only to fill workers the groups leave idle: into
+    ``workers // n_groups`` near-equal chunks at most.  A chunk never
+    shrinks to one member, which would leave the batched path and so
+    differ (in the last bits) from the serial runner's result.
+    """
+    n_chunks = max(1, min(workers // n_groups, len(group) // 2))
+    bounds = [len(group) * i // n_chunks for i in range(n_chunks + 1)]
+    return [group[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _unlink_arena(arena) -> None:
@@ -453,16 +467,15 @@ class ScenarioRunner:
                 # error, a signal) must not leak the /dev/shm segment
                 atexit.register(_unlink_arena, arena)
             workers = min(self.n_workers, len(pending))
+            groups = self._group_pending(pending)
             job_groups: list = []
-            for group in self._group_pending(pending):
-                # spread one big group over the whole pool
-                chunk = -(-len(group) // workers)
-                for i in range(0, len(group), chunk):
+            for group in groups:
+                for chunk in _split_group(group, workers, len(groups)):
                     job_groups.append(
                         [(idx, _dispatchable(sc),
                           (sc.driver, sc.corner), slots.get(idx),
                           self._effective_backend(sc))
-                         for idx, sc in group[i:i + chunk]])
+                         for idx, sc in chunk])
             # fork only where it is the safe default (Linux): on macOS the
             # interpreter lists 'fork' as available but forking after
             # threaded BLAS/Objective-C work can crash the children, which

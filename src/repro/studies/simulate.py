@@ -323,12 +323,13 @@ def simulate_scenario_batch(items,
     ``items`` is a sequence of ``(Scenario, PWRBFDriverModel)`` pairs
     sharing a batch key (same load kind and
     :meth:`~repro.studies.kinds.ScenarioKind.batch_structure`, driver,
-    corner, time grid and spectral quantity -- the grouping the runner
-    computes).  The whole group advances through
-    :func:`~repro.circuit.run_transient_batch`, then each member's
-    waveforms finish into a :class:`ScenarioOutcome` exactly as
-    :func:`simulate_scenario` would; per-member metrics, spectra and
-    verdicts are bit-identical to the serial path's.  ``elapsed_s`` is
+    time step and spectral quantity -- the grouping the runner
+    computes); corners and stop times may differ.  The whole group
+    advances through :func:`~repro.circuit.run_transient_batch` on the
+    longest grid, each member stopping at its own ``t_stop``, then each
+    member's waveforms finish into a :class:`ScenarioOutcome` exactly as
+    :func:`simulate_scenario` would; per-member waveforms, metrics and
+    spectra match the serial path's to 1e-9.  ``elapsed_s`` is
     the group's wall time amortized evenly over its members.
 
     ``backend="fd"`` peels the FD-applicable members off first (each is
@@ -379,20 +380,21 @@ def simulate_scenario_batch(items,
         benches.append((pos, ckt, obs, spec, dt, t_stop))
     if not benches:
         return outcomes
-    grids = {(b[4], b[5]) for b in benches}
-    if len(grids) != 1:
-        # the runner groups by resolved time grid, so this only happens
-        # with a hand-rolled grouping -- each member runs on its own grid
+    if len({b[4] for b in benches}) != 1:
+        # the runner groups by time step, so this only happens with a
+        # hand-rolled grouping -- each member runs on its own grid
         for pos, *_ in benches:
             sc, model = items[pos]
             outcomes[pos] = simulate_scenario(sc, model)
         return outcomes
-    (dt, t_stop), = grids
+    dt = benches[0][4]
+    t_stops = [b[5] for b in benches]
     try:
         results = run_transient_batch(
             [b[1] for b in benches],
-            TransientOptions(dt=dt, t_stop=t_stop, method="damped",
-                             strict=False))
+            TransientOptions(dt=dt, t_stop=max(t_stops), method="damped",
+                             strict=False),
+            t_stops=t_stops)
     except Exception:  # noqa: BLE001 - the serial path is the safety net
         for pos, *_ in benches:
             sc, model = items[pos]

@@ -700,6 +700,11 @@ class Study:
             kw["loads"] = _coerce_field("loads", lambda lds: tuple(
                 ld if isinstance(ld, BaseLoadSpec) else load_from_dict(ld)
                 for ld in lds), kw["loads"])
+            # non-physical values fail here, naming the field, instead of
+            # silently running (a negative capacitor reads as "none") or
+            # failing later, once per scenario
+            for ld in kw["loads"]:
+                get_kind(ld.kind).validate(ld)
         if "spectral" in kw and not isinstance(kw["spectral"],
                                                SpectralSpec):
             kw["spectral"] = _coerce_field("spectral", SpectralSpec.from_dict,

@@ -9,16 +9,19 @@ and rewrites element state (histories, DC fixed points), so the two
 backends must never share element objects.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import (Capacitor, Circuit, Diode, IdealLine, Resistor,
-                           TransientOptions, VoltageSource, batch_signature,
-                           run_transient, run_transient_batch)
+from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
+                           IdealLine, Resistor, TransientOptions,
+                           VoltageSource, batch_signature, run_transient,
+                           run_transient_batch)
 from repro.circuit.waveforms import Pulse
-from repro.models import PWRBFDriverElement
+from repro.models import PWRBFDriverElement, ParametricReceiverElement
 
 TOL = 1e-9
 OPTS = TransientOptions(dt=25e-12, t_stop=4e-9, method="damped")
@@ -217,3 +220,142 @@ class TestEligibilityAndFallback:
             md2_model, r, 1e-12) for r in (60.0, 120.0)]
         with pytest.raises(ConvergenceError):
             run_transient_batch(circuits, opts)
+
+
+class TestMixedGroups:
+    """One lockstep group across driver corners, pattern lengths and
+    the receiver port: every member still matches its own serial run."""
+
+    BIT = 0.4e-9
+    PATTERNS = ("011010", "100101101")
+
+    def bench(self, model, pattern, kind, rx_model=None, td=0.5e-9, r=75.0):
+        """Driver into a study-style load; returns ``(circuit, t_stop)``."""
+        t_stop = (len(pattern) + 2) * self.BIT
+        ckt = Circuit(kind)
+        ckt.add(PWRBFDriverElement.for_pattern(
+            "drv", "out", model, pattern, self.BIT, t_stop))
+        if kind == "line":
+            ckt.add(IdealLine("tl", "out", "far", 65.0, 1e-9))
+            ckt.add(Resistor("rl", "far", "0", r))
+            ckt.add(Capacitor("cl", "far", "0", 1e-12))
+        elif kind == "rc":
+            ckt.add(Resistor("rl", "out", "0", r))
+            ckt.add(Capacitor("cl", "out", "0", 5e-12))
+        elif kind == "coupled":
+            L = np.array([[300e-9, 60e-9], [60e-9, 300e-9]])
+            C = np.array([[100e-12, -5e-12], [-5e-12, 100e-12]])
+            ckt.add(CoupledIdealLine("tc", ["out", "vne"], ["afe", "vfe"],
+                                     L, C, 0.1))
+            for name, node in (("ra", "afe"), ("rn", "vne"), ("rf", "vfe")):
+                ckt.add(Resistor(name, node, "0", r))
+        else:   # "rx": line (td > 0) into the receiver, or straight on
+            pad = "out"
+            if td > 0.0:
+                ckt.add(IdealLine("tl", "out", "pad", 50.0, td))
+                pad = "pad"
+            ckt.add(ParametricReceiverElement("rx", pad, rx_model))
+            ckt.add(Resistor("rt", pad, "0", r))
+        return ckt, t_stop
+
+    def members(self, corners):
+        """3 corners x 2 pattern lengths, each with its own load value."""
+        return [(corners[c], p, 40.0 + 25.0 * k)
+                for k, (c, p) in enumerate(
+                    (c, p) for c in ("slow", "typ", "fast")
+                    for p in self.PATTERNS)]
+
+    def run_both(self, corners, kind, opts, **bench_kw):
+        mem = self.members(corners)
+        built = [self.bench(m, p, kind, r=r, **bench_kw) for m, p, r in mem]
+        batched = run_transient_batch(
+            [c for c, _ in built], opts, t_stops=[t for _, t in built])
+        for (m, p, r), (_, t_stop), res in zip(mem, built, batched):
+            assert res.batched
+            ckt, _ = self.bench(m, p, kind, r=r, **bench_kw)
+            ref = run_transient(ckt, replace(opts, t_stop=t_stop))
+            np.testing.assert_array_equal(res.t, ref.t)
+            np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
+            assert res.warnings == ref.warnings
+        return batched
+
+    def opts(self, model, **kw):
+        kw = {"t_stop": 1e-9, "strict": False, **kw}
+        return TransientOptions(dt=model.ts, method="damped", **kw)
+
+    @pytest.mark.parametrize("kind", ["line", "rc", "coupled"])
+    def test_corners_and_lengths_match_serial(self, md2_corners, kind):
+        res = self.run_both(md2_corners, kind, self.opts(md2_corners["typ"]))
+        assert {len(r.t) for r in res} == {len(self.PATTERNS[0]) * 16 + 33,
+                                           len(self.PATTERNS[1]) * 16 + 33}
+
+    @pytest.mark.parametrize("td", [0.5e-9, 0.0])
+    def test_receiver_group_matches_serial(self, md2_corners, md4_model,
+                                           td):
+        """Two ports (line into the receiver), or one merged port (the
+        receiver straight on the driver pad)."""
+        self.run_both(md2_corners, "rx", self.opts(md2_corners["typ"]),
+                      rx_model=md4_model, td=td)
+
+    def test_two_port_forced_retries_match_serial(self, md2_corners,
+                                                  md4_model, monkeypatch):
+        from repro.circuit.newton import NewtonOptions
+        from repro.models.elements import _ReceiverBank
+        subsets = []
+        original = _ReceiverBank.eval
+
+        def spy(bank, V, t, idx=None):
+            if idx is not None:
+                subsets.append(len(idx))
+            return original(bank, V, t, idx)
+
+        monkeypatch.setattr(_ReceiverBank, "eval", spy)
+        opts = self.opts(md2_corners["typ"], ic="zero",
+                         newton=NewtonOptions(max_iter=2))
+        self.run_both(md2_corners, "rx", opts, rx_model=md4_model)
+        assert subsets and min(subsets) < 6
+
+    def test_three_ports_match_serial(self, md2_model, md4_model):
+        """Two receivers on two lines: the general K x K solve."""
+        def bench(r):
+            ckt, t_stop = self.bench(md2_model, "0110", "rx", md4_model,
+                                     r=r)
+            ckt.add(IdealLine("t2", "out", "pad2", 75.0, 0.3e-9))
+            ckt.add(ParametricReceiverElement("rx2", "pad2", md4_model))
+            ckt.add(Resistor("r2", "pad2", "0", 2.0 * r))
+            return ckt, t_stop
+        opts = self.opts(md2_model, t_stop=6 * self.BIT)
+        batched = run_transient_batch([bench(r)[0] for r in (50.0, 90.0)],
+                                      opts)
+        for r, res in zip((50.0, 90.0), batched):
+            assert res.batched
+            ref = run_transient(bench(r)[0], opts)
+            np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
+
+    def test_strict_ignores_frozen_members(self, md2_corners, monkeypatch):
+        """A frozen member's padded steps run no Newton: poisoning its
+        driver current past its own stop time raises nothing."""
+        from repro.models.elements import _DriverBank
+        stops = {}
+        original = _DriverBank.eval
+
+        def poisoned(bank, V, t, idx=None):
+            i, g = original(bank, V, t, idx)
+            ended = stops[id(bank)] < t - 1e-15
+            if idx is not None:
+                ended = ended[idx]
+            i = np.where(ended, np.nan, i)
+            return i, g
+
+        orig_init = _DriverBank.__init__
+
+        def init(bank, els):
+            orig_init(bank, els)
+            stops[id(bank)] = np.array(
+                [(el.wh.size - 2) * el.ts for el in els])
+
+        monkeypatch.setattr(_DriverBank, "__init__", init)
+        monkeypatch.setattr(_DriverBank, "eval", poisoned)
+        res = self.run_both(md2_corners, "line",
+                            self.opts(md2_corners["typ"], strict=True))
+        assert len({len(r.t) for r in res}) == 2

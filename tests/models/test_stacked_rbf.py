@@ -6,7 +6,8 @@ backend runs on every Newton pass; :meth:`GaussianRBF.compile`'s
 -- inside the fitted box or clipped on the present-voltage column or on
 a history column -- the two must agree on ``(f, df/dv)``, over the full
 member axis and over a member subset sliced from the step's history
-terms (the batched Newton's retry path).
+terms (the batched Newton's retry path), whether the members share one
+network per row or each carries its own (a group spanning corners).
 """
 
 import numpy as np
@@ -41,28 +42,32 @@ def regressors(rng, models, n):
     return rng.uniform(mid - half, mid + half, (n, lo.size))
 
 
-def scalar_reference(models, X):
-    """``(f, g)`` of every model at every row, from ``_CompiledRBF``."""
-    f = np.empty((len(models), len(X)))
+def scalar_reference(rows, X):
+    """``(f, g)`` of every member's networks at its row, from
+    ``_CompiledRBF``; ``rows[s][n]`` is network ``s`` of member ``n``."""
+    f = np.empty((len(rows), len(X)))
     g = np.empty_like(f)
-    for s, m in enumerate(models):
-        fast = m.compile()
-        for n, x in enumerate(X.tolist()):
-            f[s, n], g[s, n] = fast.eval_grad(x)
+    for s, row in enumerate(rows):
+        for n, (m, x) in enumerate(zip(row, X.tolist())):
+            f[s, n], g[s, n] = m.compile().eval_grad(x)
     return f, g
 
 
-def assert_kernel_matches(models, X, idx=None):
-    kernel = StackedRBF(models)
+def assert_kernel_matches(models, X, idx=None, per_member=None):
+    """``models`` is one network per row shared by every member, unless
+    ``per_member`` gives each row's networks member by member."""
+    rows = per_member or [[m] * len(X) for m in models]
+    kernel = StackedRBF(rows)
     D, A = kernel.history(X[:, 1:].T)
     V = X[:, 0]
     if idx is not None:
         D, A, V, X = D[:, :, idx], A[:, idx], V[idx], X[idx]
-    f, g = kernel.eval(V, D, A)
-    f_ref, g_ref = scalar_reference(models, X)
+        rows = [[row[i] for i in idx] for row in rows]
+    f, g = kernel.eval(V, D, A, idx)
+    f_ref, g_ref = scalar_reference(rows, X)
     np.testing.assert_allclose(f, f_ref, rtol=RTOL, atol=RTOL)
     np.testing.assert_allclose(g, g_ref, rtol=RTOL, atol=RTOL)
-    np.testing.assert_array_equal(kernel.eval(V, D, A, grad=False), f)
+    np.testing.assert_array_equal(kernel.eval(V, D, A, idx, grad=False), f)
     return f, g
 
 
@@ -96,6 +101,20 @@ def test_driver_submodels_match_scalar(md2_model):
     assert_kernel_matches(models, X, idx=np.arange(3, 150, 4))
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_per_member_networks_match_scalar(seed):
+    """Members cycling over three network pairs with different center
+    counts, scalers and widths, as a group spanning driver corners."""
+    rng = np.random.default_rng(seed)
+    pairs = [(random_rbf(rng, n_h, 5), random_rbf(rng, n_l, 5))
+             for n_h, n_l in ((9, 9), (6, 8), (11, 4))]
+    X = regressors(rng, [m for p in pairs for m in p], 120)
+    rows = [[pairs[n % 3][s] for n in range(len(X))] for s in range(2)]
+    assert_kernel_matches(None, X, per_member=rows)
+    assert_kernel_matches(None, X, idx=np.arange(1, 120, 5),
+                          per_member=rows)
+
+
 def test_order_zero_has_no_history():
     rng = np.random.default_rng(9)
     models = [random_rbf(rng, 3, 1), random_rbf(rng, 5, 1)]
@@ -105,4 +124,4 @@ def test_order_zero_has_no_history():
 def test_dimension_mismatch_is_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ModelError):
-        StackedRBF([random_rbf(rng, 3, 5), random_rbf(rng, 3, 3)])
+        StackedRBF([[random_rbf(rng, 3, 5)], [random_rbf(rng, 3, 3)]])

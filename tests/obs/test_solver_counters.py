@@ -1,23 +1,31 @@
-"""Solver counters: DC-op Newton iterations and batch fallback reasons.
+"""Solver counters: DC-op Newton iterations, batch fallback reasons and
+the shape of a lockstep group.
 
 ``dcop_newton_iters`` counts every Newton iteration the operating-point
 solver spends (plain Newton and each homotopy stage) and stays apart
 from ``newton_iters``, which counts transient stepping only.
 ``batch_fallbacks_total{reason}`` counts each group the grid-batched
-backend declined, labelled with the reason its span records.
+backend declined, labelled with the reason its span records.  A group
+spanning corners and pattern lengths records its distinct models, its
+nonlinear ports and the member-steps run past a member's own stop on
+its ``transient.batch`` span; ``batch_padded_steps_total`` carries the
+padding too, and ``solver_steps`` counts only the steps members needed.
 """
 
 import numpy as np
 import pytest
 
-from repro.circuit import (Capacitor, Circuit, Diode, NewtonOptions,
-                           Resistor, TransientOptions, VoltageSource,
-                           run_transient, run_transient_batch, solve_dcop)
+from repro.circuit import (Capacitor, Circuit, Diode, IdealLine,
+                           NewtonOptions, Resistor, TransientOptions,
+                           VoltageSource, run_transient, run_transient_batch,
+                           solve_dcop)
 from repro.circuit.mna import MNASystem
 from repro.circuit.newton import newton_solve
 from repro.circuit.waveforms import Pulse
 from repro.errors import ConvergenceError
-from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.models import PWRBFDriverElement, ParametricReceiverElement
+from repro.obs import (MetricsRegistry, Tracer, get_metrics, set_metrics,
+                       set_tracer)
 
 
 @pytest.fixture()
@@ -110,3 +118,69 @@ class TestBatchFallbackCounter:
                                    reason="single member") == 1
         text = fresh_metrics.render_prometheus()
         assert 'batch_fallbacks_total{reason="single member"} 1' in text
+
+
+class TestMixedGroupSpan:
+    """A 3-corner x 2-length group, with and without the receiver."""
+
+    BIT = 0.4e-9
+    PATTERNS = ("0110", "0110100")
+
+    def group(self, corners, rx_model=None, td=0.0):
+        circuits, steps = [], []
+        for c in ("slow", "typ", "fast"):
+            model = corners[c]
+            for p in self.PATTERNS:
+                t_stop = (len(p) + 2) * self.BIT
+                ckt = Circuit("mixed")
+                ckt.add(PWRBFDriverElement.for_pattern(
+                    "drv", "out", model, p, self.BIT, t_stop))
+                pad = "out"
+                if td > 0.0:
+                    ckt.add(IdealLine("tl", "out", "pad", 50.0, td))
+                    pad = "pad"
+                if rx_model is not None:
+                    ckt.add(ParametricReceiverElement("rx", pad, rx_model))
+                ckt.add(Resistor("rl", pad, "0", 75.0))
+                circuits.append(ckt)
+                steps.append(int(round(t_stop / model.ts)))
+        return circuits, steps
+
+    def run(self, fresh_metrics, circuits, steps, dt):
+        tracer = Tracer(collect=True)
+        set_tracer(tracer)
+        try:
+            run_transient_batch(
+                circuits, TransientOptions(dt=dt, t_stop=1e-9,
+                                           method="damped", strict=False),
+                t_stops=[k * dt for k in steps])
+        finally:
+            set_tracer(None)
+        [span] = [s for s in tracer.finished if s.name == "transient.batch"]
+        padded = max(steps) * len(steps) - sum(steps)
+        assert padded > 0
+        assert span.attrs["members"] == 6
+        assert span.attrs["models"] == 3
+        assert span.attrs["padded_steps"] == padded
+        assert fresh_metrics.value("batch_padded_steps_total") == padded
+        assert span.attrs["n_steps"] * 6 == sum(steps)
+        assert fresh_metrics.value("solver_steps") == sum(steps)
+        assert fresh_metrics.total("batch_fallbacks_total") == 0
+        return span
+
+    def test_driver_only_group_is_one_port(self, fresh_metrics,
+                                           md2_corners):
+        circuits, steps = self.group(md2_corners)
+        span = self.run(fresh_metrics, circuits, steps,
+                        md2_corners["typ"].ts)
+        assert span.attrs["ports"] == 1
+
+    @pytest.mark.parametrize("td, ports", [(0.3e-9, 2), (0.0, 1)])
+    def test_receiver_ports(self, fresh_metrics, md2_corners, md4_model,
+                            td, ports):
+        """A receiver behind a line is a second port; one straight on
+        the driver pad merges into the driver's."""
+        circuits, steps = self.group(md2_corners, md4_model, td)
+        span = self.run(fresh_metrics, circuits, steps,
+                        md2_corners["typ"].ts)
+        assert span.attrs["ports"] == ports

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro.circuit import Resistor
-from repro.studies import (KINDS, LoadSpec, RunnerOptions, ScenarioKind,
-                           ScenarioRunner, SpectralSpec, Study,
-                           register_kind, scenario_grid)
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
+from repro.studies import (CORNERS, KINDS, CoupledLoadSpec, LoadSpec,
+                           RunnerOptions, ScenarioKind, ScenarioRunner,
+                           SpectralSpec, Study, register_kind,
+                           scenario_grid)
 
 TOL = 1e-9
 
@@ -76,6 +78,83 @@ class TestBatchedStudyEquivalence:
                               study.run(models=models, batch=False))
 
 
+class TestMixedCornerGroups:
+    """One lockstep group per bench topology, across corners, pattern
+    lengths and the receiver port."""
+
+    def test_corner_and_length_grid_matches_unbatched(self, md2_corners):
+        models = {("MD2", c): m for c, m in md2_corners.items()}
+        loads = (LoadSpec(kind="line", r=1e3, z0=65.0, td=1e-9),
+                 LoadSpec(kind="rc", r=75.0, c=5e-12),
+                 CoupledLoadSpec(length=0.1),
+                 LoadSpec(kind="rx", z0=50.0, td=0.5e-9, r=0.0),
+                 LoadSpec(kind="rx", td=0.0, r=50.0))
+        study = Study(patterns=("0110", "011010"), loads=loads,
+                      corners=CORNERS, bit_time=0.5e-9,
+                      spectral=SpectralSpec(quantity="v_port"),
+                      options=RunnerOptions(n_workers=1,
+                                            use_result_cache=False))
+        runner = ScenarioRunner(models=models, n_workers=1)
+        groups = runner._group_pending(list(enumerate(study.scenarios())))
+        assert [len(g) for g in groups] == [6] * len(loads)
+        mine = MetricsRegistry()
+        original = get_metrics()
+        set_metrics(mine)
+        try:
+            got = study.run(models=models)
+        finally:
+            set_metrics(original)
+        assert mine.total("batch_fallbacks_total") == 0
+        ref = study.run(models=models, batch=False)
+        assert_outcomes_match(got, ref)
+        for a, b in zip(got.outcomes, ref.outcomes):
+            assert a.warnings == b.warnings
+            assert len(a.t) == len(b.t)
+            for name in b.probes:
+                np.testing.assert_allclose(a.probes[name], b.probes[name],
+                                           rtol=TOL, atol=TOL)
+
+
+class TestDispatchSplit:
+    """Parallel runs split a group only to fill workers the groups
+    leave idle."""
+
+    def jobs(self, models, monkeypatch, loads, patterns):
+        seen = []
+        original = ScenarioRunner._drain_pool
+
+        def spy(runner, pool, job_groups, *args):
+            seen.extend(len(jobs) for jobs in job_groups)
+            return original(runner, pool, job_groups, *args)
+
+        monkeypatch.setattr(ScenarioRunner, "_drain_pool", spy)
+        runner = ScenarioRunner(models=models, n_workers=2,
+                                use_result_cache=False)
+        result = runner.run(scenario_grid(patterns, loads))
+        assert all(o.ok for o in result.outcomes)
+        return seen
+
+    def test_four_groups_on_two_workers_are_four_jobs(self, models,
+                                                      monkeypatch):
+        loads = [LoadSpec(kind="r", r=50.0), LoadSpec(kind="rc", c=1e-12),
+                 LoadSpec(kind="line", td=0.3e-9),
+                 LoadSpec(kind="line", td=0.3e-9, c=1e-12)]
+        assert self.jobs(models, monkeypatch, loads,
+                         ["01", "0110"]) == [2, 2, 2, 2]
+
+    def test_one_group_on_two_workers_is_two_chunks(self, models,
+                                                    monkeypatch):
+        loads = [LoadSpec(kind="r", r=float(r)) for r in (25, 50, 75, 100)]
+        assert self.jobs(models, monkeypatch, loads, ["01"]) == [2, 2]
+
+    def test_chunks_never_shrink_to_one_member(self):
+        from repro.studies.runner import _split_group
+        assert [len(c) for c in _split_group(list(range(3)), 2, 1)] == [3]
+        assert [len(c) for c in _split_group(list(range(5)), 4, 1)] \
+            == [2, 3]
+        assert [len(c) for c in _split_group(list(range(6)), 2, 4)] == [6]
+
+
 class TestDigestInvariance:
     def test_disk_cache_hits_across_backends(self, models, tmp_path):
         """Batched and unbatched runs key the disk cache identically."""
@@ -108,15 +187,18 @@ class TestGrouping:
         groups = runner._group_pending(pending)
         assert sorted(len(g) for g in groups) == [1, 1, 3]
 
-    def test_corners_and_grids_split_groups(self, md2_model):
+    def test_corners_and_pattern_lengths_share_a_group(self, md2_model):
+        """The driver bank carries each member's corner model and short
+        runs freeze, so only the topology splits groups."""
         runner = ScenarioRunner(models={("MD2", "typ"): md2_model},
                                 n_workers=1)
         load = LoadSpec(kind="line", r=50.0, z0=50.0, td=1e-9)
         pending = list(enumerate(
             scenario_grid(["0110"], [load], corners=("typ", "fast"))
-            + scenario_grid(["011010"], [load])))
+            + scenario_grid(["011010"], [load])
+            + scenario_grid(["0110"], [load], dt=10e-12)))
         groups = runner._group_pending(pending)
-        assert sorted(len(g) for g in groups) == [1, 1, 1]
+        assert sorted(len(g) for g in groups) == [1, 3]
 
     def test_batch_false_gives_singletons(self, md2_model):
         runner = ScenarioRunner(models={("MD2", "typ"): md2_model},

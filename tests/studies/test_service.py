@@ -18,8 +18,8 @@ import pytest
 
 from repro.circuit import Resistor
 from repro.errors import ExperimentError
-from repro.studies import (KINDS, LoadSpec, ScenarioKind, SpectralSpec,
-                           Study, register_kind)
+from repro.studies import (CORNERS, KINDS, LoadSpec, ScenarioKind,
+                           SpectralSpec, Study, register_kind)
 from repro.studies.runner import batch_key
 from repro.studies.service import (JobManager, StudyService, StudyShard,
                                    fetch_result, job_status, make_server,
@@ -83,6 +83,16 @@ class TestShardPlan:
         assert sum(sizes) == len(study)
         assert sizes[-1] - sizes[0] <= 3  # within one (largest) group
         assert shard_plan(study, 2) == shards
+
+    def test_mixed_corner_group_stays_in_one_shard(self):
+        """Corners and pattern lengths share one batch group, so a
+        3-corner x 2-length grid of one load is one shard."""
+        study = Study(patterns=("0110", "011010"), corners=CORNERS,
+                      loads=(LoadSpec(kind="line", z0=65.0, td=1e-9,
+                                      r=1e3),))
+        shards = shard_plan(study, 3)
+        assert len(shards) == 1
+        assert shards[0].indices == tuple(range(6))
 
     def test_fewer_groups_than_shards(self):
         """A group is never split: one-group grids yield one shard."""
@@ -328,6 +338,27 @@ class TestHTTPService:
                            match=f"service error 400.*{field}"):
             submit_study(url, doc)
 
+    @pytest.mark.parametrize("load, field", [
+        ({"kind": "line", "c": -1e-12}, "'c'"),
+        ({"kind": "line", "r": -50.0}, "'r'"),
+        ({"kind": "line", "z0": -50.0}, "'z0'"),
+        ({"kind": "line", "td": -1e-9}, "'td'"),
+        ({"kind": "line", "td": 0.0}, "'td'"),
+        ({"kind": "r", "r": -50.0}, "'r'"),
+        ({"kind": "rc", "r": -75.0, "c": 5e-12}, "'r'"),
+        ({"kind": "rc", "r": 75.0, "c": -5e-12}, "'c'"),
+        ({"kind": "rx", "td": -1e-9}, "'td'"),
+        ({"kind": "rx", "z0": 0.0}, "'z0'"),
+        ({"kind": "rx", "c": -1e-12}, "'c'"),
+    ])
+    def test_nonphysical_load_is_400(self, http_service, load, field):
+        """A non-physical load value answers 400 naming the field."""
+        url, service = http_service
+        with pytest.raises(ExperimentError,
+                           match=f"service error 400.*{field}"):
+            submit_study(url, {"patterns": ["01"], "loads": [load]})
+        assert not service.jobs()
+
     def test_concurrent_clients_share_one_job(self, http_service,
                                               models, tmp_path):
         """Two clients submitting the same study share one job -- and
@@ -423,14 +454,15 @@ class TestCrashResumeAcceptance:
                 return port
 
             def batch_structure(self, load) -> tuple:
-                return ()
+                # two structural halves -> two 32-scenario batch groups
+                return (load.r < 105.0,)
 
         kind = _HalfwayKill()
         kind.load_cls = LoadSpec
         register_kind(kind, overwrite=True)
         try:
-            # two patterns of different length -> different t_stop ->
-            # two 32-scenario batch groups (= the two halves)
+            # 2 patterns x 32 loads, split by batch_structure into two
+            # 32-scenario batch groups (= the two halves)
             study = Study(
                 name="accept64", patterns=("0110", "010110"),
                 loads=tuple(LoadSpec(kind="ckpt", r=float(r))

@@ -296,6 +296,49 @@ MALFORMED = [
 ]
 
 
+#: non-physical load values and the field each error must name
+NONPHYSICAL = [
+    ({"kind": "line", "c": -1e-12}, "'c'"),
+    ({"kind": "line", "r": -50.0}, "'r'"),
+    ({"kind": "line", "z0": -50.0}, "'z0'"),
+    ({"kind": "line", "td": -1e-9}, "'td'"),
+    ({"kind": "line", "td": 0.0}, "'td'"),
+    ({"kind": "r", "r": -50.0}, "'r'"),
+    ({"kind": "rc", "r": -75.0, "c": 5e-12}, "'r'"),
+    ({"kind": "rc", "r": 75.0, "c": -5e-12}, "'c'"),
+    ({"kind": "rx", "td": -1e-9}, "'td'"),
+    ({"kind": "rx", "z0": 0.0}, "'z0'"),
+    ({"kind": "rx", "c": -1e-12}, "'c'"),
+]
+
+
+class TestNonPhysicalLoads:
+    """Non-physical load values fail at the boundary, naming the field,
+    instead of running (a negative capacitor read as "none") or failing
+    later once per scenario."""
+
+    @pytest.mark.parametrize("load, field", NONPHYSICAL)
+    def test_from_dict_names_the_field(self, load, field):
+        with pytest.raises(ExperimentError, match=field):
+            Study.from_dict({"patterns": ["01"], "loads": [load]})
+
+    @pytest.mark.parametrize("load, field", NONPHYSICAL[:2])
+    def test_cli_exits_2(self, load, field, tmp_path, capsys):
+        from repro.studies.cli import main
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"patterns": ["01"], "loads": [load]}),
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_boundary_values_are_accepted(self):
+        """``td = 0`` (no line) and ``r = 0`` (unterminated) are valid
+        receiver loads; ``c = 0`` is a line without a far-end capacitor."""
+        Study.from_dict({"patterns": ["01"], "loads": [
+            {"kind": "rx", "td": 0.0, "r": 0.0},
+            {"kind": "line", "c": 0.0}]})
+
+
 class TestMalformedInputs:
     """Bad field types surface as ExperimentError naming the field, not
     as a bare TypeError/ValueError."""
