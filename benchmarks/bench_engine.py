@@ -202,61 +202,12 @@ def test_batched_grid_64(benchmark, md2_model):
 
 
 @pytest.mark.benchmark(group="engine")
-def test_fd_spectrum_64(benchmark, md2_model):
-    """Frequency-domain ABCD backend: the same 64 line-load scenarios as
-    ``test_batched_grid_64``, solved per-port by the harmonic-balance FD
-    engine, must cost >= 10x less per scenario than one transient run
-    (the PR 9 acceptance floor; in practice the gap is larger)."""
-    import time
-
-    from repro.experiments import LoadSpec, ScenarioRunner, scenario_grid
-
-    loads = [LoadSpec(kind="line", z0=z0, td=1e-9, r=r)
-             for z0 in (40.0, 50.0, 65.0, 90.0)
-             for r in (33.0, 50.0, 75.0, 120.0, 200.0, 390.0, 1e3, 1e4)]
-    grid = scenario_grid(patterns=["01", "0110"], loads=loads,
-                         t_stop=8e-9)
-    assert len(grid) == 64
-    models = {("MD2", "typ"): md2_model}
-
-    def run():
-        runner = ScenarioRunner(models=models, n_workers=1,
-                                use_result_cache=False, backend="fd")
-        return runner.run(grid)
-
-    # warmup also fills the per-(pattern, timing) Thevenin-source memo,
-    # so the measured rounds time the steady-state FD cost -- exactly
-    # the sweep regime the backend exists for
-    result = benchmark.pedantic(run, rounds=7, iterations=1,
-                                warmup_rounds=1)
-    assert len(result) == 64 and not result.failures
-
-    # one-scenario transient reference cost on the same core (median of 3)
-    from repro.studies import simulate_scenario
-    singles = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        out = simulate_scenario(grid[0], md2_model)
-        singles.append(time.perf_counter() - t0)
-        assert out.ok
-    single_s = sorted(singles)[1]
-    batch_s = benchmark.stats.stats.median
-    per_scenario = batch_s / 64.0
-    benchmark.extra_info["single_s"] = single_s
-    benchmark.extra_info["per_scenario_s"] = per_scenario
-    benchmark.extra_info["speedup_vs_serial"] = single_s * 64.0 / batch_s
-    assert per_scenario <= single_s / 10.0, (
-        f"FD per-scenario cost {per_scenario * 1e3:.2f} ms is not 10x "
-        f"under the transient single run {single_s * 1e3:.2f} ms")
-
-
-@pytest.mark.benchmark(group="engine")
 def test_stochastic_128draws(benchmark, md2_model):
     """Monte Carlo study cost: a 128-draw stochastic line study (random
-    RLL traffic + resistor spread) through the FD backend on one core,
-    including quantile-band aggregation, must amortize each draw to no
-    more than one single transient run -- randomized patterns must not
-    forfeit the sweep-regime economics of the FD engine."""
+    RLL traffic + resistor spread) on one core, including quantile-band
+    aggregation, must amortize each draw to no more than one single
+    transient run -- randomized patterns must not forfeit the
+    sweep-regime economics of the batched engine."""
     import time
 
     from repro.studies import (Distribution, LoadSpec, ScenarioRunner,
@@ -278,7 +229,7 @@ def test_stochastic_128draws(benchmark, md2_model):
 
     def run():
         runner = ScenarioRunner(models=models, n_workers=1,
-                                use_result_cache=False, backend="fd")
+                                use_result_cache=False)
         return study.run(runner=runner)
 
     result = benchmark.pedantic(run, rounds=7, iterations=1,

@@ -42,7 +42,6 @@ DEFAULT_GATES = ("test_linear_ladder_transient",
                  "test_spectrum_peak_hold_64",
                  "test_qp_weighting_batch_64",
                  "test_batched_grid_64",
-                 "test_fd_spectrum_64",
                  "test_stochastic_128draws")
 
 

@@ -9,8 +9,8 @@ with its ESR + a resistive sink) -- with:
 
 * its own frozen load dataclass (`RailLoadSpec`),
 * custom wiring (`build_circuit`) exposing the rail node,
-* a `"rail"` probe riding every outcome (it also travels through the
-  shared-memory arena, because the kind's `probes()` fixes the layout),
+* a `"rail"` probe riding every outcome, from serial and pooled runs
+  alike,
 * kind-specific metrics (`rail_ripple`, `rail_droop`) merged into the
   standard summary,
 * full Study/TOML citizenship: `load_from_dict` reconstructs the spec

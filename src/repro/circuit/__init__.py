@@ -17,12 +17,7 @@ from .netlist import Circuit, Element
 from .newton import NewtonOptions
 from .transient import TransientOptions, TransientResult, run_transient
 
-# fd imports lazily from .elements/.transient and repro.models inside its
-# functions, so importing it last never cycles
-from . import fd  # noqa: E402  isort:skip
-
 __all__ = [
-    "fd",
     "Circuit", "Element", "MNASystem",
     "NewtonOptions", "TransientOptions", "TransientResult",
     "run_transient", "run_transient_batch", "batch_signature",

@@ -44,18 +44,6 @@ class Resistor(Element):
         vb = x[b] if b >= 0 else 0.0
         return (va - vb) * self.g
 
-    def abcd(self, f: np.ndarray, series: bool = True) -> np.ndarray:
-        """ABCD block of this resistor on the FD backend's grid ``f``.
-
-        ``series=True`` treats the two terminals as the through path
-        (series impedance block); ``series=False`` treats terminal ``b``
-        as grounded (shunt admittance block).
-        """
-        from .. import fd
-        if series:
-            return fd.series_impedance(self.resistance, nf=np.size(f))
-        return fd.shunt_admittance(self.g, nf=np.size(f))
-
 
 class Capacitor(Element):
     """Two-terminal linear capacitor with optional initial voltage ``ic``."""
@@ -106,20 +94,6 @@ class Capacitor(Element):
     def current(self, x: np.ndarray) -> float:
         """Current at the last accepted step (into terminal ``a``)."""
         return self._i_prev
-
-    def abcd(self, f: np.ndarray, series: bool = False) -> np.ndarray:
-        """ABCD block of this capacitor on the FD backend's grid ``f``.
-
-        Default is the common shunt usage (terminal ``b`` grounded,
-        admittance ``j w C``); ``series=True`` gives the through-path
-        series impedance block instead.
-        """
-        from .. import fd
-        y = 2j * np.pi * np.asarray(f, float) * self.capacitance
-        if series:
-            nz = np.where(y == 0.0, 1e-30j, y)  # open at DC, kept finite
-            return fd.series_impedance(1.0 / nz)
-        return fd.shunt_admittance(y)
 
 
 class Inductor(Element):

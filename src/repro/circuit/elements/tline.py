@@ -184,16 +184,6 @@ class IdealLine(Element):
     def current(self, x: np.ndarray) -> float:
         return float(x[self.branches[0]])
 
-    def abcd(self, f: np.ndarray) -> np.ndarray:
-        """ABCD block of this line on the FD backend's grid ``f``.
-
-        The exact frequency-domain image of the time-domain element:
-        :func:`repro.circuit.fd.lossless_line` with this line's ``z0``
-        and ``td``.
-        """
-        from .. import fd
-        return fd.lossless_line(np.asarray(f, float), self.z0, self.td)
-
 
 class CoupledIdealLine(Element):
     """N-conductor lossless coupled line over a common ground reference.

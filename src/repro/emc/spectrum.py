@@ -304,8 +304,8 @@ def _common_grid(spectra, interpolate: bool, what: str):
             "use matching n_fft/t_stop across the sweep")
     else:
         # finest = smallest typical bin spacing; the median is robust to
-        # one irregular first bin (an FD grid whose fundamental differs
-        # from its spacing would win or lose on f[1]-f[0] alone)
+        # one irregular first bin (a grid whose fundamental differs from
+        # its spacing would win or lose on f[1]-f[0] alone)
         def typical_df(s):
             d = np.median(np.diff(s.f)) if s.f.size > 1 else np.inf
             return d if d > 0 else np.inf
@@ -332,8 +332,7 @@ def peak_hold(spectra, interpolate: bool = True) -> Spectrum:
     level any scenario produced in each bin.  Spectra sharing one
     frequency grid (same ``n_fft`` and record duration) reduce in a single
     vectorized ``max`` over the stacked magnitude matrix.  Mixed grids
-    (e.g. different pattern lengths across the sweep, or FD-backend
-    spectra alongside transient ones) are linearly interpolated onto the
+    (e.g. different pattern lengths across the sweep) are linearly interpolated onto the
     finest grid present (smallest median bin spacing), clipped at both
     ends to the band every spectrum actually covers, before the same
     one-pass reduction -- ``interpolate=False`` raises instead, for

@@ -28,13 +28,5 @@ def __getattr__(name: str):
     if name in _STUDY_NAMES:
         from .. import studies
         return getattr(studies, name)
-    if name == "sweep":
-        # `import repro.experiments` followed by attribute access on
-        # `.sweep` worked when the submodule was imported eagerly; keep
-        # it working (with the shim's DeprecationWarning).  importlib,
-        # not `from . import sweep`: the latter re-enters this
-        # __getattr__ through the fromlist machinery and recurses.
-        import importlib
-        return importlib.import_module(".sweep", __name__)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}")

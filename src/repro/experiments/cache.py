@@ -7,7 +7,6 @@ MD1 PW-RBF model (say) should estimate it exactly once per process.
 (:class:`~repro.studies.runner.ScenarioRunner` outcomes) to a directory
 so repeated sweeps across *processes* answer from disk.  Layout::
 
-    <root>/index.json          # digest -> {name, key} catalog (best effort)
     <root>/<digest>.npz        # t, v_port, probe_* arrays + meta json
 
 Entries are keyed on the sha256 digest of a canonical JSON rendering of
@@ -17,9 +16,7 @@ stored payload gains fields (v2 added per-scenario emission spectra and
 mask verdicts), the version is bumped so entries written by an older code
 version are misses, never half-understood hits.  The ``.npz`` files are
 written to a temp file and atomically renamed, so concurrent sweeps
-sharing one cache directory can never observe a torn entry; the JSON index
-is a redundant human-readable catalog (lookups never depend on it), so a
-lost index update under concurrency is harmless.
+sharing one cache directory can never observe a torn entry.
 """
 
 from __future__ import annotations
@@ -237,7 +234,7 @@ class SweepDiskCache:
                 pass
             return None
 
-    def put(self, key, payload: dict, name: str = "") -> str:
+    def put(self, key, payload: dict) -> str:
         """Persist one payload atomically; returns the entry digest."""
         digest = self._digest(key)
         arrays = {
@@ -264,7 +261,6 @@ class SweepDiskCache:
             "verdict": payload.get("verdict"),
             "verdicts_by": payload.get("verdicts_by") or {},
             "version": self.version,
-            "name": name,
         }
         buf = io.BytesIO()
         np.savez(buf, meta=json.dumps(meta), **arrays)
@@ -279,35 +275,12 @@ class SweepDiskCache:
             except OSError:
                 pass
             raise
-        self._update_index(digest, key, name)
         return digest
 
-    def _update_index(self, digest: str, key, name: str) -> None:
-        """Best-effort human-readable catalog; lookups never depend on it."""
-        index_path = self.root / "index.json"
-        try:
-            index = json.loads(index_path.read_text())
-            if not isinstance(index, dict):
-                index = {}
-        except (OSError, ValueError):
-            index = {}
-        index[digest] = {"name": name, "key": _jsonable(key)}
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(index, fh, indent=1, sort_keys=True)
-            os.replace(tmp, index_path)
-        except OSError:
-            pass
-
     def clear(self) -> None:
-        """Drop every stored entry (and the index)."""
+        """Drop every stored entry."""
         for path in self.root.glob("*.npz"):
             try:
                 path.unlink()
             except OSError:
                 pass
-        try:
-            (self.root / "index.json").unlink(missing_ok=True)
-        except OSError:
-            pass

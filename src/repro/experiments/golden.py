@@ -26,13 +26,7 @@ The cases pin the paper's validation workhorses:
   interconnect (shortened "0110" pattern of the ``fig4.run(fast=True)``
   variant): far-end active-land (v21) and quiet-land crosstalk (v22)
   voltages, transistor-level reference and PW-RBF macromodel -- the
-  crosstalk-sensitive multi-conductor path;
-* ``fig2_spectrum_fd`` -- the Fig. 2 emission view through the
-  frequency-domain ABCD backend: one ``line``-kind scenario on the first
-  Fig. 2 interconnect, simulated by both engines
-  (:func:`repro.studies.simulate.simulate_scenario` with
-  ``backend="fd"`` and ``"transient"``), pinning the FD solver's
-  spectrum next to the transient one it must track.
+  crosstalk-sensitive multi-conductor path.
 
 Tolerances are absolute, in the waveform's own unit, and deliberately much
 tighter than any physical effect of interest: the engine is deterministic
@@ -63,10 +57,6 @@ TOLERANCES = {
     "fig5_receiver": 2e-5,
     "fig2_spectrum": 2e-3,
     "fig4": 2e-3,
-    # the FD solver iterates to a relative residual (1e-3 of the port
-    # current scale), so cross-machine slack must absorb a converged-
-    # solution difference, not just BLAS noise
-    "fig2_spectrum_fd": 5e-3,
 }
 
 
@@ -163,46 +153,12 @@ def fig4_case(driver_model=None) -> dict[str, np.ndarray]:
             "pwrbf_v22": mm.v("fe2").copy()}
 
 
-def fig2_spectrum_fd(driver_model=None) -> dict[str, np.ndarray]:
-    """Fig. 2 emission spectrum through the FD ABCD backend.
-
-    One ``line``-kind scenario on the first Fig. 2 interconnect
-    (z0 = 50 ohm, td = 0.5 ns into 1 pF behind a 100 kohm far-end
-    resistor -- the kind needs a resistive termination; 100 k is open
-    relative to the line) with the fig. 2 pulse timing, simulated by
-    both engines.  Pins the FD port spectrum sample by sample *and*
-    keeps the transient twin beside it so the committed file documents
-    the cross-backend agreement it was generated with.
-    """
-    from ..studies.simulate import simulate_scenario
-    from ..studies.spec import LoadSpec, Scenario, SpectralSpec
-    model = driver_model if driver_model is not None \
-        else cache.driver_model("MD2")
-    z0, td = FIG2.lines[0]
-    sc = Scenario(
-        pattern=FIG2.pattern, bit_time=FIG2.bit_time, t_stop=FIG2.t_stop,
-        load=LoadSpec(kind="line", z0=z0, td=td, r=1e5, c=FIG2.c_load),
-        spectral=SpectralSpec(quantity="v_port", window="hann"))
-    out_fd = simulate_scenario(sc, model, backend="fd")
-    out_tr = simulate_scenario(sc, model)
-    if not (out_fd.ok and out_tr.ok):
-        raise RuntimeError(f"fig2_spectrum_fd simulation failed: "
-                           f"{out_fd.error or out_tr.error}")
-    s_fd = out_fd.spectra["v_port"]
-    s_tr = out_tr.spectra["v_port"]
-    if not np.array_equal(s_fd.f, s_tr.f):
-        raise RuntimeError("fd/transient grids diverged")
-    return {"f": s_fd.f.copy(), "fd_mag": s_fd.mag.copy(),
-            "tr_mag": s_tr.mag.copy()}
-
-
 CASES = {
     "fig1": fig1_waveforms,
     "fig2_panel1": fig2_panel1,
     "fig5_receiver": fig5_receiver,
     "fig2_spectrum": fig2_spectrum,
     "fig4": fig4_case,
-    "fig2_spectrum_fd": fig2_spectrum_fd,
 }
 
 

@@ -42,14 +42,13 @@ Layering (one module per concern):
   :class:`LoadSpec`/:class:`CoupledLoadSpec` (pure-data load specs),
   :class:`Scenario` (one grid point, whose canonical JSON rendering is
   the cache key), :func:`scenario_grid` and :class:`Study`.
-* :mod:`~repro.studies.simulate` -- worker-side bench building, EMC
-  metrics and the shared-memory wire format.
+* :mod:`~repro.studies.simulate` -- worker-side bench building,
+  batched simulation and EMC metrics.
 * :mod:`~repro.studies.outcomes` -- :class:`ScenarioOutcome`,
   :class:`SweepResult` (tables, peak-hold, CSV/JSON export) and
   :class:`StudyResult`.
 * :mod:`~repro.studies.runner` -- :class:`ScenarioRunner`: parallel
-  fan-out, memoized dispatch preparation, result caches, shared-memory
-  waveform return.
+  fan-out, memoized dispatch preparation, result caches.
 * :mod:`~repro.studies.service` -- sharded async orchestration
   (:func:`shard_plan`, :class:`JobManager`) and the HTTP study service
   (:class:`StudyService`, ``python -m repro.studies serve`` plus the
@@ -57,9 +56,8 @@ Layering (one module per concern):
 * :mod:`~repro.studies.cli` -- the ``python -m repro.studies``
   command-line interface.
 
-The old ``repro.experiments.sweep`` module remains as a deprecation shim
-re-exporting everything here; ``repro.experiments`` keeps lazily
-forwarding the public names, so existing imports work unchanged.
+``repro.experiments`` keeps lazily forwarding the public sweep names
+(``from repro.experiments import LoadSpec, ScenarioRunner``).
 """
 
 from .cli import main

@@ -74,11 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override runner.n_workers (1 = serial)")
     run.add_argument("--cache", default=None, metavar="DIR",
                      help="override runner.disk_cache directory")
-    run.add_argument("--backend", default=None,
-                     choices=("transient", "fd"),
-                     help="override runner.backend: 'fd' routes eligible "
-                          "linear-load scenarios through the frequency-"
-                          "domain ABCD backend")
     run.add_argument("--draws", type=int, default=None, metavar="N",
                      help="override stochastic.n_draws (stochastic "
                           "studies only; exit 2 otherwise)")
@@ -232,8 +227,6 @@ def _cmd_run(args) -> int:
         overrides["n_workers"] = args.workers
     if args.cache is not None:
         overrides["disk_cache"] = args.cache
-    if args.backend is not None:
-        overrides["backend"] = args.backend
     if args.trace:
         from ..obs import configure_tracing
         configure_tracing(args.trace)

@@ -8,9 +8,7 @@ line into a receiver macromodel, an aggressor/victim coupled pair -- is a
 * how the load is wired into the bench (:meth:`ScenarioKind.build_circuit`),
 * its canonical physics identity (:meth:`ScenarioKind.physics`, the cache
   key fragment),
-* the extra observation nodes it exposes (:meth:`ScenarioKind.probes`) --
-  which also fixes the expected waveform layout of the shared-memory
-  return,
+* the extra observation nodes it exposes (:meth:`ScenarioKind.probes`),
 * the kind-specific metrics riding its outcomes
   (:meth:`ScenarioKind.extra_metrics`),
 * any auxiliary macromodels it needs (:meth:`ScenarioKind.aux_models`,
@@ -32,9 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from ..circuit import Capacitor, CoupledIdealLine, IdealLine, Resistor, fd
+from ..circuit import Capacitor, CoupledIdealLine, IdealLine, Resistor
 from ..emc.metrics import crosstalk_metrics, logic_eye_metrics
 from ..errors import ExperimentError
 
@@ -144,11 +140,7 @@ class ScenarioKind:
             f"kind {self.name!r} does not implement build_circuit")
 
     def probes(self, load) -> dict:
-        """Extra named observation nodes (probe name -> circuit node).
-
-        The probe set also fixes the expected per-scenario waveform
-        layout of the shared-memory return arena.
-        """
+        """Extra named observation nodes (probe name -> circuit node)."""
         return {}
 
     # -- identity -----------------------------------------------------------
@@ -200,33 +192,6 @@ class ScenarioKind:
         batched backend banks like the driver.
         """
         return None
-
-    # -- frequency-domain backend -------------------------------------------
-    def fd_eligible(self, load) -> bool:
-        """Whether the FD (ABCD) backend can solve loads of this kind.
-
-        A kind opts in by returning ``True`` and implementing
-        :meth:`fd_network`; the default keeps the kind on the transient
-        engine (``RunnerOptions(backend="fd")`` then silently falls back
-        for its scenarios).  Built-in linear kinds ``"r"``, ``"rc"`` and
-        ``"line"`` opt in; ``"rx"`` (nonlinear receiver) and
-        ``"coupled"`` (multi-conductor, two observation ports) stay on
-        the transient engine.
-        """
-        return False
-
-    def fd_network(self, load, f):
-        """Frequency-domain network of this load on the rfft grid ``f``.
-
-        Returns a :class:`repro.circuit.fd.FDNetwork`: the composed ABCD
-        cascade from the driver pad to the observation port plus the
-        termination admittance loading it.  Only called when
-        :meth:`fd_eligible` is ``True``; kinds that never opt in keep
-        this default, which raises.
-        """
-        raise ExperimentError(
-            f"kind {self.name!r} is not FD-eligible; it has no ABCD "
-            "network description")
 
     # -- auxiliary models ---------------------------------------------------
     def aux_models(self, load) -> dict:
@@ -324,16 +289,6 @@ class _ResistorKind(ScenarioKind):
         """Every ``"r"`` load builds the same one-resistor shape."""
         return ()
 
-    def fd_eligible(self, load) -> bool:
-        """A shunt resistor is a one-bin-per-frequency FD termination."""
-        return True
-
-    def fd_network(self, load, f) -> fd.FDNetwork:
-        """No cascade; the pad sees the resistive termination directly."""
-        self.validate(load)
-        return fd.FDNetwork(
-            y_term=np.full(np.size(f), 1.0 / load.r, complex))
-
 
 class _RCKind(ScenarioKind):
     """``"rc"``: shunt R parallel C at the driver pad."""
@@ -360,16 +315,6 @@ class _RCKind(ScenarioKind):
     def batch_structure(self, load) -> tuple:
         """Every valid ``"rc"`` load builds the same R||C shape."""
         return ()
-
-    def fd_eligible(self, load) -> bool:
-        """R||C is a pure per-bin admittance for the FD backend."""
-        return True
-
-    def fd_network(self, load, f) -> fd.FDNetwork:
-        """No cascade; termination admittance ``1/R + j w C`` at the pad."""
-        self.validate(load)
-        y = 1.0 / load.r + 2j * np.pi * np.asarray(f, float) * load.c
-        return fd.FDNetwork(y_term=y)
 
 
 class _LineKind(ScenarioKind):
@@ -403,19 +348,6 @@ class _LineKind(ScenarioKind):
     def batch_structure(self, load) -> tuple:
         """The far-end capacitor is optional; its presence is shape."""
         return (load.c > 0.0,)
-
-    def fd_eligible(self, load) -> bool:
-        """An ideal line into R (|| C) is exactly an ABCD cascade."""
-        return True
-
-    def fd_network(self, load, f) -> fd.FDNetwork:
-        """Lossless-line block into the far-end ``1/R + j w C``
-        termination; observation port is the far end."""
-        f = np.asarray(f, float)
-        y = 1.0 / load.r + 2j * np.pi * f * load.c
-        return fd.FDNetwork(
-            y_term=y, chain=fd.lossless_line(f, load.z0, load.td),
-            delay=load.td, n_blocks=1)
 
 
 class _ReceiverKind(ScenarioKind):

@@ -1,18 +1,16 @@
-"""Parallel scenario fan-out, result caching and the shared-memory arena.
+"""Parallel scenario fan-out and result caching.
 
 :class:`ScenarioRunner` takes any iterable of
 :class:`~repro.studies.spec.Scenario` (typically
 :meth:`~repro.studies.spec.Study.scenarios` or
 :func:`~repro.studies.spec.scenario_grid`), answers what it can from the
 in-memory / disk result caches, groups the rest by structural batch
-identity (:meth:`ScenarioRunner._batch_key`, built on the load kinds'
-:meth:`~repro.studies.kinds.ScenarioKind.batch_structure`) so each group
-can advance through the grid-batched transient backend, and fans the
-groups across ``multiprocessing`` workers.  Waveforms and spectra come back through a
-``multiprocessing.shared_memory`` arena sized from the known per-scenario
-grid lengths (workers write arrays in place and only pickle the small
-scalar summary), with a transparent per-outcome fallback to pickling when
-shared memory is unavailable or the runner is serial.
+identity (:func:`batch_key`, built on the load kinds'
+:meth:`~repro.studies.kinds.ScenarioKind.batch_structure`), runs each
+group -- singletons included -- through
+:func:`~repro.studies.simulate.simulate_scenario_batch`, and fans the
+groups across ``multiprocessing`` workers, which return their outcomes
+pickled.
 
 Dispatch preparation -- resolving driver models, estimating the auxiliary
 models each load kind declares, pre-solving the CISPR detector weights the
@@ -32,7 +30,6 @@ or hand-tweaked model is never served another model's waveforms.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing as mp
 import os
 import sys
@@ -49,9 +46,7 @@ from ..models import PWRBFDriverModel
 from ..obs import NULL_METRICS, get_metrics, get_tracer
 from .kinds import get_kind
 from .outcomes import ScenarioOutcome, SweepResult
-from .simulate import (BACKENDS, _expected_layout, _shm, _unpack_outcome,
-                       _worker_init, _worker_run, _worker_run_group,
-                       fd_applicable, simulate_scenario,
+from .simulate import (_worker_init, _worker_run_group,
                        simulate_scenario_batch)
 from .spec import Scenario
 
@@ -71,7 +66,7 @@ def batch_key(sc: Scenario):
     Corners, patterns and pattern lengths stay out: the driver bank
     carries each member's own model, and members with shorter runs
     freeze once their own grid ends.  Shared by
-    :meth:`ScenarioRunner._batch_key` and the service shard planner
+    :class:`ScenarioRunner`'s grouping and the service shard planner
     (:func:`repro.studies.service.shard_plan`), so the two layers can
     never disagree about what batches together.
     """
@@ -96,21 +91,6 @@ def _split_group(group: list, workers: int, n_groups: int) -> list:
     n_chunks = max(1, min(workers // n_groups, len(group) // 2))
     bounds = [len(group) * i // n_chunks for i in range(n_chunks + 1)]
     return [group[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _unlink_arena(arena) -> None:
-    """Best-effort arena cleanup (the ``finally`` and ``atexit`` path).
-
-    Registered with :mod:`atexit` for the lifetime of a parallel run so
-    the ``/dev/shm`` segment cannot outlive the interpreter even when a
-    worker death (OOM kill, segfault) derails the normal teardown; the
-    runner unregisters and calls it directly in its ``finally``.
-    """
-    try:
-        arena.close()
-        arena.unlink()
-    except (OSError, ValueError):  # pragma: no cover - already gone
-        pass
 
 
 def _dispatchable(sc: Scenario) -> Scenario:
@@ -147,25 +127,14 @@ class ScenarioRunner:
     names a directory backing the per-scenario result cache with a
     :class:`~repro.experiments.cache.SweepDiskCache`, so repeated sweeps in
     *fresh processes* answer from disk instead of re-simulating.
-    ``shared_waveforms`` controls the shared-memory waveform return of
-    parallel runs: ``None`` (default) uses it whenever
-    ``multiprocessing.shared_memory`` is available, ``False`` forces the
-    pickling path (e.g. for debugging), ``True`` insists but still falls
-    back per-outcome if the arena cannot be created.  ``batch``
-    (default on) groups scenarios whose load kind reports a
+    ``batch`` (default on) groups scenarios whose load kind reports a
     :meth:`~repro.studies.kinds.ScenarioKind.batch_structure` by
     structural identity and advances each group through the grid-batched
     transient backend (:func:`repro.circuit.run_transient_batch`) --
     same waveforms, verdicts and cache digests, a fraction of the per-
-    scenario cost; ``False`` forces one simulation per scenario.
-    ``backend`` (default ``"transient"``) selects the simulation engine:
-    ``"fd"`` routes every scenario the frequency-domain ABCD backend can
-    represent (:func:`~repro.studies.simulate.fd_applicable` -- linear
-    ``r``/``rc``/``line`` loads without probe elements on the model's
-    native time grid) through :func:`repro.circuit.fd.solve_driver_port`
-    and falls back to the transient engine for the rest.  Memory- and
-    disk-cache identities fold the *effective* backend in, so FD and
-    transient waveforms for one scenario are never conflated.
+    scenario cost; ``False`` forces one simulation per scenario (the
+    serial reference the batched path is tested against).  Parallel
+    workers return their outcomes pickled.
 
     Observability: each :meth:`run` exports a ``runner.run`` span with
     per-group ``runner.group`` children (in pool workers these hang
@@ -183,19 +152,13 @@ class ScenarioRunner:
                  n_workers: int | None = None,
                  use_result_cache: bool = True,
                  disk_cache: str | os.PathLike | None = None,
-                 shared_waveforms: bool | None = None,
                  batch: bool = True,
                  record_metrics: bool = True,
-                 tracer=None,
-                 backend: str = "transient"):
+                 tracer=None):
         if disk_cache is not None and not use_result_cache:
             raise ExperimentError(
                 "disk_cache requires use_result_cache=True; pass one or "
                 "the other, not the conflicting combination")
-        if backend not in BACKENDS:
-            raise ExperimentError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
         self._models: dict = dict(models or {})
         self.n_workers = (os.cpu_count() or 1) if n_workers is None \
             else int(n_workers)
@@ -206,9 +169,6 @@ class ScenarioRunner:
         self._warmed: set = set()
         self._disk = cache.SweepDiskCache(disk_cache) \
             if disk_cache is not None else None
-        if shared_waveforms is None:
-            shared_waveforms = _shm is not None
-        self.shared_waveforms = bool(shared_waveforms) and _shm is not None
         self.batch = bool(batch)
         self.record_metrics = bool(record_metrics)
         self._tracer = tracer
@@ -229,24 +189,6 @@ class ScenarioRunner:
         if key not in self._models:
             self._models[key] = cache.driver_model(sc.driver, sc.corner)
         return self._models[key]
-
-    def _effective_backend(self, sc: Scenario) -> str:
-        """The backend this scenario actually runs on.
-
-        The default transient runner short-circuits without touching the
-        model (no estimation cost just to answer "transient"); an FD
-        runner asks :func:`~repro.studies.simulate.fd_applicable`, so
-        ineligible scenarios (receiver/coupled kinds, probe requests,
-        off-grid ``dt``) transparently fall back to the transient engine.
-        """
-        if self.backend != "fd":
-            return "transient"
-        return "fd" if fd_applicable(sc, self._model_for(sc)) \
-            else "transient"
-
-    def _mem_key(self, sc: Scenario) -> tuple:
-        """In-memory cache identity: scenario key x effective backend."""
-        return (sc.key(), self._effective_backend(sc))
 
     def clear_cache(self) -> None:
         """Drop every cached result (memory, and disk when configured)."""
@@ -283,24 +225,19 @@ class ScenarioRunner:
         :meth:`~repro.studies.kinds.ScenarioKind.aux_models`; their
         fingerprints fold in alongside the driver's.  (The spectral
         request -- window, n_fft, mask content -- is already part of
-        ``Scenario.key()`` itself.)  Entries written by the FD backend
-        carry an ``fd:`` fingerprint prefix, so a persistent cache shared
-        between transient and FD runs never serves one engine's
-        waveforms to the other.
+        ``Scenario.key()`` itself.)
         """
         fp = self._fingerprint((sc.driver, sc.corner), self._model_for(sc))
         aux = get_kind(sc.load.kind).aux_models(sc.load)
         for label in sorted(aux):
             fp = f"{fp}:{self._fingerprint(label, aux[label])}"
-        if self._effective_backend(sc) == "fd":
-            fp = f"fd:{fp}"
         return (sc.key(), fp)
 
     def _lookup(self, sc: Scenario) -> ScenarioOutcome | None:
         """Memory-first, then disk; promotes disk hits into memory."""
         if not self.use_result_cache:
             return None
-        hit = self._result_cache.get(self._mem_key(sc))
+        hit = self._result_cache.get(sc.key())
         if hit is None and self._disk is not None:
             payload = self._disk.get(self._disk_key(sc))
             if payload is not None:
@@ -317,7 +254,7 @@ class ScenarioRunner:
                         k: ComplianceVerdict.from_dict(d)
                         for k, d in
                         (payload.get("verdicts_by") or {}).items()})
-                self._result_cache[self._mem_key(sc)] = hit
+                self._result_cache[sc.key()] = hit
         return hit
 
     def prepare_dispatch(self, pending,
@@ -373,30 +310,21 @@ class ScenarioRunner:
             payloads[key] = memo[1]
         return payloads
 
-    def _batch_key(self, sc: Scenario):
-        """Batching identity of a scenario (module-level
-        :func:`batch_key`; kept as a method for call sites and tests
-        that address it through the runner)."""
-        return batch_key(sc)
-
     def _group_pending(self, pending) -> list:
         """Partition pending ``(idx, Scenario)`` pairs into batch groups.
 
-        Scenarios sharing a :meth:`_batch_key` gather into one group (in
+        Scenarios sharing a :func:`batch_key` gather into one group (in
         first-seen order); un-batchable scenarios -- their kind opted
-        out, batching is disabled on this runner, or they run on the FD
-        backend (which solves one port problem at a time) -- become
-        singleton groups, which every dispatch path runs through plain
-        :func:`~repro.studies.simulate.simulate_scenario`.  Multi-member
-        groups therefore always run transient.
+        out, or batching is disabled on this runner -- become singleton
+        groups (batches of one).
         """
         if not self.batch:
             return [[job] for job in pending]
         groups: list = []
         by_key: dict = {}
         for idx, sc in pending:
-            key = self._batch_key(sc)
-            if key is None or self._effective_backend(sc) == "fd":
+            key = batch_key(sc)
+            if key is None:
                 groups.append([(idx, sc)])
                 continue
             grp = by_key.get(key)
@@ -456,26 +384,14 @@ class ScenarioRunner:
             payloads = self.prepare_dispatch(pending,
                                              render_payloads=parallel)
 
+        groups = self._group_pending(pending)
         if parallel:
-            with tr.span("runner.arena") as asp:
-                arena, slots = self._build_arena(pending)
-                asp.set(shared=arena is not None,
-                        size_bytes=arena.size if arena else 0)
-            if arena is not None:
-                # safety net: an interpreter exit with the teardown
-                # derailed (a worker death cascading into an unhandled
-                # error, a signal) must not leak the /dev/shm segment
-                atexit.register(_unlink_arena, arena)
             workers = min(self.n_workers, len(pending))
-            groups = self._group_pending(pending)
-            job_groups: list = []
-            for group in groups:
-                for chunk in _split_group(group, workers, len(groups)):
-                    job_groups.append(
-                        [(idx, _dispatchable(sc),
-                          (sc.driver, sc.corner), slots.get(idx),
-                          self._effective_backend(sc))
-                         for idx, sc in chunk])
+            job_groups = [
+                [(idx, _dispatchable(sc), (sc.driver, sc.corner))
+                 for idx, sc in chunk]
+                for group in groups
+                for chunk in _split_group(group, workers, len(groups))]
             # fork only where it is the safe default (Linux): on macOS the
             # interpreter lists 'fork' as available but forking after
             # threaded BLAS/Objective-C work can crash the children, which
@@ -483,47 +399,22 @@ class ScenarioRunner:
             use_fork = (sys.platform.startswith("linux")
                         and "fork" in mp.get_all_start_methods())
             ctx = mp.get_context("fork") if use_fork else mp.get_context()
-            unfinished: list = []
-            try:
-                with ctx.Pool(workers, initializer=_worker_init,
-                              initargs=(payloads,
-                                        arena.name if arena else None,
-                                        tr.context())
-                              ) as pool:
-                    unfinished = self._drain_pool(
-                        pool, job_groups, outcomes, scenarios, arena,
-                        slots)
-            finally:
-                if arena is not None:
-                    atexit.unregister(_unlink_arena)
-                    _unlink_arena(arena)
+            with ctx.Pool(workers, initializer=_worker_init,
+                          initargs=(payloads, tr.context())) as pool:
+                unfinished = self._drain_pool(pool, job_groups, outcomes,
+                                              scenarios)
             # jobs lost to a dead worker are recomputed in-process (the
             # batch path never raises), so the sweep still returns a
             # complete outcome list instead of hanging or aborting
-            for jobs in unfinished:
-                # a job group is backend-uniform: FD scenarios are
-                # singleton groups, everything else runs transient
-                with tr.span("runner.group", members=len(jobs),
-                             recompute=True):
-                    outs = simulate_scenario_batch(
-                        [(scenarios[idx], self._model_for(scenarios[idx]))
-                         for idx, *_ in jobs],
-                        backend=jobs[0][4])
-                for (idx, *_), out in zip(jobs, outs):
-                    outcomes[idx] = out
-        else:
-            for group in self._group_pending(pending):
-                with tr.span("runner.group", members=len(group)):
-                    if len(group) == 1:
-                        idx, sc = group[0]
-                        outcomes[idx] = simulate_scenario(
-                            sc, self._model_for(sc),
-                            backend=self._effective_backend(sc))
-                    else:
-                        outs = simulate_scenario_batch(
-                            [(sc, self._model_for(sc)) for _, sc in group])
-                        for (idx, _), out in zip(group, outs):
-                            outcomes[idx] = out
+            groups = [[(idx, scenarios[idx]) for idx, *_ in jobs]
+                      for jobs in unfinished]
+        for group in groups:
+            with tr.span("runner.group", members=len(group),
+                         recompute=parallel):
+                outs = simulate_scenario_batch(
+                    [(sc, self._model_for(sc)) for _, sc in group])
+            for (idx, _), out in zip(group, outs):
+                outcomes[idx] = out
 
         if self.use_result_cache:
             for idx, sc in pending:
@@ -531,7 +422,7 @@ class ScenarioRunner:
                 if out.ok:
                     # store a private copy so in-place edits on the returned
                     # outcome cannot poison later cache hits
-                    self._result_cache[self._mem_key(sc)] = out.copy_data()
+                    self._result_cache[sc.key()] = out.copy_data()
                     if self._disk is not None:
                         self._disk.put(self._disk_key(sc), {
                             "t": out.t, "v_port": out.v_port,
@@ -544,7 +435,7 @@ class ScenarioRunner:
                             "verdicts_by": {
                                 k: v.to_dict()
                                 for k, v in out.verdicts_by.items()},
-                        }, name=sc.resolved_name())
+                        })
         if self.record_metrics and outcomes:
             by_label: dict = {}
             for out in outcomes:
@@ -559,8 +450,7 @@ class ScenarioRunner:
                n_errors=sum(1 for out in outcomes if not out.ok))
         return SweepResult(outcomes)
 
-    def _drain_pool(self, pool, job_groups, outcomes, scenarios, arena,
-                    slots) -> list:
+    def _drain_pool(self, pool, job_groups, outcomes, scenarios) -> list:
         """Dispatch the group jobs and collect results as they finish.
 
         Unlike ``imap_unordered`` -- which blocks forever on a task
@@ -601,11 +491,7 @@ class ScenarioRunner:
                     lost.add(j)
                     continue
                 met.merge(worker_metrics)
-                for idx, outcome, packed in results:
-                    if packed:
-                        offset, layout = slots[idx]
-                        outcome = _unpack_outcome(
-                            outcome, arena.buf, offset, layout)
+                for idx, outcome in results:
                     # hand back the caller's scenario object, not the
                     # mask-resolved dispatch copy
                     outcome.scenario = scenarios[idx]
@@ -622,26 +508,3 @@ class ScenarioRunner:
                 break
             time.sleep(0.005)
         return [job_groups[j] for j in sorted(remaining | lost)]
-
-    def _build_arena(self, pending):
-        """Allocate the shared waveform arena for a parallel run.
-
-        Returns ``(SharedMemory | None, {idx: (offset_floats, layout)})``;
-        an empty mapping (and no arena) when shared memory is off or the
-        allocation fails -- the pool then pickles arrays as before.
-        """
-        if not self.shared_waveforms or _shm is None:
-            return None, {}
-        slots: dict = {}
-        total = 0
-        for idx, sc in pending:
-            layout = _expected_layout(sc, self._model_for(sc))
-            slots[idx] = (total, layout)
-            total += sum(length for _, length in layout)
-        if total == 0:
-            return None, {}
-        try:
-            arena = _shm.SharedMemory(create=True, size=total * 8)
-        except (OSError, ValueError):  # pragma: no cover - env-specific
-            return None, {}
-        return arena, slots

@@ -85,8 +85,7 @@ def _shard_worker(shard_dict: dict, cache_dir: str,
                   for key, d in (model_payloads or {}).items()}
         runner = ScenarioRunner(models=models, n_workers=1,
                                 disk_cache=cache_dir,
-                                batch=shard.study.options.batch,
-                                backend=shard.study.options.backend)
+                                batch=shard.study.options.batch)
         summary = {"n": 0, "hits": 0, "failures": 0, "errors": []}
         pending = list(enumerate(shard.scenarios()))
         for group in runner._group_pending(pending):
@@ -358,13 +357,11 @@ class JobManager:
             t2 = time.perf_counter()
             with tr.span("job.merge") as msp:
                 # the merge replays the shard workers' disk entries, so
-                # its cache identities (effective backend included) must
-                # match theirs exactly
+                # its cache identities must match theirs exactly
                 merge_runner = ScenarioRunner(models=dict(models or {}),
                                               n_workers=1,
                                               disk_cache=cache_dir,
                                               batch=study.options.batch,
-                                              backend=study.options.backend,
                                               record_metrics=False,
                                               tracer=tr)
                 merged = merge_runner.run(study.scenarios())

@@ -113,9 +113,7 @@ class StudyShard:
             runner = ScenarioRunner(
                 models=models, n_workers=opts.n_workers,
                 use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache,
-                shared_waveforms=opts.shared_waveforms,
-                batch=opts.batch, backend=opts.backend)
+                disk_cache=opts.disk_cache, batch=opts.batch)
         elif overrides or models is not None:
             raise ExperimentError(
                 "pass models/runner options either via an explicit "

@@ -518,30 +518,18 @@ class RunnerOptions:
 
     ``n_workers`` ``None`` uses the CPU count, ``0``/``1`` runs
     serially; ``disk_cache`` names a directory backing the persistent
-    result cache; ``shared_waveforms`` controls the shared-memory
-    waveform return (``None`` = auto); ``batch`` lets the runner advance
-    same-shape scenario groups through the grid-batched transient
-    backend (``False`` forces one simulation per scenario, e.g. for
-    equivalence debugging).  ``backend`` selects the simulation engine:
-    ``"transient"`` (default) or ``"fd"``, the frequency-domain ABCD
-    backend, which routes eligible linear-load scenarios through
-    :func:`repro.circuit.fd.solve_driver_port` and falls back to the
-    transient engine for the rest (see :doc:`docs/fd_backend`).
+    result cache; ``batch`` lets the runner advance same-shape scenario
+    groups through the grid-batched transient backend (``False`` forces
+    one simulation per scenario, e.g. for equivalence debugging).
 
-    Except for ``backend``, these knobs never affect the produced
-    waveforms or verdicts -- only how they are computed -- so they stay
-    out of every cache key.  ``backend`` is the one exception: the two
-    engines agree within a documented tolerance but are not bit-exact,
-    so a non-default backend folds into :meth:`Study.canonical` (and the
-    runner's cache identities fold the per-scenario effective backend).
+    These knobs never affect the produced waveforms or verdicts -- only
+    how they are computed -- so they stay out of every cache key.
     """
 
     n_workers: int | None = None
     use_result_cache: bool = True
     disk_cache: str | None = None
-    shared_waveforms: bool | None = None
     batch: bool = True
-    backend: str = "transient"
 
     def __post_init__(self):
         # ScenarioRunner accepts any PathLike; normalize here so the
@@ -549,10 +537,6 @@ class RunnerOptions:
         if self.disk_cache is not None:
             object.__setattr__(self, "disk_cache",
                                os.fspath(self.disk_cache))
-        if self.backend not in ("transient", "fd"):
-            raise ExperimentError(
-                f"unknown backend {self.backend!r}; expected 'transient' "
-                "or 'fd'")
 
     def to_dict(self) -> dict:
         """Non-default options as a JSON/TOML-able dict."""
@@ -577,8 +561,6 @@ class RunnerOptions:
             kw["disk_cache"] = str(kw["disk_cache"])
         if "batch" in kw:
             kw["batch"] = bool(kw["batch"])
-        if "backend" in kw:
-            kw["backend"] = str(kw["backend"])
         return cls(**kw)
 
 
@@ -742,17 +724,10 @@ class Study:
         or execution-only is excluded: the study ``name``, load labels
         and runner options never change the produced waveforms, and two
         studies that simulate identical grids share one digest
-        (load-level spectral requests included).  The one runner option
-        that *does* shape the waveforms -- a non-default ``backend`` --
-        folds in, so an FD study and its transient twin never dedup to
-        one digest (the service keys jobs on :meth:`digest`); the
-        default keeps every pre-existing digest unchanged.
+        (load-level spectral requests included).
         """
-        doc: dict = {"scenarios": [sc.canonical()
-                                   for sc in self.scenarios()]}
-        if self.options.backend != "transient":
-            doc["backend"] = self.options.backend
-        return _canonical_json(doc)
+        return _canonical_json({"scenarios": [sc.canonical()
+                                              for sc in self.scenarios()]})
 
     def digest(self) -> str:
         """Short content digest of :meth:`canonical` (study identity)."""
@@ -859,9 +834,7 @@ class Study:
             runner = ScenarioRunner(
                 models=models, n_workers=opts.n_workers,
                 use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache,
-                shared_waveforms=opts.shared_waveforms,
-                batch=opts.batch, backend=opts.backend)
+                disk_cache=opts.disk_cache, batch=opts.batch)
         elif overrides or models is not None:
             # an explicit runner already carries its models and options;
             # silently ignoring either argument would simulate with the

@@ -18,8 +18,8 @@ This module turns that population into a first-class study object:
   product.  **Each draw renders to an ordinary**
   :class:`~repro.studies.spec.Scenario` **whose digest is its cache
   key**, so draws flow through the existing
-  :class:`~repro.studies.runner.ScenarioRunner`, the grid-batched and
-  FD backends, :func:`~repro.studies.service.shards.shard_plan` and the
+  :class:`~repro.studies.runner.ScenarioRunner`, the grid-batched
+  backend, :func:`~repro.studies.service.shards.shard_plan` and the
   sharded :class:`~repro.studies.service.jobs.JobManager` *unchanged*,
   and two runs with one seed share every cache entry;
 * :class:`StochasticResult` aggregates the population: per-frequency
@@ -680,12 +680,9 @@ class StochasticStudy(Study):
         digest the service dedups on mean "this sampler, this budget",
         and keeps sequential-stopping knobs from aliasing.
         """
-        doc: dict = {"stochastic": self.stochastic.canonical(),
-                     "scenarios": [sc.canonical()
-                                   for sc in self.scenarios()]}
-        if self.options.backend != "transient":
-            doc["backend"] = self.options.backend
-        return _canonical_json(doc)
+        return _canonical_json({"stochastic": self.stochastic.canonical(),
+                                "scenarios": [sc.canonical()
+                                              for sc in self.scenarios()]})
 
     # -- execution ----------------------------------------------------------
     def make_result(self, outcomes, elapsed_s: float = 0.0,
@@ -728,9 +725,7 @@ class StochasticStudy(Study):
             runner = ScenarioRunner(
                 models=models, n_workers=opts.n_workers,
                 use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache,
-                shared_waveforms=opts.shared_waveforms,
-                batch=opts.batch, backend=opts.backend)
+                disk_cache=opts.disk_cache, batch=opts.batch)
         elif overrides or models is not None:
             raise ExperimentError(
                 "pass models/runner options either via an explicit "

@@ -14,7 +14,6 @@ import pytest
 
 MODULES = [
     "repro.circuit.batch",
-    "repro.circuit.fd",
     "repro.obs",
     "repro.obs.trace",
     "repro.obs.metrics",

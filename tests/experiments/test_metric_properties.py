@@ -26,7 +26,7 @@ from repro.errors import ExperimentError
 from repro.experiments import (CoupledLoadSpec, LoadSpec, Scenario,
                                SweepDiskCache)
 from repro.experiments.cache import scenario_key_digest
-from repro.experiments.sweep import _emc_metrics
+from repro.studies.simulate import _emc_metrics
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -184,7 +184,7 @@ def test_disk_cache_payload_round_trip(tmp_path, t, v, metrics, warnings):
     payload = {"t": t, "v_port": v,
                "probes": {"next": v * 0.5, "fext": v * 0.25},
                "metrics": metrics, "warnings": warnings}
-    cache.put(key, payload, name="prop")
+    cache.put(key, payload)
     back = cache.get(key)
     np.testing.assert_array_equal(back["t"], t)
     np.testing.assert_array_equal(back["v_port"], v)

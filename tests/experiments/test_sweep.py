@@ -332,7 +332,7 @@ class TestDiskCache:
         payload = {"t": np.arange(4.0), "v_port": np.ones(4),
                    "probes": {"fext": np.full(4, 0.25)},
                    "metrics": {"v_max": 1.0}, "warnings": ["w"]}
-        digest = cache.put(key, payload, name="sc")
+        digest = cache.put(key, payload)
         assert key in cache and len(cache) == 1
         back = cache.get(key)
         np.testing.assert_array_equal(back["t"], payload["t"])
@@ -340,9 +340,9 @@ class TestDiskCache:
                                       payload["probes"]["fext"])
         assert back["metrics"] == {"v_max": 1.0}
         assert back["warnings"] == ["w"]
-        # index.json catalogs the entry
-        index = json.loads((tmp_path / "c" / "index.json").read_text())
-        assert digest in index and index[digest]["name"] == "sc"
+        # the entry is the one file the put leaves behind
+        assert [p.name for p in (tmp_path / "c").iterdir()] \
+            == [f"{digest}.npz"]
         # a torn/corrupt entry is a miss (and is dropped), never an error --
         # including a truncated zip that still carries the 'PK' magic
         # (np.load raises zipfile.BadZipFile for those, not ValueError)

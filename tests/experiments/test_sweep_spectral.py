@@ -1,5 +1,6 @@
-"""Spectral emissions through the sweep stack: spectra, verdicts, shared
-memory, receiver-aware pass/fail, and the spectral cache keys."""
+"""Spectral emissions through the sweep stack: spectra, verdicts, the
+pooled return path, receiver-aware pass/fail, and the spectral cache
+keys."""
 
 import numpy as np
 import pytest
@@ -146,51 +147,64 @@ class TestSweepResultHelpers:
         assert isinstance(result.compliance_table(), str)
 
 
-class TestSharedMemoryReturn:
+def assert_same_outcomes(ref, other):
+    """Two runs of one grid returned bit-equal outcomes: waveforms,
+    probes, every spectrum, verdicts, metrics and failures."""
+    assert len(ref) == len(other)
+    for a, b in zip(ref, other):
+        assert (a.ok, a.error, a.warnings) == (b.ok, b.error, b.warnings)
+        np.testing.assert_array_equal(a.t, b.t)
+        np.testing.assert_array_equal(a.v_port, b.v_port)
+        assert set(a.probes) == set(b.probes)
+        for name in a.probes:
+            np.testing.assert_array_equal(a.probes[name], b.probes[name])
+        assert set(a.spectra) == set(b.spectra)
+        for key, sa in a.spectra.items():
+            sb = b.spectra[key]
+            np.testing.assert_array_equal(sa.f, sb.f)
+            np.testing.assert_array_equal(sa.mag, sb.mag)
+            assert (sa.unit, sa.kind, sa.label, sa.detector, sa.meta) \
+                == (sb.unit, sb.kind, sb.label, sb.detector, sb.meta)
+        assert a.verdict == b.verdict
+        assert a.verdicts_by == b.verdicts_by
+        np.testing.assert_equal(a.metrics, b.metrics)
+
+
+class TestPooledReturn:
+    """A 2-worker pool pickles its outcomes back; they must equal the
+    in-process (``n_workers=1``) run bit for bit."""
+
     def test_parallel_matches_serial_bit_exact(self, md2_model):
         grid = scenario_grid(["0110", "010101"], LOADS, spectral=SPEC_V)
         models = {("MD2", "typ"): md2_model}
         ser = ScenarioRunner(models=models, n_workers=1).run(grid)
-        shm = ScenarioRunner(models=models, n_workers=2,
-                             shared_waveforms=True).run(grid)
-        pik = ScenarioRunner(models=models, n_workers=2,
-                             shared_waveforms=False).run(grid)
-        assert not ser.failures and not shm.failures and not pik.failures
-        for a, b, c in zip(ser, shm, pik):
-            np.testing.assert_array_equal(a.t, b.t)
-            np.testing.assert_array_equal(a.v_port, b.v_port)
-            np.testing.assert_array_equal(b.v_port, c.v_port)
-            np.testing.assert_array_equal(a.spectra["v_port"].mag,
-                                          b.spectra["v_port"].mag)
-            np.testing.assert_array_equal(a.spectra["v_port"].f,
-                                          b.spectra["v_port"].f)
-            assert a.verdict == b.verdict == c.verdict
-            assert a.metrics == b.metrics == c.metrics
+        par = ScenarioRunner(models=models, n_workers=2).run(grid)
+        assert not ser.failures and not par.failures
+        assert_same_outcomes(ser, par)
 
-    def test_arena_survives_failed_scenarios(self, md2_model):
+    def test_failed_scenarios_match_serial(self, md2_model):
         bad = Scenario(pattern="01", load=LOADS[0], dt=1e-12,
                        spectral=SPEC_V)
-        good = scenario_grid(["0110", "01"], LOADS, spectral=SPEC_V)
-        result = ScenarioRunner(models={("MD2", "typ"): md2_model},
-                                n_workers=2).run([bad] + good)
-        assert not result[0].ok
-        assert all(o.ok for o in result[1:])
-        assert all(o.spectra for o in result[1:])
+        grid = [bad] + scenario_grid(["0110", "01"], LOADS,
+                                     spectral=SPEC_V)
+        models = {("MD2", "typ"): md2_model}
+        ser = ScenarioRunner(models=models, n_workers=1).run(grid)
+        par = ScenarioRunner(models=models, n_workers=2).run(grid)
+        assert not par[0].ok
+        assert all(o.ok and o.spectra for o in par[1:])
+        assert_same_outcomes(ser, par)
 
-    def test_probes_ride_the_arena(self, md2_model):
-        """Coupled scenarios (multi-probe) round-trip through the arena."""
+    def test_probes_match_serial(self, md2_model):
+        """Coupled scenarios (two probes each) come back from the pool
+        equal to the serial run."""
         from repro.experiments import CoupledLoadSpec
         grid = scenario_grid(["0110", "01"], [CoupledLoadSpec()],
                              spectral=SPEC_V)
         models = {("MD2", "typ"): md2_model}
         ser = ScenarioRunner(models=models, n_workers=1).run(grid)
         par = ScenarioRunner(models=models, n_workers=2).run(grid)
-        for a, b in zip(ser, par):
-            assert set(b.probes) == {"next", "fext"}
-            np.testing.assert_array_equal(a.probes["next"],
-                                          b.probes["next"])
-            np.testing.assert_array_equal(a.probes["fext"],
-                                          b.probes["fext"])
+        assert all(set(o.probes) == {"next", "fext"} for o in par)
+        assert_same_outcomes(ser, par)
 
 
 class TestReceiverAwarePassFail:
@@ -386,20 +400,16 @@ class TestDetectorScenarios:
         assert env.unit == "V/m" and env.detector == "quasi-peak"
 
     def test_parallel_matches_serial_with_detectors(self, md2_model):
-        """Detector/radiated spectra survive the shared-memory arena."""
+        """Detector/radiated spectra come back from the pool equal to
+        the serial run."""
         grid = scenario_grid(["0110"], LOADS, spectral=SPEC_RAD)
         models = {("MD2", "typ"): md2_model}
         serial = ScenarioRunner(models=models, n_workers=1,
                                 use_result_cache=False).run(grid)
         par = ScenarioRunner(models=models, n_workers=2,
                              use_result_cache=False).run(grid)
-        for a, b in zip(serial, par):
-            assert set(a.spectra) == set(b.spectra)
-            for key in a.spectra:
-                np.testing.assert_array_equal(a.spectra[key].mag,
-                                              b.spectra[key].mag)
-                assert a.spectra[key].detector == b.spectra[key].detector
-            assert a.verdicts_by == b.verdicts_by
+        assert all(len(o.spectra) > 1 for o in par)
+        assert_same_outcomes(serial, par)
 
     def test_spec_validation(self):
         with pytest.raises(ExperimentError):

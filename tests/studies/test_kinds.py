@@ -170,18 +170,20 @@ class TestThirdPartyKind:
         # second run answers from the cache (keys work for custom kinds)
         assert runner.run(grid).n_cache_hits == len(grid)
 
-    def test_parallel_run_and_arena(self, rail_kind, md2_model):
-        """Custom-kind probes ride the shared-memory arena (fork start)."""
+    def test_parallel_run_matches_serial(self, rail_kind, md2_model):
+        """Custom-kind probes come back from a 2-worker pool (fork start)
+        equal to the in-process run."""
         _, spec_cls = rail_kind
         grid = scenario_grid(["01", "0110"], [spec_cls()])
         models = {("MD2", "typ"): md2_model}
         ser = ScenarioRunner(models=models, n_workers=1).run(grid)
-        par = ScenarioRunner(models=models, n_workers=2,
-                             shared_waveforms=True).run(grid)
+        par = ScenarioRunner(models=models, n_workers=2).run(grid)
         assert not par.failures
         for a, b in zip(ser, par):
+            np.testing.assert_array_equal(a.v_port, b.v_port)
             np.testing.assert_array_equal(a.probes["mid"],
                                           b.probes["mid"])
+            np.testing.assert_equal(a.metrics, b.metrics)
 
     def test_study_serialization_round_trip(self, rail_kind):
         _, spec_cls = rail_kind

@@ -156,9 +156,9 @@ class TestGraceDeadlineExtension:
         recomputed = []
         orig = runner_mod.simulate_scenario_batch
 
-        def counting(jobs, backend="transient"):
+        def counting(jobs):
             recomputed.append([sc.load.kind for sc, _ in jobs])
-            return orig(jobs, backend=backend)
+            return orig(jobs)
 
         monkeypatch.setattr(runner_mod, "simulate_scenario_batch",
                             counting)

@@ -329,6 +329,9 @@ class TestHTTPService:
         ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]},
          "'loads'"),
         ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
+        ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
+        ({"patterns": ["01"], "runner": {"shared_waveforms": True}},
+         "runner"),
     ])
     def test_malformed_study_is_400(self, http_service, doc, field):
         """A malformed body answers 400 naming the field; the

@@ -1,78 +1,28 @@
-"""The repro.experiments.sweep deprecation shim keeps old imports alive."""
+"""``repro.experiments`` keeps forwarding the supported sweep names."""
 
-import importlib
 import subprocess
 import sys
 
 import pytest
 
 
-def test_shim_import_warns_and_resolves():
-    """Importing the legacy module emits a DeprecationWarning and every
-    legacy name resolves to the repro.studies object."""
-    import repro.experiments.sweep as shim
-    import repro.studies as studies
-    with pytest.warns(DeprecationWarning, match="repro.studies"):
-        shim = importlib.reload(shim)
-    for name in ("LoadSpec", "CoupledLoadSpec", "SpectralSpec",
-                 "Scenario", "ScenarioOutcome", "SweepResult",
-                 "ScenarioRunner", "scenario_grid", "CORNERS"):
-        assert getattr(shim, name) is getattr(studies, name), name
-    # the private helpers external code reached for still resolve
-    from repro.studies.simulate import _emc_metrics, _simulate_scenario
-    assert shim._emc_metrics is _emc_metrics
-    assert shim._simulate_scenario is _simulate_scenario
-
-
 def test_package_reexports_do_not_warn():
     """`from repro.experiments import LoadSpec` (the supported spelling)
-    must not trip the deprecation warning -- only the sweep module does."""
+    resolves to the repro.studies objects without any warning."""
     script = (
-        "import warnings, sys\n"
+        "import warnings\n"
         "warnings.simplefilter('error', DeprecationWarning)\n"
         "from repro.experiments import (LoadSpec, CoupledLoadSpec,\n"
         "    SpectralSpec, Scenario, ScenarioRunner, SweepResult,\n"
         "    scenario_grid, CORNERS, SweepDiskCache, AntennaModel)\n"
-        "import repro.studies\n"
-        "assert LoadSpec is repro.studies.LoadSpec\n"
-        "assert 'repro.experiments.sweep' not in sys.modules\n"
+        "import repro.experiments, repro.studies\n"
+        "for name in repro.experiments._STUDY_NAMES:\n"
+        "    assert getattr(repro.experiments, name) is \\\n"
+        "        getattr(repro.studies, name), name\n"
         "print('clean')\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip().endswith("clean")
-
-
-def test_shim_module_in_fresh_process_warns():
-    """A fresh interpreter importing the module path sees the warning."""
-    script = (
-        "import warnings\n"
-        "with warnings.catch_warnings(record=True) as caught:\n"
-        "    warnings.simplefilter('always')\n"
-        "    import repro.experiments.sweep  # noqa: F401\n"
-        "hits = [w for w in caught\n"
-        "        if issubclass(w.category, DeprecationWarning)\n"
-        "        and 'repro.studies' in str(w.message)]\n"
-        "assert hits, 'no deprecation warning raised'\n"
-        "print('warned')\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().endswith("warned")
-
-
-def test_submodule_attribute_access_still_works():
-    """`import repro.experiments` then `repro.experiments.sweep.X` was
-    valid under the eager import; the lazy package must keep it alive."""
-    script = (
-        "import warnings\n"
-        "warnings.simplefilter('ignore', DeprecationWarning)\n"
-        "import repro.experiments\n"
-        "import repro.studies\n"
-        "assert repro.experiments.sweep.ScenarioRunner is \\\n"
-        "    repro.studies.ScenarioRunner\n"
-        "print('attr-ok')\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().endswith("attr-ok")
 
 
 def test_unknown_attribute_still_raises():

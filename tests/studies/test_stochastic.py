@@ -391,6 +391,14 @@ class TestRoundTrip:
             StochasticStudy.from_dict({"loads": [{"kind": "r",
                                                   "r": 50.0}]})
 
+    @pytest.mark.parametrize("runner", [{"backend": "fd"},
+                                        {"shared_waveforms": True}])
+    def test_from_dict_rejects_removed_runner_options(self, runner):
+        doc = self.full_study().to_dict()
+        doc["runner"] = runner
+        with pytest.raises(ExperimentError, match="runner"):
+            StochasticStudy.from_dict(doc)
+
     def test_spec_validation(self):
         with pytest.raises(ExperimentError):
             StochasticSpec(n_draws=0)

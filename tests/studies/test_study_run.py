@@ -191,6 +191,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "parity" in out and "scenarios: 4" in out
 
+    def test_removed_backend_flag_exits_2(self, tmp_path, capsys):
+        from repro.studies.cli import main
+        path = STUDY.save(tmp_path / "s.toml")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--workers", "1", "--backend", "fd"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_bad_study_file_is_a_clean_error(self, tmp_path, capsys):
         from repro.studies.cli import main
         bad = tmp_path / "bad.toml"

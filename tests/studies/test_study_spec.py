@@ -286,6 +286,43 @@ class TestCanonicalFormIsPinned:
         inline = SpectralSpec(mask=get_mask("board-b"))
         assert named.canonical() == inline.canonical()
 
+    def test_line_study_disk_key_and_stochastic_digest_are_pinned(
+            self, tmp_path):
+        """Study digest, disk-cache key and Monte Carlo digest of a
+        board-b line study, recorded before the FD backend and the
+        shared-memory return were removed: execution changes must not
+        move any of them."""
+        from repro.experiments.cache import SweepDiskCache
+        from repro.studies import (Distribution, ScenarioRunner,
+                                   StochasticSpec, StochasticStudy,
+                                   TrafficModel)
+
+        class FixedModel:
+            """A model whose content fingerprint never changes."""
+
+            def to_dict(self):
+                return {"kind": "pwrbf_driver", "name": "pinned",
+                        "ts": 25e-12}
+
+        line = LoadSpec(kind="line", z0=50.0, td=1e-9, r=1e4)
+        study = Study(patterns=("0110", "01"), loads=(line,),
+                      spectral=SpectralSpec(mask="board-b"))
+        assert study.digest() == "4f710126d59a1c3740052854e520bfcb"
+        runner = ScenarioRunner(models={("MD2", "typ"): FixedModel()},
+                                n_workers=1)
+        key = runner._disk_key(study.scenarios()[0])
+        assert key[1] == "1554f7c640e31c92"
+        assert SweepDiskCache(tmp_path)._digest(key) == \
+            "101647724ca1a13c83bd880161554762"
+        mc = StochasticStudy(
+            loads=line, spectral=SpectralSpec(mask="board-b"),
+            stochastic=StochasticSpec(
+                seed=7, n_draws=16,
+                traffic=TrafficModel(model="rll", n_bits=8),
+                params={"r": Distribution(dist="uniform", low=40.0,
+                                          high=60.0)}))
+        assert mc.digest() == "49d6bd7b4f5b0d47b82e4bc24d70aafa"
+
 
 #: malformed study documents and the top-level field each error must name
 MALFORMED = [
@@ -293,6 +330,9 @@ MALFORMED = [
     ({"loads": 5}, "'loads'"),
     ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]}, "'loads'"),
     ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
+    # removed runner options are rejected, never silently ignored
+    ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
+    ({"patterns": ["01"], "runner": {"shared_waveforms": True}}, "runner"),
 ]
 
 
