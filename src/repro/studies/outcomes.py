@@ -78,8 +78,6 @@ class ScenarioOutcome:
         if not self.ok:
             return False
         checks = [bool(v.passed) for v in self.verdicts_by.values()]
-        if not checks and self.verdict is not None:
-            checks.append(bool(self.verdict.passed))
         if "rx_pass" in (self.metrics or {}):
             checks.append(bool(self.metrics["rx_pass"]))
         if not checks:
@@ -301,16 +299,10 @@ class SweepResult:
         Columns: the raw emission peak (dB), one margin column per
         detector/radiated check present anywhere on the grid (dB,
         positive = headroom), the worst-margin frequency, the binding
-        mask, the receiver eye check and the combined pass/fail.
-        Scenarios carrying only a single unnamed verdict (legacy cache
-        entries) report it in a plain ``margin`` column.  For
+        mask, the receiver eye check and the combined pass/fail.  For
         machine-readable output use :meth:`to_csv`/:meth:`to_json`.
         """
         checks = self._check_names()
-        legacy = not checks and any(o.verdict is not None
-                                    for o in self.outcomes)
-        if legacy:
-            checks = ["margin"]
         cols = "".join(
             f" {self._CHECK_LABELS.get(c, c)[:8]:>8}" for c in checks)
         header = (f"{'scenario':<38} {'peak':>7}{cols} "
@@ -326,7 +318,7 @@ class SweepResult:
                 else f"{'-':>7}"
             margins = ""
             for c in checks:
-                v = o.verdict if legacy else o.verdicts_by.get(c)
+                v = o.verdicts_by.get(c)
                 margins += f" {v.margin_db:>+8.1f}" if v is not None \
                     else f" {'-':>8}"
             if o.verdict is not None:

@@ -48,9 +48,10 @@ from .kinds import get_kind
 from .outcomes import ScenarioOutcome, SweepResult
 from .simulate import (_worker_init, _worker_run_group,
                        simulate_scenario_batch)
-from .spec import Scenario
+from .spec import RunnerOptions, Scenario
 
-__all__ = ["ScenarioRunner", "batch_key"]
+__all__ = ["ScenarioRunner", "batch_groups", "batch_key", "mp_context",
+           "study_runner"]
 
 
 def batch_key(sc: Scenario):
@@ -65,10 +66,8 @@ def batch_key(sc: Scenario):
     the spectral quantity (``"i_port"`` adds a series probe element).
     Corners, patterns and pattern lengths stay out: the driver bank
     carries each member's own model, and members with shorter runs
-    freeze once their own grid ends.  Shared by
-    :class:`ScenarioRunner`'s grouping and the service shard planner
-    (:func:`repro.studies.service.shard_plan`), so the two layers can
-    never disagree about what batches together.
+    freeze once their own grid ends.  :func:`batch_groups` partitions
+    on it.
     """
     structure = get_kind(sc.load.kind).batch_structure(sc.load)
     if structure is None:
@@ -77,6 +76,72 @@ def batch_key(sc: Scenario):
     return (sc.load.kind, structure, sc.driver,
             None if sc.dt is None else float(sc.dt),
             None if spec is None else spec.quantity)
+
+
+def batch_groups(pending) -> list:
+    """Partition ``(idx, Scenario)`` pairs into batch groups.
+
+    Scenarios sharing a :func:`batch_key` gather into one group (in
+    first-seen order); scenarios whose kind opted out become singleton
+    groups (batches of one).  The one grouping every layer uses:
+    :class:`ScenarioRunner` dispatch, the service shard planner
+    (:func:`repro.studies.service.shard_plan`) and the shard worker's
+    per-group checkpoints, so they can never disagree about what
+    batches together.
+    """
+    groups: list = []
+    by_key: dict = {}
+    for idx, sc in pending:
+        key = batch_key(sc)
+        if key is None:
+            groups.append([(idx, sc)])
+            continue
+        grp = by_key.get(key)
+        if grp is None:
+            grp = by_key[key] = []
+            groups.append(grp)
+        grp.append((idx, sc))
+    return groups
+
+
+def mp_context():
+    """The multiprocessing context every worker pool and shard process
+    starts from.
+
+    Fork only where it is the safe default (Linux): on macOS the
+    interpreter lists 'fork' as available but forking after threaded
+    BLAS/Objective-C work can crash the children, which is exactly why
+    CPython moved the macOS default to spawn.  Forked workers also
+    inherit registered custom kinds and warm model caches for free.
+    """
+    if sys.platform.startswith("linux") \
+            and "fork" in mp.get_all_start_methods():
+        return mp.get_context("fork")
+    return mp.get_context()
+
+
+def study_runner(options: RunnerOptions, models: dict | None = None,
+                 runner=None, **overrides) -> "ScenarioRunner":
+    """The runner a ``run(models=..., runner=..., **overrides)`` call uses.
+
+    The one place a :class:`ScenarioRunner` is built from
+    :class:`~repro.studies.spec.RunnerOptions`: ``options`` with the
+    ``overrides`` applied, driving the given ``models``.  An explicit
+    ``runner`` is returned as is -- it already carries its models and
+    options, so passing either alongside it raises
+    :class:`ExperimentError` instead of silently simulating with the
+    wrong models or the wrong knobs.
+    """
+    if runner is not None:
+        if overrides or models is not None:
+            raise ExperimentError(
+                "pass models/runner options either via an explicit "
+                "runner or as run() arguments, not both")
+        return runner
+    opts = replace(options, **overrides) if overrides else options
+    return ScenarioRunner(models=models, n_workers=opts.n_workers,
+                          use_result_cache=opts.use_result_cache,
+                          disk_cache=opts.disk_cache)
 
 
 def _split_group(group: list, workers: int, n_groups: int) -> list:
@@ -126,15 +191,13 @@ class ScenarioRunner:
     the CPU count; ``0``/``1`` runs serially in-process.  ``disk_cache``
     names a directory backing the per-scenario result cache with a
     :class:`~repro.experiments.cache.SweepDiskCache`, so repeated sweeps in
-    *fresh processes* answer from disk instead of re-simulating.
-    ``batch`` (default on) groups scenarios whose load kind reports a
-    :meth:`~repro.studies.kinds.ScenarioKind.batch_structure` by
-    structural identity and advances each group through the grid-batched
-    transient backend (:func:`repro.circuit.run_transient_batch`) --
-    same waveforms, verdicts and cache digests, a fraction of the per-
-    scenario cost; ``False`` forces one simulation per scenario (the
-    serial reference the batched path is tested against).  Parallel
-    workers return their outcomes pickled.
+    *fresh processes* answer from disk instead of re-simulating.  The
+    three options are validated as
+    :class:`~repro.studies.spec.RunnerOptions`.  Scenarios are grouped
+    by :func:`batch_groups` and every group advances through the
+    grid-batched transient backend
+    (:func:`repro.circuit.run_transient_batch`); parallel workers return
+    their outcomes pickled.
 
     Observability: each :meth:`run` exports a ``runner.run`` span with
     per-group ``runner.group`` children (in pool workers these hang
@@ -152,24 +215,21 @@ class ScenarioRunner:
                  n_workers: int | None = None,
                  use_result_cache: bool = True,
                  disk_cache: str | os.PathLike | None = None,
-                 batch: bool = True,
                  record_metrics: bool = True,
                  tracer=None):
-        if disk_cache is not None and not use_result_cache:
-            raise ExperimentError(
-                "disk_cache requires use_result_cache=True; pass one or "
-                "the other, not the conflicting combination")
+        opts = RunnerOptions(n_workers=n_workers,
+                             use_result_cache=use_result_cache,
+                             disk_cache=disk_cache)
         self._models: dict = dict(models or {})
-        self.n_workers = (os.cpu_count() or 1) if n_workers is None \
-            else int(n_workers)
-        self.use_result_cache = use_result_cache
+        self.n_workers = (os.cpu_count() or 1) if opts.n_workers is None \
+            else opts.n_workers
+        self.use_result_cache = opts.use_result_cache
         self._result_cache: dict = {}
         self._fingerprints: dict = {}
         self._payloads: dict = {}
         self._warmed: set = set()
-        self._disk = cache.SweepDiskCache(disk_cache) \
-            if disk_cache is not None else None
-        self.batch = bool(batch)
+        self._disk = cache.SweepDiskCache(opts.disk_cache) \
+            if opts.disk_cache is not None else None
         self.record_metrics = bool(record_metrics)
         self._tracer = tracer
         # how long surviving workers may keep delivering after a worker
@@ -310,30 +370,6 @@ class ScenarioRunner:
             payloads[key] = memo[1]
         return payloads
 
-    def _group_pending(self, pending) -> list:
-        """Partition pending ``(idx, Scenario)`` pairs into batch groups.
-
-        Scenarios sharing a :func:`batch_key` gather into one group (in
-        first-seen order); un-batchable scenarios -- their kind opted
-        out, or batching is disabled on this runner -- become singleton
-        groups (batches of one).
-        """
-        if not self.batch:
-            return [[job] for job in pending]
-        groups: list = []
-        by_key: dict = {}
-        for idx, sc in pending:
-            key = batch_key(sc)
-            if key is None:
-                groups.append([(idx, sc)])
-                continue
-            grp = by_key.get(key)
-            if grp is None:
-                grp = by_key[key] = []
-                groups.append(grp)
-            grp.append((idx, sc))
-        return groups
-
     def run(self, scenarios) -> SweepResult:
         """Simulate every scenario; order of outcomes matches the input.
 
@@ -384,7 +420,7 @@ class ScenarioRunner:
             payloads = self.prepare_dispatch(pending,
                                              render_payloads=parallel)
 
-        groups = self._group_pending(pending)
+        groups = batch_groups(pending)
         if parallel:
             workers = min(self.n_workers, len(pending))
             job_groups = [
@@ -392,14 +428,7 @@ class ScenarioRunner:
                  for idx, sc in chunk]
                 for group in groups
                 for chunk in _split_group(group, workers, len(groups))]
-            # fork only where it is the safe default (Linux): on macOS the
-            # interpreter lists 'fork' as available but forking after
-            # threaded BLAS/Objective-C work can crash the children, which
-            # is exactly why CPython moved the macOS default to spawn
-            use_fork = (sys.platform.startswith("linux")
-                        and "fork" in mp.get_all_start_methods())
-            ctx = mp.get_context("fork") if use_fork else mp.get_context()
-            with ctx.Pool(workers, initializer=_worker_init,
+            with mp_context().Pool(workers, initializer=_worker_init,
                           initargs=(payloads, tr.context())) as pool:
                 unfinished = self._drain_pool(pool, job_groups, outcomes,
                                               scenarios)

@@ -27,32 +27,18 @@ scenario is a disk hit.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing as mp
-import sys
 import time
 from dataclasses import dataclass, field
 
 from ...errors import ExperimentError
-from ...experiments import cache as _model_cache
 from ...models import PWRBFDriverModel
 from ...obs import get_metrics, get_tracer
 from ...obs import worker_setup as _obs_worker_setup
-from ..runner import ScenarioRunner
+from ..runner import ScenarioRunner, batch_groups, mp_context
 from ..spec import Study
 from .shards import StudyShard, shard_plan
 
 __all__ = ["JobManager", "ShardReport"]
-
-
-def _mp_context():
-    """Fork where it is the safe default (Linux), spawn elsewhere --
-    the same policy as :class:`~repro.studies.runner.ScenarioRunner`
-    (forked workers also inherit registered custom kinds and warm model
-    caches for free)."""
-    if sys.platform.startswith("linux") \
-            and "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()
 
 
 def _shard_worker(shard_dict: dict, cache_dir: str,
@@ -84,11 +70,9 @@ def _shard_worker(shard_dict: dict, cache_dir: str,
         models = {key: PWRBFDriverModel.from_dict(d)
                   for key, d in (model_payloads or {}).items()}
         runner = ScenarioRunner(models=models, n_workers=1,
-                                disk_cache=cache_dir,
-                                batch=shard.study.options.batch)
+                                disk_cache=cache_dir)
         summary = {"n": 0, "hits": 0, "failures": 0, "errors": []}
-        pending = list(enumerate(shard.scenarios()))
-        for group in runner._group_pending(pending):
+        for group in batch_groups(enumerate(shard.scenarios())):
             result = runner.run([sc for _, sc in group])
             summary["n"] += len(result)
             summary["hits"] += result.n_cache_hits
@@ -155,7 +139,7 @@ class JobManager:
             else max(1, int(max_workers))
         self.retries = max(0, int(retries))
         self.timeout_s = None if timeout_s is None else float(timeout_s)
-        self._ctx = _mp_context()
+        self._ctx = mp_context()
 
     # -- one shard ----------------------------------------------------------
     async def _attempt(self, shard_dict: dict, cache_dir: str,
@@ -197,15 +181,16 @@ class JobManager:
             recv.close()
 
     async def run_shard(self, shard: StudyShard, disk_cache,
-                        models: dict | None = None,
+                        payloads: dict | None = None,
                         progress=None, index: int | None = None,
                         tracer=None) -> ShardReport:
         """Run one shard to completion (with retries); returns its report.
 
         ``disk_cache`` is the shared cache directory every shard of the
-        plan writes to; ``models`` maps ``(driver, corner)`` to
-        already-estimated models shipped to the worker as serialized
-        payloads (drivers not in the map are estimated in the worker).
+        plan writes to; ``payloads`` maps ``(driver, corner)`` to the
+        serialized driver models the worker deserializes (what
+        :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
+        renders; drivers not in the map are estimated in the worker).
         ``index`` is the shard's position in its plan, carried on the
         progress events and spans so event ordering is checkable per
         shard.  One ``job.shard`` span wraps the retry loop, with one
@@ -217,7 +202,6 @@ class JobManager:
         """
         tr = tracer if tracer is not None else get_tracer()
         met = get_metrics()
-        payloads = {key: m.to_dict() for key, m in (models or {}).items()}
         shard_dict = shard.to_dict()
         report = ShardReport(shard=shard)
         t0 = time.perf_counter()
@@ -258,7 +242,7 @@ class JobManager:
 
     # -- whole studies ------------------------------------------------------
     async def run_shards(self, shards, disk_cache,
-                         models: dict | None = None,
+                         payloads: dict | None = None,
                          progress=None, tracer=None) -> list[ShardReport]:
         """Submit every shard, await them all; reports in shard order.
 
@@ -279,7 +263,7 @@ class JobManager:
                                  "n_shards": len(shards), "shard": shard,
                                  "scenarios": len(shard)})
                 report = await self.run_shard(shard, disk_cache,
-                                              models=models,
+                                              payloads=payloads,
                                               progress=progress,
                                               index=i, tracer=tracer)
                 done_box["scenarios"] += report.n_scenarios
@@ -304,8 +288,12 @@ class JobManager:
 
         ``disk_cache`` (or the study's own ``options.disk_cache``) names
         the shared cache directory -- it is required, because the cache
-        *is* the result channel and the crash-resume ledger.  After all
-        shards finish, the full grid replays through a serial in-process
+        *is* the result channel and the crash-resume ledger.  Before the
+        shards start, the merge runner's
+        :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
+        estimates every driver and auxiliary model once, in this
+        process, and renders the driver payloads all shards share.
+        After all shards finish, the full grid replays through that serial
         runner on the same cache (every shard-simulated scenario is a
         disk hit; a scenario whose simulation failed is retried here,
         serially, as the last line of defense).  The returned result
@@ -335,20 +323,22 @@ class JobManager:
             phases: dict[str, float] = {}
             shards = shard_plan(study, n_shards if n_shards is not None
                                 else self.max_workers)
-            # estimate every driver model once, parent-side, and ship the
-            # serialized payloads: without this each worker process would
-            # re-pay the seconds-scale estimation for the same catalog
-            # driver
-            models = dict(models or {})
-            for sc in study.scenarios():
-                key = (sc.driver, sc.corner)
-                if key not in models:
-                    models[key] = _model_cache.driver_model(sc.driver,
-                                                            sc.corner)
+            # the merge replays the shard workers' disk entries, so its
+            # cache identities must match theirs exactly: its dispatch
+            # prep estimates every driver and aux model once, here, and
+            # renders the payloads the workers deserialize -- forked
+            # workers inherit the warm model cache instead of re-paying
+            # the seconds-scale estimation per shard
+            merge_runner = ScenarioRunner(models=models, n_workers=1,
+                                          disk_cache=cache_dir,
+                                          record_metrics=False, tracer=tr)
+            scenarios = study.scenarios()
+            payloads = merge_runner.prepare_dispatch(
+                list(enumerate(scenarios)))
             phases["plan"] = time.perf_counter() - t0
             t1 = time.perf_counter()
             reports = await self.run_shards(shards, cache_dir,
-                                            models=models,
+                                            payloads=payloads,
                                             progress=progress, tracer=tr)
             phases["shards"] = time.perf_counter() - t1
             jsp.event("merge-start", n_shards=len(shards))
@@ -356,15 +346,7 @@ class JobManager:
                              "n_shards": len(shards)})
             t2 = time.perf_counter()
             with tr.span("job.merge") as msp:
-                # the merge replays the shard workers' disk entries, so
-                # its cache identities must match theirs exactly
-                merge_runner = ScenarioRunner(models=dict(models or {}),
-                                              n_workers=1,
-                                              disk_cache=cache_dir,
-                                              batch=study.options.batch,
-                                              record_metrics=False,
-                                              tracer=tr)
-                merged = merge_runner.run(study.scenarios())
+                merged = merge_runner.run(scenarios)
                 msp.set(cache_hits=merged.n_cache_hits,
                         failures=len(merged.failures))
             phases["merge"] = time.perf_counter() - t2

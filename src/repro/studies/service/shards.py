@@ -10,10 +10,10 @@ depend only on the scenario's canonical form and the model fingerprints,
 never on which shard simulated it.
 
 :func:`shard_plan` balances the grid across ``n`` shards *without
-splitting batchable groups*: scenarios sharing a
-:func:`~repro.studies.runner.batch_key` advance together through the
-grid-batched transient backend, and splitting such a group across shards
-would forfeit exactly the amortization PR 6 bought.  Groups are packed
+splitting batchable groups*: the scenarios of one
+:func:`~repro.studies.runner.batch_groups` group advance together
+through the grid-batched transient backend, and splitting such a group
+across shards would forfeit that amortization.  Groups are packed
 largest-first onto the currently lightest shard (LPT scheduling), which
 keeps shard sizes within one group of each other for typical grids.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ...errors import ExperimentError
 from ...experiments.cache import scenario_key_digest
-from ..runner import batch_key
+from ..runner import batch_groups, study_runner
 from ..spec import Scenario, Study
 
 __all__ = ["StudyShard", "shard_plan"]
@@ -104,34 +104,21 @@ class StudyShard:
         manager's crash-resume sharpens this to per-batch-group
         checkpoints by running one group per call.
         """
-        from dataclasses import replace
-
-        from ..runner import ScenarioRunner
-        if runner is None:
-            opts = replace(self.study.options, **overrides) if overrides \
-                else self.study.options
-            runner = ScenarioRunner(
-                models=models, n_workers=opts.n_workers,
-                use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache, batch=opts.batch)
-        elif overrides or models is not None:
-            raise ExperimentError(
-                "pass models/runner options either via an explicit "
-                "runner or as run() arguments, not both")
-        return runner.run(self.scenarios())
+        return study_runner(self.study.options, models, runner,
+                            **overrides).run(self.scenarios())
 
 
 def shard_plan(study: Study, n: int) -> list[StudyShard]:
     """Slice ``study``'s grid into at most ``n`` balanced shards.
 
-    Scenarios sharing a :func:`~repro.studies.runner.batch_key` (the
-    grid-batched backend's grouping) always land in the same shard, so
-    sharding never costs batching amortization; un-batchable scenarios
-    (their kind opted out) are singleton groups and distribute freely.
-    Groups are packed largest-first onto the lightest shard, ties broken
-    by shard index, so the plan is deterministic.  When the grid has
-    fewer groups than ``n`` the plan returns fewer (non-empty) shards --
-    a group is never split.
+    The scenarios of one :func:`~repro.studies.runner.batch_groups`
+    group (the grid-batched backend's grouping) always land in the same
+    shard, so sharding never costs batching amortization; un-batchable
+    scenarios (their kind opted out) are singleton groups and
+    distribute freely.  Groups are packed largest-first onto the lightest
+    shard, ties broken by shard index, so the plan is deterministic.
+    When the grid has fewer groups than ``n`` the plan returns fewer
+    (non-empty) shards -- a group is never split.
 
     The shards partition the grid exactly: every index appears in
     exactly one shard, and each shard's indices stay in grid order.
@@ -139,21 +126,8 @@ def shard_plan(study: Study, n: int) -> list[StudyShard]:
     if int(n) < 1:
         raise ExperimentError("shard count must be >= 1")
     n = int(n)
-    scenarios = study.scenarios()
-    # group grid indices by batch identity, first-seen order (the same
-    # partition ScenarioRunner._group_pending computes for dispatch)
-    groups: list[list[int]] = []
-    by_key: dict = {}
-    for idx, sc in enumerate(scenarios):
-        key = batch_key(sc)
-        if key is None:
-            groups.append([idx])
-            continue
-        grp = by_key.get(key)
-        if grp is None:
-            grp = by_key[key] = []
-            groups.append(grp)
-        grp.append(idx)
+    groups = [[idx for idx, _ in group]
+              for group in batch_groups(enumerate(study.scenarios()))]
     n = min(n, len(groups))
     bins: list[list[int]] = [[] for _ in range(n)]
     for group in sorted(groups, key=len, reverse=True):

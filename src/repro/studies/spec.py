@@ -30,8 +30,9 @@ metrics, serialization) lives on the registered :class:`ScenarioKind`.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -518,9 +519,9 @@ class RunnerOptions:
 
     ``n_workers`` ``None`` uses the CPU count, ``0``/``1`` runs
     serially; ``disk_cache`` names a directory backing the persistent
-    result cache; ``batch`` lets the runner advance same-shape scenario
-    groups through the grid-batched transient backend (``False`` forces
-    one simulation per scenario, e.g. for equivalence debugging).
+    result cache, which needs the result cache on.  A value of the wrong
+    type or range raises :class:`ExperimentError` naming the option, so
+    a study document fails when it is read, not when it runs.
 
     These knobs never affect the produced waveforms or verdicts -- only
     how they are computed -- so they stay out of every cache key.
@@ -529,12 +530,33 @@ class RunnerOptions:
     n_workers: int | None = None
     use_result_cache: bool = True
     disk_cache: str | None = None
-    batch: bool = True
 
     def __post_init__(self):
-        # ScenarioRunner accepts any PathLike; normalize here so the
-        # options stay TOML/JSON-serializable whatever was passed
+        n = self.n_workers
+        if n is not None:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+                    or n < 0:
+                raise ExperimentError(
+                    f"runner option 'n_workers' must be a worker count "
+                    f">= 0 (or unset), not {n!r}")
+            object.__setattr__(self, "n_workers", int(n))
+        if not isinstance(self.use_result_cache, bool):
+            raise ExperimentError(
+                f"runner option 'use_result_cache' must be true or "
+                f"false, not {self.use_result_cache!r}")
         if self.disk_cache is not None:
+            if not isinstance(self.disk_cache, (str, os.PathLike)) \
+                    or not os.fspath(self.disk_cache):
+                raise ExperimentError(
+                    f"runner option 'disk_cache' must be a directory "
+                    f"path, not {self.disk_cache!r}")
+            if not self.use_result_cache:
+                raise ExperimentError(
+                    "runner option 'disk_cache' requires "
+                    "use_result_cache=True; pass one or the other, not "
+                    "the conflicting combination")
+            # ScenarioRunner accepts any PathLike; normalize here so the
+            # options stay TOML/JSON-serializable whatever was passed
             object.__setattr__(self, "disk_cache",
                                os.fspath(self.disk_cache))
 
@@ -550,18 +572,11 @@ class RunnerOptions:
     @classmethod
     def from_dict(cls, d: dict) -> "RunnerOptions":
         """Rebuild options from :meth:`to_dict` output."""
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ExperimentError(
                 f"unknown runner options {sorted(unknown)}")
-        if kw.get("n_workers") is not None:
-            kw["n_workers"] = int(kw["n_workers"])
-        if kw.get("disk_cache") is not None:
-            kw["disk_cache"] = str(kw["disk_cache"])
-        if "batch" in kw:
-            kw["batch"] = bool(kw["batch"])
-        return cls(**kw)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -599,12 +614,7 @@ class Study:
         if isinstance(loads, BaseLoadSpec):
             loads = (loads,)
         object.__setattr__(self, "loads", tuple(loads))
-        if not self.patterns:
-            raise ExperimentError("a Study needs at least one pattern")
-        for p in self.patterns:
-            if not p or set(p) - {"0", "1"}:
-                raise ExperimentError(
-                    f"pattern {p!r} must be a non-empty string of 0/1 bits")
+        self._check_patterns()
         if not self.loads:
             raise ExperimentError("a Study needs at least one load")
         if not self.drivers or not self.corners:
@@ -614,6 +624,15 @@ class Study:
         # time, not one error-outcome per scenario after dispatch
         for load in self.loads:
             get_kind(load.kind)
+
+    def _check_patterns(self) -> None:
+        """The pattern-axis rule: at least one non-empty 0/1 pattern."""
+        if not self.patterns:
+            raise ExperimentError("a Study needs at least one pattern")
+        for p in self.patterns:
+            if not p or set(p) - {"0", "1"}:
+                raise ExperimentError(
+                    f"pattern {p!r} must be a non-empty string of 0/1 bits")
 
     def scenarios(self) -> list[Scenario]:
         """The study's grid as a list of :class:`Scenario` (grid order).
@@ -808,8 +827,8 @@ class Study:
                            phases=phases)
 
     def run(self, models: dict | None = None, runner=None, **overrides):
-        """Simulate the study; returns a
-        :class:`~repro.studies.outcomes.StudyResult`.
+        """Simulate the study; returns :meth:`make_result`'s result
+        (a :class:`~repro.studies.outcomes.StudyResult` here).
 
         Parameters
         ----------
@@ -826,25 +845,15 @@ class Study:
         """
         import time
 
-        from .runner import ScenarioRunner
+        from .runner import study_runner
         t0 = time.perf_counter()
-        if runner is None:
-            opts = replace(self.options, **overrides) if overrides \
-                else self.options
-            runner = ScenarioRunner(
-                models=models, n_workers=opts.n_workers,
-                use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache, batch=opts.batch)
-        elif overrides or models is not None:
-            # an explicit runner already carries its models and options;
-            # silently ignoring either argument would simulate with the
-            # wrong models or the wrong knobs
-            raise ExperimentError(
-                "pass models/runner options either via an explicit "
-                "runner or as run() arguments, not both")
-        result = runner.run(self.scenarios())
-        return self.make_result(result.outcomes,
+        runner = study_runner(self.options, models, runner, **overrides)
+        return self.make_result(self._outcomes(runner),
                                 elapsed_s=time.perf_counter() - t0)
+
+    def _outcomes(self, runner) -> list:
+        """Simulate the grid on ``runner``; the outcomes in grid order."""
+        return runner.run(self.scenarios()).outcomes
 
 
 # ---------------------------------------------------------------------------

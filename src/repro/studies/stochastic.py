@@ -46,8 +46,7 @@ from ..errors import ExperimentError
 from ..experiments.cache import canonical_json as _canonical_json
 from ..obs import get_metrics, get_tracer
 from .outcomes import StudyResult
-from .spec import (BaseLoadSpec, Scenario, Study, _coerce_field,
-                   _study_table)
+from .spec import Scenario, Study, _coerce_field, _study_table
 
 __all__ = ["Distribution", "TrafficModel", "JitterSpec",
            "StochasticSpec", "StochasticStudy", "StochasticResult",
@@ -552,27 +551,7 @@ class StochasticStudy(Study):
     stochastic: StochasticSpec = field(default_factory=StochasticSpec)
 
     def __post_init__(self):
-        for fname in ("patterns", "drivers", "corners"):
-            value = getattr(self, fname)
-            if isinstance(value, str):
-                value = (value,)
-            object.__setattr__(self, fname, tuple(value))
-        loads = self.loads
-        if isinstance(loads, BaseLoadSpec):
-            loads = (loads,)
-        object.__setattr__(self, "loads", tuple(loads))
-        if self.patterns:
-            raise ExperimentError(
-                "a StochasticStudy samples its patterns from the "
-                "traffic model; the 'patterns' axis must stay empty")
-        if not self.loads:
-            raise ExperimentError("a Study needs at least one load")
-        if not self.drivers or not self.corners:
-            raise ExperimentError(
-                "a Study needs at least one driver and one corner")
-        from .kinds import get_kind
-        for load in self.loads:
-            get_kind(load.kind)
+        super().__post_init__()
         if not isinstance(self.stochastic, StochasticSpec):
             object.__setattr__(self, "stochastic",
                                StochasticSpec.from_dict(self.stochastic))
@@ -588,6 +567,13 @@ class StochasticStudy(Study):
                     raise ExperimentError(
                         f"stochastic param {name!r} is not numeric on "
                         f"{type(load).__name__}")
+
+    def _check_patterns(self) -> None:
+        """Traffic is sampled, never enumerated: no pattern axis."""
+        if self.patterns:
+            raise ExperimentError(
+                "a StochasticStudy samples its patterns from the "
+                "traffic model; the 'patterns' axis must stay empty")
 
     def __len__(self) -> int:
         """Number of draws (the sampled grid's size)."""
@@ -704,53 +690,33 @@ class StochasticStudy(Study):
         return StochasticResult(outcomes, study=self,
                                 elapsed_s=elapsed_s, phases=phases)
 
-    def run(self, models: dict | None = None, runner=None, **overrides):
-        """Simulate the draws; returns a :class:`StochasticResult`.
+    def _outcomes(self, runner) -> list:
+        """Simulate the draws on ``runner``, in draw order.
 
-        Same contract as :meth:`~repro.studies.spec.Study.run` (models /
-        an explicit runner / option overrides).  With
-        ``stochastic.stop_ci`` set, draws run in waves of ``min_draws``
-        prefix order preserved -- and the run stops early once the 95%
-        Wilson interval on the combined pass-probability is narrower
-        than ±``stop_ci`` (draws that carry no compliance check never
-        stop early; the service always runs the full budget).
+        With ``stochastic.stop_ci`` set, draws run in waves of
+        ``min_draws`` -- prefix order preserved -- and the run stops
+        early once the 95% Wilson interval on the combined
+        pass-probability is narrower than ±``stop_ci`` (draws that carry
+        no compliance check never stop early; the service always runs
+        the full budget).
         """
-        import time
-
-        from .runner import ScenarioRunner
-        t0 = time.perf_counter()
-        if runner is None:
-            opts = replace(self.options, **overrides) if overrides \
-                else self.options
-            runner = ScenarioRunner(
-                models=models, n_workers=opts.n_workers,
-                use_result_cache=opts.use_result_cache,
-                disk_cache=opts.disk_cache, batch=opts.batch)
-        elif overrides or models is not None:
-            raise ExperimentError(
-                "pass models/runner options either via an explicit "
-                "runner or as run() arguments, not both")
         draws = self.scenarios()
         spec = self.stochastic
         if spec.stop_ci is None:
-            outcomes = runner.run(draws).outcomes
-        else:
-            outcomes = []
-            target = min(max(spec.min_draws, 1), len(draws))
-            while True:
-                outcomes.extend(
-                    runner.run(draws[len(outcomes):target]).outcomes)
-                if target >= len(draws):
-                    break
-                checked = [o.passed for o in outcomes
-                           if o.passed is not None]
-                if checked:
-                    lo, hi = wilson_interval(sum(checked), len(checked))
-                    if (hi - lo) / 2.0 <= spec.stop_ci:
-                        break
-                target = min(len(draws), target + spec.min_draws)
-        return self.make_result(outcomes,
-                                elapsed_s=time.perf_counter() - t0)
+            return runner.run(draws).outcomes
+        outcomes = []
+        target = min(max(spec.min_draws, 1), len(draws))
+        while True:
+            outcomes.extend(
+                runner.run(draws[len(outcomes):target]).outcomes)
+            if target >= len(draws):
+                return outcomes
+            checked = [o.passed for o in outcomes if o.passed is not None]
+            if checked:
+                lo, hi = wilson_interval(sum(checked), len(checked))
+                if (hi - lo) / 2.0 <= spec.stop_ci:
+                    return outcomes
+            target = min(len(draws), target + spec.min_draws)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Grid batching through the Study/runner layer.
 
-Batching is an execution knob, never an identity: a batched study must
-produce the same waveforms, metrics and disk-cache digests as the
-per-scenario path, mixed grids must isolate their un-batchable
-stragglers, and a worker killed mid-run must degrade into an in-parent
-recompute instead of a hung sweep.
+Batching is execution, never identity: a batched study must produce the
+same waveforms and metrics as per-scenario :func:`simulate_scenario`
+runs, and the same disk-cache digests under any grouping; mixed grids
+must isolate their un-batchable stragglers, and a worker killed mid-run
+must degrade into an in-parent recompute instead of a hung sweep.
 """
 
 import os
@@ -19,7 +19,8 @@ from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.studies import (CORNERS, KINDS, CoupledLoadSpec, LoadSpec,
                            RunnerOptions, ScenarioKind, ScenarioRunner,
                            SpectralSpec, Study, register_kind,
-                           scenario_grid)
+                           scenario_grid, simulate_scenario)
+from repro.studies.runner import batch_groups
 
 TOL = 1e-9
 
@@ -29,17 +30,24 @@ def models(md2_model):
     return {("MD2", "typ"): md2_model}
 
 
-def line_study(n_workers=1, **options):
+def line_study(n_workers=1):
     loads = tuple(LoadSpec(kind="line", r=r, z0=z0, td=1e-9)
                   for r in (50.0, 150.0) for z0 in (50.0, 75.0))
     return Study(patterns=("0110", "0011"), loads=loads,
                  spectral=SpectralSpec(quantity="v_port"),
                  options=RunnerOptions(n_workers=n_workers,
-                                       use_result_cache=False, **options))
+                                       use_result_cache=False))
+
+
+def per_scenario(study, models):
+    """The serial reference: each scenario simulated alone."""
+    return [simulate_scenario(sc, models[(sc.driver, sc.corner)])
+            for sc in study.scenarios()]
 
 
 def assert_outcomes_match(got, ref):
-    for a, b in zip(got.outcomes, ref.outcomes):
+    assert len(got.outcomes) == len(ref)
+    for a, b in zip(got.outcomes, ref):
         assert a.ok and b.ok, (a.error, b.error)
         np.testing.assert_allclose(a.v_port, b.v_port, rtol=TOL, atol=TOL)
         assert set(a.spectra) == set(b.spectra)
@@ -58,13 +66,12 @@ class TestBatchedStudyEquivalence:
     def test_serial_batch_matches_unbatched(self, models):
         study = line_study()
         assert_outcomes_match(study.run(models=models),
-                              study.run(models=models, batch=False))
+                              per_scenario(study, models))
 
     def test_parallel_batch_matches_unbatched(self, models):
         study = line_study(n_workers=3)
         assert_outcomes_match(study.run(models=models),
-                              study.run(models=models, batch=False,
-                                        n_workers=1))
+                              per_scenario(study, models))
 
     def test_mixed_group_with_rx_straggler(self, models):
         """A nonlinear-receiver load rides alongside a batched group."""
@@ -75,7 +82,7 @@ class TestBatchedStudyEquivalence:
                       options=RunnerOptions(n_workers=1,
                                             use_result_cache=False))
         assert_outcomes_match(study.run(models=models),
-                              study.run(models=models, batch=False))
+                              per_scenario(study, models))
 
 
 class TestMixedCornerGroups:
@@ -94,8 +101,7 @@ class TestMixedCornerGroups:
                       spectral=SpectralSpec(quantity="v_port"),
                       options=RunnerOptions(n_workers=1,
                                             use_result_cache=False))
-        runner = ScenarioRunner(models=models, n_workers=1)
-        groups = runner._group_pending(list(enumerate(study.scenarios())))
+        groups = batch_groups(enumerate(study.scenarios()))
         assert [len(g) for g in groups] == [6] * len(loads)
         mine = MetricsRegistry()
         original = get_metrics()
@@ -105,9 +111,9 @@ class TestMixedCornerGroups:
         finally:
             set_metrics(original)
         assert mine.total("batch_fallbacks_total") == 0
-        ref = study.run(models=models, batch=False)
+        ref = per_scenario(study, models)
         assert_outcomes_match(got, ref)
-        for a, b in zip(got.outcomes, ref.outcomes):
+        for a, b in zip(got.outcomes, ref):
             assert a.warnings == b.warnings
             assert len(a.t) == len(b.t)
             for name in b.probes:
@@ -156,73 +162,41 @@ class TestDispatchSplit:
 
 
 class TestDigestInvariance:
-    def test_disk_cache_hits_across_backends(self, models, tmp_path):
-        """Batched and unbatched runs key the disk cache identically."""
+    def test_disk_cache_hits_across_groupings(self, models, tmp_path):
+        """A grid run as one batch group and its scenarios run one at a
+        time key the disk cache identically."""
         study = line_study()
         warm = ScenarioRunner(models=models, n_workers=1,
-                              disk_cache=tmp_path, batch=True)
+                              disk_cache=tmp_path)
         first = warm.run(study.scenarios())
         assert all(o.ok and not o.cache_hit for o in first.outcomes)
         cold = ScenarioRunner(models=models, n_workers=1,
-                              disk_cache=tmp_path, batch=False)
-        second = cold.run(study.scenarios())
-        assert all(o.cache_hit for o in second.outcomes)
-
-    def test_study_digest_ignores_the_batch_knob(self):
-        on = line_study(batch=True)
-        off = line_study(batch=False)
-        assert on.digest() == off.digest()
+                              disk_cache=tmp_path)
+        for sc in study.scenarios():
+            [again] = cold.run([sc]).outcomes
+            assert again.cache_hit
 
 
 class TestGrouping:
-    def test_groups_partition_by_structure(self, md2_model):
-        runner = ScenarioRunner(models={("MD2", "typ"): md2_model},
-                                n_workers=1)
+    def test_groups_partition_by_structure(self):
         loads = [LoadSpec(kind="line", r=r, z0=50.0, td=1e-9)
                  for r in (50.0, 75.0, 150.0)]
         loads += [LoadSpec(kind="line", r=50.0, z0=50.0, td=1e-9,
                            c=2e-12)]
         loads += [LoadSpec(kind="rx", z0=50.0, td=1e-9, r=50.0)]
-        pending = list(enumerate(scenario_grid(["0110"], loads)))
-        groups = runner._group_pending(pending)
+        groups = batch_groups(enumerate(scenario_grid(["0110"], loads)))
         assert sorted(len(g) for g in groups) == [1, 1, 3]
 
-    def test_corners_and_pattern_lengths_share_a_group(self, md2_model):
+    def test_corners_and_pattern_lengths_share_a_group(self):
         """The driver bank carries each member's corner model and short
         runs freeze, so only the topology splits groups."""
-        runner = ScenarioRunner(models={("MD2", "typ"): md2_model},
-                                n_workers=1)
         load = LoadSpec(kind="line", r=50.0, z0=50.0, td=1e-9)
-        pending = list(enumerate(
+        pending = enumerate(
             scenario_grid(["0110"], [load], corners=("typ", "fast"))
             + scenario_grid(["011010"], [load])
-            + scenario_grid(["0110"], [load], dt=10e-12)))
-        groups = runner._group_pending(pending)
+            + scenario_grid(["0110"], [load], dt=10e-12))
+        groups = batch_groups(pending)
         assert sorted(len(g) for g in groups) == [1, 3]
-
-    def test_batch_false_gives_singletons(self, md2_model):
-        runner = ScenarioRunner(models={("MD2", "typ"): md2_model},
-                                n_workers=1, batch=False)
-        loads = [LoadSpec(kind="line", r=r, z0=50.0, td=1e-9)
-                 for r in (50.0, 75.0)]
-        pending = list(enumerate(scenario_grid(["0110"], loads)))
-        assert [len(g) for g in runner._group_pending(pending)] == [1, 1]
-
-
-class TestRunnerOptionsBatch:
-    def test_default_stays_out_of_to_dict(self):
-        assert "batch" not in RunnerOptions().to_dict()
-        assert RunnerOptions(batch=False).to_dict() == {"batch": False}
-
-    def test_round_trip(self):
-        opts = RunnerOptions.from_dict({"batch": False, "n_workers": 2})
-        assert opts == RunnerOptions(batch=False, n_workers=2)
-
-    def test_study_toml_round_trip(self):
-        study = line_study(batch=False)
-        again = Study.from_toml(study.to_toml())
-        assert again.options.batch is False
-        assert again == study
 
 
 _PARENT_PID = os.getpid()

@@ -168,6 +168,33 @@ class TestJobManager:
                    for r in again.shard_reports)
         assert again.csv_text() == direct.csv_text()
 
+    def test_receiver_model_is_estimated_once_per_job(
+            self, models, tmp_path, monkeypatch):
+        """The parent prepares the receiver model before the shards
+        fork: two rx shards and the merge share one estimate.  Every
+        process appends its pid to a marker file per estimation."""
+        from repro.experiments import cache
+        model = cache.receiver_model("MD4")
+        monkeypatch.delitem(cache._cache, ("receiver", "MD4"))
+        marker = tmp_path / "estimates"
+
+        def counted(*args, **kwargs):
+            with open(marker, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return model
+
+        monkeypatch.setattr(cache, "estimate_receiver_model", counted)
+        study = Study(patterns=("0110",),
+                      loads=(LoadSpec(kind="rx", td=1e-9, r=50.0),
+                             LoadSpec(kind="rx", td=0.0, r=50.0)))
+        assert len(shard_plan(study, 2)) == 2
+        result = JobManager(max_workers=2).run_study(
+            study, disk_cache=tmp_path / "cache", models=models)
+        assert all(o.ok for o in result)
+        assert len(result.shard_reports) == 2
+        assert marker.read_text(encoding="utf-8").splitlines() \
+            == [str(os.getpid())]
+
     def test_missing_cache_is_rejected(self, models):
         with pytest.raises(ExperimentError):
             JobManager().run_study(small_study(), models=models)
@@ -332,6 +359,18 @@ class TestHTTPService:
         ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
         ({"patterns": ["01"], "runner": {"shared_waveforms": True}},
          "runner"),
+        ({"patterns": ["01"], "runner": {"batch": False}}, "runner"),
+        ({"patterns": ["01"], "runner": {"use_result_cache": "false"}},
+         "'use_result_cache'"),
+        ({"patterns": ["01"], "runner": {"n_workers": -2}}, "'n_workers'"),
+        ({"patterns": ["01"], "runner": {"n_workers": 2.7}},
+         "'n_workers'"),
+        ({"patterns": ["01"], "runner": {"n_workers": True}},
+         "'n_workers'"),
+        ({"patterns": ["01"], "runner": {"disk_cache": 5}}, "'disk_cache'"),
+        ({"patterns": ["01"], "runner": {"use_result_cache": False,
+                                         "disk_cache": "c"}},
+         "'disk_cache'"),
     ])
     def test_malformed_study_is_400(self, http_service, doc, field):
         """A malformed body answers 400 naming the field; the

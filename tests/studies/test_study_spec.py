@@ -19,7 +19,8 @@ from repro.errors import ExperimentError
 from repro.experiments import AntennaModel
 from repro.experiments.cache import scenario_key_digest
 from repro.studies import (CORNERS, CoupledLoadSpec, LoadSpec,
-                           RunnerOptions, Scenario, SpectralSpec, Study)
+                           RunnerOptions, Scenario, ScenarioRunner,
+                           SpectralSpec, Study)
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -333,6 +334,16 @@ MALFORMED = [
     # removed runner options are rejected, never silently ignored
     ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
     ({"patterns": ["01"], "runner": {"shared_waveforms": True}}, "runner"),
+    ({"patterns": ["01"], "runner": {"batch": False}}, "runner"),
+    # runner option values are checked when the study is read
+    ({"patterns": ["01"], "runner": {"use_result_cache": "false"}},
+     "'use_result_cache'"),
+    ({"patterns": ["01"], "runner": {"n_workers": -2}}, "'n_workers'"),
+    ({"patterns": ["01"], "runner": {"n_workers": 2.7}}, "'n_workers'"),
+    ({"patterns": ["01"], "runner": {"n_workers": True}}, "'n_workers'"),
+    ({"patterns": ["01"], "runner": {"disk_cache": 5}}, "'disk_cache'"),
+    ({"patterns": ["01"], "runner": {"use_result_cache": False,
+                                     "disk_cache": "c"}}, "'disk_cache'"),
 ]
 
 
@@ -387,6 +398,18 @@ class TestMalformedInputs:
     def test_from_dict_names_the_field(self, doc, field):
         with pytest.raises(ExperimentError, match=field):
             Study.from_dict(doc)
+
+    def test_removed_batch_option_is_rejected_everywhere(self):
+        """Every scenario runs batched; the removed ``batch`` switch is
+        refused by plain and Monte Carlo studies alike."""
+        from repro.studies import StochasticStudy
+        with pytest.raises(ExperimentError, match="batch"):
+            StochasticStudy.from_dict({"stochastic": {},
+                                       "runner": {"batch": True}})
+        with pytest.raises(ExperimentError, match="batch"):
+            Study.from_dict({"stochastic": {}, "runner": {"batch": True}})
+        with pytest.raises(TypeError):
+            ScenarioRunner(batch=False)
 
     @pytest.mark.parametrize("doc, field", MALFORMED)
     def test_cli_exits_2(self, doc, field, tmp_path, capsys):
