@@ -140,7 +140,7 @@ def test_linear_ladder_newton_path(benchmark):
 @pytest.mark.benchmark(group="engine")
 def test_scenario_sweep_small(benchmark, md2_model):
     """A small serial ScenarioRunner sweep (driver + 4 load/pattern corners)."""
-    from repro.experiments import LoadSpec, ScenarioRunner, scenario_grid
+    from repro.studies import LoadSpec, ScenarioRunner, scenario_grid
 
     grid = scenario_grid(
         patterns=["01", "0110"],
@@ -163,7 +163,7 @@ def test_batched_grid_64(benchmark, md2_model):
     cost (the serial path would cost 64x)."""
     import time
 
-    from repro.experiments import LoadSpec, ScenarioRunner, scenario_grid
+    from repro.studies import LoadSpec, ScenarioRunner, scenario_grid
 
     loads = [LoadSpec(kind="line", z0=z0, td=1e-9, r=r)
              for z0 in (40.0, 50.0, 65.0, 90.0)

@@ -18,9 +18,9 @@ Run:  python examples/crosstalk_corner_sweep.py
 
 import time
 
-from repro.experiments import (CORNERS, CoupledLoadSpec, LoadSpec,
-                               ScenarioRunner, scenario_grid)
 from repro.experiments.asciiplot import ascii_plot
+from repro.studies import (CORNERS, CoupledLoadSpec, LoadSpec,
+                           ScenarioRunner, scenario_grid)
 
 CACHE_DIR = ".sweep_cache"
 

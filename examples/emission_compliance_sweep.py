@@ -26,9 +26,9 @@ Run:  python examples/emission_compliance_sweep.py
 import time
 
 from repro.emc import get_mask
-from repro.experiments import (CORNERS, LoadSpec, ScenarioRunner,
-                               SpectralSpec, scenario_grid)
 from repro.experiments.asciiplot import ascii_spectrum
+from repro.studies import (CORNERS, LoadSpec, ScenarioRunner, SpectralSpec,
+                           scenario_grid)
 
 CACHE_DIR = ".sweep_cache"
 MASK = "board-b"

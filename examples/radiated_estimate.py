@@ -14,9 +14,10 @@ Run:  python examples/radiated_estimate.py
 import time
 
 from repro.emc import get_mask
-from repro.experiments import (AntennaModel, CORNERS, LoadSpec,
-                               ScenarioRunner, SpectralSpec, scenario_grid)
+from repro.experiments import AntennaModel
 from repro.experiments.asciiplot import ascii_spectrum
+from repro.studies import (CORNERS, LoadSpec, ScenarioRunner, SpectralSpec,
+                           scenario_grid)
 
 CACHE_DIR = ".sweep_cache"
 MASK = "fcc-15b"

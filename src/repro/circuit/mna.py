@@ -192,65 +192,12 @@ class TableStamper:
             col += vals
 
 
-class SparseStamper(Stamper):
-    """Stamper accumulating COO triplets for sparse assembly."""
-
-    __slots__ = ("rows", "cols", "vals")
-
-    def __init__(self, b, n_nodes: int):
-        # A is unused; triplets are collected instead.
-        self.A = None
-        self.b = b
-        self.n = n_nodes
-        self.limited = False
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-
-    def add_A(self, row, col, val):
-        if row >= 0 and col >= 0:
-            self.rows.append(row)
-            self.cols.append(col)
-            self.vals.append(val)
-
-    def conductance(self, a, bnode, g):
-        if a >= 0:
-            self.add_A(a, a, g)
-        if bnode >= 0:
-            self.add_A(bnode, bnode, g)
-        if a >= 0 and bnode >= 0:
-            self.add_A(a, bnode, -g)
-            self.add_A(bnode, a, -g)
-
-    def transconductance(self, out_p, out_n, ctl_p, ctl_n, g):
-        for row, sign_r in ((out_p, 1.0), (out_n, -1.0)):
-            if row < 0:
-                continue
-            for col, sign_c in ((ctl_p, 1.0), (ctl_n, -1.0)):
-                if col >= 0:
-                    self.add_A(row, col, sign_r * sign_c * g)
-
-    def kcl_branch(self, node, branch, sign=1.0):
-        if node >= 0:
-            self.add_A(node, branch, sign)
-
-    def branch_voltage(self, branch, a, bnode, coeff=1.0):
-        if a >= 0:
-            self.add_A(branch, a, coeff)
-        if bnode >= 0:
-            self.add_A(branch, bnode, -coeff)
-
-    def to_coo(self, size: int) -> sp.coo_matrix:
-        return sp.coo_matrix(
-            (np.array(self.vals), (np.array(self.rows), np.array(self.cols))),
-            shape=(size, size))
-
-
 class TripletStamper(Stamper):
-    """Stamper collecting nonlinear matrix entries as COO triplets.
+    """Stamper collecting matrix entries as COO triplets.
 
-    Used by the Woodbury solve path: the linear base matrix is factored once
-    per analysis and the per-iteration nonlinear stamps become a low-rank
+    Sparse assembly sums them onto the base matrix (:meth:`to_coo`); the
+    Woodbury solve path factors the linear base matrix once per analysis
+    and turns the per-iteration nonlinear triplets into a low-rank
     correction (see :meth:`MNASystem.solve_step`).
     """
 
@@ -297,6 +244,11 @@ class TripletStamper(Stamper):
             self.add_A(branch, a, coeff)
         if bnode >= 0:
             self.add_A(branch, bnode, -coeff)
+
+    def to_coo(self, size: int) -> sp.coo_matrix:
+        return sp.coo_matrix(
+            (np.array(self.vals), (np.array(self.rows), np.array(self.cols))),
+            shape=(size, size))
 
 
 class MNASystem:
@@ -386,7 +338,7 @@ class MNASystem:
             A = np.zeros((self.size, self.size))
             st = Stamper(A, np.zeros(self.size), self.n_nodes)
         else:
-            st = SparseStamper(np.zeros(self.size), self.n_nodes)
+            st = TripletStamper(np.zeros(self.size), self.n_nodes)
         for el in self.circuit.elements:
             el.prepare(dt, theta)
             el.stamp_const(st)
@@ -488,7 +440,7 @@ class MNASystem:
                 A = self._A_base.copy()
             st = Stamper(A, b, self.n_nodes)
         else:
-            st = SparseStamper(b, self.n_nodes)
+            st = TripletStamper(b, self.n_nodes)
         for el in self._nl:
             el.stamp_nonlinear(st, x, t)
         if extra_gmin > 0.0:

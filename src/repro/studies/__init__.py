@@ -55,9 +55,6 @@ Layering (one module per concern):
   ``submit``/``status``/``fetch`` client subcommands).
 * :mod:`~repro.studies.cli` -- the ``python -m repro.studies``
   command-line interface.
-
-``repro.experiments`` keeps lazily forwarding the public sweep names
-(``from repro.experiments import LoadSpec, ScenarioRunner``).
 """
 
 from .cli import main

@@ -9,16 +9,17 @@ identity (:func:`batch_key`, built on the load kinds'
 :meth:`~repro.studies.kinds.ScenarioKind.batch_structure`), runs each
 group -- singletons included -- through
 :func:`~repro.studies.simulate.simulate_scenario_batch`, and fans the
-groups across ``multiprocessing`` workers, which return their outcomes
-pickled.
+groups out to child processes, one per dispatch job, which reply with
+their outcomes pickled.  :class:`Child` is the one child-process
+primitive every study fan-out uses (this runner and the service's
+:class:`~repro.studies.service.JobManager`).
 
 Dispatch preparation -- resolving driver models, estimating the auxiliary
-models each load kind declares, pre-solving the CISPR detector weights the
-grid will need, and rendering the driver-model payloads workers
-deserialize -- is one shared, memoized step
+models each load kind declares and pre-solving the CISPR detector weights
+the grid will need -- is one shared, memoized step
 (:meth:`ScenarioRunner.prepare_dispatch`), so repeated ``run`` calls on
 one runner (or on the :class:`~repro.studies.spec.Study` facade above it)
-never re-serialize a model or re-solve a detector steady state they
+never re-estimate a model or re-solve a detector steady state they
 already paid for.
 
 Disk-cache entries are keyed on the scenario's canonical serialized form
@@ -33,8 +34,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import sys
-import time
 from dataclasses import replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -43,15 +44,14 @@ from ..emc.limits import ComplianceVerdict, LimitMask, get_mask
 from ..errors import ExperimentError
 from ..experiments import cache
 from ..models import PWRBFDriverModel
-from ..obs import NULL_METRICS, get_metrics, get_tracer
+from ..obs import NULL_METRICS, get_metrics, get_tracer, worker_setup
 from .kinds import get_kind
 from .outcomes import ScenarioOutcome, SweepResult
-from .simulate import (_worker_init, _worker_run_group,
-                       simulate_scenario_batch)
+from .simulate import simulate_scenario_batch
 from .spec import RunnerOptions, Scenario
 
-__all__ = ["ScenarioRunner", "batch_groups", "batch_key", "mp_context",
-           "study_runner"]
+__all__ = ["Child", "ScenarioRunner", "batch_groups", "batch_key",
+           "mp_context", "study_runner"]
 
 
 def batch_key(sc: Scenario):
@@ -105,19 +105,63 @@ def batch_groups(pending) -> list:
 
 
 def mp_context():
-    """The multiprocessing context every worker pool and shard process
-    starts from.
+    """The multiprocessing context every study child process starts from.
 
     Fork only where it is the safe default (Linux): on macOS the
     interpreter lists 'fork' as available but forking after threaded
     BLAS/Objective-C work can crash the children, which is exactly why
-    CPython moved the macOS default to spawn.  Forked workers also
+    CPython moved the macOS default to spawn.  Forked children also
     inherit registered custom kinds and warm model caches for free.
     """
     if sys.platform.startswith("linux") \
             and "fork" in mp.get_all_start_methods():
         return mp.get_context("fork")
     return mp.get_context()
+
+
+class Child:
+    """One study child process running ``target(*args, conn)``.
+
+    The one primitive behind every study fan-out: a
+    :class:`ScenarioRunner` dispatch job and a
+    :class:`~repro.studies.service.JobManager` shard attempt each get a
+    child of their own.  ``args`` travel as process arguments (fork
+    inherits them, spawn pickles them); ``target`` sends exactly one
+    reply through ``conn``.  The parent reads the reply as soon as
+    :meth:`ready` fires, so a reply larger than the pipe buffer never
+    leaves the child blocked in ``send``.  A child that exits (or hits
+    EOF) without a reply died without one: :meth:`reply` returns
+    ``None`` and ``proc.exitcode`` says how it ended.
+    """
+
+    def __init__(self, target, *args):
+        ctx = mp_context()
+        self.conn, send = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=target, args=(*args, send))
+        self.proc.start()
+        send.close()  # the parent's copy: EOF must track the child's life
+
+    def ready(self) -> bool:
+        """The reply is waiting, or the child has exited."""
+        return self.conn.poll() or not self.proc.is_alive()
+
+    def reply(self):
+        """Read the reply and reap the child; ``None`` when it died
+        without replying."""
+        try:
+            out = self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            out = None
+        self.conn.close()
+        self.proc.join()
+        return out
+
+    def stop(self) -> None:
+        """Terminate the child if it still runs, and reap it."""
+        if self.proc.is_alive():
+            self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
 
 
 def study_runner(options: RunnerOptions, models: dict | None = None,
@@ -145,7 +189,7 @@ def study_runner(options: RunnerOptions, models: dict | None = None,
 
 
 def _split_group(group: list, workers: int, n_groups: int) -> list:
-    """The dispatch jobs of one batch group on a pool of ``workers``.
+    """The dispatch jobs of one batch group on ``workers`` children.
 
     A lockstep step costs about as much for a few members as for many,
     so a group is split only to fill workers the groups leave idle: into
@@ -161,7 +205,7 @@ def _split_group(group: list, workers: int, n_groups: int) -> list:
 def _dispatchable(sc: Scenario) -> Scenario:
     """A copy of ``sc`` whose masks are resolved to :class:`LimitMask`.
 
-    Workers on spawn-start platforms (macOS/Windows) re-import the mask
+    Children on spawn-start platforms (macOS/Windows) re-import the mask
     registry and never see masks the parent registered by name; resolving
     in the parent ships the mask *content* (conducted and radiated) with
     the pickled scenario.  The cache identity is unchanged
@@ -196,11 +240,13 @@ class ScenarioRunner:
     :class:`~repro.studies.spec.RunnerOptions`.  Scenarios are grouped
     by :func:`batch_groups` and every group advances through the
     grid-batched transient backend
-    (:func:`repro.circuit.run_transient_batch`); parallel workers return
-    their outcomes pickled.
+    (:func:`repro.circuit.run_transient_batch`).  A parallel run keeps
+    at most ``n_workers`` :class:`Child` processes alive, one per
+    dispatch job; a child that dies without replying loses just its own
+    job, which the parent recomputes.
 
     Observability: each :meth:`run` exports a ``runner.run`` span with
-    per-group ``runner.group`` children (in pool workers these hang
+    per-group ``runner.group`` children (in child processes these hang
     under the run span through the propagated trace context) and
     accumulates ``cache_hits``/``cache_misses``,
     ``scenarios_total{status,kind}`` and ``worker_restarts`` counters.
@@ -226,15 +272,11 @@ class ScenarioRunner:
         self.use_result_cache = opts.use_result_cache
         self._result_cache: dict = {}
         self._fingerprints: dict = {}
-        self._payloads: dict = {}
         self._warmed: set = set()
         self._disk = cache.SweepDiskCache(opts.disk_cache) \
             if opts.disk_cache is not None else None
         self.record_metrics = bool(record_metrics)
         self._tracer = tracer
-        # how long surviving workers may keep delivering after a worker
-        # death before the parent recomputes the stragglers itself
-        self._grace_s = 5.0
 
     def _trace(self):
         """The effective tracer: the pinned one, else the process-wide."""
@@ -259,9 +301,8 @@ class ScenarioRunner:
     def _fingerprint(self, memo_key, model) -> str:
         """Memoized :func:`~repro.experiments.cache.model_fingerprint`.
 
-        The memo is keyed on the *model object's identity*, exactly like
-        the payload memo in :meth:`prepare_dispatch`: a memo entry only
-        answers while it still refers to the same model instance, so a
+        The memo is keyed on the *model object's identity*: a memo entry
+        only answers while it still refers to the same model instance, so a
         replaced or re-estimated model under the same ``memo_key`` (a
         swapped driver in ``self._models``, two loads reporting
         different aux models under one label) re-fingerprints instead of
@@ -317,35 +358,27 @@ class ScenarioRunner:
                 self._result_cache[sc.key()] = hit
         return hit
 
-    def prepare_dispatch(self, pending,
-                         render_payloads: bool = True) -> dict:
+    def prepare_dispatch(self, pending) -> dict:
         """Parent-side preparation shared by every dispatch path.
 
         One memoized pass over the pending ``(idx, Scenario)`` pairs:
 
         * resolve (estimating at most once per process) the driver model
-          of every scenario, so workers only deserialize;
+          of every scenario;
         * let each load kind estimate its auxiliary models
           (:meth:`~repro.studies.kinds.ScenarioKind.prepare` -- e.g. the
-          ``"rx"`` receiver macromodel), so forked workers inherit the
+          ``"rx"`` receiver macromodel), so forked children inherit the
           warm process-wide model cache;
         * pre-solve the CISPR detector weighting factors the grid will
           need (one steady-state IIR solve per distinct band x prf,
-          remembered across ``run`` calls on this runner);
-        * with ``render_payloads`` (parallel runs only -- serial runs
-          never ship a payload), render each distinct driver model to
-          its serialized payload exactly once per runner (re-rendering
-          per ``run`` call used to rebuild the full payload dict for
-          every pool).
+          remembered across ``run`` calls on this runner).
 
-        Returns the ``(driver, corner) -> payload`` dict for the pending
-        scenarios (what a worker initializer receives); empty when
-        ``render_payloads`` is off.
+        Returns the ``(driver, corner) -> model`` dict of the pending
+        scenarios: the models child processes receive as arguments.
         """
-        model_keys: dict = {}
+        models: dict = {}
         for _, sc in pending:
-            self._model_for(sc)
-            model_keys[(sc.driver, sc.corner)] = True
+            models[(sc.driver, sc.corner)] = self._model_for(sc)
             get_kind(sc.load.kind).prepare(sc.load)
         warm = set()
         for _, sc in pending:
@@ -358,25 +391,15 @@ class ScenarioRunner:
             for band in CISPR_BANDS:
                 pulse_weight(band, prf, det)
         self._warmed |= warm
-        if not render_payloads:
-            return {}
-        payloads = {}
-        for key in model_keys:
-            model = self._models[key]
-            memo = self._payloads.get(key)
-            if memo is None or memo[0] is not model:
-                memo = (model, model.to_dict())
-                self._payloads[key] = memo
-            payloads[key] = memo[1]
-        return payloads
+        return models
 
     def run(self, scenarios) -> SweepResult:
         """Simulate every scenario; order of outcomes matches the input.
 
         Exports one ``runner.run`` span (scenario/hit/miss counts,
         dispatch mode) whose children are the per-group ``runner.group``
-        spans -- local for serial runs, shipped through the worker
-        initializer's trace context for parallel ones.
+        spans -- local for serial runs, exported by the child processes
+        of parallel ones (the trace context is one of their arguments).
         """
         with self._trace().span("runner.run") as sp:
             return self._run(list(scenarios), sp)
@@ -417,26 +440,21 @@ class ScenarioRunner:
         tr = self._trace()
         parallel = len(pending) > 1 and self.n_workers > 1
         with tr.span("runner.prepare", pending=len(pending)):
-            payloads = self.prepare_dispatch(pending,
-                                             render_payloads=parallel)
+            models = self.prepare_dispatch(pending)
 
         groups = batch_groups(pending)
         if parallel:
             workers = min(self.n_workers, len(pending))
-            job_groups = [
-                [(idx, _dispatchable(sc), (sc.driver, sc.corner))
-                 for idx, sc in chunk]
-                for group in groups
-                for chunk in _split_group(group, workers, len(groups))]
-            with mp_context().Pool(workers, initializer=_worker_init,
-                          initargs=(payloads, tr.context())) as pool:
-                unfinished = self._drain_pool(pool, job_groups, outcomes,
-                                              scenarios)
-            # jobs lost to a dead worker are recomputed in-process (the
+            jobs = [[(idx, _dispatchable(sc)) for idx, sc in chunk]
+                    for group in groups
+                    for chunk in _split_group(group, workers, len(groups))]
+            lost = self._dispatch(jobs, workers, models, tr.context(),
+                                  outcomes, scenarios)
+            # jobs lost to a dead child are recomputed in-process (the
             # batch path never raises), so the sweep still returns a
             # complete outcome list instead of hanging or aborting
-            groups = [[(idx, scenarios[idx]) for idx, *_ in jobs]
-                      for jobs in unfinished]
+            groups = [[(idx, scenarios[idx]) for idx, _ in job]
+                      for job in lost]
         for group in groups:
             with tr.span("runner.group", members=len(group),
                          recompute=parallel):
@@ -479,61 +497,61 @@ class ScenarioRunner:
                n_errors=sum(1 for out in outcomes if not out.ok))
         return SweepResult(outcomes)
 
-    def _drain_pool(self, pool, job_groups, outcomes, scenarios) -> list:
-        """Dispatch the group jobs and collect results as they finish.
+    def _dispatch(self, jobs, workers, models, trace_ctx, outcomes,
+                  scenarios) -> list:
+        """Run each job in its own :class:`Child`, ``workers`` at a time.
 
-        Unlike ``imap_unordered`` -- which blocks forever on a task
-        whose worker was killed mid-run -- this polls per-job
-        ``AsyncResult`` objects while watching the worker processes.  A
-        worker death (OOM kill, a segfault in a native library) starts a
-        grace period during which surviving workers still deliver; every
-        delivery during the grace window *extends* the deadline by the
-        full grace span (a worker that still answers is alive and making
-        progress, e.g. on a long batched group -- abandoning it would
-        recompute its jobs in the parent while it finishes anyway).
-        Only after a full grace span with no delivery is whatever never
-        arrived returned for an in-parent recompute instead of hanging
-        the sweep.
+        Fills ``outcomes`` from the replies as they arrive and returns
+        the jobs whose child exited without replying (an OOM kill, a
+        segfault in a native library): each costs exactly its own job,
+        counted in ``worker_restarts``, and nothing waits on it.
         """
         met = self._met()
-        asyncs = [pool.apply_async(_worker_run_group, (jobs,))
-                  for jobs in job_groups]
-        # snapshot the worker processes: the pool's maintenance thread
-        # replaces dead workers, but a death still means the job that
-        # worker held is lost
-        procs = list(pool._pool)
-        remaining = set(range(len(asyncs)))
-        lost: set = set()
-        dead: set = set()
-        deadline = None
-        while remaining:
-            progressed = False
-            for j in sorted(remaining):
-                a = asyncs[j]
-                if not a.ready():
-                    continue
-                remaining.discard(j)
-                progressed = True
-                try:
-                    results, worker_metrics = a.get()
-                except Exception:  # noqa: BLE001 - died delivering
-                    lost.add(j)
-                    continue
-                met.merge(worker_metrics)
-                for idx, outcome in results:
-                    # hand back the caller's scenario object, not the
-                    # mask-resolved dispatch copy
-                    outcome.scenario = scenarios[idx]
-                    outcomes[idx] = outcome
-            if not remaining:
-                break
-            for p in procs:
-                if p.exitcode is not None and p.pid not in dead:
-                    dead.add(p.pid)
-                    met.inc("worker_restarts")
-            if dead and (deadline is None or progressed):
-                deadline = time.monotonic() + self._grace_s
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            time.sleep(0.005)
-        return [job_groups[j] for j in sorted(remaining | lost)]
+        todo = list(reversed(jobs))
+        running: dict = {}
+        lost = []
+        try:
+            while todo or running:
+                while todo and len(running) < workers:
+                    job = todo.pop()
+                    running[Child(_run_jobs, job, models, trace_ctx)] = job
+                wait([obj for child in running
+                      for obj in (child.conn, child.proc.sentinel)])
+                for child in [c for c in running if c.ready()]:
+                    job = running.pop(child)
+                    reply = child.reply()
+                    if reply is None:
+                        met.inc("worker_restarts")
+                        lost.append(job)
+                        continue
+                    results, child_metrics = reply
+                    met.merge(child_metrics)
+                    for idx, outcome in results:
+                        # hand back the caller's scenario object, not the
+                        # mask-resolved dispatch copy
+                        outcome.scenario = scenarios[idx]
+                        outcomes[idx] = outcome
+        finally:
+            for child in running:
+                child.stop()
+        return lost
+
+
+def _run_jobs(jobs, models, trace_ctx, conn) -> None:
+    """Child entry of one dispatch job: ``(idx, Scenario)`` pairs of one
+    batch group.
+
+    Simulates the group through :func:`simulate_scenario_batch` inside
+    one ``runner.group`` span (it hangs under the parent's ``runner.run``
+    span through ``trace_ctx``) and replies ``(pairs, metrics)``: one
+    ``(idx, outcome)`` pair per job plus this child's metrics delta for
+    the parent to merge.
+    """
+    worker_setup(trace_ctx)
+    with get_tracer().span("runner.group", members=len(jobs)) as sp:
+        outs = simulate_scenario_batch(
+            [(sc, models[sc.driver, sc.corner]) for _, sc in jobs])
+        sp.set(n_errors=sum(1 for out in outs if not out.ok))
+    conn.send(([(idx, out) for (idx, _), out in zip(jobs, outs)],
+               get_metrics().flush()))
+    conn.close()

@@ -3,7 +3,8 @@
 :class:`JobManager` is the orchestration layer between a declarative
 :class:`~repro.studies.spec.Study` and the per-shard simulation work:
 it slices the grid with :func:`~repro.studies.service.shards.shard_plan`,
-runs every shard in its own worker *process* (one serial, grid-batched
+runs every shard attempt in its own :class:`~repro.studies.runner.Child`
+process (one serial, grid-batched
 :class:`~repro.studies.runner.ScenarioRunner` per worker), and awaits
 them all on one :mod:`asyncio` loop with bounded concurrency, per-shard
 retry and an optional per-attempt timeout -- the
@@ -27,27 +28,26 @@ scenario is a disk hit.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from dataclasses import dataclass, field
 
 from ...errors import ExperimentError
-from ...models import PWRBFDriverModel
-from ...obs import get_metrics, get_tracer
-from ...obs import worker_setup as _obs_worker_setup
-from ..runner import ScenarioRunner, batch_groups, mp_context
+from ...obs import get_metrics, get_tracer, worker_setup
+from ..runner import Child, ScenarioRunner, batch_groups
 from ..spec import Study
 from .shards import StudyShard, shard_plan
 
 __all__ = ["JobManager", "ShardReport"]
 
 
-def _shard_worker(shard_dict: dict, cache_dir: str,
-                  model_payloads: dict, conn,
-                  obs_ctx: dict | None = None) -> None:
-    """Worker-process entry: simulate one shard against the shared cache.
+def _shard_worker(shard: StudyShard, cache_dir: str, models: dict,
+                  obs_ctx: dict | None, conn) -> None:
+    """Child entry of one shard attempt: simulate the shard against the
+    shared cache.
 
-    Rebuilds the shard from its serialized form and runs it through a
-    serial (grid-batched) runner *one batch group at a time*: the runner
+    Runs the shard through a serial (grid-batched) runner over the
+    parent's ``models`` *one batch group at a time*: the runner
     persists a ``run()`` call's outcomes to the shared disk cache when
     the call returns, so finishing group by group turns the cache into a
     per-group checkpoint -- a killed/timed-out attempt loses only its
@@ -64,11 +64,8 @@ def _shard_worker(shard_dict: dict, cache_dir: str,
     delivers one -- cache accounting stays exact across retries).
     """
     t0 = time.perf_counter()
-    _obs_worker_setup(obs_ctx)
+    worker_setup(obs_ctx)
     try:
-        shard = StudyShard.from_dict(shard_dict)
-        models = {key: PWRBFDriverModel.from_dict(d)
-                  for key, d in (model_payloads or {}).items()}
         runner = ScenarioRunner(models=models, n_workers=1,
                                 disk_cache=cache_dir)
         summary = {"n": 0, "hits": 0, "failures": 0, "errors": []}
@@ -134,63 +131,52 @@ class JobManager:
 
     def __init__(self, max_workers: int | None = None, retries: int = 1,
                  timeout_s: float | None = None):
-        import os
         self.max_workers = (os.cpu_count() or 1) if max_workers is None \
             else max(1, int(max_workers))
         self.retries = max(0, int(retries))
         self.timeout_s = None if timeout_s is None else float(timeout_s)
-        self._ctx = mp_context()
 
     # -- one shard ----------------------------------------------------------
-    async def _attempt(self, shard_dict: dict, cache_dir: str,
-                       payloads: dict, obs_ctx: dict | None = None
+    async def _attempt(self, shard: StudyShard, cache_dir: str,
+                       models: dict, obs_ctx: dict | None = None
                        ) -> tuple[dict | None, str | None, int | None]:
-        """One worker-process attempt; returns ``(summary, error,
-        exitcode)``.  ``obs_ctx`` propagates the parent's trace context
-        into the worker (see :func:`_shard_worker`)."""
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(shard_dict, cache_dir, payloads, send, obs_ctx))
-        proc.start()
-        send.close()  # parent's copy: EOF must track the child's life
+        """One shard attempt in its own :class:`Child`; returns
+        ``(summary, error, exitcode)``.  ``obs_ctx`` propagates the
+        parent's trace context into the worker (see
+        :func:`_shard_worker`)."""
+        child = Child(_shard_worker, shard, cache_dir, models, obs_ctx)
         t0 = time.monotonic()
+        summary = error = None
         try:
-            while proc.is_alive():
+            while not child.ready():
                 if self.timeout_s is not None \
                         and time.monotonic() - t0 > self.timeout_s:
-                    proc.terminate()
-                    proc.join()
-                    return None, (f"shard attempt timed out after "
-                                  f"{self.timeout_s:g} s"), proc.exitcode
+                    error = (f"shard attempt timed out after "
+                             f"{self.timeout_s:g} s")
+                    break
                 await asyncio.sleep(0.02)
-            proc.join()
-            try:
-                # poll() also answers True at EOF (the pipe closed by a
-                # dying worker), so the recv itself must tolerate it
-                summary = recv.recv() if recv.poll() else None
-            except (EOFError, OSError):
-                summary = None
-            if summary is not None:
-                if summary.get("error"):
-                    return None, summary["error"], proc.exitcode
-                return summary, None, proc.exitcode
-            return None, f"worker died (exitcode {proc.exitcode})", \
-                proc.exitcode
+            else:
+                summary = child.reply()
         finally:
-            recv.close()
+            child.stop()
+        exitcode = child.proc.exitcode
+        if summary is not None and summary.get("error"):
+            summary, error = None, summary["error"]
+        elif summary is None and error is None:
+            error = f"worker died (exitcode {exitcode})"
+        return summary, error, exitcode
 
     async def run_shard(self, shard: StudyShard, disk_cache,
-                        payloads: dict | None = None,
+                        models: dict | None = None,
                         progress=None, index: int | None = None,
                         tracer=None) -> ShardReport:
         """Run one shard to completion (with retries); returns its report.
 
         ``disk_cache`` is the shared cache directory every shard of the
-        plan writes to; ``payloads`` maps ``(driver, corner)`` to the
-        serialized driver models the worker deserializes (what
+        plan writes to; ``models`` maps ``(driver, corner)`` to the
+        driver models the worker receives (what
         :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
-        renders; drivers not in the map are estimated in the worker).
+        returns; drivers not in the map are estimated in the worker).
         ``index`` is the shard's position in its plan, carried on the
         progress events and spans so event ordering is checkable per
         shard.  One ``job.shard`` span wraps the retry loop, with one
@@ -202,7 +188,6 @@ class JobManager:
         """
         tr = tracer if tracer is not None else get_tracer()
         met = get_metrics()
-        shard_dict = shard.to_dict()
         report = ShardReport(shard=shard)
         t0 = time.perf_counter()
         with tr.span("job.shard", index=index,
@@ -213,7 +198,7 @@ class JobManager:
                              attempt=attempt + 1,
                              retry=attempt > 0) as asp:
                     summary, error, exitcode = await self._attempt(
-                        shard_dict, str(disk_cache), payloads,
+                        shard, str(disk_cache), models or {},
                         obs_ctx=tr.context())
                     asp.set(ok=summary is not None, exitcode=exitcode)
                     if error is not None:
@@ -242,7 +227,7 @@ class JobManager:
 
     # -- whole studies ------------------------------------------------------
     async def run_shards(self, shards, disk_cache,
-                         payloads: dict | None = None,
+                         models: dict | None = None,
                          progress=None, tracer=None) -> list[ShardReport]:
         """Submit every shard, await them all; reports in shard order.
 
@@ -263,7 +248,7 @@ class JobManager:
                                  "n_shards": len(shards), "shard": shard,
                                  "scenarios": len(shard)})
                 report = await self.run_shard(shard, disk_cache,
-                                              payloads=payloads,
+                                              models=models,
                                               progress=progress,
                                               index=i, tracer=tracer)
                 done_box["scenarios"] += report.n_scenarios
@@ -292,7 +277,7 @@ class JobManager:
         shards start, the merge runner's
         :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
         estimates every driver and auxiliary model once, in this
-        process, and renders the driver payloads all shards share.
+        process, and its driver models go to every shard worker.
         After all shards finish, the full grid replays through that serial
         runner on the same cache (every shard-simulated scenario is a
         disk hit; a scenario whose simulation failed is retried here,
@@ -326,19 +311,19 @@ class JobManager:
             # the merge replays the shard workers' disk entries, so its
             # cache identities must match theirs exactly: its dispatch
             # prep estimates every driver and aux model once, here, and
-            # renders the payloads the workers deserialize -- forked
-            # workers inherit the warm model cache instead of re-paying
-            # the seconds-scale estimation per shard
+            # the workers get its driver models -- forked workers also
+            # inherit the warm aux-model cache instead of re-paying the
+            # seconds-scale estimation per shard
             merge_runner = ScenarioRunner(models=models, n_workers=1,
                                           disk_cache=cache_dir,
                                           record_metrics=False, tracer=tr)
             scenarios = study.scenarios()
-            payloads = merge_runner.prepare_dispatch(
+            shard_models = merge_runner.prepare_dispatch(
                 list(enumerate(scenarios)))
             phases["plan"] = time.perf_counter() - t0
             t1 = time.perf_counter()
             reports = await self.run_shards(shards, cache_dir,
-                                            payloads=payloads,
+                                            models=shard_models,
                                             progress=progress, tracer=tr)
             phases["shards"] = time.perf_counter() - t1
             jsp.event("merge-start", n_shards=len(shards))

@@ -1,9 +1,11 @@
-"""Per-scenario simulation: bench building, metrics, worker-side state.
+"""Per-scenario simulation: bench building and metrics.
 
-Everything in this module runs (or can run) inside a worker process: it
-builds driver-plus-load benches from :class:`~repro.studies.spec.Scenario`
-objects, simulates them as one batch (a lone scenario is a batch of one)
-and turns the waveforms into the EMC summary (:func:`_emc_metrics`).  All
+Everything in this module runs (or can run) inside a study child
+process, which receives its scenarios and driver models as arguments
+(see :class:`~repro.studies.runner.Child`): it builds driver-plus-load
+benches from :class:`~repro.studies.spec.Scenario` objects, simulates
+them as one batch (a lone scenario is a batch of one) and turns the
+waveforms into the EMC summary (:func:`_emc_metrics`).  All
 kind-specific behavior (circuit wiring, probes, extra metrics) dispatches
 through the :mod:`repro.studies.kinds` registry; there is no load-kind
 branching here.
@@ -22,8 +24,7 @@ from ..emc.metrics import threshold_crossings
 from ..emc.radiated import radiated_spectrum
 from ..emc.spectrum import amplitude_spectrum
 from ..models import PWRBFDriverElement, PWRBFDriverModel
-from ..obs import get_metrics, get_tracer
-from ..obs import worker_setup as _obs_worker_setup
+from ..obs import get_tracer
 from .kinds import get_kind
 from .outcomes import ScenarioOutcome
 from .spec import Scenario
@@ -291,39 +292,3 @@ def _one_by_one(items, benches, outcomes) -> list[ScenarioOutcome]:
         outcomes[pos], = simulate_scenario_batch([items[pos]])
     return outcomes
 
-
-# ---------------------------------------------------------------------------
-# worker-process state
-# ---------------------------------------------------------------------------
-
-# each worker deserializes every distinct driver model exactly once (in the
-# initializer), not once per scenario
-_WORKER_MODELS: dict = {}
-
-
-def _worker_init(model_payloads: dict, obs_ctx: dict | None = None) -> None:
-    global _WORKER_MODELS
-    _obs_worker_setup(obs_ctx)
-    _WORKER_MODELS = {key: PWRBFDriverModel.from_dict(d)
-                      for key, d in model_payloads.items()}
-
-
-def _worker_run_group(jobs):
-    """Worker entry for one batch group of ``(idx, Scenario, model_key)``
-    jobs.
-
-    The jobs share a batch key (the parent grouped them), so the group
-    advances through :func:`simulate_scenario_batch`.  Returns
-    ``(pairs, metrics)``: a list of ``(idx, outcome)`` pairs, one per
-    job, plus the worker's metrics-registry delta
-    (:meth:`~repro.obs.MetricsRegistry.flush`) for the parent to merge.
-    One ``runner.group`` span wraps the batch, hanging under the
-    parent's dispatch span when the pool was started with a trace
-    context.
-    """
-    with get_tracer().span("runner.group", members=len(jobs)) as sp:
-        outs = simulate_scenario_batch(
-            [(sc, _WORKER_MODELS[model_key]) for _, sc, model_key in jobs])
-        sp.set(n_errors=sum(1 for out in outs if not out.ok))
-    return [(idx, out) for (idx, _, _), out in zip(jobs, outs)], \
-        get_metrics().flush()

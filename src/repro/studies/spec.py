@@ -198,13 +198,6 @@ class SpectralSpec:
                 "antenna": _listify(ant_key),
                 "radiated_mask": _listify(rad_key)}
 
-    def key(self) -> tuple:
-        """Hashable content identity (kept for compatibility; the
-        canonical dict is the serialized form)."""
-        c = self.canonical()
-        return tuple(sorted((k, json.dumps(_listify(v), sort_keys=True))
-                            for k, v in c.items()))
-
     def to_dict(self) -> dict:
         """Lossless JSON/TOML-able rendering (the Study schema)."""
         out: dict = {"quantity": self.quantity, "window": self.window}
@@ -314,12 +307,6 @@ class BaseLoadSpec:
         """Canonical JSON-able physics identity (cache-key fragment;
         excludes cosmetic labels and the spectral request)."""
         return get_kind(self.kind).physics(self)
-
-    def physics_key(self) -> tuple:
-        """Hashable identity of the electrical load, excluding the
-        cosmetic label (and the spectral request, which is an
-        observation, not physics)."""
-        return tuple(sorted(self.canonical().items()))
 
     def probes(self) -> dict:
         """Extra named observation nodes (probe name -> circuit node)."""

@@ -23,9 +23,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.emc.metrics import crosstalk_metrics
 from repro.errors import ExperimentError
-from repro.experiments import (CoupledLoadSpec, LoadSpec, Scenario,
-                               SweepDiskCache)
+from repro.experiments import SweepDiskCache
 from repro.experiments.cache import scenario_key_digest
+from repro.studies import CoupledLoadSpec, LoadSpec, Scenario
 from repro.studies.simulate import _emc_metrics
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -155,7 +155,7 @@ def test_scenario_key_digest_stable_across_processes():
     local = [scenario_key_digest(sc.key()) for sc in grid]
     script = (
         "import json, sys\n"
-        "from repro.experiments import CoupledLoadSpec, LoadSpec, Scenario\n"
+        "from repro.studies import CoupledLoadSpec, LoadSpec, Scenario\n"
         "from repro.experiments.cache import scenario_key_digest\n"
         "grid = [\n"
         "  Scenario(pattern='0110', load=LoadSpec(kind='line', z0=75.0,"

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import (CORNERS, CoupledLoadSpec, LoadSpec, Scenario,
-                               ScenarioRunner, SweepDiskCache, scenario_grid)
+from repro.experiments import SweepDiskCache
+from repro.studies import (CORNERS, CoupledLoadSpec, LoadSpec, Scenario,
+                           ScenarioRunner, scenario_grid)
 
 PATTERNS = ["01", "0110", "010", "0011"]
 LOADS = [LoadSpec(kind="r", r=50.0),
@@ -226,8 +227,8 @@ class TestCoupledScenarios:
         assert "xtalk" in CoupledLoadSpec().describe()
         assert CoupledLoadSpec(label="bus").describe() == "bus"
         # label is cosmetic: identical physics shares one key
-        assert CoupledLoadSpec(label="a").physics_key() == \
-            CoupledLoadSpec(label="b").physics_key()
+        assert CoupledLoadSpec(label="a").canonical() == \
+            CoupledLoadSpec(label="b").canonical()
 
 
 class TestReceiverScenarios:
@@ -245,11 +246,11 @@ class TestReceiverScenarios:
     def test_receiver_load_descriptions_and_keys(self):
         a = LoadSpec(kind="rx", z0=50.0, td=1e-9, r=0.0)
         b = LoadSpec(kind="rx", z0=50.0, td=1e-9, r=50.0)
-        assert a.physics_key() != b.physics_key()
+        assert a.canonical() != b.canonical()
         assert "MD4" in a.describe()
         # non-rx kinds ignore the receiver field in their key
-        assert LoadSpec(kind="r", r=50.0).physics_key() == \
-            LoadSpec(kind="r", r=50.0, receiver="XX").physics_key()
+        assert LoadSpec(kind="r", r=50.0).canonical() == \
+            LoadSpec(kind="r", r=50.0, receiver="XX").canonical()
 
 
 class TestResultHardening:
@@ -280,8 +281,8 @@ DISK_GRID_KW = dict(
 _FRESH_PROCESS_SWEEP = """
 import json, sys
 import numpy as np
-from repro.experiments import (CoupledLoadSpec, LoadSpec, ScenarioRunner,
-                               scenario_grid)
+from repro.studies import (CoupledLoadSpec, LoadSpec, ScenarioRunner,
+                           scenario_grid)
 from repro.models import PWRBFDriverModel
 
 model = PWRBFDriverModel.from_dict(json.load(open(sys.argv[1])))

@@ -7,9 +7,10 @@ import pytest
 
 from repro.emc import get_mask
 from repro.errors import ExperimentError
-from repro.experiments import (LoadSpec, Scenario, ScenarioRunner,
-                               SpectralSpec, SweepDiskCache, scenario_grid)
+from repro.experiments import SweepDiskCache
 from repro.experiments.cache import CACHE_VERSION
+from repro.studies import (LoadSpec, Scenario, ScenarioRunner, SpectralSpec,
+                           scenario_grid)
 
 SPEC_V = SpectralSpec(mask="board-b")
 SPEC_I = SpectralSpec(quantity="i_port", mask="board-i")
@@ -171,8 +172,8 @@ def assert_same_outcomes(ref, other):
 
 
 class TestPooledReturn:
-    """A 2-worker pool pickles its outcomes back; they must equal the
-    in-process (``n_workers=1``) run bit for bit."""
+    """2-worker runs pickle their outcomes back from child processes;
+    they must equal the in-process (``n_workers=1``) run bit for bit."""
 
     def test_parallel_matches_serial_bit_exact(self, md2_model):
         grid = scenario_grid(["0110", "010101"], LOADS, spectral=SPEC_V)
@@ -197,13 +198,40 @@ class TestPooledReturn:
     def test_probes_match_serial(self, md2_model):
         """Coupled scenarios (two probes each) come back from the pool
         equal to the serial run."""
-        from repro.experiments import CoupledLoadSpec
+        from repro.studies import CoupledLoadSpec
         grid = scenario_grid(["0110", "01"], [CoupledLoadSpec()],
                              spectral=SPEC_V)
         models = {("MD2", "typ"): md2_model}
         ser = ScenarioRunner(models=models, n_workers=1).run(grid)
         par = ScenarioRunner(models=models, n_workers=2).run(grid)
         assert all(set(o.probes) == {"next", "fext"} for o in par)
+        assert_same_outcomes(ser, par)
+
+    def test_spawn_children_match_serial(self, md2_model, monkeypatch):
+        """Spawn (the macOS/Windows default) pickles the models into the
+        children, and the children re-import the mask registry: a mask
+        registered by name in the parent reaches them only because the
+        parent resolves it before dispatch."""
+        import multiprocessing as mp
+
+        from repro.emc import MASKS, LimitMask, register_mask
+        from repro.studies import runner as runner_mod
+        monkeypatch.setattr(runner_mod, "mp_context",
+                            lambda: mp.get_context("spawn"))
+        register_mask(LimitMask("tmp-spawn-mask",
+                                get_mask("board-b").segments))
+        try:
+            grid = scenario_grid(["0110", "010101"], LOADS,
+                                 spectral=SpectralSpec(
+                                     mask="tmp-spawn-mask"))
+            models = {("MD2", "typ"): md2_model}
+            ser = ScenarioRunner(models=models, n_workers=1).run(grid)
+            par = ScenarioRunner(models=models, n_workers=2).run(grid)
+        finally:
+            MASKS.pop("tmp-spawn-mask", None)
+        assert not par.failures
+        assert {o.verdict.mask for o in par} == {"tmp-spawn-mask"}
+        assert {o.passed for o in par} == {True, False}
         assert_same_outcomes(ser, par)
 
 

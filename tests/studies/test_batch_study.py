@@ -127,13 +127,13 @@ class TestDispatchSplit:
 
     def jobs(self, models, monkeypatch, loads, patterns):
         seen = []
-        original = ScenarioRunner._drain_pool
+        original = ScenarioRunner._dispatch
 
-        def spy(runner, pool, job_groups, *args):
-            seen.extend(len(jobs) for jobs in job_groups)
-            return original(runner, pool, job_groups, *args)
+        def spy(runner, jobs, *args):
+            seen.extend(len(job) for job in jobs)
+            return original(runner, jobs, *args)
 
-        monkeypatch.setattr(ScenarioRunner, "_drain_pool", spy)
+        monkeypatch.setattr(ScenarioRunner, "_dispatch", spy)
         runner = ScenarioRunner(models=models, n_workers=2,
                                 use_result_cache=False)
         result = runner.run(scenario_grid(patterns, loads))
@@ -234,7 +234,6 @@ class TestWorkerDeath:
                       for r in (50.0, 75.0, 150.0)]
             runner = ScenarioRunner(models=models, n_workers=2,
                                     use_result_cache=False)
-            runner._grace_s = 0.5
             grid = scenario_grid(["0110"], loads)
             result = runner.run(grid)
             assert all(o.ok for o in result.outcomes)

@@ -78,17 +78,17 @@ class TestBuiltinDispatch:
         with pytest.raises(ExperimentError):
             CoupledLoadSpec(l_mut=400e-9).build(Circuit("x"), "out")
 
-    def test_physics_key_excludes_cosmetics(self):
-        assert LoadSpec(kind="r", label="a").physics_key() == \
-            LoadSpec(kind="r", label="b").physics_key()
-        assert CoupledLoadSpec(label="a").physics_key() == \
-            CoupledLoadSpec(label="b").physics_key()
+    def test_canonical_excludes_cosmetics(self):
+        assert LoadSpec(kind="r", label="a").canonical() == \
+            LoadSpec(kind="r", label="b").canonical()
+        assert CoupledLoadSpec(label="a").canonical() == \
+            CoupledLoadSpec(label="b").canonical()
         # non-rx kinds ignore the receiver field in their identity
-        assert LoadSpec(kind="r", r=50.0).physics_key() == \
-            LoadSpec(kind="r", r=50.0, receiver="XX").physics_key()
+        assert LoadSpec(kind="r", r=50.0).canonical() == \
+            LoadSpec(kind="r", r=50.0, receiver="XX").canonical()
         # ... the rx kind does not
-        assert LoadSpec(kind="rx", receiver="MD4").physics_key() != \
-            LoadSpec(kind="rx", receiver="XX").physics_key()
+        assert LoadSpec(kind="rx", receiver="MD4").canonical() != \
+            LoadSpec(kind="rx", receiver="XX").canonical()
 
     def test_probes_fix_the_layout(self):
         assert LoadSpec(kind="r").probes() == {}

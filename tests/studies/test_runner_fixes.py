@@ -1,17 +1,13 @@
-"""Runner regressions: cache identity under model swaps, grace deadlines.
-
-Two bugs with the same shape -- state memoized under a key that is not
-the identity it stands for:
+"""Runner regressions: cache identity under model swaps, child deaths.
 
 * ``ScenarioRunner._disk_key`` memoized model fingerprints by
   ``(driver, corner)`` and by bare aux label, so swapping the model
   behind a key (a re-estimated driver, two loads reporting different
   aux models under one label) silently reused the first model's
   fingerprint -- and its cached waveforms.
-* ``ScenarioRunner._drain_pool`` pinned the post-worker-death grace
-  deadline at the *first* death, so a surviving worker still delivering
-  results past the grace span had its remaining jobs abandoned and
-  recomputed in the parent while it finished them anyway.
+* A dead worker must cost exactly its own job: jobs other children
+  are still working through must never be abandoned and recomputed in
+  the parent.
 """
 
 import os
@@ -23,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.circuit import Resistor
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.studies import (KINDS, LoadSpec, ScenarioKind, ScenarioRunner,
                            register_kind, scenario_grid)
 from repro.studies import runner as runner_mod
@@ -106,9 +103,9 @@ _PARENT_PID = os.getpid()
 
 
 class _KillerKind(ScenarioKind):
-    """Wires a shunt resistor -- but SIGKILLs any worker process."""
+    """Wires a shunt resistor -- but SIGKILLs any child process."""
 
-    name = "grace-killer"
+    name = "child-killer"
     physics_fields = ("r",)
 
     def build_circuit(self, load, ckt, port: str) -> str:
@@ -119,14 +116,14 @@ class _KillerKind(ScenarioKind):
 
 
 class _SlowKind(ScenarioKind):
-    """Shunt resistor that stalls worker processes (never the parent).
+    """Shunt resistor that stalls child processes (never the parent).
 
     No ``batch_structure``, so every slow scenario is its own dispatch
-    group -- the point is a worker that keeps *delivering* while another
-    worker's death has the grace clock running.
+    job -- the point is children that keep working after another
+    child's death.
     """
 
-    name = "grace-slow"
+    name = "child-slow"
     physics_fields = ("r",)
 
     def build_circuit(self, load, ckt, port: str) -> str:
@@ -138,16 +135,14 @@ class _SlowKind(ScenarioKind):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="relies on fork workers")
-class TestGraceDeadlineExtension:
-    def test_alive_worker_keeps_delivering_past_the_grace_span(
-            self, models, monkeypatch):
-        """Only the dead worker's job is recomputed in the parent.
+class TestKilledChild:
+    def test_only_the_killed_job_is_recomputed(self, models, monkeypatch):
+        """Only the dead child's job is recomputed in the parent.
 
-        One worker is SIGKILLed immediately; the survivor works through
-        three slow jobs whose *total* span exceeds the grace window but
-        whose inter-delivery gaps stay inside it.  Every delivery must
-        extend the deadline, so the survivor's jobs all arrive and only
-        the killed job falls back to the in-parent recompute.
+        One child is SIGKILLed immediately; three slow jobs keep the
+        other children busy well after that death.  Their replies must
+        all arrive, only the killed job falls back to the in-parent
+        recompute, and the death counts one ``worker_restarts``.
         """
         for cls in (_KillerKind, _SlowKind):
             kind = cls()
@@ -162,17 +157,21 @@ class TestGraceDeadlineExtension:
 
         monkeypatch.setattr(runner_mod, "simulate_scenario_batch",
                             counting)
+        mine = MetricsRegistry()
+        original = get_metrics()
+        set_metrics(mine)
         try:
-            loads = [LoadSpec(kind="grace-killer", r=50.0)]
-            loads += [LoadSpec(kind="grace-slow", r=r)
+            loads = [LoadSpec(kind="child-killer", r=50.0)]
+            loads += [LoadSpec(kind="child-slow", r=r)
                       for r in (50.0, 75.0, 150.0)]
             runner = ScenarioRunner(models=models, n_workers=2,
                                     use_result_cache=False)
-            runner._grace_s = 2.0
             result = runner.run(scenario_grid(["0110"], loads))
             assert all(o.ok for o in result.outcomes)
             assert len(result.outcomes) == 4
-            assert recomputed == [["grace-killer"]]
+            assert recomputed == [["child-killer"]]
+            assert mine.total("worker_restarts") == 1
         finally:
-            KINDS.pop("grace-killer", None)
-            KINDS.pop("grace-slow", None)
+            set_metrics(original)
+            KINDS.pop("child-killer", None)
+            KINDS.pop("child-slow", None)

@@ -293,6 +293,47 @@ class TestJobManager:
         finally:
             KINDS.pop("alwayskill", None)
 
+    def test_large_shard_reply_does_not_hang(self, models, tmp_path):
+        """A shard summary bigger than the pipe buffer still arrives.
+
+        Every scenario fails to build with its own ~200-character error,
+        so the one shard's summary carries ~130 kB of error text.  The
+        parent must read the reply while the worker is still sending it;
+        a parent that waits for the worker to exit first deadlocks with
+        it until the attempt times out.
+        """
+
+        class _Refusing(ScenarioKind):
+            """A load whose bench never builds, with a distinct error."""
+
+            name = "refusing"
+            physics_fields = ("r",)
+
+            def build_circuit(self, load, ckt, port: str) -> str:
+                raise ExperimentError(
+                    f"load r={load.r:g} refuses to build: ".ljust(200, "."))
+
+            def batch_structure(self, load) -> tuple:
+                return ()
+
+        kind = _Refusing()
+        kind.load_cls = LoadSpec
+        register_kind(kind, overwrite=True)
+        try:
+            study = Study(patterns=("0110",),
+                          loads=tuple(LoadSpec(kind="refusing",
+                                               r=float(r))
+                                      for r in range(1, 601)))
+            mgr = JobManager(max_workers=1, retries=0, timeout_s=30.0)
+            result = mgr.run_study(study, disk_cache=tmp_path / "c",
+                                   n_shards=1, models=models)
+            [report] = result.shard_reports
+            assert report.ok, report.error
+            assert report.n_failures == 600
+            assert len(set(report.scenario_errors)) == 600
+        finally:
+            KINDS.pop("refusing", None)
+
 
 # ---------------------------------------------------------------------------
 # the HTTP service

@@ -1,28 +1,9 @@
-"""``repro.experiments`` keeps forwarding the supported sweep names."""
+"""Package import behaviour of ``repro`` and ``repro.experiments``."""
 
 import subprocess
 import sys
 
 import pytest
-
-
-def test_package_reexports_do_not_warn():
-    """`from repro.experiments import LoadSpec` (the supported spelling)
-    resolves to the repro.studies objects without any warning."""
-    script = (
-        "import warnings\n"
-        "warnings.simplefilter('error', DeprecationWarning)\n"
-        "from repro.experiments import (LoadSpec, CoupledLoadSpec,\n"
-        "    SpectralSpec, Scenario, ScenarioRunner, SweepResult,\n"
-        "    scenario_grid, CORNERS, SweepDiskCache, AntennaModel)\n"
-        "import repro.experiments, repro.studies\n"
-        "for name in repro.experiments._STUDY_NAMES:\n"
-        "    assert getattr(repro.experiments, name) is \\\n"
-        "        getattr(repro.studies, name), name\n"
-        "print('clean')\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip().endswith("clean")
 
 
 def test_unknown_attribute_still_raises():
