@@ -33,6 +33,7 @@ import numpy as np
 
 from ..devices import get_driver, get_receiver
 from ..emc.spectrum import Spectrum
+from ..errors import CircuitError, ExperimentError
 from ..ibis import IbisModel, extract_ibis
 from ..models import (estimate_cv_receiver, estimate_driver_model,
                       estimate_receiver_model)
@@ -60,12 +61,22 @@ def clear() -> None:
 
 
 def driver_model(name: str, corner: str = "typ"):
-    """Estimated PW-RBF model of a catalog driver (cached)."""
+    """Estimated PW-RBF model of a catalog driver (cached).
+
+    An unknown driver or corner raises :class:`ExperimentError` before
+    any estimation starts.
+    """
     key = ("driver", name, corner)
     if key not in _cache:
-        settings = MODEL_SETTINGS[name]
+        try:
+            spec = get_driver(name)
+            spec.corner(corner)  # an unknown corner raises here
+        except CircuitError as exc:
+            raise ExperimentError(
+                f"no driver model {name!r} at corner {corner!r}: {exc}") \
+                from None
         _cache[key] = estimate_driver_model(
-            get_driver(name), ts=TS, corner=corner, **settings)
+            spec, ts=TS, corner=corner, **MODEL_SETTINGS[name])
     return _cache[key]
 
 

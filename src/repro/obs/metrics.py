@@ -14,9 +14,9 @@ pipe; the parent :meth:`~MetricsRegistry.merge`\\ s those deltas into
 the process-wide registry that ``GET /metrics`` renders in Prometheus
 text exposition format.
 
-When metrics are off (``ScenarioRunner(record_metrics=False)``) the
-code paths hold :data:`NULL_METRICS`, whose methods are constant-time
-no-ops — same trick as the null tracer.
+When metrics are off (``set_metrics(NULL_METRICS)``) the code paths
+hold :data:`NULL_METRICS`, whose methods are constant-time no-ops —
+same trick as the null tracer.
 """
 
 from __future__ import annotations

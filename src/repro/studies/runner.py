@@ -44,7 +44,7 @@ from ..emc.limits import ComplianceVerdict, LimitMask, get_mask
 from ..errors import ExperimentError
 from ..experiments import cache
 from ..models import PWRBFDriverModel
-from ..obs import NULL_METRICS, get_metrics, get_tracer, worker_setup
+from ..obs import get_metrics, get_tracer, worker_setup
 from .kinds import get_kind
 from .outcomes import ScenarioOutcome, SweepResult
 from .simulate import simulate_scenario_batch
@@ -250,8 +250,6 @@ class ScenarioRunner:
     under the run span through the propagated trace context) and
     accumulates ``cache_hits``/``cache_misses``,
     ``scenarios_total{status,kind}`` and ``worker_restarts`` counters.
-    ``record_metrics=False`` silences the counters (the service's merge
-    replay uses this so cache hits are not double-counted);
     ``tracer`` pins span export to a specific
     :class:`~repro.obs.Tracer` instead of the process-wide one (the
     service gives every job its own, keyed by job id).
@@ -261,7 +259,6 @@ class ScenarioRunner:
                  n_workers: int | None = None,
                  use_result_cache: bool = True,
                  disk_cache: str | os.PathLike | None = None,
-                 record_metrics: bool = True,
                  tracer=None):
         opts = RunnerOptions(n_workers=n_workers,
                              use_result_cache=use_result_cache,
@@ -275,28 +272,17 @@ class ScenarioRunner:
         self._warmed: set = set()
         self._disk = cache.SweepDiskCache(opts.disk_cache) \
             if opts.disk_cache is not None else None
-        self.record_metrics = bool(record_metrics)
         self._tracer = tracer
 
     def _trace(self):
         """The effective tracer: the pinned one, else the process-wide."""
         return self._tracer if self._tracer is not None else get_tracer()
 
-    def _met(self):
-        """The effective metrics sink (the null sink when recording is off)."""
-        return get_metrics() if self.record_metrics else NULL_METRICS
-
     def _model_for(self, sc: Scenario) -> PWRBFDriverModel:
         key = (sc.driver, sc.corner)
         if key not in self._models:
             self._models[key] = cache.driver_model(sc.driver, sc.corner)
         return self._models[key]
-
-    def clear_cache(self) -> None:
-        """Drop every cached result (memory, and disk when configured)."""
-        self._result_cache.clear()
-        if self._disk is not None:
-            self._disk.clear()
 
     def _fingerprint(self, memo_key, model) -> str:
         """Memoized :func:`~repro.experiments.cache.model_fingerprint`.
@@ -405,7 +391,7 @@ class ScenarioRunner:
             return self._run(list(scenarios), sp)
 
     def _run(self, scenarios: list, sp) -> SweepResult:
-        met = self._met()
+        met = get_metrics()
         outcomes: list = [None] * len(scenarios)
         pending: list[tuple[int, Scenario]] = []
         cache_hits = 0
@@ -483,15 +469,14 @@ class ScenarioRunner:
                                 k: v.to_dict()
                                 for k, v in out.verdicts_by.items()},
                         })
-        if self.record_metrics and outcomes:
-            by_label: dict = {}
-            for out in outcomes:
-                status = ("cached" if out.cache_hit
-                          else "ok" if out.ok else "error")
-                key = (status, out.scenario.load.kind)
-                by_label[key] = by_label.get(key, 0) + 1
-            for (status, kind), n in by_label.items():
-                met.inc("scenarios_total", n, status=status, kind=kind)
+        by_label: dict = {}
+        for out in outcomes:
+            status = ("cached" if out.cache_hit
+                      else "ok" if out.ok else "error")
+            key = (status, out.scenario.load.kind)
+            by_label[key] = by_label.get(key, 0) + 1
+        for (status, kind), n in by_label.items():
+            met.inc("scenarios_total", n, status=status, kind=kind)
         sp.set(n_scenarios=len(scenarios), cache_hits=cache_hits,
                cache_misses=cache_misses, parallel=parallel,
                n_errors=sum(1 for out in outcomes if not out.ok))
@@ -506,7 +491,7 @@ class ScenarioRunner:
         segfault in a native library): each costs exactly its own job,
         counted in ``worker_restarts``, and nothing waits on it.
         """
-        met = self._met()
+        met = get_metrics()
         todo = list(reversed(jobs))
         running: dict = {}
         lost = []

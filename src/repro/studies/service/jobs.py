@@ -8,21 +8,20 @@ process (one serial, grid-batched
 :class:`~repro.studies.runner.ScenarioRunner` per worker), and awaits
 them all on one :mod:`asyncio` loop with bounded concurrency, per-shard
 retry and an optional per-attempt timeout -- the
-``SubProcessManager`` / ``batch_async_task`` submit-many/await-all shape,
-with scenario results travelling through the shared content-addressed
-disk cache instead of pickled return values.
+``SubProcessManager`` / ``batch_async_task`` submit-many/await-all
+shape.  Each attempt replies with its shard's outcomes, and the parent
+assembles the final :class:`~repro.studies.outcomes.StudyResult` from
+the replies by grid index.
 
-That cache mediation is what makes every run *resumable*: a worker
-advances its shard one batch group at a time and writes each finished
-group to the :class:`~repro.experiments.cache.SweepDiskCache` before
-starting the next, so a killed/timed-out/crashed shard attempt loses
-only its in-flight group -- the retry (or a whole resubmission of the
-study after a parent crash) answers everything already finished from
-disk and only simulates the misses.  Workers return just a small summary dict
-(scenario/hit/failure counts); the parent assembles the final
-:class:`~repro.studies.outcomes.StudyResult` by replaying the full grid
-through a serial runner on the same cache, where every shard-simulated
-scenario is a disk hit.
+The shared content-addressed disk cache is the checkpoint ledger that
+makes every run *resumable*: a worker advances its shard one batch
+group at a time and writes each finished group to the
+:class:`~repro.experiments.cache.SweepDiskCache` before starting the
+next, so a killed/timed-out/crashed shard attempt loses only its
+in-flight group -- the retry (or a whole resubmission of the study after
+a parent crash) answers everything already finished from disk and only
+simulates the misses.  A shard whose attempts all fail reruns in the
+parent, which answers the shard's finished groups from the same cache.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field
 
 from ...errors import ExperimentError
 from ...obs import get_metrics, get_tracer, worker_setup
+from ..outcomes import SweepResult
 from ..runner import Child, ScenarioRunner, batch_groups
 from ..spec import Study
 from .shards import StudyShard, shard_plan
@@ -43,8 +43,8 @@ __all__ = ["JobManager", "ShardReport"]
 
 def _shard_worker(shard: StudyShard, cache_dir: str, models: dict,
                   obs_ctx: dict | None, conn) -> None:
-    """Child entry of one shard attempt: simulate the shard against the
-    shared cache.
+    """Child entry of one shard attempt: simulate the shard and reply
+    with its outcomes.
 
     Runs the shard through a serial (grid-batched) runner over the
     parent's ``models`` *one batch group at a time*: the runner
@@ -52,37 +52,30 @@ def _shard_worker(shard: StudyShard, cache_dir: str, models: dict,
     the call returns, so finishing group by group turns the cache into a
     per-group checkpoint -- a killed/timed-out attempt loses only its
     in-flight group, and the retry answers every completed group from
-    disk.  Sends a small summary dict back through ``conn``.  Any
-    exception is reported as a summary with an ``error`` field -- the
-    parent must distinguish "shard failed cleanly" from "worker died"
-    (no message at all).
+    disk.  Replies ``{"outcomes": [...], "metrics": {...}}`` through
+    ``conn``: the shard's outcomes in shard order and the worker's
+    metrics delta.  Any exception is reported as ``{"error": ...}`` --
+    the parent must distinguish "shard failed cleanly" from "worker
+    died" (no reply at all; its metrics delta is never delivered, so
+    cache accounting stays exact across retries).
 
     ``obs_ctx`` is the parent's trace propagation context: when set, the
     per-group ``runner.run`` spans exported here hang under the parent's
-    ``job.shard.attempt`` span, and the summary carries the worker's
-    metrics delta under ``"metrics"`` (a killed worker simply never
-    delivers one -- cache accounting stays exact across retries).
+    ``job.shard.attempt`` span.
     """
-    t0 = time.perf_counter()
     worker_setup(obs_ctx)
     try:
         runner = ScenarioRunner(models=models, n_workers=1,
                                 disk_cache=cache_dir)
-        summary = {"n": 0, "hits": 0, "failures": 0, "errors": []}
+        outcomes = [None] * len(shard)
         for group in batch_groups(enumerate(shard.scenarios())):
             result = runner.run([sc for _, sc in group])
-            summary["n"] += len(result)
-            summary["hits"] += result.n_cache_hits
-            summary["failures"] += len(result.failures)
-            summary["errors"] += [o.error for o in result.failures]
-        summary["elapsed_s"] = time.perf_counter() - t0
-        summary["metrics"] = get_metrics().flush()
-        conn.send(summary)
+            for (pos, _), out in zip(group, result.outcomes):
+                outcomes[pos] = out
+        conn.send({"outcomes": outcomes, "metrics": get_metrics().flush()})
     except Exception as exc:  # noqa: BLE001 - report, never hang the parent
         try:
-            conn.send({"n": 0, "hits": 0, "failures": 0, "errors": [],
-                       "elapsed_s": time.perf_counter() - t0,
-                       "error": f"{type(exc).__name__}: {exc}"})
+            conn.send({"error": f"{type(exc).__name__}: {exc}"})
         except (OSError, ValueError):  # pragma: no cover - pipe gone
             pass
     finally:
@@ -93,23 +86,42 @@ def _shard_worker(shard: StudyShard, cache_dir: str, models: dict,
 class ShardReport:
     """Execution record of one shard through the job manager.
 
-    ``ok`` means the final attempt delivered a summary (individual
-    scenario failures are counted in ``n_failures``, not fatal);
-    ``attempts`` counts every try including retries after a worker death
-    or timeout; the scenario/hit counts come from the *final* attempt,
-    so after a mid-shard crash ``n_cache_hits`` shows how much of the
-    shard the retry answered from disk instead of recomputing.
+    ``ok`` means the final attempt replied with the shard's outcomes
+    (individual scenario failures are counted in ``n_failures``, not
+    fatal); ``attempts`` counts every try including retries after a
+    worker death or timeout; ``outcomes`` are the final attempt's
+    outcomes in shard order (empty when no attempt replied).  The
+    scenario/hit/failure counts derive from them, so after a mid-shard
+    crash ``n_cache_hits`` shows how much of the shard the retry
+    answered from disk instead of recomputing.
     """
 
     shard: StudyShard
     ok: bool = False
     attempts: int = 0
-    n_scenarios: int = 0
-    n_cache_hits: int = 0
-    n_failures: int = 0
     elapsed_s: float = 0.0
     error: str | None = None
-    scenario_errors: list = field(default_factory=list)
+    outcomes: list = field(default_factory=list)
+
+    @property
+    def n_scenarios(self) -> int:
+        """Scenarios the final attempt replied with."""
+        return len(self.outcomes)
+
+    @property
+    def n_cache_hits(self) -> int:
+        """Replied outcomes answered from a result cache."""
+        return sum(1 for o in self.outcomes if o.cache_hit)
+
+    @property
+    def scenario_errors(self) -> list:
+        """Error messages of the replied outcomes that failed."""
+        return [o.error for o in self.outcomes if not o.ok]
+
+    @property
+    def n_failures(self) -> int:
+        """Replied outcomes that failed."""
+        return len(self.scenario_errors)
 
 
 class JobManager:
@@ -141,12 +153,12 @@ class JobManager:
                        models: dict, obs_ctx: dict | None = None
                        ) -> tuple[dict | None, str | None, int | None]:
         """One shard attempt in its own :class:`Child`; returns
-        ``(summary, error, exitcode)``.  ``obs_ctx`` propagates the
+        ``(reply, error, exitcode)``.  ``obs_ctx`` propagates the
         parent's trace context into the worker (see
         :func:`_shard_worker`)."""
         child = Child(_shard_worker, shard, cache_dir, models, obs_ctx)
         t0 = time.monotonic()
-        summary = error = None
+        reply = error = None
         try:
             while not child.ready():
                 if self.timeout_s is not None \
@@ -156,15 +168,15 @@ class JobManager:
                     break
                 await asyncio.sleep(0.02)
             else:
-                summary = child.reply()
+                reply = child.reply()
         finally:
             child.stop()
         exitcode = child.proc.exitcode
-        if summary is not None and summary.get("error"):
-            summary, error = None, summary["error"]
-        elif summary is None and error is None:
+        if reply is not None and "error" in reply:
+            reply, error = None, reply["error"]
+        elif reply is None and error is None:
             error = f"worker died (exitcode {exitcode})"
-        return summary, error, exitcode
+        return reply, error, exitcode
 
     async def run_shard(self, shard: StudyShard, disk_cache,
                         models: dict | None = None,
@@ -197,20 +209,17 @@ class JobManager:
                 with tr.span("job.shard.attempt", index=index,
                              attempt=attempt + 1,
                              retry=attempt > 0) as asp:
-                    summary, error, exitcode = await self._attempt(
+                    reply, error, exitcode = await self._attempt(
                         shard, str(disk_cache), models or {},
                         obs_ctx=tr.context())
-                    asp.set(ok=summary is not None, exitcode=exitcode)
+                    asp.set(ok=reply is not None, exitcode=exitcode)
                     if error is not None:
                         asp.set(error=error)
-                if summary is not None:
-                    met.merge(summary.get("metrics"))
+                if reply is not None:
+                    met.merge(reply["metrics"])
                     report.ok = True
                     report.error = None
-                    report.n_scenarios = int(summary["n"])
-                    report.n_cache_hits = int(summary["hits"])
-                    report.n_failures = int(summary["failures"])
-                    report.scenario_errors = list(summary.get("errors", []))
+                    report.outcomes = reply["outcomes"]
                     break
                 report.error = error
                 met.inc("shard_retries")
@@ -273,25 +282,26 @@ class JobManager:
 
         ``disk_cache`` (or the study's own ``options.disk_cache``) names
         the shared cache directory -- it is required, because the cache
-        *is* the result channel and the crash-resume ledger.  Before the
-        shards start, the merge runner's
+        is the checkpoint ledger every shard attempt resumes from.
+        Before the shards start, the parent runner's
         :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
         estimates every driver and auxiliary model once, in this
-        process, and its driver models go to every shard worker.
-        After all shards finish, the full grid replays through that serial
-        runner on the same cache (every shard-simulated scenario is a
-        disk hit; a scenario whose simulation failed is retried here,
-        serially, as the last line of defense).  The returned result
-        additionally carries the per-shard execution records as
+        process, and its driver models go to every shard worker.  The
+        merge fills the result by grid index from the shards' replies;
+        a shard whose attempts all failed reruns through that serial
+        runner on the same cache (its checkpointed groups are disk
+        hits).  A scenario that failed inside a shard stays failed: the
+        worker's batch path already retried it on its own.  The returned
+        result additionally carries the per-shard execution records as
         ``result.shard_reports`` and the per-phase wall-clock breakdown
         behind :meth:`~repro.studies.outcomes.StudyResult.timings`.
 
         One ``job.run`` span (exported through ``tracer``, or the
-        process-wide one) wraps the whole job; the merge replay runs
-        with metrics recording off, so the registry's
-        ``cache_hits + cache_misses`` stays exactly the grid size --
-        the merge would otherwise re-count every scenario as a hit.
-        The job's wall clock feeds the ``job_seconds`` histogram.
+        process-wide one) wraps the whole job.  Every scenario is
+        counted once in the registry's ``cache_hits + cache_misses``:
+        by the shard attempt that replied, or by the parent's rerun of
+        a shard none replied for.  The job's wall clock feeds the
+        ``job_seconds`` histogram.
         """
         tr = tracer if tracer is not None else get_tracer()
         met = get_metrics()
@@ -302,23 +312,20 @@ class JobManager:
             raise ExperimentError(
                 "the job manager needs a shared disk cache (pass "
                 "disk_cache=... or set it in the study's runner "
-                "options): the cache is how shard results reach the "
-                "parent and how a crashed study resumes")
+                "options): the cache is the checkpoint a crashed shard "
+                "or study resumes from")
         with tr.span("job.run", job_id=study.digest()) as jsp:
             phases: dict[str, float] = {}
             shards = shard_plan(study, n_shards if n_shards is not None
                                 else self.max_workers)
-            # the merge replays the shard workers' disk entries, so its
-            # cache identities must match theirs exactly: its dispatch
-            # prep estimates every driver and aux model once, here, and
-            # the workers get its driver models -- forked workers also
-            # inherit the warm aux-model cache instead of re-paying the
-            # seconds-scale estimation per shard
-            merge_runner = ScenarioRunner(models=models, n_workers=1,
-                                          disk_cache=cache_dir,
-                                          record_metrics=False, tracer=tr)
+            # the parent's dispatch prep estimates every driver and aux
+            # model once, here: the workers get its driver models, and
+            # forked workers inherit the warm aux-model cache instead of
+            # re-paying the seconds-scale estimation per shard
+            runner = ScenarioRunner(models=models, n_workers=1,
+                                    disk_cache=cache_dir, tracer=tr)
             scenarios = study.scenarios()
-            shard_models = merge_runner.prepare_dispatch(
+            shard_models = runner.prepare_dispatch(
                 list(enumerate(scenarios)))
             phases["plan"] = time.perf_counter() - t0
             t1 = time.perf_counter()
@@ -331,14 +338,23 @@ class JobManager:
                              "n_shards": len(shards)})
             t2 = time.perf_counter()
             with tr.span("job.merge") as msp:
-                merged = merge_runner.run(scenarios)
+                outcomes: list = [None] * len(scenarios)
+                for report in reports:
+                    # a shard no attempt replied for reruns here; its
+                    # checkpointed groups are disk hits
+                    outs = report.outcomes if report.ok \
+                        else runner.run(report.shard.scenarios()).outcomes
+                    for idx, out in zip(report.shard.indices, outs):
+                        out.scenario = scenarios[idx]
+                        outcomes[idx] = out
+                merged = SweepResult(outcomes)
                 msp.set(cache_hits=merged.n_cache_hits,
                         failures=len(merged.failures))
             phases["merge"] = time.perf_counter() - t2
             elapsed = time.perf_counter() - t0
             # the study's own aggregation hook: a StochasticStudy job
             # merges into a StochasticResult with draw accounting
-            result = study.make_result(merged.outcomes,
+            result = study.make_result(outcomes,
                                        elapsed_s=elapsed, phases=phases)
             result.shard_reports = reports
             jsp.set(n_shards=len(shards), n_scenarios=len(merged),

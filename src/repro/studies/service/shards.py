@@ -2,9 +2,10 @@
 
 A *shard* is a slice of one study's scenario grid -- a
 :class:`StudyShard` names the parent :class:`~repro.studies.spec.Study`
-plus the grid indices it owns, so every shard of a plan can rebuild its
-scenarios independently (in another process, on another host) while all
-of them share one content-addressed
+plus the grid indices it owns, so a shard worker process rebuilds its
+scenarios from the study alone, and the parent places the outcomes it
+replies with by those indices.  Every shard of a plan checkpoints into
+one content-addressed
 :class:`~repro.experiments.cache.SweepDiskCache`: scenario cache digests
 depend only on the scenario's canonical form and the model fingerprints,
 never on which shard simulated it.
@@ -23,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import ExperimentError
-from ...experiments.cache import scenario_key_digest
-from ..runner import batch_groups, study_runner
+from ..runner import batch_groups
 from ..spec import Scenario, Study
 
 __all__ = ["StudyShard", "shard_plan"]
@@ -35,11 +35,9 @@ class StudyShard:
     """One slice of a study's scenario grid (a submittable sub-study).
 
     ``study`` is the full parent study; ``indices`` are the positions of
-    this shard's scenarios in ``study.scenarios()`` grid order.  The
-    shard is plain data and serializes losslessly
-    (:meth:`to_dict`/:meth:`from_dict`), so a job manager can ship it to
-    a worker process -- or another host -- that rebuilds the scenarios
-    from the study description alone.
+    this shard's scenarios in ``study.scenarios()`` grid order.  The job
+    manager passes the shard object to its worker process, which
+    rebuilds the scenarios from the study description alone.
     """
 
     study: Study
@@ -67,45 +65,6 @@ class StudyShard:
         """This shard's scenarios (parent grid order preserved)."""
         grid = self.study.scenarios()
         return [grid[i] for i in self.indices]
-
-    def digest(self) -> str:
-        """Content identity of the shard: the parent study's physics
-        digest plus the owned grid indices."""
-        return scenario_key_digest(
-            {"study": self.study.digest(), "indices": list(self.indices)})
-
-    def to_dict(self) -> dict:
-        """Lossless JSON-able rendering (study dict + indices)."""
-        return {"study": self.study.to_dict(),
-                "indices": list(self.indices)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StudyShard":
-        """Rebuild a shard from :meth:`to_dict` output."""
-        try:
-            study, indices = d["study"], d["indices"]
-        except (KeyError, TypeError):
-            raise ExperimentError(
-                "a serialized shard needs 'study' and 'indices'") \
-                from None
-        if not isinstance(study, Study):
-            study = Study.from_dict(study)
-        return cls(study=study, indices=tuple(indices))
-
-    def run(self, models: dict | None = None, runner=None, **overrides):
-        """Simulate just this shard's scenarios.
-
-        Same contract as :meth:`~repro.studies.spec.Study.run` (models /
-        an explicit runner / :class:`~repro.studies.spec.RunnerOptions`
-        overrides), but over the shard's slice of the grid; returns a
-        :class:`~repro.studies.outcomes.SweepResult` in shard order.
-        Point ``disk_cache`` at the plan's shared directory and every
-        outcome of the call is durably cached when it returns; the job
-        manager's crash-resume sharpens this to per-batch-group
-        checkpoints by running one group per call.
-        """
-        return study_runner(self.study.options, models, runner,
-                            **overrides).run(self.scenarios())
 
 
 def shard_plan(study: Study, n: int) -> list[StudyShard]:

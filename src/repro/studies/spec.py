@@ -783,20 +783,6 @@ class Study:
                     f"invalid study JSON in {path}: {exc}") from exc
         return cls.from_toml(text)
 
-    def shard(self, n: int) -> list:
-        """Slice the scenario grid into at most ``n`` balanced
-        :class:`~repro.studies.service.shards.StudyShard` sub-studies.
-
-        Scenarios that batch together (same
-        :func:`~repro.studies.runner.batch_key`) stay in one shard, so
-        sharding never costs grid-batching amortization; all shards of a
-        plan share cache digests, so pointing their runners at one
-        :class:`~repro.experiments.cache.SweepDiskCache` merges their
-        results for free.  See :func:`repro.studies.service.shard_plan`.
-        """
-        from .service.shards import shard_plan
-        return shard_plan(self, n)
-
     # -- execution ----------------------------------------------------------
     def make_result(self, outcomes, elapsed_s: float = 0.0,
                     phases: dict | None = None):

@@ -676,11 +676,12 @@ class StochasticStudy(Study):
         """Aggregate outcomes into a :class:`StochasticResult`,
         recording the draw-accounting metrics.
 
-        Called once per completed run -- inline or at the service's
-        merge -- so ``draws_total{status}`` sums to the number of draws
-        executed and ``draws_cached`` counts the draws answered from a
-        cache, however many worker attempts (or SIGKILLed retries) it
-        took to get there.
+        Called once per completed run -- inline, or when the service
+        assembles its shard replies -- so ``draws_total{status}`` sums
+        to the number of draws executed and ``draws_cached`` counts the
+        draws the final answer took from a cache (an earlier run, or a
+        finished group a killed attempt checkpointed), however many
+        worker attempts (or SIGKILLed retries) it took to get there.
         """
         met = get_metrics()
         for o in outcomes:

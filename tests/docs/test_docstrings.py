@@ -87,7 +87,8 @@ def test_walker_sees_the_api():
     assert counts["repro.studies.spec"] >= 25
     assert counts["repro.studies.kinds"] >= 5
     assert counts["repro.studies.outcomes"] >= 15
-    assert counts["repro.studies.service.shards"] >= 7
+    assert counts["repro.studies.service.shards"] >= 3
+    assert counts["repro.studies.service.jobs"] >= 10
     assert counts["repro.studies.service.serve"] >= 10
     assert counts["repro.obs.trace"] >= 10
     assert counts["repro.obs.metrics"] >= 5

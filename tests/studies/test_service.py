@@ -2,7 +2,7 @@
 
 The contract under test is *identity through indirection*: a study
 submitted to the service -- sharded, run in worker processes, merged
-through the shared disk cache, fetched over HTTP -- must produce results
+from the shard replies, fetched over HTTP -- must produce results
 byte-identical to a plain in-process :meth:`Study.run`, and any scenario
 simulated once (by a crashed attempt, a previous submission, another
 client) must never be simulated again.
@@ -103,19 +103,6 @@ class TestShardPlan:
         assert len(shards) == 1
         assert shards[0].indices == tuple(range(4))
 
-    def test_round_trip_and_digests(self):
-        study = mixed_study()
-        shards = study.shard(3)
-        assert shards == shard_plan(study, 3)
-        digests = {s.digest() for s in shards}
-        assert len(digests) == len(shards)
-        for s in shards:
-            again = StudyShard.from_dict(s.to_dict())
-            assert again == s
-            assert again.digest() == s.digest()
-            assert [sc.key() for sc in again.scenarios()] \
-                == [sc.key() for sc in s.scenarios()]
-
     def test_validation(self):
         study = mixed_study()
         with pytest.raises(ExperimentError):
@@ -126,19 +113,6 @@ class TestShardPlan:
             StudyShard(study=study, indices=(1, 1))
         with pytest.raises(ExperimentError):
             shard_plan(study, 0)
-        with pytest.raises(ExperimentError):
-            StudyShard.from_dict({"indices": [0]})
-
-    def test_shard_run_matches_the_grid_slice(self, models):
-        study = Study(patterns=("0110",),
-                      loads=(LoadSpec(kind="r", r=50.0),
-                             LoadSpec(kind="r", r=150.0)))
-        shard = shard_plan(study, 1)[0]
-        result = shard.run(models=models, n_workers=1)
-        assert len(result) == 2
-        assert all(o.ok for o in result.outcomes)
-        with pytest.raises(ExperimentError):
-            shard.run(models=models, runner=object())
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +135,24 @@ class TestJobManager:
         assert names[-1] == "merge-done"
         assert all(r.ok and r.attempts == 1
                    for r in result.shard_reports)
+        # a cold job simulated everything: no hit, in the result or
+        # in the shard reports
+        assert result.n_cache_hits == 0
+        assert sum(r.n_cache_hits for r in result.shard_reports) == 0
         # resubmission answers everything from the shared cache
         again = mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
                               models=models)
         assert all(r.n_cache_hits == r.n_scenarios
                    for r in again.shard_reports)
+        assert again.n_cache_hits == len(study)
+        assert sum(r.n_cache_hits for r in again.shard_reports) \
+            == len(study)
         assert again.csv_text() == direct.csv_text()
 
     def test_receiver_model_is_estimated_once_per_job(
             self, models, tmp_path, monkeypatch):
         """The parent prepares the receiver model before the shards
-        fork: two rx shards and the merge share one estimate.  Every
+        fork: two rx shards and the parent share one estimate.  Every
         process appends its pid to a marker file per estimation."""
         from repro.experiments import cache
         model = cache.receiver_model("MD4")
@@ -260,7 +241,7 @@ class TestJobManager:
 
     def test_exhausted_retries_reports_not_ok(self, models, tmp_path):
         """A shard that always dies is reported, not raised -- the merge
-        still simulates the scenarios in-process."""
+        reruns the dead shard in-process."""
 
         class _AlwaysKill(ScenarioKind):
             """SIGKILLs every worker that builds it (parent survives)."""
@@ -287,7 +268,7 @@ class TestJobManager:
             assert not report.ok
             assert report.attempts == 2
             assert "worker died" in report.error
-            # the merge pass ran the scenario in the parent, where the
+            # the merge reran the shard in the parent, where the
             # kind builds normally
             assert all(o.ok for o in result)
         finally:
@@ -491,7 +472,7 @@ class TestHTTPService:
                     for r in results}
             assert len(csvs) == 1
             # every scenario was built exactly once, in a worker; the
-            # merge pass answered from the shared cache without building
+            # merge assembled the shard replies without building
             builds = tally.read_text().splitlines()
             assert len(builds) == len(study)
             assert all(line.split()[0] != str(_PARENT_PID)

@@ -210,3 +210,23 @@ class TestCLI:
         bad_json.write_text("{not json")
         assert main(["run", str(bad_json)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, name", [("drivers", "NOPE"),
+                                            ("corners", "bogus")])
+    def test_unknown_driver_or_corner_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, axis, name):
+        """An unknown driver or corner is an ExperimentError naming it,
+        raised before any model estimation starts."""
+        from repro.experiments import cache
+        from repro.studies.cli import main
+
+        def no_estimation(*args, **kwargs):
+            raise AssertionError("estimation started")
+
+        monkeypatch.setattr(cache, "estimate_driver_model", no_estimation)
+        path = tmp_path / "s.toml"
+        path.write_text(f'patterns = ["0110"]\n{axis} = ["{name}"]\n'
+                        '[[loads]]\nkind = "r"\nr = 50.0\n')
+        assert main(["run", str(path), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(name) in err
