@@ -23,7 +23,11 @@ per time step with a leading "scenario" array axis:
   damped Newton loops in lockstep with per-member freezing; the inverse's
   node columns are the update's ``A^-1 e_node``,
 * members may stop at different times: the group runs the longest grid and
-  a member whose run has ended is frozen.
+  a member whose run has ended is frozen,
+* the DC operating point is one lockstep Newton too: the stacked DC bases
+  invert once and the banks evaluate their elements' DC branches, so each
+  member starts where serial :func:`~repro.circuit.dcop.solve_dcop` would
+  start it.
 
 Eligibility is conservative: members must share a structural signature
 (:func:`batch_signature`), store densely, use the vector-group/fast-path
@@ -51,6 +55,7 @@ from .companion import build_companion_groups
 from .elements.rlc import (CapacitanceMatrix, Capacitor, CoupledInductors,
                            Inductor)
 from .elements.tline import CoupledIdealLine, IdealLine
+from .dcop import dcop_ladder
 from .mna import DENSE_LIMIT, MNASystem, StackedSourceTable
 from .netlist import Circuit, Element
 from .transient import (TransientOptions, TransientResult, _initial_solution,
@@ -157,13 +162,22 @@ class _Ports:
     def eval(self, V: np.ndarray, t: float, idx=None):
         """Port currents and conductances ``(K, n)`` at port voltages
         ``V`` (K, n) of members ``idx`` (all when None)."""
+        return self._merge(V, lambda bank, v: bank.eval(v, t, idx))
+
+    def eval_dc(self, V: np.ndarray, active: np.ndarray):
+        """Port currents and conductances ``(K, N)`` at the DC operating
+        point; stateful banks advance their ``active`` members only."""
+        return self._merge(V, lambda bank, v: bank.eval_dc(v, active))
+
+    def _merge(self, V: np.ndarray, evalb):
+        """Sum ``evalb(bank, v)`` over the banks on each port."""
         if len(self.banks) == 1:
-            i, g = self.banks[0].eval(V[0], t, idx)
+            i, g = evalb(self.banks[0], V[0])
             return i[None], g[None]
         i = np.zeros_like(V)
         g = np.zeros_like(V)
         for bank, p in zip(self.banks, self.slots):
-            ib, gb = bank.eval(V[p], t, idx)
+            ib, gb = evalb(bank, V[p])
             i[p] += ib
             g[p] += gb
         return i, g
@@ -186,13 +200,20 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
     if K == 1:
         return r / (1.0 + S[0] * g)
     if K == 2:
+        # elimination with partial pivoting, as LAPACK solves the serial
+        # path's K x K system: Cramer's rule loses every digit when the
+        # two ports are nearly one node (shorted by a line at DC into a
+        # high-impedance load)
         m00 = 1.0 + S[0, 0] * g[0]
         m01 = S[0, 1] * g[1]
         m10 = S[1, 0] * g[0]
         m11 = 1.0 + S[1, 1] * g[1]
-        det = m00 * m11 - m01 * m10
-        return np.stack([(m11 * r[0] - m01 * r[1]) / det,
-                         (m00 * r[1] - m10 * r[0]) / det])
+        swap = np.abs(m10) > np.abs(m00)
+        p00, p01, r0 = np.where(swap, (m10, m11, r[1]), (m00, m01, r[0]))
+        p10, p11, r1 = np.where(swap, (m00, m01, r[0]), (m10, m11, r[1]))
+        fac = p10 / p00
+        w1 = (r1 - fac * r0) / (p11 - fac * p01)
+        return np.stack([(r0 - p01 * w1) / p00, w1])
     M = np.eye(K)[:, :, None] + S * g[None]
     return np.linalg.solve(M.transpose(2, 0, 1), r.T[:, :, None])[:, :, 0].T
 
@@ -212,10 +233,13 @@ def _newton_lockstep(Z, S, nodes, evalf, Y0, X0, active, n_nodes, opts):
     the node diagonal and its equivalent current ``ieq`` on the node's
     RHS.  ``active`` marks the members to iterate; the others (members
     whose run has ended) keep ``X0`` and count as converged.
+    ``evalf(V, active)`` gets the mask of the members still iterating,
+    so a stateful evaluation (the driver's DC fixed point) advances
+    those only.
 
     Returns ``(X, converged, delta_norm, iters)`` over the subset, where
-    ``iters`` counts member-iterations (one per still-active member per
-    pass) for the observability layer.
+    ``iters`` (n,) counts each member's iterations for the observability
+    layer.
     """
     X = X0.copy()       # C order: contiguous member rows per unknown
     atol = np.full((X.shape[0], 1), opts.iabstol)
@@ -224,11 +248,11 @@ def _newton_lockstep(Z, S, nodes, evalf, Y0, X0, active, n_nodes, opts):
     K = Z.shape[0]
     active = active.copy()
     last = np.full(X.shape, np.inf)     # |delta| of each member's last pass
-    iters = 0
+    iters = np.zeros(X.shape[1], dtype=int)
     for _ in range(opts.max_iter):
-        iters += np.count_nonzero(active)
+        iters += active
         V = X[nodes]
-        i_val, g_val = evalf(V)
+        i_val, g_val = evalf(V, active)
         ieq = i_val - g_val * V
         if K == 1:
             r = Y0n - S[0] * ieq
@@ -255,6 +279,56 @@ def _newton_lockstep(Z, S, nodes, evalf, Y0, X0, active, n_nodes, opts):
     return X, ~active, last.max(axis=0), iters
 
 
+def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
+    """Every member's DC operating point ``(N, size)``, as serial
+    :func:`~repro.circuit.dcop.solve_dcop` finds it, in one lockstep Newton.
+
+    Each bench is a load-line problem: the banked nonlinear ports against
+    a linear network.  The members' DC bases (capacitors open, inductors
+    shorted) stack and invert once; ``Y0 = A_dc^-1 b(0)`` and the port
+    columns of that inverse drive :func:`_newton_lockstep` from ``X = 0``,
+    the banks evaluating their elements' DC branches.  A member whose
+    plain Newton does not converge continues on the serial homotopy
+    ladder (:func:`~repro.circuit.dcop.dcop_ladder`) from the element
+    state the lockstep left, counted in
+    ``batch_fallbacks_total{reason="dcop"}``.  A ``transient.dcop`` span
+    records the members, lockstep passes, member-iterations and ladder
+    fallbacks; ``dcop_newton_iters`` counts member-iterations, like the
+    serial solver's.  A group without nonlinear ports takes the linear
+    solution as is, with no iteration.  Raises
+    :class:`numpy.linalg.LinAlgError` when a DC base is singular.
+    """
+    with get_tracer().span("transient.dcop") as sp:
+        for s in systems:
+            s.build_base(None, 1.0)
+        A_inv = np.linalg.inv(np.stack([s._A_base for s in systems]))
+        B = np.stack([s.assemble_rhs(0.0) for s in systems])
+        X = np.matmul(A_inv, B[:, :, None])[:, :, 0]
+        failed = np.empty(0, dtype=int)
+        iters = np.zeros(len(systems), dtype=int)
+        if banks:
+            ports = _Ports(banks, A_inv)
+            Y0 = X.T.copy()
+            x_dc, conv, _, iters = _newton_lockstep(
+                ports.Z, ports.S, ports.nodes, ports.eval_dc, Y0,
+                np.zeros_like(Y0), np.ones(len(systems), dtype=bool),
+                systems[0].n_nodes, newton)
+            X = x_dc.T.copy()
+            failed = np.flatnonzero(~conv)
+            if failed.size:
+                ports.flush()   # the ladder continues from this state
+                for m in failed:
+                    X[m] = dcop_ladder(systems[m], newton)
+                get_metrics().inc("batch_fallbacks_total", int(failed.size),
+                                  reason="dcop")
+        member_iters = int(iters.sum())
+        if member_iters:
+            get_metrics().inc("dcop_newton_iters", member_iters)
+        sp.set(members=len(systems), passes=int(iters.max()),
+               member_iters=member_iters, fallbacks=int(failed.size))
+    return X
+
+
 def run_transient_batch(circuits, options: TransientOptions,
                         t_stops=None) -> list[TransientResult]:
     """Run one transient analysis over a batch of same-topology circuits.
@@ -276,9 +350,9 @@ def run_transient_batch(circuits, options: TransientOptions,
 
     A ``transient.batch`` span wraps the whole group (members, step
     count, lockstep Newton member-iterations, distinct models per bank,
-    nonlinear ports, padded member-steps, or the fallback reason);
-    fallback members additionally export their own ``transient.run``
-    spans underneath it.
+    nonlinear ports, padded member-steps, or the fallback reason), with
+    the group's ``transient.dcop`` span underneath it; fallback members
+    additionally export their own ``transient.run`` spans underneath it.
     """
     circuits = list(circuits)
     if t_stops is None:
@@ -321,15 +395,24 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     n_mem = len(circuits)
     size = systems[0].size
     n_nodes = systems[0].n_nodes
-    x0s = []
-    for c, s in zip(circuits, systems):
-        x0 = _initial_solution(c, s, options, options.newton)
+    if options.ic == "dcop":
+        try:
+            X = _operating_points(systems, banks, options.newton)
+        except np.linalg.LinAlgError:
+            return _fallback(circuits, options, t_stops, sp,
+                             "singular DC matrix")
+    else:
+        X = np.stack([_initial_solution(c, s, options, options.newton)
+                      for c, s in zip(circuits, systems)])
+    # banked elements are initialized by their bank, in one pass
+    banked = {id(el) for bank in banks for el in bank.els}
+    for c, s, x0 in zip(circuits, systems, X):
         for el in c.elements:
-            el.init_state(x0, s)
+            if id(el) not in banked:
+                el.init_state(x0, s)
         s.build_base(options.dt, theta)
-        x0s.append(x0)
     for bank in banks:
-        bank.load()
+        bank.init_state(X)
 
     # each member's own step count; the group runs the longest grid
     last_step = np.array([int(round(t / options.dt)) for t in t_stops])
@@ -345,13 +428,11 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
         options.dt, offsets)
     # the eligibility scan guarantees grouping covered everything except the
     # banked nonlinear elements
-    banked = {id(el) for bank in banks for el in bank.els}
     leftover = [el for el in comp.hist_els + comp.upd_els
                 if id(el) not in banked]
     if leftover:  # pragma: no cover - guarded by _ineligible_reason
         raise CircuitError("batch grouping left per-element state behind")
 
-    X = np.ascontiguousarray(np.stack(x0s))          # (N, size)
     xs = np.empty((n_mem, n_steps + 1, size))
     xs[:, 0] = X
     warnings: list[list[str]] = [[] for _ in range(n_mem)]
@@ -380,19 +461,19 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                 Y0 = Y0.T.copy()
                 x_try, conv, dnorm, it = _newton_lockstep(
                     ports.Z, ports.S, ports.nodes,
-                    lambda V: ports.eval(V, t), Y0, guess.T, live,
+                    lambda V, _: ports.eval(V, t), Y0, guess.T, live,
                     n_nodes, newton)
-                newton_iters += it
+                newton_iters += int(it.sum())
                 if not conv.all():
                     # retry failed members from the previous accepted
                     # solution, no predictor -- exactly like the serial loop
                     idx = np.flatnonzero(~conv)
                     x_re, conv_re, dn_re, it_re = _newton_lockstep(
                         ports.Z[:, :, idx], ports.S[:, :, idx], ports.nodes,
-                        lambda V: ports.eval(V, t, idx), Y0[:, idx],
+                        lambda V, _: ports.eval(V, t, idx), Y0[:, idx],
                         X[idx].T, np.ones(idx.size, dtype=bool), n_nodes,
                         newton)
-                    newton_iters += it_re
+                    newton_iters += int(it_re.sum())
                     x_try[:, idx] = x_re
                     dnorm[idx] = dn_re
                     conv = conv.copy()

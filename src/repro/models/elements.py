@@ -122,7 +122,6 @@ class PWRBFDriverElement(_DiscretePortElement):
     def stamp_nonlinear(self, st, x, t):
         v = self._port_voltage(x)
         if self._dc:
-            wh, wl = self.model.steady_weights(self.initial_state)
             r = self.model.order
             xr = np.concatenate([np.full(r + 1, v), np.full(r, self._i_dc)])
             sub = (self.model.sub_high if self.initial_state == "1"
@@ -224,12 +223,9 @@ class ParametricReceiverElement(_DiscretePortElement):
         self._lin_hist = [i0] * len(self._lin_hist)
 
     def stamp_nonlinear(self, st, x, t):
+        # DC and transient alike: the ARX part plus both RBF slopes on
+        # the present histories (zero before ``init_state``)
         v = self._port_voltage(x)
-        if self._dc:
-            # static composite: linear dc conductance + RBF slopes
-            _, _, _, g, i = self._eval(v)
-            self._stamp_iv(st, i, g, v)
-            return
         _, _, _, g, i = self._eval(v)
         self._stamp_iv(st, i, g, v)
 
@@ -364,6 +360,11 @@ class _DriverBank:
     voltage.  Zero-weight submodels are multiplied by exactly ``0.0``,
     matching the scalar path's skip.  ``flush`` writes the advanced
     histories back onto the elements, like the companion groups.
+
+    At the DC operating point every member's *parked* submodel
+    (``sub_high`` for initial state "1", else ``sub_low``) evaluates
+    through a second :class:`~repro.models.rbf.StackedRBF`, with the
+    element's damped DC current ``i_dc`` as one ``(N,)`` vector.
     """
 
     def __init__(self, els: list[PWRBFDriverElement]):
@@ -381,15 +382,68 @@ class _DriverBank:
             self.W[n:, :, m] = (el.wh[-1], el.wl[-1])
         self.rbf = StackedRBF(([el.model.sub_high for el in els],
                                [el.model.sub_low for el in els]))
+        self.parked = StackedRBF(([
+            el.model.sub_high if el.initial_state == "1"
+            else el.model.sub_low for el in els],))
         self.load()
 
     def load(self) -> None:
-        """Snapshot per-element NARX histories (call after ``init_state``)."""
+        """Snapshot per-element NARX histories and DC currents."""
         H = np.array([el._v_hist + el._i_hist for el in self.els],
                      dtype=float).reshape(len(self.els), 2 * self.order)
         self.H = np.ascontiguousarray(H.T)
+        self.i_dc = np.array([el._i_dc for el in self.els])
         self._last_i = np.array([getattr(el, "_last_i", 0.0)
                                  for el in self.els])
+        self._terms = self.rbf.history(self.H)
+
+    def _static_history(self, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """History columns ``(2r, N)`` of the static regressor
+        ``[v]*(r+1) + [i]*r``."""
+        r = self.order
+        return np.concatenate([np.broadcast_to(v, (r, v.size)),
+                               np.broadcast_to(i, (r, i.size))])
+
+    def _static(self, v: np.ndarray, i: np.ndarray, grad: bool = True):
+        """The parked submodels on the static regressor, gradient
+        w.r.t. the present voltage."""
+        H = self._static_history(v, i)
+        out = self.parked.eval(v, *self.parked.history(H), grad=grad)
+        return tuple(a[0] for a in out) if grad else out[0]
+
+    def eval_dc(self, V: np.ndarray, active: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Port current and conductance at the DC operating point.
+
+        Mirrors the element's ``stamp_nonlinear`` DC branch, including
+        its damped fixed point ``i_dc <- (i_dc + i) / 2``, which advances
+        on the ``active`` members only (those still iterating).
+        """
+        i, g = self._static(V, self.i_dc)
+        self.i_dc = np.where(active, 0.5 * self.i_dc + 0.5 * i, self.i_dc)
+        return i, g
+
+    def init_state(self, X: np.ndarray) -> None:
+        """Every member's ``init_state`` at its initial solution row of
+        ``X`` (N, size), vectorized.
+
+        :meth:`PWRBFDriverModel.static_current` per member -- the same
+        damping, 1e-12 stop and 50-iteration cap, a member frozen once
+        it has converged -- then NARX histories settled at ``(v0, i0)``.
+        """
+        v = X[:, self.node].copy()
+        i = np.zeros_like(v)
+        live = np.ones(v.size, dtype=bool)
+        for _ in range(50):
+            i_new = self._static(v, i, grad=False)
+            done = live & (np.abs(i_new - i) < 1e-12)
+            i = np.where(done, i_new,
+                         np.where(live, 0.5 * i + 0.5 * i_new, i))
+            live &= ~done
+            if not live.any():
+                break
+        self.H = self._static_history(v, i)
+        self.i_dc = i
         self._terms = self.rbf.history(self.H)
 
     def _weights(self, t: float) -> np.ndarray:
@@ -430,6 +484,7 @@ class _DriverBank:
         for m, el in enumerate(self.els):
             el._v_hist = self.H[:r, m].tolist()
             el._i_hist = self.H[r:, m].tolist()
+            el._i_dc = float(self.i_dc[m])
             el._last_i = float(self._last_i[m])
 
 
@@ -465,8 +520,15 @@ class _ReceiverBank:
                                [_padded(el.model.down, dim) for el in els]))
         self.load()
 
+    def init_state(self, X: np.ndarray) -> None:
+        """Every member's ``init_state`` at its initial solution row of
+        ``X`` (N, size), then a fresh snapshot."""
+        for el, x in zip(self.els, X):
+            el.init_state(x, None)
+        self.load()
+
     def load(self) -> None:
-        """Snapshot per-element histories (call after ``init_state``)."""
+        """Snapshot per-element histories."""
         self.Hv = np.array([el._v_hist for el in self.els],
                            dtype=float).reshape(len(self.els), -1).T.copy()
         self.Hl = np.array([el._lin_hist for el in self.els],
@@ -493,6 +555,13 @@ class _ReceiverBank:
             D, A, lin, b0 = D[:, :, idx], A[:, idx], lin[idx], b0[idx]
         f, g = self.rbf.eval(V, D, A, idx)
         return lin + b0 * V + f.sum(axis=0), b0 + g.sum(axis=0)
+
+    def eval_dc(self, V: np.ndarray, active: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Port current and conductance at the DC operating point: the
+        element's ``stamp_nonlinear`` on its pre-``init_state`` (zero)
+        histories.  Stateless, so ``active`` is not needed."""
+        return self.eval(V, 0.0)
 
     def update(self, V: np.ndarray, t: float) -> None:
         """Accept the step: shift every member's histories by one."""

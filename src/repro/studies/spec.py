@@ -153,6 +153,20 @@ class SpectralSpec:
         if self.radiated_mask is not None and self.antenna is None:
             raise ExperimentError(
                 "radiated_mask requires an antenna model")
+        # an unknown mask name would only fail once per scenario, after
+        # the whole grid has been simulated
+        for fname in ("mask", "radiated_mask"):
+            mask = getattr(self, fname)
+            if mask is None:
+                continue
+            if not isinstance(mask, (str, LimitMask)):
+                raise ExperimentError(
+                    f"spectral {fname} must be a mask name or a LimitMask, "
+                    f"not {type(mask).__name__}")
+            try:
+                get_mask(mask)
+            except ExperimentError as exc:
+                raise ExperimentError(f"spectral {fname}: {exc}") from None
 
     def resolved_mask(self):
         """Conducted mask resolved to a LimitMask (or ``None``)."""
@@ -222,10 +236,9 @@ class SpectralSpec:
             kw["n_fft"] = int(kw["n_fft"])
         if "prf" in kw:
             kw["prf"] = float(kw["prf"])
-        if "mask" in kw:
-            kw["mask"] = _mask_from_dict(kw["mask"])
-        if "radiated_mask" in kw:
-            kw["radiated_mask"] = _mask_from_dict(kw["radiated_mask"])
+        for fname in ("mask", "radiated_mask"):
+            if fname in kw:
+                kw[fname] = _mask_from_dict(kw[fname], fname)
         if "detectors" in kw:
             kw["detectors"] = tuple(kw["detectors"])
         if "antenna" in kw:
@@ -248,14 +261,22 @@ def _mask_to_dict(mask):
                          for s in mask.segments]}
 
 
-def _mask_from_dict(d):
-    """Inverse of :func:`_mask_to_dict`."""
-    if isinstance(d, str) or isinstance(d, LimitMask):
+def _mask_from_dict(d, fname: str = "mask"):
+    """Inverse of :func:`_mask_to_dict`; a malformed inline mask raises
+    :class:`ExperimentError` naming the spectral field ``fname``."""
+    if isinstance(d, (str, LimitMask)):
         return d
-    return LimitMask(str(d["name"]),
-                     tuple(tuple(float(x) for x in seg)
-                           for seg in d["segments"]),
-                     unit=str(d.get("unit", "dBuV")))
+    try:
+        return LimitMask(str(d["name"]),
+                         tuple(tuple(float(x) for x in seg)
+                               for seg in d["segments"]),
+                         unit=str(d.get("unit", "dBuV")))
+    except ExperimentError as exc:
+        raise ExperimentError(f"spectral {fname}: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ExperimentError(
+            f"spectral {fname}: give a mask name or an inline table with "
+            f"'name' and 'segments' ({type(exc).__name__}: {exc})") from None
 
 
 def _antenna_to_dict(antenna: AntennaModel) -> dict:

@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
-                           IdealLine, Resistor, TransientOptions,
-                           VoltageSource, batch_signature, run_transient,
-                           run_transient_batch)
+                           IdealLine, NewtonOptions, Resistor,
+                           TransientOptions, VoltageSource, batch_signature,
+                           run_transient, run_transient_batch, solve_dcop)
+from repro.circuit.mna import MNASystem
+from repro.circuit.newton import newton_solve
 from repro.circuit.waveforms import Pulse
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
+from repro.obs import Tracer, set_tracer
 
 TOL = 1e-9
 OPTS = TransientOptions(dt=25e-12, t_stop=4e-9, method="damped")
@@ -202,6 +205,25 @@ class TestEligibilityAndFallback:
             [linear_bench(*p) for p in params], opts)
         assert all(not getattr(r, "batched", False) for r in batched)
 
+    # the serial DC factorization warns before its solve raises
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_dc_matrix_falls_back(self, fresh_metrics):
+        """An inductor across the source shorts it at DC: the group goes
+        member by member and raises what serial raises."""
+        from repro.circuit import Inductor
+        from repro.errors import SingularMatrixError
+
+        def bench(r):
+            ckt = linear_bench("r", r, 0.0, 0.0, 0.0)
+            ckt.add(Inductor("lsh", "in", "0", 1e-9))
+            return ckt
+        with pytest.raises(SingularMatrixError):
+            run_transient(bench(50.0), OPTS)
+        with pytest.raises(SingularMatrixError):
+            run_transient_batch([bench(50.0), bench(80.0)], OPTS)
+        assert fresh_metrics.value("batch_fallbacks_total",
+                                   reason="singular DC matrix") == 1
+
     def test_signature_separates_structure_not_values(self):
         a = linear_bench("line", 50.0, 1e-12, 50.0, 1e-9)
         b = linear_bench("line", 300.0, 4e-12, 80.0, 0.4e-9)
@@ -359,3 +381,102 @@ class TestMixedGroups:
         res = self.run_both(md2_corners, "line",
                             self.opts(md2_corners["typ"], strict=True))
         assert len({len(r.t) for r in res}) == 2
+
+
+class TestBatchedOperatingPoint:
+    """Every member's DC operating point comes from one lockstep Newton
+    over the group: its x0, its waveforms and the group's DC Newton
+    iterations all match serial :func:`solve_dcop`."""
+
+    KINDS = ("line", "rc", "coupled", "rx")
+
+    def circuits(self, corners, kind, rx_model):
+        """Fresh benches of the 3-corner x 2-length group, with stops."""
+        group = TestMixedGroups()
+        if kind in ("line", "rc", "coupled"):
+            return [group.bench(m, p, kind, r=r)
+                    for m, p, r in group.members(corners)]
+        return [group.bench(m, p, "rx", rx_model,
+                            r=1e9 if kind == "rx-open" else r)
+                for m, p, r in group.members(corners)]
+
+    def run_both(self, metrics, corners, kind, rx_model, opts, tol=TOL):
+        """Batched vs serial; returns the ``transient.dcop`` span and the
+        serial DC Newton iterations."""
+        refs = [solve_dcop(c, options=opts.newton).x
+                for c, _ in self.circuits(corners, kind, rx_model)]
+        serial_iters = metrics.value("dcop_newton_iters")
+        metrics.reset()
+        built = self.circuits(corners, kind, rx_model)
+        tracer = Tracer(collect=True)
+        set_tracer(tracer)
+        try:
+            batched = run_transient_batch(
+                [c for c, _ in built], opts, t_stops=[t for _, t in built])
+        finally:
+            set_tracer(None)
+        assert metrics.value("dcop_newton_iters") == serial_iters
+        for (_, t_stop), x0, res, (ckt, _) in zip(
+                built, refs, batched,
+                self.circuits(corners, kind, rx_model)):
+            assert res.batched
+            np.testing.assert_allclose(res.x[0], x0, rtol=tol, atol=tol)
+            ref = run_transient(ckt, replace(opts, t_stop=t_stop))
+            np.testing.assert_allclose(res.x, ref.x, rtol=tol, atol=tol)
+            assert res.warnings == ref.warnings
+        [batch] = [sp for sp in tracer.finished
+                   if sp.name == "transient.batch"]
+        [dcop] = [sp for sp in tracer.finished
+                  if sp.name == "transient.dcop"]
+        assert dcop.parent_id == batch.span_id
+        assert dcop.attrs["members"] == len(built)
+        return dcop, serial_iters
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_serial(self, fresh_metrics, md2_corners, md4_model,
+                            kind):
+        opts = TestMixedGroups().opts(md2_corners["typ"])
+        dcop, serial_iters = self.run_both(fresh_metrics, md2_corners,
+                                           kind, md4_model, opts)
+        assert dcop.attrs["member_iters"] == serial_iters
+        assert dcop.attrs["fallbacks"] == 0
+        assert 0 < dcop.attrs["passes"] < dcop.attrs["member_iters"]
+        assert fresh_metrics.total("batch_fallbacks_total") == 0
+
+    def test_unterminated_receiver(self, fresh_metrics, md2_corners,
+                                   md4_model):
+        """The unterminated receiver (a 1 Gohm reference, as the study
+        kind wires it): at DC the line shorts both ports into one node
+        whose only other path to ground is ~1 nS, an ill-conditioned
+        K = 2 update (cond(A_dc) ~ 4e9).  The lockstep still converges
+        for every member in the serial iteration count; serial and
+        batched round differently, and the conditioning amplifies that
+        to ~1e-7, so they agree to 1e-6 here."""
+        opts = TestMixedGroups().opts(md2_corners["typ"])
+        dcop, serial_iters = self.run_both(fresh_metrics, md2_corners,
+                                           "rx-open", md4_model, opts,
+                                           tol=1e-6)
+        assert dcop.attrs["member_iters"] == serial_iters
+        assert dcop.attrs["fallbacks"] == 0
+
+    def test_ladder_drill(self, fresh_metrics, md2_corners):
+        """A Newton budget one short of the slowest member's plain DC
+        Newton sends that member, and only it, onto the gmin ladder;
+        it still matches serial, which takes the same ladder."""
+        plain = []
+        for ckt, _ in self.circuits(md2_corners, "line", None):
+            system = MNASystem(ckt)
+            system.build_base(None, 1.0)
+            plain.append(newton_solve(system, np.zeros(system.size), 0.0,
+                                      NewtonOptions()).iterations)
+        budget = max(plain) - 1
+        assert sorted(plain)[-2] <= budget
+        opts = TestMixedGroups().opts(
+            md2_corners["typ"], newton=NewtonOptions(max_iter=budget))
+        dcop, serial_iters = self.run_both(fresh_metrics, md2_corners,
+                                           "line", None, opts)
+        # the ladder's iterations count too, outside the lockstep's
+        assert dcop.attrs["member_iters"] < serial_iters
+        assert dcop.attrs["fallbacks"] == 1
+        assert fresh_metrics.value("batch_fallbacks_total",
+                                   reason="dcop") == 1

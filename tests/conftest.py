@@ -6,6 +6,7 @@ import pytest
 from repro.devices import MD2, MD4
 from repro.models import (PWRBFDriverModel, estimate_cv_receiver,
                           estimate_driver_model, estimate_receiver_model)
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +45,15 @@ def md2_corners(md2_model):
         return model
     return {"slow": variant(0.95, True), "typ": md2_model,
             "fast": variant(1.05, False)}
+
+
+@pytest.fixture()
+def fresh_metrics():
+    """A private process-wide registry, restored after the test."""
+    original = get_metrics()
+    mine = MetricsRegistry()
+    set_metrics(mine)
+    try:
+        yield mine
+    finally:
+        set_metrics(original)

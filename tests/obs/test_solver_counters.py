@@ -24,20 +24,7 @@ from repro.circuit.newton import newton_solve
 from repro.circuit.waveforms import Pulse
 from repro.errors import ConvergenceError
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
-from repro.obs import (MetricsRegistry, Tracer, get_metrics, set_metrics,
-                       set_tracer)
-
-
-@pytest.fixture()
-def fresh_metrics():
-    """A private process-wide registry, restored after the test."""
-    original = get_metrics()
-    mine = MetricsRegistry()
-    set_metrics(mine)
-    try:
-        yield mine
-    finally:
-        set_metrics(original)
+from repro.obs import Tracer, set_tracer
 
 
 def diode_clamp(v=2.0):

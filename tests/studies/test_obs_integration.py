@@ -19,8 +19,7 @@ import pytest
 
 from repro.circuit import Resistor
 from repro.experiments.cache import SweepDiskCache
-from repro.obs import (MetricsRegistry, Tracer, get_metrics, read_spans,
-                       set_metrics, set_tracer, span_tree)
+from repro.obs import Tracer, read_spans, set_tracer, span_tree
 from repro.studies import (KINDS, Distribution, LoadSpec, ScenarioKind,
                            SpectralSpec, StochasticSpec, StochasticStudy,
                            Study, TrafficModel, register_kind)
@@ -35,18 +34,6 @@ _LINUX = sys.platform.startswith("linux")
 @pytest.fixture()
 def models(md2_model):
     return {("MD2", "typ"): md2_model}
-
-
-@pytest.fixture()
-def fresh_metrics():
-    """A private process-wide registry, restored after the test."""
-    original = get_metrics()
-    mine = MetricsRegistry()
-    set_metrics(mine)
-    try:
-        yield mine
-    finally:
-        set_metrics(original)
 
 
 def _register_kill_once(name, marker):

@@ -423,6 +423,15 @@ class TestHTTPService:
             submit_study(url, {"patterns": ["01"], "loads": [load]})
         assert not service.jobs()
 
+    def test_unknown_mask_is_400(self, http_service):
+        """An unknown mask name answers 400 naming the field."""
+        url, service = http_service
+        with pytest.raises(ExperimentError,
+                           match="service error 400.*spectral mask"):
+            submit_study(url, {"patterns": ["01"],
+                               "spectral": {"mask": "no-such-mask"}})
+        assert not service.jobs()
+
     def test_concurrent_clients_share_one_job(self, http_service,
                                               models, tmp_path):
         """Two clients submitting the same study share one job -- and

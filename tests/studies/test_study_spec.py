@@ -9,6 +9,7 @@ cache, so it must fail a test first.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -198,7 +199,6 @@ class TestRoundTrips:
     def test_runner_options_accept_pathlike_disk_cache(self, tmp_path):
         """ScenarioRunner takes any PathLike, so RunnerOptions must too
         -- and still serialize."""
-        from pathlib import Path
         opts = RunnerOptions(disk_cache=Path(".cache-y"))
         assert opts.disk_cache == ".cache-y"
         s = Study(patterns=("01",), loads=(LoadSpec(),), options=opts)
@@ -388,6 +388,45 @@ class TestNonPhysicalLoads:
         Study.from_dict({"patterns": ["01"], "loads": [
             {"kind": "rx", "td": 0.0, "r": 0.0},
             {"kind": "line", "c": 0.0}]})
+
+
+#: unknown mask names and the spectral field each error must name
+UNKNOWN_MASKS = [
+    ({"mask": "no-such-mask"}, "spectral mask.*no-such-mask"),
+    ({"mask": ["board-b"]}, "spectral mask"),
+    ({"mask": {"name": "inline"}}, "spectral mask"),
+    ({"quantity": "i_port", "antenna": {"kind": "cable"},
+      "radiated_mask": "no-such-mask"}, "spectral radiated_mask"),
+]
+
+
+class TestUnknownMasks:
+    """A mask name missing from the registry fails when the study is
+    read, naming the field, instead of failing every scenario after the
+    grid has run."""
+
+    @pytest.mark.parametrize("spectral, field", UNKNOWN_MASKS)
+    def test_from_dict_names_the_field(self, spectral, field):
+        with pytest.raises(ExperimentError, match=field):
+            Study.from_dict({"patterns": ["01"], "spectral": spectral})
+
+    def test_constructor_checks_the_type(self):
+        with pytest.raises(ExperimentError, match="spectral mask"):
+            SpectralSpec(mask=5)
+
+    def test_toml_and_cli(self, tmp_path, capsys):
+        from repro.studies.cli import main
+        text = (Path(__file__).parents[2] / "examples"
+                / "study_minimal.toml").read_text(encoding="utf-8")
+        assert 'mask = "board-b"' in text
+        path = tmp_path / "bad.toml"
+        path.write_text(text.replace('mask = "board-b"',
+                                     'mask = "no-such-mask"'),
+                        encoding="utf-8")
+        with pytest.raises(ExperimentError, match="spectral mask"):
+            Study.load(path)
+        assert main(["run", str(path)]) == 2
+        assert "spectral mask" in capsys.readouterr().err
 
 
 class TestMalformedInputs:
