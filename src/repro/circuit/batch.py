@@ -15,25 +15,28 @@ per time step with a leading "scenario" array axis:
 * companion/line histories live in shared struct-of-arrays groups
   (:mod:`repro.circuit.companion` with per-element index offsets into a flat
   ``(N * size,)`` view of the batch state),
-* each nonlinear one-port element of the bench (the paper's pw-RBF driver,
-  the receiver macromodel) is evaluated through a vectorized *bank*
-  (``batch_bank``); banks on one node merge into one port, and the K ports
-  enter the same Sherman-Morrison-Woodbury update as the serial path (a
-  K x K system per member, closed form for K <= 2), iterating all members'
-  damped Newton loops in lockstep with per-member freezing; the inverse's
-  node columns are the update's ``A^-1 e_node``,
+* the nonlinear elements of the bench (the paper's pw-RBF driver, the
+  receiver macromodel, the MOSFETs and diodes of the transistor-level
+  reference devices) are evaluated through vectorized *banks*
+  (``batch_bank``, one per element class).  Each element's Newton update
+  has rank one: a current along ``u = e_p - e_n`` controlled by a few
+  voltage differences.  The K distinct ``u`` columns enter a
+  Sherman-Morrison-Woodbury update of the constant linear network (see
+  :class:`_Ports`), iterating all members' damped Newton loops in
+  lockstep with per-member freezing,
 * members may stop at different times: the group runs the longest grid and
   a member whose run has ended is frozen,
 * the DC operating point is one lockstep Newton too: the stacked DC bases
   invert once and the banks evaluate their elements' DC branches, so each
   member starts where serial :func:`~repro.circuit.dcop.solve_dcop` would
-  start it.
+  start it (groups of transistor-level MOSFET benches take the serial
+  operating point itself, see :func:`_operating_points`).
 
 Eligibility is conservative: members must share a structural signature
 (:func:`batch_signature`), store densely, use the vector-group/fast-path
 options, contain only group-able history elements, and have nonlinear
-elements only on ungrounded ports, each of a class that provides a working
-``batch_bank``.  Anything else falls back to per-member
+elements only of classes that provide a working ``batch_bank``.
+Anything else falls back to per-member
 :func:`~repro.circuit.transient.run_transient` -- the fallback *is* the
 nonlinear-straggler path, so :func:`run_transient_batch` always returns
 valid results.
@@ -52,16 +55,17 @@ import numpy as np
 from ..errors import CircuitError, ConvergenceError
 from ..obs import get_metrics, get_tracer
 from .companion import build_companion_groups
+from .elements.bank import index_of, pick, scatter
 from .elements.rlc import (CapacitanceMatrix, Capacitor, CoupledInductors,
                            Inductor)
 from .elements.tline import CoupledIdealLine, IdealLine
-from .dcop import dcop_ladder
+from .dcop import dcop_ladder, solve_dcop
 from .mna import DENSE_LIMIT, MNASystem, StackedSourceTable
 from .netlist import Circuit, Element
 from .transient import (TransientOptions, TransientResult, _initial_solution,
                         run_transient)
 
-__all__ = ["batch_signature", "run_transient_batch"]
+__all__ = ["NodeBank", "batch_signature", "run_transient_batch"]
 
 #: exact element types the companion layer can group (see
 #: :func:`repro.circuit.companion.build_companion_groups`)
@@ -106,8 +110,6 @@ def _ineligible_reason(circuits: list, options: TransientOptions
         if el.nonlinear:
             if getattr(type(el), "batch_bank", None) is None:
                 return f"{type(el).__qualname__} provides no batch_bank"
-            if el.nodes[0] < 0:
-                return "nonlinear port is grounded"
             continue
         overrides_rhs = type(el).stamp_rhs is not Element.stamp_rhs
         tabled = type(el).stamp_rhs_table is not Element.stamp_rhs_table
@@ -120,82 +122,212 @@ def _ineligible_reason(circuits: list, options: TransientOptions
 
 
 def _make_banks(systems: list) -> list:
-    """One vectorized bank per nonlinear element of the bench.
+    """The vectorized banks of the group's nonlinear elements.
 
+    Each element class gets the ``(E, N)`` grid of its elements -- its
+    ``E`` positions in the bench, one row of ``N`` members each -- and
+    returns its banks: the transistor-level devices bank every position
+    in one bank, the macromodel ports bank each position on its own.
     Raises :class:`CircuitError` when the members' nonlinear elements are
     structurally compatible but not bank-compatible (different sampling
     times or model orders, for instance); the caller turns that into a
     per-member fallback.
     """
-    banks = []
+    rows: dict = {}
     for j, el in enumerate(systems[0]._nl):
-        bank = type(el).batch_bank([s._nl[j] for s in systems])
-        if bank is None:
+        rows.setdefault(type(el), []).append([s._nl[j] for s in systems])
+    banks = []
+    for cls, grid in rows.items():
+        made = cls.batch_bank(grid)
+        if made is None:
             raise CircuitError("nonlinear elements are not bank-compatible")
-        banks.append(bank)
+        banks.extend(made)
     return banks
 
 
-class _Ports:
-    """The banks of a group merged into K one-port nonlinear elements.
+def _slot(idx: list):
+    """A bank's positions among the columns or terms: a slice (a view)
+    for a run, else an index array."""
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        return slice(idx[0], idx[0] + len(idx))
+    return np.array(idx)
 
-    Banks on the same node add their currents and conductances, so they
-    are one port of the Sherman-Morrison-Woodbury update (a receiver
-    wired straight to the driver pad).  ``Z`` (K, size, N) holds each
-    port's inverse column ``A^-1 e_node`` and ``S`` (K, K, N) its node
-    entries, ``S[p, q] = e_p^T A^-1 e_q``; both are unknown-major, one
-    column per member.
+
+class _Ports:
+    """The banks of a group as K rank-one updates of the linear network.
+
+    A bank column is a current along ``u = e_p - e_n`` (from node ``p``
+    through the device to node ``n``; ground is -1) whose linearization
+    is ``ieq + sum_t c_t v_t`` over the column's control terms ``v_t =
+    x_a - x_b``: a one-port macromodel is ``u = e_node`` with the one
+    term ``v = x_node`` and ``c = g``; a MOSFET is ``u = e_d - e_s`` with
+    ``gm`` on ``(g, s)`` and ``gds`` on ``(d, s)``; a diode ``u = e_a -
+    e_b`` with ``g`` on ``(a, b)``.  Columns with the same ``u`` merge
+    (banks on one node, the fingers of a driver stage), and so do their
+    identical terms.  ``Z`` (K, size, N) holds each member's columns
+    ``A^-1 u``, ``D`` (T, K, N) the control differences of those columns
+    and ``S`` (T, T, N) the columns of ``D`` per term, ``S[t, t'] = D[t,
+    col(t')]``, all unknown-major, one column per member; beyond K = 2
+    (T = 2) ``Z`` (``S``) is member-major, (N, size, K) ((N, T, T)), the
+    layout BLAS (LAPACK) takes per member.  Each
+    Newton pass then solves the T x T system ``I + S diag(c)`` -- the
+    push-through form of the K x K Woodbury system ``I + V^T Z``, which
+    for one-term columns (every macromodel port) is the serial path's
+    system itself.
     """
 
     def __init__(self, banks: list, A_inv: np.ndarray):
         self.banks = banks
-        nodes = sorted({b.node for b in banks})
-        # row selector of the port unknowns: a slice (a view, no copy)
-        # for the usual single port
-        self.nodes = nodes if len(nodes) > 1 \
-            else slice(nodes[0], nodes[0] + 1)
-        self.slots = [nodes.index(b.node) for b in banks]
-        self.Z = np.ascontiguousarray(A_inv[:, :, nodes].transpose(2, 1, 0))
-        self.S = np.ascontiguousarray(self.Z[:, nodes].transpose(1, 0, 2))
-        self.n_ports = len(nodes)
+        cols: list = []
+        terms: list = []
+        self.slots = []
+        for bank in banks:
+            cs = [index_of(cols, u) for u in bank.cols]
+            ts = [index_of(terms, (cs[k], a, b)) for k, a, b in bank.terms]
+            self.slots.append((_slot(cs), _slot(ts)))
+        self.n_ports = K = len(cols)
+        self.n_terms = T = len(terms)
+        p, n = np.array(cols).T
+        col, a, b = np.array(terms).T
+        Z = pick(A_inv, p, 2) - pick(A_inv, n, 2)
+        D = pick(Z, a, 1) - pick(Z, b, 1)
+        self.D = np.ascontiguousarray(D.transpose(1, 2, 0))
+        # unknown-major for the closed forms and multiply-subtracts of
+        # small K and T, member-major (BLAS/LAPACK per member) beyond
+        self.Z = np.ascontiguousarray(Z if K > 2 else Z.transpose(2, 1, 0))
+        self.S = np.ascontiguousarray(
+            self.D[:, col] if T <= 2 else D[:, :, col])
+        # term -> column sums (none when term t is column t's only one)
+        self.P = None if np.array_equal(col, np.arange(T)) \
+            else scatter(col, K)
+        self.one = len(banks) == 1
+        # the banks' columns and terms follow one another: their
+        # linearizations concatenate
+        self.tiled = all(
+            isinstance(cs, slice) and isinstance(ts, slice)
+            and cs.start == k and ts.start == t
+            for (cs, ts), k, t in zip(
+                self.slots,
+                np.cumsum([0] + [len(b.cols) for b in banks]),
+                np.cumsum([0] + [len(b.terms) for b in banks])))
+        if (b < 0).all():
+            # every term is a node voltage: a row selection (a view for
+            # the usual single port)
+            self.sel = slice(a[0], a[0] + 1) if T == 1 else _slot(list(a))
+            self.Sel = None
+        else:
+            eye = np.eye(A_inv.shape[1])
+            self.Sel = pick(eye, a, 0) - pick(eye, b, 0)
 
-    def eval(self, V: np.ndarray, t: float, idx=None):
-        """Port currents and conductances ``(K, n)`` at port voltages
-        ``V`` (K, n) of members ``idx`` (all when None)."""
-        return self._merge(V, lambda bank, v: bank.eval(v, t, idx))
+    def controls(self, X: np.ndarray) -> np.ndarray:
+        """Control voltages ``(T, n)`` of the unknowns ``X`` (size, n)."""
+        if self.Sel is None:
+            return X[self.sel]
+        return self.Sel @ X
 
-    def eval_dc(self, V: np.ndarray, active: np.ndarray):
-        """Port currents and conductances ``(K, N)`` at the DC operating
-        point; stateful banks advance their ``active`` members only."""
-        return self._merge(V, lambda bank, v: bank.eval_dc(v, active))
+    def members(self, idx):
+        """``(Z, D, S)`` of members ``idx`` (all when None)."""
+        if idx is None:
+            return self.Z, self.D, self.S
+        Z = self.Z[:, :, idx] if self.n_ports <= 2 else self.Z[idx]
+        S = self.S[:, :, idx] if self.n_terms <= 2 else self.S[idx]
+        return Z, self.D[:, :, idx], S
 
-    def _merge(self, V: np.ndarray, evalb):
-        """Sum ``evalb(bank, v)`` over the banks on each port."""
-        if len(self.banks) == 1:
-            i, g = evalb(self.banks[0], V[0])
-            return i[None], g[None]
-        i = np.zeros_like(V)
-        g = np.zeros_like(V)
-        for bank, p in zip(self.banks, self.slots):
-            ib, gb = evalb(bank, V[p])
-            i[p] += ib
-            g[p] += gb
-        return i, g
+    def linearize(self, V: np.ndarray, t: float, active: np.ndarray,
+                  idx=None):
+        """``(ieq (K, n), c (T, n), limited (n,) or None)`` at control
+        voltages ``V`` (T, n) of members ``idx`` (all when None); banks
+        that carry limiter state advance their ``active`` members only."""
+        return self._merge(V, "linearize", t, active, idx)
+
+    def linearize_dc(self, V: np.ndarray, active: np.ndarray):
+        """As :meth:`linearize`, at the DC operating point."""
+        return self._merge(V, "linearize_dc", active)
+
+    def _merge(self, V: np.ndarray, method: str, *args):
+        """Sum the banks' ``method(v, *args)`` on each column and term."""
+        if self.one:
+            return getattr(self.banks[0], method)(V, *args)
+        if self.tiled:
+            outs = [getattr(bank, method)(V[ts], *args)
+                    for bank, (_, ts) in zip(self.banks, self.slots)]
+            flags = [lb for _, _, lb in outs if lb is not None]
+            return (np.concatenate([ib for ib, _, _ in outs]),
+                    np.concatenate([cb for _, cb, _ in outs]),
+                    np.logical_or.reduce(flags) if flags else None)
+        ieq = np.zeros((self.n_ports, V.shape[1]))
+        c = np.zeros_like(V)
+        limited = None
+        for bank, (cs, ts) in zip(self.banks, self.slots):
+            ib, cb, lb = getattr(bank, method)(V[ts], *args)
+            ieq[cs] += ib
+            c[ts] += cb
+            if lb is not None:
+                limited = lb if limited is None else limited | lb
+        return ieq, c, limited
 
     def update(self, X: np.ndarray, t: float) -> None:
         """Accept the step on every bank (``X`` is (N, size))."""
-        for bank in self.banks:
-            bank.update(X[:, bank.node], t)
+        V = self.controls(X.T)
+        for bank, (_, ts) in zip(self.banks, self.slots):
+            bank.update(V[ts], t)
 
     def flush(self) -> None:
         for bank in self.banks:
             bank.flush()
 
 
+class NodeBank:
+    """Base of the one-port banks: a current into ``node`` (to ground).
+
+    Subclasses set ``node`` and provide ``eval(V, t, idx)`` and
+    ``eval_dc(V, active)`` returning the port current and conductance
+    ``(i, g)`` at port voltages ``V`` (n,), and ``accept(V, t)``, which
+    advances their histories at the accepted voltages (N,).  This base
+    turns them into the rank-one form of :class:`_Ports`: one column and
+    one control term, ``(1, n)`` arrays, ``ieq = i - g V`` and ``c = g``.
+    At DC the term is ``g - g_dc``, where ``g_dc`` is a nominal port
+    conductance the elements stamp into the DC base matrix.
+    """
+
+    g_dc = 0.0
+
+    @property
+    def cols(self) -> list:
+        """The one column: a current from ``node`` to ground."""
+        return [(self.node, -1)]
+
+    @property
+    def terms(self) -> list:
+        """The one control term: the node voltage."""
+        return [(0, self.node, -1)]
+
+    def linearize(self, V, t, active, idx=None):
+        """``(ieq, g, None)`` at port voltages ``V`` (1, n) of members
+        ``idx`` (all when None) at time ``t``; ``eval`` is stateless
+        within a step, so ``active`` is not needed."""
+        v = V[0]
+        i, g = self.eval(v, t, idx)
+        return (i - g * v)[None], g[None], None
+
+    def linearize_dc(self, V, active):
+        """``(ieq, g, None)`` at the DC operating point; ``eval_dc``
+        advances its ``active`` members' state."""
+        v = V[0]
+        i, g = self.eval_dc(v, active)
+        return (i - g * v)[None], (g - self.g_dc)[None], None
+
+    def update(self, V, t):
+        """Accept the step at the port voltages ``V`` (1, N)."""
+        self.accept(V[0], t)
+
+
 def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
                  ) -> np.ndarray:
-    """Solve ``(I + S diag(g)) w = r`` per member: the small K x K system
-    of the Woodbury update, in closed form for one or two ports."""
+    """Solve ``(I + S diag(g)) w = r`` per member: the small T x T system
+    of the Woodbury update, in closed form for one or two terms (``S``
+    unknown-major, (T, T, n)), else by LAPACK (``S`` member-major, (n, T,
+    T))."""
     K = g.shape[0]
     if K == 1:
         return r / (1.0 + S[0] * g)
@@ -214,54 +346,64 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
         fac = p10 / p00
         w1 = (r1 - fac * r0) / (p11 - fac * p01)
         return np.stack([(r0 - p01 * w1) / p00, w1])
-    M = np.eye(K)[:, :, None] + S * g[None]
-    return np.linalg.solve(M.transpose(2, 0, 1), r.T[:, :, None])[:, :, 0].T
+    # S is member-major here, (n, K, K) (see _Ports.members)
+    M = S * g.T[:, None, :]
+    M += np.eye(K)
+    return np.linalg.solve(M, r.T[:, :, None])[:, :, 0].T
 
 
-def _newton_lockstep(Z, S, nodes, evalf, Y0, X0, active, n_nodes, opts):
+def _newton_lockstep(ports, evalf, Y0, X0, active, n_nodes, opts,
+                     idx=None):
     """Damped Newton over a member subset, all members advanced per pass.
 
     Mirrors :func:`repro.circuit.newton.newton_solve` per member -- same
     Woodbury solve, same ``max_dv`` clamp (including the
     recompute-as-``x + delta`` behaviour when a clamp fires), same
-    convergence tests against the new iterate -- with converged members
-    frozen while the rest keep iterating.  Arrays are unknown-major,
-    ``(size, n)`` with one column per member, so every per-member test
-    reduces over the short outer axis: ``Y0`` holds the members' linear
-    solutions ``A^-1 b`` of the step, ``Z``/``S`` the port columns of
-    :class:`_Ports`.  Each port's element adds its conductance ``g`` on
-    the node diagonal and its equivalent current ``ieq`` on the node's
-    RHS.  ``active`` marks the members to iterate; the others (members
-    whose run has ended) keep ``X0`` and count as converged.
-    ``evalf(V, active)`` gets the mask of the members still iterating,
-    so a stateful evaluation (the driver's DC fixed point) advances
+    convergence tests against the new iterate, and no convergence on a
+    pass where a device limiter engaged -- with converged members frozen
+    while the rest keep iterating.  Arrays are unknown-major, ``(size,
+    n)`` with one column per member, so every per-member test reduces
+    over the short outer axis: ``Y0`` holds the members' linear solutions
+    ``A^-1 b`` of the step; ``idx`` selects the members' columns of
+    :class:`_Ports` (all when None).  Each bank column adds its
+    linearized current ``ieq + sum_t c_t v_t`` along its ``u``.
+    ``active`` marks the members to iterate; the others (members whose
+    run has ended) keep ``X0`` and count as converged.  ``evalf(V,
+    active)`` returns ``(ieq, c, limited)`` at the control voltages
+    ``V`` and gets the mask of the members still iterating, so stateful
+    evaluations (device limiters, the driver's DC fixed point) advance
     those only.
 
     Returns ``(X, converged, delta_norm, iters)`` over the subset, where
     ``iters`` (n,) counts each member's iterations for the observability
     layer.
     """
+    Z, D, S = ports.members(idx)
     X = X0.copy()       # C order: contiguous member rows per unknown
     atol = np.full((X.shape[0], 1), opts.iabstol)
     atol[:n_nodes] = opts.vabstol
-    Y0n = Y0[nodes]
-    K = Z.shape[0]
+    Y0c = ports.controls(Y0)
+    K = D.shape[1]
     active = active.copy()
     last = np.full(X.shape, np.inf)     # |delta| of each member's last pass
     iters = np.zeros(X.shape[1], dtype=int)
     for _ in range(opts.max_iter):
         iters += active
-        V = X[nodes]
-        i_val, g_val = evalf(V, active)
-        ieq = i_val - g_val * V
+        ieq, c, limited = evalf(ports.controls(X), active)
         if K == 1:
-            r = Y0n - S[0] * ieq
+            r = Y0c - D[:, 0] * ieq[0]
         else:
-            r = Y0n - (S * ieq[None]).sum(axis=1)
-        c = ieq + g_val * _smw_weights(S, g_val, r)
-        X_new = Y0 - Z[0] * c[0]
-        for p in range(1, K):
-            X_new -= Z[p] * c[p]
+            r = Y0c - (D * ieq[None]).sum(axis=1)
+        cw = c * _smw_weights(S, c, r)
+        col = ieq + (cw if ports.P is None else ports.P @ cw)
+        if K <= 2:
+            # a macromodel bench: two multiply-subtracts beat a matmul,
+            # which costs one BLAS call per member
+            X_new = Y0 - Z[0] * col[0]
+            if K == 2:
+                X_new -= Z[1] * col[1]
+        else:
+            X_new = Y0 - np.matmul(Z, col.T[:, :, None])[:, :, 0].T
         delta = X_new - X
         ad = np.abs(delta)
         clip = ad[:n_nodes] > opts.max_dv
@@ -271,6 +413,8 @@ def _newton_lockstep(Z, S, nodes, evalf, Y0, X0, active, n_nodes, opts):
             X_new = np.where(clip.any(axis=0), X + delta, X_new)
             ad = np.abs(delta)
         ok = (ad <= atol + opts.reltol * np.abs(X_new)).all(axis=0)
+        if limited is not None:
+            ok &= ~limited
         np.copyto(X, X_new, where=active)
         np.copyto(last, ad, where=active)
         active &= ~ok
@@ -287,7 +431,7 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     a linear network.  The members' DC bases (capacitors open, inductors
     shorted) stack and invert once; ``Y0 = A_dc^-1 b(0)`` and the port
     columns of that inverse drive :func:`_newton_lockstep` from ``X = 0``,
-    the banks evaluating their elements' DC branches.  A member whose
+    the banks linearizing their elements' DC branches.  A member whose
     plain Newton does not converge continues on the serial homotopy
     ladder (:func:`~repro.circuit.dcop.dcop_ladder`) from the element
     state the lockstep left, counted in
@@ -297,8 +441,17 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     serial solver's.  A group without nonlinear ports takes the linear
     solution as is, with no iteration.  Raises
     :class:`numpy.linalg.LinAlgError` when a DC base is singular.
+
+    A group holding a bank without a DC linearization (the transistor-
+    level MOSFETs, whose DC base is singular up to ``gmin``) takes each
+    member's serial :func:`~repro.circuit.dcop.solve_dcop` instead,
+    recorded as the span's ``serial`` member count.
     """
     with get_tracer().span("transient.dcop") as sp:
+        if not all(hasattr(b, "linearize_dc") for b in banks):
+            sp.set(members=len(systems), serial=len(systems))
+            return np.stack([solve_dcop(s.circuit, options=newton,
+                                        system=s).x for s in systems])
         for s in systems:
             s.build_base(None, 1.0)
         A_inv = np.linalg.inv(np.stack([s._A_base for s in systems]))
@@ -310,9 +463,9 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
             ports = _Ports(banks, A_inv)
             Y0 = X.T.copy()
             x_dc, conv, _, iters = _newton_lockstep(
-                ports.Z, ports.S, ports.nodes, ports.eval_dc, Y0,
-                np.zeros_like(Y0), np.ones(len(systems), dtype=bool),
-                systems[0].n_nodes, newton)
+                ports, ports.linearize_dc, Y0, np.zeros_like(Y0),
+                np.ones(len(systems), dtype=bool), systems[0].n_nodes,
+                newton)
             X = x_dc.T.copy()
             failed = np.flatnonzero(~conv)
             if failed.size:
@@ -460,19 +613,17 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                     guess[~live] = X[~live]     # frozen members stay put
                 Y0 = Y0.T.copy()
                 x_try, conv, dnorm, it = _newton_lockstep(
-                    ports.Z, ports.S, ports.nodes,
-                    lambda V, _: ports.eval(V, t), Y0, guess.T, live,
-                    n_nodes, newton)
+                    ports, lambda V, act: ports.linearize(V, t, act), Y0,
+                    guess.T, live, n_nodes, newton)
                 newton_iters += int(it.sum())
                 if not conv.all():
                     # retry failed members from the previous accepted
                     # solution, no predictor -- exactly like the serial loop
                     idx = np.flatnonzero(~conv)
                     x_re, conv_re, dn_re, it_re = _newton_lockstep(
-                        ports.Z[:, :, idx], ports.S[:, :, idx], ports.nodes,
-                        lambda V, _: ports.eval(V, t, idx), Y0[:, idx],
-                        X[idx].T, np.ones(idx.size, dtype=bool), n_nodes,
-                        newton)
+                        ports, lambda V, act: ports.linearize(V, t, act, idx),
+                        Y0[:, idx], X[idx].T, np.ones(idx.size, dtype=bool),
+                        n_nodes, newton, idx)
                     newton_iters += int(it_re.sum())
                     x_try[:, idx] = x_re
                     dnorm[idx] = dn_re

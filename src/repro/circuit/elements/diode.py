@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..netlist import Element
+from .bank import DeviceBank, index_of, scatter
 
 __all__ = ["DiodeParams", "Diode"]
 
@@ -154,3 +155,146 @@ class Diode(Element):
     def current(self, x: np.ndarray) -> float:
         i, _ = diode_current(self._vab(x), self.params)
         return i + self._ic_prev
+
+    @classmethod
+    def batch_bank(cls, rows) -> "list[_DiodeBank] | None":
+        """One vectorized lockstep bank over every diode of a batch group
+        (``rows``: one list of member elements per position).
+
+        Returns ``None`` for a subclass, whose overridden evaluation the
+        bank could not honor.
+        """
+        if any(type(el) is not Diode for row in rows for el in row):
+            return None
+        return [_DiodeBank(rows)]
+
+
+def _junction_capacitance(v, cj0, vj, mj):
+    """:func:`junction_capacitance` over arrays of biases and cards
+    (``cj0 >= 0``)."""
+    fc = 0.5 * vj
+    cj = cj0 / (1.0 - np.minimum(v, fc) / vj) ** mj
+    above = v >= fc
+    if above.any():     # linearized beyond fc (standard SPICE treatment)
+        c_fc = cj0 / (1.0 - fc / vj) ** mj
+        dcdv = c_fc * mj / (vj * (1.0 - fc / vj))
+        cj = np.where(above, c_fc + dcdv * (v - fc), cj)
+    return cj
+
+
+class _DiodeBank(DeviceBank):
+    """Struct-of-arrays lockstep evaluator over the ``(E, N)`` diode grid.
+
+    Mirrors :meth:`Diode.stamp_nonlinear` per element -- the pnjlim-style
+    limiter and the iterate it carries, the ``limited`` flag, the
+    linearly continued exponential and, in a transient, the junction
+    capacitance's companion (its conductance and history current are
+    constant over a step, so they are refreshed once per accepted step).
+    Each element is the column ``u = e_a - e_b`` with its conductance on
+    the control pair ``(a, b)``; diodes with identical terminals share
+    one column.  ``flush`` writes the state back onto the elements.
+    """
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.a, self.b = self.nodes(0), self.nodes(1)
+        col = np.array([index_of(self.cols, (a, b))
+                        for a, b in zip(self.a, self.b)])
+        self.terms = [(k, a, b) for k, (a, b) in enumerate(self.cols)]
+        self.te = col
+        # parallel diodes sum into their shared column
+        self.P = None if len(self.cols) == len(col) \
+            else scatter(col, len(self.cols))
+        self.isat = self.param(lambda el: el.params.isat)
+        self.nvt = self.param(lambda el: el.params.nvt)
+        self.isat_nvt = self.isat / self.nvt
+        self.ten_nvt = self.param(lambda el: 10.0 * el.params.nvt)
+        self.v_crit = self.param(lambda el: el.params.nvt * math.log(
+            el.params.nvt / (math.sqrt(2.0) * el.params.isat)))
+        # a card without capacitance (cj0 <= 0) has cj = 0 at every bias
+        self.cj0 = self.param(lambda el: max(el.params.cj0, 0.0))
+        self.vj = self.param(lambda el: el.params.vj)
+        self.mj = self.param(lambda el: el.params.mj)
+        self.load()
+
+    def load(self) -> None:
+        """Snapshot the elements' bias and capacitor history."""
+        self.v_prev = self.param(lambda el: el._v_prev)
+        self.v_iter = self.param(lambda el: el._v_iter)
+        self.ic_prev = self.param(lambda el: el._ic_prev)
+        first = self.els[0]
+        self.dt, self.theta = first._dt, first._theta
+        self._companion()
+
+    def _companion(self) -> None:
+        """The junction capacitance's conductance and history current
+        for the step in progress (none at DC)."""
+        if self.dt is None:
+            self.gc = self.ic_hist = None
+            return
+        cj = _junction_capacitance(self.v_prev, self.cj0, self.vj, self.mj)
+        self.gc = cj / (self.theta * self.dt)
+        self.ic_hist = np.where(
+            cj > 0.0, self.gc * self.v_prev
+            + (1.0 - self.theta) / self.theta * self.ic_prev, 0.0)
+
+    def init_state(self, X: np.ndarray) -> None:
+        """Every element's ``init_state`` at its member's row of ``X``
+        (N, size), in the transient the elements were prepared for."""
+        self.v_prev = self.terminal(X, self.a) - self.terminal(X, self.b)
+        self.v_iter = self.v_prev.copy()
+        self.ic_prev = np.zeros_like(self.v_prev)
+        first = self.els[0]
+        self.dt, self.theta = first._dt, first._theta
+        self._companion()
+
+    def update(self, V: np.ndarray, t: float) -> None:
+        """Accept the step at the control voltages ``V`` (T, N)."""
+        v_new = V[self.te]     # a copy: the state is updated in place
+        self.ic_prev = self.gc * (v_new - self.v_prev) \
+            - (1.0 - self.theta) / self.theta * self.ic_prev
+        self.v_prev = v_new
+        self.v_iter = v_new.copy()
+        self._companion()
+
+    def linearize(self, V, t, active, idx=None):
+        """``(ieq, c, limited)`` of the transient Newton pass."""
+        return self._linearize(V, active, idx, self.gc is not None)
+
+    def linearize_dc(self, V, active):
+        """``(ieq, c, limited)`` at DC: no junction capacitance."""
+        return self._linearize(V, active, None, False)
+
+    def _linearize(self, V, active, idx, companion):
+        v_raw = V if self.P is None else V[self.te]
+        v_iter = self.members(self.v_iter, idx)
+        ten = self.members(self.ten_nvt, idx)
+        lim = (v_raw > self.members(self.v_crit, idx)) \
+            & (v_raw - v_iter > ten)
+        v = np.where(lim, v_iter + ten, v_raw)
+        self.commit(self.v_iter, v, active, idx)
+        isat = self.members(self.isat, idx)
+        arg = v / self.members(self.nvt, idx)
+        e = np.exp(np.minimum(arg, _EXP_LIM))
+        if arg.max() > _EXP_LIM:
+            # continued linearly above the limit, as diode_current does
+            e_lin = e * (1.0 + np.maximum(arg - _EXP_LIM, 0.0))
+            i = isat * (e_lin - 1.0)
+        else:
+            i = isat * (e - 1.0)
+        g = self.members(self.isat_nvt, idx) * e
+        ieq = i - g * v
+        if companion:
+            ieq -= self.members(self.ic_hist, idx)
+            g += self.members(self.gc, idx)
+        if self.P is not None:
+            ieq, g = self.P @ ieq, self.P @ g
+        return ieq, g, lim.any(axis=0)
+
+    def flush(self) -> None:
+        """Write bias, limiter iterate and capacitor history back."""
+        for e, row in enumerate(self.rows):
+            for m, el in enumerate(row):
+                el._v_prev = float(self.v_prev[e, m])
+                el._v_iter = float(self.v_iter[e, m])
+                el._ic_prev = float(self.ic_prev[e, m])

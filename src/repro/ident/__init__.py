@@ -1,15 +1,18 @@
 """Identification signals and virtual measurements (paper Sections 2-3)."""
 
 from .dataset import PortRecord
-from .experiments import (DEFAULT_TS, measure_forced_port,
-                          record_driver_state, record_driver_switching,
-                          record_receiver, record_switching_pair)
+from .experiments import (DEFAULT_TS, Bench, driver_state_bench,
+                          driver_switching_bench, measure_forced_port,
+                          receiver_bench, record_driver_state,
+                          record_driver_switching, record_receiver,
+                          run_benches)
 from .loads import (ResistiveLoad, SeriesRCLoad,
                     default_identification_loads)
 
 __all__ = [
-    "PortRecord", "DEFAULT_TS",
-    "record_driver_state", "record_driver_switching",
-    "record_switching_pair", "record_receiver", "measure_forced_port",
+    "PortRecord", "DEFAULT_TS", "Bench", "run_benches",
+    "driver_state_bench", "driver_switching_bench", "receiver_bench",
+    "record_driver_state", "record_driver_switching", "record_receiver",
+    "measure_forced_port",
     "ResistiveLoad", "SeriesRCLoad", "default_identification_loads",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..circuit.batch import NodeBank
 from ..circuit.netlist import Element
 from ..circuit.waveforms import BitPattern
 from ..errors import ModelError
@@ -51,10 +52,12 @@ class _DiscretePortElement(Element):
         node = self.nodes[0]
         return float(x[node]) if node >= 0 else 0.0
 
-    def _stamp_iv(self, st, i: float, g: float, v: float) -> None:
-        """Stamp linearized ``i(v') ~= i + g (v' - v)`` into the port node."""
+    def _stamp_iv(self, st, i: float, g: float, v: float,
+                  g_base: float = 0.0) -> None:
+        """Stamp linearized ``i(v') ~= i + g (v' - v)`` into the port node,
+        less a conductance ``g_base`` the base matrix already holds."""
         node = self.nodes[0]
-        st.conductance(node, -1, g)
+        st.conductance(node, -1, g - g_base)
         ieq = i - g * v
         st.add_b(node, -ieq)
 
@@ -150,8 +153,9 @@ class PWRBFDriverElement(_DiscretePortElement):
         return getattr(self, "_last_i", 0.0)
 
     @classmethod
-    def batch_bank(cls, els) -> "_DriverBank | None":
-        """Vectorized lockstep evaluator over driver elements.
+    def batch_bank(cls, rows) -> "list[_DriverBank] | None":
+        """Vectorized lockstep evaluators over driver elements, one bank
+        per row (a driver's position in the bench, over the members).
 
         The grid-batched transient backend
         (:mod:`repro.circuit.batch`) calls this to advance every member's
@@ -163,21 +167,34 @@ class PWRBFDriverElement(_DiscretePortElement):
         overridden evaluation the bank could not honor) -- in which case
         the group falls back to per-member simulation.
         """
-        els = list(els)
-        if cls is not PWRBFDriverElement \
-                or any(type(el) is not cls for el in els):
+        rows = [list(els) for els in rows]
+        if cls is not PWRBFDriverElement:
             return None
-        first = els[0]
-        if any(el.ts != first.ts or el.model.order != first.model.order
-               for el in els[1:]):
-            return None
-        if not _one_port(els):
-            return None
-        return _DriverBank(els)
+        for els in rows:
+            if any(type(el) is not cls for el in els):
+                return None
+            first = els[0]
+            if any(el.ts != first.ts or el.model.order != first.model.order
+                   for el in els[1:]):
+                return None
+            if not _one_port(els):
+                return None
+        return [_DriverBank(els) for els in rows]
 
 
 class ParametricReceiverElement(_DiscretePortElement):
-    """Eq. (2): ARX + up/down RBF submodels as a circuit element."""
+    """Eq. (2): ARX + up/down RBF submodels as a circuit element.
+
+    At the DC operating point the linear base matrix carries a nominal
+    port conductance :attr:`G_DC` that the Newton stamp takes back out,
+    so the Jacobian is unchanged.  A receiver input is high-impedance:
+    unterminated, its node's only other DC path can be a 1 Gohm
+    reference, and a base matrix without the nominal conductance (cond
+    ~ 4e9) would round the low-rank DC update at the 1e-7 V level.
+    """
+
+    #: nominal port conductance of the DC base matrix (S)
+    G_DC = 1e-3
 
     def __init__(self, name: str, port: str,
                  model: ParametricReceiverModel):
@@ -222,12 +239,15 @@ class ParametricReceiverElement(_DiscretePortElement):
             / max(1.0 + float(np.sum(self.model.linear.a)), 1e-12)
         self._lin_hist = [i0] * len(self._lin_hist)
 
+    def stamp_dc(self, st) -> None:
+        st.conductance(self.nodes[0], -1, self.G_DC)
+
     def stamp_nonlinear(self, st, x, t):
         # DC and transient alike: the ARX part plus both RBF slopes on
         # the present histories (zero before ``init_state``)
         v = self._port_voltage(x)
         _, _, _, g, i = self._eval(v)
-        self._stamp_iv(st, i, g, v)
+        self._stamp_iv(st, i, g, v, self.G_DC if self._dc else 0.0)
 
     def update_state(self, x, t, dt, theta):
         v = self._port_voltage(x)
@@ -240,8 +260,9 @@ class ParametricReceiverElement(_DiscretePortElement):
         return getattr(self, "_last_i", 0.0)
 
     @classmethod
-    def batch_bank(cls, els) -> "_ReceiverBank | None":
-        """Vectorized lockstep evaluator over receiver elements.
+    def batch_bank(cls, rows) -> "list[_ReceiverBank] | None":
+        """Vectorized lockstep evaluators over receiver elements, one bank
+        per row.
 
         The receiver counterpart of :meth:`PWRBFDriverElement.batch_bank`:
         the ARX part and both NFIR protection submodels of every member
@@ -249,15 +270,17 @@ class ParametricReceiverElement(_DiscretePortElement):
         when the elements differ in sampling time or submodel orders, sit
         on different or grounded ports, or are a subclass.
         """
-        els = list(els)
-        if cls is not ParametricReceiverElement \
-                or any(type(el) is not cls for el in els):
+        rows = [list(els) for els in rows]
+        if cls is not ParametricReceiverElement:
             return None
-        orders = {(el.ts, el.model.linear.order, el.model.up_order,
-                   el.model.down_order) for el in els}
-        if len(orders) != 1 or not _one_port(els):
-            return None
-        return _ReceiverBank(els)
+        for els in rows:
+            if any(type(el) is not cls for el in els):
+                return None
+            orders = {(el.ts, el.model.linear.order, el.model.up_order,
+                       el.model.down_order) for el in els}
+            if len(orders) != 1 or not _one_port(els):
+                return None
+        return [_ReceiverBank(els) for els in rows]
 
 
 class CVReceiverElement(Element):
@@ -345,7 +368,7 @@ def _padded(net: GaussianRBF, dim: int) -> GaussianRBF:
         scaler=scaler)
 
 
-class _DriverBank:
+class _DriverBank(NodeBank):
     """Struct-of-arrays lockstep evaluator over N driver elements.
 
     Built by :meth:`PWRBFDriverElement.batch_bank` for the grid-batched
@@ -466,7 +489,7 @@ class _DriverBank:
         f, g = self.rbf.eval(V, D, A, idx)
         return (w * f).sum(axis=0), (w * g).sum(axis=0)
 
-    def update(self, V: np.ndarray, t: float) -> None:
+    def accept(self, V: np.ndarray, t: float) -> None:
         """Accept the step: shift every member's NARX history by one."""
         f = self.rbf.eval(V, *self._terms, grad=False)
         i = (self._weights(t) * f).sum(axis=0)
@@ -488,7 +511,7 @@ class _DriverBank:
             el._last_i = float(self._last_i[m])
 
 
-class _ReceiverBank:
+class _ReceiverBank(NodeBank):
     """Struct-of-arrays lockstep evaluator over N receiver elements.
 
     Built by :meth:`ParametricReceiverElement.batch_bank`.  Eq. (2) per
@@ -500,6 +523,9 @@ class _ReceiverBank:
     Histories are ``(r, N)`` arrays; ``flush`` writes them back onto the
     elements.
     """
+
+    #: the DC base matrix holds the elements' nominal port conductance
+    g_dc = ParametricReceiverElement.G_DC
 
     def __init__(self, els: list[ParametricReceiverElement]):
         self.els = els
@@ -563,7 +589,7 @@ class _ReceiverBank:
         histories.  Stateless, so ``active`` is not needed."""
         return self.eval(V, 0.0)
 
-    def update(self, V: np.ndarray, t: float) -> None:
+    def accept(self, V: np.ndarray, t: float) -> None:
         """Accept the step: shift every member's histories by one."""
         D, A, lin = self._terms
         i_lin = lin + self.b0 * V

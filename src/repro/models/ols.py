@@ -88,16 +88,27 @@ def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
     centers = _candidate_centers(Z, opts)
     sigma = opts.width_scale * _median_distance(centers, opts.seed)
 
-    # full candidate activation matrix (N, M)
-    d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    P = np.exp(-d2 / (2.0 * sigma ** 2))
+    # full candidate activation matrix (N, M), built in place without an
+    # (N, M, d) temporary; the squared distances accumulate column by
+    # column, the order in which numpy sums fewer than 8 terms
+    P = np.zeros((n, centers.shape[0]))
+    diff = np.empty_like(P)
+    for j in range(d):
+        np.subtract(Z[:, j, None], centers[None, :, j], out=diff)
+        diff *= diff
+        P += diff
+    del diff
+    np.negative(P, out=P)
+    P /= 2.0 * sigma ** 2
+    np.exp(P, out=P)
 
     # affine tail columns: [1, z_1..z_d] (bias only when affine is off);
     # orthogonalize them out of y and P
     A = np.hstack([np.ones((n, 1)), Z]) if opts.affine else np.ones((n, 1))
     Q_aff, _ = np.linalg.qr(A)
     y_res = y - Q_aff @ (Q_aff.T @ y)
-    P_res = P - Q_aff @ (Q_aff.T @ P)
+    P_res = Q_aff @ (Q_aff.T @ P)
+    np.subtract(P, P_res, out=P_res)
 
     y_energy = float(y_res @ y_res)
     if y_energy <= 0.0:
@@ -108,7 +119,7 @@ def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
         sel = []
         err_trace = []
         resid = y_res.copy()
-        Pw = P_res.copy()
+        Pw = P_res      # orthogonalized in place below
         col_energy = np.sum(Pw * Pw, axis=0)
         for _ in range(min(opts.n_bases, centers.shape[0])):
             proj = Pw.T @ resid
@@ -124,7 +135,7 @@ def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
             qn = q / (q @ q)
             resid = resid - q * (qn @ resid)
             # orthogonalize remaining candidates against the chosen one
-            Pw = Pw - np.outer(q, qn @ Pw)
+            Pw -= np.outer(q, qn @ Pw)
             col_energy = np.sum(Pw * Pw, axis=0)
             err_trace.append(float(resid @ resid) / y_energy)
             if err_trace[-1] < opts.err_tol:

@@ -11,7 +11,12 @@ estimators of this package, mirroring the paper's modeling process:
   and a capacitance ramp measurement.
 
 Estimation cost is the paper's "some ten seconds of CPU" -- the pipelines
-time themselves and store it in ``model.meta["estimation_seconds"]``.
+time themselves and store it in ``model.meta["estimation_seconds"]``.  The
+transient records run on the grid-batched engine, one lockstep group per
+record topology (:func:`~repro.ident.experiments.run_benches`); the static
+I-V sweeps stay warm-started serial continuations.  Each pipeline is one
+``model.estimate`` span (``kind``, ``name``, ``corner``) over its
+``ident.records``, ``ident.static_iv`` and ``model.fit`` phases.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from ..circuit.waveforms import Constant, Step
 from ..devices.driver import DriverSpec
 from ..devices.receiver import ReceiverSpec, build_receiver
 from ..ident.dataset import PortRecord
-from ..ident.experiments import (DEFAULT_TS, measure_driver_static_iv,
+from ..ident.experiments import (DEFAULT_TS, driver_state_bench,
+                                 driver_switching_bench,
+                                 measure_driver_static_iv,
                                  measure_forced_port,
-                                 measure_receiver_static_iv,
-                                 record_driver_state,
-                                 record_driver_switching, record_receiver)
-from ..ident.loads import default_identification_loads
+                                 measure_receiver_static_iv, receiver_bench,
+                                 run_benches)
+from ..ident.loads import default_identification_loads, validate_load_pair
+from ..obs import get_tracer
 from .arx import fit_arx
 from .driver import PWRBFDriverModel, estimate_weights
 from .ols import OLSOptions, fit_rbf_ols
@@ -73,33 +80,45 @@ def estimate_driver_model(spec: DriverSpec, *,
                           t_pre: float = 1e-9,
                           t_sig: float = 8e-9,
                           overdrive: float = 0.8) -> PWRBFDriverModel:
-    """Full PW-RBF driver estimation (paper Section 2)."""
+    """Full PW-RBF driver estimation (paper Section 2).
+
+    ``loads``: the two identification loads of the weight inversion
+    (default :func:`~repro.ident.loads.default_identification_loads`);
+    anything but two distinct loads raises :class:`ExperimentError`.
+    The records run as three lockstep groups: the two fixed-state
+    records, and per load the up and down switching records.
+    """
     t0 = time.perf_counter()
-    loads = loads or default_identification_loads()
-
-    v_lo, v_hi = -overdrive, spec.vdd + overdrive
-    rec_h = record_driver_state(spec, "1", ts=ts, duration=state_duration,
-                                seed=seed, corner=corner,
-                                v_min=v_lo, v_max=v_hi)
-    rec_l = record_driver_state(spec, "0", ts=ts, duration=state_duration,
-                                seed=seed + 1, corner=corner,
-                                v_min=v_lo, v_max=v_hi)
-    v_grid = np.linspace(v_lo, v_hi, 41)
-    iv_h = measure_driver_static_iv(spec, "1", v_grid, corner=corner)
-    iv_l = measure_driver_static_iv(spec, "0", v_grid, corner=corner)
-    sub_h = fit_state_submodel(rec_h, order, n_bases_high, seed=seed,
-                               static_iv=iv_h)
-    sub_l = fit_state_submodel(rec_l, order, n_bases_low, seed=seed,
-                               static_iv=iv_l)
-
-    sw = {}
-    for direction, pattern in (("up", "01"), ("down", "10")):
-        recs = [record_driver_switching(spec, load, pattern, ts=ts,
-                                        bit_time=bit_time, corner=corner)
-                for load in loads]
-        sw[direction] = estimate_weights(sub_h, sub_l, order, recs[0],
-                                         recs[1], direction,
-                                         t_pre=t_pre, t_sig=t_sig)
+    loads = default_identification_loads() if loads is None else loads
+    validate_load_pair(loads)
+    tracer = get_tracer()
+    with tracer.span("model.estimate", kind="driver",
+                     corner=corner) as sp:
+        sp.set(name=spec.name)
+        v_lo, v_hi = -overdrive, spec.vdd + overdrive
+        states = [driver_state_bench(spec, state, ts=ts,
+                                     duration=state_duration, seed=sd,
+                                     corner=corner, v_min=v_lo, v_max=v_hi)
+                  for state, sd in (("1", seed), ("0", seed + 1))]
+        switching = [[driver_switching_bench(spec, load, pattern, ts=ts,
+                                             bit_time=bit_time,
+                                             corner=corner)
+                      for pattern in ("01", "10")] for load in loads]
+        (rec_h, rec_l), *sw_recs = run_benches([states, *switching])
+        with tracer.span("ident.static_iv"):
+            v_grid = np.linspace(v_lo, v_hi, 41)
+            iv_h = measure_driver_static_iv(spec, "1", v_grid, corner=corner)
+            iv_l = measure_driver_static_iv(spec, "0", v_grid, corner=corner)
+        with tracer.span("model.fit"):
+            sub_h = fit_state_submodel(rec_h, order, n_bases_high,
+                                       seed=seed, static_iv=iv_h)
+            sub_l = fit_state_submodel(rec_l, order, n_bases_low,
+                                       seed=seed, static_iv=iv_l)
+            # sw_recs[load][0] is the up record, [load][1] the down one
+            sw = {direction: estimate_weights(
+                      sub_h, sub_l, order, sw_recs[0][k], sw_recs[1][k],
+                      direction, t_pre=t_pre, t_sig=t_sig)
+                  for k, direction in enumerate(("up", "down"))}
 
     model = PWRBFDriverModel(
         name=spec.name, order=order, ts=ts, vdd=spec.vdd,
@@ -120,32 +139,40 @@ def estimate_receiver_model(spec: ReceiverSpec, *,
                             duration: float = 60e-9,
                             seed: int = 0,
                             overdrive: float = 1.2) -> ParametricReceiverModel:
-    """Full ARX + RBF receiver estimation (paper Section 3)."""
+    """Full ARX + RBF receiver estimation (paper Section 3).
+
+    The linear, up and down records run as one lockstep group.
+    """
     t0 = time.perf_counter()
-    rec_lin = record_receiver(spec, "linear", ts=ts, duration=duration,
-                              seed=seed, levels=7)
-    rec_up = record_receiver(spec, "up", ts=ts, duration=duration,
-                             seed=seed + 1)
-    rec_dn = record_receiver(spec, "down", ts=ts, duration=duration,
-                             seed=seed + 2)
-
-    linear = fit_arx(rec_lin.v, rec_lin.i, arx_order)
-
-    # Static anchors: DC sweep residual, masked to each protection region so
-    # the up submodel pins to zero below mid-rail and vice versa.
-    v_grid = np.linspace(-overdrive, spec.vdd + overdrive, 61)
-    _, i_static = measure_receiver_static_iv(spec, v_grid)
-    denom = 1.0 + float(np.sum(linear.a))
-    arx_static = linear.dc_gain() * v_grid + linear.c / denom
-    resid_static = i_static - arx_static
-    mid = 0.5 * spec.vdd
-    up_anchor = (v_grid, np.where(v_grid > mid, resid_static, 0.0))
-    dn_anchor = (v_grid, np.where(v_grid < mid, resid_static, 0.0))
-
-    up = fit_receiver_nonlinear(linear, rec_up, up_order, n_bases,
-                                seed=seed, static_anchor=up_anchor)
-    down = fit_receiver_nonlinear(linear, rec_dn, down_order, n_bases,
-                                  seed=seed + 1, static_anchor=dn_anchor)
+    tracer = get_tracer()
+    with tracer.span("model.estimate", kind="receiver") as sp:
+        sp.set(name=spec.name)
+        [[rec_lin, rec_up, rec_dn]] = run_benches([[
+            receiver_bench(spec, "linear", ts=ts, duration=duration,
+                           seed=seed, levels=7),
+            receiver_bench(spec, "up", ts=ts, duration=duration,
+                           seed=seed + 1),
+            receiver_bench(spec, "down", ts=ts, duration=duration,
+                           seed=seed + 2)]])
+        # Static anchors: DC sweep residual, masked to each protection
+        # region so the up submodel pins to zero below mid-rail and vice
+        # versa.
+        with tracer.span("ident.static_iv"):
+            v_grid = np.linspace(-overdrive, spec.vdd + overdrive, 61)
+            _, i_static = measure_receiver_static_iv(spec, v_grid)
+        with tracer.span("model.fit"):
+            linear = fit_arx(rec_lin.v, rec_lin.i, arx_order)
+            denom = 1.0 + float(np.sum(linear.a))
+            arx_static = linear.dc_gain() * v_grid + linear.c / denom
+            resid_static = i_static - arx_static
+            mid = 0.5 * spec.vdd
+            up_anchor = (v_grid, np.where(v_grid > mid, resid_static, 0.0))
+            dn_anchor = (v_grid, np.where(v_grid < mid, resid_static, 0.0))
+            up = fit_receiver_nonlinear(linear, rec_up, up_order, n_bases,
+                                        seed=seed, static_anchor=up_anchor)
+            down = fit_receiver_nonlinear(linear, rec_dn, down_order,
+                                          n_bases, seed=seed + 1,
+                                          static_anchor=dn_anchor)
     return ParametricReceiverModel(
         name=spec.name, ts=ts, vdd=spec.vdd, linear=linear, up=up,
         down=down, up_order=up_order, down_order=down_order,

@@ -195,6 +195,59 @@ class TestOLS:
         with pytest.raises(EstimationError):
             fit_rbf_ols(np.zeros((5, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_in_place_activations_are_bit_identical(self, d):
+        """The column-by-column, in-place activation matrix and
+        orthogonalization give bit for bit what the (N, M, d) broadcast
+        formula gives, on data with repeated rows like a settled record."""
+        from repro.models import ols
+        rng = np.random.default_rng(40 + d)
+        X = rng.normal(size=(1500, d))
+        X[500:700] = X[499]
+        y = np.tanh(X @ rng.normal(size=d)) + 0.01 * rng.normal(size=1500)
+        opts = OLSOptions(n_bases=9, seed=3)
+        got = fit_rbf_ols(X, y, opts)
+
+        # the broadcast formula, step for step
+        scaler = RegressorScaler().fit(X)
+        Z = scaler.transform(X)
+        centers = ols._candidate_centers(Z, opts)
+        sigma = ols._median_distance(centers, opts.seed)
+        d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        P = np.exp(-d2 / (2.0 * sigma ** 2))
+        A = np.hstack([np.ones((Z.shape[0], 1)), Z])
+        Q, _ = np.linalg.qr(A)
+        resid = y - Q @ (Q.T @ y)
+        y_energy = float(resid @ resid)
+        Pw = P - Q @ (Q.T @ P)
+        sel, trace = [], []
+        for _ in range(opts.n_bases):
+            col_energy = np.sum(Pw * Pw, axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                err = np.where(col_energy > 1e-30 * y_energy,
+                               (Pw.T @ resid) ** 2
+                               / (col_energy * y_energy), 0.0)
+            err[sel] = 0.0
+            j = int(np.argmax(err))
+            if err[j] <= 0.0:
+                break
+            sel.append(j)
+            q = Pw[:, j].copy()
+            qn = q / (q @ q)
+            resid = resid - q * (qn @ resid)
+            Pw = Pw - np.outer(q, qn @ Pw)
+            trace.append(float(resid @ resid) / y_energy)
+        M = np.hstack([A, P[:, sel]])
+        reg = opts.ridge * np.trace(M.T @ M) / M.shape[1]
+        theta = np.linalg.solve(M.T @ M + reg * np.eye(M.shape[1]), M.T @ y)
+
+        assert got.sigma == sigma
+        np.testing.assert_array_equal(got.centers, centers[sel])
+        np.testing.assert_array_equal(got.weights, theta[d + 1:])
+        np.testing.assert_array_equal(got.affine, theta[1:d + 1])
+        assert got.bias == theta[0]
+        assert got.meta_err == trace
+
     @given(st.integers(0, 10000))
     @settings(max_examples=10, deadline=None)
     def test_deterministic_given_seed(self, seed):
