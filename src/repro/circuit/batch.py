@@ -65,7 +65,7 @@ from .netlist import Circuit, Element
 from .transient import (TransientOptions, TransientResult, _initial_solution,
                         run_transient)
 
-__all__ = ["NodeBank", "batch_signature", "run_transient_batch"]
+__all__ = ["batch_signature", "run_transient_batch"]
 
 #: exact element types the companion layer can group (see
 #: :func:`repro.circuit.companion.build_companion_groups`)
@@ -201,18 +201,9 @@ class _Ports:
         self.P = None if np.array_equal(col, np.arange(T)) \
             else scatter(col, K)
         self.one = len(banks) == 1
-        # the banks' columns and terms follow one another: their
-        # linearizations concatenate
-        self.tiled = all(
-            isinstance(cs, slice) and isinstance(ts, slice)
-            and cs.start == k and ts.start == t
-            for (cs, ts), k, t in zip(
-                self.slots,
-                np.cumsum([0] + [len(b.cols) for b in banks]),
-                np.cumsum([0] + [len(b.terms) for b in banks])))
-        if (b < 0).all():
-            # every term is a node voltage: a row selection (a view for
-            # the usual single port)
+        if (b < 0).all() and (a >= 0).all():
+            # every term is the voltage of a node: a row selection (a
+            # view for the usual single port)
             self.sel = slice(a[0], a[0] + 1) if T == 1 else _slot(list(a))
             self.Sel = None
         else:
@@ -248,13 +239,6 @@ class _Ports:
         """Sum the banks' ``method(v, *args)`` on each column and term."""
         if self.one:
             return getattr(self.banks[0], method)(V, *args)
-        if self.tiled:
-            outs = [getattr(bank, method)(V[ts], *args)
-                    for bank, (_, ts) in zip(self.banks, self.slots)]
-            flags = [lb for _, _, lb in outs if lb is not None]
-            return (np.concatenate([ib for ib, _, _ in outs]),
-                    np.concatenate([cb for _, cb, _ in outs]),
-                    np.logical_or.reduce(flags) if flags else None)
         ieq = np.zeros((self.n_ports, V.shape[1]))
         c = np.zeros_like(V)
         limited = None
@@ -275,51 +259,6 @@ class _Ports:
     def flush(self) -> None:
         for bank in self.banks:
             bank.flush()
-
-
-class NodeBank:
-    """Base of the one-port banks: a current into ``node`` (to ground).
-
-    Subclasses set ``node`` and provide ``eval(V, t, idx)`` and
-    ``eval_dc(V, active)`` returning the port current and conductance
-    ``(i, g)`` at port voltages ``V`` (n,), and ``accept(V, t)``, which
-    advances their histories at the accepted voltages (N,).  This base
-    turns them into the rank-one form of :class:`_Ports`: one column and
-    one control term, ``(1, n)`` arrays, ``ieq = i - g V`` and ``c = g``.
-    At DC the term is ``g - g_dc``, where ``g_dc`` is a nominal port
-    conductance the elements stamp into the DC base matrix.
-    """
-
-    g_dc = 0.0
-
-    @property
-    def cols(self) -> list:
-        """The one column: a current from ``node`` to ground."""
-        return [(self.node, -1)]
-
-    @property
-    def terms(self) -> list:
-        """The one control term: the node voltage."""
-        return [(0, self.node, -1)]
-
-    def linearize(self, V, t, active, idx=None):
-        """``(ieq, g, None)`` at port voltages ``V`` (1, n) of members
-        ``idx`` (all when None) at time ``t``; ``eval`` is stateless
-        within a step, so ``active`` is not needed."""
-        v = V[0]
-        i, g = self.eval(v, t, idx)
-        return (i - g * v)[None], g[None], None
-
-    def linearize_dc(self, V, active):
-        """``(ieq, g, None)`` at the DC operating point; ``eval_dc``
-        advances its ``active`` members' state."""
-        v = V[0]
-        i, g = self.eval_dc(v, active)
-        return (i - g * v)[None], (g - self.g_dc)[None], None
-
-    def update(self, V, t):
-        """Accept the step at the port voltages ``V`` (1, N)."""
-        self.accept(V[0], t)
 
 
 def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray

@@ -1,7 +1,9 @@
-"""Shared plumbing of the transistor-level device banks.
+"""Shared plumbing of the vectorized element banks.
 
 The grid-batched transient backend (:mod:`repro.circuit.batch`) evaluates
-every nonlinear element class of a group through one vectorized *bank*.
+every nonlinear element class of a group through one vectorized *bank*:
+:class:`DeviceBank` is the base of the transistor-level devices' banks,
+:class:`NodeBank` that of the one-port macromodels' banks.
 A device bank holds the ``(E, N)`` grid of a class's elements -- ``E``
 positions in the bench, ``N`` members -- with per-element parameters and
 limiter state as ``(E, N)`` arrays, so process corners differ only in
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DeviceBank", "index_of", "pick", "scatter"]
+__all__ = ["DeviceBank", "NodeBank", "index_of", "pick", "scatter"]
 
 
 def index_of(items: list, item) -> int:
@@ -84,3 +86,49 @@ class DeviceBank:
     def members(arr: np.ndarray, idx) -> np.ndarray:
         """Members ``idx`` of an ``(E, N)`` array (all when None)."""
         return arr if idx is None else arr[:, idx]
+
+
+class NodeBank:
+    """Base of the one-port banks: a current into ``node`` (to ground).
+
+    Subclasses set ``node`` and provide ``eval(V, t, idx)`` and
+    ``eval_dc(V, active)`` returning the port current and conductance
+    ``(i, g)`` at port voltages ``V`` (n,), and ``accept(V, t)``, which
+    advances their histories at the accepted voltages (N,).  This base
+    turns them into the rank-one form of
+    :class:`repro.circuit.batch._Ports`: one column and
+    one control term, ``(1, n)`` arrays, ``ieq = i - g V`` and ``c = g``.
+    At DC the term is ``g - g_dc``, where ``g_dc`` is a nominal port
+    conductance the elements stamp into the DC base matrix.
+    """
+
+    g_dc = 0.0
+
+    @property
+    def cols(self) -> list:
+        """The one column: a current from ``node`` to ground."""
+        return [(self.node, -1)]
+
+    @property
+    def terms(self) -> list:
+        """The one control term: the node voltage."""
+        return [(0, self.node, -1)]
+
+    def linearize(self, V, t, active, idx=None):
+        """``(ieq, g, None)`` at port voltages ``V`` (1, n) of members
+        ``idx`` (all when None) at time ``t``; ``eval`` is stateless
+        within a step, so ``active`` is not needed."""
+        v = V[0]
+        i, g = self.eval(v, t, idx)
+        return (i - g * v)[None], g[None], None
+
+    def linearize_dc(self, V, active):
+        """``(ieq, g, None)`` at the DC operating point; ``eval_dc``
+        advances its ``active`` members' state."""
+        v = V[0]
+        i, g = self.eval_dc(v, active)
+        return (i - g * v)[None], (g - self.g_dc)[None], None
+
+    def update(self, V, t):
+        """Accept the step at the port voltages ``V`` (1, N)."""
+        self.accept(V[0], t)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuit.batch import NodeBank
+from ..circuit.elements.bank import NodeBank
 from ..circuit.netlist import Element
 from ..circuit.waveforms import BitPattern
 from ..errors import ModelError

@@ -194,6 +194,41 @@ class TestMOSFETBank:
         np.testing.assert_array_equal(lim_s, lim[idx])
         np.testing.assert_array_equal(part.prev[:, idx], full.prev[:, idx])
 
+    @pytest.mark.parametrize("clamp_first", [True, False],
+                             ids=["clamp drain is node 0", "clamp last"])
+    def test_grounded_gate_and_source_batch(self, clamp_first):
+        """A clamp with gate and source both grounded controls its
+        current by 0 V, not by whichever unknown a ground index reads;
+        beside a grounded-source NMOS it runs batched and matches
+        serial."""
+        def bench(r):
+            ckt = Circuit("clamped inverter")
+            # a depletion clamp conducts at vgs = 0, so a misread vgs
+            # shows in its current
+            clamp = MOSFET("mclamp", "out", "0", "0",
+                           MOSParams(vto=-0.3, w=20e-6), polarity="n")
+            if clamp_first:
+                ckt.add(clamp)
+            ckt.add(VoltageSource("vin", "in", "0",
+                                  Pulse(v1=0.0, v2=3.3, delay=0.2e-9,
+                                        rise=0.3e-9, width=1e-9)))
+            ckt.add(Resistor("rin", "in", "0", 50.0))
+            # the last unknown, vdd's branch current, is never 0
+            ckt.add(VoltageSource("vdd", "vdd", "0", 3.3))
+            ckt.add(Resistor("rl", "vdd", "out", r))
+            ckt.add(MOSFET("mn", "out", "in", "0",
+                           MOSParams(w=40e-6), polarity="n"))
+            if not clamp_first:
+                ckt.add(clamp)
+            return ckt
+        opts = TransientOptions(dt=25e-12, t_stop=3e-9, method="damped")
+        loads = (1e3, 2e3)
+        batched = run_transient_batch([bench(r) for r in loads], opts)
+        for r, res in zip(loads, batched):
+            assert res.batched
+            ref = run_transient(bench(r), opts)
+            np.testing.assert_allclose(res.x, ref.x, rtol=1e-9, atol=1e-9)
+
     def test_subclass_has_no_bank(self):
         class Custom(MOSFET):
             pass

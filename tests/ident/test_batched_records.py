@@ -58,8 +58,9 @@ def test_receiver_records_match_serial():
 
 
 def test_run_benches_records_and_span():
-    """One ``ident.records`` span holds the groups' batched transients;
-    a singleton group is a batch of one."""
+    """One ``ident.records`` span holds the groups' transients: the
+    batched pair, and the serial run of a singleton group, which is no
+    batch fallback."""
     tracer = Tracer(collect=True)
     set_tracer(tracer)
     try:
@@ -74,8 +75,7 @@ def test_run_benches_records_and_span():
     assert len(up) == len(down) == 81 and len(lone) == 81
     [records] = [sp for sp in tracer.finished if sp.name == "ident.records"]
     assert records.attrs == {"groups": 2, "members": 3}
-    batches = [sp for sp in tracer.finished if sp.name == "transient.batch"]
-    assert len(batches) == 2
-    assert all(sp.parent_id == records.span_id for sp in batches)
-    assert sorted(sp.attrs.get("fallback", "") for sp in batches) \
-        == ["", "single member"]
+    [batch] = [sp for sp in tracer.finished if sp.name == "transient.batch"]
+    [run] = [sp for sp in tracer.finished if sp.name == "transient.run"]
+    assert batch.parent_id == run.parent_id == records.span_id
+    assert "fallback" not in batch.attrs
