@@ -20,7 +20,12 @@ real process boundaries:
 5. assert ``GET /metrics`` parses as Prometheus text, its counters
    advanced across the job (``cache_hits + cache_misses`` equals the
    grid size), and the exported trace JSONL reconstructs into a span
-   tree rooted at the job with one ``scenario`` span per grid point.
+   tree rooted at the job with one ``scenario`` span per grid point;
+6. warm leg: restart ``serve`` in a fresh process on the same cache
+   directory, resubmit the study, and assert every scenario came from
+   the disk cache (``cache_misses`` advanced by 0, ``cache_hits`` and
+   ``disk_cache_total{result="hit"}`` by the grid size) and the CSV is
+   byte-identical to the cold fetch.
 
 The trace file is left at ``$SMOKE_TRACE_OUT`` (default
 ``smoke_trace.jsonl`` in the working directory) so CI can upload it as
@@ -41,13 +46,13 @@ REPO = Path(__file__).resolve().parent.parent
 DEFAULT_STUDY = REPO / "examples" / "study_minimal.toml"
 
 
-def _start_server(cache_dir: str,
-                  trace_path: str) -> tuple[subprocess.Popen, str]:
+def _start_server(cache_dir: str, trace_path: str | None = None
+                  ) -> tuple[subprocess.Popen, str]:
     """Launch ``serve`` on an ephemeral port; returns (proc, base_url)."""
+    trace = ["--trace", trace_path] if trace_path else []
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.studies", "serve",
-         "--cache", cache_dir, "--port", "0", "--workers", "2",
-         "--trace", trace_path],
+         "--cache", cache_dir, "--port", "0", "--workers", "2", *trace],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     deadline = time.monotonic() + 60.0
     banner = ""
@@ -61,6 +66,26 @@ def _start_server(cache_dir: str,
         if not banner:
             time.sleep(0.05)
     raise SystemExit(f"serve never came up (last output: {banner!r})")
+
+
+def _submit(url: str, study_file: Path) -> str | None:
+    """``submit --wait`` one study; returns its job id (``None`` and a
+    diagnostic on failure)."""
+    submit = subprocess.run(
+        [sys.executable, "-m", "repro.studies", "submit",
+         str(study_file), "--url", url, "--wait",
+         "--poll", "0.5", "--timeout", "600"],
+        capture_output=True, text=True, timeout=900)
+    print(submit.stdout, end="")
+    if submit.returncode != 0:
+        print(submit.stderr, end="", file=sys.stderr)
+        print(f"FAIL: submit --wait exited {submit.returncode}")
+        return None
+    first = submit.stdout.splitlines()[0].split()
+    if first[:1] != ["job"]:
+        print(f"FAIL: unexpected submit output {first!r}")
+        return None
+    return first[1]
 
 
 def _counter_total(text: str, name: str) -> float:
@@ -93,23 +118,23 @@ def main(argv: list[str] | None = None) -> int:
         proc, url = _start_server(cache_dir, str(trace_out))
         try:
             before = fetch_metrics(url)
-            submit = subprocess.run(
-                [sys.executable, "-m", "repro.studies", "submit",
-                 str(study_file), "--url", url, "--wait",
-                 "--poll", "0.5", "--timeout", "600"],
-                capture_output=True, text=True, timeout=900)
-            print(submit.stdout, end="")
-            if submit.returncode != 0:
-                print(submit.stderr, end="", file=sys.stderr)
-                print(f"FAIL: submit --wait exited {submit.returncode}")
+            job_id = _submit(url, study_file)
+            if job_id is None:
                 return 1
-            first = submit.stdout.splitlines()[0].split()
-            if first[:1] != ["job"]:
-                print(f"FAIL: unexpected submit output {first!r}")
-                return 1
-            job_id = first[1]
             served_csv = fetch_result(url, job_id, csv=True)
             after = fetch_metrics(url)
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+        # warm leg: a fresh serve process answers from the same cache
+        proc, url = _start_server(cache_dir)
+        try:
+            warm_before = fetch_metrics(url)
+            warm_job = _submit(url, study_file)
+            if warm_job is None:
+                return 1
+            warm_csv = fetch_result(url, warm_job, csv=True)
+            warm_after = fetch_metrics(url)
         finally:
             proc.terminate()
             proc.wait(timeout=30)
@@ -153,12 +178,27 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(study)}-scenario grid")
         return 1
 
+    # -- warm leg: every scenario from disk, same bytes as the cold fetch
+    advanced = {name: _counter_total(warm_after, name)
+                - _counter_total(warm_before, name)
+                for name in ("cache_misses", "cache_hits",
+                             'disk_cache_total{result="hit"}')}
+    want = {"cache_misses": 0, "cache_hits": len(study),
+            'disk_cache_total{result="hit"}': len(study)}
+    if advanced != want:
+        print(f"FAIL: warm leg advanced {advanced}, expected {want}")
+        return 1
+    if warm_csv != served_csv:
+        print("FAIL: warm fetch CSV differs from the cold fetch")
+        return 1
+
     n_rows = len(served_csv.splitlines()) - 1
     print(f"OK: job {job_id} served {n_rows} verdict rows "
           f"byte-identical to the in-process run; metrics balance "
           f"({hits:g} hits + {misses:g} misses = {len(study)}) and "
           f"{len(spans)} trace spans reconstruct under job.run "
-          f"({trace_out.name})")
+          f"({trace_out.name}); a restarted server answered all "
+          f"{len(study)} from the disk cache with identical bytes")
     return 0
 
 

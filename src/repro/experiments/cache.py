@@ -7,26 +7,32 @@ MD1 PW-RBF model (say) should estimate it exactly once per process.
 (:class:`~repro.studies.runner.ScenarioRunner` outcomes) to a directory
 so repeated sweeps across *processes* answer from disk.  Layout::
 
-    <root>/<digest>.npz        # t, v_port, probe_* arrays + meta json
+    <root>/<digest>.f64        # one file per entry:
+        b"RSC1"                # 4-byte magic
+        u32 little-endian      # header length in bytes
+        JSON header            # meta + ordered [[name, length], ...]
+        zero padding           # to an 8-byte boundary
+        float64 little-endian  # t, v_port, probe_*, spec_* back to back
 
-Entries are keyed on the sha256 digest of a canonical JSON rendering of
-``(CACHE_VERSION, Scenario.key())``, which is stable across processes and
-platforms.  The version field guards the *payload schema*: whenever the
-stored payload gains fields (v2 added per-scenario emission spectra and
-mask verdicts), the version is bumped so entries written by an older code
-version are misses, never half-understood hits.  The ``.npz`` files are
-written to a temp file and atomically renamed, so concurrent sweeps
-sharing one cache directory can never observe a torn entry.
+A read is one ``read_bytes`` plus ``np.frombuffer`` views into it (no
+archive parsing); an entry whose block size disagrees with its header
+is corrupt.  Entries are keyed on the sha256 digest of a canonical JSON
+rendering of ``(CACHE_VERSION, Scenario.key())``, which is stable
+across processes and platforms.  The version field guards the *payload
+schema*: whenever the stored payload gains fields (v2 added
+per-scenario emission spectra and mask verdicts), the version is bumped
+so entries written by an older code version are misses, never
+half-understood hits.  Entries are written to a temp file and
+atomically renamed, so concurrent sweeps sharing one cache directory
+can never observe a torn entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +43,7 @@ from ..errors import CircuitError, ExperimentError
 from ..ibis import IbisModel, extract_ibis
 from ..models import (estimate_cv_receiver, estimate_driver_model,
                       estimate_receiver_model)
+from ..obs import get_metrics
 from .setups import MODEL_SETTINGS, TS
 
 __all__ = ["driver_model", "receiver_model", "cv_receiver_model",
@@ -172,6 +179,12 @@ def model_fingerprint(model) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+#: leading bytes of every :class:`SweepDiskCache` entry file
+_MAGIC = b"RSC1"
+#: little-endian float64, the dtype of an entry's data block
+_F64 = np.dtype("<f8")
+
+
 class SweepDiskCache:
     """Directory-backed store of per-scenario sweep payloads.
 
@@ -186,8 +199,13 @@ class SweepDiskCache:
     a payload-schema change never reinterprets old entries.  Safe for
     concurrent writers: entries are written atomically (temp file +
     ``os.replace``) and lookups only touch the per-entry files, never the
-    shared index.
+    shared index.  The arrays :meth:`get` returns are read-only views
+    into the entry's bytes.  Every :meth:`get` counts once in the
+    ``disk_cache_total{result="hit"|"miss"|"corrupt"}`` counter.
     """
+
+    #: entry file suffix; ``len()`` and ``clear()`` see only these files
+    suffix = ".f64"
 
     def __init__(self, root: str | os.PathLike, version: int = CACHE_VERSION):
         self.root = Path(root)
@@ -198,10 +216,10 @@ class SweepDiskCache:
         return scenario_key_digest((self.version, key))
 
     def _path(self, digest: str) -> Path:
-        return self.root / f"{digest}.npz"
+        return self.root / f"{digest}{self.suffix}"
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.npz"))
+        return sum(1 for _ in self.root.glob(f"*{self.suffix}"))
 
     def __contains__(self, key) -> bool:
         return self._path(self._digest(key)).exists()
@@ -210,61 +228,41 @@ class SweepDiskCache:
         """Stored payload for a scenario key, or ``None`` on a miss."""
         path = self._path(self._digest(key))
         try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                spectra = {}
-                for name, info in (meta.get("spectra") or {}).items():
-                    spectra[name] = Spectrum(
-                        np.asarray(data[f"spec_{name}_f"], dtype=float),
-                        np.asarray(data[f"spec_{name}_mag"], dtype=float),
-                        unit=info.get("unit", "V"),
-                        kind=info.get("kind", "amplitude"),
-                        label=info.get("label", ""),
-                        detector=info.get("detector", "peak"),
-                        meta=info.get("meta") or {})
-                return {
-                    "t": np.asarray(data["t"], dtype=float),
-                    "v_port": np.asarray(data["v_port"], dtype=float),
-                    "probes": {name: np.asarray(data[f"probe_{name}"],
-                                                dtype=float)
-                               for name in meta["probe_names"]},
-                    "metrics": meta["metrics"],
-                    "warnings": list(meta["warnings"]),
-                    "spectra": spectra,
-                    "verdict": meta.get("verdict"),
-                    "verdicts_by": meta.get("verdicts_by") or {},
-                }
+            payload = _decode(path.read_bytes())
         except FileNotFoundError:
+            get_metrics().inc("disk_cache_total", result="miss")
             return None
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile):
+        except (OSError, KeyError, TypeError, ValueError):
             # a corrupt entry is a miss, not a sweep failure; drop it so a
             # fresh result can replace it
+            get_metrics().inc("disk_cache_total", result="corrupt")
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
             return None
+        get_metrics().inc("disk_cache_total", result="hit")
+        return payload
 
     def put(self, key, payload: dict) -> str:
         """Persist one payload atomically; returns the entry digest."""
         digest = self._digest(key)
-        arrays = {
-            "t": np.asarray(payload["t"], dtype=float),
-            "v_port": np.asarray(payload["v_port"], dtype=float),
-        }
+        arrays = {"t": payload["t"], "v_port": payload["v_port"]}
         probes = payload.get("probes") or {}
         for pname, wave in probes.items():
-            arrays[f"probe_{pname}"] = np.asarray(wave, dtype=float)
+            arrays[f"probe_{pname}"] = wave
         spectra = payload.get("spectra") or {}
         spectra_meta = {}
         for sname, spec in spectra.items():
-            arrays[f"spec_{sname}_f"] = np.asarray(spec.f, dtype=float)
-            arrays[f"spec_{sname}_mag"] = np.asarray(spec.mag, dtype=float)
+            arrays[f"spec_{sname}_f"] = spec.f
+            arrays[f"spec_{sname}_mag"] = spec.mag
             spectra_meta[sname] = {"unit": spec.unit, "kind": spec.kind,
                                    "label": spec.label,
                                    "detector": spec.detector,
                                    "meta": _jsonable_meta(spec.meta)}
-        meta = {
+        blocks = [np.ravel(np.asarray(a, dtype=_F64))
+                  for a in arrays.values()]
+        header = json.dumps({
             "metrics": payload.get("metrics") or {},
             "warnings": list(payload.get("warnings") or []),
             "probe_names": sorted(probes),
@@ -272,13 +270,14 @@ class SweepDiskCache:
             "verdict": payload.get("verdict"),
             "verdicts_by": payload.get("verdicts_by") or {},
             "version": self.version,
-        }
-        buf = io.BytesIO()
-        np.savez(buf, meta=json.dumps(meta), **arrays)
+            "arrays": [[name, b.size] for name, b in zip(arrays, blocks)],
+        }).encode("utf-8")
+        head = _MAGIC + len(header).to_bytes(4, "little") + header
+        head += bytes(-len(head) % 8)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(buf.getvalue())
+                fh.write(head + b"".join(b.tobytes() for b in blocks))
             os.replace(tmp, self._path(digest))
         except OSError:
             try:
@@ -290,8 +289,48 @@ class SweepDiskCache:
 
     def clear(self) -> None:
         """Drop every stored entry."""
-        for path in self.root.glob("*.npz"):
+        for path in self.root.glob(f"*{self.suffix}"):
             try:
                 path.unlink()
             except OSError:
                 pass
+
+
+def _decode(raw: bytes) -> dict:
+    """Payload of one entry file; ``ValueError`` (or a ``KeyError`` /
+    ``TypeError`` from a malformed header) if it is not a whole entry."""
+    if len(raw) < 8 or raw[:4] != _MAGIC:
+        raise ValueError("not a sweep cache entry")
+    end = 8 + int.from_bytes(raw[4:8], "little")
+    if end > len(raw):
+        raise ValueError("header runs past the end of the entry")
+    meta = json.loads(raw[8:end])
+    sizes = [int(n) for _, n in meta["arrays"]]
+    start = end + (-end % 8)
+    if min(sizes, default=0) < 0 or len(raw) - start != 8 * sum(sizes):
+        raise ValueError("data block does not match the header")
+    block = np.frombuffer(raw, dtype=_F64, offset=start)
+    data, pos = {}, 0
+    for (name, _), n in zip(meta["arrays"], sizes):
+        data[name] = block[pos:pos + n]
+        pos += n
+    spectra = {}
+    for name, info in (meta.get("spectra") or {}).items():
+        spectra[name] = Spectrum(
+            data[f"spec_{name}_f"], data[f"spec_{name}_mag"],
+            unit=info.get("unit", "V"),
+            kind=info.get("kind", "amplitude"),
+            label=info.get("label", ""),
+            detector=info.get("detector", "peak"),
+            meta=info.get("meta") or {})
+    return {
+        "t": data["t"],
+        "v_port": data["v_port"],
+        "probes": {name: data[f"probe_{name}"]
+                   for name in meta["probe_names"]},
+        "metrics": meta["metrics"],
+        "warnings": list(meta["warnings"]),
+        "spectra": spectra,
+        "verdict": meta.get("verdict"),
+        "verdicts_by": meta.get("verdicts_by") or {},
+    }

@@ -5,7 +5,8 @@ A :class:`MetricsRegistry` is a lock-protected map from
 solver (``solver_steps``, ``newton_iters``, ``dcop_newton_iters``,
 ``batch_fallbacks_total{reason}``), the runner
 (``cache_hits``/``cache_misses``, ``scenarios_total{status,kind}``,
-``worker_restarts``) and the service (``shard_retries``, the
+``worker_restarts``), the sweep disk cache
+(``disk_cache_total{result}``) and the service (``shard_retries``, the
 ``job_seconds`` latency histogram).  Registries are cheap plain-Python
 state, so worker processes accumulate into their own (reset at
 initializer time — fork inherits the parent's counts) and ship a

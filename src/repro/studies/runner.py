@@ -300,7 +300,7 @@ class ScenarioRunner:
             self._fingerprints[memo_key] = memo
         return memo[1]
 
-    def _disk_key(self, sc: Scenario) -> tuple:
+    def _disk_key(self, sc: Scenario, key: str | None = None) -> tuple:
         """Disk entries are scoped to the *content* of the models used.
 
         ``Scenario.key()`` names the driver only by catalog id + corner;
@@ -312,21 +312,23 @@ class ScenarioRunner:
         :meth:`~repro.studies.kinds.ScenarioKind.aux_models`; their
         fingerprints fold in alongside the driver's.  (The spectral
         request -- window, n_fft, mask content -- is already part of
-        ``Scenario.key()`` itself.)
+        ``Scenario.key()`` itself.)  ``key`` is ``sc.key()`` when the
+        caller has already rendered it.
         """
         fp = self._fingerprint((sc.driver, sc.corner), self._model_for(sc))
         aux = get_kind(sc.load.kind).aux_models(sc.load)
         for label in sorted(aux):
             fp = f"{fp}:{self._fingerprint(label, aux[label])}"
-        return (sc.key(), fp)
+        return (sc.key() if key is None else key, fp)
 
     def _lookup(self, sc: Scenario) -> ScenarioOutcome | None:
         """Memory-first, then disk; promotes disk hits into memory."""
         if not self.use_result_cache:
             return None
-        hit = self._result_cache.get(sc.key())
+        key = sc.key()
+        hit = self._result_cache.get(key)
         if hit is None and self._disk is not None:
-            payload = self._disk.get(self._disk_key(sc))
+            payload = self._disk.get(self._disk_key(sc, key))
             if payload is not None:
                 verdict = payload.get("verdict")
                 hit = ScenarioOutcome(
@@ -341,7 +343,7 @@ class ScenarioRunner:
                         k: ComplianceVerdict.from_dict(d)
                         for k, d in
                         (payload.get("verdicts_by") or {}).items()})
-                self._result_cache[sc.key()] = hit
+                self._result_cache[key] = hit
         return hit
 
     def prepare_dispatch(self, pending) -> dict:
@@ -455,9 +457,10 @@ class ScenarioRunner:
                 if out.ok:
                     # store a private copy so in-place edits on the returned
                     # outcome cannot poison later cache hits
-                    self._result_cache[sc.key()] = out.copy_data()
+                    key = sc.key()
+                    self._result_cache[key] = out.copy_data()
                     if self._disk is not None:
-                        self._disk.put(self._disk_key(sc), {
+                        self._disk.put(self._disk_key(sc, key), {
                             "t": out.t, "v_port": out.v_port,
                             "metrics": out.metrics,
                             "warnings": out.warnings,

@@ -343,13 +343,12 @@ class TestDiskCache:
         assert back["warnings"] == ["w"]
         # the entry is the one file the put leaves behind
         assert [p.name for p in (tmp_path / "c").iterdir()] \
-            == [f"{digest}.npz"]
+            == [cache._path(digest).name]
         # a torn/corrupt entry is a miss (and is dropped), never an error --
-        # including a truncated zip that still carries the 'PK' magic
-        # (np.load raises zipfile.BadZipFile for those, not ValueError)
-        for garbage in (b"garbage", b"PK\x03\x04truncated-zip"):
+        # including a truncated one that still carries the entry magic
+        for garbage in (b"garbage", b"RSC1truncated"):
             cache.put(key, payload)
-            (tmp_path / "c" / f"{digest}.npz").write_bytes(garbage)
+            cache._path(digest).write_bytes(garbage)
             assert cache.get(key) is None
             assert key not in cache
         cache.put(key, payload)

@@ -12,12 +12,12 @@ import os
 import signal
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro.circuit import Resistor
 from repro.errors import ExperimentError
+from repro.experiments.cache import SweepDiskCache
 from repro.studies import (CORNERS, KINDS, LoadSpec, ScenarioKind,
                            SpectralSpec, Study, register_kind)
 from repro.studies.runner import batch_key
@@ -175,6 +175,22 @@ class TestJobManager:
         assert len(result.shard_reports) == 2
         assert marker.read_text(encoding="utf-8").splitlines() \
             == [str(os.getpid())]
+
+    def test_disk_cache_counter_merges_from_shard_workers(
+            self, models, tmp_path, fresh_metrics):
+        """Only the shard workers read the disk cache; their counts
+        reach the parent's registry through the metrics delta."""
+        study = small_study()
+        mgr = JobManager(max_workers=2)
+        for _ in range(2):
+            mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
+                          models=models)
+        assert fresh_metrics.value("disk_cache_total", result="miss") \
+            == len(study)
+        assert fresh_metrics.value("disk_cache_total", result="hit") \
+            == len(study)
+        assert fresh_metrics.value("disk_cache_total",
+                                   result="corrupt") == 0
 
     def test_missing_cache_is_rejected(self, models):
         with pytest.raises(ExperimentError):
@@ -519,8 +535,7 @@ class TestCrashResumeAcceptance:
 
             def build_circuit(self, load, ckt, port: str) -> str:
                 if os.getpid() != _PARENT_PID and not marker.exists() \
-                        and len(list(Path(cache_dir).glob("**/*.npz"))) \
-                        >= 32:
+                        and len(SweepDiskCache(cache_dir)) >= 32:
                     marker.touch()
                     os.kill(os.getpid(), signal.SIGKILL)
                 ckt.add(Resistor("rload", port, "0", load.r))
