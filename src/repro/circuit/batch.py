@@ -9,7 +9,9 @@ per time step with a leading "scenario" array axis:
 
 * per-member base matrices stack into one ``(N, size, size)`` tensor,
   inverted once per group (the matrix is constant over the run), so each
-  step's linear solve is one batched matmul,
+  step's linear solve is one product: an ``einsum`` straight into the
+  unknown-major layout of the Newton arrays, or beyond two ports (the
+  transistor-level device banks) a batched matmul,
 * per-member :class:`~repro.circuit.mna.SourceTable` objects merge into one
   :class:`~repro.circuit.mna.StackedSourceTable`,
 * companion/line histories live in shared struct-of-arrays groups
@@ -174,9 +176,15 @@ class _Ports:
     push-through form of the K x K Woodbury system ``I + V^T Z``, which
     for one-term columns (every macromodel port) is the serial path's
     system itself.
+
+    Built once per group with the Newton options of its analysis, it
+    also holds what every :meth:`newton` call of the group shares: the
+    absolute tolerance of every unknown and the ``|delta|`` buffer of the
+    members' last pass.
     """
 
-    def __init__(self, banks: list, A_inv: np.ndarray):
+    def __init__(self, banks: list, A_inv: np.ndarray, n_nodes: int,
+                 opts):
         self.banks = banks
         cols: list = []
         terms: list = []
@@ -209,6 +217,14 @@ class _Ports:
         else:
             eye = np.eye(A_inv.shape[1])
             self.Sel = pick(eye, a, 0) - pick(eye, b, 0)
+        self.opts = opts
+        self.n_nodes = n_nodes
+        size, n_mem = A_inv.shape[1], A_inv.shape[0]
+        # full width: a contiguous operand, and its first n columns
+        # serve a subset of n members
+        self.atol = np.full((size, n_mem), opts.iabstol)
+        self.atol[:n_nodes] = opts.vabstol
+        self.last = np.empty((size, n_mem))
 
     def controls(self, X: np.ndarray) -> np.ndarray:
         """Control voltages ``(T, n)`` of the unknowns ``X`` (size, n)."""
@@ -224,21 +240,22 @@ class _Ports:
         S = self.S[:, :, idx] if self.n_terms <= 2 else self.S[idx]
         return Z, self.D[:, :, idx], S
 
-    def linearize(self, V: np.ndarray, t: float, active: np.ndarray,
-                  idx=None):
+    def linearize(self, V: np.ndarray, t, active: np.ndarray, idx=None):
         """``(ieq (K, n), c (T, n), limited (n,) or None)`` at control
-        voltages ``V`` (T, n) of members ``idx`` (all when None); banks
-        that carry limiter state advance their ``active`` members only."""
+        voltages ``V`` (T, n) of members ``idx`` (all when None), in the
+        transient step at time ``t`` or, when ``t`` is None, at the DC
+        operating point; banks that carry limiter state advance their
+        ``active`` members only."""
+        if t is None:
+            if self.one:
+                return self.banks[0].linearize_dc(V, active)
+            return self._merge(V, "linearize_dc", active)
+        if self.one:
+            return self.banks[0].linearize(V, t, active, idx)
         return self._merge(V, "linearize", t, active, idx)
-
-    def linearize_dc(self, V: np.ndarray, active: np.ndarray):
-        """As :meth:`linearize`, at the DC operating point."""
-        return self._merge(V, "linearize_dc", active)
 
     def _merge(self, V: np.ndarray, method: str, *args):
         """Sum the banks' ``method(v, *args)`` on each column and term."""
-        if self.one:
-            return getattr(self.banks[0], method)(V, *args)
         ieq = np.zeros((self.n_ports, V.shape[1]))
         c = np.zeros_like(V)
         limited = None
@@ -250,15 +267,109 @@ class _Ports:
                 limited = lb if limited is None else limited | lb
         return ieq, c, limited
 
+    def newton(self, Y0: np.ndarray, X: np.ndarray, active: np.ndarray,
+               t=None, idx=None):
+        """Damped Newton over a member subset, all members advanced per
+        pass.
+
+        Mirrors :func:`repro.circuit.newton.newton_solve` per member --
+        same Woodbury solve, same ``max_dv`` clamp (including the
+        recompute-as-``x + delta`` behaviour when a clamp fires), same
+        convergence tests against the new iterate, and no convergence on
+        a pass where a device limiter engaged -- with converged members
+        frozen while the rest keep iterating.  Arrays are unknown-major,
+        ``(size, n)`` with one column per member, so every per-member
+        test reduces over the short outer axis: ``Y0`` holds the members'
+        linear solutions ``A^-1 b`` of the step, ``X`` their starting
+        iterate, which the call owns and may overwrite; ``idx`` selects
+        the members' columns (all when None).  Each bank column adds its
+        linearized current ``ieq + sum_t c_t v_t`` along its ``u``,
+        linearized by :meth:`linearize` at time ``t`` (DC when None).
+        ``active`` marks the members to iterate; the others (members
+        whose run has ended) keep ``X`` and count as converged.
+
+        A pass over all members assigns the new iterate outright; once
+        some members have converged (or ended), passes copy it into the
+        iterating members only.
+
+        Returns ``(X, failed, last, member_iters, passes)`` over the
+        subset: ``failed`` holds the positions of the members that did
+        not converge (none, the common case, is an empty array), ``last``
+        (size, n) each member's ``|delta|`` of its last pass (infinite
+        for a member that never iterated; valid until the next call),
+        ``member_iters`` counts member-iterations and ``passes`` lockstep
+        passes, for the observability layer.
+        """
+        opts = self.opts
+        n_nodes, max_dv, reltol = self.n_nodes, opts.max_dv, opts.reltol
+        Z, D, S = self.members(idx)
+        K = self.n_ports
+        Y0c = self.controls(Y0)
+        n = X.shape[1]
+        atol = self.atol[:, :n]
+        live = int(np.count_nonzero(active))
+        last = None
+        if live < n:    # members that have ended never iterate
+            last = self.last if idx is None else np.empty(X.shape)
+            last.fill(np.inf)
+        member_iters = passes = 0
+        while live and passes < opts.max_iter:
+            passes += 1
+            member_iters += live
+            ieq, c, limited = self.linearize(self.controls(X), t, active,
+                                             idx)
+            if K == 1:
+                r = Y0c - D[:, 0] * ieq[0]
+            else:
+                r = Y0c - (D * ieq[None]).sum(axis=1)
+            cw = c * _smw_weights(S, c, r)
+            col = ieq + (cw if self.P is None else self.P @ cw)
+            if K <= 2:
+                # a macromodel bench: multiply-subtracts, no BLAS call
+                X_new = Y0 - Z[0] * col[0]
+                if K == 2:
+                    X_new -= Z[1] * col[1]
+            else:
+                X_new = Y0 - np.matmul(Z, col.T[:, :, None])[:, :, 0].T
+            delta = X_new - X
+            ad = np.abs(delta)
+            # fmax skips NaN, as the elementwise test it stands for does
+            if np.fmax.reduce(ad[:n_nodes], axis=None) > max_dv:
+                clip = ad[:n_nodes] > max_dv
+                dv = delta[:n_nodes]
+                dv[clip] = np.sign(dv[clip]) * max_dv
+                X_new = np.where(clip.any(axis=0), X + delta, X_new)
+                ad = np.abs(delta)
+            tol = np.abs(X_new)
+            tol *= reltol
+            tol += atol
+            ok = np.logical_and.reduce(ad <= tol, axis=0)
+            if limited is not None:
+                ok &= ~limited
+            if live == n:
+                X, last = X_new, ad
+                active = ~ok
+            else:
+                np.copyto(X, X_new, where=active)
+                np.copyto(last, ad, where=active)
+                active = active & ~ok
+            live = int(np.count_nonzero(active))
+        failed = np.flatnonzero(active) if live else _NONE
+        return X, failed, last, member_iters, passes
+
     def update(self, X: np.ndarray, t: float) -> None:
-        """Accept the step on every bank (``X`` is (N, size))."""
-        V = self.controls(X.T)
+        """Accept the step on every bank (``X`` is (size, N))."""
+        V = self.controls(X)
         for bank, (_, ts) in zip(self.banks, self.slots):
             bank.update(V[ts], t)
 
     def flush(self) -> None:
         for bank in self.banks:
             bank.flush()
+
+
+#: no member: what :meth:`_Ports.newton` reports when every member converged
+_NONE = np.empty(0, dtype=np.intp)
 
 
 def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
@@ -280,8 +391,13 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
         m10 = S[1, 0] * g[0]
         m11 = 1.0 + S[1, 1] * g[1]
         swap = np.abs(m10) > np.abs(m00)
-        p00, p01, r0 = np.where(swap, (m10, m11, r[1]), (m00, m01, r[0]))
-        p10, p11, r1 = np.where(swap, (m00, m01, r[0]), (m10, m11, r[1]))
+        if swap.any():
+            p00, p01, r0 = np.where(swap, (m10, m11, r[1]),
+                                    (m00, m01, r[0]))
+            p10, p11, r1 = np.where(swap, (m00, m01, r[0]),
+                                    (m10, m11, r[1]))
+        else:   # no member swaps rows (the common case): no selection
+            p00, p01, r0, p10, p11, r1 = m00, m01, r[0], m10, m11, r[1]
         fac = p10 / p00
         w1 = (r1 - fac * r0) / (p11 - fac * p01)
         return np.stack([(r0 - p01 * w1) / p00, w1])
@@ -291,77 +407,6 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
     return np.linalg.solve(M, r.T[:, :, None])[:, :, 0].T
 
 
-def _newton_lockstep(ports, evalf, Y0, X0, active, n_nodes, opts,
-                     idx=None):
-    """Damped Newton over a member subset, all members advanced per pass.
-
-    Mirrors :func:`repro.circuit.newton.newton_solve` per member -- same
-    Woodbury solve, same ``max_dv`` clamp (including the
-    recompute-as-``x + delta`` behaviour when a clamp fires), same
-    convergence tests against the new iterate, and no convergence on a
-    pass where a device limiter engaged -- with converged members frozen
-    while the rest keep iterating.  Arrays are unknown-major, ``(size,
-    n)`` with one column per member, so every per-member test reduces
-    over the short outer axis: ``Y0`` holds the members' linear solutions
-    ``A^-1 b`` of the step; ``idx`` selects the members' columns of
-    :class:`_Ports` (all when None).  Each bank column adds its
-    linearized current ``ieq + sum_t c_t v_t`` along its ``u``.
-    ``active`` marks the members to iterate; the others (members whose
-    run has ended) keep ``X0`` and count as converged.  ``evalf(V,
-    active)`` returns ``(ieq, c, limited)`` at the control voltages
-    ``V`` and gets the mask of the members still iterating, so stateful
-    evaluations (device limiters, the driver's DC fixed point) advance
-    those only.
-
-    Returns ``(X, converged, delta_norm, iters)`` over the subset, where
-    ``iters`` (n,) counts each member's iterations for the observability
-    layer.
-    """
-    Z, D, S = ports.members(idx)
-    X = X0.copy()       # C order: contiguous member rows per unknown
-    atol = np.full((X.shape[0], 1), opts.iabstol)
-    atol[:n_nodes] = opts.vabstol
-    Y0c = ports.controls(Y0)
-    K = D.shape[1]
-    active = active.copy()
-    last = np.full(X.shape, np.inf)     # |delta| of each member's last pass
-    iters = np.zeros(X.shape[1], dtype=int)
-    for _ in range(opts.max_iter):
-        iters += active
-        ieq, c, limited = evalf(ports.controls(X), active)
-        if K == 1:
-            r = Y0c - D[:, 0] * ieq[0]
-        else:
-            r = Y0c - (D * ieq[None]).sum(axis=1)
-        cw = c * _smw_weights(S, c, r)
-        col = ieq + (cw if ports.P is None else ports.P @ cw)
-        if K <= 2:
-            # a macromodel bench: two multiply-subtracts beat a matmul,
-            # which costs one BLAS call per member
-            X_new = Y0 - Z[0] * col[0]
-            if K == 2:
-                X_new -= Z[1] * col[1]
-        else:
-            X_new = Y0 - np.matmul(Z, col.T[:, :, None])[:, :, 0].T
-        delta = X_new - X
-        ad = np.abs(delta)
-        clip = ad[:n_nodes] > opts.max_dv
-        if clip.any():
-            dv = delta[:n_nodes]
-            dv[clip] = np.sign(dv[clip]) * opts.max_dv
-            X_new = np.where(clip.any(axis=0), X + delta, X_new)
-            ad = np.abs(delta)
-        ok = (ad <= atol + opts.reltol * np.abs(X_new)).all(axis=0)
-        if limited is not None:
-            ok &= ~limited
-        np.copyto(X, X_new, where=active)
-        np.copyto(last, ad, where=active)
-        active &= ~ok
-        if not active.any():
-            break
-    return X, ~active, last.max(axis=0), iters
-
-
 def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     """Every member's DC operating point ``(N, size)``, as serial
     :func:`~repro.circuit.dcop.solve_dcop` finds it, in one lockstep Newton.
@@ -369,7 +414,7 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     Each bench is a load-line problem: the banked nonlinear ports against
     a linear network.  The members' DC bases (capacitors open, inductors
     shorted) stack and invert once; ``Y0 = A_dc^-1 b(0)`` and the port
-    columns of that inverse drive :func:`_newton_lockstep` from ``X = 0``,
+    columns of that inverse drive :meth:`_Ports.newton` from ``X = 0``,
     the banks linearizing their elements' DC branches.  A member whose
     plain Newton does not converge continues on the serial homotopy
     ladder (:func:`~repro.circuit.dcop.dcop_ladder`) from the element
@@ -397,26 +442,22 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
         B = np.stack([s.assemble_rhs(0.0) for s in systems])
         X = np.matmul(A_inv, B[:, :, None])[:, :, 0]
         failed = np.empty(0, dtype=int)
-        iters = np.zeros(len(systems), dtype=int)
+        member_iters = passes = 0
         if banks:
-            ports = _Ports(banks, A_inv)
+            ports = _Ports(banks, A_inv, systems[0].n_nodes, newton)
             Y0 = X.T.copy()
-            x_dc, conv, _, iters = _newton_lockstep(
-                ports, ports.linearize_dc, Y0, np.zeros_like(Y0),
-                np.ones(len(systems), dtype=bool), systems[0].n_nodes,
-                newton)
+            x_dc, failed, _, member_iters, passes = ports.newton(
+                Y0, np.zeros_like(Y0), np.ones(len(systems), dtype=bool))
             X = x_dc.T.copy()
-            failed = np.flatnonzero(~conv)
             if failed.size:
                 ports.flush()   # the ladder continues from this state
                 for m in failed:
                     X[m] = dcop_ladder(systems[m], newton)
                 get_metrics().inc("batch_fallbacks_total", int(failed.size),
                                   reason="dcop")
-        member_iters = int(iters.sum())
         if member_iters:
             get_metrics().inc("dcop_newton_iters", member_iters)
-        sp.set(members=len(systems), passes=int(iters.max()),
+        sp.set(members=len(systems), passes=passes,
                member_iters=member_iters, fallbacks=int(failed.size))
     return X
 
@@ -441,10 +482,11 @@ def run_transient_batch(circuits, options: TransientOptions,
     its own last step -- and its result is exactly its own serial grid.
 
     A ``transient.batch`` span wraps the whole group (members, step
-    count, lockstep Newton member-iterations, distinct models per bank,
-    nonlinear ports, padded member-steps, or the fallback reason), with
-    the group's ``transient.dcop`` span underneath it; fallback members
-    additionally export their own ``transient.run`` spans underneath it.
+    count, lockstep Newton member-iterations and passes, distinct models
+    per bank, nonlinear ports, padded member-steps, or the fallback
+    reason), with the group's ``transient.dcop`` span underneath it;
+    fallback members additionally export their own ``transient.run``
+    spans underneath it.
     """
     circuits = list(circuits)
     if t_stops is None:
@@ -528,59 +570,74 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     xs = np.empty((n_mem, n_steps + 1, size))
     xs[:, 0] = X
     warnings: list[list[str]] = [[] for _ in range(n_mem)]
-    B = np.empty((n_mem, size, 1))
+    B = np.empty((n_mem, size))
     B_flat = B.reshape(-1)  # the flat view the offset companion groups stamp
     # the system matrix is constant over the run: invert it once per
-    # member, so each step's linear solve is one batched matmul
+    # member, so each step's linear solve is one product
     A_inv = np.linalg.inv(np.stack([np.asarray(s._A_base) for s in systems]))
-    ports = _Ports(banks, A_inv) if banks else None
-    X_prev = X.copy()
-    newton = options.newton
-    newton_iters = 0
+    ports = _Ports(banks, A_inv, n_nodes, options.newton) if banks else None
+    # up to two ports (a macromodel bench) one einsum forms Y0
+    # unknown-major with no BLAS call per member; beyond (the
+    # transistor-level records of model estimation) the product stays
+    # BLAS's batched matmul, whose rounding the estimated models (their
+    # greedy center selection) and the pinned results built on them keep
+    blas = ports is not None and ports.n_ports > 2
+    # the state is unknown-major, (size, N); Xm is its member-major copy
+    # for the companion groups (flat member offsets) and the results
+    Xm = np.empty((n_mem, size))
+    Xm_flat = Xm.reshape(-1)
+    X = X.T.copy()
+    X_prev = X
+    every = np.ones(n_mem, dtype=bool)
+    n_full = int(last_step.min())   # steps on which every member is live
+    newton_iters = passes = 0
     try:
         for k in range(1, n_steps + 1):
             t = float(t_grid[k])
-            src.fill_row(k, B[:, :, 0])
+            src.fill_row(k, B)
             comp.add_rhs(B_flat)
-            Y0 = np.matmul(A_inv, B)[:, :, 0]
-            if ports is None:
-                X_prev, X = X, Y0
+            if blas:
+                Y0 = np.matmul(A_inv, B[:, :, None])[:, :, 0].T
             else:
-                live = last_step >= k
-                guess = 2.0 * X - X_prev if k > 1 else X
-                if not live.all():
-                    guess[~live] = X[~live]     # frozen members stay put
-                Y0 = Y0.T.copy()
-                x_try, conv, dnorm, it = _newton_lockstep(
-                    ports, lambda V, act: ports.linearize(V, t, act), Y0,
-                    guess.T, live, n_nodes, newton)
-                newton_iters += int(it.sum())
-                if not conv.all():
+                Y0 = np.einsum("nij,nj->in", A_inv, B)
+            if ports is None:
+                X = Y0
+            else:
+                if k > 1:
+                    guess = 2.0 * X
+                    guess -= X_prev
+                else:
+                    guess = X.copy()
+                if k > n_full:
+                    live = last_step >= k
+                    guess[:, ~live] = X[:, ~live]   # frozen members stay put
+                else:
+                    live = every
+                x_try, idx, _, it, p = ports.newton(Y0, guess, live, t)
+                newton_iters += it
+                passes += p
+                if idx.size:
                     # retry failed members from the previous accepted
                     # solution, no predictor -- exactly like the serial loop
-                    idx = np.flatnonzero(~conv)
-                    x_re, conv_re, dn_re, it_re = _newton_lockstep(
-                        ports, lambda V, act: ports.linearize(V, t, act, idx),
-                        Y0[:, idx], X[idx].T, np.ones(idx.size, dtype=bool),
-                        n_nodes, newton, idx)
-                    newton_iters += int(it_re.sum())
+                    x_re, failed, last, it, p = ports.newton(
+                        Y0[:, idx], X[:, idx], every[idx], t, idx)
+                    newton_iters += it
+                    passes += p
                     x_try[:, idx] = x_re
-                    dnorm[idx] = dn_re
-                    conv = conv.copy()
-                    conv[idx] = conv_re
-                for m in np.flatnonzero(~conv):
-                    msg = (f"transient Newton failed at t={t:.4g}s "
-                           f"(|delta|={dnorm[m]:.3g})")
-                    if options.strict:
-                        raise ConvergenceError(msg, time=t,
-                                               residual=float(dnorm[m]))
-                    warnings[m].append(msg)
-                X_prev = X
-                X = x_try.T.copy()
-            comp.update(X.reshape(-1))
+                    for j in failed:
+                        dnorm = float(last[:, j].max())
+                        msg = (f"transient Newton failed at t={t:.4g}s "
+                               f"(|delta|={dnorm:.3g})")
+                        if options.strict:
+                            raise ConvergenceError(msg, time=t,
+                                                   residual=dnorm)
+                        warnings[idx[j]].append(msg)
+                X_prev, X = X, x_try
+            np.copyto(Xm, X.T)
+            comp.update(Xm_flat)
             if ports is not None:
                 ports.update(X, t)
-            xs[:, k] = X
+            xs[:, k] = Xm
     finally:
         comp.flush()
         if ports is not None:
@@ -598,6 +655,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     # n_steps x members counts the solver steps the members needed
     sp.set(members=n_mem, size=size, n_steps=member_steps / n_mem,
            fast_path=ports is None, newton_iters=newton_iters,
+           passes=passes,
            models=max((b.n_models for b in banks), default=0),
            ports=0 if ports is None else ports.n_ports,
            padded_steps=padded,

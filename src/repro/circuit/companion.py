@@ -316,9 +316,10 @@ class _CoupledLineGroup:
         self._rows += 1
 
     def flush(self) -> None:
+        """Hand each line its rows of the wave array, a ``(rows, 2n)``
+        view (``_History`` reads rows of either)."""
         for k, el in enumerate(self.els):
-            el._hist._data = [self._hist[r, k].copy()
-                              for r in range(self._rows)]
+            el._hist._data = self._hist[:self._rows, k]
             el._hist._dt = self.dt
 
 
@@ -330,87 +331,94 @@ class _IdealLineGroup:
     As in :class:`_CoupledLineGroup`, the fixed grid makes the delayed
     lookup of element ``e`` at step ``k`` a constant row offset
     ``k - ceil(td/dt)`` plus a constant interpolation fraction, both
-    precomputed; clamp semantics match ``IdealLine._lookup``.
+    precomputed; clamp semantics match ``IdealLine._lookup``.  Both ends
+    of every line travel together as the ``(n_el, 2)`` rows of that
+    array, and every per-line constant is stored at that shape, so a
+    step is a few gathers (``take``) and contiguous ufuncs.
     """
 
     def __init__(self, els: list[IdealLine], dt: float, offsets=None):
         self.els = els
         self.dt = float(dt)
         n_el = len(els)
-        off = _off_array(els, offsets)
-        self.br1 = np.array([el.branches[0] for el in els],
-                            dtype=np.intp) + off
-        self.br2 = np.array([el.branches[1] for el in els],
-                            dtype=np.intp) + off
-        p1 = np.array([el.nodes[0] for el in els], dtype=np.intp)
-        p2 = np.array([el.nodes[1] for el in els], dtype=np.intp)
-        self.m1 = p1 >= 0
-        self.m2 = p2 >= 0
-        self.c1 = np.where(self.m1, p1 + off, 0)
-        self.c2 = np.where(self.m2, p2 + off, 0)
-        self.z0 = np.array([el.z0 for el in els])
+        off = _off_array(els, offsets)[:, None]
+        br = np.array([el.branches for el in els], dtype=np.intp) + off
+        ports = np.array([el.nodes for el in els], dtype=np.intp)
+        self.br = br                               # (n_el, 2): [b1, b2]
+        self.m = (ports >= 0).astype(float)        # 0 at a grounded port
+        self.c = np.where(ports >= 0, ports + off, 0)
+        # each end's Thevenin EMF is the wave launched from the other end
+        self.emf = br[:, ::-1].ravel()
+        self.z0 = np.repeat([[el.z0] for el in els], 2, axis=1)
         d = np.array([el.td for el in els]) / self.dt
         self._koff = np.ceil(d - 1e-12).astype(np.intp)   # rows of delay
-        self._frac = self._koff - d                        # in [0, 1)
+        frac = self._koff - d                              # in [0, 1)
+        self._frac = np.repeat(frac[:, None], 2, axis=1)
         self._one_m_frac = 1.0 - self._frac
         self._koff_max = int(self._koff.max())
         self._interior = int(self._koff.min()) >= 2
         self._e_idx = np.arange(n_el)
+        # index of line e's delayed row among the (n_el, 2) rows of the
+        # flattened history, less nrow * n_el
+        self._flat = self._e_idx - self._koff * n_el
         # row k holds [a1, a2] accepted at t_k; init_state recorded row 0
         self._hist = np.empty((256, n_el, 2))
         self._hist[0, :, 0] = [el._h1[0] for el in els]
         self._hist[0, :, 1] = [el._h2[0] for el in els]
         self._rows = 1
 
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated (a1, a2) of every line at its own delayed time."""
+    def _rows_at(self, k: np.ndarray) -> np.ndarray:
+        """``[a1, a2]`` of line ``e`` at history row ``k[e]`` (n_el, 2)."""
+        n_el = self._e_idx.size
+        return self._hist.reshape(-1, 2).take(k * n_el + self._e_idx,
+                                              axis=0)
+
+    def _lookup(self) -> np.ndarray:
+        """Interpolated ``[a1, a2]`` (n_el, 2) of every line at its own
+        delayed time."""
         H = self._hist
-        e = self._e_idx
         nrow = self._rows
         if nrow == 1:
-            return H[0, e, 0], H[0, e, 1]
-        k_idx = nrow - self._koff
+            return H[0]
         if self._interior and nrow > self._koff_max:
-            a1 = self._one_m_frac * H[k_idx, e, 0] \
-                + self._frac * H[k_idx + 1, e, 0]
-            a2 = self._one_m_frac * H[k_idx, e, 1] \
-                + self._frac * H[k_idx + 1, e, 1]
-            return a1, a2
+            # steady state: every line reads strictly inside the record
+            n_el = self._e_idx.size
+            rows = H.reshape(-1, 2)
+            at = self._flat + nrow * n_el
+            return self._one_m_frac * rows.take(at, axis=0) \
+                + self._frac * rows.take(at + n_el, axis=0)
+        k_idx = nrow - self._koff
         kc = np.clip(k_idx, 0, nrow - 2)
-        frac = self._frac
-        a1 = (1.0 - frac) * H[kc, e, 0] + frac * H[kc + 1, e, 0]
-        a2 = (1.0 - frac) * H[kc, e, 1] + frac * H[kc + 1, e, 1]
+        a = self._one_m_frac * self._rows_at(kc) \
+            + self._frac * self._rows_at(kc + 1)
         low = k_idx < 0           # t_delayed <= 0: wave not yet arrived
         high = k_idx >= nrow - 1  # beyond the newest recorded row
         if low.any():
-            a1 = np.where(low, H[0, e, 0], a1)
-            a2 = np.where(low, H[0, e, 1], a2)
+            a = np.where(low[:, None], H[0], a)
         if high.any():
-            a1 = np.where(high, H[nrow - 1, e, 0], a1)
-            a2 = np.where(high, H[nrow - 1, e, 1], a2)
-        return a1, a2
+            a = np.where(high[:, None], H[nrow - 1], a)
+        return a
 
     def add_rhs(self, rhs: np.ndarray) -> None:
-        a1, a2 = self._lookup()
-        # each end's Thevenin EMF is the wave launched from the other end
-        rhs[self.br1] += a2
-        rhs[self.br2] += a1
+        rhs[self.emf] += self._lookup().ravel()
 
     def update(self, x: np.ndarray) -> None:
-        a1 = x[self.c1] * self.m1 + self.z0 * x[self.br1]
-        a2 = x[self.c2] * self.m2 + self.z0 * x[self.br2]
         if self._rows == self._hist.shape[0]:
             grown = np.empty((2 * self._rows,) + self._hist.shape[1:])
             grown[:self._rows] = self._hist
             self._hist = grown
-        self._hist[self._rows, :, 0] = a1
-        self._hist[self._rows, :, 1] = a2
+        row = self._hist[self._rows]
+        np.multiply(x.take(self.c), self.m, out=row)
+        row += self.z0 * x.take(self.br)
         self._rows += 1
 
     def flush(self) -> None:
+        """Hand each line its columns of the wave array as ``(rows,)``
+        views, not lists: the lookup reads either, and a long run's
+        lists would be millions of Python floats."""
         for k, el in enumerate(self.els):
-            el._h1 = self._hist[:self._rows, k, 0].tolist()
-            el._h2 = self._hist[:self._rows, k, 1].tolist()
+            el._h1 = self._hist[:self._rows, k, 0]
+            el._h2 = self._hist[:self._rows, k, 1]
             if self._rows > 1:
                 el._hist_dt = self.dt
 

@@ -30,7 +30,11 @@ __all__ = ["IdealLine", "CoupledIdealLine", "modal_decomposition"]
 
 
 class _History:
-    """Uniformly sampled history of a delayed quantity with interpolation."""
+    """Uniformly sampled history of a delayed quantity with interpolation.
+
+    ``_data`` is a list of rows, or after a batched run a ``(rows, 2n)``
+    array view that ``lookup`` reads alike; ``reset`` starts a list.
+    """
 
     def __init__(self):
         self._data: list[np.ndarray] = []
@@ -100,7 +104,9 @@ class IdealLine(Element):
         self.z0 = float(z0)
         self.td = float(td)
         # incident waves a = v + z0*i per port, as plain float lists: the
-        # per-step lookup/append stays free of numpy scalar dispatch
+        # per-step lookup/append stays free of numpy scalar dispatch (a
+        # batched run hands back array views; init_state starts the next
+        # run on lists again)
         self._h1: list[float] = []
         self._h2: list[float] = []
         self._hist_dt = 0.0
@@ -165,7 +171,7 @@ class IdealLine(Element):
         st.add_A(b2, b2, 1.0)
 
     def stamp_rhs(self, st, t):
-        if not self._h1:
+        if len(self._h1) == 0:
             return  # DC analysis before init_state: stamp_dc rules apply
         t_delayed = t - self.td
         st.add_b(self.branches[0], self._lookup(self._h2, t_delayed))
@@ -268,7 +274,7 @@ class CoupledIdealLine(Element):
                 f"{float(np.min(self.td)):g}s; refine dt or add more sections")
 
     def stamp_rhs(self, st, t):
-        if not self._hist._data:
+        if len(self._hist._data) == 0:
             return  # DC analysis before init_state: stamp_dc rules apply
         for m in range(self.n):
             a = self._hist.lookup(t - self.td[m])

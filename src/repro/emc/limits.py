@@ -43,7 +43,7 @@ from ..errors import ExperimentError
 from .spectrum import Spectrum
 
 __all__ = ["LimitSegment", "LimitMask", "ComplianceVerdict", "MASKS",
-           "get_mask", "register_mask"]
+           "get_mask", "register_mask", "worst_verdict"]
 
 #: mask unit -> the Spectrum.unit it is allowed to score
 _UNIT_TO_QUANTITY = {"dBuV": "V", "dBuA": "A", "dBuV/m": "V/m"}
@@ -121,6 +121,13 @@ class ComplianceVerdict:
                    limit_db=float(d["limit_db"]),
                    n_over=int(d["n_over"]), n_checked=int(d["n_checked"]),
                    detector=str(d.get("detector", "peak")))
+
+
+def worst_verdict(verdicts) -> ComplianceVerdict | None:
+    """The verdict with the least margin among ``verdicts`` (the first
+    one on ties), or None when there is none: a scenario's combined
+    verdict over its per-check verdicts."""
+    return min(verdicts, key=lambda vd: vd.margin_db, default=None)
 
 
 @dataclass(frozen=True)

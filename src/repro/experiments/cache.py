@@ -56,8 +56,10 @@ __all__ = ["driver_model", "receiver_model", "cv_receiver_model",
 #: detector-weighted spectra (``detector`` tag per spectrum) and the
 #: per-check ``verdicts_by`` map, v4 switched ``Scenario.key()`` to the
 #: canonical JSON rendering of the declarative study form
-#: (:mod:`repro.studies`), so tuple-keyed v3 entries are never revisited)
-CACHE_VERSION = 4
+#: (:mod:`repro.studies`), so tuple-keyed v3 entries are never revisited,
+#: v5 dropped the combined ``verdict``, which readers derive from
+#: ``verdicts_by``)
+CACHE_VERSION = 5
 
 _cache: dict = {}
 
@@ -192,9 +194,11 @@ class SweepDiskCache:
     (name -> 1-D float array), ``metrics`` (JSON-able dict), ``warnings``
     (list of strings) and optionally ``spectra`` (name ->
     :class:`~repro.emc.spectrum.Spectrum`, detector tag included) plus
-    ``verdict`` / ``verdicts_by`` (JSON-able
-    :class:`~repro.emc.limits.ComplianceVerdict` dicts, the latter keyed
-    per detector / radiated check).  The
+    ``verdicts_by`` (JSON-able
+    :class:`~repro.emc.limits.ComplianceVerdict` dicts keyed per detector
+    / radiated check).  The combined verdict is not stored: it is the
+    entry with the least margin (:func:`~repro.emc.limits.worst_verdict`),
+    so readers derive it.  The
     entry digest folds in ``version`` (default :data:`CACHE_VERSION`), so
     a payload-schema change never reinterprets old entries.  Safe for
     concurrent writers: entries are written atomically (temp file +
@@ -267,7 +271,6 @@ class SweepDiskCache:
             "warnings": list(payload.get("warnings") or []),
             "probe_names": sorted(probes),
             "spectra": spectra_meta,
-            "verdict": payload.get("verdict"),
             "verdicts_by": payload.get("verdicts_by") or {},
             "version": self.version,
             "arrays": [[name, b.size] for name, b in zip(arrays, blocks)],
@@ -331,6 +334,5 @@ def _decode(raw: bytes) -> dict:
         "metrics": meta["metrics"],
         "warnings": list(meta["warnings"]),
         "spectra": spectra,
-        "verdict": meta.get("verdict"),
         "verdicts_by": meta.get("verdicts_by") or {},
     }

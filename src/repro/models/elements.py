@@ -388,6 +388,10 @@ class _DriverBank(NodeBank):
     (``sub_high`` for initial state "1", else ``sub_low``) evaluates
     through a second :class:`~repro.models.rbf.StackedRBF`, with the
     element's damped DC current ``i_dc`` as one ``(N,)`` vector.
+
+    A transient step looks its switching weights up once, on its first
+    pass; accepting it shifts the histories and rewrites their terms in
+    place, in buffers made once per bank.
     """
 
     def __init__(self, els: list[PWRBFDriverElement]):
@@ -419,6 +423,7 @@ class _DriverBank(NodeBank):
         self._last_i = np.array([getattr(el, "_last_i", 0.0)
                                  for el in self.els])
         self._terms = self.rbf.history(self.H)
+        self._t = None      # the time of the weights in self._w
 
     def _static_history(self, v: np.ndarray, i: np.ndarray) -> np.ndarray:
         """History columns ``(2r, N)`` of the static regressor
@@ -471,9 +476,13 @@ class _DriverBank(NodeBank):
 
     def _weights(self, t: float) -> np.ndarray:
         """``(2, N)`` high/low weights at the step of time ``t``, indexed
-        like the element: ``round(t / ts)`` clamped to the timeline."""
-        k = int(round(t / self.ts))
-        return self.W[min(max(k, 0), self.W.shape[0] - 1)]
+        like the element: ``round(t / ts)`` clamped to the timeline;
+        looked up on a step's first call, kept for the others."""
+        if t != self._t:
+            k = int(round(t / self.ts))
+            self._w = self.W[min(max(k, 0), self.W.shape[0] - 1)]
+            self._t = t
+        return self._w
 
     def eval(self, V: np.ndarray, t: float, idx=None
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -496,9 +505,11 @@ class _DriverBank(NodeBank):
         r = self.order
         if r:
             H = self.H
-            self.H = np.concatenate([V[None], H[:r - 1], i[None],
-                                     H[r:-1]])
-            self._terms = self.rbf.history(self.H)
+            H[1:r] = H[:r - 1]
+            H[0] = V
+            H[r + 1:] = H[r:-1]
+            H[r] = i
+            self.rbf.history(H, out=self._terms)
         self._last_i = i
 
     def flush(self) -> None:
@@ -520,8 +531,8 @@ class _ReceiverBank(NodeBank):
     a Newton pass adds ``b_0 v(k)``; the up/down NFIR submodels
     (padded to one regressor dimension, see :func:`_padded`) evaluate
     through one history-split :class:`~repro.models.rbf.StackedRBF`.
-    Histories are ``(r, N)`` arrays; ``flush`` writes them back onto the
-    elements.
+    Histories are ``(r, N)`` arrays, shifted in place on every accepted
+    step; ``flush`` writes them back onto the elements.
     """
 
     #: the DC base matrix holds the elements' nominal port conductance
@@ -563,13 +574,14 @@ class _ReceiverBank(NodeBank):
                                  for el in self.els])
         self._terms = self._history()
 
-    def _history(self):
-        """``(D, A, lin)``: the NFIR history terms and the ARX part's
-        history sum of the step in progress."""
+    def _history(self, out=None):
+        """``(D, A, lin)``: the NFIR history terms (written into ``out``,
+        the present ``(D, A)``, when given) and the ARX part's history
+        sum of the step in progress."""
         r = self.r_lin
         lin = self.c + (self.b_h * self.Hv[:r]).sum(axis=0) \
             - (self.a * self.Hl[:r]).sum(axis=0)
-        return (*self.rbf.history(self.Hv[:self.r_nfir]), lin)
+        return (*self.rbf.history(self.Hv[:self.r_nfir], out), lin)
 
     def eval(self, V: np.ndarray, t: float, idx=None
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -594,10 +606,13 @@ class _ReceiverBank(NodeBank):
         D, A, lin = self._terms
         i_lin = lin + self.b0 * V
         f = self.rbf.eval(V, D, A, grad=False)
-        self.Hv = np.concatenate([V[None], self.Hv[:-1]])
-        self.Hl = np.concatenate([i_lin[None], self.Hl[:-1]])
+        Hv, Hl = self.Hv, self.Hl
+        Hv[1:] = Hv[:-1]
+        Hv[:1] = V
+        Hl[1:] = Hl[:-1]
+        Hl[:1] = i_lin
         self._last_i = i_lin + f.sum(axis=0)
-        self._terms = self._history()
+        self._terms = self._history((D, A))
 
     def flush(self) -> None:
         """Write bank state back onto the owning elements."""

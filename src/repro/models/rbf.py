@@ -282,38 +282,46 @@ class StackedRBF:
                 sigma2[s, j] = m.sigma ** 2
                 bias[s, j] = m.bias
         mean, scale, lo, hi, affine = box
-        # present-voltage column, shaped to broadcast on (S, N) / (S, M, N)
-        self.lo0, self.hi0 = lo[:, 0], hi[:, 0]
-        self.mean0, self.scale0 = mean[:, 0], scale[:, 0]
-        self.a0 = affine[:, 0]
-        self.c0 = centers[:, :, 0]
+        # every parameter is a contiguous array of the shape it meets in
+        # the arithmetic: numpy then runs its contiguous inner loops
+        c = np.ascontiguousarray
+        # present-voltage column, shaped as (S, N) / (S, M, N)
+        self.lo0, self.hi0 = c(lo[:, 0]), c(hi[:, 0])
+        self.mean0, self.scale0 = c(mean[:, 0]), c(scale[:, 0])
+        self.a0 = c(affine[:, 0])
+        self.c0 = c(centers[:, :, 0])
         self.w = weights
-        self.neg_inv_two_sigma2 = (-0.5 / sigma2)[:, None]
+        self.neg_inv_two_sigma2 = c(np.broadcast_to(
+            (-0.5 / sigma2)[:, None], weights.shape))
         self.neg_inv_sigma2 = -1.0 / sigma2
         # history columns, shaped to broadcast on (S, dim - 1, [M,] N)
-        self.lo_h, self.hi_h = lo[:, 1:], hi[:, 1:]
-        self.mean_h, self.scale_h = mean[:, 1:], scale[:, 1:]
-        self.c_h = centers[:, :, 1:].transpose(0, 2, 1, 3).copy()
-        self.a_h = affine[:, 1:]
+        self.lo_h, self.hi_h = c(lo[:, 1:]), c(hi[:, 1:])
+        self.mean_h, self.scale_h = c(mean[:, 1:]), c(scale[:, 1:])
+        self.c_h = c(centers[:, :, 1:].transpose(0, 2, 1, 3))
+        self.a_h = c(affine[:, 1:])
         self.bias = bias
 
-    def history(self, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def history(self, H: np.ndarray, out=None
+                ) -> tuple[np.ndarray, np.ndarray]:
         """Per-step terms of the raw history columns ``H`` (dim - 1, N).
 
         Returns ``(D, A)``: ``D`` (S, M, N) is the squared scaled distance
         of each member's history to every center, ``A`` (S, N) the
         history's affine part plus the bias.  Slices of both on the last
-        axis are the terms of the matching member subset.
+        axis are the terms of the matching member subset.  ``out``, a
+        ``(D, A)`` pair of those shapes, receives the terms in place (a
+        bank rewriting its terms on every accepted step).
         """
+        D, A = (None, None) if out is None else out
         Z = np.maximum(H, self.lo_h)
         np.minimum(Z, self.hi_h, out=Z)
         Z -= self.mean_h
         Z /= self.scale_h
         diff = Z[:, :, None, :] - self.c_h
         diff *= diff
-        A = np.add.reduce(self.a_h * Z, axis=1)
+        A = np.add.reduce(self.a_h * Z, axis=1, out=A)
         A += self.bias
-        return np.add.reduce(diff, axis=1), A
+        return np.add.reduce(diff, axis=1, out=D), A
 
     def eval(self, V: np.ndarray, D: np.ndarray, A: np.ndarray,
              idx=None, grad: bool = True):

@@ -40,7 +40,8 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from ..emc.detectors import CISPR_BANDS, pulse_weight
-from ..emc.limits import ComplianceVerdict, LimitMask, get_mask
+from ..emc.limits import (ComplianceVerdict, LimitMask, get_mask,
+                          worst_verdict)
 from ..errors import ExperimentError
 from ..experiments import cache
 from ..models import PWRBFDriverModel
@@ -330,19 +331,16 @@ class ScenarioRunner:
         if hit is None and self._disk is not None:
             payload = self._disk.get(self._disk_key(sc, key))
             if payload is not None:
-                verdict = payload.get("verdict")
+                verdicts_by = {k: ComplianceVerdict.from_dict(d)
+                               for k, d in payload["verdicts_by"].items()}
                 hit = ScenarioOutcome(
                     scenario=sc, t=payload["t"], v_port=payload["v_port"],
                     metrics=payload["metrics"],
                     warnings=payload["warnings"],
                     elapsed_s=0.0, probes=payload["probes"],
-                    spectra=payload.get("spectra") or {},
-                    verdict=ComplianceVerdict.from_dict(verdict)
-                    if verdict else None,
-                    verdicts_by={
-                        k: ComplianceVerdict.from_dict(d)
-                        for k, d in
-                        (payload.get("verdicts_by") or {}).items()})
+                    spectra=payload["spectra"],
+                    verdict=worst_verdict(verdicts_by.values()),
+                    verdicts_by=verdicts_by)
                 self._result_cache[key] = hit
         return hit
 
@@ -466,8 +464,6 @@ class ScenarioRunner:
                             "warnings": out.warnings,
                             "probes": out.probes,
                             "spectra": out.spectra,
-                            "verdict": out.verdict.to_dict()
-                            if out.verdict is not None else None,
                             "verdicts_by": {
                                 k: v.to_dict()
                                 for k, v in out.verdicts_by.items()},

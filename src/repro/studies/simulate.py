@@ -20,6 +20,7 @@ import numpy as np
 from ..circuit import (Circuit, CurrentProbe, TransientOptions,
                        run_transient_batch)
 from ..emc.detectors import apply_detector
+from ..emc.limits import worst_verdict
 from ..emc.metrics import threshold_crossings
 from ..emc.radiated import radiated_spectrum
 from ..emc.spectrum import amplitude_spectrum
@@ -173,9 +174,7 @@ def _finish_outcome(sc: Scenario, model: PWRBFDriverModel, res, obs: str,
                 spectra[e_key] = e_spec
                 if rmask is not None:
                     verdicts_by[f"rad:{det}"] = rmask.check(e_spec)
-        if verdicts_by:
-            verdict = min(verdicts_by.values(),
-                          key=lambda vd: vd.margin_db)
+        verdict = worst_verdict(verdicts_by.values())
     return ScenarioOutcome(
         scenario=sc, t=res.t, v_port=v,
         metrics=_emc_metrics(res.t, v, model.vdd, sc, probes,

@@ -359,6 +359,43 @@ class TestMixedGroups:
             ref = run_transient(bench(r)[0], opts)
             np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
 
+    def test_retries_with_and_without_frozen_members(self, md2_corners,
+                                                     monkeypatch):
+        """A small Newton budget forces retries both on steps where every
+        member is live (passes assign the new iterate outright) and on
+        steps where the short pattern's members have already ended
+        (passes copy into the live members only); every member still
+        matches serial, and the span counts the lockstep passes."""
+        from repro.circuit.batch import _Ports
+        calls = []
+        original = _Ports.newton
+
+        def spy(ports, Y0, X, active, t=None, idx=None):
+            out = original(ports, Y0, X, active, t, idx)
+            calls.append((t, idx is not None, bool(np.all(active)),
+                          out[4]))
+            return out
+
+        monkeypatch.setattr(_Ports, "newton", spy)
+        opts = self.opts(md2_corners["typ"], ic="zero",
+                         newton=NewtonOptions(max_iter=2))
+        tracer = Tracer(collect=True)
+        set_tracer(tracer)
+        try:
+            res = self.run_both(md2_corners, "line", opts)
+        finally:
+            set_tracer(None)
+        assert len({len(r.t) for r in res}) == 2
+        # a retry's step: was every member live on its first call?
+        first_all_live = [calls[i - 1][2]
+                          for i, c in enumerate(calls) if c[1]]
+        assert True in first_all_live and False in first_all_live
+        [span] = [sp for sp in tracer.finished
+                  if sp.name == "transient.batch"]
+        passes = sum(c[3] for c in calls if c[0] is not None)
+        assert span.attrs["passes"] == passes
+        assert 0 < passes < span.attrs["newton_iters"]
+
     def test_strict_ignores_frozen_members(self, md2_corners, monkeypatch):
         """A frozen member's padded steps run no Newton: poisoning its
         driver current past its own stop time raises nothing."""
@@ -386,6 +423,62 @@ class TestMixedGroups:
         res = self.run_both(md2_corners, "line",
                             self.opts(md2_corners["typ"], strict=True))
         assert len({len(r.t) for r in res}) == 2
+
+
+class TestLineHistoryHandBack:
+    """A batched run hands every line its wave history as an array view
+    of the group's history, not as Python lists; it holds the serial
+    run's values, and a serial re-run of the same circuit starts over
+    and gives the serial result."""
+
+    L = np.array([[300e-9, 60e-9], [60e-9, 300e-9]])
+    C = np.array([[100e-12, -5e-12], [-5e-12, 100e-12]])
+
+    def coupled_bench(self, r):
+        ckt = Circuit("coupled-bench")
+        ckt.add(VoltageSource("vs", "in", "0",
+                              Pulse(v1=0.0, v2=2.5, delay=0.1e-9,
+                                    rise=0.15e-9, width=1.5e-9)))
+        ckt.add(Resistor("rs", "in", "out", 25.0))
+        ckt.add(CoupledIdealLine("tc", ["out", "vne"], ["afe", "vfe"],
+                                 self.L, self.C, 0.1))
+        for name, node in (("ra", "afe"), ("rn", "vne"), ("rf", "vfe")):
+            ckt.add(Resistor(name, node, "0", r))
+        return ckt
+
+    @staticmethod
+    def histories(ckt):
+        if "tl" in ckt:
+            el = ckt["tl"]
+            return [el._h1, el._h2]
+        return [ckt["tc"]._hist._data]
+
+    @pytest.mark.parametrize("kind", ["line", "coupled"])
+    def test_histories_match_serial_and_rerun(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "line":
+            params = random_params("line", rng, 3)
+            build = [lambda p=p: linear_bench(*p) for p in params]
+        else:
+            build = [lambda r=r: self.coupled_bench(r)
+                     for r in (40.0, 75.0, 200.0)]
+        circuits = [b() for b in build]
+        batched = run_transient_batch(circuits, OPTS)
+        for make, ckt, res in zip(build, circuits, batched):
+            assert res.batched
+            ref_ckt = make()
+            ref = run_transient(ref_ckt, OPTS)
+            for got, want in zip(self.histories(ckt),
+                                 self.histories(ref_ckt)):
+                assert isinstance(got, np.ndarray)
+                np.testing.assert_allclose(got, np.array(want),
+                                           rtol=TOL, atol=TOL)
+            again = run_transient(ckt, OPTS)
+            np.testing.assert_allclose(again.x, ref.x, rtol=TOL, atol=TOL)
+            for got, want in zip(self.histories(ckt),
+                                 self.histories(ref_ckt)):
+                np.testing.assert_allclose(np.array(got), np.array(want),
+                                           rtol=TOL, atol=TOL)
 
 
 class TestBatchedOperatingPoint:

@@ -2,7 +2,8 @@
 
 * ``put`` then ``get`` returns every array bit for bit (NaN payloads,
   signed zeros, infinities, empty arrays) and every JSON field as
-  written.
+  written; the combined verdict is not stored, a warm hit derives it
+  from its per-check verdicts.
 * A truncated or otherwise corrupt entry is a miss that unlinks the
   file -- never an exception.
 * Disk hits hand out read-only views into the entry's bytes; the runner
@@ -47,8 +48,8 @@ def _assert_round_trip(payload, back) -> None:
         assert got.meta == spec.meta
     assert back["metrics"] == payload["metrics"]
     assert back["warnings"] == payload["warnings"]
-    assert back["verdict"] == payload["verdict"]
     assert back["verdicts_by"] == payload["verdicts_by"]
+    assert "verdict" not in back
 
 
 # -- strategies -------------------------------------------------------------
@@ -93,9 +94,6 @@ _payloads = st.fixed_dictionaries({
     "metrics": st.dictionaries(st.text(max_size=8),
                                st.floats(allow_nan=False), max_size=4),
     "warnings": st.lists(st.text(max_size=12), max_size=3),
-    "verdict": st.one_of(st.none(),
-                         st.dictionaries(st.text(max_size=6), _json,
-                                         min_size=1, max_size=3)),
     "verdicts_by": st.dictionaries(st.text(max_size=6),
                                    st.dictionaries(st.text(max_size=6),
                                                    _json, max_size=3),
@@ -114,7 +112,6 @@ def _one_entry(tmp_path):
                                      detector="quasi-peak",
                                      meta={"n_fft": np.int64(2)})},
         "metrics": {"v_max": 3.3}, "warnings": ["über-shoot ⚠"],
-        "verdict": {"passed": False, "worst_margin_db": -1.5},
         "verdicts_by": {"peak": {"passed": True}},
     }
     return cache, payload
@@ -248,3 +245,39 @@ class TestPrivateHits:
             assert _same_array(again.v_port, ref.v_port)
             for name, spec in ref.spectra.items():
                 assert _same_array(again.spectra[name].mag, spec.mag)
+
+
+class TestVerdicts:
+    def test_warm_hit_derives_its_verdict(self, md2_model, tmp_path):
+        """An entry stores the per-check verdicts only; a warm hit's
+        combined verdict is its least-margin entry, and the warm study
+        reads exactly as the cold one."""
+        models = {("MD2", "typ"): md2_model}
+        study = Study(patterns=("0110", "0011"),
+                      loads=(LoadSpec(kind="r", r=50.0),
+                             LoadSpec(kind="rc", r=75.0, c=5e-12)),
+                      spectral=SpectralSpec(
+                          mask="board-b", detectors=("quasi-peak", "peak"),
+                          prf=1e3))
+        cold = study.run(runner=ScenarioRunner(
+            models=models, n_workers=1, disk_cache=tmp_path))
+        warm = study.run(runner=ScenarioRunner(
+            models=models, n_workers=1, disk_cache=tmp_path))
+        assert warm.n_cache_hits == len(study)
+        for c, w in zip(cold, warm):
+            assert set(w.verdicts_by) == {"peak", "quasi-peak"}
+            # quasi-peak relief at a 1 kHz repetition rate: the two
+            # checks' margins differ, and the first check stored is not
+            # the binding one
+            margins = [v.margin_db for v in w.verdicts_by.values()]
+            assert margins[0] > margins[1]
+            worst = min(w.verdicts_by.values(), key=lambda v: v.margin_db)
+            assert w.verdict is worst
+            assert w.verdict == c.verdict
+        assert warm.csv_text() == cold.csv_text()
+        for path in tmp_path.glob(f"*{SweepDiskCache.suffix}"):
+            raw = path.read_bytes()
+            header = json.loads(raw[8:8 + int.from_bytes(raw[4:8],
+                                                         "little")])
+            assert "verdict" not in header
+            assert set(header["verdicts_by"]) == {"peak", "quasi-peak"}

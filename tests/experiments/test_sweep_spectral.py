@@ -331,8 +331,10 @@ class TestSpectralCacheKeys:
         payload = SweepDiskCache(tmp_path / "c").get(
             runner._disk_key(grid[0]))
         assert payload is not None
-        assert payload["verdict"]["mask"] == "board-b"
-        assert payload["verdict"]["passed"] == out.verdict.passed
+        assert "verdict" not in payload
+        assert payload["verdicts_by"]["peak"]["mask"] == "board-b"
+        assert payload["verdicts_by"]["peak"]["passed"] \
+            == out.verdict.passed
         assert "v_port" in payload["spectra"]
 
 
