@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..copy_on_read import CopyOnRead
 from ..errors import ExperimentError
 
 __all__ = ["Spectrum", "Spectrogram", "resample_uniform",
@@ -71,7 +72,7 @@ to_dbua = to_db_micro
 
 
 @dataclass
-class Spectrum:
+class Spectrum(CopyOnRead):
     """One-sided spectrum of a real waveform.
 
     ``mag`` is linear: peak amplitude per bin (``kind="amplitude"``, unit
@@ -91,6 +92,9 @@ class Spectrum:
     label: str = ""
     detector: str = "peak"
     meta: dict = field(default_factory=dict)
+
+    #: a cache hit's clone copies its arrays on first read
+    _COPY_ON_READ = {"f": np.copy, "mag": np.copy}
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..copy_on_read import CopyOnRead
 from ..emc.limits import ComplianceVerdict
 from ..emc.spectrum import Spectrum, peak_hold
 from ..errors import ExperimentError
@@ -29,7 +30,7 @@ __all__ = ["ScenarioOutcome", "SweepResult", "StudyResult"]
 
 
 @dataclass
-class ScenarioOutcome:
+class ScenarioOutcome(CopyOnRead):
     """Waveform + EMC summary of one simulated scenario.
 
     ``probes`` carries named extra waveforms sampled on the same time grid
@@ -59,6 +60,15 @@ class ScenarioOutcome:
     spectra: dict = field(default_factory=dict)
     verdict: ComplianceVerdict | None = None
     verdicts_by: dict = field(default_factory=dict)
+
+    #: a cache hit's clone copies these on first read (each spectrum
+    #: again defers its own arrays)
+    _COPY_ON_READ = {
+        "t": np.copy, "v_port": np.copy,
+        "probes": lambda probes: {k: v.copy() for k, v in probes.items()},
+        "spectra": lambda spectra: {
+            k: s.clone_on_read(meta=dict(s.meta))
+            for k, s in spectra.items()}}
 
     @property
     def ok(self) -> bool:
@@ -94,6 +104,18 @@ class ScenarioOutcome:
             verdicts_by=dict(self.verdicts_by))
         fields.update(overrides)
         return replace(self, **fields)
+
+    def copy_on_read(self, **overrides) -> "ScenarioOutcome":
+        """Like :meth:`copy_data`, but the arrays (``t``, ``v_port``,
+        ``probes``, each spectrum's ``f``/``mag``) are copied the first
+        time they are read, so a clone nobody reads costs no array
+        copies.  Only for an outcome that never changes afterwards: a
+        result cache's entry."""
+        fields = dict(metrics=dict(self.metrics or {}),
+                      warnings=list(self.warnings),
+                      verdicts_by=dict(self.verdicts_by))
+        fields.update(overrides)
+        return self.clone_on_read(**fields)
 
 
 class SweepResult:

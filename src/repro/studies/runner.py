@@ -408,11 +408,12 @@ class ScenarioRunner:
                     error=f"{type(exc).__name__}: {exc}")
                 continue
             if hit is not None:
-                # fresh containers per hit: the cache must not alias arrays
-                # a caller may mutate, and the requesting scenario carries
-                # the label (key() ignores `name`)
-                outcomes[idx] = hit.copy_data(scenario=sc, cache_hit=True,
-                                              elapsed_s=0.0)
+                # fresh containers per hit, arrays copied on first read:
+                # the cache must not alias arrays a caller may mutate, and
+                # the requesting scenario carries the label (key() ignores
+                # `name`)
+                outcomes[idx] = hit.copy_on_read(scenario=sc, cache_hit=True,
+                                                 elapsed_s=0.0)
                 cache_hits += 1
             else:
                 pending.append((idx, sc))
