@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import (Capacitor, Circuit, IdealLine, MNASystem,
-                           Resistor, TransientOptions, VoltageSource,
-                           run_transient)
+                           NonlinearCurrentSource, Resistor,
+                           TransientOptions, VoltageSource, run_transient)
 from repro.circuit.waveforms import Pulse
 from repro.devices import MD2, build_driver
 from repro.models import OLSOptions, fit_rbf_ols
@@ -127,11 +127,14 @@ def test_rlgc_coupled_ladder_transient(benchmark):
 
 @pytest.mark.benchmark(group="engine")
 def test_linear_ladder_newton_path(benchmark):
-    """Same bench with the linear fast path disabled: the price of Newton."""
+    """Same bench plus a zero-current nonlinear source, which sends it down
+    the Newton path: the price of Newton."""
     def run():
-        return run_transient(ladder_circuit(),
-                             TransientOptions(dt=25e-12, t_stop=5e-9,
-                                              fast_path=False))
+        ckt = ladder_circuit()
+        ckt.add(NonlinearCurrentSource("gzero", "n40", "0", ["n40"],
+                                       lambda vs, t: 0.0,
+                                       lambda vs, t: [0.0]))
+        return run_transient(ckt, TransientOptions(dt=25e-12, t_stop=5e-9))
     res = benchmark.pedantic(run, rounds=3, iterations=1)
     assert not res.fast_path
     assert res.v("n40").max() > 0.2

@@ -35,17 +35,16 @@ per time step with a leading "scenario" array axis:
   operating point itself, see :func:`_operating_points`).
 
 Eligibility is conservative: members must share a structural signature
-(:func:`batch_signature`), store densely, use the vector-group/fast-path
-options, contain only group-able history elements, and have nonlinear
-elements only of classes that provide a working ``batch_bank``.
+(:func:`batch_signature`), store densely, and have nonlinear elements only
+of classes that provide a working ``batch_bank``.
 Anything else falls back to per-member
 :func:`~repro.circuit.transient.run_transient` -- the fallback *is* the
 nonlinear-straggler path, so :func:`run_transient_batch` always returns
 valid results.
 
-Like ``run_transient``, the batch runner should be handed freshly built
-circuits: element state (histories, DC fixed points) is consumed and
-rewritten by the analysis.
+Line waves live only in a run's companion groups, so a linear circuit may
+be solved again after a batched (or serial) run -- at DC or transient --
+and gets a fresh circuit's result.
 """
 
 from __future__ import annotations
@@ -58,21 +57,13 @@ from ..errors import CircuitError, ConvergenceError
 from ..obs import get_metrics, get_tracer
 from .companion import build_companion_groups
 from .elements.bank import index_of, pick, scatter
-from .elements.rlc import (CapacitanceMatrix, Capacitor, CoupledInductors,
-                           Inductor)
-from .elements.tline import CoupledIdealLine, IdealLine
 from .dcop import dcop_ladder, solve_dcop
 from .mna import DENSE_LIMIT, MNASystem, StackedSourceTable
-from .netlist import Circuit, Element
+from .netlist import Circuit
 from .transient import (TransientOptions, TransientResult, _initial_solution,
                         run_transient)
 
 __all__ = ["batch_signature", "run_transient_batch"]
-
-#: exact element types the companion layer can group (see
-#: :func:`repro.circuit.companion.build_companion_groups`)
-_GROUPED_TYPES = (Capacitor, Inductor, CoupledInductors, CapacitanceMatrix,
-                  IdealLine, CoupledIdealLine)
 
 
 def batch_signature(circuit: Circuit) -> tuple:
@@ -91,16 +82,13 @@ def batch_signature(circuit: Circuit) -> tuple:
     return tuple(parts)
 
 
-def _ineligible_reason(circuits: list, options: TransientOptions
-                       ) -> str | None:
+def _ineligible_reason(circuits: list) -> str | None:
     """Why this group cannot take the batched path (None when it can).
 
     All checks are type/structure level so they run *before* any element
     state is touched; a group rejected here falls back to per-member
     ``run_transient`` with virgin elements.
     """
-    if not options.fast_path or not options.vector_groups:
-        return "fast_path/vector_groups disabled"
     sig0 = batch_signature(circuits[0])
     if any(batch_signature(c) != sig0 for c in circuits[1:]):
         return "structural signatures differ"
@@ -109,17 +97,8 @@ def _ineligible_reason(circuits: list, options: TransientOptions
     if size > DENSE_LIMIT:
         return "system too large for dense storage"
     for el in c0.elements:
-        if el.nonlinear:
-            if getattr(type(el), "batch_bank", None) is None:
-                return f"{type(el).__qualname__} provides no batch_bank"
-            continue
-        overrides_rhs = type(el).stamp_rhs is not Element.stamp_rhs
-        tabled = type(el).stamp_rhs_table is not Element.stamp_rhs_table
-        overrides_upd = type(el).update_state is not Element.update_state
-        if (overrides_rhs and not tabled) or overrides_upd:
-            if type(el) not in _GROUPED_TYPES:
-                return (f"{type(el).__qualname__} is neither group-able "
-                        "nor bank-able")
+        if el.nonlinear and getattr(type(el), "batch_bank", None) is None:
+            return f"{type(el).__qualname__} provides no batch_bank"
     return None
 
 
@@ -469,8 +448,8 @@ def run_transient_batch(circuits, options: TransientOptions,
     Returns one :class:`~repro.circuit.transient.TransientResult` per input
     circuit, in order.  Results carry ``batched=True`` when the group
     actually advanced through the batched backend; ineligible groups (mixed
-    topologies, nonlinear elements without a bank, sparse-path sizes, the
-    fast path disabled) silently fall back to per-member
+    topologies, nonlinear elements without a bank, sparse-path sizes)
+    silently fall back to per-member
     :func:`~repro.circuit.transient.run_transient`, whose results are
     equivalent (``batched=False``).  ``options`` applies to every member,
     exactly as it would serially.
@@ -513,7 +492,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     if not circuits:
         return []
     reason = ("single member" if len(circuits) == 1
-              else _ineligible_reason(circuits, options))
+              else _ineligible_reason(circuits))
     if reason:
         return _fallback(circuits, options, t_stops, sp, reason)
     if options.dt <= 0.0 or min(t_stops) <= options.dt:
@@ -557,15 +536,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     offsets = {id(el): m * size
                for m, c in enumerate(circuits) for el in c.elements}
     comp = build_companion_groups(
-        [el for s in systems for el in s._hist_els],
-        [el for s in systems for el in s.upd_els],
-        options.dt, offsets)
-    # the eligibility scan guarantees grouping covered everything except the
-    # banked nonlinear elements
-    leftover = [el for el in comp.hist_els + comp.upd_els
-                if id(el) not in banked]
-    if leftover:  # pragma: no cover - guarded by _ineligible_reason
-        raise CircuitError("batch grouping left per-element state behind")
+        [el for c in circuits for el in c.elements], options.dt,
+        X.reshape(-1), offsets)
 
     xs = np.empty((n_mem, n_steps + 1, size))
     xs[:, 0] = X
@@ -645,8 +617,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     results = []
     for m, (c, s) in enumerate(zip(circuits, systems)):
         n_m = last_step[m] + 1
-        res = TransientResult(c, s, t_grid[:n_m], xs[m, :n_m], warnings[m],
-                              fast_path=ports is None)
+        res = TransientResult(c, s, t_grid[:n_m], xs[m, :n_m], warnings[m])
         res.batched = True
         results.append(res)
     member_steps = int(last_step.sum())
@@ -654,7 +625,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     # n_steps is per member (their mean when stop times differ), so
     # n_steps x members counts the solver steps the members needed
     sp.set(members=n_mem, size=size, n_steps=member_steps / n_mem,
-           fast_path=ports is None, newton_iters=newton_iters,
+           linear=ports is None, newton_iters=newton_iters,
            passes=passes,
            models=max((b.n_models for b in banks), default=0),
            ports=0 if ports is None else ports.n_ports,

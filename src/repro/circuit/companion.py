@@ -1,12 +1,12 @@
-"""Vectorized companion-model updates for the transient hot loop.
+"""Companion-model history of the linear reactive and delayed elements.
 
 A transient analysis of an EMC test bench is dominated by reactive and
 delayed elements (RC ladders, lumped line sections, coupled-line cascades).
-Stamping their companion history currents one element at a time costs a
-Python call per element per step; this module gathers same-shaped elements
-of a circuit into struct-of-arrays groups so the per-step RHS contribution
-and the post-step history advance collapse to a handful of numpy operations
-regardless of the element count:
+Their history -- the companion currents of the theta method and the
+delayed waves of Branin lines -- lives here and only here: the analysis
+gathers same-shaped elements of a circuit into struct-of-arrays groups,
+so the per-step RHS contribution and the post-step history advance
+collapse to a handful of numpy operations regardless of the element count:
 
 * :class:`Capacitor` / :class:`Inductor` -- plain two-terminal companions,
 * :class:`CoupledInductors` / :class:`CapacitanceMatrix` -- matrix
@@ -17,14 +17,13 @@ regardless of the element count:
   count with a shared preallocated wave-history array and vectorized
   delayed-lookup interpolation.
 
-The groups *take over* the grouped elements' ``stamp_rhs``/``update_state``
-roles for the duration of one ``run_transient`` call: state is loaded from
-the elements after ``init_state``/``prepare`` and written back by
-:meth:`CompanionGroups.flush` when the analysis ends, so post-run accessors
-(``Capacitor.current`` etc.) keep working.  Mid-run, the arrays -- not the
-elements -- are authoritative.  ``TransientOptions.vector_groups=False``
-disables grouping entirely (every element stamps itself), which is how the
-equivalence tests pin the grouped path to the per-element reference.
+A circuit with one such element is a group of one.  The C/L groups load
+their state from the elements after ``init_state`` (which applies an
+element's ``ic``) and write it back in :meth:`CompanionGroups.flush` when
+the analysis ends, so post-run accessors (``Capacitor.current`` etc.)
+keep working.  The line groups seed their first wave row from the initial
+solution ``x0`` themselves; line elements keep no wave history, so a
+circuit re-run (or solved at DC) after an analysis starts afresh.
 
 For the grid-batched backend (:mod:`repro.circuit.batch`) the same groups
 also span *multiple circuits at once*: ``build_companion_groups`` accepts a
@@ -210,16 +209,15 @@ class _CapacitanceMatrixGroup:
 class _CoupledLineGroup:
     """All N-conductor :class:`CoupledIdealLine` elements of one size.
 
-    The per-element ``_History`` (a Python list of rows, interpolated one
-    mode at a time) is replaced by one preallocated ``(rows, n_el, 2n)``
-    wave array shared by the whole group; the delayed lookups of every mode
-    of every line collapse to two gathers and a vectorized interpolation.
-    Lookup semantics (end clamping, linear interpolation between accepted
-    steps) match ``_History.lookup`` exactly.
+    The modal waves of every line live in one preallocated
+    ``(rows, n_el, 2n)`` array shared by the whole group; the delayed
+    lookups of every mode of every line collapse to two gathers and a
+    vectorized interpolation (linear between accepted steps, clamped to
+    the first row before a wave arrives and to the newest row after it).
     """
 
-    def __init__(self, els: list[CoupledIdealLine], dt: float, offsets=None):
-        self.els = els
+    def __init__(self, els: list[CoupledIdealLine], dt: float,
+                 x0: np.ndarray, offsets=None):
         self.dt = float(dt)
         n = els[0].n
         self.n = n
@@ -255,17 +253,21 @@ class _CoupledLineGroup:
         self._koff_max = int(self._koff.max())
         self._interior = int(self._koff.min()) >= 2
         # wave history: row k holds [a1_modes, a2_modes] accepted at t_k;
-        # init_state has already recorded row 0 on every element
+        # row 0 is each line's own W^T v + zm i at the initial solution
         self._hist = np.empty((256, n_el, 2 * n))
-        self._hist[0] = np.array([el._hist._data[0] for el in els])
+        for e, el in enumerate(els):
+            v1 = np.where(self.m1[e], x0[self.c1[e]], 0.0)
+            v2 = np.where(self.m2[e], x0[self.c2[e]], 0.0)
+            self._hist[0, e, :n] = el.W.T @ v1 + el.zm * x0[self.br1[e]]
+            self._hist[0, e, n:] = el.W.T @ v2 + el.zm * x0[self.br2[e]]
         self._rows = 1
 
     def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated (a1, a2) of every mode at its own delayed time.
 
         Called while stamping step ``k = self._rows`` (rows ``0..k-1`` are
-        recorded), matching ``_History.lookup`` semantics: clamp to row 0
-        before the wave arrives and to the newest row at the record end.
+        recorded): clamp to row 0 before the wave arrives and to the newest
+        row at the record end.
         """
         H = self._hist
         e, mn, mf = self._e_idx, self._m_near, self._m_far
@@ -315,30 +317,22 @@ class _CoupledLineGroup:
         self._hist[self._rows, :, self.n:] = a2
         self._rows += 1
 
-    def flush(self) -> None:
-        """Hand each line its rows of the wave array, a ``(rows, 2n)``
-        view (``_History`` reads rows of either)."""
-        for k, el in enumerate(self.els):
-            el._hist._data = self._hist[:self._rows, k]
-            el._hist._dt = self.dt
-
 
 class _IdealLineGroup:
     """All scalar :class:`IdealLine` elements of a circuit, batched.
 
-    The per-element float-list histories (``_h1``/``_h2``) are replaced by
-    one preallocated ``(rows, n_el, 2)`` wave array shared by the group.
-    As in :class:`_CoupledLineGroup`, the fixed grid makes the delayed
-    lookup of element ``e`` at step ``k`` a constant row offset
-    ``k - ceil(td/dt)`` plus a constant interpolation fraction, both
-    precomputed; clamp semantics match ``IdealLine._lookup``.  Both ends
-    of every line travel together as the ``(n_el, 2)`` rows of that
-    array, and every per-line constant is stored at that shape, so a
-    step is a few gathers (``take``) and contiguous ufuncs.
+    The incident waves ``a = v + z0*i`` of both ends of every line live in
+    one preallocated ``(rows, n_el, 2)`` array shared by the group.  As in
+    :class:`_CoupledLineGroup`, the fixed grid makes the delayed lookup of
+    element ``e`` at step ``k`` a constant row offset ``k - ceil(td/dt)``
+    plus a constant interpolation fraction, both precomputed, with the
+    same clamping at the record ends.  Every per-line constant is stored
+    at the ``(n_el, 2)`` shape of a row, so a step is a few gathers
+    (``take``) and contiguous ufuncs.
     """
 
-    def __init__(self, els: list[IdealLine], dt: float, offsets=None):
-        self.els = els
+    def __init__(self, els: list[IdealLine], dt: float, x0: np.ndarray,
+                 offsets=None):
         self.dt = float(dt)
         n_el = len(els)
         off = _off_array(els, offsets)[:, None]
@@ -361,11 +355,15 @@ class _IdealLineGroup:
         # index of line e's delayed row among the (n_el, 2) rows of the
         # flattened history, less nrow * n_el
         self._flat = self._e_idx - self._koff * n_el
-        # row k holds [a1, a2] accepted at t_k; init_state recorded row 0
+        # row k holds [a1, a2] accepted at t_k; row 0 the initial solution's
         self._hist = np.empty((256, n_el, 2))
-        self._hist[0, :, 0] = [el._h1[0] for el in els]
-        self._hist[0, :, 1] = [el._h2[0] for el in els]
+        self._record(x0, self._hist[0])
         self._rows = 1
+
+    def _record(self, x: np.ndarray, row: np.ndarray) -> None:
+        """Write the waves ``v + z0*i`` of solution ``x`` into ``row``."""
+        np.multiply(x.take(self.c), self.m, out=row)
+        row += self.z0 * x.take(self.br)
 
     def _rows_at(self, k: np.ndarray) -> np.ndarray:
         """``[a1, a2]`` of line ``e`` at history row ``k[e]`` (n_el, 2)."""
@@ -407,31 +405,15 @@ class _IdealLineGroup:
             grown = np.empty((2 * self._rows,) + self._hist.shape[1:])
             grown[:self._rows] = self._hist
             self._hist = grown
-        row = self._hist[self._rows]
-        np.multiply(x.take(self.c), self.m, out=row)
-        row += self.z0 * x.take(self.br)
+        self._record(x, self._hist[self._rows])
         self._rows += 1
-
-    def flush(self) -> None:
-        """Hand each line its columns of the wave array as ``(rows,)``
-        views, not lists: the lookup reads either, and a long run's
-        lists would be millions of Python floats."""
-        for k, el in enumerate(self.els):
-            el._h1 = self._hist[:self._rows, k, 0]
-            el._h2 = self._hist[:self._rows, k, 1]
-            if self._rows > 1:
-                el._hist_dt = self.dt
 
 
 class CompanionGroups:
-    """Bundle of vectorized companion groups plus the leftover elements."""
+    """The companion groups of one analysis, stepped together."""
 
-    def __init__(self, groups, hist_els, upd_els):
+    def __init__(self, groups):
         self.groups = groups
-        #: history-RHS elements NOT covered by a group
-        self.hist_els = hist_els
-        #: update_state elements NOT covered by a group
-        self.upd_els = upd_els
 
     def add_rhs(self, rhs: np.ndarray) -> None:
         for g in self.groups:
@@ -442,9 +424,11 @@ class CompanionGroups:
             g.update(x)
 
     def flush(self) -> None:
-        """Write group state back onto the owning elements."""
+        """Write the C/L state back onto the elements (line groups keep
+        none there)."""
         for g in self.groups:
-            g.flush()
+            if hasattr(g, "flush"):
+                g.flush()
 
 
 def _by_size(els):
@@ -455,50 +439,39 @@ def _by_size(els):
     return sizes.values()
 
 
-def build_companion_groups(hist_els, upd_els, dt: float | None = None,
+def build_companion_groups(elements, dt: float, x0: np.ndarray,
                            offsets: dict | None = None) -> CompanionGroups:
-    """Partition per-step elements into vectorized groups and leftovers.
+    """Gather the history-carrying elements of ``elements`` into groups.
 
-    Only exact ``Capacitor``/``Inductor``/``CoupledInductors``/
-    ``CapacitanceMatrix``/``IdealLine``/``CoupledIdealLine`` types are
-    grouped -- subclasses may override the stamping hooks, so they stay on
-    the per-element path.  Matrix and modal-line elements are batched per
-    conductor count so their state stacks into rectangular arrays.
-    ``dt`` is the analysis timestep, needed by the delayed-wave lookups of
-    the line groups (lines stay ungrouped when it is ``None``).
-    ``hist_els``/``upd_els`` are the lists the transient loop would
-    otherwise iterate; grouped elements are removed from both.
+    Every ``Capacitor``/``Inductor``/``CoupledInductors``/
+    ``CapacitanceMatrix``/``IdealLine``/``CoupledIdealLine`` joins the
+    group of its type; other elements carry no companion history and are
+    skipped.  Matrix and modal-line elements are batched per conductor
+    count so their state stacks into rectangular arrays.  ``dt`` is the
+    analysis timestep (the delayed-wave lookups of the line groups need
+    it) and ``x0`` the initial solution the line groups take their first
+    wave row from; the C/L groups read their elements' ``init_state``.
 
     ``offsets`` maps ``id(element) -> int`` index shifts for the
     grid-batched backend, where elements of several same-topology circuits
-    share one flat solution vector (member ``m`` of a batch lives at offset
-    ``m * size``).  ``None`` (a single circuit) means no shift.
+    share one flat solution vector ``x0`` (member ``m`` of a batch lives at
+    offset ``m * size``).  ``None`` (a single circuit) means no shift.
     """
-    caps = [el for el in hist_els if type(el) is Capacitor]
-    inds = [el for el in hist_els if type(el) is Inductor]
-    cinds = [el for el in hist_els if type(el) is CoupledInductors]
-    cmats = [el for el in hist_els if type(el) is CapacitanceMatrix]
-    ilines = [el for el in hist_els
-              if type(el) is IdealLine] if dt is not None else []
-    lines = [el for el in hist_els
-             if type(el) is CoupledIdealLine] if dt is not None else []
-    grouped = set(map(id, caps)) | set(map(id, inds)) \
-        | set(map(id, cinds)) | set(map(id, cmats)) \
-        | set(map(id, ilines)) | set(map(id, lines))
+    def of(cls):
+        return [el for el in elements if isinstance(el, cls)]
+
     groups = []
+    caps, inds, ilines = of(Capacitor), of(Inductor), of(IdealLine)
     if caps:
         groups.append(_CapacitorGroup(caps, offsets))
     if inds:
         groups.append(_InductorGroup(inds, offsets))
-    for sub in _by_size(cinds):
+    for sub in _by_size(of(CoupledInductors)):
         groups.append(_CoupledInductorsGroup(sub, offsets))
-    for sub in _by_size(cmats):
+    for sub in _by_size(of(CapacitanceMatrix)):
         groups.append(_CapacitanceMatrixGroup(sub, offsets))
     if ilines:
-        groups.append(_IdealLineGroup(ilines, dt, offsets))
-    for sub in _by_size(lines):
-        groups.append(_CoupledLineGroup(sub, dt, offsets))
-    return CompanionGroups(
-        groups,
-        [el for el in hist_els if id(el) not in grouped],
-        [el for el in upd_els if id(el) not in grouped])
+        groups.append(_IdealLineGroup(ilines, dt, x0, offsets))
+    for sub in _by_size(of(CoupledIdealLine)):
+        groups.append(_CoupledLineGroup(sub, dt, x0, offsets))
+    return CompanionGroups(groups)

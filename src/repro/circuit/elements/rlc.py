@@ -6,8 +6,11 @@ Reactive elements use the theta-method companion model
     v_{n+1} = (L/(theta*dt)) (i_{n+1} - i_n) - ((1-theta)/theta) v_n      (L)
 
 with ``theta = 1`` giving backward Euler and ``theta = 0.5`` the trapezoidal
-rule.  Each element stores its previous branch current/voltage so histories
-survive across timesteps.
+rule.  The elements stamp the companion conductances; the history terms
+are advanced by the companion groups of the analysis
+(:mod:`repro.circuit.companion`), which load each element's initial state
+(``init_state``, honouring ``ic``) and write the last accepted one back
+when the run ends.
 """
 
 from __future__ import annotations
@@ -78,19 +81,6 @@ class Capacitor(Element):
         a, b = self.nodes
         st.conductance(a, b, self._geq)
 
-    def stamp_rhs(self, st, t):
-        ieq = self._geq * self._v_prev + (1.0 - self._theta) / self._theta * self._i_prev
-        a, b = self.nodes
-        st.inject(a, ieq)
-        st.inject(b, -ieq)
-
-    def update_state(self, x, t, dt, theta):
-        v_new = self._vab(x)
-        i_new = (self.capacitance / (theta * dt)) * (v_new - self._v_prev) \
-            - (1.0 - theta) / theta * self._i_prev
-        self._v_prev = v_new
-        self._i_prev = i_new
-
     def current(self, x: np.ndarray) -> float:
         """Current at the last accepted step (into terminal ``a``)."""
         return self._i_prev
@@ -134,18 +124,6 @@ class Inductor(Element):
 
     def stamp_dynamic(self, st, dt, theta):
         st.add_A(self.branches[0], self.branches[0], -self._req)
-
-    def stamp_rhs(self, st, t):
-        rhs = -self._req * self._i_prev \
-            - (1.0 - self._theta) / self._theta * self._v_prev
-        st.add_b(self.branches[0], rhs)
-
-    def update_state(self, x, t, dt, theta):
-        a, b = self.nodes
-        va = x[a] if a >= 0 else 0.0
-        vb = x[b] if b >= 0 else 0.0
-        self._i_prev = x[self.branches[0]]
-        self._v_prev = va - vb
 
     def current(self, x: np.ndarray) -> float:
         return float(x[self.branches[0]])
@@ -203,23 +181,6 @@ class CoupledInductors(Element):
             for j in range(self.n):
                 st.add_A(self.branches[k], self.branches[j], -self._Req[k, j])
 
-    def stamp_rhs(self, st, t):
-        rhs = -self._Req @ self._i_prev \
-            - (1.0 - self._theta) / self._theta * self._v_prev
-        for k in range(self.n):
-            st.add_b(self.branches[k], rhs[k])
-
-    def update_state(self, x, t, dt, theta):
-        i_new = np.array([x[br] for br in self.branches])
-        v_new = np.empty(self.n)
-        for k in range(self.n):
-            a, b = self._pair_nodes(k)
-            va = x[a] if a >= 0 else 0.0
-            vb = x[b] if b >= 0 else 0.0
-            v_new[k] = va - vb
-        self._i_prev = i_new
-        self._v_prev = v_new
-
     def current(self, x: np.ndarray) -> float:
         return float(x[self.branches[0]])
 
@@ -265,15 +226,3 @@ class CapacitanceMatrix(Element):
         for k in range(self.n):
             for j in range(self.n):
                 st.add_A(self.nodes[k], self.nodes[j], self._Geq[k, j])
-
-    def stamp_rhs(self, st, t):
-        ieq = self._Geq @ self._v_prev \
-            + (1.0 - self._theta) / self._theta * self._i_prev
-        for k in range(self.n):
-            st.inject(self.nodes[k], ieq[k])
-
-    def update_state(self, x, t, dt, theta):
-        v_new = self._voltages(x)
-        self._i_prev = (self.C / (theta * dt)) @ (v_new - self._v_prev) \
-            - (1.0 - theta) / theta * self._i_prev
-        self._v_prev = v_new

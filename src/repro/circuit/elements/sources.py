@@ -36,9 +36,6 @@ class VoltageSource(Element):
         st.kcl_branch(b, br, -1.0)
         st.branch_voltage(br, a, b, 1.0)
 
-    def stamp_rhs(self, st, t):
-        st.add_b(self.branches[0], float(self.waveform(t)))
-
     def stamp_rhs_table(self, st, t_grid):
         st.add_b(self.branches[0], self.waveform.sample(t_grid))
 
@@ -78,12 +75,6 @@ class CurrentSource(Element):
     def __init__(self, name: str, a: str, b: str, waveform):
         super().__init__(name, [a, b])
         self.waveform = _as_waveform(waveform)
-
-    def stamp_rhs(self, st, t):
-        val = float(self.waveform(t))
-        a, b = self.nodes
-        st.inject(a, -val)
-        st.inject(b, val)
 
     def stamp_rhs_table(self, st, t_grid):
         vals = self.waveform.sample(t_grid)

@@ -4,6 +4,9 @@ Both use the method of characteristics (Branin's model): each end is a
 Thevenin source ``v - Z0*i = E(t)`` whose EMF is the incident wave launched
 from the far end one delay earlier.  With the engine's fixed timestep the
 delayed lookups are exact up to linear interpolation between grid samples.
+The elements stamp the Thevenin branch equations; the wave history and its
+delayed lookups belong to the line groups of :mod:`repro.circuit.companion`,
+which take their first wave row from the analysis's initial solution.
 
 The N-conductor :class:`CoupledIdealLine` diagonalizes the per-unit-length
 ``L``/``C`` matrices once:
@@ -27,36 +30,6 @@ from ...errors import CircuitError
 from ..netlist import Element
 
 __all__ = ["IdealLine", "CoupledIdealLine", "modal_decomposition"]
-
-
-class _History:
-    """Uniformly sampled history of a delayed quantity with interpolation.
-
-    ``_data`` is a list of rows, or after a batched run a ``(rows, 2n)``
-    array view that ``lookup`` reads alike; ``reset`` starts a list.
-    """
-
-    def __init__(self):
-        self._data: list[np.ndarray] = []
-        self._dt = None
-
-    def reset(self, dt: float, first: np.ndarray) -> None:
-        self._dt = dt
-        self._data = [np.array(first, dtype=float)]
-
-    def append(self, value: np.ndarray) -> None:
-        self._data.append(np.array(value, dtype=float))
-
-    def lookup(self, t_delayed: float) -> np.ndarray:
-        """Value at absolute time ``t_delayed``; clamped at the record ends."""
-        if t_delayed <= 0.0 or len(self._data) == 1:
-            return self._data[0]
-        pos = t_delayed / self._dt
-        k = int(pos)
-        if k >= len(self._data) - 1:
-            return self._data[-1]
-        frac = pos - k
-        return (1.0 - frac) * self._data[k] + frac * self._data[k + 1]
 
 
 def modal_decomposition(L, C):
@@ -103,39 +76,6 @@ class IdealLine(Element):
             raise CircuitError(f"{name}: z0 and td must be positive")
         self.z0 = float(z0)
         self.td = float(td)
-        # incident waves a = v + z0*i per port, as plain float lists: the
-        # per-step lookup/append stays free of numpy scalar dispatch (a
-        # batched run hands back array views; init_state starts the next
-        # run on lists again)
-        self._h1: list[float] = []
-        self._h2: list[float] = []
-        self._hist_dt = 0.0
-        self._t_accepted = 0.0
-
-    def _port_voltages(self, x) -> tuple[float, float]:
-        p1, p2 = self.nodes
-        v1 = x[p1] if p1 >= 0 else 0.0
-        v2 = x[p2] if p2 >= 0 else 0.0
-        return v1, v2
-
-    def init_state(self, x, system) -> None:
-        v1, v2 = self._port_voltages(x)
-        i1, i2 = x[self.branches[0]], x[self.branches[1]]
-        self._h1 = [float(v1 + self.z0 * i1)]
-        self._h2 = [float(v2 + self.z0 * i2)]
-        self._hist_dt = 0.0
-        self._t_accepted = 0.0
-
-    def _lookup(self, data: list, t_delayed: float) -> float:
-        """History value at absolute ``t_delayed``, clamped at the ends."""
-        if t_delayed <= 0.0 or len(data) == 1:
-            return data[0]
-        pos = t_delayed / self._hist_dt
-        k = int(pos)
-        if k >= len(data) - 1:
-            return data[-1]
-        frac = pos - k
-        return (1.0 - frac) * data[k] + frac * data[k + 1]
 
     def stamp_const(self, st):
         p1, p2 = self.nodes
@@ -170,23 +110,6 @@ class IdealLine(Element):
         st.add_A(b2, b1, 1.0)
         st.add_A(b2, b2, 1.0)
 
-    def stamp_rhs(self, st, t):
-        if len(self._h1) == 0:
-            return  # DC analysis before init_state: stamp_dc rules apply
-        t_delayed = t - self.td
-        st.add_b(self.branches[0], self._lookup(self._h2, t_delayed))
-        st.add_b(self.branches[1], self._lookup(self._h1, t_delayed))
-
-    def update_state(self, x, t, dt, theta):
-        if self._hist_dt != dt:
-            self._h1 = self._h1[:1]
-            self._h2 = self._h2[:1]
-            self._hist_dt = dt
-        v1, v2 = self._port_voltages(x)
-        i1, i2 = x[self.branches[0]], x[self.branches[1]]
-        self._h1.append(float(v1 + self.z0 * i1))
-        self._h2.append(float(v2 + self.z0 * i2))
-
     def current(self, x: np.ndarray) -> float:
         return float(x[self.branches[0]])
 
@@ -211,7 +134,6 @@ class CoupledIdealLine(Element):
         self.length = float(length)
         self.W, self.zm, tau = modal_decomposition(L, C)
         self.td = self.length * tau   # per-mode delays
-        self._hist = _History()       # per step: [a1_m..., a2_m...]
         self.L = np.asarray(L, dtype=float)
         self.C = np.asarray(C, dtype=float)
 
@@ -221,18 +143,6 @@ class CoupledIdealLine(Element):
 
     def _end_branches(self, end: int) -> list[int]:
         return self.branches[end * self.n:(end + 1) * self.n]
-
-    def _modal_state(self, x, end: int) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array([x[n] if n >= 0 else 0.0 for n in self._end_nodes(end)])
-        im = np.array([x[b] for b in self._end_branches(end)])
-        return self.W.T @ v, im
-
-    def init_state(self, x, system) -> None:
-        vm1, im1 = self._modal_state(x, 0)
-        vm2, im2 = self._modal_state(x, 1)
-        a1 = vm1 + self.zm * im1
-        a2 = vm2 + self.zm * im2
-        self._hist.reset(0.0, np.concatenate([a1, a2]))
 
     def stamp_const(self, st):
         for end in (0, 1):
@@ -272,22 +182,6 @@ class CoupledIdealLine(Element):
             raise CircuitError(
                 f"{self.name}: timestep {dt:g}s exceeds the fastest modal delay "
                 f"{float(np.min(self.td)):g}s; refine dt or add more sections")
-
-    def stamp_rhs(self, st, t):
-        if len(self._hist._data) == 0:
-            return  # DC analysis before init_state: stamp_dc rules apply
-        for m in range(self.n):
-            a = self._hist.lookup(t - self.td[m])
-            st.add_b(self._end_branches(0)[m], float(a[self.n + m]))
-            st.add_b(self._end_branches(1)[m], float(a[m]))
-
-    def update_state(self, x, t, dt, theta):
-        if self._hist._dt != dt:
-            self._hist.reset(dt, self._hist._data[0])
-        vm1, im1 = self._modal_state(x, 0)
-        vm2, im2 = self._modal_state(x, 1)
-        self._hist.append(np.concatenate([vm1 + self.zm * im1,
-                                          vm2 + self.zm * im2]))
 
     def characteristic_impedance(self) -> np.ndarray:
         """Terminal-domain characteristic impedance matrix ``Zc``.

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SingularMatrixError
-from .netlist import Circuit
+from .netlist import Circuit, Element
 
 DENSE_LIMIT = 600
 
@@ -279,18 +279,11 @@ class MNASystem:
         self.size = self.n_nodes + m
         self.dense = self.size <= DENSE_LIMIT
         self._nl = [el for el in circuit.elements if el.nonlinear]
-        # elements that actually override stamp_rhs (skip passive R's etc.)
-        from .netlist import Element as _Base
+        # the sources: the only elements with a right-hand side of their own
+        # (companion histories are stamped by the transient's groups)
         self._rhs_els = [el for el in circuit.elements
-                         if type(el).stamp_rhs is not _Base.stamp_rhs]
-        # sources with a vectorized whole-grid RHS hook; the remaining RHS
-        # elements carry per-step history (companion currents, line waves)
-        self._table_els = [el for el in circuit.elements
-                           if type(el).stamp_rhs_table
-                           is not _Base.stamp_rhs_table]
-        _tabled = set(map(id, self._table_els))
-        self._hist_els = [el for el in self._rhs_els
-                          if id(el) not in _tabled]
+                         if type(el).stamp_rhs_table
+                         is not Element.stamp_rhs_table]
         self._upd_els = None          # memoized update_state eligibility scan
         self._A_base: np.ndarray | sp.csc_matrix | None = None
         self._dt = None
@@ -307,7 +300,8 @@ class MNASystem:
 
     @property
     def upd_els(self) -> list:
-        """Elements overriding ``update_state``, memoized on the system.
+        """Elements overriding ``update_state`` (the nonlinear ones that
+        carry state), memoized on the system.
 
         The transient loop used to re-derive this scan (a ``type``-level
         attribute comparison per element) on every ``run_transient`` call;
@@ -315,10 +309,9 @@ class MNASystem:
         legacy figure scripts -- now pay for it once.
         """
         if self._upd_els is None:
-            from .netlist import Element as _Base
             self._upd_els = [el for el in self.circuit.elements
                              if type(el).update_state
-                             is not _Base.update_state]
+                             is not Element.update_state]
         return self._upd_els
 
     @property
@@ -364,15 +357,14 @@ class MNASystem:
 
     # -- per-step / per-iteration assembly -----------------------------------------
     def assemble_rhs(self, t: float, source_scale: float = 1.0) -> np.ndarray:
-        """Per-timestep right-hand side: sources + companion histories.
+        """The source right-hand side at time ``t``, scaled by
+        ``source_scale`` (DC analyses and source stepping).
 
-        These terms do not depend on the Newton iterate, so they are built
-        once per step and reused across iterations.
+        One row of a one-point :meth:`build_source_table`, so DC sees
+        exactly the values a transient's table holds at ``t``.
         """
-        b = np.zeros(self.size)
-        st = Stamper(None, b, self.n_nodes)
-        for el in self._rhs_els:
-            el.stamp_rhs(st, t)
+        b = self.build_source_table(np.array([t])).fill_row(
+            0, np.empty(self.size))
         if source_scale != 1.0:
             b *= source_scale
         return b
@@ -388,30 +380,9 @@ class MNASystem:
         t_grid = np.asarray(t_grid, dtype=float)
         table = SourceTable(t_grid.size, self.size)
         st = TableStamper(table, self.n_nodes)
-        for el in self._table_els:
+        for el in self._rhs_els:
             el.stamp_rhs_table(st, t_grid)
         return table
-
-    def assemble_rhs_step(self, t: float, source: SourceTable, k: int,
-                          out: np.ndarray | None = None,
-                          hist_els=None) -> np.ndarray:
-        """Per-step RHS: source-table row ``k`` plus history stamps.
-
-        Only history-carrying elements (companion currents, delayed line
-        waves) are stamped here; the returned buffer is ``out`` when given,
-        so the transient loop can reuse one allocation for every step.
-        ``hist_els`` overrides the stamped element list (the transient loop
-        passes the leftovers not covered by a vectorized companion group).
-        """
-        if out is None:
-            out = np.empty(self.size)
-        source.fill_row(k, out)
-        els = self._hist_els if hist_els is None else hist_els
-        if els:
-            st = Stamper(None, out, self.n_nodes)
-            for el in els:
-                el.stamp_rhs(st, t)
-        return out
 
     def assemble_iter(self, x: np.ndarray, t: float, b_step: np.ndarray, *,
                       extra_gmin: float = 0.0, scratch: bool = False):
@@ -456,12 +427,6 @@ class MNASystem:
                 A = self._A_base
         return A, b, st.limited
 
-    def assemble(self, x: np.ndarray, t: float, *, extra_gmin: float = 0.0,
-                 source_scale: float = 1.0):
-        """One-shot assembly (convenience for tests and the residual)."""
-        b_step = self.assemble_rhs(t, source_scale)
-        return self.assemble_iter(x, t, b_step, extra_gmin=extra_gmin)
-
     # -- linear algebra -------------------------------------------------------------
     def solve(self, A, b: np.ndarray) -> np.ndarray:
         try:
@@ -489,11 +454,6 @@ class MNASystem:
             # (it costs ~20% of a small linear step)
             return sla.lu_solve(self._base_lu, b, check_finite=False)
         return self._base_splu.solve(b)
-
-    def residual(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Newton residual ``A(x) x - b(x)`` at the iterate ``x``."""
-        A, b, _ = self.assemble(x, t)
-        return (A @ x) - b
 
     # -- Woodbury fast path -----------------------------------------------------
     def _ensure_base_lu(self):

@@ -25,7 +25,7 @@ GROUND_NAMES = frozenset({"0", "gnd", "GND", "ground"})
 class Element:
     """Base class for all circuit elements.
 
-    Subclasses override the ``stamp_*`` hooks they need:
+    Subclasses override the hooks they need:
 
     * :meth:`stamp_const` -- time- and state-independent matrix entries
       (resistor conductances, source incidence patterns, controlled-source
@@ -33,12 +33,18 @@ class Element:
     * :meth:`stamp_dynamic` -- timestep-dependent companion conductances of
       reactive elements.  Called whenever ``dt`` or the integration method
       changes.
-    * :meth:`stamp_rhs` -- per-timestep right-hand-side entries: source values
-      at time ``t`` and companion history currents.
+    * :meth:`stamp_rhs_table` -- the right-hand side of an independent
+      source over a whole time grid (a one-point grid for DC).
     * :meth:`stamp_nonlinear` -- per-Newton-iteration linearized stamps of
       nonlinear elements (Jacobian into ``A``, companion current into ``b``).
     * :meth:`update_state` -- called once per *accepted* timestep with the
-      converged solution so the element can advance its internal history.
+      converged solution so a nonlinear element can advance its internal
+      history.
+
+    The companion history of the linear reactive and delayed elements
+    (capacitors, inductors, their matrix forms, ideal and coupled lines)
+    is not an element hook: the analysis keeps it in the struct-of-arrays
+    groups of :mod:`repro.circuit.companion`, chosen by element type.
 
     ``nonlinear`` must be True for any element whose stamps depend on the
     present unknown vector.
@@ -79,18 +85,14 @@ class Element:
     def stamp_dynamic(self, st, dt: float, theta: float) -> None:
         """Stamp timestep-dependent companion conductances."""
 
-    def stamp_rhs(self, st, t: float) -> None:
-        """Stamp right-hand-side entries for the step ending at time ``t``."""
-
     def stamp_rhs_table(self, st, t_grid: np.ndarray) -> None:
         """Stamp the *time-only* RHS contribution for a whole time grid.
 
-        Elements whose ``stamp_rhs`` depends only on ``t`` (independent
-        sources) override this with a vectorized evaluation over ``t_grid``;
-        ``st`` is a :class:`~repro.circuit.mna.TableStamper` whose ``add_b`` /
-        ``inject`` accept ``(len(t_grid),)`` arrays.  Elements overriding this
-        hook are evaluated once per analysis and skipped by the per-step RHS
-        loop, so history-dependent elements must NOT override it.
+        Independent sources override this with a vectorized evaluation over
+        ``t_grid``; ``st`` is a :class:`~repro.circuit.mna.TableStamper`
+        whose ``add_b`` / ``inject`` accept ``(len(t_grid),)`` arrays.  It is
+        evaluated once per analysis (and on a one-point grid at DC), so it
+        must depend on time only, never on the solution or its history.
         """
 
     def stamp_nonlinear(self, st, x: np.ndarray, t: float) -> None:

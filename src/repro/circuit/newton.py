@@ -48,8 +48,8 @@ def newton_solve(system: MNASystem, x0: np.ndarray, t: float,
     clamped to ``max_dv`` on voltage unknowns for robustness.
 
     ``b_step`` lets the transient loop hand in the per-step RHS it already
-    assembled from the precomputed source table; when omitted, the full
-    per-element RHS assembly runs here (DC analyses).  The array is never
+    assembled from the precomputed source table; when omitted, the source
+    RHS at ``t`` is assembled here (DC analyses).  The array is never
     mutated, so a caller-owned step buffer can be passed directly.
     """
     n = system.n_nodes

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import CircuitError, ConvergenceError
 from ..obs import get_metrics, get_tracer
-from .companion import CompanionGroups, build_companion_groups
+from .companion import build_companion_groups
 from .dcop import solve_dcop
 from .mna import MNASystem
 from .netlist import Circuit
@@ -39,13 +39,13 @@ class TransientOptions:
     ``theta`` directly to override; ``ic``: ``"dcop"`` (default), ``"zero"``,
     or a mapping of node names to initial voltages; ``newton``: tolerance
     bundle; ``strict``: raise on Newton failure (else carry the best iterate
-    forward and record the event in ``TransientResult.warnings``);
-    ``fast_path``: advance circuits with no nonlinear elements by one cached
-    back-substitution per step instead of Newton iteration (set False to
-    force the Newton path, e.g. for equivalence checks);
-    ``vector_groups``: gather same-shaped companion/line elements into
-    struct-of-arrays groups (set False to force per-element stamping, e.g.
-    for group-vs-element equivalence checks).
+    forward and record the event in ``TransientResult.warnings``).
+
+    The solver path follows from the circuit, not from an option: a circuit
+    with no nonlinear element advances by one cached back-substitution per
+    step, any other by damped Newton, and the companion history of every
+    reactive or delayed element advances in the struct-of-arrays groups of
+    :mod:`repro.circuit.companion`.
     """
 
     dt: float = 1e-12
@@ -55,8 +55,6 @@ class TransientOptions:
     ic: object = "dcop"
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     strict: bool = True
-    fast_path: bool = True
-    vector_groups: bool = True
 
     def resolved_theta(self) -> float:
         if self.theta is not None:
@@ -75,14 +73,17 @@ class TransientResult:
     """Uniformly sampled transient solution with name-based accessors."""
 
     def __init__(self, circuit: Circuit, system: MNASystem,
-                 t: np.ndarray, x: np.ndarray, warnings: list[str],
-                 fast_path: bool = False):
+                 t: np.ndarray, x: np.ndarray, warnings: list[str]):
         self.circuit = circuit
         self.system = system
         self.t = t
         self.x = x  # shape (len(t), system.size)
         self.warnings = warnings
-        self.fast_path = fast_path  # True when the linear solver path ran
+
+    @property
+    def fast_path(self) -> bool:
+        """True when the linear solver path ran (no nonlinear element)."""
+        return self.system.is_linear
 
     @property
     def dt(self) -> float:
@@ -182,7 +183,7 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
     x0 = _initial_solution(circuit, sys_, options, options.newton)
     for el in circuit.elements:
         el.init_state(x0, sys_)
-    # only elements that actually track state need the per-step callback
+    # only nonlinear elements that track state need the per-step callback
     # (memoized on the system: repeated runs skip the per-element scan)
     upd_els = sys_.upd_els
 
@@ -196,17 +197,13 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
     newton_steps = newton_iters = newton_retries = 0
 
     # Per-analysis precomputation: every source waveform is sampled over the
-    # whole grid in one vectorized pass, and plain C/L companion elements are
-    # gathered into struct-of-arrays groups.  The per-step Python work left
-    # is one table-row copy, the group updates, and any leftover
-    # history elements (transmission lines, coupled matrices).
+    # whole grid in one vectorized pass, and the reactive and delayed
+    # elements are gathered into struct-of-arrays companion groups.  The
+    # per-step Python work left is one table-row copy and the group updates.
     b_src = sys_.build_source_table(t_grid)
-    if options.vector_groups:
-        comp = build_companion_groups(sys_._hist_els, upd_els, options.dt)
-    else:
-        comp = CompanionGroups([], list(sys_._hist_els), list(upd_els))
+    comp = build_companion_groups(sys_.circuit.elements, options.dt, x0)
     b_buf = np.empty(sys_.size)
-    linear = options.fast_path and sys_.is_linear
+    linear = sys_.is_linear
 
     x = x0
     x_prev = x0
@@ -214,8 +211,7 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
     try:
         for k in range(1, n_steps + 1):
             t = t_grid[k]
-            sys_.assemble_rhs_step(t, b_src, k, out=b_buf,
-                                   hist_els=comp.hist_els)
+            b_src.fill_row(k, b_buf)
             comp.add_rhs(b_buf)
             if linear:
                 x = sys_.solve_linear_step(b_buf)
@@ -242,12 +238,12 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
                 x_prev = x
                 x = res.x
             comp.update(x)
-            for el in comp.upd_els:
+            for el in upd_els:
                 el.update_state(x, t, dt, theta)
             xs[k] = x
     finally:
         comp.flush()
-    sp.set(size=sys_.size, n_steps=n_steps, fast_path=linear,
+    sp.set(size=sys_.size, n_steps=n_steps, linear=linear,
            newton_steps=newton_steps, newton_iters=newton_iters,
            newton_retries=newton_retries,
            lu_factorizations=sys_.n_factorizations,
@@ -256,5 +252,4 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
     met.inc("solver_steps", n_steps)
     if newton_iters:
         met.inc("newton_iters", newton_iters)
-    return TransientResult(circuit, sys_, t_grid, xs, warnings,
-                           fast_path=linear)
+    return TransientResult(circuit, sys_, t_grid, xs, warnings)

@@ -18,7 +18,9 @@ Endpoints (all JSON unless noted)::
     GET  /healthz                   liveness + job count
     POST /studies                   submit a study (body: Study.to_dict
                                     JSON, optionally under a "study"
-                                    key) -> {job, state, created, ...}
+                                    key, at most MAX_BODY_BYTES: 400
+                                    without a valid Content-Length, 413
+                                    beyond) -> {job, state, created, ...}
     GET  /studies                   all jobs' status records
     GET  /studies/<job>             one job's status record
     GET  /studies/<job>/result      finished job's compliance report
@@ -282,6 +284,10 @@ class StudyService:
 _JOB_RE = re.compile(
     r"^/studies/([0-9a-f]{8,64})(/result(\.csv)?|/trace)?$")
 
+#: the largest study body a POST may declare (a study document is a few
+#: kB); a longer one is refused with 413 before any of it is read
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Request handler bridging HTTP to the attached :class:`StudyService`.
@@ -383,8 +389,20 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/studies":
             self._error(404, f"unknown path {path!r}")
             return
+        # the declared length bounds the read: refuse a missing, malformed
+        # or oversized one before reading, or a handler thread would wait
+        # on a body that never comes
+        declared = self.headers.get("Content-Length")
+        if declared is None or not re.fullmatch(r"[0-9]+", declared.strip()):
+            self._error(400, "'Content-Length' must be a non-negative "
+                             f"integer, got {declared!r}")
+            return
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"'Content-Length' {length} exceeds the "
+                             f"{MAX_BODY_BYTES}-byte study body limit")
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             doc = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")

@@ -23,7 +23,7 @@ from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
                            run_transient, run_transient_batch, solve_dcop)
 from repro.circuit.mna import MNASystem
 from repro.circuit.newton import newton_solve
-from repro.circuit.waveforms import Pulse
+from repro.circuit.waveforms import Constant, Pulse
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
 from repro.obs import Tracer, set_tracer
 
@@ -201,14 +201,6 @@ class TestEligibilityAndFallback:
         for res in batched:
             assert not getattr(res, "batched", False)
             np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
-
-    def test_disabled_fast_path_falls_back(self):
-        opts = TransientOptions(dt=25e-12, t_stop=4e-9, method="damped",
-                                fast_path=False)
-        params = [("rc", 50.0, 1e-12, 50.0, 1e-9)] * 2
-        batched = run_transient_batch(
-            [linear_bench(*p) for p in params], opts)
-        assert all(not getattr(r, "batched", False) for r in batched)
 
     # the serial DC factorization warns before its solve raises
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -425,60 +417,61 @@ class TestMixedGroups:
         assert len({len(r.t) for r in res}) == 2
 
 
-class TestLineHistoryHandBack:
-    """A batched run hands every line its wave history as an array view
-    of the group's history, not as Python lists; it holds the serial
-    run's values, and a serial re-run of the same circuit starts over
-    and gives the serial result."""
+class TestReusedCircuit:
+    """Line elements keep no wave history, so a circuit solved again after
+    a serial or batched run -- at DC or transient -- gives a fresh
+    circuit's result.  The benches sit on a DC bias: waves left behind by
+    a run would show in the next DC point."""
 
     L = np.array([[300e-9, 60e-9], [60e-9, 300e-9]])
     C = np.array([[100e-12, -5e-12], [-5e-12, 100e-12]])
 
-    def coupled_bench(self, r):
-        ckt = Circuit("coupled-bench")
+    def bench(self, kind, r=200.0):
+        """1 V plus a pulse, 25 ohm, a 50 ohm / 0.5 ns ``IdealLine`` (or a
+        coupled pair with its victim land terminated) into ``r`` ohm."""
+        ckt = Circuit(f"biased-{kind}")
         ckt.add(VoltageSource("vs", "in", "0",
-                              Pulse(v1=0.0, v2=2.5, delay=0.1e-9,
-                                    rise=0.15e-9, width=1.5e-9)))
+                              Constant(1.0) + Pulse(v2=1.0, delay=0.1e-9,
+                                                    rise=0.15e-9,
+                                                    width=1.5e-9)))
         ckt.add(Resistor("rs", "in", "out", 25.0))
-        ckt.add(CoupledIdealLine("tc", ["out", "vne"], ["afe", "vfe"],
-                                 self.L, self.C, 0.1))
-        for name, node in (("ra", "afe"), ("rn", "vne"), ("rf", "vfe")):
-            ckt.add(Resistor(name, node, "0", r))
+        if kind == "line":
+            ckt.add(IdealLine("tl", "out", "far", 50.0, 0.5e-9))
+        else:
+            ckt.add(CoupledIdealLine("tc", ["out", "vne"], ["far", "vfe"],
+                                     self.L, self.C, 0.1))
+            ckt.add(Resistor("rn", "vne", "0", 50.0))
+            ckt.add(Resistor("rf", "vfe", "0", 50.0))
+        ckt.add(Resistor("rl", "far", "0", r))
         return ckt
 
-    @staticmethod
-    def histories(ckt):
-        if "tl" in ckt:
-            el = ckt["tl"]
-            return [el._h1, el._h2]
-        return [ckt["tc"]._hist._data]
+    @pytest.mark.parametrize("kind", ["line", "coupled"])
+    def test_dcop_after_transient_equals_fresh(self, kind):
+        ckt = self.bench(kind)
+        run_transient(ckt, OPTS)
+        fresh = solve_dcop(self.bench(kind))
+        assert fresh.v("far") > 0.5
+        np.testing.assert_allclose(solve_dcop(ckt).x, fresh.x,
+                                   rtol=TOL, atol=TOL)
 
     @pytest.mark.parametrize("kind", ["line", "coupled"])
-    def test_histories_match_serial_and_rerun(self, kind):
-        rng = np.random.default_rng(5)
-        if kind == "line":
-            params = random_params("line", rng, 3)
-            build = [lambda p=p: linear_bench(*p) for p in params]
-        else:
-            build = [lambda r=r: self.coupled_bench(r)
-                     for r in (40.0, 75.0, 200.0)]
-        circuits = [b() for b in build]
+    def test_second_serial_run_reproduces_first(self, kind):
+        ckt = self.bench(kind)
+        first = run_transient(ckt, OPTS)
+        again = run_transient(ckt, OPTS)
+        np.testing.assert_allclose(again.x, first.x, rtol=TOL, atol=TOL)
+
+    @pytest.mark.parametrize("kind", ["line", "coupled"])
+    def test_rerun_after_batch_reproduces_first(self, kind):
+        loads = (50.0, 200.0)
+        circuits = [self.bench(kind, r) for r in loads]
         batched = run_transient_batch(circuits, OPTS)
-        for make, ckt, res in zip(build, circuits, batched):
+        for r, ckt, res in zip(loads, circuits, batched):
             assert res.batched
-            ref_ckt = make()
-            ref = run_transient(ref_ckt, OPTS)
-            for got, want in zip(self.histories(ckt),
-                                 self.histories(ref_ckt)):
-                assert isinstance(got, np.ndarray)
-                np.testing.assert_allclose(got, np.array(want),
-                                           rtol=TOL, atol=TOL)
+            first = run_transient(self.bench(kind, r), OPTS)
+            np.testing.assert_allclose(res.x, first.x, rtol=TOL, atol=TOL)
             again = run_transient(ckt, OPTS)
-            np.testing.assert_allclose(again.x, ref.x, rtol=TOL, atol=TOL)
-            for got, want in zip(self.histories(ckt),
-                                 self.histories(ref_ckt)):
-                np.testing.assert_allclose(np.array(got), np.array(want),
-                                           rtol=TOL, atol=TOL)
+            np.testing.assert_allclose(again.x, first.x, rtol=TOL, atol=TOL)
 
 
 class TestBatchedOperatingPoint:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import (Capacitor, Circuit, Diode, MNASystem, Resistor,
                            TransientOptions, VoltageSource, run_transient)
+from repro.circuit.companion import build_companion_groups
 from repro.circuit.mna import DENSE_LIMIT
 from repro.circuit.waveforms import Pulse, Step
 from repro.errors import ConvergenceError
@@ -63,14 +64,26 @@ class TestPhysicalInvariants:
     @given(st.integers(0, 30))
     @settings(max_examples=10, deadline=None)
     def test_kcl_residual_small(self, seed):
-        """The accepted solution satisfies the assembled equations."""
+        """The accepted solution satisfies the assembled equations of its
+        step: the sources, the companion history of the step before, and
+        the diodes linearized at the solution."""
         ckt = diode_ladder(seed=seed)
         sys_ = MNASystem(ckt)
-        res = run_transient(ckt, TransientOptions(dt=20e-12, t_stop=2e-9,
-                                                  method="damped"),
-                            system=sys_)
-        x_final = res.x[-1]
-        resid = sys_.residual(x_final, res.t[-1])
+        opts = TransientOptions(dt=20e-12, t_stop=2e-9, method="damped")
+        res = run_transient(ckt, opts, system=sys_)
+        # replay the accepted steps but the last into fresh history
+        x, theta = res.x, opts.resolved_theta()
+        for el in ckt.elements:
+            el.init_state(x[0], sys_)
+        comp = build_companion_groups(ckt.elements, opts.dt, x[0])
+        for t, x_k in zip(res.t[1:-1], x[1:-1]):
+            comp.update(x_k)
+            for el in sys_.upd_els:
+                el.update_state(x_k, t, opts.dt, theta)
+        b_step = sys_.assemble_rhs(res.t[-1])
+        comp.add_rhs(b_step)
+        A, b, _ = sys_.assemble_iter(x[-1], res.t[-1], b_step)
+        resid = A @ x[-1] - b
         # Newton converges on |delta_v| < vabstol (1e-6 V); through a stiff
         # forward-biased clamp (g up to ~1e3 S) that bounds the KCL current
         # residual at vabstol * g_max, not at machine precision

@@ -1,10 +1,15 @@
-"""Equivalence of the engine's solver paths.
+"""Equivalence of the engine's solver paths, and identities of its
+companion groups.
 
 The linear fast path (cached-factorization back-substitution, no Newton)
-must reproduce the damped-Newton path bit-for-bit on the EMC workhorse
-benches, the vectorized companion groups must reproduce per-element
-stamping on coupled netlists, and the Woodbury low-rank ``solve_step``
-must match the full assemble-and-solve on a nonlinear driver circuit.
+must reproduce the damped-Newton path on the EMC workhorse benches, and
+the Woodbury low-rank ``solve_step`` must match the full
+assemble-and-solve on a nonlinear driver circuit.  The companion groups
+-- the one implementation of C/L/line history -- are held to circuit
+identities instead of a second implementation: two cascaded half-length
+lines are one line, parallel capacitors are one capacitor, an uncoupled
+coupled line is two scalar lines, and diagonal matrix companions are
+scalar ones; each holds serially and on the batched backend.
 """
 
 import numpy as np
@@ -12,9 +17,10 @@ import pytest
 
 from repro.circuit import (CapacitanceMatrix, Capacitor, Circuit,
                            CoupledIdealLine, CoupledInductors, IdealLine,
-                           Inductor, MNASystem, Resistor, TransientOptions,
-                           VoltageSource, run_transient, solve_dcop)
-from repro.circuit.waveforms import Pulse
+                           Inductor, MNASystem, NonlinearCurrentSource,
+                           Resistor, TransientOptions, VoltageSource,
+                           run_transient, run_transient_batch, solve_dcop)
+from repro.circuit.waveforms import Constant, Pulse
 from repro.devices import MD2, build_driver
 
 TOL = 1e-9
@@ -55,14 +61,15 @@ L2 = np.array([[300e-9, 60e-9], [60e-9, 300e-9]])
 C2 = np.array([[100e-12, -5e-12], [-5e-12, 100e-12]])
 
 
-def _excite_two_lands(ckt):
-    """Pulse into land 1 through 25 ohm; land 2 quiet behind 50 ohm."""
+def _excite_two_lands(ckt, r=50.0):
+    """Pulse into land 1 through 25 ohm; land 2 quiet behind 50 ohm; both
+    far ends loaded by ``r`` ohm."""
     ckt.add(VoltageSource("vs", "src", "0",
                           Pulse(v2=1.0, rise=0.1e-9, width=4e-9)))
     ckt.add(Resistor("rs", "src", "ne1", 25.0))
     ckt.add(Resistor("rq", "ne2", "0", 50.0))
-    ckt.add(Resistor("rl1", "fe1", "0", 50.0))
-    ckt.add(Resistor("rl2", "fe2", "0", 50.0))
+    ckt.add(Resistor("rl1", "fe1", "0", r))
+    ckt.add(Resistor("rl2", "fe2", "0", r))
 
 
 def coupled_line_pair():
@@ -105,24 +112,23 @@ IDS = ["rc-ladder", "branin-line", "rlc-tank", "coupled-line",
        "coupled-rlgc"]
 
 
+def with_zero_current_source(ckt):
+    """``ckt`` plus a nonlinear source carrying no current: the circuit
+    is unchanged, but it now takes the Newton path."""
+    node = ckt.node_name(0)
+    ckt.add(NonlinearCurrentSource("gzero", node, "0", [node],
+                                   lambda vs, t: 0.0, lambda vs, t: [0.0]))
+    return ckt
+
+
 class TestLinearFastPath:
     @pytest.mark.parametrize("build,opts", PARAMS, ids=IDS)
     def test_matches_newton_path(self, build, opts):
-        from dataclasses import replace
         res_fast = run_transient(build(), opts)
-        res_newton = run_transient(build(), replace(opts, fast_path=False))
+        res_newton = run_transient(with_zero_current_source(build()), opts)
         assert res_fast.fast_path
         assert not res_newton.fast_path
         assert np.max(np.abs(res_fast.x - res_newton.x)) <= TOL
-
-    @pytest.mark.parametrize("build,opts", PARAMS, ids=IDS)
-    def test_vector_groups_match_per_element_stamping(self, build, opts):
-        """Struct-of-arrays companion groups == the per-element reference."""
-        from dataclasses import replace
-        res_grouped = run_transient(build(), opts)
-        res_scalar = run_transient(build(),
-                                   replace(opts, vector_groups=False))
-        assert np.max(np.abs(res_grouped.x - res_scalar.x)) <= TOL
 
     def test_coupled_netlists_see_real_coupling(self):
         """The quiet land carries crosstalk, so the new groups are not
@@ -142,18 +148,6 @@ class TestLinearFastPath:
         # CoupledInductors.current reads the flushed branch current
         el = ckt["l0"]
         assert el.current(res.x[-1]) == res.x[-1, el.branches[0]]
-        # the flushed history of a line group matches the per-element run
-        ckt2 = coupled_line_pair()
-        run_transient(ckt2, TransientOptions(dt=10e-12, t_stop=5e-9,
-                                             method="damped"))
-        ckt3 = coupled_line_pair()
-        run_transient(ckt3, TransientOptions(dt=10e-12, t_stop=5e-9,
-                                             method="damped",
-                                             vector_groups=False))
-        h_grouped = np.array(ckt2["t1"]._hist._data)
-        h_scalar = np.array(ckt3["t1"]._hist._data)
-        assert h_grouped.shape == h_scalar.shape
-        assert np.max(np.abs(h_grouped - h_scalar)) <= TOL
 
     def test_fast_path_not_taken_for_nonlinear(self):
         ckt = Circuit("drv")
@@ -176,13 +170,10 @@ class TestLinearFastPath:
         assert len(table.cols) == 1
         dense = table.dense()
         row = np.empty(sys_.size)
-        # source-only circuit state: compare a handful of rows against the
-        # scalar per-element assembly (companion histories are all zero
-        # before any step is accepted, so assemble_rhs == source row)
+        # the scalar RHS of a DC analysis at t is the table's row at t
         for k in (0, 1, 7, 41, 79):
-            np.testing.assert_allclose(dense[k],
-                                       sys_.assemble_rhs(t_grid[k]),
-                                       rtol=0.0, atol=1e-15)
+            np.testing.assert_array_equal(sys_.assemble_rhs(t_grid[k]),
+                                          dense[k])
             np.testing.assert_array_equal(table.fill_row(k, row), dense[k])
 
 
@@ -207,3 +198,136 @@ class TestWoodburyStepEquivalence:
         x_ref = sys_.solve(A, b)
         x_wb, _ = sys_.solve_step(op.x, t, b_step)
         assert np.max(np.abs(x_wb - x_ref)) <= TOL
+
+
+def _drive(v2=1.0):
+    """A DC bias plus a pulse: the identities hold off the zero state."""
+    return Constant(0.5) + Pulse(v2=v2, delay=0.1e-9, rise=0.1e-9,
+                                 width=2e-9)
+
+
+def line_cascade(r, halves):
+    """25 ohm into a 1 ns, 50 ohm line -- one piece or two halves --
+    loaded by ``r`` ohm."""
+    ckt = Circuit("cascade")
+    ckt.add(VoltageSource("vs", "src", "0", _drive()))
+    ckt.add(Resistor("rs", "src", "ne", 25.0))
+    if halves:
+        ckt.add(IdealLine("t1", "ne", "mid", 50.0, 0.5e-9))
+        ckt.add(IdealLine("t2", "mid", "fe", 50.0, 0.5e-9))
+    else:
+        ckt.add(IdealLine("t1", "ne", "fe", 50.0, 1e-9))
+    ckt.add(Resistor("rl", "fe", "0", r))
+    return ckt
+
+
+def rlc_load(r, n_caps):
+    """25 ohm and 5 nH into a 2 pF load -- one capacitor or ``n_caps``
+    parallel ones of 2/n_caps pF -- beside ``r`` ohm."""
+    ckt = Circuit("rlc-load")
+    ckt.add(VoltageSource("vs", "src", "0", _drive()))
+    ckt.add(Resistor("rs", "src", "mid", 25.0))
+    ckt.add(Inductor("l1", "mid", "out", 5e-9))
+    for k in range(n_caps):
+        ckt.add(Capacitor(f"c{k}", "out", "0", 2e-12 / n_caps))
+    ckt.add(Resistor("rl", "out", "0", r))
+    return ckt
+
+
+#: per-unit-length L and C of two uncoupled lands, and the line length
+L_DIAG = np.diag([300e-9, 400e-9])
+C_DIAG = np.diag([100e-12, 90e-12])
+LENGTH = 0.1
+
+
+def two_lands(r, coupled):
+    """Two driven lands into ``r`` ohm loads: one ``CoupledIdealLine`` with
+    diagonal L and C, or two ``IdealLine`` with ``z0 = sqrt(L/C)`` and
+    ``td = length * sqrt(L C)``."""
+    ckt = Circuit("lands")
+    ckt.add(VoltageSource("vs1", "s1", "0", _drive()))
+    ckt.add(VoltageSource("vs2", "s2", "0", _drive(v2=-0.7)))
+    ckt.add(Resistor("rs1", "s1", "ne1", 25.0))
+    ckt.add(Resistor("rs2", "s2", "ne2", 40.0))
+    if coupled:
+        ckt.add(CoupledIdealLine("t", ["ne1", "ne2"], ["fe1", "fe2"],
+                                 L_DIAG, C_DIAG, LENGTH))
+    else:
+        for k in range(2):
+            lk, ck = L_DIAG[k, k], C_DIAG[k, k]
+            ckt.add(IdealLine(f"t{k}", f"ne{k + 1}", f"fe{k + 1}",
+                              np.sqrt(lk / ck), LENGTH * np.sqrt(lk * ck)))
+    ckt.add(Resistor("rl1", "fe1", "0", r))
+    ckt.add(Resistor("rl2", "fe2", "0", 2.0 * r))
+    return ckt
+
+
+def diagonal_ladder(r, matrix):
+    """A two-land lumped ladder with diagonal L and C per section, as
+    ``CoupledInductors``/``CapacitanceMatrix`` or as scalar L and C."""
+    seg = LENGTH / 4
+    ckt = Circuit("diag")
+    _excite_two_lands(ckt, r)
+    prev = ["ne1", "ne2"]
+    for s in range(4):
+        nxt = ["fe1", "fe2"] if s == 3 else [f"n{s}_1", f"n{s}_2"]
+        if matrix:
+            ckt.add(CoupledInductors(f"l{s}", list(zip(prev, nxt)),
+                                     L_DIAG * seg))
+            ckt.add(CapacitanceMatrix(f"c{s}", nxt, C_DIAG * seg))
+        else:
+            for k in range(2):
+                ckt.add(Inductor(f"l{s}_{k}", prev[k], nxt[k],
+                                 L_DIAG[k, k] * seg))
+            for k in range(2):
+                ckt.add(Capacitor(f"c{s}_{k}", nxt[k], "0",
+                                  C_DIAG[k, k] * seg))
+        prev = nxt
+    return ckt
+
+
+IDENTITIES = [
+    # (build(r, variant), the two variants, nodes compared, options)
+    (line_cascade, (True, False), ["ne", "fe"],
+     TransientOptions(dt=10e-12, t_stop=8e-9)),
+    (rlc_load, (4, 1), ["mid", "out"],
+     TransientOptions(dt=20e-12, t_stop=6e-9, method="damped")),
+    (two_lands, (True, False), ["ne1", "ne2", "fe1", "fe2"],
+     TransientOptions(dt=10e-12, t_stop=8e-9)),
+    (diagonal_ladder, (True, False), ["ne1", "ne2", "fe1", "fe2"],
+     TransientOptions(dt=10e-12, t_stop=8e-9, method="damped")),
+]
+IDENTITY_IDS = ["two-half-lines-are-one", "parallel-caps-are-one",
+                "uncoupled-line-is-two-lines", "diagonal-matrices-are-scalar"]
+
+
+class TestCompanionIdentities:
+    """Circuit identities of the companion groups, serial and batched."""
+
+    LOADS = (200.0, 30.0)
+
+    @staticmethod
+    def waves(results, nodes):
+        return [np.array([res.v(n) for n in nodes]) for res in results]
+
+    @pytest.mark.parametrize("build,variants,nodes,opts", IDENTITIES,
+                             ids=IDENTITY_IDS)
+    def test_serial(self, build, variants, nodes, opts):
+        lhs, rhs = ([run_transient(build(r, v), opts) for r in self.LOADS]
+                    for v in variants)
+        for a, b in zip(self.waves(lhs, nodes), self.waves(rhs, nodes)):
+            assert np.abs(a).max() > 0.1     # the bench is driven
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=TOL)
+
+    @pytest.mark.parametrize("build,variants,nodes,opts", IDENTITIES,
+                             ids=IDENTITY_IDS)
+    def test_batched(self, build, variants, nodes, opts):
+        lhs, rhs = (run_transient_batch([build(r, v) for r in self.LOADS],
+                                        opts) for v in variants)
+        assert all(res.batched for res in lhs + rhs)
+        serial = [run_transient(build(r, variants[1]), opts)
+                  for r in self.LOADS]
+        for a, b, s in zip(self.waves(lhs, nodes), self.waves(rhs, nodes),
+                           self.waves(serial, nodes)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=TOL)
+            np.testing.assert_allclose(b, s, rtol=0.0, atol=TOL)

@@ -8,6 +8,8 @@ simulated once (by a crashed attempt, a previous submission, another
 client) must never be simulated again.
 """
 
+import http.client
+import json
 import os
 import signal
 import sys
@@ -24,6 +26,7 @@ from repro.studies.runner import batch_key
 from repro.studies.service import (JobManager, StudyService, StudyShard,
                                    fetch_result, job_status, make_server,
                                    shard_plan, submit_study, wait_for_job)
+from repro.studies.service.serve import MAX_BODY_BYTES
 
 _PARENT_PID = os.getpid()
 _LINUX = sys.platform.startswith("linux")
@@ -438,6 +441,51 @@ class TestHTTPService:
                            match=f"service error 400.*{field}"):
             submit_study(url, {"patterns": ["01"], "loads": [load]})
         assert not service.jobs()
+
+    @staticmethod
+    def post_raw(url, length, body=b""):
+        """POST ``body`` to /studies declaring ``length`` as its
+        Content-Length (``None``: no header); ``(status, error)``."""
+        host, port = url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=3.0)
+        try:
+            conn.putrequest("POST", "/studies", skip_accept_encoding=True)
+            if length is not None:
+                conn.putheader("Content-Length", str(length))
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", [None, -1, "abc", "1.5", "1_0"])
+    def test_bad_content_length_is_400(self, http_service, length):
+        """A missing or non-integer Content-Length answers 400 at once,
+        before any body is read."""
+        url, service = http_service
+        status, error = self.post_raw(url, length)
+        assert status == 400
+        assert "Content-Length" in error
+        assert not service.jobs()
+
+    def test_oversized_body_is_413(self, http_service):
+        """A body declared beyond the limit (here 5 GB that never comes)
+        answers 413 at once instead of being awaited."""
+        url, service = http_service
+        status, error = self.post_raw(url, 5 * 10**9)
+        assert status == 413
+        assert "Content-Length" in error
+        status, _ = self.post_raw(url, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert not service.jobs()
+
+    def test_body_at_the_limit_is_read(self, http_service):
+        """A body within the limit is read and parsed as before."""
+        url, _service = http_service
+        body = b"{" + b" " * (MAX_BODY_BYTES - 2) + b"}"
+        status, error = self.post_raw(url, len(body), body)
+        assert status == 400
+        assert "invalid study" in error
 
     def test_unknown_mask_is_400(self, http_service):
         """An unknown mask name answers 400 naming the field."""
