@@ -162,7 +162,10 @@ class CoupledInductors(Element):
 
     def init_state(self, x, system) -> None:
         self._i_prev = np.array([x[br] for br in self.branches])
-        self._v_prev = np.zeros(self.n)
+        # each winding's terminal voltage, as Inductor.init_state takes it
+        self._v_prev = np.array([
+            (x[a] if a >= 0 else 0.0) - (x[b] if b >= 0 else 0.0)
+            for a, b in map(self._pair_nodes, range(self.n))])
 
     def stamp_const(self, st):
         for k in range(self.n):

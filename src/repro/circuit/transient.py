@@ -167,7 +167,9 @@ def run_transient(circuit: Circuit, options: TransientOptions,
     refactorization count; ``solver_steps``/``newton_iters`` counters
     accumulate in the metrics registry either way.  The per-step loop
     itself only touches local integers, so the instrumentation is free
-    at solver granularity.
+    at solver granularity.  A ``system`` must be an
+    :class:`MNASystem` of ``circuit`` itself (:class:`CircuitError`
+    otherwise).
     """
     with get_tracer().span("transient.run") as sp:
         return _run_transient(circuit, options, system, sp)
@@ -177,6 +179,11 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
                    system: MNASystem | None, sp) -> TransientResult:
     if options.dt <= 0.0 or options.t_stop <= options.dt:
         raise CircuitError("need 0 < dt < t_stop")
+    if system is not None and system.circuit is not circuit:
+        # the run would seed one circuit's element state and step the
+        # other's companion groups from it
+        raise CircuitError("run_transient needs a system built on the "
+                           "circuit it runs")
     theta = options.resolved_theta()
     sys_ = system or MNASystem(circuit)
 

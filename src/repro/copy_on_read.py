@@ -8,7 +8,9 @@ reads the verdicts and one spectrum per draw).  A clone made by
 :meth:`CopyOnRead.clone_on_read` instead keeps references to the
 entry's arrays and copies each one the first time it is read; writes
 then land on the copy.  The entry itself must never change while clones
-of it exist.
+of it exist.  Code that only reads a clone's arrays (a sweep-level
+aggregation) takes them through :meth:`CopyOnRead.peek`, which hands out
+the entry's array while its copy is still pending and makes no copy.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ class CopyOnRead:
         # setdefault: two threads reading at once keep one copy
         return self.__dict__.setdefault(
             name, self._COPY_ON_READ[name](pending[name]))
+
+    def peek(self, name):
+        """Field ``name`` for reading only: the shared source while its
+        copy is pending (no copy is made), else the field itself.  The
+        caller must not write to what it returns."""
+        state = self.__dict__
+        if name not in state and name in state.get("_pending", ()):
+            return state["_pending"][name]
+        return getattr(self, name)
 
     def clone_on_read(self, **overrides):
         """A clone that shares this instance's ``_COPY_ON_READ`` fields

@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ExperimentError
+from ..memo import bump_generation
 from .spectrum import Spectrum
 
 __all__ = ["LimitSegment", "LimitMask", "ComplianceVerdict", "MASKS",
@@ -311,8 +312,12 @@ def get_mask(mask) -> LimitMask:
 
 
 def register_mask(mask: LimitMask, overwrite: bool = False) -> LimitMask:
-    """Make a user-defined mask resolvable by name in scenario specs."""
+    """Make a user-defined mask resolvable by name in scenario specs.
+
+    Advances the registry generation, so memoized scenario keys
+    (:meth:`repro.studies.Scenario.key`) render the new content."""
     if mask.name in MASKS and not overwrite:
         raise ExperimentError(f"mask {mask.name!r} already registered")
     MASKS[mask.name] = mask
+    bump_generation()
     return mask

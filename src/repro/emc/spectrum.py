@@ -296,12 +296,16 @@ def _common_grid(spectra, interpolate: bool, what: str):
                 f"{what} needs matching detectors; got "
                 f"{first.detector!r} and {s.detector!r} -- an envelope "
                 "mixing detector weightings is not a measurement")
-    same_grid = all(s.f.shape == first.f.shape
-                    and np.allclose(s.f, first.f, rtol=1e-9, atol=0.0)
-                    for s in spectra[1:])
+    # read-only: a cache hit's arrays are read in place, never copied
+    fs = [s.peek("f") for s in spectra]
+    f0 = fs[0]
+    same_grid = all(g.shape == f0.shape
+                    and (np.array_equal(g, f0)
+                         or np.allclose(g, f0, rtol=1e-9, atol=0.0))
+                    for g in fs[1:])
     if same_grid:
-        f = first.f.copy()
-        mags = np.stack([s.mag for s in spectra])
+        f = f0.copy()
+        mags = np.stack([s.peek("mag") for s in spectra])
     elif not interpolate:
         raise ExperimentError(
             f"{what}(interpolate=False) needs a common frequency grid; "
@@ -310,22 +314,23 @@ def _common_grid(spectra, interpolate: bool, what: str):
         # finest = smallest typical bin spacing; the median is robust to
         # one irregular first bin (a grid whose fundamental differs from
         # its spacing would win or lose on f[1]-f[0] alone)
-        def typical_df(s):
-            d = np.median(np.diff(s.f)) if s.f.size > 1 else np.inf
+        def typical_df(g):
+            d = np.median(np.diff(g)) if g.size > 1 else np.inf
             return d if d > 0 else np.inf
-        finest = min(spectra, key=typical_df)
+        finest = min(fs, key=typical_df)
         # clip to the band every spectrum covers on BOTH ends: np.interp
-        # flat-extrapolates outside [s.f[0], s.f[-1]], which below a
-        # coarse grid's first bin would hold its lowest-frequency level
-        # across bins it never measured
-        f_lo = max(float(s.f[0]) for s in spectra)
-        f_hi = min(float(s.f[-1]) for s in spectra)
-        keep = (finest.f >= f_lo * (1.0 - 1e-12)) \
-            & (finest.f <= f_hi * (1.0 + 1e-12))
-        f = finest.f[keep].copy()
+        # flat-extrapolates outside [g[0], g[-1]], which below a coarse
+        # grid's first bin would hold its lowest-frequency level across
+        # bins it never measured
+        f_lo = max(float(g[0]) for g in fs)
+        f_hi = min(float(g[-1]) for g in fs)
+        keep = (finest >= f_lo * (1.0 - 1e-12)) \
+            & (finest <= f_hi * (1.0 + 1e-12))
+        f = finest[keep]
         if f.size < 2:
             raise ExperimentError("spectra share no frequency band")
-        mags = np.stack([np.interp(f, s.f, s.mag) for s in spectra])
+        mags = np.stack([np.interp(f, g, s.peek("mag"))
+                         for g, s in zip(fs, spectra)])
     return f, mags, same_grid
 
 
@@ -353,6 +358,37 @@ def peak_hold(spectra, interpolate: bool = True) -> Spectrum:
                           "interpolated": not same_grid})
 
 
+def _linear_quantiles(mags: np.ndarray, qs: tuple) -> np.ndarray:
+    """``np.quantile(mags, qs, axis=0)`` bit for bit, from one sort.
+
+    ``np.quantile`` partitions the population axis around the order
+    statistics of every call; sorting it once serves all of ``qs``.  The
+    index and interpolation arithmetic below is numpy's ``linear``
+    method step by step (virtual index ``(n - 1) q``, the last order
+    statistic at and above ``n - 1``, the two-sided lerp), which keeps
+    the bands bitwise equal.  (Only the sign of a zero can differ, where
+    ``-0.0`` and ``0.0`` tie and the partition orders them its own way;
+    magnitudes hold no ``-0.0``.)  NaN sorts last, and numpy answers NaN
+    for a whole column holding one, so such a population takes numpy's
+    own path.
+    """
+    srt = np.sort(mags, axis=0)
+    if np.isnan(srt[-1]).any():
+        return np.quantile(mags, qs, axis=0)
+    n = srt.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(virtual)
+    top = virtual >= n - 1
+    lo[top] = -1
+    gamma = (virtual - lo)[:, None]
+    lo = lo.astype(np.intp)
+    a, b = srt[lo], srt[np.where(top, -1, lo + 1)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def quantile_hold(spectra, qs=(0.5, 0.95, 0.99),
                   interpolate: bool = True) -> dict:
     """Per-frequency quantile bands across many spectra.
@@ -365,10 +401,11 @@ def quantile_hold(spectra, qs=(0.5, 0.95, 0.99),
     spectra stack onto one common grid (same rules as
     :func:`peak_hold`, mixed grids interpolate onto the finest) and each
     requested quantile reduces the ``(n_spectra, n_bins)`` magnitude
-    matrix along the population axis with ``np.quantile`` (linear
-    interpolation between order statistics, so the result is
-    deterministic for a given draw set regardless of how it was
-    computed).
+    matrix along the population axis exactly as ``np.quantile`` does
+    (linear interpolation between order statistics, bit for bit, so the
+    result is deterministic for a given draw set regardless of how it
+    was computed); one sort of the population axis serves every
+    quantile.
 
     Returns ``{"p50": Spectrum, "p95": Spectrum, ...}`` keyed by
     ``f"p{100 q:g}"``; magnitudes are linear, in the input unit, and by
@@ -382,7 +419,7 @@ def quantile_hold(spectra, qs=(0.5, 0.95, 0.99),
     f, mags, same_grid = _common_grid(spectra, interpolate,
                                       "quantile_hold")
     first = spectra[0]
-    levels = np.quantile(mags, qs, axis=0)
+    levels = _linear_quantiles(mags, qs)
     out = {}
     for q, level in zip(qs, levels):
         name = f"p{100.0 * q:g}"

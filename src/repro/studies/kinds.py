@@ -33,6 +33,7 @@ import dataclasses
 from ..circuit import Capacitor, CoupledIdealLine, IdealLine, Resistor
 from ..emc.metrics import crosstalk_metrics, logic_eye_metrics
 from ..errors import ExperimentError
+from ..memo import bump_generation
 
 __all__ = ["ScenarioKind", "register_kind", "get_kind", "kind_names",
            "KINDS"]
@@ -53,6 +54,8 @@ def register_kind(kind: "ScenarioKind",
     overwrite : bool
         Allow replacing an existing registration (default: a duplicate
         name raises, so two packages cannot silently shadow each other).
+        Any registration advances the registry generation, so memoized
+        scenario keys render the new kind's identity.
 
     Returns
     -------
@@ -71,6 +74,7 @@ def register_kind(kind: "ScenarioKind",
             f"scenario kind {kind.name!r} is already registered; pass "
             "overwrite=True to replace it")
     KINDS[kind.name] = kind
+    bump_generation()
     return kind
 
 

@@ -118,6 +118,13 @@ class ScenarioOutcome(CopyOnRead):
         return self.clone_on_read(**fields)
 
 
+def _select(spectra_dicts, quantity: str, detector: str) -> list:
+    """The ``quantity``/``detector`` entry of each spectra dict holding
+    one (the raw spectrum under ``quantity`` itself for ``"peak"``)."""
+    key = quantity if detector == "peak" else f"{quantity}@{detector}"
+    return [d[key] for d in spectra_dicts if key in d]
+
+
 class SweepResult:
     """Ordered collection of :class:`ScenarioOutcome` with summary helpers."""
 
@@ -180,16 +187,21 @@ class SweepResult:
         list of Spectrum
             In grid order.
         """
-        key = quantity if detector == "peak" else f"{quantity}@{detector}"
-        return [o.spectra[key] for o in self.outcomes
-                if o.ok and key in o.spectra]
+        return _select((o.spectra for o in self.outcomes if o.ok),
+                       quantity, detector)
+
+    def _read_spectra(self, quantity: str, detector: str) -> list:
+        """:meth:`spectra` for the aggregations, which only read: a
+        cache hit's stored spectra themselves, no clone or copy made."""
+        return _select((o.peek("spectra") for o in self.outcomes if o.ok),
+                       quantity, detector)
 
     def peak_hold(self, quantity: str = "v_port",
                   detector: str = "peak") -> Spectrum:
         """Grid-wide max-hold envelope: the worst level any scenario
         produced in each frequency bin (one vectorized pass over the
         selected quantity/detector spectra)."""
-        specs = self.spectra(quantity, detector)
+        specs = self._read_spectra(quantity, detector)
         if not specs:
             raise ExperimentError(
                 f"no successful scenario carries a {quantity!r} "

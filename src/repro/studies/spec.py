@@ -45,6 +45,7 @@ from ..emc.spectrum import WINDOWS
 from ..errors import ExperimentError
 from ..experiments.cache import canonical_json as _canonical_json
 from ..experiments.cache import scenario_key_digest
+from ..memo import Memoized, generation
 from .kinds import _register_builtin_kinds, get_kind
 
 __all__ = ["SpectralSpec", "BaseLoadSpec", "LoadSpec", "CoupledLoadSpec",
@@ -457,7 +458,7 @@ class CoupledLoadSpec(BaseLoadSpec):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Memoized):
     """One point of an EMC sweep grid."""
 
     pattern: str
@@ -506,8 +507,13 @@ class Scenario:
     def key(self) -> str:
         """Cache identity: the canonical JSON rendering of
         :meth:`canonical` (stable across processes and platforms; the
-        disk cache digests exactly this string)."""
-        return _canonical_json(self.canonical())
+        disk cache digests exactly this string).
+
+        Rendered once per scenario and registry generation: a
+        ``register_mask``/``register_kind`` call renders it afresh.
+        """
+        return self._memo("key", lambda: _canonical_json(self.canonical()),
+                          generation())
 
 
 def scenario_grid(patterns, loads, drivers=("MD2",), corners=("typ",),
@@ -588,7 +594,7 @@ class RunnerOptions:
 
 
 @dataclass(frozen=True)
-class Study:
+class Study(Memoized):
     """Declarative description of one board-level EMC assessment.
 
     The grid is the cartesian product ``drivers x corners x patterns x
@@ -645,19 +651,28 @@ class Study:
     def scenarios(self) -> list[Scenario]:
         """The study's grid as a list of :class:`Scenario` (grid order).
 
+        Rendered once per instance (:meth:`_render_grid`): shard
+        planning, digest and every run reuse the same scenario objects,
+        and with them their memoized keys.
+        """
+        return list(self._memo("grid", self._render_grid))
+
+    def _render_grid(self) -> tuple:
+        """The grid's scenarios, ``drivers x corners x patterns x loads``.
+
         The study-wide ``spectral`` is a *default*: loads carrying their
         own request keep it (their scenarios get no scenario-level spec,
         which would override the load's -- scenario-level wins on
         :class:`Scenario`).
         """
-        return [Scenario(pattern=p, load=ld, driver=drv, corner=c,
-                         bit_time=self.bit_time, dt=self.dt,
-                         t_stop=self.t_stop,
-                         spectral=None
-                         if getattr(ld, "spectral", None) is not None
-                         else self.spectral)
-                for drv, c, p, ld in product(self.drivers, self.corners,
-                                             self.patterns, self.loads)]
+        return tuple(Scenario(pattern=p, load=ld, driver=drv, corner=c,
+                              bit_time=self.bit_time, dt=self.dt,
+                              t_stop=self.t_stop,
+                              spectral=None
+                              if getattr(ld, "spectral", None) is not None
+                              else self.spectral)
+                     for drv, c, p, ld in product(self.drivers, self.corners,
+                                                  self.patterns, self.loads))
 
     def __len__(self) -> int:
         """Number of grid points."""

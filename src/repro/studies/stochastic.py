@@ -55,6 +55,11 @@ __all__ = ["Distribution", "TrafficModel", "JitterSpec",
 #: normal z-score for the default 95% Wilson confidence interval
 _Z95 = 1.959963984540054
 
+#: admission ceiling of ``stochastic.n_draws``: every draw renders a
+#: scenario and keeps an outcome, so a budget is refused before any is
+#: rendered; 10**5 draws pin a pass probability to +/-0.3% (95%)
+MAX_DRAWS = 100_000
+
 
 def draw_rng(seed: int, index: int) -> np.random.Generator:
     """The splittable per-draw generator: draw ``index`` of seed
@@ -439,6 +444,10 @@ class StochasticSpec:
         object.__setattr__(self, "seed", int(self.seed))
         if int(self.n_draws) < 1:
             raise ExperimentError("need n_draws >= 1")
+        if int(self.n_draws) > MAX_DRAWS:
+            raise ExperimentError(
+                f"stochastic.n_draws = {int(self.n_draws)} exceeds the "
+                f"admission ceiling of {MAX_DRAWS} draws")
         object.__setattr__(self, "n_draws", int(self.n_draws))
         object.__setattr__(self, "traffic",
                            TrafficModel.from_dict(self.traffic)
@@ -613,25 +622,13 @@ class StochasticStudy(Study):
             if getattr(load, "spectral", None) is not None
             else self.spectral)
 
-    def scenarios(self) -> list[Scenario]:
+    def _render_grid(self) -> tuple:
         """The sampled grid: ``n_draws`` rendered scenarios, in draw
-        order.
-
-        Rendered once per instance (memoized -- shard planning, digest
-        and dispatch all reuse the same list) under one
-        ``stochastic.sample`` span.
-        """
-        cached = getattr(self, "_draws", None)
-        if cached is None:
-            spec = self.stochastic
-            with get_tracer().span("stochastic.sample",
-                                   n_draws=spec.n_draws,
-                                   seed=spec.seed,
-                                   traffic=spec.traffic.model):
-                cached = tuple(self._render_draw(i)
-                               for i in range(spec.n_draws))
-            object.__setattr__(self, "_draws", cached)
-        return list(cached)
+        order, under one ``stochastic.sample`` span."""
+        spec = self.stochastic
+        with get_tracer().span("stochastic.sample", n_draws=spec.n_draws,
+                               seed=spec.seed, traffic=spec.traffic.model):
+            return tuple(self._render_draw(i) for i in range(spec.n_draws))
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -684,10 +681,14 @@ class StochasticStudy(Study):
         worker attempts (or SIGKILLed retries) it took to get there.
         """
         met = get_metrics()
-        for o in outcomes:
-            met.inc("draws_total", status="ok" if o.ok else "error")
-            if o.cache_hit:
-                met.inc("draws_cached")
+        n_ok = sum(1 for o in outcomes if o.ok)
+        n_cached = sum(1 for o in outcomes if o.cache_hit)
+        if n_ok:
+            met.inc("draws_total", n_ok, status="ok")
+        if n_ok < len(outcomes):
+            met.inc("draws_total", len(outcomes) - n_ok, status="error")
+        if n_cached:
+            met.inc("draws_cached", n_cached)
         return StochasticResult(outcomes, study=self,
                                 elapsed_s=elapsed_s, phases=phases)
 
@@ -780,7 +781,7 @@ class StochasticResult(StudyResult):
         a sharded service run are byte-identical to a serial run's.
         """
         from ..emc.spectrum import quantile_hold
-        spectra = self.spectra(quantity, detector=detector)
+        spectra = self._read_spectra(quantity, detector)
         if not spectra:
             raise ExperimentError(
                 f"no draw produced a spectrum of {quantity!r}; give the "

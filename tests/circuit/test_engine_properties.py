@@ -41,12 +41,11 @@ class TestSolvePathEquivalence:
     def test_woodbury_equals_dense(self, seed):
         """The low-rank fast path must be bit-comparable to full assembly."""
         opts = TransientOptions(dt=20e-12, t_stop=3e-9, method="damped")
-        res_fast = run_transient(diode_ladder(seed=seed), opts,
-                                 system=MNASystem(diode_ladder(seed=seed),
-                                                  woodbury=True))
-        res_slow = run_transient(diode_ladder(seed=seed), opts,
-                                 system=MNASystem(diode_ladder(seed=seed),
-                                                  woodbury=False))
+        fast, slow = diode_ladder(seed=seed), diode_ladder(seed=seed)
+        res_fast = run_transient(fast, opts,
+                                 system=MNASystem(fast, woodbury=True))
+        res_slow = run_transient(slow, opts,
+                                 system=MNASystem(slow, woodbury=False))
         np.testing.assert_allclose(res_fast.x, res_slow.x,
                                    rtol=1e-9, atol=1e-12)
 

@@ -331,3 +331,19 @@ class TestCompanionIdentities:
                            self.waves(serial, nodes)):
             np.testing.assert_allclose(a, b, rtol=0.0, atol=TOL)
             np.testing.assert_allclose(b, s, rtol=0.0, atol=TOL)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_ic_mapping_seeds_every_winding(self, batched):
+        """Under an ``ic`` mapping an inductor starts with a voltage across
+        it: ``CoupledInductors`` seeds it per winding from ``x0``, as
+        ``Inductor`` does, so the diagonal-matrix ladder stays the scalar
+        ladder (they differed by 5.5 mV while the windings started at 0)."""
+        opts = TransientOptions(dt=10e-12, t_stop=8e-9, method="damped",
+                                ic={"ne1": 0.4, "n0_1": 0.1})
+        nodes = ["ne1", "ne2", "fe1", "fe2"]
+        run = (lambda ckts: run_transient_batch(ckts, opts)) if batched \
+            else (lambda ckts: [run_transient(c, opts) for c in ckts])
+        lhs, rhs = (run([diagonal_ladder(r, matrix) for r in self.LOADS])
+                    for matrix in (True, False))
+        for a, b in zip(self.waves(lhs, nodes), self.waves(rhs, nodes)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)

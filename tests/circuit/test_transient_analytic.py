@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import (Capacitor, Circuit, CurrentSource, Inductor,
-                           Resistor, TransientOptions, VoltageSource,
-                           run_transient, solve_dcop)
+                           MNASystem, Resistor, TransientOptions,
+                           VoltageSource, run_transient, solve_dcop)
 from repro.circuit.waveforms import Constant, Sine, Step
 from repro.errors import CircuitError, ConvergenceError
 
@@ -203,3 +203,20 @@ class TestValidation:
         res = run_transient(ckt, TransientOptions(
             dt=1e-14, t_stop=1e-12, ic={"out": 0.7}))
         assert res.v("out")[0] == pytest.approx(0.7)
+
+    def test_foreign_system_rejected(self):
+        """A system built on another instance of the same circuit would
+        seed this circuit's capacitors from the DC point and step the
+        other's: a 1 V-biased RC dipped to 0.01 V."""
+        def biased_rc():
+            ckt = Circuit("bias")
+            ckt.add(VoltageSource("vin", "in", "0", Constant(1.0)))
+            ckt.add(Resistor("r1", "in", "out", 50.0))
+            ckt.add(Capacitor("c1", "out", "0", 1e-12))
+            return ckt
+        opts = TransientOptions(dt=1e-12, t_stop=2e-10)
+        with pytest.raises(CircuitError, match="system"):
+            run_transient(biased_rc(), opts, system=MNASystem(biased_rc()))
+        own = biased_rc()
+        res = run_transient(own, opts, system=MNASystem(own))
+        np.testing.assert_allclose(res.v("out"), 1.0, atol=1e-9)

@@ -90,6 +90,32 @@ class TestQuantileHold:
         assert np.all(bands["p99"].mag <= env.mag + 1e-15)
 
 
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           ties=st.booleans(), nan=st.booleans(),
+           qs=st.lists(st.sampled_from([0.0, 0.5, 0.95, 0.99, 1.0])
+                       | st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_property_bands_are_np_quantile_bitwise(self, n, seed, ties,
+                                                    nan, qs):
+        """One sort serves every band, bit for bit equal to
+        ``np.quantile``: any population size (one spectrum too), ties,
+        ``q`` at 0 and 1, and NaN magnitudes."""
+        rng = np.random.default_rng(seed)
+        mags = rng.uniform(0.0, 10.0, (n, 8))
+        if ties:
+            mags = np.round(mags / 4.0)
+        if nan:
+            mags[rng.integers(n), rng.integers(8)] = np.nan
+        f = np.linspace(0.0, 1e9, mags.shape[1])
+        bands = quantile_hold([Spectrum(f, m) for m in mags], qs=qs)
+        want = {f"p{100.0 * q:g}": level
+                for q, level in zip(qs, np.quantile(mags, qs, axis=0))}
+        assert set(bands) == set(want)
+        for name, level in want.items():
+            np.testing.assert_array_equal(bands[name].mag.view(np.uint64),
+                                          level.view(np.uint64))
+
+
 class TestSpectrogram:
     def test_tone_reads_its_amplitude_in_every_window(self):
         fs = 1e9

@@ -412,6 +412,8 @@ class TestHTTPService:
         ({"patterns": ["01"], "runner": {"use_result_cache": False,
                                          "disk_cache": "c"}},
          "'disk_cache'"),
+        ({"loads": [{"kind": "r"}], "stochastic": {"n_draws": 10**12}},
+         "stochastic.n_draws"),
     ])
     def test_malformed_study_is_400(self, http_service, doc, field):
         """A malformed body answers 400 naming the field; the

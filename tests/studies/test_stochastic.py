@@ -25,15 +25,17 @@ from hypothesis import strategies as st
 
 import repro
 from repro.circuit import Resistor
+from repro.emc import quantile_hold
 from repro.errors import ExperimentError
 from repro.studies import (KINDS, Distribution, JitterSpec, LoadSpec,
-                           RunnerOptions, ScenarioKind, SpectralSpec,
-                           StochasticResult, StochasticSpec,
+                           RunnerOptions, ScenarioKind, ScenarioRunner,
+                           SpectralSpec, StochasticResult, StochasticSpec,
                            StochasticStudy, Study, TrafficModel,
                            register_kind, wilson_interval)
+from repro.studies import spec as spec_module
 from repro.studies.runner import batch_key
 from repro.studies.service import JobManager, shard_plan
-from repro.studies.stochastic import _render_pattern, draw_rng
+from repro.studies.stochastic import MAX_DRAWS, _render_pattern, draw_rng
 
 _PARENT_PID = os.getpid()
 _LINUX = sys.platform.startswith("linux")
@@ -406,6 +408,14 @@ class TestRoundTrip:
         with pytest.raises(ExperimentError):
             StochasticSpec.from_dict({"seed": 1, "bogus": 2})
 
+    def test_draw_budget_has_an_admission_ceiling(self):
+        """A budget above the ceiling is refused before any draw
+        renders, naming the field."""
+        assert StochasticSpec(n_draws=MAX_DRAWS).n_draws == MAX_DRAWS
+        for n in (MAX_DRAWS + 1, 10**12):
+            with pytest.raises(ExperimentError, match="stochastic.n_draws"):
+                StochasticSpec(n_draws=n)
+
 
 # ---------------------------------------------------------------------------
 # running + aggregation (simulates; small budgets)
@@ -443,6 +453,52 @@ class TestRunAndAggregate:
         assert len(result) == 4
         lo, hi = result.pass_probability().interval
         assert (hi - lo) / 2.0 <= 0.25
+
+    def test_warm_pass_renders_no_key_and_copies_no_array(
+            self, models, monkeypatch):
+        """A re-run of the same study answers every draw from the
+        result cache without rendering a key, and the bands read each
+        hit's stored arrays without copying them."""
+        study = sto_study(n_draws=128)
+        runner = ScenarioRunner(models=models, n_workers=1)
+        cold = study.run(runner=runner)
+        renders = []
+        render = spec_module._canonical_json
+        monkeypatch.setattr(spec_module, "_canonical_json",
+                            lambda obj: renders.append(obj) or render(obj))
+        warm = study.run(runner=runner)
+        bands = warm.quantile_bands()
+        assert renders == []
+        assert warm.n_cache_hits == 128
+        # not even the spectra dicts were cloned; the public route
+        # (quantile_hold over spectra()) clones them but copies no array
+        assert not any("spectra" in vars(o) for o in warm.outcomes)
+        public = quantile_hold(warm.spectra())
+        for o in warm.outcomes:
+            held = o.spectra["v_port"]
+            assert "f" not in vars(held) and "mag" not in vars(held)
+        for name, band in cold.quantile_bands().items():
+            np.testing.assert_array_equal(bands[name].mag, band.mag)
+            np.testing.assert_array_equal(public[name].mag, band.mag)
+
+    def test_writes_to_a_warm_hit_never_reach_the_cache(self, models):
+        study = sto_study(n_draws=4)
+        runner = ScenarioRunner(models=models, n_workers=1)
+        cold = study.run(runner=runner)
+        warm = study.run(runner=runner)
+        warm.quantile_bands()
+        for o in warm.outcomes:
+            o.v_port[:] = -1.0
+            o.spectra["v_port"].mag[:] = -1.0
+        again = study.run(runner=runner)
+        assert again.n_cache_hits == 4
+        for a, c in zip(again.outcomes, cold.outcomes):
+            np.testing.assert_array_equal(a.v_port, c.v_port)
+            np.testing.assert_array_equal(a.spectra["v_port"].mag,
+                                          c.spectra["v_port"].mag)
+        np.testing.assert_array_equal(
+            again.quantile_bands()["p50"].mag,
+            cold.quantile_bands()["p50"].mag)
 
     def test_seeded_rerun_answers_from_the_disk_cache(self, models,
                                                       tmp_path):
@@ -498,6 +554,18 @@ class TestCLI:
         assert main(["run", str(path), "--draws", "4"]) == 2
         assert "stochastic" in capsys.readouterr().err
         assert main(["run", str(path), "--seed", "1"]) == 2
+
+    def test_draw_budget_over_the_ceiling_exits_2(self, tmp_path,
+                                                   capsys):
+        from repro.studies.cli import main
+        path = tmp_path / "huge.toml"
+        path.write_text('[[loads]]\nkind = "r"\n\n'
+                        '[stochastic]\nn_draws = 1000000000000\n')
+        assert main(["run", str(path)]) == 2
+        assert "stochastic.n_draws" in capsys.readouterr().err
+        ok = sto_study(n_draws=2).save(tmp_path / "mc.toml")
+        assert main(["run", str(ok), "--draws", str(10**12)]) == 2
+        assert "stochastic.n_draws" in capsys.readouterr().err
 
     def test_submit_applies_the_same_overrides(self, tmp_path):
         """The submit path folds --draws/--seed through the same

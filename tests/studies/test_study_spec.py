@@ -9,19 +9,20 @@ cache, so it must fail a test first.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emc import LimitMask
+from repro.emc import MASKS, LimitMask, register_mask
 from repro.errors import ExperimentError
 from repro.experiments import AntennaModel
 from repro.experiments.cache import scenario_key_digest
-from repro.studies import (CORNERS, CoupledLoadSpec, LoadSpec,
+from repro.studies import (CORNERS, KINDS, CoupledLoadSpec, LoadSpec,
                            RunnerOptions, Scenario, ScenarioRunner,
-                           SpectralSpec, Study)
+                           SpectralSpec, Study, get_kind, register_kind)
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
@@ -365,6 +366,70 @@ NONPHYSICAL = [
     ({"kind": "rx", "z0": 0.0}, "'z0'"),
     ({"kind": "rx", "c": -1e-12}, "'c'"),
 ]
+
+
+class TestKeyMemo:
+    """``Scenario.key()`` renders once per scenario and registry
+    generation, and the memo stays in its process."""
+
+    def test_key_renders_once(self):
+        sc = Scenario(pattern="0110", load=LoadSpec(kind="r", r=50.0))
+        assert sc.key() is sc.key()
+
+    def test_mask_overwrite_rebuilds_the_key(self):
+        def mask(level):
+            return LimitMask("memo-test", ((1e6, 1e9, level, level),))
+        register_mask(mask(60.0))
+        try:
+            sc = Scenario(pattern="0110",
+                          spectral=SpectralSpec(mask="memo-test"))
+            before = sc.key()
+            register_mask(mask(50.0), overwrite=True)
+            assert sc.key() != before
+            assert sc.key() == Scenario(
+                pattern="0110", spectral=SpectralSpec(mask="memo-test")).key()
+        finally:
+            MASKS.pop("memo-test", None)
+
+    def test_kind_overwrite_rebuilds_the_key(self):
+        base = type(get_kind("rc"))
+
+        def kind(fields):
+            return type("MemoKind", (base,), {"name": "memo-test",
+                                              "load_cls": LoadSpec,
+                                              "physics_fields": fields})()
+        register_kind(kind(("r",)))
+        try:
+            sc = Scenario(pattern="0110",
+                          load=LoadSpec(kind="memo-test", r=50.0, c=1e-12))
+            before = sc.key()
+            assert '"c"' not in before
+            register_kind(kind(("r", "c")), overwrite=True)
+            assert '"c":1e-12' in sc.key()
+            assert sc.key() != before
+        finally:
+            KINDS.pop("memo-test", None)
+
+    def test_memos_never_travel_in_a_pickle(self):
+        study = Study(patterns=("01", "0110"),
+                      loads=(LoadSpec(kind="r", r=50.0),))
+        sc = study.scenarios()[0]
+        key = sc.key()
+        for obj in (sc, study):
+            assert "_memos" in vars(obj)
+            assert "_memos" not in vars(pickle.loads(pickle.dumps(obj)))
+        copy = pickle.loads(pickle.dumps(sc))
+        assert copy == sc and copy.key() == key
+        assert pickle.loads(pickle.dumps(study)).scenarios() == \
+            study.scenarios()
+
+    def test_study_grid_is_rendered_once(self):
+        study = Study(patterns=("01", "0110"),
+                      loads=(LoadSpec(kind="r", r=50.0),
+                             LoadSpec(kind="rc", r=75.0, c=5e-12)))
+        first, again = study.scenarios(), study.scenarios()
+        assert first == again and first is not again
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestNonPhysicalLoads:
