@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the main modeling design choices.
 
 * dynamic order r of the driver submodels,
 * number of RBF bases (OLS error-reduction trade-off),

@@ -1,10 +1,14 @@
-"""Setup shim.
+"""Setup script.
 
-Kept alongside pyproject.toml so ``pip install -e . --no-build-isolation``
-works in offline environments whose setuptools lacks the ``wheel`` package
-(legacy develop installs do not need to build a wheel).
+``pip install -e . --no-build-isolation`` works in offline environments
+whose setuptools lacks the ``wheel`` package (legacy develop installs do
+not need to build a wheel).  The package lives under ``src/``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -1,4 +1,4 @@
-"""Grid-batched transient solving: advance N same-topology circuits per step.
+"""The lockstep transient engine: advance N same-topology circuits per step.
 
 The EMC assessment workflow is a *grid* workload: one bench topology (driver,
 interconnect, load) swept over corners, load values, and bit patterns.  Run
@@ -29,22 +29,25 @@ per time step with a leading "scenario" array axis:
 * members may stop at different times: the group runs the longest grid and
   a member whose run has ended is frozen,
 * the DC operating point is one lockstep Newton too: the stacked DC bases
-  invert once and the banks evaluate their elements' DC branches, so each
-  member starts where serial :func:`~repro.circuit.dcop.solve_dcop` would
-  start it (groups of transistor-level MOSFET benches take the serial
-  operating point itself, see :func:`_operating_points`).
+  invert once and the banks evaluate their elements' DC branches; a
+  member whose plain Newton fails continues on a lockstep gmin/source-
+  stepping ladder (groups of transistor-level MOSFET benches take the
+  serial operating point instead, see :func:`_operating_points`).
 
-Eligibility is conservative: members must share a structural signature
-(:func:`batch_signature`), store densely, and have nonlinear elements only
-of classes that provide a working ``batch_bank``.
-Anything else falls back to per-member
-:func:`~repro.circuit.transient.run_transient` -- the fallback *is* the
-nonlinear-straggler path, so :func:`run_transient_batch` always returns
-valid results.
+This is the one engine of every circuit whose nonlinear elements all
+provide a ``batch_bank`` (linear circuits included):
+:func:`~repro.circuit.transient.run_transient` runs a lone circuit as a
+batch of one, and :func:`~repro.circuit.dcop.solve_dcop` takes the DC
+point of a circuit holding a macromodel port from here.  The serial
+Newton engine serves only circuits holding a bank-less element (the IBIS
+driver, the C-V receiver, a behavioural current source).  A group that
+cannot advance together (mixed structures, bank-incompatible members, a
+singular DC matrix) runs member by member, each a batch of one where it
+can be.
 
 Line waves live only in a run's companion groups, so a linear circuit may
-be solved again after a batched (or serial) run -- at DC or transient --
-and gets a fresh circuit's result.
+be solved again after a run -- at DC or transient -- and gets a fresh
+circuit's result.
 """
 
 from __future__ import annotations
@@ -53,17 +56,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import CircuitError, ConvergenceError
+from ..errors import CircuitError, ConvergenceError, SingularMatrixError
 from ..obs import get_metrics, get_tracer
 from .companion import build_companion_groups
 from .elements.bank import index_of, pick, scatter
-from .dcop import dcop_ladder, solve_dcop
-from .mna import DENSE_LIMIT, MNASystem, StackedSourceTable
+from .dcop import GMIN_STEPS, solve_dcop
+from .mna import MNASystem, StackedSourceTable
 from .netlist import Circuit
-from .transient import (TransientOptions, TransientResult, _initial_solution,
-                        run_transient)
+from .newton import NewtonOptions
+from .transient import (TransientOptions, TransientResult, _check_systems,
+                        _initial_solution, run_serial, run_transient)
 
-__all__ = ["batch_signature", "run_transient_batch"]
+__all__ = ["batch_signature", "lockstep_eligible", "operating_point",
+           "run_transient_batch"]
 
 
 def batch_signature(circuit: Circuit) -> tuple:
@@ -83,23 +88,26 @@ def batch_signature(circuit: Circuit) -> tuple:
 
 
 def _ineligible_reason(circuits: list) -> str | None:
-    """Why this group cannot take the batched path (None when it can).
+    """Why this group cannot advance in lockstep (None when it can).
 
     All checks are type/structure level so they run *before* any element
-    state is touched; a group rejected here falls back to per-member
-    ``run_transient`` with virgin elements.
+    state is touched; a group rejected here runs member by member with
+    virgin elements.
     """
     sig0 = batch_signature(circuits[0])
     if any(batch_signature(c) != sig0 for c in circuits[1:]):
         return "structural signatures differ"
-    c0 = circuits[0]
-    size = c0.n_nodes + sum(el.n_branch for el in c0.elements)
-    if size > DENSE_LIMIT:
-        return "system too large for dense storage"
-    for el in c0.elements:
+    for el in circuits[0].elements:
         if el.nonlinear and getattr(type(el), "batch_bank", None) is None:
             return f"{type(el).__qualname__} provides no batch_bank"
     return None
+
+
+def lockstep_eligible(circuit: Circuit) -> bool:
+    """Whether every nonlinear element of ``circuit`` provides a
+    ``batch_bank``: the lockstep engine then runs it (as a batch of one
+    when alone)."""
+    return _ineligible_reason([circuit]) is None
 
 
 def _make_banks(systems: list) -> list:
@@ -236,7 +244,7 @@ class _Ports:
     def _merge(self, V: np.ndarray, method: str, *args):
         """Sum the banks' ``method(v, *args)`` on each column and term."""
         ieq = np.zeros((self.n_ports, V.shape[1]))
-        c = np.zeros_like(V)
+        c = np.zeros(V.shape)
         limited = None
         for bank, (cs, ts) in zip(self.banks, self.slots):
             ib, cb, lb = getattr(bank, method)(V[ts], *args)
@@ -300,7 +308,7 @@ class _Ports:
             if K == 1:
                 r = Y0c - D[:, 0] * ieq[0]
             else:
-                r = Y0c - (D * ieq[None]).sum(axis=1)
+                r = Y0c - np.add.reduce(D * ieq[None], axis=1)
             cw = c * _smw_weights(S, c, r)
             col = ieq + (cw if self.P is None else self.P @ cw)
             if K <= 2:
@@ -378,8 +386,10 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
         else:   # no member swaps rows (the common case): no selection
             p00, p01, r0, p10, p11, r1 = m00, m01, r[0], m10, m11, r[1]
         fac = p10 / p00
-        w1 = (r1 - fac * r0) / (p11 - fac * p01)
-        return np.stack([(r0 - p01 * w1) / p00, w1])
+        w = np.empty((2, r.shape[1]))
+        w1 = np.divide(r1 - fac * r0, p11 - fac * p01, out=w[1])
+        np.divide(r0 - p01 * w1, p00, out=w[0])
+        return w
     # S is member-major here, (n, K, K) (see _Ports.members)
     M = S * g.T[:, None, :]
     M += np.eye(K)
@@ -387,20 +397,20 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
 
 
 def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
-    """Every member's DC operating point ``(N, size)``, as serial
-    :func:`~repro.circuit.dcop.solve_dcop` finds it, in one lockstep Newton.
+    """Every member's DC operating point ``(N, size)`` in one lockstep
+    Newton.
 
     Each bench is a load-line problem: the banked nonlinear ports against
     a linear network.  The members' DC bases (capacitors open, inductors
     shorted) stack and invert once; ``Y0 = A_dc^-1 b(0)`` and the port
     columns of that inverse drive :meth:`_Ports.newton` from ``X = 0``,
-    the banks linearizing their elements' DC branches.  A member whose
-    plain Newton does not converge continues on the serial homotopy
-    ladder (:func:`~repro.circuit.dcop.dcop_ladder`) from the element
-    state the lockstep left, counted in
-    ``batch_fallbacks_total{reason="dcop"}``.  A ``transient.dcop`` span
-    records the members, lockstep passes, member-iterations and ladder
-    fallbacks; ``dcop_newton_iters`` counts member-iterations, like the
+    the banks linearizing their elements' DC branches.  Members whose
+    plain Newton does not converge continue on :func:`_ladder` from the
+    bank state the lockstep left, counted in
+    ``batch_fallbacks_total{reason="dcop"}``.  A
+    ``transient.dcop`` span records the members, lockstep passes,
+    member-iterations of the plain Newton and of the ladder, and ladder
+    members; ``dcop_newton_iters`` counts member-iterations, like the
     serial solver's.  A group without nonlinear ports takes the linear
     solution as is, with no iteration.  Raises
     :class:`numpy.linalg.LinAlgError` when a DC base is singular.
@@ -412,60 +422,141 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     """
     with get_tracer().span("transient.dcop") as sp:
         if not all(hasattr(b, "linearize_dc") for b in banks):
+            if any(s.lockstep_only for s in systems):
+                raise CircuitError(
+                    "no DC solver for a circuit holding both a macromodel "
+                    "port and a bank without a DC linearization")
             sp.set(members=len(systems), serial=len(systems))
             return np.stack([solve_dcop(s.circuit, options=newton,
                                         system=s).x for s in systems])
         for s in systems:
             s.build_base(None, 1.0)
-        A_inv = np.linalg.inv(np.stack([s._A_base for s in systems]))
+        A = np.stack([s._A_base for s in systems])
+        A_inv = np.linalg.inv(A)
         B = np.stack([s.assemble_rhs(0.0) for s in systems])
         X = np.matmul(A_inv, B[:, :, None])[:, :, 0]
         failed = np.empty(0, dtype=int)
-        member_iters = passes = 0
+        member_iters = passes = ladder_iters = 0
         if banks:
             ports = _Ports(banks, A_inv, systems[0].n_nodes, newton)
             Y0 = X.T.copy()
-            x_dc, failed, _, member_iters, passes = ports.newton(
+            X, failed, _, member_iters, passes = ports.newton(
                 Y0, np.zeros_like(Y0), np.ones(len(systems), dtype=bool))
-            X = x_dc.T.copy()
             if failed.size:
-                ports.flush()   # the ladder continues from this state
-                for m in failed:
-                    X[m] = dcop_ladder(systems[m], newton)
+                todo = np.zeros(len(systems), dtype=bool)
+                todo[failed] = True
+                ladder_iters = _ladder(A, B, banks, newton,
+                                       systems[0].n_nodes, X, todo)
                 get_metrics().inc("batch_fallbacks_total", int(failed.size),
                                   reason="dcop")
-        if member_iters:
-            get_metrics().inc("dcop_newton_iters", member_iters)
+            X = X.T.copy()
+        if member_iters + ladder_iters:
+            get_metrics().inc("dcop_newton_iters",
+                              member_iters + ladder_iters)
         sp.set(members=len(systems), passes=passes,
-               member_iters=member_iters, fallbacks=int(failed.size))
+               member_iters=member_iters, ladder_iters=ladder_iters,
+               fallbacks=int(failed.size))
     return X
 
 
+def _ladder(A: np.ndarray, B: np.ndarray, banks: list, newton,
+            n_nodes: int, X: np.ndarray, todo: np.ndarray) -> int:
+    """The DC operating points of members ``todo`` by homotopy, in
+    lockstep, once their plain Newton has failed.
+
+    The serial :func:`~repro.circuit.dcop.dcop_ladder` per member: gmin
+    stepping first (a conductance to ground on every node, progressively
+    removed, each stage warm-started); a member that fails a stage
+    continues on source stepping (every source scaled from 10% to 100%,
+    warm-starting each stage).  Both start from ``x = 0`` and from the
+    bank state the plain Newton left (the driver's damped DC current).
+    ``A`` and ``B`` are the members' DC bases (N, size, size) and
+    right-hand sides (N, size); each stage inverts its shifted bases
+    once.  Writes the solutions of ``todo`` into ``X`` (size, N) and
+    returns the ladder's member-iterations.  Raises
+    :class:`ConvergenceError` when source stepping fails too.
+    """
+    iters = 0
+
+    def stage(A_inv, b, x, live):
+        nonlocal iters
+        ports = _Ports(banks, A_inv, n_nodes, newton)
+        Y0 = np.matmul(A_inv, b[:, :, None])[:, :, 0].T
+        x, failed, last, it, _ = ports.newton(Y0, x.copy(), live)
+        iters += it
+        return x, failed, last
+
+    x = np.zeros_like(X)
+    live = todo.copy()
+    shift = np.zeros(A.shape[1])
+    shift[:n_nodes] = 1.0
+    for gmin in GMIN_STEPS:
+        x_new, failed, _ = stage(np.linalg.inv(A + np.diag(gmin * shift)),
+                                 B, x, live)
+        live[failed] = False
+        x[:, live] = x_new[:, live]
+        if not live.any():
+            break
+    X[:, live] = x[:, live]
+    rest = todo & ~live
+    if rest.any():
+        x[:, rest] = 0.0
+        A_inv = np.linalg.inv(A)
+        for scale in np.linspace(0.1, 1.0, 10):
+            x_new, failed, last = stage(A_inv, B * scale, x, rest)
+            if failed.size:
+                raise ConvergenceError(
+                    f"DC operating point failed (source stepping at "
+                    f"{scale:.0%})", iterations=newton.max_iter,
+                    residual=float(last[:, failed].max()))
+            x[:, rest] = x_new[:, rest]
+        X[:, rest] = x[:, rest]
+    return iters
+
+
+def operating_point(system: MNASystem,
+                    newton: NewtonOptions = NewtonOptions()) -> np.ndarray:
+    """The DC operating point of ``system``'s circuit as a lockstep
+    group of one (:func:`_operating_points`): the DC solver of circuits
+    holding a macromodel port, which has no scalar stamp.  Raises
+    :class:`CircuitError` when an element of the circuit has no bank."""
+    reason = _ineligible_reason([system.circuit])
+    if reason:
+        raise CircuitError(f"no DC solver for {system.circuit.title!r}: "
+                           f"{reason}")
+    try:
+        return _operating_points([system], _make_banks([system]),
+                                 newton)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"DC matrix is singular: {exc}") from exc
+
+
 def run_transient_batch(circuits, options: TransientOptions,
-                        t_stops=None) -> list[TransientResult]:
+                        t_stops=None, systems=None) -> list[TransientResult]:
     """Run one transient analysis over a batch of same-topology circuits.
 
     Returns one :class:`~repro.circuit.transient.TransientResult` per input
     circuit, in order.  Results carry ``batched=True`` when the group
-    actually advanced through the batched backend; ineligible groups (mixed
-    topologies, nonlinear elements without a bank, sparse-path sizes)
-    silently fall back to per-member
-    :func:`~repro.circuit.transient.run_transient`, whose results are
-    equivalent (``batched=False``).  ``options`` applies to every member,
-    exactly as it would serially.
+    advanced together through the lockstep engine.  A group that cannot
+    (mixed topologies, bank-incompatible members, a singular DC matrix,
+    a nonlinear element without a bank) runs member by member through
+    :func:`~repro.circuit.transient.run_transient` (``batched=False``),
+    whose results are equivalent.  ``options`` applies to
+    every member, exactly as it would alone.  ``systems`` gives each
+    circuit's own :class:`~repro.circuit.mna.MNASystem` (built here when
+    None).
 
     ``t_stops`` gives each member its own stop time (default: every
     member stops at ``options.t_stop``).  The group then runs the longest
     grid; a member whose run has ended is frozen -- no Newton work, no
     warnings, no :class:`ConvergenceError` and no ``solver_steps`` past
-    its own last step -- and its result is exactly its own serial grid.
+    its own last step -- and its result is exactly its own grid.
 
     A ``transient.batch`` span wraps the whole group (members, step
     count, lockstep Newton member-iterations and passes, distinct models
     per bank, nonlinear ports, padded member-steps, or the fallback
     reason), with the group's ``transient.dcop`` span underneath it;
-    fallback members additionally export their own ``transient.run``
-    spans underneath it.
+    members run one by one export their own spans underneath it.
     """
     circuits = list(circuits)
     if t_stops is None:
@@ -474,31 +565,39 @@ def run_transient_batch(circuits, options: TransientOptions,
     if len(t_stops) != len(circuits):
         raise CircuitError("need one stop time per circuit")
     with get_tracer().span("transient.batch") as sp:
-        return _run_transient_batch(circuits, options, t_stops, sp)
+        return _run_transient_batch(circuits, options, t_stops, sp, systems)
 
 
 def _fallback(circuits: list, options: TransientOptions, t_stops: list,
               sp, reason: str) -> list[TransientResult]:
     """Run a declined group member by member, recording why it was
-    declined on the span and in ``batch_fallbacks_total{reason}``."""
+    declined on the span and in ``batch_fallbacks_total{reason}``.
+
+    Each member of a larger group is a batch of one where it can be; a
+    declined group of one goes to the serial engine."""
     sp.set(members=len(circuits), fallback=reason)
     get_metrics().inc("batch_fallbacks_total", reason=reason)
-    return [run_transient(c, replace(options, t_stop=t))
-            for c, t in zip(circuits, t_stops)]
+    run = run_serial if len(circuits) == 1 else run_transient
+    results = [run(c, replace(options, t_stop=t))
+               for c, t in zip(circuits, t_stops)]
+    for res in results:
+        res.batched = False     # the group did not advance together
+    return results
 
 
 def _run_transient_batch(circuits: list, options: TransientOptions,
-                         t_stops: list, sp) -> list[TransientResult]:
+                         t_stops: list, sp, systems) -> list[TransientResult]:
     if not circuits:
         return []
-    reason = ("single member" if len(circuits) == 1
-              else _ineligible_reason(circuits))
+    reason = _ineligible_reason(circuits)
     if reason:
         return _fallback(circuits, options, t_stops, sp, reason)
     if options.dt <= 0.0 or min(t_stops) <= options.dt:
         raise CircuitError("need 0 < dt < t_stop")
     theta = options.resolved_theta()
-    systems = [MNASystem(c) for c in circuits]
+    if systems is None:
+        systems = [MNASystem(c) for c in circuits]
+    _check_systems(circuits, systems)
     try:
         banks = _make_banks(systems)
     except CircuitError:
@@ -511,7 +610,10 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     if options.ic == "dcop":
         try:
             X = _operating_points(systems, banks, options.newton)
-        except np.linalg.LinAlgError:
+        except np.linalg.LinAlgError as exc:
+            if n_mem == 1:
+                raise SingularMatrixError(
+                    f"DC matrix is singular: {exc}") from exc
             return _fallback(circuits, options, t_stops, sp,
                              "singular DC matrix")
     else:

@@ -54,9 +54,16 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
 
     Strategy: plain Newton first; on failure, the homotopy ladder of
     :func:`dcop_ladder`.  Every Newton iteration of every stage counts
-    into the ``dcop_newton_iters`` counter.
+    into the ``dcop_newton_iters`` counter.  A circuit holding a
+    macromodel port, which has no scalar stamp, takes the same steps as
+    a lockstep group of one (:func:`repro.circuit.batch.operating_point`),
+    from ``x = 0`` and on the default ladder: ``x0`` and ``gmin_steps``
+    tune the serial solver only.
     """
     sys_ = system or MNASystem(circuit)
+    if sys_.lockstep_only:
+        from .batch import operating_point  # the batch engine builds on us
+        return OperatingPoint(circuit, sys_, operating_point(sys_, options))
     sys_.build_base(None, 1.0)
     x = np.zeros(sys_.size) if x0 is None else np.array(x0, dtype=float)
     res = _newton(sys_, x, options)

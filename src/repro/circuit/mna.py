@@ -13,21 +13,17 @@ Newton loop only rewrites what it must:
   ``dt`` or the integration method changes),
 * per-iteration -- nonlinear linearized stamps on a copy of the base matrix.
 
-Dense storage is used up to :data:`DENSE_LIMIT` unknowns, above which the
-system switches to scipy sparse LU.  Both paths share the same Stamper API.
+Storage is dense: the largest system the figures and examples build has
+224 unknowns (the fig. 4 transistor-level testbed).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import SingularMatrixError
 from .netlist import Circuit, Element
-
-DENSE_LIMIT = 600
 
 
 class Stamper:
@@ -101,8 +97,7 @@ class SourceTable:
 
     Sources touch a handful of rows, so only those columns are stored as
     ``(n_t,)`` arrays -- memory scales with the number of driven rows, not
-    with ``n_steps * size`` (a long run of a large sparse-path circuit would
-    otherwise allocate gigabytes of zeros).
+    with ``n_steps * size``.
     """
 
     __slots__ = ("n_t", "size", "cols")
@@ -193,12 +188,11 @@ class TableStamper:
 
 
 class TripletStamper(Stamper):
-    """Stamper collecting matrix entries as COO triplets.
+    """Stamper collecting matrix entries as triplets.
 
-    Sparse assembly sums them onto the base matrix (:meth:`to_coo`); the
-    Woodbury solve path factors the linear base matrix once per analysis
-    and turns the per-iteration nonlinear triplets into a low-rank
-    correction (see :meth:`MNASystem.solve_step`).
+    The Woodbury solve path factors the linear base matrix once per
+    analysis and turns the per-iteration nonlinear triplets into a
+    low-rank correction (see :meth:`MNASystem.solve_step`).
     """
 
     __slots__ = ("rows", "cols", "vals")
@@ -245,20 +239,15 @@ class TripletStamper(Stamper):
         if bnode >= 0:
             self.add_A(branch, bnode, -coeff)
 
-    def to_coo(self, size: int) -> sp.coo_matrix:
-        return sp.coo_matrix(
-            (np.array(self.vals), (np.array(self.rows), np.array(self.cols))),
-            shape=(size, size))
-
 
 class MNASystem:
     """Assembles and solves the MNA equations of a bound :class:`Circuit`.
 
-    With ``woodbury=True`` (default) and a dense base matrix, transient
-    Newton steps factor the constant linear part once per analysis and apply
-    each iteration's nonlinear stamps as a low-rank Sherman-Morrison-Woodbury
-    correction -- macromodel elements touch a couple of matrix entries, so
-    their circuits solve in O(n^2) per iteration instead of O(n^3).
+    With ``woodbury=True`` (default), serial Newton steps factor the
+    constant linear part once per analysis and apply each iteration's
+    nonlinear stamps as a low-rank Sherman-Morrison-Woodbury correction --
+    a device touches a few matrix entries, so a circuit solves in O(n^2)
+    per iteration instead of O(n^3).
     """
 
     def __init__(self, circuit: Circuit, gmin: float = 1e-12,
@@ -277,7 +266,6 @@ class MNASystem:
                 m += el.n_branch
         self.n_branches = m
         self.size = self.n_nodes + m
-        self.dense = self.size <= DENSE_LIMIT
         self._nl = [el for el in circuit.elements if el.nonlinear]
         # the sources: the only elements with a right-hand side of their own
         # (companion histories are stamped by the transient's groups)
@@ -285,12 +273,11 @@ class MNASystem:
                          if type(el).stamp_rhs_table
                          is not Element.stamp_rhs_table]
         self._upd_els = None          # memoized update_state eligibility scan
-        self._A_base: np.ndarray | sp.csc_matrix | None = None
+        self._A_base: np.ndarray | None = None
         self._dt = None
         self._theta = None
-        self._base_lu = None          # cached LU of the dense base matrix
-        self._base_splu = None        # cached splu of the sparse base matrix
-        self.n_factorizations = 0     # base-matrix LU/splu factor count
+        self._base_lu = None          # cached LU of the base matrix
+        self.n_factorizations = 0     # base-matrix LU factor count
         self._A_scratch = None        # reusable dense A for assemble_iter
         self._b_scratch = None        # reusable b for the Newton iteration
         self._wb_pattern = None       # (rows_key, cols_key) of nl stamps
@@ -315,6 +302,14 @@ class MNASystem:
         return self._upd_els
 
     @property
+    def lockstep_only(self) -> list:
+        """Nonlinear elements with no scalar stamp (the macromodel ports):
+        only the lockstep engine of :mod:`repro.circuit.batch` solves a
+        circuit holding one."""
+        return [el for el in self._nl if type(el).stamp_nonlinear
+                is Element.stamp_nonlinear]
+
+    @property
     def is_linear(self) -> bool:
         """True when no element is nonlinear: the LU fast path is eligible."""
         return not self._nl
@@ -327,11 +322,8 @@ class MNASystem:
         (capacitors open, inductors short via their branch equation with
         ``L/(theta*dt)`` term zeroed).
         """
-        if self.dense:
-            A = np.zeros((self.size, self.size))
-            st = Stamper(A, np.zeros(self.size), self.n_nodes)
-        else:
-            st = TripletStamper(np.zeros(self.size), self.n_nodes)
+        st = Stamper(np.zeros((self.size, self.size)), np.zeros(self.size),
+                     self.n_nodes)
         for el in self.circuit.elements:
             el.prepare(dt, theta)
             el.stamp_const(st)
@@ -345,14 +337,10 @@ class MNASystem:
         # nonlinear devices are cut off.
         for i in range(self.n_nodes):
             st.add_A(i, i, self.gmin)
-        if self.dense:
-            self._A_base = st.A
-        else:
-            self._A_base = st.to_coo(self.size).tocsc()
+        self._A_base = st.A
         self._dt = dt
         self._theta = theta
         self._base_lu = None
-        self._base_splu = None
         self._wb_pattern = None
 
     # -- per-step / per-iteration assembly -----------------------------------------
@@ -389,7 +377,7 @@ class MNASystem:
         """Linearize the nonlinear elements around ``x`` on top of the
         per-step base; returns ``(A, b, limited)``.
 
-        With ``scratch=True`` the returned dense ``A`` and ``b`` live in
+        With ``scratch=True`` the returned ``A`` and ``b`` live in
         buffers reused across calls (the Newton loop consumes them before the
         next assembly); callers that hold on to the arrays must use the
         default fresh copies.
@@ -401,43 +389,25 @@ class MNASystem:
             np.copyto(b, b_step)
         else:
             b = b_step.copy()
-        if self.dense:
-            if scratch:
-                if self._A_scratch is None:
-                    self._A_scratch = np.empty_like(self._A_base)
-                A = self._A_scratch
-                np.copyto(A, self._A_base)
-            else:
-                A = self._A_base.copy()
-            st = Stamper(A, b, self.n_nodes)
+        if scratch:
+            if self._A_scratch is None:
+                self._A_scratch = np.empty_like(self._A_base)
+            A = self._A_scratch
+            np.copyto(A, self._A_base)
         else:
-            st = TripletStamper(b, self.n_nodes)
+            A = self._A_base.copy()
+        st = Stamper(A, b, self.n_nodes)
         for el in self._nl:
             el.stamp_nonlinear(st, x, t)
         if extra_gmin > 0.0:
             for i in range(self.n_nodes):
                 st.add_A(i, i, extra_gmin)
-        if not self.dense:
-            if st.rows or not scratch:
-                A = self._A_base + st.to_coo(self.size).tocsc()
-            else:
-                # pure-linear scratch iteration: hand back the base matrix
-                # itself so solve() can reuse its cached factorization
-                # (scratch callers never mutate the returned matrix)
-                A = self._A_base
         return A, b, st.limited
 
     # -- linear algebra -------------------------------------------------------------
     def solve(self, A, b: np.ndarray) -> np.ndarray:
         try:
-            if self.dense:
-                return sla.solve(A, b)
-            if A is self._A_base:
-                # linear iterations hand the base matrix back untouched;
-                # factor it once per build_base instead of on every call
-                self._ensure_base_factor()
-                return self._base_splu.solve(b)
-            return spla.splu(A.tocsc()).solve(b)
+            return sla.solve(A, b)
         except (np.linalg.LinAlgError, sla.LinAlgError, RuntimeError) as exc:
             raise SingularMatrixError(
                 f"MNA matrix is singular: {exc}") from exc
@@ -448,12 +418,10 @@ class MNASystem:
         One cached-factorization back-substitution -- no Newton iteration,
         no matrix assembly.  ``build_base`` must have been called.
         """
-        self._ensure_base_factor()
-        if self.dense:
-            # b is an internal scratch buffer; skip scipy's finite check
-            # (it costs ~20% of a small linear step)
-            return sla.lu_solve(self._base_lu, b, check_finite=False)
-        return self._base_splu.solve(b)
+        self._ensure_base_lu()
+        # b is an internal scratch buffer; skip scipy's finite check
+        # (it costs ~20% of a small linear step)
+        return sla.lu_solve(self._base_lu, b, check_finite=False)
 
     # -- Woodbury fast path -----------------------------------------------------
     def _ensure_base_lu(self):
@@ -461,19 +429,6 @@ class MNASystem:
             try:
                 self._base_lu = sla.lu_factor(self._A_base)
             except (ValueError, sla.LinAlgError) as exc:
-                raise SingularMatrixError(
-                    f"linear base matrix is singular: {exc}") from exc
-            self.n_factorizations += 1
-
-    def _ensure_base_factor(self):
-        """Cache the base-matrix factorization (dense LU or sparse splu)."""
-        if self.dense:
-            self._ensure_base_lu()
-            return
-        if self._base_splu is None:
-            try:
-                self._base_splu = spla.splu(self._A_base.tocsc())
-            except (RuntimeError, ValueError) as exc:
                 raise SingularMatrixError(
                     f"linear base matrix is singular: {exc}") from exc
             self.n_factorizations += 1
@@ -498,10 +453,9 @@ class MNASystem:
         """One Newton linear solve via the low-rank update path.
 
         Returns ``(x_new, limited)``.  Falls back to full assembly when the
-        system is sparse-stored, the Woodbury path is disabled, or the
-        correction is ill-conditioned.
+        Woodbury path is disabled or the correction is ill-conditioned.
         """
-        if not (self.dense and self.woodbury):
+        if not self.woodbury:
             A, b, limited = self.assemble_iter(x, t, b_step, scratch=True)
             return self.solve(A, b), limited
         self._ensure_base_lu()

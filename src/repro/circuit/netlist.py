@@ -36,7 +36,9 @@ class Element:
     * :meth:`stamp_rhs_table` -- the right-hand side of an independent
       source over a whole time grid (a one-point grid for DC).
     * :meth:`stamp_nonlinear` -- per-Newton-iteration linearized stamps of
-      nonlinear elements (Jacobian into ``A``, companion current into ``b``).
+      nonlinear elements (Jacobian into ``A``, companion current into
+      ``b``) on the serial engine.  The macromodel ports have none: their
+      vectorized ``batch_bank`` is their only evaluation.
     * :meth:`update_state` -- called once per *accepted* timestep with the
       converged solution so a nonlinear element can advance its internal
       history.
@@ -96,7 +98,14 @@ class Element:
         """
 
     def stamp_nonlinear(self, st, x: np.ndarray, t: float) -> None:
-        """Stamp linearized nonlinear contributions around the iterate ``x``."""
+        """Stamp linearized nonlinear contributions around the iterate ``x``.
+
+        A nonlinear element that does not override this (a macromodel
+        port) has no scalar stamp: only its ``batch_bank`` evaluates it,
+        on the lockstep engine of :mod:`repro.circuit.batch`.
+        """
+        raise CircuitError(f"{type(self).__name__} {self.name!r} has no "
+                           "scalar stamp")
 
     def update_state(self, x: np.ndarray, t: float, dt: float,
                      theta: float) -> None:

@@ -9,6 +9,11 @@ Integration is the theta method: ``theta = 0.5`` (trapezoidal) by default,
 ``theta = 1.0`` for backward Euler, or any value in between for L-stable
 damped trapezoidal behaviour (``theta = 0.55`` is a good choice for stiff
 switching circuits).
+
+:func:`run_transient` hands every circuit whose nonlinear elements all
+provide a vectorized bank to the lockstep engine of
+:mod:`repro.circuit.batch` (a batch of one); the serial Newton engine
+here (:func:`run_serial`) runs the rest.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .mna import MNASystem
 from .netlist import Circuit
 from .newton import NewtonOptions, newton_solve
 
-__all__ = ["TransientOptions", "TransientResult", "run_transient"]
+__all__ = ["TransientOptions", "TransientResult", "run_transient",
+           "run_serial"]
 
 _METHOD_THETA = {"trap": 0.5, "be": 1.0, "damped": 0.55}
 
@@ -41,10 +47,11 @@ class TransientOptions:
     bundle; ``strict``: raise on Newton failure (else carry the best iterate
     forward and record the event in ``TransientResult.warnings``).
 
-    The solver path follows from the circuit, not from an option: a circuit
-    with no nonlinear element advances by one cached back-substitution per
-    step, any other by damped Newton, and the companion history of every
-    reactive or delayed element advances in the struct-of-arrays groups of
+    The engine follows from the circuit, not from an option (see
+    :func:`run_transient`): a circuit with no nonlinear element advances
+    by one solve of its constant matrix per step, any other by damped
+    Newton, and the companion history of every reactive or delayed
+    element advances in the struct-of-arrays groups of
     :mod:`repro.circuit.companion`.
     """
 
@@ -70,7 +77,13 @@ class TransientOptions:
 
 
 class TransientResult:
-    """Uniformly sampled transient solution with name-based accessors."""
+    """Uniformly sampled transient solution with name-based accessors.
+
+    ``batched`` is True when the run advanced with its group on the
+    lockstep engine (:mod:`repro.circuit.batch`).
+    """
+
+    batched = False
 
     def __init__(self, circuit: Circuit, system: MNASystem,
                  t: np.ndarray, x: np.ndarray, warnings: list[str]):
@@ -157,19 +170,48 @@ def _initial_solution(circuit: Circuit, system: MNASystem, options,
     raise CircuitError(f"bad ic specification {ic!r}")
 
 
+def _check_systems(circuits: list, systems: list) -> None:
+    """Raise :class:`CircuitError` unless each given system (None: built
+    by the run) was built on its own circuit: a run would otherwise seed
+    one circuit's element state and step the other's companion groups
+    from it."""
+    if any(s is not None and s.circuit is not c
+           for c, s in zip(circuits, systems)):
+        raise CircuitError("run_transient needs a system built on the "
+                           "circuit it runs")
+
+
 def run_transient(circuit: Circuit, options: TransientOptions,
                   system: MNASystem | None = None) -> TransientResult:
     """Run a fixed-step transient analysis and return the full solution.
 
-    When tracing is enabled (:func:`repro.obs.configure_tracing`) the
-    run exports one ``transient.run`` span carrying the step count,
-    fast-path/Newton split, total Newton iterations and base-matrix
-    refactorization count; ``solver_steps``/``newton_iters`` counters
-    accumulate in the metrics registry either way.  The per-step loop
-    itself only touches local integers, so the instrumentation is free
-    at solver granularity.  A ``system`` must be an
-    :class:`MNASystem` of ``circuit`` itself (:class:`CircuitError`
-    otherwise).
+    A circuit whose nonlinear elements all provide a ``batch_bank``
+    (linear circuits included) runs on the lockstep engine of
+    :mod:`repro.circuit.batch` as a batch of one (a ``transient.batch``
+    span, ``batched=True``); any other goes to the serial Newton engine
+    of :func:`run_serial`.  A ``system`` must be an :class:`MNASystem`
+    of ``circuit`` itself (:class:`CircuitError` otherwise).
+    """
+    from .batch import lockstep_eligible, run_transient_batch  # builds on us
+    if lockstep_eligible(circuit):
+        return run_transient_batch(
+            [circuit], options, systems=system and [system])[0]
+    return run_serial(circuit, options, system)
+
+
+def run_serial(circuit: Circuit, options: TransientOptions,
+               system: MNASystem | None = None) -> TransientResult:
+    """The serial Newton engine: one circuit, one scalar stamp per
+    nonlinear element and step.
+
+    It serves the circuits holding a nonlinear element without a
+    ``batch_bank``; raises :class:`CircuitError` for one that also
+    holds a macromodel port, which has no scalar stamp.  When tracing is
+    enabled (:func:`repro.obs.configure_tracing`) the run exports one
+    ``transient.run`` span carrying the step count, fast-path/Newton
+    split, total Newton iterations and base-matrix refactorization
+    count; ``solver_steps``/``newton_iters`` counters accumulate in the
+    metrics registry either way.
     """
     with get_tracer().span("transient.run") as sp:
         return _run_transient(circuit, options, system, sp)
@@ -179,13 +221,13 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
                    system: MNASystem | None, sp) -> TransientResult:
     if options.dt <= 0.0 or options.t_stop <= options.dt:
         raise CircuitError("need 0 < dt < t_stop")
-    if system is not None and system.circuit is not circuit:
-        # the run would seed one circuit's element state and step the
-        # other's companion groups from it
-        raise CircuitError("run_transient needs a system built on the "
-                           "circuit it runs")
+    _check_systems([circuit], [system])
     theta = options.resolved_theta()
     sys_ = system or MNASystem(circuit)
+    if sys_.lockstep_only:
+        raise CircuitError(
+            f"{sys_.lockstep_only[0].name!r} runs only on the lockstep "
+            "engine, which cannot run this circuit")
 
     x0 = _initial_solution(circuit, sys_, options, options.newton)
     for el in circuit.elements:

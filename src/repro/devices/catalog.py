@@ -4,7 +4,7 @@ The paper's exact transistor netlists (74LVC244 vendor model, IBM drivers and
 receiver) are proprietary; these are physically representative stand-ins with
 the supply voltages and drive classes the paper describes.  The macromodeling
 method only ever observes port waveforms, so any realistic strongly-nonlinear
-dynamic buffer exercises the identical code path (see DESIGN.md, S2).
+dynamic buffer exercises the identical code path.
 
 * **MD1** -- 74LVC244-class commercial low-voltage CMOS driver, 3.3 V,
   ~25 ohm output impedance, slow/typ/fast corners available (Example 1).

@@ -1,4 +1,4 @@
-"""Experiment drivers: one module per paper figure/table (see DESIGN.md).
+"""Experiment drivers: one module per paper figure/table.
 
 The scenario-sweep API (:class:`~repro.studies.LoadSpec`,
 :class:`~repro.studies.ScenarioRunner`, ...) lives in

@@ -2,7 +2,7 @@
 
 Digits in the available scan of the paper are partly corrupted; all values
 marked (*) are documented substitutions chosen to be physically typical of
-the paper's era (see DESIGN.md section 5).  Keeping them in one module makes
+the paper's era.  Keeping them in one module makes
 re-keying from a clean PDF a one-file change.
 """
 

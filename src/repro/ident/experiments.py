@@ -21,7 +21,7 @@ Each ``*_bench`` function builds one record's circuit (a :class:`Bench`);
 one :func:`~repro.circuit.batch.run_transient_batch` call, so the
 estimation pipelines advance a corner's two state records, or a load's
 two switching records, in lockstep.  The ``record_*`` functions run a
-single bench on the serial engine.
+single bench, a lockstep group of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit import (Circuit, TransientOptions, VoltageSource,
-                       run_transient, run_transient_batch)
+                       run_transient_batch)
 from ..circuit.waveforms import MultilevelNoise, Waveform
 from ..devices.driver import DriverSpec, build_driver
 from ..devices.receiver import ReceiverSpec, build_receiver
@@ -72,9 +72,7 @@ def run_benches(groups) -> list:
     Each group (benches of one topology and sampling time) is one
     :func:`~repro.circuit.batch.run_transient_batch` call, from the DC
     operating point, under one ``ident.records`` span (``groups``,
-    ``members``) that holds the groups' ``transient.batch`` spans.  A
-    group of one bench has nothing to advance in lockstep: it runs on
-    the serial engine (a ``transient.run`` span).
+    ``members``) that holds the groups' ``transient.batch`` spans.
     """
     groups = [list(g) for g in groups]
     out = []
@@ -84,11 +82,8 @@ def run_benches(groups) -> list:
             t_stops = [b.t_stop for b in group]
             opts = TransientOptions(dt=ts, t_stop=max(t_stops),
                                     method="damped", ic="dcop")
-            if len(group) == 1:
-                results = [run_transient(group[0].circuit, opts)]
-            else:
-                results = run_transient_batch(
-                    [b.circuit for b in group], opts, t_stops=t_stops)
+            results = run_transient_batch(
+                [b.circuit for b in group], opts, t_stops=t_stops)
             out.append([PortRecord(res.v(b.port), -res.i(b.meter), ts,
                                    b.meta)
                         for b, res in zip(group, results)])

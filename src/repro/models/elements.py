@@ -6,6 +6,12 @@ engine must run at ``dt = ts``), and expose ``i(v)``/``di/dv`` of the present
 sample to the Newton loop, so the macromodel participates in the circuit
 solution exactly like a transistor-level device.
 
+The pw-RBF driver and the parametric receiver are evaluated only through
+their vectorized banks (``batch_bank``) on the lockstep engine of
+:mod:`repro.circuit.batch`, which solves a lone circuit as a batch of one;
+the banks own every history.  The C-V baseline receiver keeps a scalar
+stamp for the serial engine.
+
 For the text-netlist/state-space route see :mod:`repro.models.synthesis`.
 """
 
@@ -29,37 +35,29 @@ _TS_TOL = 1e-3  # relative tolerance between engine dt and model ts
 
 
 class _DiscretePortElement(Element):
-    """Shared plumbing: one-port element locked to the model sampling time."""
+    """Shared plumbing: one-port element locked to the model sampling time.
+
+    The element holds the model and its schedule; its bank holds the
+    histories and writes back the port current of the last accepted step
+    (:meth:`current`) when a run ends.
+    """
 
     nonlinear = True
 
     def __init__(self, name: str, port: str, ts: float):
         super().__init__(name, [port])
         self.ts = float(ts)
-        self._dc = False
+        self._last_i = 0.0
 
     def prepare(self, dt, theta):
-        if dt is None:
-            self._dc = True
-            return
-        self._dc = False
-        if abs(dt - self.ts) > _TS_TOL * self.ts:
+        if dt is not None and abs(dt - self.ts) > _TS_TOL * self.ts:
             raise ModelError(
                 f"{self.name}: engine dt={dt:g}s must equal the model "
                 f"sampling time ts={self.ts:g}s")
 
-    def _port_voltage(self, x) -> float:
-        node = self.nodes[0]
-        return float(x[node]) if node >= 0 else 0.0
-
-    def _stamp_iv(self, st, i: float, g: float, v: float,
-                  g_base: float = 0.0) -> None:
-        """Stamp linearized ``i(v') ~= i + g (v' - v)`` into the port node,
-        less a conductance ``g_base`` the base matrix already holds."""
-        node = self.nodes[0]
-        st.conductance(node, -1, g - g_base)
-        ieq = i - g * v
-        st.add_b(node, -ieq)
+    def current(self, x) -> float:
+        """Port current (into the device) at the last accepted step."""
+        return self._last_i
 
 
 class PWRBFDriverElement(_DiscretePortElement):
@@ -74,15 +72,6 @@ class PWRBFDriverElement(_DiscretePortElement):
         if self.wh.shape != self.wl.shape:
             raise ModelError("weight timelines must have equal length")
         self.initial_state = initial_state
-        r = model.order
-        # plain-float histories: np.float64 arithmetic is several times
-        # slower than float in the pure-Python hot loop
-        self._v_hist = [0.0] * r     # v(k-1) .. v(k-r)
-        self._i_hist = [0.0] * r     # i(k-1) .. i(k-r)
-        self._i_dc = 0.0
-        # pure-Python compiled evaluators for the per-iteration hot path
-        self._fast_high = model.sub_high.compile()
-        self._fast_low = model.sub_low.compile()
 
     @classmethod
     def for_pattern(cls, name: str, port: str, model: PWRBFDriverModel,
@@ -96,83 +85,20 @@ class PWRBFDriverElement(_DiscretePortElement):
                                         initial_state=pattern[0])
         return cls(name, port, model, wh, wl, initial_state=pattern[0])
 
-    def _weights(self, k: int) -> tuple[float, float]:
-        k = min(max(k, 0), self.wh.size - 1)
-        return float(self.wh[k]), float(self.wl[k])
-
-    def _eval(self, v_now: float, wh: float, wl: float
-              ) -> tuple[float, float]:
-        x = [v_now, *self._v_hist, *self._i_hist]
-        i = g = 0.0
-        if wh != 0.0:
-            fh, gh = self._fast_high.eval_grad(x)
-            i += wh * fh
-            g += wh * gh
-        if wl != 0.0:
-            fl, gl = self._fast_low.eval_grad(x)
-            i += wl * fl
-            g += wl * gl
-        return i, g
-
-    def init_state(self, x, system) -> None:
-        v0 = self._port_voltage(x)
-        i0 = float(self.model.static_current(v0, self.initial_state))
-        r = self.model.order
-        self._v_hist = [v0] * r
-        self._i_hist = [i0] * r
-        self._i_dc = i0
-
-    def stamp_nonlinear(self, st, x, t):
-        v = self._port_voltage(x)
-        if self._dc:
-            r = self.model.order
-            xr = np.concatenate([np.full(r + 1, v), np.full(r, self._i_dc)])
-            sub = (self.model.sub_high if self.initial_state == "1"
-                   else self.model.sub_low)
-            i, g = sub.eval_with_gradient(xr)
-            self._i_dc = 0.5 * self._i_dc + 0.5 * i  # damped fixed point
-            self._stamp_iv(st, i, g, v)
-            return
-        k = int(round(t / self.ts))
-        wh, wl = self._weights(k)
-        i, g = self._eval(v, wh, wl)
-        self._stamp_iv(st, i, g, v)
-
-    def update_state(self, x, t, dt, theta):
-        v = self._port_voltage(x)
-        k = int(round(t / self.ts))
-        wh, wl = self._weights(k)
-        i, _ = self._eval(v, wh, wl)
-        if self._v_hist:
-            self._v_hist = [v] + self._v_hist[:-1]
-            self._i_hist = [i] + self._i_hist[:-1]
-        self._last_i = i
-
-    def current(self, x) -> float:
-        """Port current (into the device) at the last accepted step."""
-        return getattr(self, "_last_i", 0.0)
-
     @classmethod
     def batch_bank(cls, rows) -> "list[_DriverBank] | None":
         """Vectorized lockstep evaluators over driver elements, one bank
         per row (a driver's position in the bench, over the members).
 
-        The grid-batched transient backend
-        (:mod:`repro.circuit.batch`) calls this to advance every member's
-        driver in one numpy pass per Newton iteration.  Members may run
-        different models of one driver (its corners) and weight
-        timelines of different lengths.  Returns ``None`` when the
-        elements are not bank-compatible -- different sampling times or
-        model orders, different or grounded ports, or a subclass (whose
-        overridden evaluation the bank could not honor) -- in which case
-        the group falls back to per-member simulation.
+        The lockstep engine (:mod:`repro.circuit.batch`) calls this to
+        advance every member's driver in one numpy pass per Newton
+        iteration.  Members may run different models of one driver (its
+        corners) and weight timelines of different lengths.  Returns
+        ``None`` when the elements are not bank-compatible -- different
+        sampling times or model orders, different or grounded ports.
         """
         rows = [list(els) for els in rows]
-        if cls is not PWRBFDriverElement:
-            return None
         for els in rows:
-            if any(type(el) is not cls for el in els):
-                return None
             first = els[0]
             if any(el.ts != first.ts or el.model.order != first.model.order
                    for el in els[1:]):
@@ -186,11 +112,11 @@ class ParametricReceiverElement(_DiscretePortElement):
     """Eq. (2): ARX + up/down RBF submodels as a circuit element.
 
     At the DC operating point the linear base matrix carries a nominal
-    port conductance :attr:`G_DC` that the Newton stamp takes back out,
-    so the Jacobian is unchanged.  A receiver input is high-impedance:
-    unterminated, its node's only other DC path can be a 1 Gohm
-    reference, and a base matrix without the nominal conductance (cond
-    ~ 4e9) would round the low-rank DC update at the 1e-7 V level.
+    port conductance :attr:`G_DC` that the bank's DC linearization takes
+    back out, so the Jacobian is unchanged.  A receiver input is
+    high-impedance: unterminated, its node's only other DC path can be a
+    1 Gohm reference, and a base matrix without the nominal conductance
+    (cond ~ 4e9) would round the low-rank DC update at the 1e-7 V level.
     """
 
     #: nominal port conductance of the DC base matrix (S)
@@ -200,64 +126,9 @@ class ParametricReceiverElement(_DiscretePortElement):
                  model: ParametricReceiverModel):
         super().__init__(name, port, model.ts)
         self.model = model
-        r_max = max(model.linear.order, model.up_order, model.down_order)
-        self._v_hist = [0.0] * r_max       # v(k-1) .. v(k-r_max)
-        self._lin_hist = [0.0] * max(model.linear.order, 1)
-        self._b_lin = [float(v) for v in model.linear.b]
-        self._a_lin = [float(v) for v in model.linear.a]
-        self._c_lin = float(model.linear.c)
-        self._fast_up = model.up.compile()
-        self._fast_down = model.down.compile()
-
-    def _nfir_regressor(self, v_now: float, order: int) -> np.ndarray:
-        x = np.empty(order + 1)
-        x[0] = v_now
-        x[1:] = self._v_hist[:order]
-        return x
-
-    def _eval(self, v_now: float) -> tuple[float, float, float, float, float]:
-        m = self.model
-        r_lin = m.linear.order
-        i_lin = self._c_lin + self._b_lin[0] * v_now
-        for j in range(r_lin):
-            i_lin += self._b_lin[j + 1] * self._v_hist[j] \
-                - self._a_lin[j] * self._lin_hist[j]
-        g_lin = self._b_lin[0]
-        i_up, g_up = self._fast_up.eval_grad(
-            [v_now, *self._v_hist[:m.up_order]])
-        i_dn, g_dn = self._fast_down.eval_grad(
-            [v_now, *self._v_hist[:m.down_order]])
-        return i_lin, i_up, i_dn, g_lin + g_up + g_dn, i_lin + i_up + i_dn
-
-    def init_state(self, x, system) -> None:
-        v0 = self._port_voltage(x)
-        self._v_hist = [v0] * len(self._v_hist)
-        # settle the linear submodel at its DC fixed point (the NFIR
-        # protection submodels have no output state to settle)
-        g_dc = self.model.linear.dc_gain()
-        i0 = g_dc * v0 + self.model.linear.c \
-            / max(1.0 + float(np.sum(self.model.linear.a)), 1e-12)
-        self._lin_hist = [i0] * len(self._lin_hist)
 
     def stamp_dc(self, st) -> None:
         st.conductance(self.nodes[0], -1, self.G_DC)
-
-    def stamp_nonlinear(self, st, x, t):
-        # DC and transient alike: the ARX part plus both RBF slopes on
-        # the present histories (zero before ``init_state``)
-        v = self._port_voltage(x)
-        _, _, _, g, i = self._eval(v)
-        self._stamp_iv(st, i, g, v, self.G_DC if self._dc else 0.0)
-
-    def update_state(self, x, t, dt, theta):
-        v = self._port_voltage(x)
-        i_lin, i_up, i_dn, _, i_tot = self._eval(v)
-        self._lin_hist = [i_lin] + self._lin_hist[:-1]
-        self._v_hist = [v] + self._v_hist[:-1]
-        self._last_i = i_tot
-
-    def current(self, x) -> float:
-        return getattr(self, "_last_i", 0.0)
 
     @classmethod
     def batch_bank(cls, rows) -> "list[_ReceiverBank] | None":
@@ -267,15 +138,11 @@ class ParametricReceiverElement(_DiscretePortElement):
         The receiver counterpart of :meth:`PWRBFDriverElement.batch_bank`:
         the ARX part and both NFIR protection submodels of every member
         advance in one numpy pass per Newton iteration.  Returns ``None``
-        when the elements differ in sampling time or submodel orders, sit
-        on different or grounded ports, or are a subclass.
+        when the elements differ in sampling time or submodel orders, or
+        sit on different or grounded ports.
         """
         rows = [list(els) for els in rows]
-        if cls is not ParametricReceiverElement:
-            return None
         for els in rows:
-            if any(type(el) is not cls for el in els):
-                return None
             orders = {(el.ts, el.model.linear.order, el.model.up_order,
                        el.model.down_order) for el in els}
             if len(orders) != 1 or not _one_port(els):
@@ -371,27 +238,26 @@ def _padded(net: GaussianRBF, dim: int) -> GaussianRBF:
 class _DriverBank(NodeBank):
     """Struct-of-arrays lockstep evaluator over N driver elements.
 
-    Built by :meth:`PWRBFDriverElement.batch_bank` for the grid-batched
-    transient backend: the members' NARX histories stack into one
-    ``(2r, N)`` array ``[v(k-1..k-r), i(k-1..k-r)]``, their
-    switching-weight timelines into one ``(n_w, 2, N)`` array (high, low
-    per step; a shorter timeline pads with its last sample, which is
-    exactly the element's own clamp), and both RBF submodels of every
-    member's model evaluate through one
+    Built by :meth:`PWRBFDriverElement.batch_bank`: the members' NARX
+    histories stack into one ``(2r, N)`` array ``[v(k-1..k-r),
+    i(k-1..k-r)]``, their switching-weight timelines into one ``(n_w, 2,
+    N)`` array (high, low per step; a shorter timeline pads with its last
+    sample, the clamp of a lookup past its end), and both RBF submodels
+    of every member's model evaluate through one
     :class:`~repro.models.rbf.StackedRBF`.  The history terms are reduced
     once per accepted step, so a Newton pass only adds the present
-    voltage.  Zero-weight submodels are multiplied by exactly ``0.0``,
-    matching the scalar path's skip.  ``flush`` writes the advanced
-    histories back onto the elements, like the companion groups.
+    voltage.  A zero weight multiplies its submodel by exactly ``0.0``.
 
     At the DC operating point every member's *parked* submodel
     (``sub_high`` for initial state "1", else ``sub_low``) evaluates
-    through a second :class:`~repro.models.rbf.StackedRBF`, with the
-    element's damped DC current ``i_dc`` as one ``(N,)`` vector.
+    through a second :class:`~repro.models.rbf.StackedRBF` on the static
+    regressor, with the damped DC current ``i_dc`` as one ``(N,)``
+    vector, zero in a fresh bank.
 
     A transient step looks its switching weights up once, on its first
     pass; accepting it shifts the histories and rewrites their terms in
-    place, in buffers made once per bank.
+    place, in buffers made once per bank.  The bank owns every history;
+    ``flush`` writes back only each element's last port current.
     """
 
     def __init__(self, els: list[PWRBFDriverElement]):
@@ -412,17 +278,8 @@ class _DriverBank(NodeBank):
         self.parked = StackedRBF(([
             el.model.sub_high if el.initial_state == "1"
             else el.model.sub_low for el in els],))
-        self.load()
-
-    def load(self) -> None:
-        """Snapshot per-element NARX histories and DC currents."""
-        H = np.array([el._v_hist + el._i_hist for el in self.els],
-                     dtype=float).reshape(len(self.els), 2 * self.order)
-        self.H = np.ascontiguousarray(H.T)
-        self.i_dc = np.array([el._i_dc for el in self.els])
-        self._last_i = np.array([getattr(el, "_last_i", 0.0)
-                                 for el in self.els])
-        self._terms = self.rbf.history(self.H)
+        self.i_dc = np.zeros(len(els))
+        self._last_i = np.zeros(len(els))
         self._t = None      # the time of the weights in self._w
 
     def _static_history(self, v: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -443,17 +300,17 @@ class _DriverBank(NodeBank):
                 ) -> tuple[np.ndarray, np.ndarray]:
         """Port current and conductance at the DC operating point.
 
-        Mirrors the element's ``stamp_nonlinear`` DC branch, including
-        its damped fixed point ``i_dc <- (i_dc + i) / 2``, which advances
-        on the ``active`` members only (those still iterating).
+        The parked submodel on the static regressor, whose current
+        history is the damped fixed point ``i_dc <- (i_dc + i) / 2``; it
+        advances on the ``active`` members only (those still iterating).
         """
         i, g = self._static(V, self.i_dc)
         self.i_dc = np.where(active, 0.5 * self.i_dc + 0.5 * i, self.i_dc)
         return i, g
 
     def init_state(self, X: np.ndarray) -> None:
-        """Every member's ``init_state`` at its initial solution row of
-        ``X`` (N, size), vectorized.
+        """Settle every member at its initial solution row of ``X`` (N,
+        size).
 
         :meth:`PWRBFDriverModel.static_current` per member -- the same
         damping, 1e-12 stop and 50-iteration cap, a member frozen once
@@ -475,9 +332,9 @@ class _DriverBank(NodeBank):
         self._terms = self.rbf.history(self.H)
 
     def _weights(self, t: float) -> np.ndarray:
-        """``(2, N)`` high/low weights at the step of time ``t``, indexed
-        like the element: ``round(t / ts)`` clamped to the timeline;
-        looked up on a step's first call, kept for the others."""
+        """``(2, N)`` high/low weights at the step of time ``t``:
+        ``round(t / ts)`` clamped to the timeline; looked up on a step's
+        first call, kept for the others."""
         if t != self._t:
             k = int(round(t / self.ts))
             self._w = self.W[min(max(k, 0), self.W.shape[0] - 1)]
@@ -486,22 +343,19 @@ class _DriverBank(NodeBank):
 
     def eval(self, V: np.ndarray, t: float, idx=None
              ) -> tuple[np.ndarray, np.ndarray]:
-        """Port current and conductance of members ``idx`` (all when None).
-
-        Mirrors the element's ``stamp_nonlinear`` transient branch on the
-        history terms of the step in progress.
-        """
+        """Port current and conductance of members ``idx`` (all when
+        None): eq. (1) on the history terms of the step in progress."""
         w = self._weights(t)
         D, A = self._terms
         if idx is not None:
             w, D, A = w[:, idx], D[:, :, idx], A[:, idx]
         f, g = self.rbf.eval(V, D, A, idx)
-        return (w * f).sum(axis=0), (w * g).sum(axis=0)
+        return np.add.reduce(w * f), np.add.reduce(w * g)
 
     def accept(self, V: np.ndarray, t: float) -> None:
         """Accept the step: shift every member's NARX history by one."""
         f = self.rbf.eval(V, *self._terms, grad=False)
-        i = (self._weights(t) * f).sum(axis=0)
+        i = np.add.reduce(self._weights(t) * f)
         r = self.order
         if r:
             H = self.H
@@ -513,13 +367,9 @@ class _DriverBank(NodeBank):
         self._last_i = i
 
     def flush(self) -> None:
-        """Write bank state back onto the owning elements."""
-        r = self.order
-        for m, el in enumerate(self.els):
-            el._v_hist = self.H[:r, m].tolist()
-            el._i_hist = self.H[r:, m].tolist()
-            el._i_dc = float(self.i_dc[m])
-            el._last_i = float(self._last_i[m])
+        """Write each member's last port current back onto its element."""
+        for el, i in zip(self.els, self._last_i.tolist()):
+            el._last_i = i
 
 
 class _ReceiverBank(NodeBank):
@@ -531,8 +381,10 @@ class _ReceiverBank(NodeBank):
     a Newton pass adds ``b_0 v(k)``; the up/down NFIR submodels
     (padded to one regressor dimension, see :func:`_padded`) evaluate
     through one history-split :class:`~repro.models.rbf.StackedRBF`.
-    Histories are ``(r, N)`` arrays, shifted in place on every accepted
-    step; ``flush`` writes them back onto the elements.
+    Histories are ``(r, N)`` arrays, zero in a fresh bank (the DC
+    operating point evaluates on them) and shifted in place on every
+    accepted step.  The bank owns every history; ``flush`` writes back
+    only each element's last port current.
     """
 
     #: the DC base matrix holds the elements' nominal port conductance
@@ -544,34 +396,34 @@ class _ReceiverBank(NodeBank):
         self.node = first.nodes[0]
         self.n_models = len({id(el.model) for el in els})
         m0 = first.model
-        self.r_lin = m0.linear.order
+        self.r_lin = r = m0.linear.order
         self.r_nfir = max(m0.up_order, m0.down_order)
-        self.b0 = np.array([el._b_lin[0] for el in els])
-        self.b_h = np.array([el._b_lin[1:] for el in els]).T.reshape(
-            self.r_lin, len(els))
-        self.a = np.array([el._a_lin for el in els]).T.reshape(
-            self.r_lin, len(els))
-        self.c = np.array([el._c_lin for el in els])
+        lin = [el.model.linear for el in els]
+        n = len(els)
+        self.b0 = np.array([m.b[0] for m in lin])
+        self.b_h = np.array([m.b[1:] for m in lin]).T.reshape(r, n)
+        self.a = np.array([m.a for m in lin]).T.reshape(r, n)
+        self.c = np.array([m.c for m in lin])
+        # the ARX part's DC fixed point i = g_dc v + c_dc
+        self.g_dc_lin = np.array([m.dc_gain() for m in lin])
+        self.c_dc_lin = np.array([m.c / max(1.0 + float(np.sum(m.a)), 1e-12)
+                                  for m in lin])
         dim = self.r_nfir + 1
         self.rbf = StackedRBF(([_padded(el.model.up, dim) for el in els],
                                [_padded(el.model.down, dim) for el in els]))
-        self.load()
+        self.Hv = np.zeros((max(r, self.r_nfir), n))
+        self.Hl = np.zeros((max(r, 1), n))
+        self._last_i = np.zeros(n)
+        self._terms = self._history()
 
     def init_state(self, X: np.ndarray) -> None:
-        """Every member's ``init_state`` at its initial solution row of
-        ``X`` (N, size), then a fresh snapshot."""
-        for el, x in zip(self.els, X):
-            el.init_state(x, None)
-        self.load()
-
-    def load(self) -> None:
-        """Snapshot per-element histories."""
-        self.Hv = np.array([el._v_hist for el in self.els],
-                           dtype=float).reshape(len(self.els), -1).T.copy()
-        self.Hl = np.array([el._lin_hist for el in self.els],
-                           dtype=float).reshape(len(self.els), -1).T.copy()
-        self._last_i = np.array([getattr(el, "_last_i", 0.0)
-                                 for el in self.els])
+        """Settle every member at its initial solution row of ``X`` (N,
+        size): voltage histories at the port voltage, the ARX part's
+        current history at its DC fixed point (the NFIR protection
+        submodels have no output state to settle)."""
+        v = X[:, self.node]
+        self.Hv[:] = v
+        self.Hl[:] = self.g_dc_lin * v + self.c_dc_lin
         self._terms = self._history()
 
     def _history(self, out=None):
@@ -579,26 +431,26 @@ class _ReceiverBank(NodeBank):
         the present ``(D, A)``, when given) and the ARX part's history
         sum of the step in progress."""
         r = self.r_lin
-        lin = self.c + (self.b_h * self.Hv[:r]).sum(axis=0) \
-            - (self.a * self.Hl[:r]).sum(axis=0)
+        lin = self.c + np.add.reduce(self.b_h * self.Hv[:r]) \
+            - np.add.reduce(self.a * self.Hl[:r])
         return (*self.rbf.history(self.Hv[:self.r_nfir], out), lin)
 
     def eval(self, V: np.ndarray, t: float, idx=None
              ) -> tuple[np.ndarray, np.ndarray]:
-        """Port current and conductance of members ``idx`` (all when None),
-        mirroring the element's ``stamp_nonlinear``."""
+        """Port current and conductance of members ``idx`` (all when
+        None): eq. (2) on the history terms of the step in progress."""
         D, A, lin = self._terms
         b0 = self.b0
         if idx is not None:
             D, A, lin, b0 = D[:, :, idx], A[:, idx], lin[idx], b0[idx]
         f, g = self.rbf.eval(V, D, A, idx)
-        return lin + b0 * V + f.sum(axis=0), b0 + g.sum(axis=0)
+        return lin + b0 * V + np.add.reduce(f), b0 + np.add.reduce(g)
 
     def eval_dc(self, V: np.ndarray, active: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Port current and conductance at the DC operating point: the
-        element's ``stamp_nonlinear`` on its pre-``init_state`` (zero)
-        histories.  Stateless, so ``active`` is not needed."""
+        """Port current and conductance at the DC operating point:
+        :meth:`eval` on the fresh bank's zero histories.  Stateless, so
+        ``active`` is not needed."""
         return self.eval(V, 0.0)
 
     def accept(self, V: np.ndarray, t: float) -> None:
@@ -611,12 +463,10 @@ class _ReceiverBank(NodeBank):
         Hv[:1] = V
         Hl[1:] = Hl[:-1]
         Hl[:1] = i_lin
-        self._last_i = i_lin + f.sum(axis=0)
+        self._last_i = i_lin + np.add.reduce(f)
         self._terms = self._history((D, A))
 
     def flush(self) -> None:
-        """Write bank state back onto the owning elements."""
-        for m, el in enumerate(self.els):
-            el._v_hist = self.Hv[:, m].tolist()
-            el._lin_hist = self.Hl[:, m].tolist()
-            el._last_i = float(self._last_i[m])
+        """Write each member's last port current back onto its element."""
+        for el, i in zip(self.els, self._last_i.tolist()):
+            el._last_i = i

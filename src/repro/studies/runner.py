@@ -194,9 +194,10 @@ def _split_group(group: list, workers: int, n_groups: int) -> list:
 
     A lockstep step costs about as much for a few members as for many,
     so a group is split only to fill workers the groups leave idle: into
-    ``workers // n_groups`` near-equal chunks at most.  A chunk never
-    shrinks to one member, which would leave the batched path and so
-    differ (in the last bits) from the serial runner's result.
+    ``workers // n_groups`` near-equal chunks at most, and never into
+    one-member chunks: a lockstep step's rounding depends on the group
+    size, so the fewer sizes a grouping can produce, the fewer ways its
+    outcomes' last bits can vary.
     """
     n_chunks = max(1, min(workers // n_groups, len(group) // 2))
     bounds = [len(group) * i // n_chunks for i in range(n_chunks + 1)]

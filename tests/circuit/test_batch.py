@@ -21,8 +21,7 @@ from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
                            Resistor,
                            TransientOptions, VoltageSource, batch_signature,
                            run_transient, run_transient_batch, solve_dcop)
-from repro.circuit.mna import MNASystem
-from repro.circuit.newton import newton_solve
+from repro.circuit.transient import run_serial
 from repro.circuit.waveforms import Constant, Pulse
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
 from repro.obs import Tracer, set_tracer
@@ -174,11 +173,19 @@ class TestDriverLineGroup:
 
 
 class TestEligibilityAndFallback:
-    def test_empty_and_singleton(self):
+    def test_empty_and_singleton(self, fresh_metrics):
+        """A lone circuit is a lockstep batch of one, through either
+        entry point, and matches the serial engine."""
         assert run_transient_batch([], OPTS) == []
-        [res] = run_transient_batch([linear_bench("rc", 50., 1e-12,
-                                                  50., 1e-9)], OPTS)
-        assert not getattr(res, "batched", False)
+        params = ("rc", 50., 1e-12, 50., 1e-9)
+        [res] = run_transient_batch([linear_bench(*params)], OPTS)
+        lone = run_transient(linear_bench(*params), OPTS)
+        ref = run_serial(linear_bench(*params), OPTS)
+        assert res.batched and lone.batched
+        assert not getattr(ref, "batched", False)
+        for r in (res, lone):
+            np.testing.assert_allclose(r.x, ref.x, rtol=TOL, atol=TOL)
+        assert fresh_metrics.total("batch_fallbacks_total") == 0
 
     def test_mixed_topologies_fall_back(self):
         """Different signatures -> per-member serial, still correct."""
@@ -364,8 +371,9 @@ class TestMixedGroups:
 
         def spy(ports, Y0, X, active, t=None, idx=None):
             out = original(ports, Y0, X, active, t, idx)
-            calls.append((t, idx is not None, bool(np.all(active)),
-                          out[4]))
+            if ports.atol.shape[1] > 1:     # the group, not a lone ref
+                calls.append((t, idx is not None, bool(np.all(active)),
+                              out[4]))
             return out
 
         monkeypatch.setattr(_Ports, "newton", spy)
@@ -383,7 +391,8 @@ class TestMixedGroups:
                           for i, c in enumerate(calls) if c[1]]
         assert True in first_all_live and False in first_all_live
         [span] = [sp for sp in tracer.finished
-                  if sp.name == "transient.batch"]
+                  if sp.name == "transient.batch"
+                  and sp.attrs["members"] > 1]
         passes = sum(c[3] for c in calls if c[0] is not None)
         assert span.attrs["passes"] == passes
         assert 0 < passes < span.attrs["newton_iters"]
@@ -555,10 +564,11 @@ class TestBatchedOperatingPoint:
         it still matches serial, which takes the same ladder."""
         plain = []
         for ckt, _ in self.circuits(md2_corners, "line", None):
-            system = MNASystem(ckt)
-            system.build_base(None, 1.0)
-            plain.append(newton_solve(system, np.zeros(system.size), 0.0,
-                                      NewtonOptions()).iterations)
+            fresh_metrics.reset()
+            solve_dcop(ckt)
+            assert fresh_metrics.total("batch_fallbacks_total") == 0
+            plain.append(fresh_metrics.value("dcop_newton_iters"))
+        fresh_metrics.reset()
         budget = max(plain) - 1
         assert sorted(plain)[-2] <= budget
         opts = TestMixedGroups().opts(
@@ -568,5 +578,6 @@ class TestBatchedOperatingPoint:
         # the ladder's iterations count too, outside the lockstep's
         assert dcop.attrs["member_iters"] < serial_iters
         assert dcop.attrs["fallbacks"] == 1
+        # that member in the group, and again in its lone reference run
         assert fresh_metrics.value("batch_fallbacks_total",
-                                   reason="dcop") == 1
+                                   reason="dcop") == 2

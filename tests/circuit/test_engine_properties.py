@@ -1,8 +1,9 @@
 """Engine-level property and equivalence tests.
 
-Cross-validates the independent solve paths (dense assembly vs Woodbury
-low-rank updates vs sparse storage) and checks physical invariants (KCL
-residuals, passivity, convergence reporting) on randomized circuits.
+Cross-validates the independent solve paths (the serial engine's dense
+assembly vs its Woodbury low-rank updates, and the lockstep engine against
+both) and checks physical invariants (KCL residuals, passivity,
+convergence reporting) on randomized circuits.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.circuit import (Capacitor, Circuit, Diode, MNASystem, Resistor,
                            TransientOptions, VoltageSource, run_transient)
 from repro.circuit.companion import build_companion_groups
-from repro.circuit.mna import DENSE_LIMIT
+from repro.circuit.transient import run_serial
 from repro.circuit.waveforms import Pulse, Step
 from repro.errors import ConvergenceError
 
@@ -39,24 +40,21 @@ class TestSolvePathEquivalence:
     @given(st.integers(0, 50))
     @settings(max_examples=12, deadline=None)
     def test_woodbury_equals_dense(self, seed):
-        """The low-rank fast path must be bit-comparable to full assembly."""
+        """The serial engine's low-rank fast path must be bit-comparable
+        to its full assembly, and the lockstep engine (a batch of one,
+        the diodes in their bank) must track both."""
         opts = TransientOptions(dt=20e-12, t_stop=3e-9, method="damped")
         fast, slow = diode_ladder(seed=seed), diode_ladder(seed=seed)
-        res_fast = run_transient(fast, opts,
-                                 system=MNASystem(fast, woodbury=True))
-        res_slow = run_transient(slow, opts,
-                                 system=MNASystem(slow, woodbury=False))
+        res_fast = run_serial(fast, opts,
+                              system=MNASystem(fast, woodbury=True))
+        res_slow = run_serial(slow, opts,
+                              system=MNASystem(slow, woodbury=False))
         np.testing.assert_allclose(res_fast.x, res_slow.x,
                                    rtol=1e-9, atol=1e-12)
-
-    def test_sparse_path_equals_dense(self, monkeypatch):
-        """Force the sparse storage path and compare waveforms."""
-        import repro.circuit.mna as mna
-        opts = TransientOptions(dt=20e-12, t_stop=3e-9, method="damped")
-        ref = run_transient(diode_ladder(seed=3), opts)
-        monkeypatch.setattr(mna, "DENSE_LIMIT", 0)
-        sparse = run_transient(diode_ladder(seed=3), opts)
-        np.testing.assert_allclose(sparse.x, ref.x, rtol=1e-8, atol=1e-10)
+        lockstep = run_transient(diode_ladder(seed=seed), opts)
+        assert lockstep.batched
+        np.testing.assert_allclose(lockstep.x, res_fast.x,
+                                   rtol=1e-9, atol=1e-9)
 
 
 class TestPhysicalInvariants:

@@ -59,8 +59,8 @@ def test_receiver_records_match_serial():
 
 def test_run_benches_records_and_span():
     """One ``ident.records`` span holds the groups' transients: the
-    batched pair, and the serial run of a singleton group, which is no
-    batch fallback."""
+    batched pair, and a singleton group, a lockstep batch of one; no
+    group falls back and none runs on the serial engine."""
     tracer = Tracer(collect=True)
     set_tracer(tracer)
     try:
@@ -75,7 +75,9 @@ def test_run_benches_records_and_span():
     assert len(up) == len(down) == 81 and len(lone) == 81
     [records] = [sp for sp in tracer.finished if sp.name == "ident.records"]
     assert records.attrs == {"groups": 2, "members": 3}
-    [batch] = [sp for sp in tracer.finished if sp.name == "transient.batch"]
-    [run] = [sp for sp in tracer.finished if sp.name == "transient.run"]
-    assert batch.parent_id == run.parent_id == records.span_id
-    assert "fallback" not in batch.attrs
+    pair, single = [sp for sp in tracer.finished
+                    if sp.name == "transient.batch"]
+    assert not [sp for sp in tracer.finished if sp.name == "transient.run"]
+    assert pair.parent_id == single.parent_id == records.span_id
+    assert (pair.attrs["members"], single.attrs["members"]) == (2, 1)
+    assert "fallback" not in pair.attrs and "fallback" not in single.attrs

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import (Capacitor, Circuit, Diode, IdealLine,
-                           NewtonOptions, Resistor, TransientOptions,
+                           NewtonOptions, NonlinearCurrentSource, Resistor,
+                           TransientOptions,
                            VoltageSource, run_transient, run_transient_batch,
                            solve_dcop)
 from repro.circuit.mna import MNASystem
@@ -100,11 +101,23 @@ class TestBatchFallbackCounter:
         assert fresh_metrics.total("batch_fallbacks_total") == 0
 
     def test_single_member_and_prometheus_rendering(self, fresh_metrics):
-        run_transient_batch([rc_bench(50.0)], OPTS)
+        """A lone member is a lockstep batch of one, no fallback; a lone
+        member holding a bank-less element is declined, and its reason
+        renders."""
+        [res] = run_transient_batch([rc_bench(50.0)], OPTS)
+        assert res.batched
+        assert fresh_metrics.total("batch_fallbacks_total") == 0
+        ckt = rc_bench(50.0)
+        ckt.add(NonlinearCurrentSource(
+            "g1", "out", "0", ["out"], lambda vs, t: 1e-3 * np.tanh(vs[0]),
+            lambda vs, t: [1e-3 / np.cosh(vs[0]) ** 2]))
+        [res] = run_transient_batch([ckt], OPTS)
+        assert not res.batched
+        reason = "NonlinearCurrentSource provides no batch_bank"
         assert fresh_metrics.value("batch_fallbacks_total",
-                                   reason="single member") == 1
+                                   reason=reason) == 1
         text = fresh_metrics.render_prometheus()
-        assert 'batch_fallbacks_total{reason="single member"} 1' in text
+        assert f'batch_fallbacks_total{{reason="{reason}"}} 1' in text
 
 
 class TestMixedGroupSpan:
