@@ -413,7 +413,7 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     members; ``dcop_newton_iters`` counts member-iterations, like the
     serial solver's.  A group without nonlinear ports takes the linear
     solution as is, with no iteration.  Raises
-    :class:`numpy.linalg.LinAlgError` when a DC base is singular.
+    :class:`SingularMatrixError` when a DC base is singular.
 
     A group holding a bank without a DC linearization (the transistor-
     level MOSFETs, whose DC base is singular up to ``gmin``) takes each
@@ -432,7 +432,11 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
         for s in systems:
             s.build_base(None, 1.0)
         A = np.stack([s._A_base for s in systems])
-        A_inv = np.linalg.inv(A)
+        try:
+            A_inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"DC matrix is singular: {exc}") from exc
         B = np.stack([s.assemble_rhs(0.0) for s in systems])
         X = np.matmul(A_inv, B[:, :, None])[:, :, 0]
         failed = np.empty(0, dtype=int)
@@ -524,11 +528,7 @@ def operating_point(system: MNASystem,
     if reason:
         raise CircuitError(f"no DC solver for {system.circuit.title!r}: "
                            f"{reason}")
-    try:
-        return _operating_points([system], _make_banks([system]),
-                                 newton)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"DC matrix is singular: {exc}") from exc
+    return _operating_points([system], _make_banks([system]), newton)[0]
 
 
 def run_transient_batch(circuits, options: TransientOptions,
@@ -610,10 +610,9 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     if options.ic == "dcop":
         try:
             X = _operating_points(systems, banks, options.newton)
-        except np.linalg.LinAlgError as exc:
+        except SingularMatrixError:
             if n_mem == 1:
-                raise SingularMatrixError(
-                    f"DC matrix is singular: {exc}") from exc
+                raise
             return _fallback(circuits, options, t_stops, sp,
                              "singular DC matrix")
     else:
