@@ -11,7 +11,7 @@ per time step with a leading "scenario" array axis:
   inverted once per group (the matrix is constant over the run), so each
   step's linear solve is one product: an ``einsum`` straight into the
   unknown-major layout of the Newton arrays, or beyond two ports (the
-  transistor-level device banks) a batched matmul,
+  transistor-level device banks) and in linear groups a batched matmul,
 * per-member :class:`~repro.circuit.mna.SourceTable` objects merge into one
   :class:`~repro.circuit.mna.StackedSourceTable`,
 * companion/line histories live in shared struct-of-arrays groups
@@ -65,7 +65,7 @@ from .mna import MNASystem, StackedSourceTable
 from .netlist import Circuit
 from .newton import NewtonOptions
 from .transient import (TransientOptions, TransientResult, _check_systems,
-                        _initial_solution, run_serial, run_transient)
+                        _initial_solution, run_serial)
 
 __all__ = ["batch_signature", "lockstep_eligible", "operating_point",
            "run_transient_batch"]
@@ -539,9 +539,9 @@ def run_transient_batch(circuits, options: TransientOptions,
     circuit, in order.  Results carry ``batched=True`` when the group
     advanced together through the lockstep engine.  A group that cannot
     (mixed topologies, bank-incompatible members, a singular DC matrix,
-    a nonlinear element without a bank) runs member by member through
-    :func:`~repro.circuit.transient.run_transient` (``batched=False``),
-    whose results are equivalent.  ``options`` applies to
+    a nonlinear element without a bank) runs member by member, as
+    :func:`~repro.circuit.transient.run_transient` would run each alone
+    (``batched=False``).  ``options`` applies to
     every member, exactly as it would alone.  ``systems`` gives each
     circuit's own :class:`~repro.circuit.mna.MNASystem` (built here when
     None).
@@ -555,8 +555,9 @@ def run_transient_batch(circuits, options: TransientOptions,
     A ``transient.batch`` span wraps the whole group (members, step
     count, lockstep Newton member-iterations and passes, distinct models
     per bank, nonlinear ports, padded member-steps, or the fallback
-    reason), with the group's ``transient.dcop`` span underneath it;
-    members run one by one export their own spans underneath it.
+    reason), with the group's ``transient.dcop`` span underneath it.
+    A declined group's span counts all its members; those run serially
+    export their ``transient.run`` spans underneath it.
     """
     circuits = list(circuits)
     if t_stops is None:
@@ -574,15 +575,37 @@ def _fallback(circuits: list, options: TransientOptions, t_stops: list,
     declined on the span and in ``batch_fallbacks_total{reason}``.
 
     Each member of a larger group is a batch of one where it can be; a
-    declined group of one goes to the serial engine."""
+    declined group of one goes to the serial engine.  The declined
+    group's span counts every member: a member run as a batch of one
+    exports no ``transient.batch`` span of its own (its Newton
+    iterations add to the group's), a member run serially its
+    ``transient.run`` span."""
     sp.set(members=len(circuits), fallback=reason)
     get_metrics().inc("batch_fallbacks_total", reason=reason)
-    run = run_serial if len(circuits) == 1 else run_transient
-    results = [run(c, replace(options, t_stop=t))
-               for c, t in zip(circuits, t_stops)]
-    for res in results:
+    results = []
+    lone = _Attrs()
+    for c, t in zip(circuits, t_stops):
+        opts = replace(options, t_stop=t)
+        if len(circuits) > 1 and lockstep_eligible(c):
+            res = _run_transient_batch([c], opts, [t], lone, None)[0]
+        else:
+            res = run_serial(c, opts)
         res.batched = False     # the group did not advance together
+        results.append(res)
+    if lone.iters:
+        sp.set(newton_iters=lone.iters)
     return results
+
+
+class _Attrs:
+    """The span of the batches of one run inside a declined group: it
+    sums their Newton iterations and drops the rest."""
+
+    iters = 0
+
+    def set(self, newton_iters=0, **attrs) -> "_Attrs":
+        self.iters += newton_iters
+        return self
 
 
 def _run_transient_batch(circuits: list, options: TransientOptions,
@@ -653,8 +676,10 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     # unknown-major with no BLAS call per member; beyond (the
     # transistor-level records of model estimation) the product stays
     # BLAS's batched matmul, whose rounding the estimated models (their
-    # greedy center selection) and the pinned results built on them keep
-    blas = ports is not None and ports.n_ports > 2
+    # greedy center selection) and the pinned results built on them keep.
+    # A linear group has no Newton arrays to lay out: BLAS is the faster
+    # product there (half einsum's time at 200 unknowns)
+    blas = ports is None or ports.n_ports > 2
     # the state is unknown-major, (size, N); Xm is its member-major copy
     # for the companion groups (flat member offsets) and the results
     Xm = np.empty((n_mem, size))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import CircuitError, ConvergenceError
 from ..obs import get_metrics
 from .mna import MNASystem
 from .netlist import Circuit
@@ -58,10 +58,15 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
     macromodel port, which has no scalar stamp, takes the same steps as
     a lockstep group of one (:func:`repro.circuit.batch.operating_point`),
     from ``x = 0`` and on the default ladder: ``x0`` and ``gmin_steps``
-    tune the serial solver only.
+    tune the serial solver only, and passing either for such a circuit
+    raises :class:`CircuitError`.
     """
     sys_ = system or MNASystem(circuit)
     if sys_.lockstep_only:
+        if x0 is not None or tuple(gmin_steps) != GMIN_STEPS:
+            raise CircuitError(
+                f"{sys_.lockstep_only[0].name!r} takes its DC point from "
+                "the lockstep engine, which has no x0 or gmin_steps")
         from .batch import operating_point  # the batch engine builds on us
         return OperatingPoint(circuit, sys_, operating_point(sys_, options))
     sys_.build_base(None, 1.0)

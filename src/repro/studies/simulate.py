@@ -227,7 +227,7 @@ def simulate_scenario_batch(items) -> list[ScenarioOutcome]:
     The whole group advances through
     :func:`~repro.circuit.run_transient_batch` on the longest grid, each
     member stopping at its own ``t_stop``; that call decides whether the
-    group runs in lockstep or member by member (a single member is a
+    group runs in lockstep or member by member (a lone member is a
     lockstep batch of one).  Per-member waveforms, metrics and spectra
     match a lone run of the same scenario to 1e-9.  ``elapsed_s`` is the
     group's wall time amortized evenly over its members.  Each member

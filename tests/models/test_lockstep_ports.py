@@ -164,6 +164,12 @@ def test_macromodel_dcop_is_a_lockstep_group_of_one(md2_model, md4_model):
     assert "serial" not in dcop.attrs
     assert op.v("pad") == pytest.approx(op.v("out"), abs=1e-9)
     assert op.v("out") > 0.0     # the parked-high driver sources current
+    # the lockstep DC has no warm start and no custom ladder: asking for
+    # one is an error, not a silent cold solve
+    with pytest.raises(CircuitError, match="no x0 or gmin_steps"):
+        solve_dcop(ckt, x0=op.x)
+    with pytest.raises(CircuitError, match="no x0 or gmin_steps"):
+        solve_dcop(ckt, gmin_steps=(1e-3, 0.0))
 
 
 def test_engine_per_circuit_in_the_trace(md2_model, md4_cv):

@@ -94,6 +94,42 @@ class TestBatchFallbackCounter:
             reason="structural signatures differ") == 1
         assert fresh_metrics.total("batch_fallbacks_total") == 1
 
+    def test_declined_group_spans_count_each_member_once(self,
+                                                         fresh_metrics):
+        """The members of a declined group of lockstep-eligible circuits
+        run as batches of one inside the group's span and export no
+        ``transient.batch`` span of their own: over all such spans the
+        members sum to the group's size, every one a fallback member.
+        A member holding a bank-less element exports its serial span."""
+        clamp = rc_bench(60.0)
+        clamp.add(NonlinearCurrentSource(
+            "g1", "out", "0", ["out"], lambda vs, t: 1e-3 * np.tanh(vs[0]),
+            lambda vs, t: [1e-3 / np.cosh(vs[0]) ** 2]))
+        for group, n_serial in (
+                ([rc_bench(50.0), rc_bench(80.0, with_cap=False)], 0),
+                ([diode_clamp(), rc_bench(80.0), clamp], 1)):
+            tracer = Tracer(collect=True)
+            set_tracer(tracer)
+            try:
+                results = run_transient_batch(group, OPTS)
+            finally:
+                set_tracer(None)
+            batches = [sp for sp in tracer.finished
+                       if sp.name == "transient.batch"]
+            runs = [sp for sp in tracer.finished
+                    if sp.name == "transient.run"]
+            assert len(batches) == 1
+            assert batches[0].attrs["members"] == len(group)
+            assert batches[0].attrs["fallback"] == (
+                "structural signatures differ")
+            assert len(runs) == n_serial
+            assert not any(r.batched for r in results)
+            for ckt, res in zip(group, results):
+                ref = run_transient(ckt, OPTS)
+                np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-12)
+        # the diode clamp's lockstep Newton iterations count on the span
+        assert batches[0].attrs["newton_iters"] > 0
+
     def test_batched_group_counts_no_fallback(self, fresh_metrics):
         results = run_transient_batch(
             [rc_bench(50.0), rc_bench(80.0)], OPTS)
