@@ -354,6 +354,15 @@ class _Ports:
         for bank in self.banks:
             bank.flush()
 
+    def flush_dc(self, X: np.ndarray) -> None:
+        """Write the DC port currents at the operating points ``X``
+        (size, N) back onto the one-port elements, whose ``current``
+        reports them."""
+        V = self.controls(X)
+        for bank, (_, ts) in zip(self.banks, self.slots):
+            if hasattr(bank, "flush_dc"):
+                bank.flush_dc(V[ts])
+
 
 #: no member: what :meth:`_Ports.newton` reports when every member converged
 _NONE = np.empty(0, dtype=np.intp)
@@ -407,7 +416,9 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
     the banks linearizing their elements' DC branches.  Members whose
     plain Newton does not converge continue on :func:`_ladder` from the
     bank state the lockstep left, counted in
-    ``batch_fallbacks_total{reason="dcop"}``.  A
+    ``batch_fallbacks_total{reason="dcop"}``.  The one-port banks then
+    write each member's DC port current back onto its element
+    (:meth:`_Ports.flush_dc`), where ``OperatingPoint.i`` reads it.  A
     ``transient.dcop`` span records the members, lockstep passes,
     member-iterations of the plain Newton and of the ladder, and ladder
     members; ``dcop_newton_iters`` counts member-iterations, like the
@@ -453,6 +464,7 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
                                        systems[0].n_nodes, X, todo)
                 get_metrics().inc("batch_fallbacks_total", int(failed.size),
                                   reason="dcop")
+            ports.flush_dc(X)
             X = X.T.copy()
         if member_iters + ladder_iters:
             get_metrics().inc("dcop_newton_iters",

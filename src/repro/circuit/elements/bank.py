@@ -93,8 +93,10 @@ class NodeBank:
 
     Subclasses set ``node`` and provide ``eval(V, t, idx)`` and
     ``eval_dc(V, active)`` returning the port current and conductance
-    ``(i, g)`` at port voltages ``V`` (n,), and ``accept(V, t)``, which
-    advances their histories at the accepted voltages (N,).  This base
+    ``(i, g)`` at port voltages ``V`` (n,), ``accept(V, t)``, which
+    advances their histories at the accepted voltages (N,), and
+    ``flush()``, which writes the port currents ``_last_i`` (N,) back
+    onto their elements.  This base
     turns them into the rank-one form of
     :class:`repro.circuit.batch._Ports`: one column and
     one control term, ``(1, n)`` arrays, ``ieq = i - g V`` and ``c = g``.
@@ -132,3 +134,11 @@ class NodeBank:
     def update(self, V, t):
         """Accept the step at the port voltages ``V`` (1, N)."""
         self.accept(V[0], t)
+
+    def flush_dc(self, V):
+        """Write each member's DC port current at the solved port
+        voltages ``V`` (1, N) back onto its element; ``eval_dc`` with no
+        member active leaves the bank's state as it is."""
+        v = V[0]
+        self._last_i = self.eval_dc(v, np.zeros(v.size, dtype=bool))[0]
+        self.flush()

@@ -20,7 +20,6 @@ Storage is dense: the largest system the figures and examples build has
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from ..errors import SingularMatrixError
 from .netlist import Circuit, Element
@@ -190,9 +189,9 @@ class TableStamper:
 class TripletStamper(Stamper):
     """Stamper collecting matrix entries as triplets.
 
-    The Woodbury solve path factors the linear base matrix once per
-    analysis and turns the per-iteration nonlinear triplets into a
-    low-rank correction (see :meth:`MNASystem.solve_step`).
+    The Woodbury solve path solves against the linear base matrix and
+    turns the per-iteration nonlinear triplets into a low-rank correction
+    (see :meth:`MNASystem.solve_step`).
     """
 
     __slots__ = ("rows", "cols", "vals")
@@ -243,11 +242,12 @@ class TripletStamper(Stamper):
 class MNASystem:
     """Assembles and solves the MNA equations of a bound :class:`Circuit`.
 
-    With ``woodbury=True`` (default), serial Newton steps factor the
-    constant linear part once per analysis and apply each iteration's
-    nonlinear stamps as a low-rank Sherman-Morrison-Woodbury correction --
-    a device touches a few matrix entries, so a circuit solves in O(n^2)
-    per iteration instead of O(n^3).
+    With ``woodbury=True`` (default), serial Newton steps solve against
+    the constant linear part and apply each iteration's nonlinear stamps
+    as a low-rank Sherman-Morrison-Woodbury correction -- a device touches
+    a few matrix entries, so an iteration needs no assembled matrix.
+    Every base solve is numpy's LAPACK ``gesv`` (a fresh factorization
+    per call), the only linear solver the process loads.
     """
 
     def __init__(self, circuit: Circuit, gmin: float = 1e-12,
@@ -276,8 +276,6 @@ class MNASystem:
         self._A_base: np.ndarray | None = None
         self._dt = None
         self._theta = None
-        self._base_lu = None          # cached LU of the base matrix
-        self.n_factorizations = 0     # base-matrix LU factor count
         self._A_scratch = None        # reusable dense A for assemble_iter
         self._b_scratch = None        # reusable b for the Newton iteration
         self._wb_pattern = None       # (rows_key, cols_key) of nl stamps
@@ -311,7 +309,8 @@ class MNASystem:
 
     @property
     def is_linear(self) -> bool:
-        """True when no element is nonlinear: the LU fast path is eligible."""
+        """True when no element is nonlinear: a step is one base-matrix
+        solve, with no Newton iteration."""
         return not self._nl
 
     # -- base matrix (constant + companion) -------------------------------------
@@ -340,7 +339,6 @@ class MNASystem:
         self._A_base = st.A
         self._dt = dt
         self._theta = theta
-        self._base_lu = None
         self._wb_pattern = None
 
     # -- per-step / per-iteration assembly -----------------------------------------
@@ -407,32 +405,20 @@ class MNASystem:
     # -- linear algebra -------------------------------------------------------------
     def solve(self, A, b: np.ndarray) -> np.ndarray:
         try:
-            return sla.solve(A, b)
-        except (np.linalg.LinAlgError, sla.LinAlgError, RuntimeError) as exc:
+            return np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"MNA matrix is singular: {exc}") from exc
 
     def solve_linear_step(self, b: np.ndarray) -> np.ndarray:
         """Advance one step of a circuit with no nonlinear elements.
 
-        One cached-factorization back-substitution -- no Newton iteration,
-        no matrix assembly.  ``build_base`` must have been called.
+        One base-matrix solve -- no Newton iteration, no matrix assembly.
+        ``build_base`` must have been called.
         """
-        self._ensure_base_lu()
-        # b is an internal scratch buffer; skip scipy's finite check
-        # (it costs ~20% of a small linear step)
-        return sla.lu_solve(self._base_lu, b, check_finite=False)
+        return self.solve(self._A_base, b)
 
     # -- Woodbury fast path -----------------------------------------------------
-    def _ensure_base_lu(self):
-        if self._base_lu is None:
-            try:
-                self._base_lu = sla.lu_factor(self._A_base)
-            except (ValueError, sla.LinAlgError) as exc:
-                raise SingularMatrixError(
-                    f"linear base matrix is singular: {exc}") from exc
-            self.n_factorizations += 1
-
     def _wb_prepare(self, rows, cols):
         """(Re)build the position-dependent Woodbury caches."""
         R = sorted(set(rows))
@@ -442,7 +428,7 @@ class MNASystem:
         E_R = np.zeros((self.size, len(R)))
         for k, r in enumerate(R):
             E_R[r, k] = 1.0
-        Z = sla.lu_solve(self._base_lu, E_R)          # B^-1 E_R
+        Z = self.solve(self._A_base, E_R)             # B^-1 E_R
         self._wb_Z = Z
         self._wb_S = Z[C, :]                          # E_C^T B^-1 E_R
         self._wb_pattern = (tuple(R), tuple(C))
@@ -458,7 +444,6 @@ class MNASystem:
         if not self.woodbury:
             A, b, limited = self.assemble_iter(x, t, b_step, scratch=True)
             return self.solve(A, b), limited
-        self._ensure_base_lu()
         if self._b_scratch is None:
             self._b_scratch = np.empty(self.size)
         b = self._b_scratch
@@ -467,7 +452,7 @@ class MNASystem:
         for el in self._nl:
             el.stamp_nonlinear(st, x, t)
         if not st.rows:
-            return sla.lu_solve(self._base_lu, b), st.limited
+            return self.solve(self._A_base, b), st.limited
         pattern = (tuple(sorted(set(st.rows))), tuple(sorted(set(st.cols))))
         if pattern != self._wb_pattern:
             self._wb_prepare(st.rows, st.cols)
@@ -477,7 +462,7 @@ class MNASystem:
         r_map, c_map = self._wb_R, self._wb_C
         for r, c, v in zip(st.rows, st.cols, st.vals):
             M[r_map[r], c_map[c]] += v
-        y = sla.lu_solve(self._base_lu, b)            # B^-1 b
+        y = self.solve(self._A_base, b)               # B^-1 b
         K = np.eye(q) + self._wb_S @ M                # I + E_C^T B^-1 E_R M
         try:
             w = np.linalg.solve(K, y[self._wb_Clist])

@@ -209,9 +209,8 @@ def run_serial(circuit: Circuit, options: TransientOptions,
     holds a macromodel port, which has no scalar stamp.  When tracing is
     enabled (:func:`repro.obs.configure_tracing`) the run exports one
     ``transient.run`` span carrying the step count, fast-path/Newton
-    split, total Newton iterations and base-matrix refactorization
-    count; ``solver_steps``/``newton_iters`` counters accumulate in the
-    metrics registry either way.
+    split and total Newton iterations; ``solver_steps``/``newton_iters``
+    counters accumulate in the metrics registry either way.
     """
     with get_tracer().span("transient.run") as sp:
         return _run_transient(circuit, options, system, sp)
@@ -294,9 +293,7 @@ def _run_transient(circuit: Circuit, options: TransientOptions,
         comp.flush()
     sp.set(size=sys_.size, n_steps=n_steps, linear=linear,
            newton_steps=newton_steps, newton_iters=newton_iters,
-           newton_retries=newton_retries,
-           lu_factorizations=sys_.n_factorizations,
-           n_warnings=len(warnings))
+           newton_retries=newton_retries, n_warnings=len(warnings))
     met = get_metrics()
     met.inc("solver_steps", n_steps)
     if newton_iters:

@@ -67,12 +67,57 @@ def _median_distance(C: np.ndarray, seed: int) -> float:
     return float(np.median(vals))
 
 
+#: rows per block of the passes over the candidate matrix: a multiple of
+#: 8, so every block starts where a whole-array pass starts a SIMD lane
+ROW_BLOCK = 512
+
+
+def _row_blocks(n: int):
+    return [(a, min(a + ROW_BLOCK, n)) for a in range(0, n, ROW_BLOCK)]
+
+
+def _activations(Z: np.ndarray, centers: np.ndarray, sigma: float,
+                 out: np.ndarray) -> np.ndarray:
+    """Write the Gaussian activations of the rows ``Z`` at every candidate
+    center into ``out`` (len(Z), M), without a (len(Z), M, d) temporary;
+    the squared distances accumulate column by column, the order in which
+    numpy sums fewer than 8 terms."""
+    out[:] = 0.0
+    diff = np.empty_like(out)
+    for j in range(Z.shape[1]):
+        np.subtract(Z[:, j, None], centers[None, :, j], out=diff)
+        diff *= diff
+        out += diff
+    np.negative(out, out=out)
+    out /= 2.0 * sigma ** 2
+    np.exp(out, out=out)
+    return out
+
+
+def _deflate(P: np.ndarray, delta) -> np.ndarray:
+    """``P[a:b] -= delta(a, b)`` row block by row block, in place; returns
+    the column energies ``np.sum(P * P, axis=0)`` of the result, bit for
+    bit: an axis-0 sum of a C-contiguous array adds its rows one after
+    another, so each block continues from the running total."""
+    energy = None
+    for a, b in _row_blocks(P.shape[0]):
+        blk = P[a:b]
+        blk -= delta(a, b)
+        sq = blk * blk
+        if energy is not None:
+            sq[0] += energy
+        energy = np.add.reduce(sq, axis=0)
+    return energy
+
+
 def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
                 opts: OLSOptions = OLSOptions()) -> GaussianRBF:
     """Fit a :class:`GaussianRBF` to raw regressors ``X`` and targets ``y``.
 
     Returns the fitted network; ``model.meta_err`` (attached attribute) holds
-    the per-step residual-energy fractions for diagnostics/ablation.
+    the per-step residual-energy fractions for diagnostics/ablation.  The
+    selection holds one (N, M) candidate matrix, orthogonalized in place;
+    the final solve recomputes the activations of the selected centers.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -87,40 +132,25 @@ def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
 
     centers = _candidate_centers(Z, opts)
     sigma = opts.width_scale * _median_distance(centers, opts.seed)
-
-    # full candidate activation matrix (N, M), built in place without an
-    # (N, M, d) temporary; the squared distances accumulate column by
-    # column, the order in which numpy sums fewer than 8 terms
-    P = np.zeros((n, centers.shape[0]))
-    diff = np.empty_like(P)
-    for j in range(d):
-        np.subtract(Z[:, j, None], centers[None, :, j], out=diff)
-        diff *= diff
-        P += diff
-    del diff
-    np.negative(P, out=P)
-    P /= 2.0 * sigma ** 2
-    np.exp(P, out=P)
+    blocks = _row_blocks(n)
 
     # affine tail columns: [1, z_1..z_d] (bias only when affine is off);
-    # orthogonalize them out of y and P
+    # orthogonalize them out of y and the candidate activations
     A = np.hstack([np.ones((n, 1)), Z]) if opts.affine else np.ones((n, 1))
     Q_aff, _ = np.linalg.qr(A)
     y_res = y - Q_aff @ (Q_aff.T @ y)
-    P_res = Q_aff @ (Q_aff.T @ P)
-    np.subtract(P, P_res, out=P_res)
 
     y_energy = float(y_res @ y_res)
-    if y_energy <= 0.0:
-        # the affine tail already explains everything: no Gaussians needed
-        sel: list[int] = []
-        err_trace: list[float] = []
-    else:
-        sel = []
-        err_trace = []
+    sel: list[int] = []
+    err_trace: list[float] = []
+    if y_energy > 0.0:
+        # (y_energy 0: the affine tail already explains everything)
+        Pw = np.empty((n, centers.shape[0]))
+        for a, b in blocks:
+            _activations(Z[a:b], centers, sigma, Pw[a:b])
+        W = Q_aff.T @ Pw
+        col_energy = _deflate(Pw, lambda a, b: Q_aff[a:b] @ W)
         resid = y_res.copy()
-        Pw = P_res      # orthogonalized in place below
-        col_energy = np.sum(Pw * Pw, axis=0)
         for _ in range(min(opts.n_bases, centers.shape[0])):
             proj = Pw.T @ resid
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -135,14 +165,25 @@ def fit_rbf_ols(X: np.ndarray, y: np.ndarray,
             qn = q / (q @ q)
             resid = resid - q * (qn @ resid)
             # orthogonalize remaining candidates against the chosen one
-            Pw -= np.outer(q, qn @ Pw)
-            col_energy = np.sum(Pw * Pw, axis=0)
+            r = qn @ Pw
+            col_energy = _deflate(Pw, lambda a, b: np.outer(q[a:b], r))
             err_trace.append(float(resid @ resid) / y_energy)
             if err_trace[-1] < opts.err_tol:
                 break
+        del Pw
 
-    # final joint least-squares solve: affine + selected Gaussians
-    cols = [A] + ([P[:, sel]] if sel else [])
+    # final joint least-squares solve: affine + selected Gaussians, their
+    # activations recomputed full width (a narrower array can round the
+    # underflowing exp differently) into the F order of a column gather,
+    # which sets the layout of M and so the bits of M.T @ y
+    cols = [A]
+    if sel:
+        G = np.empty((len(sel), n)).T
+        rows = np.empty((min(ROW_BLOCK, n), centers.shape[0]))
+        for a, b in blocks:
+            G[a:b] = _activations(Z[a:b], centers, sigma,
+                                  rows[:b - a])[:, sel]
+        cols.append(G)
     M = np.hstack(cols)
     reg = opts.ridge * np.trace(M.T @ M) / M.shape[1]
     theta = np.linalg.solve(M.T @ M + reg * np.eye(M.shape[1]), M.T @ y)

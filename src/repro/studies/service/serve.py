@@ -58,6 +58,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ...errors import ExperimentError
@@ -68,6 +69,9 @@ from .jobs import JobManager
 __all__ = ["StudyService", "make_server", "submit_study", "job_status",
            "wait_for_job", "fetch_result", "fetch_trace",
            "fetch_metrics"]
+
+#: the finished jobs (and their results) a :class:`StudyService` keeps
+MAX_FINISHED_JOBS = 64
 
 
 class StudyService:
@@ -85,6 +89,12 @@ class StudyService:
     (workers included); without it spans are still collected in memory
     per job, so :meth:`trace` answers either way -- the file adds the
     cross-process worker spans and survives the service.
+
+    The registry keeps at most :data:`MAX_FINISHED_JOBS` finished (done
+    or errored) jobs and evicts the least recently used one beyond;
+    queued and running jobs are never evicted.  An evicted job is
+    unknown again: resubmitting its study reruns it, and its shards read
+    every scenario back from the disk cache.
     """
 
     def __init__(self, cache_dir, max_workers: int | None = None,
@@ -99,8 +109,8 @@ class StudyService:
         self.n_shards = n_shards
         self.job_slots = max(1, int(job_slots))
         self._models = dict(models or {})
-        self._jobs: dict = {}
-        self._order: list = []
+        self._jobs: dict = {}           # submission order
+        self._finished: OrderedDict = OrderedDict()  # LRU first
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self._threads: list = []
@@ -181,6 +191,16 @@ class StudyService:
             tracer.close()
             with self._lock:
                 job["finished_s"] = time.time()
+                self._finished[job_id] = None
+                while len(self._finished) > MAX_FINISHED_JOBS:
+                    del self._jobs[self._finished.popitem(last=False)[0]]
+
+    def _touch(self, job_id: str):
+        """The job (``None`` if unknown), marked as just used; call with
+        the lock held."""
+        if job_id in self._finished:
+            self._finished.move_to_end(job_id)
+        return self._jobs.get(job_id)
 
     # -- client surface -----------------------------------------------------
     def submit(self, study) -> tuple[str, bool]:
@@ -197,11 +217,10 @@ class StudyService:
             study = Study.from_dict(study)
         job_id = study.digest()
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._touch(job_id)
             if job is not None and job["state"] != "error":
                 return job_id, False
-            if job is None:
-                self._order.append(job_id)
+            self._finished.pop(job_id, None)
             self._jobs[job_id] = {
                 "id": job_id, "study": study, "state": "queued",
                 "submitted_s": time.time(), "started_s": None,
@@ -216,9 +235,11 @@ class StudyService:
     def status(self, job_id: str) -> dict | None:
         """JSON-able status record of one job (``None`` if unknown)."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return None
+            job = self._touch(job_id)
+        return None if job is None else self._record(job)
+
+    def _record(self, job: dict) -> dict:
+        with self._lock:
             study = job["study"]
             out = {
                 "job": job["id"], "state": job["state"],
@@ -238,17 +259,17 @@ class StudyService:
         return out
 
     def jobs(self) -> list[dict]:
-        """Status records of every known job, submission order."""
+        """Status records of every known job, submission order (a
+        listing uses no job)."""
         with self._lock:
-            order = list(self._order)
-        return [s for s in (self.status(j) for j in order)
-                if s is not None]
+            jobs = list(self._jobs.values())
+        return [self._record(job) for job in jobs]
 
     def result(self, job_id: str):
         """The finished job's :class:`StudyResult` (``None`` until
         ``state == "done"`` or for unknown jobs)."""
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._touch(job_id)
             return None if job is None else job["result"]
 
     def trace(self, job_id: str) -> list[dict] | None:
@@ -261,7 +282,7 @@ class StudyService:
         whatever has finished so far.
         """
         with self._lock:
-            job = self._jobs.get(job_id)
+            job = self._touch(job_id)
             if job is None:
                 return None
             tracer = job.get("tracer")

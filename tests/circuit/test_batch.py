@@ -9,6 +9,7 @@ and rewrites element state (histories, DC fixed points), so the two
 backends must never share element objects.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -209,8 +210,6 @@ class TestEligibilityAndFallback:
             assert not getattr(res, "batched", False)
             np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
 
-    # the serial DC factorization warns before its solve raises
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_dc_matrix_falls_back(self, fresh_metrics):
         """An inductor across the source shorts it at DC: the group goes
         member by member and raises what serial raises."""
@@ -227,6 +226,12 @@ class TestEligibilityAndFallback:
             run_transient_batch([bench(50.0), bench(80.0)], OPTS)
         assert fresh_metrics.value("batch_fallbacks_total",
                                    reason="singular DC matrix") == 1
+        # the serial engine's base solve raises LAPACK's error, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                run_serial(bench(50.0), OPTS)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_signature_separates_structure_not_values(self):
         a = linear_bench("line", 50.0, 1e-12, 50.0, 1e-9)

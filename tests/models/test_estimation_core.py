@@ -1,5 +1,7 @@
 """Estimation primitives: regressors, RBF networks, OLS, ARX."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,53 +202,60 @@ class TestOLS:
         """The column-by-column, in-place activation matrix and
         orthogonalization give bit for bit what the (N, M, d) broadcast
         formula gives, on data with repeated rows like a settled record."""
-        from repro.models import ols
         rng = np.random.default_rng(40 + d)
         X = rng.normal(size=(1500, d))
         X[500:700] = X[499]
         y = np.tanh(X @ rng.normal(size=d)) + 0.01 * rng.normal(size=1500)
         opts = OLSOptions(n_bases=9, seed=3)
-        got = fit_rbf_ols(X, y, opts)
+        _assert_fits_equal(fit_rbf_ols(X, y, opts),
+                           _dense_fit_rbf_ols(X, y, opts)[0])
 
-        # the broadcast formula, step for step
-        scaler = RegressorScaler().fit(X)
-        Z = scaler.transform(X)
-        centers = ols._candidate_centers(Z, opts)
-        sigma = ols._median_distance(centers, opts.seed)
-        d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        P = np.exp(-d2 / (2.0 * sigma ** 2))
-        A = np.hstack([np.ones((Z.shape[0], 1)), Z])
-        Q, _ = np.linalg.qr(A)
-        resid = y - Q @ (Q.T @ y)
-        y_energy = float(resid @ resid)
-        Pw = P - Q @ (Q.T @ P)
-        sel, trace = [], []
-        for _ in range(opts.n_bases):
-            col_energy = np.sum(Pw * Pw, axis=0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                err = np.where(col_energy > 1e-30 * y_energy,
-                               (Pw.T @ resid) ** 2
-                               / (col_energy * y_energy), 0.0)
-            err[sel] = 0.0
-            j = int(np.argmax(err))
-            if err[j] <= 0.0:
-                break
-            sel.append(j)
-            q = Pw[:, j].copy()
-            qn = q / (q @ q)
-            resid = resid - q * (qn @ resid)
-            Pw = Pw - np.outer(q, qn @ Pw)
-            trace.append(float(resid @ resid) / y_energy)
-        M = np.hstack([A, P[:, sel]])
-        reg = opts.ridge * np.trace(M.T @ M) / M.shape[1]
-        theta = np.linalg.solve(M.T @ M + reg * np.eye(M.shape[1]), M.T @ y)
+    @pytest.mark.parametrize("affine, width_scale", [(True, 1.0),
+                                                      (False, 0.5)])
+    def test_one_candidate_matrix_is_bit_identical(self, affine,
+                                                   width_scale):
+        """The row-blocked fit on one candidate matrix gives bit for bit
+        what the dense fit (every (N, M) array whole) gives.  The narrow
+        widths without an affine tail push far rows' activations into
+        exp underflow, as the receiver's fits do."""
+        rng = np.random.default_rng(12)
+        # rows spread over seven decades of scale: the activations span
+        # the subnormal range too
+        X = rng.normal(size=(2999, 3)) \
+            * np.exp(rng.uniform(-5.0, 2.0, size=(2999, 1)))
+        y = np.tanh(X @ rng.normal(size=3)) + 0.01 * rng.normal(size=2999)
+        opts = OLSOptions(n_bases=9, seed=2, affine=affine,
+                          width_scale=width_scale)
+        ref, P = _dense_fit_rbf_ols(X, y, opts)
+        if not affine:
+            assert np.any((P > 0.0) & (P < np.finfo(float).tiny))
+        _assert_fits_equal(fit_rbf_ols(X, y, opts), ref)
 
-        assert got.sigma == sigma
-        np.testing.assert_array_equal(got.centers, centers[sel])
-        np.testing.assert_array_equal(got.weights, theta[d + 1:])
-        np.testing.assert_array_equal(got.affine, theta[1:d + 1])
-        assert got.bias == theta[0]
-        assert got.meta_err == trace
+    def test_blocked_column_energies_are_bit_identical(self):
+        """The row-blocked deflation returns the column energies of the
+        whole-array ``np.sum(P * P, axis=0)``, bit for bit."""
+        from repro.models import ols
+        rng = np.random.default_rng(13)
+        P = rng.normal(size=(3 * ols.ROW_BLOCK + 77, 37))
+        q, r = rng.normal(size=P.shape[0]), rng.normal(size=37)
+        ref = P - np.outer(q, r)
+        energy = ols._deflate(P, lambda a, b: np.outer(q[a:b], r))
+        np.testing.assert_array_equal(P, ref)
+        np.testing.assert_array_equal(energy, np.sum(ref * ref, axis=0))
+
+    def test_peak_memory_under_two_candidate_matrices(self):
+        """A 6000 x 400 fit holds one (N, M) candidate matrix plus row
+        blocks; the dense fit held three at once."""
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(6000, 5))
+        y = np.tanh(X @ rng.normal(size=5))
+        tracemalloc.start()
+        try:
+            fit_rbf_ols(X, y, OLSOptions(n_bases=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 6000 * 400 * 8
 
     @given(st.integers(0, 10000))
     @settings(max_examples=10, deadline=None)
@@ -259,6 +268,65 @@ class TestOLS:
         m2 = fit_rbf_ols(X, y, OLSOptions(n_bases=5, seed=seed,
                                           max_candidates=50))
         np.testing.assert_array_equal(m1.weights, m2.weights)
+
+
+def _dense_fit_rbf_ols(X, y, opts):
+    """The fit with every array whole: the (N, M, d) broadcast distances,
+    the activations, their orthogonalized copy, the squares and the
+    outer-product update.  Returns the model and the activations."""
+    from repro.models import ols
+    scaler = RegressorScaler().fit(X)
+    Z = scaler.transform(X)
+    n, d = Z.shape
+    centers = ols._candidate_centers(Z, opts)
+    sigma = opts.width_scale * ols._median_distance(centers, opts.seed)
+    d2 = np.sum((Z[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    P = np.exp(-d2 / (2.0 * sigma ** 2))
+    A = np.hstack([np.ones((n, 1)), Z]) if opts.affine else np.ones((n, 1))
+    Q_aff, _ = np.linalg.qr(A)
+    y_res = y - Q_aff @ (Q_aff.T @ y)
+    Pw = P - Q_aff @ (Q_aff.T @ P)
+    y_energy = float(y_res @ y_res)
+    sel, err_trace = [], []
+    resid = y_res.copy()
+    col_energy = np.sum(Pw * Pw, axis=0)
+    for _ in range(min(opts.n_bases, centers.shape[0])):
+        proj = Pw.T @ resid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.where(col_energy > 1e-30 * y_energy,
+                           proj ** 2 / (col_energy * y_energy), 0.0)
+        err[sel] = 0.0
+        j = int(np.argmax(err))
+        if err[j] <= 0.0:
+            break
+        sel.append(j)
+        q = Pw[:, j].copy()
+        qn = q / (q @ q)
+        resid = resid - q * (qn @ resid)
+        Pw -= np.outer(q, qn @ Pw)
+        col_energy = np.sum(Pw * Pw, axis=0)
+        err_trace.append(float(resid @ resid) / y_energy)
+        if err_trace[-1] < opts.err_tol:
+            break
+    M = np.hstack([A, P[:, sel]])
+    reg = opts.ridge * np.trace(M.T @ M) / M.shape[1]
+    theta = np.linalg.solve(M.T @ M + reg * np.eye(M.shape[1]), M.T @ y)
+    k = A.shape[1]
+    model = GaussianRBF(centers=centers[sel], sigma=sigma,
+                        weights=theta[k:],
+                        affine=theta[1:k] if opts.affine else np.zeros(d),
+                        bias=float(theta[0]), scaler=scaler)
+    model.meta_err = err_trace
+    return model, P
+
+
+def _assert_fits_equal(got, ref):
+    assert got.sigma == ref.sigma
+    np.testing.assert_array_equal(got.centers, ref.centers)
+    np.testing.assert_array_equal(got.weights, ref.weights)
+    np.testing.assert_array_equal(got.affine, ref.affine)
+    assert got.bias == ref.bias
+    assert got.meta_err == ref.meta_err
 
 
 class TestARX:

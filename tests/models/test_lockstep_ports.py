@@ -172,6 +172,40 @@ def test_macromodel_dcop_is_a_lockstep_group_of_one(md2_model, md4_model):
         solve_dcop(ckt, gmin_steps=(1e-3, 0.0))
 
 
+def test_dcop_reports_each_port_dc_current(md2_model, md4_model):
+    """``OperatingPoint.i`` of a macromodel port is its DC current, on a
+    fresh circuit and on one whose last transient left another current
+    on the element: a driver parked high sources v/R into 50 ohm, and a
+    receiver fed through 100 ohm from 1 V draws (1 V - v)/R, both
+    within the DC Newton's relative tolerance (1e-4)."""
+    ts = md2_model.ts
+
+    def bench(pattern):
+        ckt = Circuit("dc-current")
+        ckt.add(PWRBFDriverElement.for_pattern("drv", "out", md2_model,
+                                               pattern, 1e-9, 2e-9))
+        ckt.add(Resistor("rl", "out", "0", 50.0))
+        ckt.add(VoltageSource("vs", "in", "0", 1.0))
+        ckt.add(Resistor("rs", "in", "pad", 100.0))
+        ckt.add(ParametricReceiverElement("rx", "pad", md4_model))
+        return ckt
+
+    fresh = solve_dcop(bench("10"))
+    assert fresh.v("out") > 0.5 * md2_model.vdd
+    assert fresh.i("drv") == pytest.approx(-fresh.v("out") / 50.0,
+                                           rel=1e-3)
+    assert fresh.i("rx") == pytest.approx((1.0 - fresh.v("pad")) / 100.0,
+                                          rel=1e-3)
+    used = bench("10")
+    run_transient(used, TransientOptions(dt=ts, t_stop=4e-9,
+                                         method="damped"))
+    assert abs(used["drv"].current(None)) < 1e-3 * abs(fresh.i("drv"))
+    again = solve_dcop(used)
+    np.testing.assert_array_equal(again.x, fresh.x)
+    assert again.i("drv") == fresh.i("drv")
+    assert again.i("rx") == fresh.i("rx")
+
+
 def test_engine_per_circuit_in_the_trace(md2_model, md4_cv):
     """A lone circuit whose nonlinear elements all bank exports one
     ``transient.batch`` span (a group of one) and no ``transient.run``;

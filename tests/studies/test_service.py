@@ -391,6 +391,56 @@ class TestHTTPService:
         with pytest.raises(ExperimentError, match="409"):
             fetch_result(url, status["job"])
 
+    def test_finished_jobs_are_a_bounded_lru(self, http_service,
+                                             monkeypatch):
+        """The registry keeps MAX_FINISHED_JOBS finished jobs, the least
+        recently used evicted first and a queued job never: an evicted
+        id answers 404, and resubmitting its study reruns it with every
+        scenario a disk-cache hit."""
+        from repro.studies.service import serve
+        monkeypatch.setattr(serve, "MAX_FINISHED_JOBS", 2)
+        url, service = http_service
+        studies = [Study(patterns=(p,), loads=(LoadSpec(kind="r", r=50.0),
+                                               LoadSpec(kind="r", r=75.0)))
+                   for p in ("0110", "010110", "0011")]
+
+        def run(study):
+            status = submit_study(url, study)
+            assert status["created"] is True
+            final = wait_for_job(url, status["job"], poll_s=0.05,
+                                 timeout_s=300.0)
+            assert final["state"] == "done"
+            return final
+
+        first, second = run(studies[0]), run(studies[1])
+        # reading the first job leaves the second least recently used
+        assert fetch_result(url, first["job"])["job"] == first["job"]
+        service.stop()          # the third job stays queued
+        queued = submit_study(url, studies[2])
+        assert queued["state"] == "queued"
+        assert [j["job"] for j in service.jobs()] \
+            == [first["job"], second["job"], queued["job"]]
+        service.start()
+        third = wait_for_job(url, queued["job"], poll_s=0.05,
+                             timeout_s=300.0)
+        assert third["n_cache_hits"] == 0
+        assert [j["job"] for j in service.jobs()] \
+            == [first["job"], queued["job"]]
+        with pytest.raises(ExperimentError, match="service error 404"):
+            job_status(url, second["job"])
+        with pytest.raises(ExperimentError, match="service error 404"):
+            fetch_result(url, second["job"], csv=True)
+
+        again = run(studies[1])
+        assert again["job"] == second["job"]
+        assert again["n_cache_hits"] == len(studies[1])
+        assert fetch_result(url, second["job"], csv=True) \
+            == studies[1].run(models=service._models,
+                              n_workers=1).csv_text()
+        # the first job was the least recently used one this time
+        assert [j["job"] for j in service.jobs()] \
+            == [queued["job"], second["job"]]
+
     @pytest.mark.parametrize("doc, field", [
         (5, "table of fields"),
         ({"loads": 5}, "'loads'"),
