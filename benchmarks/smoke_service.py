@@ -24,8 +24,10 @@ real process boundaries:
 6. warm leg: restart ``serve`` in a fresh process on the same cache
    directory, resubmit the study, and assert every scenario came from
    the disk cache (``cache_misses`` advanced by 0, ``cache_hits`` and
-   ``disk_cache_total{result="hit"}`` by the grid size) and the CSV is
-   byte-identical to the cold fetch.
+   ``disk_cache_total{result="hit"}`` by the grid size), that the
+   server answered it without a shard worker (the job's trace holds no
+   ``job.shard.attempt`` span) and the CSV is byte-identical to the
+   cold fetch.
 
 The trace file is left at ``$SMOKE_TRACE_OUT`` (default
 ``smoke_trace.jsonl`` in the working directory) so CI can upload it as
@@ -110,7 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.obs import read_spans, span_tree
     from repro.studies import Study
-    from repro.studies.service import fetch_metrics, fetch_result
+    from repro.studies.service import (fetch_metrics, fetch_result,
+                                       fetch_trace)
 
     study = Study.load(study_file)
     trace_out.unlink(missing_ok=True)
@@ -135,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             warm_csv = fetch_result(url, warm_job, csv=True)
             warm_after = fetch_metrics(url)
+            warm_spans = fetch_trace(url, warm_job)
         finally:
             proc.terminate()
             proc.wait(timeout=30)
@@ -191,6 +195,14 @@ def main(argv: list[str] | None = None) -> int:
     if warm_csv != served_csv:
         print("FAIL: warm fetch CSV differs from the cold fetch")
         return 1
+    warm_attempts = sum(1 for s in warm_spans
+                        if s["name"] == "job.shard.attempt")
+    if warm_attempts or not any(s["name"] == "job.shard"
+                                for s in warm_spans):
+        print(f"FAIL: the warm job's trace holds {warm_attempts} "
+              "job.shard.attempt spans (expected none: every shard is "
+              "a disk hit the server answers itself)")
+        return 1
 
     n_rows = len(served_csv.splitlines()) - 1
     print(f"OK: job {job_id} served {n_rows} verdict rows "
@@ -198,7 +210,8 @@ def main(argv: list[str] | None = None) -> int:
           f"({hits:g} hits + {misses:g} misses = {len(study)}) and "
           f"{len(spans)} trace spans reconstruct under job.run "
           f"({trace_out.name}); a restarted server answered all "
-          f"{len(study)} from the disk cache with identical bytes")
+          f"{len(study)} from the disk cache, without a shard worker, "
+          f"with identical bytes")
     return 0
 
 

@@ -118,27 +118,18 @@ def ibis_model(name: str = "MD1") -> IbisModel:
 # disk-persistent sweep result cache
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    """Tuples become lists so the rendering is canonical JSON."""
-    if isinstance(obj, (tuple, list)):
-        return [_jsonable(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def canonical_json(obj) -> str:
     """THE canonical JSON rendering every cache digest hashes.
 
-    Tuples render as lists, dict keys sort, no whitespace, floats via
-    ``repr`` (the shortest round-trip form) -- deterministic across
-    processes and platforms.  :func:`scenario_key_digest`,
+    Tuples render as lists (the encoder's own rule), dict keys sort, no
+    whitespace, floats via ``repr`` (the shortest round-trip form) --
+    deterministic across processes and platforms.
+    :func:`scenario_key_digest`,
     :meth:`~repro.studies.spec.Scenario.key` and
     :meth:`~repro.studies.spec.Study.canonical` all render through this
     one function, so the key form cannot silently fork between modules.
     """
-    return json.dumps(_jsonable(obj), sort_keys=True,
-                      separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable_meta(meta: dict) -> dict:
@@ -176,8 +167,8 @@ def model_fingerprint(model) -> str:
     """
     d = dict(model.to_dict())
     d.pop("meta", None)
-    canon = json.dumps(_jsonable(d), separators=(",", ":"),
-                       sort_keys=True, default=str)
+    canon = json.dumps(d, separators=(",", ":"), sort_keys=True,
+                       default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -198,7 +189,8 @@ class SweepDiskCache:
     :class:`~repro.emc.limits.ComplianceVerdict` dicts keyed per detector
     / radiated check).  The combined verdict is not stored: it is the
     entry with the least margin (:func:`~repro.emc.limits.worst_verdict`),
-    so readers derive it.  The
+    so readers derive it.  Keys are hashable JSON-able values (the
+    runner's ``(Scenario.key(), model fingerprints)`` pairs).  The
     entry digest folds in ``version`` (default :data:`CACHE_VERSION`), so
     a payload-schema change never reinterprets old entries.  Safe for
     concurrent writers: entries are written atomically (temp file +
@@ -215,24 +207,35 @@ class SweepDiskCache:
         self.root = Path(root)
         self.version = int(version)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._dir = os.fspath(self.root)
+        self._entries: dict = {}
 
     def _digest(self, key) -> str:
         return scenario_key_digest((self.version, key))
 
-    def _path(self, digest: str) -> Path:
-        return self.root / f"{digest}{self.suffix}"
+    def _path(self, digest: str) -> str:
+        return os.path.join(self._dir, digest + self.suffix)
+
+    def _entry(self, key) -> str:
+        """The entry file of ``key``, hashed once per key: a probe
+        (``key in cache``) and the read after it share one digest."""
+        path = self._entries.get(key)
+        if path is None:
+            path = self._entries[key] = self._path(self._digest(key))
+        return path
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob(f"*{self.suffix}"))
 
     def __contains__(self, key) -> bool:
-        return self._path(self._digest(key)).exists()
+        return os.path.exists(self._entry(key))
 
     def get(self, key) -> dict | None:
         """Stored payload for a scenario key, or ``None`` on a miss."""
-        path = self._path(self._digest(key))
+        path = self._entry(key)
         try:
-            payload = _decode(path.read_bytes())
+            with open(path, "rb") as fh:
+                payload = _decode(fh.read())
         except FileNotFoundError:
             get_metrics().inc("disk_cache_total", result="miss")
             return None
@@ -241,7 +244,7 @@ class SweepDiskCache:
             # fresh result can replace it
             get_metrics().inc("disk_cache_total", result="corrupt")
             try:
-                path.unlink(missing_ok=True)
+                os.unlink(path)
             except OSError:
                 pass
             return None

@@ -380,6 +380,22 @@ class ScenarioRunner:
         self._warmed |= warm
         return models
 
+    def on_disk(self, scenarios) -> bool:
+        """Whether every scenario has a disk-cache entry.
+
+        One ``stat`` per scenario, stopping at the first miss: nothing
+        is read and nothing counted, so a caller can route a batch that
+        :meth:`run_cached` would answer without paying a read for one
+        it would not.  A scenario whose cache key cannot be rendered
+        counts as a miss.
+        """
+        if self._disk is None or not self.use_result_cache:
+            return False
+        try:
+            return all(self._disk_key(sc) in self._disk for sc in scenarios)
+        except ExperimentError:
+            return False
+
     def run(self, scenarios) -> SweepResult:
         """Simulate every scenario; order of outcomes matches the input.
 
@@ -391,7 +407,21 @@ class ScenarioRunner:
         with self._trace().span("runner.run") as sp:
             return self._run(list(scenarios), sp)
 
-    def _run(self, scenarios: list, sp) -> SweepResult:
+    def run_cached(self, scenarios) -> SweepResult | None:
+        """:meth:`run` answered from the result caches alone.
+
+        Returns ``None`` at the first scenario no cache answers, having
+        simulated nothing and counted nothing in ``cache_hits`` /
+        ``cache_misses`` / ``scenarios_total`` (the disk reads made so
+        far still count in ``disk_cache_total``), so the caller can run
+        the batch elsewhere and count it there.  Its ``runner.run`` span
+        carries ``cached_only=True``.
+        """
+        with self._trace().span("runner.run", cached_only=True) as sp:
+            return self._run(list(scenarios), sp, cached_only=True)
+
+    def _run(self, scenarios: list, sp,
+             cached_only: bool = False) -> SweepResult | None:
         met = get_metrics()
         outcomes: list = [None] * len(scenarios)
         pending: list[tuple[int, Scenario]] = []
@@ -403,11 +433,10 @@ class ScenarioRunner:
                 # an undescribable scenario (unregistered load kind,
                 # unknown mask name) fails alone -- one bad grid point
                 # must not abort the other scenarios' results
-                outcomes[idx] = ScenarioOutcome(
+                hit, outcomes[idx] = None, ScenarioOutcome(
                     scenario=sc, t=np.empty(0), v_port=np.empty(0),
                     metrics={}, warnings=[], elapsed_s=0.0,
                     error=f"{type(exc).__name__}: {exc}")
-                continue
             if hit is not None:
                 # fresh containers per hit, arrays copied on first read:
                 # the cache must not alias arrays a caller may mutate, and
@@ -416,7 +445,9 @@ class ScenarioRunner:
                 outcomes[idx] = hit.copy_on_read(scenario=sc, cache_hit=True,
                                                  elapsed_s=0.0)
                 cache_hits += 1
-            else:
+            elif cached_only:
+                return None
+            elif outcomes[idx] is None:
                 pending.append((idx, sc))
         # misses = everything the caches did not answer, including the
         # scenarios whose lookup itself failed above -- hits + misses

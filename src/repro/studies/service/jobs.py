@@ -9,9 +9,13 @@ process (one serial, grid-batched
 them all on one :mod:`asyncio` loop with bounded concurrency, per-shard
 retry and an optional per-attempt timeout -- the
 ``SubProcessManager`` / ``batch_async_task`` submit-many/await-all
-shape.  Each attempt replies with its shard's outcomes, and the parent
-assembles the final :class:`~repro.studies.outcomes.StudyResult` from
-the replies by grid index.
+shape.  The loop wakes on each child's pipe and process sentinel, so a
+reply is read the moment it arrives.  Each attempt replies with its
+shard's outcomes, and the parent assembles the final
+:class:`~repro.studies.outcomes.StudyResult` from the replies by grid
+index.  A shard whose every scenario already has a disk-cache entry
+never forks: the parent answers it from the cache while the children of
+the other shards run.
 
 The shared content-addressed disk cache is the checkpoint ledger that
 makes every run *resumable*: a worker advances its shard one batch
@@ -88,12 +92,13 @@ class ShardReport:
 
     ``ok`` means the final attempt replied with the shard's outcomes
     (individual scenario failures are counted in ``n_failures``, not
-    fatal); ``attempts`` counts every try including retries after a
-    worker death or timeout; ``outcomes`` are the final attempt's
-    outcomes in shard order (empty when no attempt replied).  The
-    scenario/hit/failure counts derive from them, so after a mid-shard
-    crash ``n_cache_hits`` shows how much of the shard the retry
-    answered from disk instead of recomputing.
+    fatal); ``attempts`` counts every worker-process try including
+    retries after a worker death or timeout; ``outcomes`` are the final
+    attempt's outcomes in shard order (empty when no attempt replied).
+    A shard the parent answered from the disk cache is ``ok`` after
+    ``attempts == 0``.  The scenario/hit/failure counts derive from the
+    outcomes, so after a mid-shard crash ``n_cache_hits`` shows how much
+    of the shard the retry answered from disk instead of recomputing.
     """
 
     shard: StudyShard
@@ -155,20 +160,19 @@ class JobManager:
         """One shard attempt in its own :class:`Child`; returns
         ``(reply, error, exitcode)``.  ``obs_ctx`` propagates the
         parent's trace context into the worker (see
-        :func:`_shard_worker`)."""
+        :func:`_shard_worker`).  The loop wakes when the reply starts
+        arriving or the child exits (:func:`_child_ready`), so a reply
+        larger than the pipe buffer never leaves the worker blocked in
+        ``send``; a worker still silent after ``timeout_s`` is
+        terminated."""
         child = Child(_shard_worker, shard, cache_dir, models, obs_ctx)
-        t0 = time.monotonic()
         reply = error = None
         try:
-            while not child.ready():
-                if self.timeout_s is not None \
-                        and time.monotonic() - t0 > self.timeout_s:
-                    error = (f"shard attempt timed out after "
-                             f"{self.timeout_s:g} s")
-                    break
-                await asyncio.sleep(0.02)
-            else:
+            if await _child_ready(child, self.timeout_s):
                 reply = child.reply()
+            else:
+                error = (f"shard attempt timed out after "
+                         f"{self.timeout_s:g} s")
         finally:
             child.stop()
         exitcode = child.proc.exitcode
@@ -181,7 +185,9 @@ class JobManager:
     async def run_shard(self, shard: StudyShard, disk_cache,
                         models: dict | None = None,
                         progress=None, index: int | None = None,
-                        tracer=None) -> ShardReport:
+                        tracer=None, runner=None,
+                        slots: asyncio.Semaphore | None = None
+                        ) -> ShardReport:
         """Run one shard to completion (with retries); returns its report.
 
         ``disk_cache`` is the shared cache directory every shard of the
@@ -191,30 +197,45 @@ class JobManager:
         returns; drivers not in the map are estimated in the worker).
         ``index`` is the shard's position in its plan, carried on the
         progress events and spans so event ordering is checkable per
-        shard.  One ``job.shard`` span wraps the retry loop, with one
-        ``job.shard.attempt`` child per try (attrs: ``attempt``,
-        ``retry``, ``ok``, ``exitcode``, ``error``); the worker's
-        metrics delta merges into this process's registry, and each
-        failed attempt counts one ``shard_retries`` (plus
-        ``worker_restarts`` when the worker died rather than erred).
+        shard.  ``runner``, a :class:`ScenarioRunner` on the same cache,
+        first tries to answer the whole shard in this process
+        (:meth:`~repro.studies.runner.ScenarioRunner.run_cached`); only
+        when a scenario misses does the shard go to worker processes.
+        ``slots`` bounds the worker processes alive at once across the
+        shards sharing it.  One ``job.shard`` span wraps the shard, with
+        one ``job.shard.attempt`` child per worker try (attrs:
+        ``attempt``, ``retry``, ``ok``, ``exitcode``, ``error``); a
+        shard the parent answered has ``from_disk=True``, ``attempts=0``
+        and no attempt child.  The worker's metrics delta merges into
+        this process's registry, and each failed attempt counts one
+        ``shard_retries`` (plus ``worker_restarts`` when the worker died
+        rather than erred).
         """
         tr = tracer if tracer is not None else get_tracer()
         met = get_metrics()
+        # a shard on its own runs one attempt at a time anyway
+        slots = slots or asyncio.Semaphore()
         report = ShardReport(shard=shard)
         t0 = time.perf_counter()
         with tr.span("job.shard", index=index,
                      scenarios=len(shard)) as ssp:
-            for attempt in range(self.retries + 1):
+            cached = None if runner is None \
+                else runner.run_cached(shard.scenarios())
+            if cached is not None:
+                report.ok = True
+                report.outcomes = cached.outcomes
+            for attempt in range(0 if report.ok else self.retries + 1):
                 report.attempts = attempt + 1
-                with tr.span("job.shard.attempt", index=index,
-                             attempt=attempt + 1,
-                             retry=attempt > 0) as asp:
-                    reply, error, exitcode = await self._attempt(
-                        shard, str(disk_cache), models or {},
-                        obs_ctx=tr.context())
-                    asp.set(ok=reply is not None, exitcode=exitcode)
-                    if error is not None:
-                        asp.set(error=error)
+                async with slots:
+                    with tr.span("job.shard.attempt", index=index,
+                                 attempt=attempt + 1,
+                                 retry=attempt > 0) as asp:
+                        reply, error, exitcode = await self._attempt(
+                            shard, str(disk_cache), models or {},
+                            obs_ctx=tr.context())
+                        asp.set(ok=reply is not None, exitcode=exitcode)
+                        if error is not None:
+                            asp.set(error=error)
                 if reply is not None:
                     met.merge(reply["metrics"])
                     report.ok = True
@@ -230,47 +251,61 @@ class JobManager:
                 _emit(progress, {"event": "shard-retry", "shard": shard,
                                  "index": index,
                                  "attempt": attempt + 1, "error": error})
-            ssp.set(ok=report.ok, attempts=report.attempts)
+            ssp.set(ok=report.ok, attempts=report.attempts,
+                    from_disk=cached is not None)
         report.elapsed_s = time.perf_counter() - t0
         return report
 
     # -- whole studies ------------------------------------------------------
     async def run_shards(self, shards, disk_cache,
                          models: dict | None = None,
-                         progress=None, tracer=None) -> list[ShardReport]:
+                         progress=None, tracer=None,
+                         runner=None) -> list[ShardReport]:
         """Submit every shard, await them all; reports in shard order.
 
-        Concurrency is bounded by ``max_workers``; each shard streams
-        ``shard-start`` / ``shard-done`` (and ``shard-retry``) events to
-        the ``progress`` callable as it advances (every event carries
-        the shard ``index``).  A shard that exhausts its retries is
-        reported with ``ok=False`` -- the others still run to
+        At most ``max_workers`` worker processes run at once; each shard
+        streams ``shard-start`` / ``shard-done`` (and ``shard-retry``)
+        events to the ``progress`` callable as it advances (every event
+        carries the shard ``index``).  A shard that exhausts its retries
+        is reported with ``ok=False`` -- the others still run to
         completion.
+
+        With ``runner`` (a :class:`ScenarioRunner` on the same disk
+        cache), a shard whose every scenario has a cache entry -- one
+        ``stat`` per scenario, stopping at the first miss
+        (:meth:`~repro.studies.runner.ScenarioRunner.on_disk`) -- is
+        answered by ``runner`` in this process.  The other shards start
+        first, so their children run while the parent reads.
         """
         shards = list(shards)
-        sem = asyncio.Semaphore(self.max_workers)
+        slots = asyncio.Semaphore(self.max_workers)
         done_box = {"scenarios": 0}
+        on_disk = [runner is not None and runner.on_disk(s.scenarios())
+                   for s in shards]
 
         async def one(i: int, shard: StudyShard) -> ShardReport:
-            async with sem:
-                _emit(progress, {"event": "shard-start", "index": i,
-                                 "n_shards": len(shards), "shard": shard,
-                                 "scenarios": len(shard)})
-                report = await self.run_shard(shard, disk_cache,
-                                              models=models,
-                                              progress=progress,
-                                              index=i, tracer=tracer)
-                done_box["scenarios"] += report.n_scenarios
-                _emit(progress, {"event": "shard-done", "index": i,
-                                 "n_shards": len(shards), "shard": shard,
-                                 "ok": report.ok, "error": report.error,
-                                 "cache_hits": report.n_cache_hits,
-                                 "failures": report.n_failures,
-                                 "done_scenarios": done_box["scenarios"]})
-                return report
+            _emit(progress, {"event": "shard-start", "index": i,
+                             "n_shards": len(shards), "shard": shard,
+                             "scenarios": len(shard)})
+            report = await self.run_shard(
+                shard, disk_cache, models=models, progress=progress,
+                index=i, tracer=tracer,
+                runner=runner if on_disk[i] else None, slots=slots)
+            done_box["scenarios"] += report.n_scenarios
+            _emit(progress, {"event": "shard-done", "index": i,
+                             "n_shards": len(shards), "shard": shard,
+                             "ok": report.ok, "error": report.error,
+                             "cache_hits": report.n_cache_hits,
+                             "failures": report.n_failures,
+                             "done_scenarios": done_box["scenarios"]})
+            return report
 
+        # tasks start in creation order: the shards with misses fork
+        # their children before the parent reads the cached shards
+        tasks = {i: asyncio.ensure_future(one(i, shards[i]))
+                 for i in sorted(range(len(shards)), key=on_disk.__getitem__)}
         return list(await asyncio.gather(
-            *(one(i, s) for i, s in enumerate(shards))))
+            *(tasks[i] for i in range(len(shards)))))
 
     async def run_study_async(self, study: Study,
                               disk_cache=None,
@@ -287,10 +322,12 @@ class JobManager:
         :meth:`~repro.studies.runner.ScenarioRunner.prepare_dispatch`
         estimates every driver and auxiliary model once, in this
         process, and its driver models go to every shard worker.  The
-        merge fills the result by grid index from the shards' replies;
-        a shard whose attempts all failed reruns through that serial
-        runner on the same cache (its checkpointed groups are disk
-        hits).  A scenario that failed inside a shard stays failed: the
+        same runner answers every shard the disk cache holds in full
+        (see :meth:`run_shards`), so a fully cached study starts no
+        worker process.  The merge fills the result by grid index from
+        the shards' outcomes; a shard whose attempts all failed reruns
+        through that serial runner on the same cache (its checkpointed
+        groups are disk hits).  A scenario that failed inside a shard stays failed: the
         worker's batch path already retried it on its own.  The returned
         result additionally carries the per-shard execution records as
         ``result.shard_reports`` and the per-phase wall-clock breakdown
@@ -299,8 +336,9 @@ class JobManager:
         One ``job.run`` span (exported through ``tracer``, or the
         process-wide one) wraps the whole job.  Every scenario is
         counted once in the registry's ``cache_hits + cache_misses``:
-        by the shard attempt that replied, or by the parent's rerun of
-        a shard none replied for.  The job's wall clock feeds the
+        by the parent's answer of a cached shard, by the shard attempt
+        that replied, or by the parent's rerun of a shard none replied
+        for.  The job's wall clock feeds the
         ``job_seconds`` histogram.
         """
         tr = tracer if tracer is not None else get_tracer()
@@ -331,7 +369,8 @@ class JobManager:
             t1 = time.perf_counter()
             reports = await self.run_shards(shards, cache_dir,
                                             models=shard_models,
-                                            progress=progress, tracer=tr)
+                                            progress=progress, tracer=tr,
+                                            runner=runner)
             phases["shards"] = time.perf_counter() - t1
             jsp.event("merge-start", n_shards=len(shards))
             _emit(progress, {"event": "merge-start",
@@ -376,6 +415,31 @@ class JobManager:
         return asyncio.run(self.run_study_async(
             study, disk_cache=disk_cache, n_shards=n_shards,
             models=models, progress=progress, tracer=tracer))
+
+
+async def _child_ready(child: Child, timeout_s: float | None) -> bool:
+    """Wait until ``child``'s reply starts arriving or it exits; ``False``
+    after ``timeout_s`` seconds.
+
+    The event loop watches the child's pipe and its process sentinel
+    (``loop.add_reader``, so it needs a selector loop: the default on
+    Linux and macOS), the way :func:`multiprocessing.connection.wait`
+    does for :class:`~repro.studies.runner.ScenarioRunner`'s blocking
+    dispatch.
+    """
+    loop = asyncio.get_running_loop()
+    woken = loop.create_future()
+    fds = (child.conn.fileno(), child.proc.sentinel)
+    for fd in fds:
+        loop.add_reader(fd, lambda: woken.done() or woken.set_result(None))
+    try:
+        await asyncio.wait_for(woken, timeout_s)
+        return True
+    except TimeoutError:
+        return False
+    finally:
+        for fd in fds:
+            loop.remove_reader(fd)
 
 
 def _emit(progress, event: dict) -> None:

@@ -19,8 +19,11 @@ Endpoints (all JSON unless noted)::
     POST /studies                   submit a study (body: Study.to_dict
                                     JSON, optionally under a "study"
                                     key, at most MAX_BODY_BYTES: 400
-                                    without a valid Content-Length, 413
-                                    beyond) -> {job, state, created, ...}
+                                    without a valid Content-Length or
+                                    for an invalid study, 413 beyond
+                                    the limit, 500 when submission
+                                    itself fails) -> {job, state,
+                                    created, ...}
     GET  /studies                   all jobs' status records
     GET  /studies/<job>             one job's status record
     GET  /studies/<job>/result      finished job's compliance report
@@ -430,10 +433,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             study = Study.from_dict(doc)
+            job_id, created = self.service.submit(study)
         except ExperimentError as exc:
             self._error(400, f"invalid study: {exc}")
             return
-        job_id, created = self.service.submit(study)
+        except Exception as exc:  # noqa: BLE001 - answer, never drop
+            self._error(500, f"cannot submit the study: "
+                             f"{type(exc).__name__}: {exc}")
+            return
         status = self.service.status(job_id)
         status["created"] = created
         self._send(202 if created else 200, status)

@@ -49,11 +49,17 @@ from ..memo import Memoized, generation
 from .kinds import _register_builtin_kinds, get_kind
 
 __all__ = ["SpectralSpec", "BaseLoadSpec", "LoadSpec", "CoupledLoadSpec",
-           "Scenario", "scenario_grid", "CORNERS", "RunnerOptions",
-           "Study", "load_from_dict"]
+           "Scenario", "scenario_grid", "CORNERS", "MAX_SCENARIOS",
+           "RunnerOptions", "Study", "load_from_dict"]
 
 #: the paper's process corners, for ``scenario_grid(..., corners=CORNERS)``
 CORNERS = ("slow", "typ", "fast")
+
+#: admission ceiling of a study's size -- grid points, or a stochastic
+#: study's draws: every one renders a scenario and keeps an outcome, so
+#: a larger study is refused before any is rendered; 10**5 draws pin a
+#: pass probability to +/-0.3% (95%)
+MAX_SCENARIOS = 100_000
 
 
 def _listify(obj):
@@ -68,7 +74,7 @@ def _listify(obj):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectralSpec:
+class SpectralSpec(Memoized):
     """Per-scenario emission-measurement request.
 
     Parameters
@@ -198,8 +204,13 @@ class SpectralSpec:
         """Content identity as a JSON-able dict (cache-key fragment).
 
         Mask names are resolved to mask *content*, so a registered name
-        and an identical inline mask share cache entries.
+        and an identical inline mask share cache entries.  Rendered once
+        per instance and registry generation (every scenario of a grid
+        shares its study's request); treat the dict as read-only.
         """
+        return self._memo("canonical", self._canonical, generation())
+
+    def _canonical(self) -> dict:
         mask_key = get_mask(self.mask).key() if self.mask is not None \
             else None
         rad_key = get_mask(self.radiated_mask).key() \
@@ -638,6 +649,10 @@ class Study(Memoized):
         # time, not one error-outcome per scenario after dispatch
         for load in self.loads:
             get_kind(load.kind)
+        if len(self) > MAX_SCENARIOS:
+            raise ExperimentError(
+                f"a study of {len(self)} scenarios exceeds the admission "
+                f"ceiling of {MAX_SCENARIOS}")
 
     def _check_patterns(self) -> None:
         """The pattern-axis rule: at least one non-empty 0/1 pattern."""
@@ -749,6 +764,9 @@ class Study(Memoized):
                                    options)
         if options is not None:
             kw["options"] = options
+        if "bit_time" in kw and kw["bit_time"] is None:
+            raise ExperimentError(
+                "study field 'bit_time' must be a number, not null")
         for fname in ("bit_time", "dt", "t_stop"):
             if kw.get(fname) is not None:
                 kw[fname] = _coerce_field(fname, float, kw[fname])
@@ -766,14 +784,20 @@ class Study(Memoized):
         or execution-only is excluded: the study ``name``, load labels
         and runner options never change the produced waveforms, and two
         studies that simulate identical grids share one digest
-        (load-level spectral requests included).
+        (load-level spectral requests included).  It is
+        ``canonical_json({"scenarios": [sc.canonical(), ...]})``, joined
+        from the scenarios' memoized :meth:`Scenario.key` strings, which
+        are exactly those renderings.
         """
-        return _canonical_json({"scenarios": [sc.canonical()
-                                              for sc in self.scenarios()]})
+        return '{"scenarios":[' + ",".join(
+            sc.key() for sc in self.scenarios()) + "]}"
 
     def digest(self) -> str:
-        """Short content digest of :meth:`canonical` (study identity)."""
-        return scenario_key_digest(self.canonical())
+        """Short content digest of :meth:`canonical` (study identity),
+        computed once per instance and registry generation."""
+        return self._memo("digest",
+                          lambda: scenario_key_digest(self.canonical()),
+                          generation())
 
     # -- file I/O -----------------------------------------------------------
     def to_toml(self) -> str:

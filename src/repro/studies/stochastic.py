@@ -38,6 +38,7 @@ service's draw-order-independent sharding relies on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -46,7 +47,8 @@ from ..errors import ExperimentError
 from ..experiments.cache import canonical_json as _canonical_json
 from ..obs import get_metrics, get_tracer
 from .outcomes import StudyResult
-from .spec import Scenario, Study, _coerce_field, _study_table
+from .spec import (MAX_SCENARIOS, Scenario, Study, _coerce_field,
+                   _study_table)
 
 __all__ = ["Distribution", "TrafficModel", "JitterSpec",
            "StochasticSpec", "StochasticStudy", "StochasticResult",
@@ -54,11 +56,6 @@ __all__ = ["Distribution", "TrafficModel", "JitterSpec",
 
 #: normal z-score for the default 95% Wilson confidence interval
 _Z95 = 1.959963984540054
-
-#: admission ceiling of ``stochastic.n_draws``: every draw renders a
-#: scenario and keeps an outcome, so a budget is refused before any is
-#: rendered; 10**5 draws pin a pass probability to +/-0.3% (95%)
-MAX_DRAWS = 100_000
 
 
 def draw_rng(seed: int, index: int) -> np.random.Generator:
@@ -152,6 +149,12 @@ class Distribution:
                 if any(x < 0.0 for x in w) or sum(w) <= 0.0:
                     raise ExperimentError(
                         "weights must be non-negative with positive sum")
+
+    def parameters(self) -> tuple:
+        """The values this family draws from or is shaped by: the
+        constant, the bounds, mean and std, or the choices."""
+        return {"constant": (self.value,), "uniform": (self.low, self.high),
+                "normal": (self.mean, self.std)}.get(self.dist, self.choices)
 
     def sample(self, rng: np.random.Generator):
         """Draw one value from this distribution using ``rng``."""
@@ -442,12 +445,17 @@ class StochasticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            # numpy's SeedSequence takes non-negative entropy only
+            raise ExperimentError(
+                f"stochastic.seed must be a non-negative integer, not "
+                f"{self.seed}")
         if int(self.n_draws) < 1:
             raise ExperimentError("need n_draws >= 1")
-        if int(self.n_draws) > MAX_DRAWS:
+        if int(self.n_draws) > MAX_SCENARIOS:
             raise ExperimentError(
                 f"stochastic.n_draws = {int(self.n_draws)} exceeds the "
-                f"admission ceiling of {MAX_DRAWS} draws")
+                f"admission ceiling of {MAX_SCENARIOS} draws")
         object.__setattr__(self, "n_draws", int(self.n_draws))
         object.__setattr__(self, "traffic",
                            TrafficModel.from_dict(self.traffic)
@@ -560,13 +568,14 @@ class StochasticStudy(Study):
     stochastic: StochasticSpec = field(default_factory=StochasticSpec)
 
     def __post_init__(self):
-        super().__post_init__()
+        # the sampler first: the base class's size check reads n_draws
         if not isinstance(self.stochastic, StochasticSpec):
             object.__setattr__(self, "stochastic",
                                StochasticSpec.from_dict(self.stochastic))
-        # parameter spread must name real numeric fields of every load;
-        # failing at replace() time inside a worker would cost a draw
-        for name, _ in self.stochastic.params:
+        super().__post_init__()
+        # parameter spread must name real numeric fields of every load
+        # and draw numbers; failing at render time would cost the job
+        for name, dist in self.stochastic.params:
             for load in self.loads:
                 if name not in {f.name for f in fields(type(load))}:
                     raise ExperimentError(
@@ -576,6 +585,12 @@ class StochasticStudy(Study):
                     raise ExperimentError(
                         f"stochastic param {name!r} is not numeric on "
                         f"{type(load).__name__}")
+            if not all(isinstance(v, numbers.Real)
+                       and not isinstance(v, bool)
+                       for v in dist.parameters()):
+                raise ExperimentError(
+                    f"stochastic.params.{name} must draw numbers, not "
+                    f"{dist.to_dict()}")
 
     def _check_patterns(self) -> None:
         """Traffic is sampled, never enumerated: no pattern axis."""
@@ -663,9 +678,9 @@ class StochasticStudy(Study):
         digest the service dedups on mean "this sampler, this budget",
         and keeps sequential-stopping knobs from aliasing.
         """
-        return _canonical_json({"stochastic": self.stochastic.canonical(),
-                                "scenarios": [sc.canonical()
-                                              for sc in self.scenarios()]})
+        # sorted keys: "scenarios" renders before "stochastic"
+        return super().canonical()[:-1] + ',"stochastic":' \
+            + _canonical_json(self.stochastic.canonical()) + "}"
 
     # -- execution ----------------------------------------------------------
     def make_result(self, outcomes, elapsed_s: float = 0.0,

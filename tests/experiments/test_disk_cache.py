@@ -11,6 +11,7 @@
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestRoundTrip:
         cache, payload = _one_entry(tmp_path)
         digest = cache.put(KEY, payload)
         _assert_round_trip(payload, cache.get(KEY))
-        raw = cache._path(digest).read_bytes()
+        raw = Path(cache._path(digest)).read_bytes()
         assert raw[:4] == b"RSC1"
         end = 8 + int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8:end])
@@ -137,12 +138,12 @@ class TestRoundTrip:
         n = sum(size for _, size in header["arrays"])
         # the data block starts 8-byte aligned and ends the file
         assert len(raw) == end + (-end % 8) + 8 * n
-        assert list(cache.root.iterdir()) == [cache._path(digest)]
+        assert list(cache.root.iterdir()) == [Path(cache._path(digest))]
 
     def test_old_npz_entries_are_never_read(self, tmp_path):
         cache, payload = _one_entry(tmp_path)
         digest = cache.put(KEY, payload)
-        cache._path(digest).rename(cache.root / f"{digest}.npz")
+        Path(cache._path(digest)).rename(cache.root / f"{digest}.npz")
         assert cache.get(KEY) is None
         assert len(cache) == 0
         cache.clear()
@@ -151,7 +152,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def _assert_dropped(self, cache, digest, raw: bytes):
-        path = cache._path(digest)
+        path = Path(cache._path(digest))
         path.write_bytes(raw)
         assert cache.get(KEY) is None
         assert not path.exists()
@@ -159,10 +160,10 @@ class TestCorruption:
     def test_every_truncation_is_a_miss(self, tmp_path):
         cache, payload = _one_entry(tmp_path)
         digest = cache.put(KEY, payload)
-        whole = cache._path(digest).read_bytes()
+        whole = Path(cache._path(digest)).read_bytes()
         for n in range(len(whole)):
             self._assert_dropped(cache, digest, whole[:n])
-        cache._path(digest).write_bytes(whole)
+        Path(cache._path(digest)).write_bytes(whole)
         assert cache.get(KEY) is not None
 
     @pytest.mark.parametrize("damage", [
@@ -172,7 +173,7 @@ class TestCorruption:
     def test_damaged_entry_is_a_miss(self, tmp_path, damage):
         cache, payload = _one_entry(tmp_path)
         digest = cache.put(KEY, payload)
-        raw = cache._path(digest).read_bytes()
+        raw = Path(cache._path(digest)).read_bytes()
         end = 8 + int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8:end])
 
@@ -202,13 +203,31 @@ class TestCorruption:
         self._assert_dropped(cache, digest, bad)
 
 
+class TestEntryIdentity:
+    def test_entry_digest_is_pinned(self, tmp_path):
+        """The file an entry lives in: ``CACHE_VERSION``, the scenario
+        key and the model fingerprint, hashed.  Changing the rendering
+        orphans every cache on disk; a probe and the read after it land
+        on the same file."""
+        from repro.studies import LoadSpec, Scenario
+        sc = Scenario(pattern="0110", load=LoadSpec(kind="r", r=50.0))
+        key = (sc.key(), "0123456789abcdef")
+        cache = SweepDiskCache(tmp_path)
+        assert cache.version == 5
+        assert cache._digest(key) == "d13434c7efcff4c98fc1151cf41b6e7b"
+        assert key not in cache
+        digest = cache.put(key, _one_entry(tmp_path / "p")[1])
+        assert key in cache
+        assert Path(cache._path(digest)).exists()
+
+
 class TestCounter:
     def test_each_get_counts_once_by_result(self, tmp_path, fresh_metrics):
         cache, payload = _one_entry(tmp_path)
         assert cache.get(KEY) is None
         digest = cache.put(KEY, payload)
         assert cache.get(KEY) is not None and cache.get(KEY) is not None
-        cache._path(digest).write_bytes(b"RSC1")
+        Path(cache._path(digest)).write_bytes(b"RSC1")
         assert cache.get(KEY) is None
         assert KEY not in cache  # membership tests are not lookups
         assert {r: fresh_metrics.value("disk_cache_total", result=r)

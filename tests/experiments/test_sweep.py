@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,12 +344,12 @@ class TestDiskCache:
         assert back["warnings"] == ["w"]
         # the entry is the one file the put leaves behind
         assert [p.name for p in (tmp_path / "c").iterdir()] \
-            == [cache._path(digest).name]
+            == [Path(cache._path(digest)).name]
         # a torn/corrupt entry is a miss (and is dropped), never an error --
         # including a truncated one that still carries the entry magic
         for garbage in (b"garbage", b"RSC1truncated"):
             cache.put(key, payload)
-            cache._path(digest).write_bytes(garbage)
+            Path(cache._path(digest)).write_bytes(garbage)
             assert cache.get(key) is None
             assert key not in cache
         cache.put(key, payload)

@@ -14,15 +14,18 @@ import os
 import signal
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.circuit import Resistor
 from repro.errors import ExperimentError
 from repro.experiments.cache import SweepDiskCache
+from repro.obs import Tracer
 from repro.studies import (CORNERS, KINDS, LoadSpec, ScenarioKind,
                            SpectralSpec, Study, register_kind)
-from repro.studies.runner import batch_key
+from repro.studies.runner import ScenarioRunner, batch_key
+from repro.studies.service import jobs
 from repro.studies.service import (JobManager, StudyService, StudyShard,
                                    fetch_result, job_status, make_server,
                                    shard_plan, submit_study, wait_for_job)
@@ -194,6 +197,171 @@ class TestJobManager:
             == len(study)
         assert fresh_metrics.value("disk_cache_total",
                                    result="corrupt") == 0
+
+    @staticmethod
+    def count_children(monkeypatch) -> list:
+        """Record the shard of every worker process the job manager
+        starts (the list grows as children start)."""
+        started = []
+        real = jobs.Child
+
+        def counting(target, shard, *args):
+            started.append(shard)
+            return real(target, shard, *args)
+
+        monkeypatch.setattr(jobs, "Child", counting)
+        return started
+
+    def test_cached_resubmission_starts_no_child(
+            self, models, tmp_path, monkeypatch, fresh_metrics):
+        """A study whose every scenario is on disk is answered in the
+        parent: no worker process, the same CSV bytes, reports that
+        partition the grid with ``attempts == 0``, and counters that
+        count each scenario and each entry once."""
+        study = mixed_study()
+        mgr = JobManager(max_workers=2)
+        cold = mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
+                             models=models)
+        fresh_metrics.reset()
+
+        def no_child(*args):
+            raise AssertionError("a cached shard started a worker")
+
+        monkeypatch.setattr(jobs, "Child", no_child)
+        events = []
+        tr = Tracer(collect=True, trace_id="warm")
+        warm = mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
+                             models=models, progress=events.append,
+                             tracer=tr)
+        assert warm.csv_text() == cold.csv_text()
+        assert sorted(i for r in warm.shard_reports
+                      for i in r.shard.indices) == list(range(len(study)))
+        for r in warm.shard_reports:
+            assert r.ok and r.attempts == 0 and r.error is None
+            assert r.n_cache_hits == r.n_scenarios == len(r.shard)
+        assert warm.n_cache_hits == len(study)
+        value = fresh_metrics.value
+        assert value("cache_hits") == len(study)
+        assert value("cache_misses") == 0
+        assert value("disk_cache_total", result="hit") == len(study)
+        assert value("disk_cache_total", result="miss") == 0
+        # progress: every shard starts and finishes, with its hits
+        done = [e for e in events if e["event"] == "shard-done"]
+        assert sorted(e["index"] for e in done) == [0, 1]
+        assert sorted(e["index"] for e in events
+                      if e["event"] == "shard-start") == [0, 1]
+        assert sum(e["cache_hits"] for e in done) == len(study)
+        # spans: one job.shard per shard, from disk, no attempt
+        spans = [sp.to_dict() for sp in tr.finished]
+        shard_spans = [sp for sp in spans if sp["name"] == "job.shard"]
+        assert len(shard_spans) == 2
+        for sp in shard_spans:
+            assert sp["attrs"]["from_disk"] is True
+            assert sp["attrs"]["attempts"] == 0
+            assert sp["attrs"]["ok"] is True
+        assert not [sp for sp in spans
+                    if sp["name"] == "job.shard.attempt"]
+
+    def test_partly_cached_job_starts_one_child(
+            self, models, tmp_path, monkeypatch, fresh_metrics):
+        """With one shard's scenarios on disk and the other's not, the
+        job forks exactly one worker, for the missing shard, and every
+        scenario still counts once."""
+        study = mixed_study()
+        plan = shard_plan(study, 2)
+        cached, missing = plan
+        ScenarioRunner(models=models, n_workers=1,
+                       disk_cache=tmp_path).run(cached.scenarios())
+        fresh_metrics.reset()
+        started = self.count_children(monkeypatch)
+        result = JobManager(max_workers=2).run_study(
+            study, disk_cache=tmp_path, n_shards=2, models=models)
+        assert started == [missing]
+        by_shard = {r.shard: r for r in result.shard_reports}
+        assert by_shard[cached].attempts == 0
+        assert by_shard[cached].n_cache_hits == len(cached)
+        assert by_shard[missing].attempts == 1
+        assert by_shard[missing].n_cache_hits == 0
+        value = fresh_metrics.value
+        assert value("cache_hits") == len(cached)
+        assert value("cache_misses") == len(missing)
+        assert value("disk_cache_total", result="hit") == len(cached)
+        # the missing shard's probe stats one entry and reads none: its
+        # worker's lookups are the only misses counted
+        assert value("disk_cache_total", result="miss") == len(missing)
+        assert result.csv_text() \
+            == study.run(models=models, n_workers=1).csv_text()
+
+    def test_corrupt_entry_sends_its_shard_to_a_child(
+            self, models, tmp_path, monkeypatch, fresh_metrics):
+        """An entry that exists (so it passes the probe) but does not
+        decode sends its shard to a worker; the other shard is still
+        answered in the parent and the result is complete."""
+        study = mixed_study()
+        mgr = JobManager(max_workers=2)
+        cold = mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
+                             models=models)
+        bad_shard = shard_plan(study, 2)[1]
+        runner = ScenarioRunner(models=models, n_workers=1,
+                                disk_cache=tmp_path)
+        victim = runner._disk_key(bad_shard.scenarios()[-1])
+        with open(SweepDiskCache(tmp_path)._entry(victim), "wb") as fh:
+            fh.write(b"RSC1 not an entry")
+        fresh_metrics.reset()
+        started = self.count_children(monkeypatch)
+        result = mgr.run_study(study, disk_cache=tmp_path, n_shards=2,
+                               models=models)
+        assert started == [bad_shard]
+        assert [r.attempts for r in result.shard_reports] == [0, 1]
+        assert all(r.ok for r in result.shard_reports)
+        assert all(o.ok for o in result)
+        assert result.csv_text() == cold.csv_text()
+        value = fresh_metrics.value
+        assert value("disk_cache_total", result="corrupt") == 1
+        assert value("cache_misses") == 1
+        assert value("cache_hits") + value("cache_misses") == len(study)
+
+    def test_hung_attempt_times_out_and_retries(self, models, tmp_path):
+        """A worker that hangs is terminated once ``timeout_s`` passes
+        (the loop wakes on the timeout, not on the worker) and the
+        retry completes the shard."""
+        marker = tmp_path / "hung-once"
+
+        class _HangKind(ScenarioKind):
+            """Shunt resistor; the first worker building it hangs."""
+
+            name = "hang"
+            physics_fields = ("r",)
+
+            def build_circuit(self, load, ckt, port: str) -> str:
+                if os.getpid() != _PARENT_PID and not marker.exists():
+                    marker.touch()
+                    time.sleep(600)
+                ckt.add(Resistor("rload", port, "0", load.r))
+                return port
+
+        kind = _HangKind()
+        kind.load_cls = LoadSpec
+        register_kind(kind, overwrite=True)
+        try:
+            study = Study(patterns=("0110",),
+                          loads=(LoadSpec(kind="hang", r=50.0),))
+            events = []
+            t0 = time.monotonic()
+            result = JobManager(max_workers=1, retries=1,
+                                timeout_s=3.0).run_study(
+                study, disk_cache=tmp_path / "c", n_shards=1,
+                models=models, progress=events.append)
+            elapsed = time.monotonic() - t0
+            assert marker.exists(), "the worker never hung"
+            [report] = result.shard_reports
+            assert report.ok and report.attempts == 2
+            [retry] = [e for e in events if e["event"] == "shard-retry"]
+            assert "timed out after 3 s" in retry["error"]
+            assert all(o.ok for o in result)
+            assert elapsed < 60.0
+        finally:
+            KINDS.pop("hang", None)
 
     def test_missing_cache_is_rejected(self, models):
         with pytest.raises(ExperimentError):
@@ -464,6 +632,13 @@ class TestHTTPService:
          "'disk_cache'"),
         ({"loads": [{"kind": "r"}], "stochastic": {"n_draws": 10**12}},
          "stochastic.n_draws"),
+        # these three once passed parsing and crashed inside submit,
+        # dropping the connection without an answer
+        ({"patterns": ["01"], "bit_time": None}, "'bit_time'"),
+        ({"loads": [{"kind": "r"}], "stochastic": {"seed": -1}},
+         "stochastic.seed"),
+        ({"loads": [{"kind": "r"}], "stochastic": {"params": {"r": "abc"}}},
+         "stochastic.params.r"),
     ])
     def test_malformed_study_is_400(self, http_service, doc, field):
         """A malformed body answers 400 naming the field; the
@@ -472,6 +647,34 @@ class TestHTTPService:
         with pytest.raises(ExperimentError,
                            match=f"service error 400.*{field}"):
             submit_study(url, doc)
+
+    def test_study_over_the_ceiling_is_400(self, http_service):
+        """A grid larger than the admission ceiling is refused before
+        it renders or queues (the dispatcher is stopped, so nothing
+        could run it either way)."""
+        from repro.studies.spec import MAX_SCENARIOS
+        url, service = http_service
+        service.stop()
+        n_loads = MAX_SCENARIOS // 100 + 1
+        doc = {"patterns": ["01"] * 100,
+               "loads": [{"kind": "r", "r": 50.0}] * n_loads}
+        with pytest.raises(ExperimentError,
+                           match="service error 400.*admission ceiling"):
+            submit_study(url, doc)
+        assert not service.jobs()
+
+    def test_failing_submit_answers_500(self, http_service, monkeypatch):
+        """Any other exception inside submit answers 500 with the error
+        instead of closing the connection without a response."""
+        url, service = http_service
+
+        def broken(study):
+            raise RuntimeError("registry on fire")
+
+        monkeypatch.setattr(service, "submit", broken)
+        with pytest.raises(ExperimentError,
+                           match="service error 500.*registry on fire"):
+            submit_study(url, {"patterns": ["01"]})
 
     @pytest.mark.parametrize("load, field", [
         ({"kind": "line", "c": -1e-12}, "'c'"),

@@ -35,7 +35,8 @@ from repro.studies import (KINDS, Distribution, JitterSpec, LoadSpec,
 from repro.studies import spec as spec_module
 from repro.studies.runner import batch_key
 from repro.studies.service import JobManager, shard_plan
-from repro.studies.stochastic import MAX_DRAWS, _render_pattern, draw_rng
+from repro.studies.spec import MAX_SCENARIOS
+from repro.studies.stochastic import _render_pattern, draw_rng
 
 _PARENT_PID = os.getpid()
 _LINUX = sys.platform.startswith("linux")
@@ -411,8 +412,8 @@ class TestRoundTrip:
     def test_draw_budget_has_an_admission_ceiling(self):
         """A budget above the ceiling is refused before any draw
         renders, naming the field."""
-        assert StochasticSpec(n_draws=MAX_DRAWS).n_draws == MAX_DRAWS
-        for n in (MAX_DRAWS + 1, 10**12):
+        assert StochasticSpec(n_draws=MAX_SCENARIOS).n_draws == MAX_SCENARIOS
+        for n in (MAX_SCENARIOS + 1, 10**12):
             with pytest.raises(ExperimentError, match="stochastic.n_draws"):
                 StochasticSpec(n_draws=n)
 
@@ -566,6 +567,19 @@ class TestCLI:
         ok = sto_study(n_draws=2).save(tmp_path / "mc.toml")
         assert main(["run", str(ok), "--draws", str(10**12)]) == 2
         assert "stochastic.n_draws" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        """A negative seed is refused where it is read, in the file or
+        on the command line, instead of failing inside the sampler."""
+        from repro.studies.cli import main
+        path = tmp_path / "negative.toml"
+        path.write_text('[[loads]]\nkind = "r"\n\n'
+                        '[stochastic]\nseed = -1\nn_draws = 2\n')
+        assert main(["run", str(path)]) == 2
+        assert "stochastic.seed" in capsys.readouterr().err
+        ok = sto_study(n_draws=2).save(tmp_path / "mc.toml")
+        assert main(["run", str(ok), "--seed", "-1"]) == 2
+        assert "stochastic.seed" in capsys.readouterr().err
 
     def test_submit_applies_the_same_overrides(self, tmp_path):
         """The submit path folds --draws/--seed through the same

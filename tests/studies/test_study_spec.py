@@ -349,6 +349,15 @@ MALFORMED = [
     ({"patterns": ["01"], "runner": {"disk_cache": 5}}, "'disk_cache'"),
     ({"patterns": ["01"], "runner": {"use_result_cache": False,
                                      "disk_cache": "c"}}, "'disk_cache'"),
+    # values that once passed parsing and failed only when rendered
+    ({"patterns": ["01"], "bit_time": None}, "'bit_time'"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"seed": -1}},
+     "stochastic.seed"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"params": {"r": "abc"}}},
+     "stochastic.params.r"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"params": {
+        "r": {"dist": "uniform", "low": "a", "high": "b"}}}},
+     "stochastic.params.r"),
 ]
 
 
@@ -506,6 +515,26 @@ class TestMalformedInputs:
     def test_from_dict_names_the_field(self, doc, field):
         with pytest.raises(ExperimentError, match=field):
             Study.from_dict(doc)
+
+    def test_study_size_has_an_admission_ceiling(self, tmp_path, capsys):
+        """A grid larger than ``MAX_SCENARIOS`` -- the same ceiling as a
+        stochastic draw budget -- is refused when described, before any
+        scenario renders; the CLI exits 2."""
+        from repro.studies.cli import main
+        from repro.studies.spec import MAX_SCENARIOS
+        loads = (LoadSpec(kind="r", r=50.0),) * (MAX_SCENARIOS // 100)
+        at = Study(patterns=("01",) * 100, loads=loads)
+        assert len(at) == MAX_SCENARIOS
+        assert "_memos" not in at.__dict__  # nothing rendered
+        with pytest.raises(ExperimentError, match="admission ceiling"):
+            Study(patterns=("01",) * 101, loads=loads)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(
+            {"patterns": ["01"] * 101,
+             "loads": [{"kind": "r", "r": 50.0}] * len(loads)}),
+            encoding="utf-8")
+        assert main(["show", str(path)]) == 2
+        assert "admission ceiling" in capsys.readouterr().err
 
     def test_removed_batch_option_is_rejected_everywhere(self):
         """Every scenario runs batched; the removed ``batch`` switch is
