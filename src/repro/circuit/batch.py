@@ -1,17 +1,19 @@
-"""The lockstep transient engine: advance N same-topology circuits per step.
+"""The lockstep transient engine: advance N circuits per step.
 
-The EMC assessment workflow is a *grid* workload: one bench topology (driver,
-interconnect, load) swept over corners, load values, and bit patterns.  Run
-serially, an N-scenario study costs N times a single transient even though
-every member marches the same time grid through the same matrix structure.
-This module assembles such a scenario group **once** and advances all members
-per time step with a leading "scenario" array axis:
+The EMC assessment workflow is a *grid* workload: one driver swept over
+corners, bit patterns, load topologies and load values.  Run serially, an
+N-scenario study costs N times a single transient even though every member
+marches the same time grid through the same nonlinear elements.  This module
+assembles a group of circuits sharing one nonlinear skeleton
+(:func:`batch_signature`) **once** and advances all members per time step
+with a leading "scenario" array axis:
 
-* per-member base matrices stack into one ``(N, size, size)`` tensor,
-  inverted once per group (the matrix is constant over the run), so each
-  step's linear solve is one product: an ``einsum`` straight into the
-  unknown-major layout of the Newton arrays, or beyond two ports (the
-  transistor-level device banks) and in linear groups a batched matmul,
+* per-member base matrices stack into one ``(N, size, size)`` tensor, the
+  smaller members padded to the largest (:class:`_Pad`), inverted once
+  per group (the matrix is constant over the run), so each step's linear
+  solve is one product: an ``einsum`` straight into the unknown-major
+  layout of the Newton arrays, or beyond two ports (the transistor-level
+  device banks) and in linear groups a batched matmul,
 * per-member :class:`~repro.circuit.mna.SourceTable` objects merge into one
   :class:`~repro.circuit.mna.StackedSourceTable`,
 * companion/line histories live in shared struct-of-arrays groups
@@ -41,9 +43,9 @@ batch of one, and :func:`~repro.circuit.dcop.solve_dcop` takes the DC
 point of a circuit holding a macromodel port from here.  The serial
 Newton engine serves only circuits holding a bank-less element (the IBIS
 driver, the C-V receiver, a behavioural current source).  A group that
-cannot advance together (mixed structures, bank-incompatible members, a
-singular DC matrix) runs member by member, each a batch of one where it
-can be.
+cannot advance together (different nonlinear skeletons, bank-incompatible
+members, a singular DC matrix) runs member by member, each a batch of one
+where it can be.
 
 Line waves live only in a run's companion groups, so a linear circuit may
 be solved again after a run -- at DC or transient -- and gets a fresh
@@ -71,20 +73,33 @@ __all__ = ["batch_signature", "lockstep_eligible", "operating_point",
            "run_transient_batch"]
 
 
-def batch_signature(circuit: Circuit) -> tuple:
-    """Hashable structural identity deciding batch compatibility.
+def _element_signature(el) -> tuple:
+    return (type(el).__qualname__, tuple(el.nodes), el.n_branch,
+            getattr(el, "n", None))
 
-    Two circuits with equal signatures assemble MNA systems of identical
-    shape and meaning: the same element types in the same order, wired to
-    the same node indices, with the same branch counts.  Parameter *values*
-    (resistances, capacitances, line impedances, model weights) are
-    excluded -- they are exactly what varies across a batch.
+
+def batch_signature(circuit: Circuit) -> tuple:
+    """Hashable nonlinear skeleton deciding batch compatibility.
+
+    Two circuits with equal signatures hold the same nonlinear elements
+    (type, node indices, branch count and ``n``) in the same order, so
+    their banks line up member by member.  The linear network is left
+    out: members may differ in its element kinds, count, wiring and MNA
+    size (smaller members are padded, see :class:`_Pad`), since the
+    lockstep Newton sees each member only through its own port-reduced
+    linear network.  Parameter *values* (resistances, line impedances,
+    model weights) are excluded too -- they are exactly what varies
+    across a batch.
     """
-    parts: list = [circuit.n_nodes]
-    for el in circuit.elements:
-        parts.append((type(el).__qualname__, tuple(el.nodes), el.n_branch,
-                      getattr(el, "n", None)))
-    return tuple(parts)
+    return tuple(_element_signature(el) for el in circuit.elements
+                 if el.nonlinear)
+
+
+def _topology(circuit: Circuit) -> tuple:
+    """The whole netlist's structure (the linear network included): the
+    ``topologies`` a fused group counts."""
+    return (circuit.n_nodes,
+            *(_element_signature(el) for el in circuit.elements))
 
 
 def _ineligible_reason(circuits: list) -> str | None:
@@ -134,6 +149,75 @@ def _make_banks(systems: list) -> list:
     return banks
 
 
+class _Pad:
+    """How the members of a fused group share one padded system.
+
+    The members may differ in their linear networks and MNA sizes.  The
+    engine orders them largest first, so each size is one run of
+    members, ``classes`` its ``(size, members slice)`` pairs.  Each
+    member's matrix embeds in the identity of the group's ``size`` and
+    its vectors pad with zeros, so a padded unknown solves to 0.  A
+    member's inverse and its products with it are formed at its own
+    size (:meth:`inv`, :meth:`solve`), on views of the padded arrays, so
+    its bits do not depend on which members it is grouped with.
+    ``node_mask`` marks each member's node rows, ``(size, N)``, and
+    ``n_nodes`` is the largest node count.
+    """
+
+    def __init__(self, systems: list):
+        sizes = [s.size for s in systems]
+        self.size = max(sizes)
+        self.n_members = len(systems)
+        self.classes = []
+        lo = 0
+        for size in sorted(set(sizes), reverse=True):
+            hi = lo + sizes.count(size)
+            self.classes.append((size, slice(lo, hi)))
+            lo = hi
+        self.padded = sum(self.size - n for n in sizes)
+        n_nodes = [s.n_nodes for s in systems]
+        self.n_nodes = max(n_nodes)
+        self.node_mask = np.arange(self.size)[:, None] < np.array(n_nodes)
+
+    def stack(self, rows: list) -> np.ndarray:
+        """The members' own arrays, ``(N, size)`` vectors or ``(N, size,
+        size)`` matrices embedded in the identity."""
+        shape = (self.n_members, *(self.size,) * rows[0].ndim)
+        out = np.zeros(shape) if rows[0].ndim == 1 \
+            else np.broadcast_to(np.eye(self.size), shape).copy()
+        for m, row in enumerate(rows):
+            out[(m, *(slice(0, row.shape[0]),) * row.ndim)] = row
+        return out
+
+    def inv(self, A: np.ndarray) -> np.ndarray:
+        """Each member's inverse at its own size, embedded in the
+        identity; raises ``LinAlgError`` for a singular one."""
+        out = np.broadcast_to(np.eye(self.size), A.shape).copy()
+        for n, sl in self.classes:
+            out[sl, :n, :n] = np.linalg.inv(A[sl, :n, :n])
+        return out
+
+    def solve(self, A_inv: np.ndarray, B: np.ndarray,
+              blas: bool) -> np.ndarray:
+        """``A^-1 b`` of every member, unknown-major ``(size, N)``, from
+        the inverses ``A_inv`` and right-hand sides ``B`` (N, size): by
+        BLAS's batched matmul, else one einsum per size.  It runs every
+        step, so a group of one size skips the padded buffer."""
+        if len(self.classes) == 1:
+            if blas:
+                return np.matmul(A_inv, B[:, :, None])[:, :, 0].T
+            return np.einsum("nij,nj->in", A_inv, B)
+        Y = np.zeros((self.size, self.n_members))
+        for n, sl in self.classes:
+            if blas:
+                Y[:n, sl] = np.matmul(A_inv[sl, :n, :n],
+                                      B[sl, :n, None])[:, :, 0].T
+            else:
+                np.einsum("nij,nj->in", A_inv[sl, :n, :n], B[sl, :n],
+                          out=Y[:n, sl])
+        return Y
+
+
 def _slot(idx: list):
     """A bank's positions among the columns or terms: a slice (a view)
     for a run, else an index array."""
@@ -164,14 +248,14 @@ class _Ports:
     for one-term columns (every macromodel port) is the serial path's
     system itself.
 
-    Built once per group with the Newton options of its analysis, it
-    also holds what every :meth:`newton` call of the group shares: the
-    absolute tolerance of every unknown and the ``|delta|`` buffer of the
-    members' last pass.
+    Built once per group with the Newton options of its analysis and
+    the group's :class:`_Pad`, it also holds what every :meth:`newton`
+    call of the group shares: the absolute tolerance of every unknown
+    (each member's own node rows take the voltage tolerance) and the
+    ``|delta|`` buffer of the members' last pass.
     """
 
-    def __init__(self, banks: list, A_inv: np.ndarray, n_nodes: int,
-                 opts):
+    def __init__(self, banks: list, A_inv: np.ndarray, pad: _Pad, opts):
         self.banks = banks
         cols: list = []
         terms: list = []
@@ -205,13 +289,10 @@ class _Ports:
             eye = np.eye(A_inv.shape[1])
             self.Sel = pick(eye, a, 0) - pick(eye, b, 0)
         self.opts = opts
-        self.n_nodes = n_nodes
-        size, n_mem = A_inv.shape[1], A_inv.shape[0]
-        # full width: a contiguous operand, and its first n columns
-        # serve a subset of n members
-        self.atol = np.full((size, n_mem), opts.iabstol)
-        self.atol[:n_nodes] = opts.vabstol
-        self.last = np.empty((size, n_mem))
+        self.n_nodes = pad.n_nodes
+        self.node_mask = pad.node_mask
+        self.atol = np.where(pad.node_mask, opts.vabstol, opts.iabstol)
+        self.last = np.empty(self.atol.shape)
 
     def controls(self, X: np.ndarray) -> np.ndarray:
         """Control voltages ``(T, n)`` of the unknowns ``X`` (size, n)."""
@@ -293,7 +374,7 @@ class _Ports:
         K = self.n_ports
         Y0c = self.controls(Y0)
         n = X.shape[1]
-        atol = self.atol[:, :n]
+        atol = self.atol if idx is None else self.atol[:, idx]
         live = int(np.count_nonzero(active))
         last = None
         if live < n:    # members that have ended never iterate
@@ -322,7 +403,10 @@ class _Ports:
             ad = np.abs(delta)
             # fmax skips NaN, as the elementwise test it stands for does
             if np.fmax.reduce(ad[:n_nodes], axis=None) > max_dv:
+                # clip each member's own node rows only
                 clip = ad[:n_nodes] > max_dv
+                clip &= self.node_mask[:n_nodes] if idx is None \
+                    else self.node_mask[:n_nodes, idx]
                 dv = delta[:n_nodes]
                 dv[clip] = np.sign(dv[clip]) * max_dv
                 X_new = np.where(clip.any(axis=0), X + delta, X_new)
@@ -405,9 +489,10 @@ def _smw_weights(S: np.ndarray, g: np.ndarray, r: np.ndarray
     return np.linalg.solve(M, r.T[:, :, None])[:, :, 0].T
 
 
-def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
-    """Every member's DC operating point ``(N, size)`` in one lockstep
-    Newton.
+def _operating_points(systems: list, banks: list, newton,
+                      pad: _Pad) -> np.ndarray:
+    """Every member's DC operating point ``(N, size)``, padded by
+    ``pad``, in one lockstep Newton.
 
     Each bench is a load-line problem: the banked nonlinear ports against
     a linear network.  The members' DC bases (capacitors open, inductors
@@ -438,30 +523,30 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
                     "no DC solver for a circuit holding both a macromodel "
                     "port and a bank without a DC linearization")
             sp.set(members=len(systems), serial=len(systems))
-            return np.stack([solve_dcop(s.circuit, options=newton,
-                                        system=s).x for s in systems])
+            return pad.stack([solve_dcop(s.circuit, options=newton,
+                                         system=s).x for s in systems])
         for s in systems:
             s.build_base(None, 1.0)
-        A = np.stack([s._A_base for s in systems])
+        A = pad.stack([s._A_base for s in systems])
         try:
-            A_inv = np.linalg.inv(A)
+            A_inv = pad.inv(A)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"DC matrix is singular: {exc}") from exc
-        B = np.stack([s.assemble_rhs(0.0) for s in systems])
-        X = np.matmul(A_inv, B[:, :, None])[:, :, 0]
+        B = pad.stack([s.assemble_rhs(0.0) for s in systems])
+        Y0 = pad.solve(A_inv, B, blas=True)
+        X = Y0.T
         failed = np.empty(0, dtype=int)
         member_iters = passes = ladder_iters = 0
         if banks:
-            ports = _Ports(banks, A_inv, systems[0].n_nodes, newton)
-            Y0 = X.T.copy()
+            ports = _Ports(banks, A_inv, pad, newton)
+            Y0 = np.ascontiguousarray(Y0)
             X, failed, _, member_iters, passes = ports.newton(
                 Y0, np.zeros_like(Y0), np.ones(len(systems), dtype=bool))
             if failed.size:
                 todo = np.zeros(len(systems), dtype=bool)
                 todo[failed] = True
-                ladder_iters = _ladder(A, B, banks, newton,
-                                       systems[0].n_nodes, X, todo)
+                ladder_iters = _ladder(A, B, banks, newton, pad, X, todo)
                 get_metrics().inc("batch_fallbacks_total", int(failed.size),
                                   reason="dcop")
             ports.flush_dc(X)
@@ -476,7 +561,7 @@ def _operating_points(systems: list, banks: list, newton) -> np.ndarray:
 
 
 def _ladder(A: np.ndarray, B: np.ndarray, banks: list, newton,
-            n_nodes: int, X: np.ndarray, todo: np.ndarray) -> int:
+            pad: _Pad, X: np.ndarray, todo: np.ndarray) -> int:
     """The DC operating points of members ``todo`` by homotopy, in
     lockstep, once their plain Newton has failed.
 
@@ -484,7 +569,8 @@ def _ladder(A: np.ndarray, B: np.ndarray, banks: list, newton,
     stepping first (a conductance to ground on every node, progressively
     removed, each stage warm-started); a member that fails a stage
     continues on source stepping (every source scaled from 10% to 100%,
-    warm-starting each stage).  Both start from ``x = 0`` and from the
+    warm-starting each stage).  The gmin shift sits on each member's own
+    nodes.  Both start from ``x = 0`` and from the
     bank state the plain Newton left (the driver's damped DC current).
     ``A`` and ``B`` are the members' DC bases (N, size, size) and
     right-hand sides (N, size); each stage inverts its shifted bases
@@ -496,19 +582,19 @@ def _ladder(A: np.ndarray, B: np.ndarray, banks: list, newton,
 
     def stage(A_inv, b, x, live):
         nonlocal iters
-        ports = _Ports(banks, A_inv, n_nodes, newton)
-        Y0 = np.matmul(A_inv, b[:, :, None])[:, :, 0].T
+        ports = _Ports(banks, A_inv, pad, newton)
+        Y0 = pad.solve(A_inv, b, blas=True)
         x, failed, last, it, _ = ports.newton(Y0, x.copy(), live)
         iters += it
         return x, failed, last
 
     x = np.zeros_like(X)
     live = todo.copy()
-    shift = np.zeros(A.shape[1])
-    shift[:n_nodes] = 1.0
+    shift = np.zeros(A.shape)
+    rows = np.arange(pad.size)
+    shift[:, rows, rows] = pad.node_mask.T
     for gmin in GMIN_STEPS:
-        x_new, failed, _ = stage(np.linalg.inv(A + np.diag(gmin * shift)),
-                                 B, x, live)
+        x_new, failed, _ = stage(pad.inv(A + gmin * shift), B, x, live)
         live[failed] = False
         x[:, live] = x_new[:, live]
         if not live.any():
@@ -517,7 +603,7 @@ def _ladder(A: np.ndarray, B: np.ndarray, banks: list, newton,
     rest = todo & ~live
     if rest.any():
         x[:, rest] = 0.0
-        A_inv = np.linalg.inv(A)
+        A_inv = pad.inv(A)
         for scale in np.linspace(0.1, 1.0, 10):
             x_new, failed, last = stage(A_inv, B * scale, x, rest)
             if failed.size:
@@ -540,18 +626,24 @@ def operating_point(system: MNASystem,
     if reason:
         raise CircuitError(f"no DC solver for {system.circuit.title!r}: "
                            f"{reason}")
-    return _operating_points([system], _make_banks([system]), newton)[0]
+    return _operating_points([system], _make_banks([system]), newton,
+                             _Pad([system]))[0]
 
 
 def run_transient_batch(circuits, options: TransientOptions,
                         t_stops=None, systems=None) -> list[TransientResult]:
-    """Run one transient analysis over a batch of same-topology circuits.
+    """Run one transient analysis over a batch of circuits sharing one
+    nonlinear skeleton (:func:`batch_signature`).
 
     Returns one :class:`~repro.circuit.transient.TransientResult` per input
-    circuit, in order.  Results carry ``batched=True`` when the group
-    advanced together through the lockstep engine.  A group that cannot
-    (mixed topologies, bank-incompatible members, a singular DC matrix,
-    a nonlinear element without a bank) runs member by member, as
+    circuit, in order, each holding only its own circuit's unknowns.
+    Results carry ``batched=True`` when the group advanced together
+    through the lockstep engine; their linear networks may differ, the
+    smaller padded to the largest (:class:`_Pad`).  A member's result
+    does not depend on which group of two or more members it runs in.  A
+    group that cannot (different skeletons, bank-incompatible members, a
+    singular DC matrix, a nonlinear element without a bank) runs member
+    by member, as
     :func:`~repro.circuit.transient.run_transient` would run each alone
     (``batched=False``).  ``options`` applies to
     every member, exactly as it would alone.  ``systems`` gives each
@@ -566,8 +658,9 @@ def run_transient_batch(circuits, options: TransientOptions,
 
     A ``transient.batch`` span wraps the whole group (members, step
     count, lockstep Newton member-iterations and passes, distinct models
-    per bank, nonlinear ports, padded member-steps, or the fallback
-    reason), with the group's ``transient.dcop`` span underneath it.
+    per bank, nonlinear ports, padded member-steps, distinct netlist
+    topologies and padded unknowns, or the fallback reason), with the
+    group's ``transient.dcop`` span underneath it.
     A declined group's span counts all its members; those run serially
     export their ``transient.run`` spans underneath it.
     """
@@ -633,6 +726,16 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     if systems is None:
         systems = [MNASystem(c) for c in circuits]
     _check_systems(circuits, systems)
+    # largest member first: each MNA size is then one run of members
+    order = sorted(range(len(circuits)), key=lambda m: -systems[m].size)
+    if order != sorted(order):
+        ran = _run_transient_batch([circuits[m] for m in order], options,
+                                   [t_stops[m] for m in order], sp,
+                                   [systems[m] for m in order])
+        results = [None] * len(order)
+        for res, m in zip(ran, order):
+            results[m] = res
+        return results
     try:
         banks = _make_banks(systems)
     except CircuitError:
@@ -640,25 +743,25 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                          "nonlinear elements are not bank-compatible")
 
     n_mem = len(circuits)
-    size = systems[0].size
-    n_nodes = systems[0].n_nodes
+    pad = _Pad(systems)
+    size = pad.size
     if options.ic == "dcop":
         try:
-            X = _operating_points(systems, banks, options.newton)
+            X = _operating_points(systems, banks, options.newton, pad)
         except SingularMatrixError:
             if n_mem == 1:
                 raise
             return _fallback(circuits, options, t_stops, sp,
                              "singular DC matrix")
     else:
-        X = np.stack([_initial_solution(c, s, options, options.newton)
-                      for c, s in zip(circuits, systems)])
+        X = pad.stack([_initial_solution(c, s, options, options.newton)
+                       for c, s in zip(circuits, systems)])
     # banked elements are initialized by their bank, in one pass
     banked = {id(el) for bank in banks for el in bank.els}
     for c, s, x0 in zip(circuits, systems, X):
         for el in c.elements:
             if id(el) not in banked:
-                el.init_state(x0, s)
+                el.init_state(x0[:s.size], s)
         s.build_base(options.dt, theta)
     for bank in banks:
         bank.init_state(X)
@@ -682,8 +785,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     B_flat = B.reshape(-1)  # the flat view the offset companion groups stamp
     # the system matrix is constant over the run: invert it once per
     # member, so each step's linear solve is one product
-    A_inv = np.linalg.inv(np.stack([np.asarray(s._A_base) for s in systems]))
-    ports = _Ports(banks, A_inv, n_nodes, options.newton) if banks else None
+    A_inv = pad.inv(pad.stack([s._A_base for s in systems]))
+    ports = _Ports(banks, A_inv, pad, options.newton) if banks else None
     # up to two ports (a macromodel bench) one einsum forms Y0
     # unknown-major with no BLAS call per member; beyond (the
     # transistor-level records of model estimation) the product stays
@@ -706,10 +809,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
             t = float(t_grid[k])
             src.fill_row(k, B)
             comp.add_rhs(B_flat)
-            if blas:
-                Y0 = np.matmul(A_inv, B[:, :, None])[:, :, 0].T
-            else:
-                Y0 = np.einsum("nij,nj->in", A_inv, B)
+            Y0 = pad.solve(A_inv, B, blas)
             if ports is None:
                 X = Y0
             else:
@@ -755,7 +855,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     results = []
     for m, (c, s) in enumerate(zip(circuits, systems)):
         n_m = last_step[m] + 1
-        res = TransientResult(c, s, t_grid[:n_m], xs[m, :n_m], warnings[m])
+        res = TransientResult(c, s, t_grid[:n_m], xs[m, :n_m, :s.size],
+                              warnings[m])
         res.batched = True
         results.append(res)
     member_steps = int(last_step.sum())
@@ -768,6 +869,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
            models=max((b.n_models for b in banks), default=0),
            ports=0 if ports is None else ports.n_ports,
            padded_steps=padded,
+           topologies=len({_topology(c) for c in circuits}),
+           padded=pad.padded,
            n_warnings=sum(len(w) for w in warnings))
     met = get_metrics()
     met.inc("solver_steps", member_steps)

@@ -129,12 +129,14 @@ class SourceTable:
 
 
 class StackedSourceTable:
-    """Column-sparse stack of ``N`` same-shape :class:`SourceTable` objects.
+    """Column-sparse stack of ``N`` :class:`SourceTable` objects.
 
-    The grid-batched transient backend advances ``N`` same-topology circuits
-    per step; their per-member source tables merge into one table whose
-    column for ``row`` is an ``(n_t, N)`` array.  ``fill_row`` then writes
-    the source RHS of *every* member at time-row ``k`` in one pass.
+    The grid-batched transient backend advances ``N`` circuits per step;
+    their per-member source tables merge into one table whose column for
+    ``row`` is an ``(n_t, N)`` array.  ``fill_row`` then writes the source
+    RHS of *every* member at time-row ``k`` in one pass.  The members'
+    systems may differ in size: the stack is as wide as the largest, and
+    a row beyond a member's own size reads 0.
     """
 
     __slots__ = ("n_t", "n_members", "size", "cols")
@@ -143,10 +145,11 @@ class StackedSourceTable:
         if not tables:
             raise ValueError("need at least one SourceTable")
         self.n_t = tables[0].n_t
-        self.size = tables[0].size
+        self.size = max(t.size for t in tables)
         self.n_members = len(tables)
-        if any(t.n_t != self.n_t or t.size != self.size for t in tables):
-            raise ValueError("source tables differ in shape; cannot stack")
+        if any(t.n_t != self.n_t for t in tables):
+            raise ValueError("source tables differ in length; cannot "
+                             "stack")
         rows = sorted(set().union(*(t.cols.keys() for t in tables)))
         zero = np.zeros(self.n_t)
         self.cols: dict[int, np.ndarray] = {

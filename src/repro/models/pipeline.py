@@ -85,8 +85,9 @@ def estimate_driver_model(spec: DriverSpec, *,
     ``loads``: the two identification loads of the weight inversion
     (default :func:`~repro.ident.loads.default_identification_loads`);
     anything but two distinct loads raises :class:`ExperimentError`.
-    The records run as three lockstep groups: the two fixed-state
-    records, and per load the up and down switching records.
+    The records run as two lockstep groups: the two fixed-state
+    records, and the four switching records (up and down into each
+    load), whose benches differ only in their linear loads.
     """
     t0 = time.perf_counter()
     loads = default_identification_loads() if loads is None else loads
@@ -100,11 +101,10 @@ def estimate_driver_model(spec: DriverSpec, *,
                                      duration=state_duration, seed=sd,
                                      corner=corner, v_min=v_lo, v_max=v_hi)
                   for state, sd in (("1", seed), ("0", seed + 1))]
-        switching = [[driver_switching_bench(spec, load, pattern, ts=ts,
-                                             bit_time=bit_time,
-                                             corner=corner)
-                      for pattern in ("01", "10")] for load in loads]
-        (rec_h, rec_l), *sw_recs = run_benches([states, *switching])
+        switching = [driver_switching_bench(spec, load, pattern, ts=ts,
+                                            bit_time=bit_time, corner=corner)
+                     for load in loads for pattern in ("01", "10")]
+        (rec_h, rec_l), sw_recs = run_benches([states, switching])
         with tracer.span("ident.static_iv"):
             v_grid = np.linspace(v_lo, v_hi, 41)
             iv_h = measure_driver_static_iv(spec, "1", v_grid, corner=corner)
@@ -114,9 +114,10 @@ def estimate_driver_model(spec: DriverSpec, *,
                                        seed=seed, static_iv=iv_h)
             sub_l = fit_state_submodel(rec_l, order, n_bases_low,
                                        seed=seed, static_iv=iv_l)
-            # sw_recs[load][0] is the up record, [load][1] the down one
+            # sw_recs holds the up and down records into the first
+            # load, then into the second
             sw = {direction: estimate_weights(
-                      sub_h, sub_l, order, sw_recs[0][k], sw_recs[1][k],
+                      sub_h, sub_l, order, sw_recs[k], sw_recs[2 + k],
                       direction, t_pre=t_pre, t_sig=t_sig)
                   for k, direction in enumerate(("up", "down"))}
 

@@ -176,18 +176,22 @@ class ScenarioKind:
 
     # -- grid batching ------------------------------------------------------
     def batch_structure(self, load) -> tuple | None:
-        """Structural batching identity of a load (``None`` = never batch).
+        """The nonlinear content of a load (``None`` = never batch).
 
         The grid-batched transient backend
-        (:func:`repro.circuit.run_transient_batch`) advances many
-        same-topology benches in lockstep, one time step at a time.  A
-        kind that wants its scenarios batched returns a hashable tuple
-        capturing every load choice that changes the *shape* of the
-        circuit :meth:`build_circuit` produces (e.g. whether an optional
-        capacitor exists): loads with equal tuples must build circuits
-        with equal :func:`~repro.circuit.batch_signature`.  Parameter
-        *values* (resistances, impedances, delays) stay out of the tuple
-        -- varying them across members is the point of a grid.
+        (:func:`repro.circuit.run_transient_batch`) advances benches
+        sharing one nonlinear skeleton in lockstep, one time step at a
+        time, whatever their linear networks
+        (:func:`~repro.circuit.batch_signature`).  A kind that wants its
+        scenarios batched returns a hashable tuple naming every load
+        choice that changes the nonlinear elements :meth:`build_circuit`
+        adds or the nodes they sit on: a linear load of any kind returns
+        ``()``, so its scenarios share one group with every other linear
+        load of the same driver.  Loads with equal tuples must build
+        circuits with equal skeletons; the engine checks it, and a group
+        declared wrongly runs member by member, never on mixed banks.
+        Parameter *values* (resistances, impedances, delays) and the
+        linear wiring stay out of the tuple.
 
         The default ``None`` opts the kind out of batching entirely; the
         runner then simulates its scenarios one by one, which is always
@@ -290,7 +294,7 @@ class _ResistorKind(ScenarioKind):
         return port
 
     def batch_structure(self, load) -> tuple:
-        """Every ``"r"`` load builds the same one-resistor shape."""
+        """A linear load: no nonlinear content."""
         return ()
 
 
@@ -317,7 +321,7 @@ class _RCKind(ScenarioKind):
         return port
 
     def batch_structure(self, load) -> tuple:
-        """Every valid ``"rc"`` load builds the same R||C shape."""
+        """A linear load: no nonlinear content."""
         return ()
 
 
@@ -350,8 +354,8 @@ class _LineKind(ScenarioKind):
         return "far"
 
     def batch_structure(self, load) -> tuple:
-        """The far-end capacitor is optional; its presence is shape."""
-        return (load.c > 0.0,)
+        """A linear load: no nonlinear content."""
+        return ()
 
 
 class _ReceiverKind(ScenarioKind):
@@ -407,9 +411,10 @@ class _ReceiverKind(ScenarioKind):
         return pad
 
     def batch_structure(self, load) -> tuple:
-        """The line (``td > 0``) and the pad capacitor are optional, and
-        the receiver names the macromodel the bench embeds."""
-        return (load.td > 0.0, load.c > 0.0, load.receiver)
+        """The receiver port: a line (``td > 0``) moves it off the
+        driver's node, and the receiver names the macromodel it
+        embeds."""
+        return (load.td > 0.0, load.receiver)
 
     def extra_metrics(self, load, sc, t, v, vdd, probes: dict) -> dict:
         """Receiver logic-eye check at the observed pad."""
@@ -455,8 +460,8 @@ class _CoupledKind(ScenarioKind):
         return "a_fe"
 
     def batch_structure(self, load) -> tuple:
-        """The aggressor far-end capacitor is the only optional part."""
-        return (load.c_far > 0.0,)
+        """A linear load: no nonlinear content."""
+        return ()
 
     def extra_metrics(self, load, sc, t, v, vdd, probes: dict) -> dict:
         """NEXT/FEXT crosstalk summary from the victim waveforms."""

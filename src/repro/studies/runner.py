@@ -58,23 +58,25 @@ __all__ = ["Child", "ScenarioRunner", "batch_groups", "batch_key",
 def batch_key(sc: Scenario):
     """Batching identity of a scenario (``None`` = run it alone).
 
-    Scenarios with equal keys build benches of one topology, so the
-    grid-batched backend advances them together in one lockstep group:
-    the key folds the load kind's
-    :meth:`~repro.studies.kinds.ScenarioKind.batch_structure` (which is
-    ``None`` for kinds that opt out) with everything else that shapes
-    the circuit or the time step -- the driver, the explicit ``dt`` and
-    the spectral quantity (``"i_port"`` adds a series probe element).
-    Corners, patterns and pattern lengths stay out: the driver bank
-    carries each member's own model, and members with shorter runs
-    freeze once their own grid ends.  :func:`batch_groups` partitions
-    on it.
+    Scenarios with equal keys build benches with one nonlinear skeleton
+    (:func:`~repro.circuit.batch_signature`), so the grid-batched
+    backend advances them together in one lockstep group, whatever
+    their linear networks: the key folds the load's nonlinear content,
+    :meth:`~repro.studies.kinds.ScenarioKind.batch_structure` (``None``
+    for kinds that opt out, ``()`` for a linear load of any kind), with
+    everything else that places the nonlinear elements or sets the time
+    step -- the driver, the explicit ``dt`` and the spectral quantity
+    (``"i_port"`` adds a series probe element).  The load kind, corners,
+    patterns and pattern lengths stay out: the driver bank carries each
+    member's own model, members with shorter runs freeze once their own
+    grid ends, and smaller linear networks are padded.
+    :func:`batch_groups` partitions on it.
     """
     structure = get_kind(sc.load.kind).batch_structure(sc.load)
     if structure is None:
         return None
     spec = sc.spectral_spec()
-    return (sc.load.kind, structure, sc.driver,
+    return (structure, sc.driver,
             None if sc.dt is None else float(sc.dt),
             None if spec is None else spec.quantity)
 
@@ -190,14 +192,20 @@ def study_runner(options: RunnerOptions, models: dict | None = None,
 
 
 def _split_group(group: list, workers: int, n_groups: int) -> list:
-    """The dispatch jobs of one batch group on ``workers`` children.
+    """The chunks of one batch group on ``workers`` children or shards.
 
-    A lockstep step costs about as much for a few members as for many,
-    so a group is split only to fill workers the groups leave idle: into
-    ``workers // n_groups`` near-equal chunks at most, and never into
-    one-member chunks: a lockstep step's rounding depends on the group
-    size, so the fewer sizes a grouping can produce, the fewer ways its
-    outcomes' last bits can vary.
+    The one split rule of the runner's dispatch jobs and the service's
+    shard plan (:func:`~repro.studies.service.shard_plan`).  A lockstep
+    step costs about as much for a few members as for many, so a group
+    is split only to fill workers the groups leave idle: into ``workers
+    // n_groups`` near-equal chunks at most, and never into one-member
+    chunks.  A member's outcome is bitwise the same in any chunk of two
+    or more members -- measured on the 192-member line group of the
+    ``service_cache`` benchmark (c = 0 and 2 pF fused) run whole and in
+    chunks of 96, 64 and 48, and on the ``pool_mixed`` groups split into
+    chunks of 3 -- so disk-cache entries do not depend on the split; a
+    lone member runs as a batch of one, whose rounding differs (by up to
+    1.7e-13 V there).
     """
     n_chunks = max(1, min(workers // n_groups, len(group) // 2))
     bounds = [len(group) * i // n_chunks for i in range(n_chunks + 1)]

@@ -2,7 +2,7 @@
 
 The layer that turns a declarative :class:`~repro.studies.spec.Study`
 into *submitted* work: :func:`shard_plan` slices the scenario grid into
-batch-group-preserving :class:`StudyShard` sub-studies that share one
+batch-group :class:`StudyShard` sub-studies that share one
 content-addressed disk cache; :class:`JobManager` runs the shards in
 worker processes on an :mod:`asyncio` loop (bounded concurrency,
 per-shard retry/timeout, progress streaming, crash-resume through the
@@ -13,7 +13,7 @@ studies are submitted over HTTP and fetched as JSON/CSV -- see
 """
 
 from .jobs import JobManager, ShardReport
-from .serve import (StudyService, fetch_metrics, fetch_result,
+from .serve import (QueueFull, StudyService, fetch_metrics, fetch_result,
                     fetch_trace, job_status, make_server, submit_study,
                     wait_for_job)
 from .shards import StudyShard, shard_plan
@@ -21,7 +21,7 @@ from .shards import StudyShard, shard_plan
 __all__ = [
     "StudyShard", "shard_plan",
     "JobManager", "ShardReport",
-    "StudyService", "make_server",
+    "QueueFull", "StudyService", "make_server",
     "submit_study", "job_status", "wait_for_job", "fetch_result",
     "fetch_trace", "fetch_metrics",
 ]

@@ -21,9 +21,11 @@ Endpoints (all JSON unless noted)::
                                     key, at most MAX_BODY_BYTES: 400
                                     without a valid Content-Length or
                                     for an invalid study, 413 beyond
-                                    the limit, 500 when submission
-                                    itself fails) -> {job, state,
-                                    created, ...}
+                                    the limit, 503 with Retry-After
+                                    while MAX_QUEUED_JOBS jobs wait,
+                                    500 when submission itself
+                                    fails) -> {job, state, created,
+                                    ...}
     GET  /studies                   all jobs' status records
     GET  /studies/<job>             one job's status record
     GET  /studies/<job>/result      finished job's compliance report
@@ -64,17 +66,29 @@ import urllib.request
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ...errors import ExperimentError
+from ...errors import ExperimentError, ReproError
 from ...obs import Tracer, get_metrics, read_spans
 from ..spec import Study
 from .jobs import JobManager
 
-__all__ = ["StudyService", "make_server", "submit_study", "job_status",
-           "wait_for_job", "fetch_result", "fetch_trace",
+__all__ = ["QueueFull", "StudyService", "make_server", "submit_study",
+           "job_status", "wait_for_job", "fetch_result", "fetch_trace",
            "fetch_metrics"]
 
 #: the finished jobs (and their results) a :class:`StudyService` keeps
 MAX_FINISHED_JOBS = 64
+
+#: the queued jobs (each holding its parsed study) a
+#: :class:`StudyService` keeps; a new study beyond them is refused
+MAX_QUEUED_JOBS = 64
+
+#: the seconds a refused client is told to wait (``Retry-After``)
+RETRY_AFTER_S = 5
+
+
+class QueueFull(ReproError):
+    """The service's queue holds :data:`MAX_QUEUED_JOBS` jobs: a new
+    study is refused (HTTP 503) until one of them starts."""
 
 
 class StudyService:
@@ -97,7 +111,10 @@ class StudyService:
     or errored) jobs and evicts the least recently used one beyond;
     queued and running jobs are never evicted.  An evicted job is
     unknown again: resubmitting its study reruns it, and its shards read
-    every scenario back from the disk cache.
+    every scenario back from the disk cache.  At most
+    :data:`MAX_QUEUED_JOBS` jobs wait in the queue, so the parsed
+    studies they hold bound its memory too: :meth:`submit` refuses a
+    new study beyond them with :class:`QueueFull`.
     """
 
     def __init__(self, cache_dir, max_workers: int | None = None,
@@ -214,7 +231,10 @@ class StudyService:
         resubmitting an identical study joins the existing job (queued,
         running or done) instead of duplicating work -- ``created`` says
         whether this call enqueued anything.  A previously *errored* job
-        is re-enqueued (its cached scenarios make the rerun cheap).
+        is re-enqueued (its cached scenarios make the rerun cheap).  A
+        study that would enqueue a job while :data:`MAX_QUEUED_JOBS`
+        jobs are queued raises :class:`QueueFull`; one joining an
+        existing job never does.
         """
         if not isinstance(study, Study):
             study = Study.from_dict(study)
@@ -223,6 +243,11 @@ class StudyService:
             job = self._touch(job_id)
             if job is not None and job["state"] != "error":
                 return job_id, False
+            queued = sum(j["state"] == "queued"
+                         for j in self._jobs.values())
+            if queued >= MAX_QUEUED_JOBS:
+                raise QueueFull(f"{queued} jobs are queued, the most the "
+                                "service holds; retry later")
             self._finished.pop(job_id, None)
             self._jobs[job_id] = {
                 "id": job_id, "study": study, "state": "queued",
@@ -336,7 +361,8 @@ class _Handler(BaseHTTPRequestHandler):
         """
 
     def _send(self, code: int, payload,
-              content_type: str = "application/json") -> None:
+              content_type: str = "application/json",
+              headers: dict | None = None) -> None:
         if isinstance(payload, bytes):
             body = payload
         elif isinstance(payload, str):
@@ -346,6 +372,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         get_metrics().inc("http_requests_total", method=self.command,
@@ -357,8 +385,9 @@ class _Handler(BaseHTTPRequestHandler):
                 f"access method={self.command} path={self.path} "
                 f"status={code} duration_ms={dur_ms:.1f}\n")
 
-    def _error(self, code: int, message: str) -> None:
-        self._send(code, {"error": message})
+    def _error(self, code: int, message: str,
+               headers: dict | None = None) -> None:
+        self._send(code, {"error": message}, headers=headers)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
         """Route status/result/trace/metrics reads."""
@@ -436,6 +465,10 @@ class _Handler(BaseHTTPRequestHandler):
             job_id, created = self.service.submit(study)
         except ExperimentError as exc:
             self._error(400, f"invalid study: {exc}")
+            return
+        except QueueFull as exc:
+            self._error(503, str(exc),
+                        headers={"Retry-After": str(RETRY_AFTER_S)})
             return
         except Exception as exc:  # noqa: BLE001 - answer, never drop
             self._error(500, f"cannot submit the study: "

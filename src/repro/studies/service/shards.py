@@ -10,13 +10,16 @@ one content-addressed
 depend only on the scenario's canonical form and the model fingerprints,
 never on which shard simulated it.
 
-:func:`shard_plan` balances the grid across ``n`` shards *without
-splitting batchable groups*: the scenarios of one
+:func:`shard_plan` balances the grid across ``n`` shards and splits a
+batchable group only to fill shards: the scenarios of one
 :func:`~repro.studies.runner.batch_groups` group advance together
-through the grid-batched transient backend, and splitting such a group
-across shards would forfeit that amortization.  Groups are packed
-largest-first onto the currently lightest shard (LPT scheduling), which
-keeps shard sizes within one group of each other for typical grids.
+through the grid-batched transient backend, whose lockstep step costs
+about as much for a few members as for many.  The split is the
+runner's own dispatch rule (:func:`~repro.studies.runner._split_group`):
+chunks of two or more members, which give every member the same bits
+as the whole group.  Chunks are packed largest-first onto the currently
+lightest shard (LPT scheduling), which keeps shard sizes within one
+chunk of each other for typical grids.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import ExperimentError
-from ..runner import batch_groups
+from ..runner import _split_group, batch_groups
 from ..spec import Scenario, Study
 
 __all__ = ["StudyShard", "shard_plan"]
@@ -71,13 +74,16 @@ def shard_plan(study: Study, n: int) -> list[StudyShard]:
     """Slice ``study``'s grid into at most ``n`` balanced shards.
 
     The scenarios of one :func:`~repro.studies.runner.batch_groups`
-    group (the grid-batched backend's grouping) always land in the same
-    shard, so sharding never costs batching amortization; un-batchable
-    scenarios (their kind opted out) are singleton groups and
-    distribute freely.  Groups are packed largest-first onto the lightest
-    shard, ties broken by shard index, so the plan is deterministic.
-    When the grid has fewer groups than ``n`` the plan returns fewer
-    (non-empty) shards -- a group is never split.
+    group (the grid-batched backend's grouping) land in one shard unless
+    the grid has fewer groups than ``n``: then each group splits into at
+    most ``n // groups`` near-equal chunks of two or more members, by
+    the rule the runner splits its dispatch jobs with
+    (:func:`~repro.studies.runner._split_group`).  Un-batchable
+    scenarios (their kind opted out) are singleton groups and distribute
+    freely.  Chunks are packed largest-first onto the lightest shard,
+    ties broken by shard index, so the plan is deterministic.  A grid
+    with too few members to fill ``n`` shards gets fewer (non-empty)
+    ones.
 
     The shards partition the grid exactly: every index appears in
     exactly one shard, and each shard's indices stay in grid order.
@@ -85,12 +91,13 @@ def shard_plan(study: Study, n: int) -> list[StudyShard]:
     if int(n) < 1:
         raise ExperimentError("shard count must be >= 1")
     n = int(n)
-    groups = [[idx for idx, _ in group]
-              for group in batch_groups(enumerate(study.scenarios()))]
-    n = min(n, len(groups))
+    groups = batch_groups(enumerate(study.scenarios()))
+    chunks = [[idx for idx, _ in chunk] for group in groups
+              for chunk in _split_group(group, n, len(groups))]
+    n = min(n, len(chunks))
     bins: list[list[int]] = [[] for _ in range(n)]
-    for group in sorted(groups, key=len, reverse=True):
+    for chunk in sorted(chunks, key=len, reverse=True):
         lightest = min(range(n), key=lambda b: len(bins[b]))
-        bins[lightest].extend(group)
+        bins[lightest].extend(chunk)
     return [StudyShard(study=study, indices=tuple(sorted(b)))
             for b in bins if b]

@@ -22,6 +22,7 @@ from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
                            Resistor,
                            TransientOptions, VoltageSource, batch_signature,
                            run_transient, run_transient_batch, solve_dcop)
+from repro.circuit.elements import DiodeParams
 from repro.circuit.transient import run_serial
 from repro.circuit.waveforms import Constant, Pulse
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
@@ -189,10 +190,18 @@ class TestEligibilityAndFallback:
         assert fresh_metrics.total("batch_fallbacks_total") == 0
 
     def test_mixed_topologies_fall_back(self):
-        """Different signatures -> per-member serial, still correct."""
-        params = [("rc", 50.0, 1e-12, 50.0, 1e-9),
-                  ("line", 75.0, 1e-12, 60.0, 0.5e-9)]
-        assert_batch_matches_serial(params, expect_batched=False)
+        """Different nonlinear skeletons (a diode on ``out`` in one
+        member, none in the other) -> member by member, still correct."""
+        def bench(diode):
+            ckt = linear_bench("rc", 50.0, 1e-12, 50.0, 1e-9)
+            if diode:
+                ckt.add(Diode("d1", "out", "0"))
+            return ckt
+        batched = run_transient_batch([bench(True), bench(False)], OPTS)
+        for diode, res in zip((True, False), batched):
+            assert not res.batched
+            ref = run_transient(bench(diode), OPTS)
+            np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
 
     def test_two_nonlinear_elements_fall_back(self):
         """A nonlinear element class without a batch bank (here beside a
@@ -234,11 +243,20 @@ class TestEligibilityAndFallback:
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_signature_separates_structure_not_values(self):
+        """The signature is the nonlinear skeleton: linear networks of
+        any shape share one, a diode's type and nodes split them."""
         a = linear_bench("line", 50.0, 1e-12, 50.0, 1e-9)
         b = linear_bench("line", 300.0, 4e-12, 80.0, 0.4e-9)
         c = linear_bench("rc", 50.0, 1e-12, 50.0, 1e-9)
-        assert batch_signature(a) == batch_signature(b)
-        assert batch_signature(a) != batch_signature(c)
+        assert batch_signature(a) == batch_signature(b) == batch_signature(c)
+        d, e, f = (linear_bench("rc", r, 1e-12, 50.0, 1e-9)
+                   for r in (50.0, 80.0, 50.0))
+        d.add(Diode("d1", "out", "0"))
+        e.add(Diode("d1", "out", "0", DiodeParams(isat=2e-14)))
+        f.add(Diode("d1", "in", "0"))
+        assert batch_signature(d) == batch_signature(e)
+        assert batch_signature(d) != batch_signature(c)
+        assert batch_signature(d) != batch_signature(f)
 
     def test_strict_batch_raises_on_nonconvergence(self, md2_model):
         """strict=True surfaces a per-member Newton failure."""
@@ -429,6 +447,146 @@ class TestMixedGroups:
         res = self.run_both(md2_corners, "line",
                             self.opts(md2_corners["typ"], strict=True))
         assert len({len(r.t) for r in res}) == 2
+
+
+class TestFusedTopologies:
+    """Benches sharing one nonlinear skeleton (the driver on ``out``) but
+    not their linear networks run as one lockstep group, the smaller
+    padded to the largest."""
+
+    BIT = 0.4e-9
+    PATTERN = "0110100111010010"
+    #: load kind -> the bench's MNA size
+    SIZES = {"r": 1, "rc": 1, "line": 4, "line_c": 4, "series_line": 5,
+             "coupled": 8}
+
+    def bench(self, model, kind, r):
+        ckt = Circuit(kind)
+        ckt.add(PWRBFDriverElement.for_pattern(
+            "drv", "out", model, self.PATTERN, self.BIT, 16 * self.BIT))
+        if kind in ("r", "rc"):
+            ckt.add(Resistor("rl", "out", "0", r))
+            if kind == "rc":
+                ckt.add(Capacitor("cl", "out", "0", 2e-12))
+        elif kind in ("line", "line_c", "series_line"):
+            near = "out"
+            if kind == "series_line":
+                ckt.add(Resistor("rs", "out", "mid", 15.0))
+                near = "mid"
+            ckt.add(IdealLine("tl", near, "far", 60.0, 0.3e-9))
+            ckt.add(Resistor("rl", "far", "0", r))
+            if kind == "line_c":
+                ckt.add(Capacitor("cl", "far", "0", 1e-12))
+        else:
+            L = np.array([[300e-9, 60e-9], [60e-9, 300e-9]])
+            C = np.array([[100e-12, -5e-12], [-5e-12, 100e-12]])
+            ckt.add(CoupledIdealLine("tc", ["out", "vne"], ["afe", "vfe"],
+                                     L, C, 0.1))
+            for name, node in (("ra", "afe"), ("rn", "vne"), ("rf", "vfe")):
+                ckt.add(Resistor(name, node, "0", r))
+        return ckt
+
+    def run(self, model, members, opts):
+        return run_transient_batch(
+            [self.bench(model, kind, r) for kind, r in members], opts)
+
+    def opts(self, model, ic):
+        return TransientOptions(dt=model.ts, t_stop=16 * self.BIT,
+                                method="damped", strict=False, ic=ic)
+
+    @pytest.mark.parametrize("ic", ["dcop", "zero"])
+    def test_members_match_their_own_topology_groups(self, md2_model, ic):
+        """Every member of a group fusing sizes 1, 4, 5 and 8 (with and
+        without a capacitor or a line) matches its own-topology group
+        at 1e-9, holding only its own unknowns; from zero initial
+        conditions the first steps clamp ``max_dv`` on each member's
+        own nodes."""
+        opts = self.opts(md2_model, ic)
+        members = [(kind, r) for kind in self.SIZES for r in (40.0, 150.0)]
+        tracer = Tracer(collect=True)
+        set_tracer(tracer)
+        try:
+            fused = self.run(md2_model, members, opts)
+        finally:
+            set_tracer(None)
+        [span] = [sp for sp in tracer.finished
+                  if sp.name == "transient.batch"]
+        assert span.attrs["size"] == 8
+        assert span.attrs["topologies"] == len(self.SIZES)
+        assert span.attrs["padded"] == sum(
+            8 - self.SIZES[kind] for kind, _ in members)
+        for (kind, r), res in zip(members, fused):
+            assert res.batched
+            assert res.x.shape == (len(res.t), self.SIZES[kind])
+            own = self.run(md2_model, [(kind, r), (kind, 90.0)], opts)[0]
+            np.testing.assert_allclose(res.x, own.x, rtol=TOL, atol=TOL)
+            assert res.warnings == own.warnings
+
+    @pytest.mark.parametrize("ic", ["dcop", "zero"])
+    def test_member_bits_do_not_depend_on_the_group(self, md2_model, ic):
+        """A member is bitwise the same in groups of two or more members
+        of other topologies and other padded sizes."""
+        opts = self.opts(md2_model, ic)
+        groups = ([("line", 50.0), ("rc", 80.0), ("coupled", 60.0)],
+                  [("series_line", 70.0), ("line", 50.0), ("rc", 80.0)],
+                  [("line", 50.0), ("rc", 80.0)],
+                  [("rc", 80.0), ("rc", 30.0), ("line", 50.0),
+                   ("line", 120.0)])
+        seen: dict = {}
+        for members in groups:
+            for member, res in zip(members, self.run(md2_model, members,
+                                                     opts)):
+                seen.setdefault(member, []).append(res)
+        for member in (("line", 50.0), ("rc", 80.0)):
+            first, *rest = seen[member]
+            assert len(rest) == 3
+            for res in rest:
+                np.testing.assert_array_equal(res.x, first.x)
+
+    def test_clamp_spares_branch_rows_of_smaller_members(self, md2_model):
+        """A member's branch current may sit on a row that is a node of
+        a larger member: the ``max_dv`` clamp leaves it alone, so a
+        10 A step there runs as in the member's own group."""
+        def with_source(r):
+            ckt = self.bench(md2_model, "r", r)
+            ckt.add(VoltageSource("vs", "a", "0",
+                                  Pulse(v1=0.0, v2=10.0, delay=1e-9,
+                                        rise=0.1e-9, width=2e-9)))
+            ckt.add(Resistor("ra", "a", "0", 1.0))
+            ckt.add(Resistor("rc", "a", "out", 100.0))
+            return ckt
+        opts = self.opts(md2_model, "zero")
+        pair = [with_source(50.0), with_source(80.0)]
+        fused = run_transient_batch(
+            pair + [self.bench(md2_model, "coupled", 60.0)], opts)
+        own = run_transient_batch([with_source(50.0), with_source(80.0)],
+                                  opts)
+        assert pair[0].node("a") == 1 and fused[0].x.shape[1] == 3
+        assert np.abs(fused[0].x[:, 2]).max() > 5.0    # the branch row
+        for a, b in zip(fused, own):
+            np.testing.assert_array_equal(a.x, b.x)
+
+    def test_ladder_shifts_each_members_own_nodes(self, md2_model,
+                                                  fresh_metrics):
+        """A DC Newton budget one short of the slowest member's plain
+        Newton sends it onto the gmin ladder inside the fused group;
+        every member still equals its own-topology group bitwise."""
+        members = [("rc", 40.0), ("line", 150.0), ("series_line", 70.0),
+                   ("coupled", 60.0)]
+        plain = []
+        for kind, r in members:
+            fresh_metrics.reset()
+            solve_dcop(self.bench(md2_model, kind, r))
+            plain.append(fresh_metrics.value("dcop_newton_iters"))
+        fresh_metrics.reset()
+        opts = replace(self.opts(md2_model, "dcop"),
+                       newton=NewtonOptions(max_iter=max(plain) - 1))
+        fused = self.run(md2_model, members, opts)
+        assert fresh_metrics.value("batch_fallbacks_total",
+                                   reason="dcop") >= 1
+        for member, res in zip(members, fused):
+            own = self.run(md2_model, [member, (member[0], 90.0)], opts)[0]
+            np.testing.assert_array_equal(res.x, own.x)
 
 
 class TestReusedCircuit:

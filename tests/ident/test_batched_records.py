@@ -1,9 +1,9 @@
 """Identification records on the grid-batched engine.
 
 Each lockstep group of the estimation pipelines -- a corner's two state
-records, a load's up and down switching records, the receiver's three
-records -- must match a fresh serial ``run_transient`` of every member's
-bench at 1e-9, from the DC operating point on.
+records, the four switching records (up and down into both loads), the
+receiver's three records -- must match a fresh serial ``run_transient``
+of every member's bench at 1e-9, from the DC operating point on.
 """
 
 from dataclasses import replace
@@ -49,6 +49,24 @@ def test_switching_records_match_serial(load):
     assert_group_matches_serial(lambda: [
         driver_switching_bench(MD2, load, pattern, bit_time=2e-9)
         for pattern in ("01", "10")])
+
+
+def test_fused_switching_records_equal_two_groups():
+    """The four switching records of MD2-typ at the pipeline's default
+    settings run as one group; each record is bitwise what the group of
+    its own load's two records gives."""
+    def benches(load):
+        return [driver_switching_bench(MD2, load, pattern)
+                for pattern in ("01", "10")]
+    loads = default_identification_loads()
+    [fused] = run_benches([benches(loads[0]) + benches(loads[1])])
+    per_load = [rec for group in run_benches([benches(ld) for ld in loads])
+                for rec in group]
+    assert len(fused) == len(per_load) == 4
+    for a, b in zip(fused, per_load):
+        assert a.meta == b.meta
+        np.testing.assert_array_equal(a.v, b.v)
+        np.testing.assert_array_equal(a.i, b.i)
 
 
 def test_receiver_records_match_serial():

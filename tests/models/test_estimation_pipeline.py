@@ -76,8 +76,8 @@ def test_estimation_spans():
     assert set(children) == {"ident.records", "ident.static_iv",
                              "model.fit"}
     records = children["ident.records"]
-    assert records.attrs == {"groups": 3, "members": 6}
+    assert records.attrs == {"groups": 2, "members": 6}
     batches = [sp for sp in spans.values() if sp.name == "transient.batch"]
-    assert len(batches) == 3
+    assert len(batches) == 2
     assert all(sp.parent_id == records.span_id and "fallback" not in
                sp.attrs for sp in batches)

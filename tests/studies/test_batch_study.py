@@ -86,8 +86,9 @@ class TestBatchedStudyEquivalence:
 
 
 class TestMixedCornerGroups:
-    """One lockstep group per bench topology, across corners, pattern
-    lengths and the receiver port."""
+    """One lockstep group per nonlinear skeleton, across corners,
+    pattern lengths and linear load topologies; the receiver port has
+    its own."""
 
     def test_corner_and_length_grid_matches_unbatched(self, md2_corners):
         models = {("MD2", c): m for c, m in md2_corners.items()}
@@ -102,7 +103,8 @@ class TestMixedCornerGroups:
                       options=RunnerOptions(n_workers=1,
                                             use_result_cache=False))
         groups = batch_groups(enumerate(study.scenarios()))
-        assert [len(g) for g in groups] == [6] * len(loads)
+        # line, rc and coupled fuse; each receiver placement is a group
+        assert [len(g) for g in groups] == [18, 6, 6]
         mine = MetricsRegistry()
         original = get_metrics()
         set_metrics(mine)
@@ -142,9 +144,13 @@ class TestDispatchSplit:
 
     def test_four_groups_on_two_workers_are_four_jobs(self, models,
                                                       monkeypatch):
-        loads = [LoadSpec(kind="r", r=50.0), LoadSpec(kind="rc", c=1e-12),
-                 LoadSpec(kind="line", td=0.3e-9),
-                 LoadSpec(kind="line", td=0.3e-9, c=1e-12)]
+        """Linear loads (v_port, then i_port) and the two receiver
+        placements: four groups."""
+        i_port = SpectralSpec(quantity="i_port")
+        loads = [LoadSpec(kind="r", r=50.0),
+                 LoadSpec(kind="rc", c=1e-12, spectral=i_port),
+                 LoadSpec(kind="rx", td=0.3e-9, r=50.0),
+                 LoadSpec(kind="rx", td=0.0, r=50.0)]
         assert self.jobs(models, monkeypatch, loads,
                          ["01", "0110"]) == [2, 2, 2, 2]
 
@@ -179,13 +185,15 @@ class TestDigestInvariance:
 
 class TestGrouping:
     def test_groups_partition_by_structure(self):
+        """Linear loads share one group whatever their shape (the
+        far-end capacitor, the load kind); the receiver has its own."""
         loads = [LoadSpec(kind="line", r=r, z0=50.0, td=1e-9)
                  for r in (50.0, 75.0, 150.0)]
         loads += [LoadSpec(kind="line", r=50.0, z0=50.0, td=1e-9,
-                           c=2e-12)]
+                           c=2e-12), LoadSpec(kind="rc", r=50.0, c=1e-12)]
         loads += [LoadSpec(kind="rx", z0=50.0, td=1e-9, r=50.0)]
         groups = batch_groups(enumerate(scenario_grid(["0110"], loads)))
-        assert sorted(len(g) for g in groups) == [1, 1, 3]
+        assert sorted(len(g) for g in groups) == [1, 5]
 
     def test_corners_and_pattern_lengths_share_a_group(self):
         """The driver bank carries each member's corner model and short

@@ -22,9 +22,9 @@ from repro.circuit import Resistor
 from repro.errors import ExperimentError
 from repro.experiments.cache import SweepDiskCache
 from repro.obs import Tracer
-from repro.studies import (CORNERS, KINDS, LoadSpec, ScenarioKind,
-                           SpectralSpec, Study, register_kind)
-from repro.studies.runner import ScenarioRunner, batch_key
+from repro.studies import (CORNERS, KINDS, CoupledLoadSpec, LoadSpec,
+                           ScenarioKind, SpectralSpec, Study, register_kind)
+from repro.studies.runner import ScenarioRunner, batch_groups, batch_key
 from repro.studies.service import jobs
 from repro.studies.service import (JobManager, StudyService, StudyShard,
                                    fetch_result, job_status, make_server,
@@ -41,7 +41,7 @@ def models(md2_model):
 
 
 def small_study(**spectral):
-    """2 patterns x 2 kinds = 4 scenarios in 4 batch groups."""
+    """2 patterns x 2 kinds = 4 scenarios in one batch group."""
     return Study(patterns=("0110", "010110"),
                  loads=(LoadSpec(kind="r", r=50.0),
                         LoadSpec(kind="rc", r=100.0, c=5e-12)),
@@ -49,7 +49,8 @@ def small_study(**spectral):
 
 
 def mixed_study():
-    """2 patterns x (3 r + 2 line + 1 rx) = 12 scenarios, 8 groups."""
+    """2 patterns x (3 r + 2 line + 1 rx) = 12 scenarios in 2 groups:
+    the 10 linear loads and the 2 receivers."""
     loads = tuple(LoadSpec(kind="r", r=r) for r in (50.0, 75.0, 150.0))
     loads += tuple(LoadSpec(kind="line", z0=z0, td=1e-9, r=50.0)
                    for z0 in (50.0, 75.0))
@@ -70,8 +71,10 @@ class TestShardPlan:
         assert len(seen) == len(set(seen))
 
     def test_batch_groups_are_never_split(self):
+        """With as many groups as shards, no group is split."""
         study = mixed_study()
-        shards = shard_plan(study, 4)
+        shards = shard_plan(study, 2)
+        assert len(shards) == 2
         owner = {i: k for k, s in enumerate(shards) for i in s.indices}
         grid = study.scenarios()
         by_key = {}
@@ -87,27 +90,31 @@ class TestShardPlan:
         shards = shard_plan(study, 2)
         sizes = sorted(len(s) for s in shards)
         assert sum(sizes) == len(study)
-        assert sizes[-1] - sizes[0] <= 3  # within one (largest) group
+        # the linear group and the receiver pair fill both shards, so
+        # neither splits
+        assert sizes == [2, 10]
         assert shard_plan(study, 2) == shards
 
-    def test_mixed_corner_group_stays_in_one_shard(self):
-        """Corners and pattern lengths share one batch group, so a
-        3-corner x 2-length grid of one load is one shard."""
+    def test_mixed_corner_group_splits_into_pairs(self):
+        """Corners and pattern lengths share one batch group; a lone
+        group splits to fill the shards, in chunks of two or more."""
         study = Study(patterns=("0110", "011010"), corners=CORNERS,
                       loads=(LoadSpec(kind="line", z0=65.0, td=1e-9,
                                       r=1e3),))
+        assert len(batch_groups(enumerate(study.scenarios()))) == 1
         shards = shard_plan(study, 3)
-        assert len(shards) == 1
-        assert shards[0].indices == tuple(range(6))
+        assert [s.indices for s in shards] == [(0, 1), (2, 3), (4, 5)]
+        assert len(shard_plan(study, 4)) == 3
+        assert [len(s) for s in shard_plan(study, 2)] == [3, 3]
 
     def test_fewer_groups_than_shards(self):
-        """A group is never split: one-group grids yield one shard."""
+        """A lone group splits only into chunks of at least two
+        members: four scenarios fill two of eight shards."""
         study = Study(patterns=("0110",),
                       loads=tuple(LoadSpec(kind="r", r=float(r))
                                   for r in (25, 50, 75, 100)))
         shards = shard_plan(study, 8)
-        assert len(shards) == 1
-        assert shards[0].indices == tuple(range(4))
+        assert [s.indices for s in shards] == [(0, 1), (2, 3)]
 
     def test_validation(self):
         study = mixed_study()
@@ -154,6 +161,30 @@ class TestJobManager:
         assert sum(r.n_cache_hits for r in again.shard_reports) \
             == len(study)
         assert again.csv_text() == direct.csv_text()
+
+    def test_fused_group_split_across_shards_matches_direct_run(
+            self, models, tmp_path):
+        """Four linear load topologies fuse into one batch group, which
+        splits across two shards; the merged CSV is byte-identical to an
+        in-process run of the whole group."""
+        study = Study(patterns=("0110", "011010"),
+                      loads=(LoadSpec(kind="r", r=50.0),
+                             LoadSpec(kind="rc", r=100.0, c=5e-12),
+                             LoadSpec(kind="line", z0=65.0, td=0.5e-9,
+                                      r=1e3, c=1e-12),
+                             CoupledLoadSpec(length=0.05)),
+                      spectral=SpectralSpec(mask="board-b"))
+        assert len(batch_groups(enumerate(study.scenarios()))) == 1
+        shards = shard_plan(study, 2)
+        assert [len(s) for s in shards] == [4, 4]
+        kinds = [{study.scenarios()[i].load.kind for i in s.indices}
+                 for s in shards]
+        assert all(len(k) > 1 for k in kinds)
+        result = JobManager(max_workers=2).run_study(
+            study, disk_cache=tmp_path, n_shards=2, models=models)
+        assert len(result.shard_reports) == 2
+        direct = study.run(models=models, n_workers=1)
+        assert result.csv_text() == direct.csv_text()
 
     def test_receiver_model_is_estimated_once_per_job(
             self, models, tmp_path, monkeypatch):
@@ -392,7 +423,9 @@ class TestJobManager:
                 return port
 
             def batch_structure(self, load) -> tuple:
-                return ()
+                # a group of its own: the kill lands between two
+                # checkpoints
+                return ("flaky",)
 
         kind = _FlakyKind()
         kind.load_cls = LoadSpec
@@ -558,6 +591,47 @@ class TestHTTPService:
         assert status["state"] == "queued"
         with pytest.raises(ExperimentError, match="409"):
             fetch_result(url, status["job"])
+
+    def test_full_queue_refuses_new_studies(self, http_service,
+                                            monkeypatch):
+        """With MAX_QUEUED_JOBS jobs queued, a new study is refused --
+        503 with Retry-After over HTTP, QueueFull in process -- while a
+        resubmission joins its queued job; once the queue drains, new
+        studies are accepted again."""
+        from repro.studies.service import serve
+        monkeypatch.setattr(serve, "MAX_QUEUED_JOBS", 1)
+        url, service = http_service
+        service.stop()          # queued jobs stay queued
+        first, second = (Study(patterns=(p,),
+                               loads=(LoadSpec(kind="r", r=50.0),))
+                         for p in ("0110", "0011"))
+        status = submit_study(url, first)
+        assert status["created"] is True and status["state"] == "queued"
+        host, port = url.rsplit("/", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=3.0)
+        try:
+            conn.request("POST", "/studies",
+                         body=json.dumps(second.to_dict()).encode(),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 503
+            assert resp.getheader("Retry-After") \
+                == str(serve.RETRY_AFTER_S)
+            assert "queued" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
+        with pytest.raises(ExperimentError, match="service error 503"):
+            submit_study(url, second)
+        with pytest.raises(serve.QueueFull):
+            service.submit(second)
+        again = submit_study(url, first)
+        assert again["created"] is False and again["job"] == status["job"]
+        assert [j["job"] for j in service.jobs()] == [status["job"]]
+        service.start()
+        done = wait_for_job(url, status["job"], poll_s=0.05,
+                            timeout_s=300.0)
+        assert done["state"] == "done"
+        assert submit_study(url, second)["created"] is True
 
     def test_finished_jobs_are_a_bounded_lru(self, http_service,
                                              monkeypatch):
