@@ -10,7 +10,9 @@ real process boundaries:
 
 1. start ``python -m repro.studies serve`` as a subprocess on an
    ephemeral port with a throwaway cache directory and a ``--trace``
-   JSONL file, and parse the bound address from its banner line;
+   JSONL file, and parse the bound address from its banner line; POST
+   a study with a malformed nested field and assert the ``400`` answer
+   names its path (``stochastic.params.r.low``);
 2. submit the study (default ``examples/study_minimal.toml``) through
    the ``python -m repro.studies submit --wait`` CLI, capturing the job
    id from the ``job <id>`` line;
@@ -46,6 +48,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_STUDY = REPO / "examples" / "study_minimal.toml"
+
+#: a study body with a malformed nested field the server must refuse
+MALFORMED = {"loads": [{"kind": "line"}],
+             "stochastic": {"params": {"r": {"dist": "uniform", "low": "a",
+                                             "high": 60.0}}}}
 
 
 def _start_server(cache_dir: str, trace_path: str | None = None
@@ -110,16 +117,23 @@ def main(argv: list[str] | None = None) -> int:
     trace_out = Path(os.environ.get("SMOKE_TRACE_OUT",
                                     "smoke_trace.jsonl")).resolve()
     sys.path.insert(0, str(REPO / "src"))
+    from repro.errors import ExperimentError
     from repro.obs import read_spans, span_tree
     from repro.studies import Study
     from repro.studies.service import (fetch_metrics, fetch_result,
-                                       fetch_trace)
+                                       fetch_trace, submit_study)
 
     study = Study.load(study_file)
     trace_out.unlink(missing_ok=True)
     with tempfile.TemporaryDirectory(prefix="study-smoke-") as cache_dir:
         proc, url = _start_server(cache_dir, str(trace_out))
         try:
+            # a malformed nested field is refused with 400, naming its path
+            try:
+                submit_study(url, MALFORMED)
+                refused = "accepted"
+            except ExperimentError as exc:
+                refused = str(exc)
             before = fetch_metrics(url)
             job_id = _submit(url, study_file)
             if job_id is None:
@@ -142,6 +156,12 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             proc.terminate()
             proc.wait(timeout=30)
+
+    if "service error 400" not in refused \
+            or "stochastic.params.r.low" not in refused:
+        print(f"FAIL: a malformed study got {refused!r}, expected 400 "
+              "naming stochastic.params.r.low")
+        return 1
 
     direct_csv = study.run(n_workers=1).csv_text()
     if served_csv != direct_csv:

@@ -33,10 +33,13 @@ Layering (one module per concern):
 * :mod:`~repro.studies.kinds` -- the :class:`ScenarioKind` protocol and
   registry.  Every termination the sweep knows (``"r"``, ``"rc"``,
   ``"line"``, ``"rx"``, ``"coupled"``) is a registered kind owning its
-  circuit wiring, cache identity, probes, metrics and serialization;
+  circuit wiring, cache identity, probes, metrics and field bounds;
   third-party code extends the sweep with :func:`register_kind` and a
   load dataclass -- no core edits (see
   ``examples/power_rail_study.py``).
+* :mod:`~repro.studies.schema` -- the one study schema: field metadata
+  on every study table drives parsing, rendering and checks, and a bad
+  field is named by its path (``loads[3].c``).
 * :mod:`~repro.studies.spec` -- the declarative layer:
   :class:`SpectralSpec` (emission-measurement request),
   :class:`LoadSpec`/:class:`CoupledLoadSpec` (pure-data load specs),

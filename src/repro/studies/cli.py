@@ -194,29 +194,21 @@ def _cmd_show(study: Study) -> int:
 
 
 def _apply_stochastic_overrides(study: Study, args) -> Study:
-    """Fold ``--draws``/``--seed`` into a stochastic study's sampler.
-
-    A plain (non-stochastic) study given either switch is a usage
-    error: the flags name sampler fields that do not exist on it, so
-    the command exits 2 rather than silently ignoring them.
-    """
-    draws = getattr(args, "draws", None)
-    seed = getattr(args, "seed", None)
-    if draws is None and seed is None:
+    """Fold ``--draws``/``--seed`` into the ``[stochastic]`` table and
+    read the study again, so a bad value is refused like one in the
+    file; on a plain study either switch is a usage error (exit 2)."""
+    over = {key: value for key, value in (
+        ("n_draws", getattr(args, "draws", None)),
+        ("seed", getattr(args, "seed", None))) if value is not None}
+    if not over:
         return study
-    from dataclasses import replace
-
-    from .stochastic import StochasticStudy
-    if not isinstance(study, StochasticStudy):
+    doc = study.to_dict()
+    if "stochastic" not in doc:
         raise ExperimentError(
             "--draws/--seed apply only to stochastic studies (a "
             "[stochastic] table in the study file)")
-    spec = study.stochastic
-    if draws is not None:
-        spec = replace(spec, n_draws=draws)
-    if seed is not None:
-        spec = replace(spec, seed=seed)
-    return replace(study, stochastic=spec)
+    doc["stochastic"].update(over)
+    return Study.from_dict(doc)
 
 
 def _cmd_run(args) -> int:

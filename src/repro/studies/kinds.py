@@ -13,9 +13,9 @@ line into a receiver macromodel, an aggressor/victim coupled pair -- is a
   (:meth:`ScenarioKind.extra_metrics`),
 * any auxiliary macromodels it needs (:meth:`ScenarioKind.aux_models`,
   estimated parent-side and folded into disk-cache fingerprints), and
-* the serialized form of its load specs
-  (:meth:`ScenarioKind.load_to_dict` / :meth:`ScenarioKind.load_from_dict`,
-  the :class:`~repro.studies.spec.Study` TOML/JSON schema).
+* the bounds its loads' fields must keep (:attr:`ScenarioKind.bounds`,
+  checked when a study is built and before a load is wired); a load's
+  document form comes from the study schema (:mod:`repro.studies.schema`).
 
 The registry maps kind names to :class:`ScenarioKind` instances.  The five
 built-in kinds (``"r"``, ``"rc"``, ``"line"``, ``"rx"``, ``"coupled"``)
@@ -28,12 +28,12 @@ module (the same caveat as custom limit masks).
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..circuit import Capacitor, CoupledIdealLine, IdealLine, Resistor
+from ..devices.catalog import RECEIVERS
 from ..emc.metrics import crosstalk_metrics, logic_eye_metrics
 from ..errors import ExperimentError
 from ..memo import bump_generation
+from .schema import FieldError, Num, Str, plan
 
 __all__ = ["ScenarioKind", "register_kind", "get_kind", "kind_names",
            "KINDS"]
@@ -93,38 +93,16 @@ def kind_names() -> tuple:
     return tuple(sorted(KINDS))
 
 
-def _check_fields(kind: str, load, positive=(), nonnegative=()) -> None:
-    """Reject non-physical load values, naming the offending field.
-
-    ``positive`` fields must be ``> 0``, ``nonnegative`` ones ``>= 0``
-    (NaN fails both).
-    """
-    for fname in (*positive, *nonnegative):
-        value = getattr(load, fname)
-        strict = fname in positive
-        if not (value > 0.0 if strict else value >= 0.0):
-            raise ExperimentError(
-                f"{kind} load field {fname!r} must be "
-                f"{'> 0' if strict else '>= 0'}, got {value!r}")
-
-
-def _num(value):
-    """Numeric field values canonicalize as floats (TOML may parse ``50``
-    as an int; the cache digest must not care)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return value
-    return float(value)
-
-
 class ScenarioKind:
-    """One scenario kind: wiring, identity, metrics and serialization.
+    """One scenario kind: wiring, identity, metrics and bounds.
 
     Subclasses set ``name`` (the registry key / ``LoadSpec.kind`` string),
-    ``load_cls`` (the frozen dataclass describing loads of this kind) and
+    ``load_cls`` (the frozen dataclass describing loads of this kind),
     ``physics_fields`` (the load fields that define the electrical
     identity -- everything except cosmetic labels and the spectral
-    observation request), then implement :meth:`build_circuit` and
-    whatever hooks the kind needs beyond the defaults.
+    observation request) and optionally ``bounds``, then implement
+    :meth:`build_circuit` and whatever hooks the kind needs beyond the
+    defaults.
     """
 
     #: registry key; also the ``kind`` string on load specs
@@ -133,10 +111,21 @@ class ScenarioKind:
     load_cls: type | None = None
     #: load fields folded into the canonical physics identity
     physics_fields: tuple = ()
+    #: field name -> schema converter (``Num(gt=0.0)``) each load of this
+    #: kind must pass, and every draw of a stochastic spread over it
+    bounds: dict = {}
 
     # -- wiring -------------------------------------------------------------
-    def validate(self, load) -> None:
-        """Reject physically inconsistent loads (default: accept)."""
+    def check(self, load) -> None:
+        """Refuse a load whose fields leave this kind's :attr:`bounds`,
+        naming the field (and the kind that bounds it)."""
+        for fname, conv in self.bounds.items():
+            try:
+                conv.parse(getattr(load, fname))
+            except FieldError as exc:
+                raise FieldError(f"{fname!r} {exc.problem} ({{kind}} = "
+                                 f"{self.name!r})", (fname,),
+                                 ("kind",)) from None
 
     def build_circuit(self, load, ckt, port: str) -> str:
         """Attach the load to ``port``; return the observation node."""
@@ -155,10 +144,10 @@ class ScenarioKind:
         rendering of this dict is the load's fragment of the scenario
         cache key, so it must be deterministic and content-complete.
         """
-        out = {"kind": self.name}
-        for fname in self.physics_fields:
-            out[fname] = _num(getattr(load, fname))
-        return out
+        fields = plan(type(load))
+        return {"kind": self.name, **{
+            name: fields[name].conv.render(getattr(load, name))
+            for name in self.physics_fields}}
 
     def describe(self, load) -> str:
         """Short human-readable load tag (labels win over synthesis)."""
@@ -217,71 +206,21 @@ class ScenarioKind:
         :meth:`aux_models`, paying estimation cost exactly once)."""
         self.aux_models(load)
 
-    # -- serialization ------------------------------------------------------
-    def load_to_dict(self, load) -> dict:
-        """Lossless JSON/TOML-able rendering of a load of this kind.
-
-        Physics fields always serialize; other dataclass fields only
-        when they differ from their default (irrelevant-to-this-kind
-        defaults would just be noise in a study file).
-        """
-        out = {"kind": self.name}
-        for f in dataclasses.fields(load):
-            if f.name == "kind":
-                continue
-            value = getattr(load, f.name)
-            if f.name == "spectral":
-                if value is not None:
-                    out["spectral"] = value.to_dict()
-                continue
-            if f.name == "label":
-                if value:
-                    out["label"] = value
-                continue
-            if f.name in self.physics_fields or value != f.default:
-                out[f.name] = _num(value)
-        return out
-
-    def load_from_dict(self, d: dict):
-        """Rebuild a load spec from :meth:`load_to_dict` output."""
-        from .spec import SpectralSpec
-        kwargs = {}
-        fields = {f.name: f for f in dataclasses.fields(self.load_cls)}
-        for key, value in d.items():
-            if key == "kind":
-                continue
-            if key not in fields:
-                raise ExperimentError(
-                    f"kind {self.name!r}: unknown load field {key!r}")
-            if key == "spectral":
-                if value is not None and not isinstance(value,
-                                                        SpectralSpec):
-                    value = SpectralSpec.from_dict(value)
-            elif isinstance(fields[key].default, float):
-                value = float(value)
-            kwargs[key] = value
-        if "kind" in fields:
-            kwargs["kind"] = self.name
-        return self.load_cls(**kwargs)
-
 
 # ---------------------------------------------------------------------------
 # built-in kinds (the former LoadSpec/CoupledLoadSpec if-chains)
 # ---------------------------------------------------------------------------
+
+_POSITIVE, _NONNEGATIVE = Num(gt=0.0), Num(ge=0.0)
+
 
 class _ResistorKind(ScenarioKind):
     """``"r"``: a pure shunt resistor at the driver pad."""
 
     name = "r"
     physics_fields = ("r", "c")
-
-    def validate(self, load) -> None:
-        """A positive resistor; a pure-R load with a stray capacitance is
-        a labeling hazard."""
-        _check_fields(self.name, load, positive=("r",))
-        if load.c != 0.0:
-            raise ExperimentError(
-                "kind='r' is a pure resistor; use kind='rc' for R||C")
+    #: a stray capacitance on a pure resistor is a labeling hazard
+    bounds = {"r": _POSITIVE, "c": Num(ge=0.0, le=0.0)}
 
     def describe(self, load) -> str:
         """``r50`` style tag."""
@@ -289,7 +228,6 @@ class _ResistorKind(ScenarioKind):
 
     def build_circuit(self, load, ckt, port: str) -> str:
         """Shunt R at the pad; the pad is the observation node."""
-        self.validate(load)
         ckt.add(Resistor("rload", port, "0", load.r))
         return port
 
@@ -303,11 +241,7 @@ class _RCKind(ScenarioKind):
 
     name = "rc"
     physics_fields = ("r", "c")
-
-    def validate(self, load) -> None:
-        """R||C only makes sense with a positive resistor and a real
-        capacitor."""
-        _check_fields(self.name, load, positive=("r", "c"))
+    bounds = {"r": _POSITIVE, "c": _POSITIVE}
 
     def describe(self, load) -> str:
         """``r150c5p`` style tag."""
@@ -315,7 +249,6 @@ class _RCKind(ScenarioKind):
 
     def build_circuit(self, load, ckt, port: str) -> str:
         """Shunt R and C at the pad; the pad is the observation node."""
-        self.validate(load)
         ckt.add(Resistor("rload", port, "0", load.r))
         ckt.add(Capacitor("cload", port, "0", load.c))
         return port
@@ -330,12 +263,10 @@ class _LineKind(ScenarioKind):
 
     name = "line"
     physics_fields = ("r", "c", "z0", "td")
-
-    def validate(self, load) -> None:
-        """A real line (positive ``z0`` and ``td``) into a positive far-end
-        resistor; the optional capacitor may be absent, not negative."""
-        _check_fields(self.name, load, positive=("r", "z0", "td"),
-                      nonnegative=("c",))
+    #: a real line into a positive far-end resistor; the optional
+    #: capacitor may be absent, not negative
+    bounds = {"r": _POSITIVE, "z0": _POSITIVE, "td": _POSITIVE,
+              "c": _NONNEGATIVE}
 
     def describe(self, load) -> str:
         """``line75x1n-r1e5`` style tag (optional far-end cap suffix)."""
@@ -346,7 +277,6 @@ class _LineKind(ScenarioKind):
 
     def build_circuit(self, load, ckt, port: str) -> str:
         """Line from the pad; the far end is the observation node."""
-        self.validate(load)
         ckt.add(IdealLine("tload", port, "far", load.z0, load.td))
         ckt.add(Resistor("rload", "far", "0", load.r))
         if load.c > 0.0:
@@ -372,12 +302,10 @@ class _ReceiverKind(ScenarioKind):
 
     name = "rx"
     physics_fields = ("r", "c", "z0", "td", "receiver")
-
-    def validate(self, load) -> None:
-        """``r = 0`` means unterminated and ``td = 0`` no line; negative
-        values, and a non-positive line impedance, are nonsense."""
-        _check_fields(self.name, load, positive=("z0",),
-                      nonnegative=("r", "td", "c"))
+    #: ``r = 0`` means unterminated and ``td = 0`` no line; the receiver
+    #: is a catalog one
+    bounds = {"z0": _POSITIVE, "r": _NONNEGATIVE, "td": _NONNEGATIVE,
+              "c": _NONNEGATIVE, "receiver": Str(choices=RECEIVERS)}
 
     def describe(self, load) -> str:
         """``line50x1n-MD4r50`` style tag."""
@@ -392,7 +320,6 @@ class _ReceiverKind(ScenarioKind):
         """Line into the receiver macromodel; observe the receiver pad."""
         from ..experiments import cache
         from ..models import ParametricReceiverElement
-        self.validate(load)
         pad = port
         if load.td > 0.0:
             ckt.add(IdealLine("tload", port, "pad", load.z0, load.td))
@@ -434,6 +361,21 @@ class _CoupledKind(ScenarioKind):
     name = "coupled"
     physics_fields = ("l_self", "l_mut", "c_self", "c_mut", "length",
                       "r_far", "c_far", "r_victim_near", "r_victim_far")
+    bounds = {"l_self": _POSITIVE, "l_mut": _NONNEGATIVE,
+              "c_self": _POSITIVE, "c_mut": _NONNEGATIVE,
+              "length": _POSITIVE, "r_far": _POSITIVE,
+              "c_far": _NONNEGATIVE, "r_victim_near": _POSITIVE,
+              "r_victim_far": _POSITIVE}
+
+    def check(self, load) -> None:
+        """The bounds, and coupling below the self terms (the per-unit-
+        length L and C matrices must be positive definite)."""
+        super().check(load)
+        for mut, own in (("l_mut", "l_self"), ("c_mut", "c_self")):
+            if not getattr(load, mut) < getattr(load, own):
+                raise FieldError(f"{mut!r} must be < {{{own}}} = "
+                                 f"{getattr(load, own)!r}, got "
+                                 f"{getattr(load, mut)!r}", (mut,), (own,))
 
     def describe(self, load) -> str:
         """``xtalk-l10cm-lm60n-cm5p-r50`` style geometry tag."""

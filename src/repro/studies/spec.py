@@ -24,22 +24,24 @@ digests to the equivalent programmatic :func:`scenario_grid` sweep.
 
 Load kinds dispatch through :mod:`repro.studies.kinds`: the specs here
 carry data only, and every kind-specific behavior (wiring, identity,
-metrics, serialization) lives on the registered :class:`ScenarioKind`.
+metrics, bounds) lives on the registered :class:`ScenarioKind`.  Every
+table is read, rendered and checked by the one study schema
+(:mod:`repro.studies.schema`), which names a bad field by its path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import numbers
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from ..devices.catalog import DRIVERS
 from ..emc.detectors import DETECTORS
-from ..emc.limits import LimitMask, get_mask
+from ..emc.limits import _UNIT_TO_QUANTITY, LimitMask, get_mask
 from ..emc.radiated import AntennaModel
 from ..emc.spectrum import WINDOWS
 from ..errors import ExperimentError
@@ -47,6 +49,8 @@ from ..experiments.cache import canonical_json as _canonical_json
 from ..experiments.cache import scenario_key_digest
 from ..memo import Memoized, generation
 from .kinds import _register_builtin_kinds, get_kind
+from .schema import (Conv, FieldError, Int, Is, List, Num, PathStr, Record,
+                     Str, Table, bad, declare, fld, from_dict, plan, to_dict)
 
 __all__ = ["SpectralSpec", "BaseLoadSpec", "LoadSpec", "CoupledLoadSpec",
            "Scenario", "scenario_grid", "CORNERS", "MAX_SCENARIOS",
@@ -62,11 +66,70 @@ CORNERS = ("slow", "typ", "fast")
 MAX_SCENARIOS = 100_000
 
 
-def _listify(obj):
-    """Nested tuples become lists (plain JSON-able canonical dicts)."""
-    if isinstance(obj, (tuple, list)):
-        return [_listify(o) for o in obj]
-    return obj
+# ---------------------------------------------------------------------------
+# the study form of limit masks and antenna models (defined in repro.emc)
+# ---------------------------------------------------------------------------
+
+class _Rows(List):
+    """Rows of ``columns`` numbers whose leading ``n_f`` frequency
+    columns are positive and increase (limit segments, antenna points)."""
+
+    def __init__(self, columns: tuple, n_f: int):
+        super().__init__(List(Num()), noun="row")
+        self.columns, self.n_f = columns, n_f
+
+    def _parse(self, value):
+        rows, prev = super()._parse(value), 0.0
+        for i, row in enumerate(rows):
+            if len(row) != len(self.columns):
+                raise FieldError(f"must be [{', '.join(self.columns)}]",
+                                 (i,))
+            for j, f in enumerate(row[:self.n_f]):
+                strict = i == 0 or j > 0  # a row may start where one ends
+                if not (f > prev if strict else f >= prev):
+                    raise FieldError(f"must be {'>' if strict else '>='} "
+                                     f"{prev:g} (frequencies are positive "
+                                     f"and increase), got {f!r}", (i, j))
+                prev = f
+        return rows
+
+    def _render(self, value):
+        return [[float(x) for x in (dataclasses.astuple(row)
+                                    if dataclasses.is_dataclass(row)
+                                    else row)] for row in value]
+
+
+declare(LimitMask, name=Str(), unit=Str(choices=_UNIT_TO_QUANTITY),
+        segments=_Rows(("f_lo", "f_hi", "db_lo", "db_hi"), 2))
+declare(AntennaModel, kind=Str(choices=("cable", "table")),
+        length=Num(gt=0.0), distance=Num(gt=0.0),
+        points=_Rows(("f", "k_db"), 1), cm_fraction=Num(gt=0.0, le=1.0),
+        label=Str())
+
+
+class _Mask(Conv):
+    """A limit mask: a registered name (resolved at use), a
+    :class:`LimitMask`, or an inline table of one."""
+
+    def __init__(self, label: str):
+        super().__init__(optional=True)
+        self.label = label
+
+    def _parse(self, value):
+        try:
+            if isinstance(value, str):
+                get_mask(value)
+                return value
+            return Table(LimitMask).parse(value)
+        except FieldError as exc:
+            raise FieldError(f"{exc.problem} (a {self.label})", exc.path,
+                             exc.refs) from None
+        except ExperimentError as exc:
+            raise FieldError(f"names no registered {self.label}: "
+                             f"{exc}") from None
+
+    def _render(self, value):
+        return value if isinstance(value, str) else to_dict(value)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +137,7 @@ def _listify(obj):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectralSpec(Memoized):
+class SpectralSpec(Record, Memoized):
     """Per-scenario emission-measurement request.
 
     Parameters
@@ -113,67 +176,29 @@ class SpectralSpec(Memoized):
         ``antenna``.
     """
 
-    quantity: str = "v_port"
-    window: str = "hann"
-    n_fft: int | None = None
-    mask: object = None
-    detectors: object = ("peak",)
-    prf: float | None = None
-    antenna: AntennaModel | None = None
-    radiated_mask: object = None
+    _table = "spectral"
+
+    quantity: str = fld(Str(choices=("v_port", "i_port")), "v_port",
+                        always=True)
+    window: str = fld(Str(choices=WINDOWS), "hann", always=True)
+    n_fft: int | None = fld(Int(ge=2, optional=True), None)
+    mask: object = fld(_Mask("spectral mask"), None)
+    detectors: object = fld(List(Str(choices=DETECTORS), wrap=(str,),
+                                 noun="detector", unique=True), ("peak",),
+                            always=True)
+    prf: float | None = fld(Num(gt=0.0, optional=True), None)
+    antenna: AntennaModel | None = fld(Table(AntennaModel, optional=True),
+                                       None)
+    radiated_mask: object = fld(_Mask("spectral radiated_mask"), None)
 
     def __post_init__(self):
-        if self.quantity not in ("v_port", "i_port"):
-            raise ExperimentError(
-                "SpectralSpec.quantity must be 'v_port' or 'i_port'")
-        # fail fast at construction: a bad window/n_fft would otherwise
-        # only surface as one error outcome per scenario after a full
-        # sweep's worth of simulation
-        if self.window not in WINDOWS:
-            raise ExperimentError(
-                f"unknown window {self.window!r}; pick from "
-                f"{sorted(WINDOWS)}")
-        if self.n_fft is not None and int(self.n_fft) < 2:
-            raise ExperimentError("n_fft must be >= 2")
-        dets = (self.detectors,) if isinstance(self.detectors, str) \
-            else tuple(self.detectors)
-        if not dets:
-            raise ExperimentError("detectors must name at least one of "
-                                  f"{DETECTORS}")
-        seen = []
-        for d in dets:
-            if d not in DETECTORS:
-                raise ExperimentError(
-                    f"unknown detector {d!r}; pick from {DETECTORS}")
-            if d not in seen:
-                seen.append(d)
-        object.__setattr__(self, "detectors", tuple(seen))
-        if self.prf is not None and not float(self.prf) > 0.0:
-            raise ExperimentError("prf must be positive (Hz)")
-        if self.antenna is not None:
-            if not isinstance(self.antenna, AntennaModel):
-                raise ExperimentError("antenna must be an AntennaModel")
-            if self.quantity != "i_port":
-                raise ExperimentError(
-                    "radiated estimation needs the common-mode current: "
-                    "antenna requires quantity='i_port'")
+        super().__post_init__()
+        if self.antenna is not None and self.quantity != "i_port":
+            raise bad("antenna", "needs the common-mode current: set "
+                                 "{quantity} = 'i_port'", ("quantity",))
         if self.radiated_mask is not None and self.antenna is None:
-            raise ExperimentError(
-                "radiated_mask requires an antenna model")
-        # an unknown mask name would only fail once per scenario, after
-        # the whole grid has been simulated
-        for fname in ("mask", "radiated_mask"):
-            mask = getattr(self, fname)
-            if mask is None:
-                continue
-            if not isinstance(mask, (str, LimitMask)):
-                raise ExperimentError(
-                    f"spectral {fname} must be a mask name or a LimitMask, "
-                    f"not {type(mask).__name__}")
-            try:
-                get_mask(mask)
-            except ExperimentError as exc:
-                raise ExperimentError(f"spectral {fname}: {exc}") from None
+            raise bad("radiated_mask", "requires an {antenna} model",
+                      ("antenna",))
 
     def resolved_mask(self):
         """Conducted mask resolved to a LimitMask (or ``None``)."""
@@ -204,7 +229,8 @@ class SpectralSpec(Memoized):
         """Content identity as a JSON-able dict (cache-key fragment).
 
         Mask names are resolved to mask *content*, so a registered name
-        and an identical inline mask share cache entries.  Rendered once
+        and an identical inline mask share cache entries (tuples render
+        as JSON lists in the key).  Rendered once
         per instance and registry generation (every scenario of a grid
         shares its study's request); treat the dict as read-only.
         """
@@ -217,118 +243,24 @@ class SpectralSpec(Memoized):
             if self.radiated_mask is not None else None
         ant_key = self.antenna.key() if self.antenna is not None else None
         return {"quantity": self.quantity, "window": self.window,
-                "n_fft": None if self.n_fft is None else int(self.n_fft),
-                "mask": _listify(mask_key),
-                "detectors": list(self.detectors),
-                "prf": None if self.prf is None else float(self.prf),
-                "antenna": _listify(ant_key),
-                "radiated_mask": _listify(rad_key)}
-
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering (the Study schema)."""
-        out: dict = {"quantity": self.quantity, "window": self.window}
-        if self.n_fft is not None:
-            out["n_fft"] = int(self.n_fft)
-        if self.mask is not None:
-            out["mask"] = _mask_to_dict(self.mask)
-        out["detectors"] = list(self.detectors)
-        if self.prf is not None:
-            out["prf"] = float(self.prf)
-        if self.antenna is not None:
-            out["antenna"] = _antenna_to_dict(self.antenna)
-        if self.radiated_mask is not None:
-            out["radiated_mask"] = _mask_to_dict(self.radiated_mask)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralSpec":
-        """Rebuild a request from :meth:`to_dict` output."""
-        kw = dict(d)
-        if "n_fft" in kw:
-            kw["n_fft"] = int(kw["n_fft"])
-        if "prf" in kw:
-            kw["prf"] = float(kw["prf"])
-        for fname in ("mask", "radiated_mask"):
-            if fname in kw:
-                kw[fname] = _mask_from_dict(kw[fname], fname)
-        if "detectors" in kw:
-            kw["detectors"] = tuple(kw["detectors"])
-        if "antenna" in kw:
-            kw["antenna"] = _antenna_from_dict(kw["antenna"])
-        unknown = set(kw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown SpectralSpec fields {sorted(unknown)}")
-        return cls(**kw)
-
-
-def _mask_to_dict(mask):
-    """Mask serialized form: a registered name stays a name (resolved at
-    use), an inline :class:`LimitMask` embeds its content."""
-    if isinstance(mask, str):
-        return mask
-    mask = get_mask(mask)
-    return {"name": mask.name, "unit": mask.unit,
-            "segments": [[s.f_lo, s.f_hi, s.db_lo, s.db_hi]
-                         for s in mask.segments]}
-
-
-def _mask_from_dict(d, fname: str = "mask"):
-    """Inverse of :func:`_mask_to_dict`; a malformed inline mask raises
-    :class:`ExperimentError` naming the spectral field ``fname``."""
-    if isinstance(d, (str, LimitMask)):
-        return d
-    try:
-        return LimitMask(str(d["name"]),
-                         tuple(tuple(float(x) for x in seg)
-                               for seg in d["segments"]),
-                         unit=str(d.get("unit", "dBuV")))
-    except ExperimentError as exc:
-        raise ExperimentError(f"spectral {fname}: {exc}") from None
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ExperimentError(
-            f"spectral {fname}: give a mask name or an inline table with "
-            f"'name' and 'segments' ({type(exc).__name__}: {exc})") from None
-
-
-def _antenna_to_dict(antenna: AntennaModel) -> dict:
-    """Antenna serialized form (all dataclass fields, defaults too)."""
-    out = {"kind": antenna.kind, "length": float(antenna.length),
-           "distance": float(antenna.distance),
-           "cm_fraction": float(antenna.cm_fraction)}
-    if antenna.points:
-        out["points"] = [[float(f), float(k)] for f, k in antenna.points]
-    if antenna.label:
-        out["label"] = antenna.label
-    return out
-
-
-def _antenna_from_dict(d) -> AntennaModel:
-    """Inverse of :func:`_antenna_to_dict`."""
-    if isinstance(d, AntennaModel):
-        return d
-    kw = dict(d)
-    if "points" in kw:
-        kw["points"] = tuple(tuple(float(x) for x in p)
-                             for p in kw["points"])
-    for name in ("length", "distance", "cm_fraction"):
-        if name in kw:
-            kw[name] = float(kw[name])
-    return AntennaModel(**kw)
+                "n_fft": self.n_fft, "mask": mask_key,
+                "detectors": list(self.detectors), "prf": self.prf,
+                "antenna": ant_key, "radiated_mask": rad_key}
 
 
 # ---------------------------------------------------------------------------
 # load specs (data only -- behavior lives on the registered kinds)
 # ---------------------------------------------------------------------------
 
-class BaseLoadSpec:
+class BaseLoadSpec(Record):
     """Shared kind-dispatch surface of the load-spec dataclasses.
 
     Third-party load specs inherit this (with a frozen dataclass body
     and a ``kind`` attribute naming their registered
     :class:`~repro.studies.kinds.ScenarioKind`) and get description,
     cache identity, wiring, probes and serialization for free -- see
-    ``examples/power_rail_study.py``.
+    ``examples/power_rail_study.py``.  Construction checks each plain
+    field by the type of its default (:mod:`~repro.studies.schema`).
     """
 
     def describe(self) -> str:
@@ -346,52 +278,47 @@ class BaseLoadSpec:
         return get_kind(self.kind).probes(self)
 
     def build(self, ckt, port: str) -> str:
-        """Attach the load; returns the far-end observation node."""
-        return get_kind(self.kind).build_circuit(self, ckt, port)
+        """Attach the load (after its kind's bounds check); returns the
+        far-end observation node."""
+        kind = get_kind(self.kind)
+        kind.check(self)
+        return kind.build_circuit(self, ckt, port)
 
     def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering (the Study schema)."""
-        return get_kind(self.kind).load_to_dict(self)
+        """Lossless JSON/TOML-able rendering (the Study schema): the
+        kind, its physics fields and any other field off its default."""
+        kind = get_kind(self.kind)
+        return {"kind": kind.name, **to_dict(self, kind.physics_fields)}
 
 
-def _study_table(d) -> dict:
-    """The field table of a serialized study: ``d`` itself, or the table
-    nested under its ``"study"`` key.  Anything but a table raises
-    :class:`ExperimentError`."""
-    if isinstance(d, dict) and isinstance(d.get("study"), dict):
-        d = d["study"]
-    if not isinstance(d, dict):
-        raise ExperimentError(
-            f"a study must be a table of fields, not {type(d).__name__}")
+declare(BaseLoadSpec, spectral=Table(SpectralSpec, optional=True))
+
+
+def load_from_dict(d):
+    """Rebuild any load spec from its ``to_dict`` form through the kind
+    registry (third-party kinds read like built-in ones; a spec passes
+    through), checked against its kind's bounds."""
+    if not isinstance(d, (dict, BaseLoadSpec)):
+        raise FieldError(f"must be a load table, not {type(d).__name__}")
+    name = d.get("kind") if isinstance(d, dict) else d.kind
+    try:
+        kind = get_kind(Str().parse(name))
+    except ExperimentError as exc:
+        raise FieldError(f"names no load kind: {exc}").under("kind") \
+            from None
+    if isinstance(d, dict):
+        fields = plan(kind.load_cls)
+        for key in sorted(d.keys() - fields.keys() - {"kind"}, key=str):
+            raise FieldError(f"{key!r} is an unknown load field of "
+                             f"{{kind}} = {name!r}", (key,), ("kind",))
+        d = from_dict(kind.load_cls, {k: v for k, v in d.items()
+                                      if k in fields})
+    kind.check(d)
     return d
 
 
-def _coerce_field(name: str, convert, value):
-    """``convert(value)`` for the top-level study field ``name``.
-
-    A value of the wrong type or form (``bit_time = "fast"``, ``loads =
-    5``) raises :class:`ExperimentError` naming the field, so the service
-    answers 400 and the CLI exits 2 instead of surfacing a bare
-    ``TypeError``/``ValueError``.
-    """
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ExperimentError(f"study field {name!r}: {exc}") from exc
-
-
-def load_from_dict(d: dict):
-    """Rebuild any load spec from its ``to_dict`` form.
-
-    Dispatches on ``d["kind"]`` through the registry, so third-party
-    kinds deserialize exactly like built-in ones.
-    """
-    try:
-        name = d["kind"]
-    except KeyError:
-        raise ExperimentError(
-            "a serialized load needs a 'kind' field") from None
-    return get_kind(name).load_from_dict(d)
+_LOAD = Conv()
+_LOAD._parse, _LOAD._render = load_from_dict, BaseLoadSpec.to_dict
 
 
 @dataclass(frozen=True)
@@ -452,11 +379,8 @@ class CoupledLoadSpec(BaseLoadSpec):
     kind = "coupled"
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-unit-length (L, C) matrices of the symmetric pair."""
-        if self.l_mut >= self.l_self:
-            raise ExperimentError("need l_mut < l_self")
-        if not 0.0 <= self.c_mut < self.c_self:
-            raise ExperimentError("need 0 <= c_mut < c_self")
+        """Per-unit-length (L, C) matrices of the symmetric pair (positive
+        definite once the ``coupled`` kind's check passed)."""
         L = np.array([[self.l_self, self.l_mut],
                       [self.l_mut, self.l_self]])
         C = np.array([[self.c_self, -self.c_mut],
@@ -539,129 +463,87 @@ def scenario_grid(patterns, loads, drivers=("MD2",), corners=("typ",),
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RunnerOptions:
+class RunnerOptions(Record):
     """Execution options of a study (the ScenarioRunner knobs).
 
     ``n_workers`` ``None`` uses the CPU count, ``0``/``1`` runs
     serially; ``disk_cache`` names a directory backing the persistent
-    result cache, which needs the result cache on.  A value of the wrong
-    type or range raises :class:`ExperimentError` naming the option, so
-    a study document fails when it is read, not when it runs.
+    result cache (any ``os.PathLike`` normalizes to its string), which
+    needs the result cache on.
 
     These knobs never affect the produced waveforms or verdicts -- only
     how they are computed -- so they stay out of every cache key.
     """
 
-    n_workers: int | None = None
-    use_result_cache: bool = True
-    disk_cache: str | None = None
+    _table = "runner"
+
+    n_workers: int | None = fld(Int(ge=0, optional=True), None)
+    use_result_cache: bool = fld(Is(bool, "true or false"), True)
+    disk_cache: str | None = fld(PathStr(optional=True), None)
 
     def __post_init__(self):
-        n = self.n_workers
-        if n is not None:
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
-                    or n < 0:
-                raise ExperimentError(
-                    f"runner option 'n_workers' must be a worker count "
-                    f">= 0 (or unset), not {n!r}")
-            object.__setattr__(self, "n_workers", int(n))
-        if not isinstance(self.use_result_cache, bool):
-            raise ExperimentError(
-                f"runner option 'use_result_cache' must be true or "
-                f"false, not {self.use_result_cache!r}")
-        if self.disk_cache is not None:
-            if not isinstance(self.disk_cache, (str, os.PathLike)) \
-                    or not os.fspath(self.disk_cache):
-                raise ExperimentError(
-                    f"runner option 'disk_cache' must be a directory "
-                    f"path, not {self.disk_cache!r}")
-            if not self.use_result_cache:
-                raise ExperimentError(
-                    "runner option 'disk_cache' requires "
-                    "use_result_cache=True; pass one or the other, not "
-                    "the conflicting combination")
-            # ScenarioRunner accepts any PathLike; normalize here so the
-            # options stay TOML/JSON-serializable whatever was passed
-            object.__setattr__(self, "disk_cache",
-                               os.fspath(self.disk_cache))
+        super().__post_init__()
+        if self.disk_cache is not None and not self.use_result_cache:
+            raise bad("disk_cache", "requires {use_result_cache} = true; "
+                      "pass one or the other, not the conflicting "
+                      "combination", ("use_result_cache",))
 
-    def to_dict(self) -> dict:
-        """Non-default options as a JSON/TOML-able dict."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value != f.default:
-                out[f.name] = value
-        return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunnerOptions":
-        """Rebuild options from :meth:`to_dict` output."""
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown runner options {sorted(unknown)}")
-        return cls(**d)
+class _Bits(Conv):
+    """A bit pattern: a non-empty string of 0/1."""
+
+    what = "a non-empty string of 0/1 bits"
+
+    def _parse(self, value):
+        if not isinstance(value, str) or not value \
+                or set(value) - {"0", "1"}:
+            raise self._type_error(value)
+        return value
 
 
 @dataclass(frozen=True)
-class Study(Memoized):
+class Study(Record, Memoized):
     """Declarative description of one board-level EMC assessment.
 
     The grid is the cartesian product ``drivers x corners x patterns x
     loads`` (the :func:`scenario_grid` order); ``spectral`` is the
     study-wide emission request (per-load requests still win, exactly as
     on :class:`Scenario`).  ``name`` is cosmetic.  Sequences normalize
-    to tuples so studies hash and compare by value.
+    to tuples so studies hash and compare by value, and a bare string
+    (or load) is a one-element axis.  Every field is checked when the
+    study is built (loads against their kind's bounds).
     """
 
-    patterns: tuple = ()
-    loads: tuple = (LoadSpec(),)
-    drivers: tuple = ("MD2",)
-    corners: tuple = ("typ",)
-    name: str = ""
-    bit_time: float = 2e-9
-    dt: float | None = None
-    t_stop: float | None = None
-    spectral: SpectralSpec | None = None
-    options: RunnerOptions = field(default_factory=RunnerOptions)
+    patterns: tuple = fld(List(_Bits(), wrap=(str,)), ())
+    loads: tuple = fld(List(_LOAD, wrap=(BaseLoadSpec, dict),
+                            noun="load"), (LoadSpec(),), always=True)
+    drivers: tuple = fld(List(Str(choices=DRIVERS), wrap=(str,),
+                              noun="driver"), ("MD2",), always=True)
+    corners: tuple = fld(List(Str(choices=CORNERS), wrap=(str,),
+                              noun="corner"), ("typ",), always=True)
+    name: str = fld(Str(), "")
+    bit_time: float = fld(Num(gt=0.0), 2e-9, always=True)
+    dt: float | None = fld(Num(gt=0.0, optional=True), None)
+    t_stop: float | None = fld(Num(gt=0.0, optional=True), None)
+    spectral: SpectralSpec | None = fld(Table(SpectralSpec, optional=True),
+                                        None)
+    options: RunnerOptions = fld(Table(RunnerOptions),
+                                 factory=RunnerOptions, key="runner")
 
     def __post_init__(self):
-        # a bare string is one value, not a sequence of characters:
-        # Study(patterns="0110") must mean one four-bit pattern, never
-        # four silent single-bit scenarios
-        for fname in ("patterns", "drivers", "corners"):
-            value = getattr(self, fname)
-            if isinstance(value, str):
-                value = (value,)
-            object.__setattr__(self, fname, tuple(value))
-        loads = self.loads
-        if isinstance(loads, BaseLoadSpec):
-            loads = (loads,)
-        object.__setattr__(self, "loads", tuple(loads))
+        super().__post_init__()
         self._check_patterns()
-        if not self.loads:
-            raise ExperimentError("a Study needs at least one load")
-        if not self.drivers or not self.corners:
-            raise ExperimentError(
-                "a Study needs at least one driver and one corner")
-        # resolve kinds now: an unknown kind should fail at description
-        # time, not one error-outcome per scenario after dispatch
-        for load in self.loads:
-            get_kind(load.kind)
         if len(self) > MAX_SCENARIOS:
             raise ExperimentError(
                 f"a study of {len(self)} scenarios exceeds the admission "
                 f"ceiling of {MAX_SCENARIOS}")
 
     def _check_patterns(self) -> None:
-        """The pattern-axis rule: at least one non-empty 0/1 pattern."""
+        """The pattern-axis rule (checked after every field): at least
+        one pattern."""
         if not self.patterns:
-            raise ExperimentError("a Study needs at least one pattern")
-        for p in self.patterns:
-            if not p or set(p) - {"0", "1"}:
-                raise ExperimentError(
-                    f"pattern {p!r} must be a non-empty string of 0/1 bits")
+            raise FieldError("a Study needs at least one pattern",
+                             ("patterns",))
 
     def scenarios(self) -> list[Scenario]:
         """The study's grid as a list of :class:`Scenario` (grid order).
@@ -695,85 +577,18 @@ class Study(Memoized):
                 * len(self.corners))
 
     # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering of the study."""
-        out: dict = {}
-        if self.name:
-            out["name"] = self.name
-        out["patterns"] = list(self.patterns)
-        out["drivers"] = list(self.drivers)
-        out["corners"] = list(self.corners)
-        out["bit_time"] = float(self.bit_time)
-        if self.dt is not None:
-            out["dt"] = float(self.dt)
-        if self.t_stop is not None:
-            out["t_stop"] = float(self.t_stop)
-        out["loads"] = [load.to_dict() for load in self.loads]
-        if self.spectral is not None:
-            out["spectral"] = self.spectral.to_dict()
-        runner = self.options.to_dict()
-        if runner:
-            out["runner"] = runner
-        return out
-
     @classmethod
-    def from_dict(cls, d: dict) -> "Study":
-        """Rebuild a study from :meth:`to_dict` output (also accepts the
-        whole dict nested under a ``"study"`` table).
-
-        A dict carrying a ``"stochastic"`` table rebuilds as a
-        :class:`~repro.studies.stochastic.StochasticStudy` -- the
-        service and shard workers deserialize through this one
-        classmethod, so the dispatch keeps Monte Carlo studies
-        round-tripping everywhere a plain study does.
-        """
-        d = _study_table(d)
-        if "stochastic" in d and cls is Study:
+    def from_dict(cls, d) -> "Study":
+        """Rebuild a study from :meth:`to_dict` output (or the dict
+        nested under a ``"study"`` table); one with a ``"stochastic"``
+        table rebuilds a :class:`~repro.studies.stochastic.StochasticStudy`.
+        A bad field raises a :class:`~repro.studies.schema.FieldError`."""
+        if isinstance(d, dict) and isinstance(d.get("study"), dict):
+            d = d["study"]
+        if cls is Study and isinstance(d, dict) and "stochastic" in d:
             from .stochastic import StochasticStudy
-            return StochasticStudy.from_dict(d)
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)} - {"runner"}
-        if unknown:
-            raise ExperimentError(f"unknown Study fields {sorted(unknown)}")
-        if "loads" in kw:
-            kw["loads"] = _coerce_field("loads", lambda lds: tuple(
-                ld if isinstance(ld, BaseLoadSpec) else load_from_dict(ld)
-                for ld in lds), kw["loads"])
-            # non-physical values fail here, naming the field, instead of
-            # silently running (a negative capacitor reads as "none") or
-            # failing later, once per scenario
-            for ld in kw["loads"]:
-                get_kind(ld.kind).validate(ld)
-        if "spectral" in kw and not isinstance(kw["spectral"],
-                                               SpectralSpec):
-            kw["spectral"] = _coerce_field("spectral", SpectralSpec.from_dict,
-                                          kw["spectral"])
-        # the serialized table is named "runner", but accept the
-        # dataclass-field spelling "options" too -- either way a plain
-        # dict must coerce here, not surface as an AttributeError inside
-        # Study.run
-        if "runner" in kw and "options" in kw:
-            raise ExperimentError(
-                "give runner options once: 'runner' or 'options', "
-                "not both")
-        options = kw.pop("runner", None)
-        if options is None:
-            options = kw.pop("options", None)
-        if options is not None and not isinstance(options, RunnerOptions):
-            options = _coerce_field("runner", RunnerOptions.from_dict,
-                                   options)
-        if options is not None:
-            kw["options"] = options
-        if "bit_time" in kw and kw["bit_time"] is None:
-            raise ExperimentError(
-                "study field 'bit_time' must be a number, not null")
-        for fname in ("bit_time", "dt", "t_stop"):
-            if kw.get(fname) is not None:
-                kw[fname] = _coerce_field(fname, float, kw[fname])
-        for fname in ("patterns", "drivers", "corners"):
-            if fname in kw:
-                kw[fname] = _coerce_field(fname, tuple, kw[fname])
-        return cls(**kw)
+            cls = StochasticStudy
+        return from_dict(cls, d)
 
     def canonical(self) -> str:
         """Canonical JSON rendering of the study's *physics*.

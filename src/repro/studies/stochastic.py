@@ -39,16 +39,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ExperimentError
 from ..experiments.cache import canonical_json as _canonical_json
 from ..obs import get_metrics, get_tracer
+from .kinds import get_kind
 from .outcomes import StudyResult
-from .spec import (MAX_SCENARIOS, Scenario, Study, _coerce_field,
-                   _study_table)
+from .schema import (FieldError, Int, Is, List, Map, Num, Record, Str,
+                     Table, bad, fld, plan, to_dict, when)
+from .spec import CORNERS, MAX_SCENARIOS, Scenario, Study
 
 __all__ = ["Distribution", "TrafficModel", "JitterSpec",
            "StochasticSpec", "StochasticStudy", "StochasticResult",
@@ -101,11 +103,8 @@ def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple:
 # distributions
 # ---------------------------------------------------------------------------
 
-_DIST_KINDS = ("constant", "uniform", "normal", "discrete")
-
-
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(Record):
     """One scalar sampling distribution (manufacturing/corner spread).
 
     ``dist`` selects the family and which fields matter: ``"constant"``
@@ -116,45 +115,58 @@ class Distribution:
     table of relevant fields; a bare number deserializes as a constant.
     """
 
-    dist: str = "constant"
-    value: float = 0.0
-    low: float = 0.0
-    high: float = 1.0
-    mean: float = 0.0
-    std: float = 1.0
-    choices: tuple = ()
-    weights: tuple | None = None
+    dist: str = fld(Str(choices=("constant", "uniform", "normal",
+                                 "discrete")), "constant", always=True)
+    value: float = fld(Num(), 0.0, omit=when("dist", "constant"))
+    low: float = fld(Num(), 0.0, omit=when("dist", "uniform"))
+    high: float = fld(Num(), 1.0, omit=when("dist", "uniform"))
+    mean: float = fld(Num(), 0.0, omit=when("dist", "normal"))
+    std: float = fld(Num(ge=0.0), 1.0, omit=when("dist", "normal"))
+    choices: tuple = fld(List(Is((str, numbers.Real), "a string or a "
+                                    "number")), (),
+                         omit=when("dist", "discrete"))
+    weights: tuple | None = fld(
+        List(Num(ge=0.0), optional=True), None,
+        omit=lambda d, w: w is None or d.dist != "discrete")
 
     def __post_init__(self):
-        if self.dist not in _DIST_KINDS:
-            raise ExperimentError(
-                f"unknown distribution {self.dist!r}; pick from "
-                f"{_DIST_KINDS}")
-        object.__setattr__(self, "choices", tuple(self.choices))
-        if self.weights is not None:
-            object.__setattr__(self, "weights",
-                               tuple(float(w) for w in self.weights))
+        super().__post_init__()
         if self.dist == "uniform" and not self.low <= self.high:
-            raise ExperimentError("uniform needs low <= high")
-        if self.dist == "normal" and self.std < 0.0:
-            raise ExperimentError("normal needs std >= 0")
+            raise bad("high", "must be >= {low}", ("low",))
         if self.dist == "discrete":
             if not self.choices:
-                raise ExperimentError("discrete needs choices")
+                raise bad("choices", "must name at least one choice for "
+                                     "{dist} = 'discrete'", ("dist",))
             w = self.weights
             if w is not None:
                 if len(w) != len(self.choices):
-                    raise ExperimentError(
-                        "weights must match choices one to one")
-                if any(x < 0.0 for x in w) or sum(w) <= 0.0:
-                    raise ExperimentError(
-                        "weights must be non-negative with positive sum")
+                    raise bad("weights", "must match {choices} one to one",
+                              ("choices",))
+                if sum(w) <= 0.0:
+                    raise bad("weights", "must have a positive sum")
 
-    def parameters(self) -> tuple:
-        """The values this family draws from or is shaped by: the
-        constant, the bounds, mean and std, or the choices."""
-        return {"constant": (self.value,), "uniform": (self.low, self.high),
-                "normal": (self.mean, self.std)}.get(self.dist, self.choices)
+    @staticmethod
+    def _shorthand(value):
+        """A bare number is a constant, a bare string a single discrete
+        choice."""
+        if isinstance(value, str):
+            return {"dist": "discrete", "choices": [value]}
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            return {"dist": "constant", "value": value}
+        return value
+
+    def support(self) -> tuple:
+        """``(field path, value, label)`` of the values every draw lies
+        between or among; a normal's ``mean ± 6·std`` (a draw beyond has
+        probability 2e-9)."""
+        if self.dist == "normal":
+            return tuple((("mean",), self.mean + k * 6.0 * self.std,
+                          f"mean {'+-'[k < 0]} 6·{{std}}") for k in (-1, 1))
+        if self.dist == "discrete":
+            return tuple((("choices", i), c, f"choices[{i}]")
+                         for i, c in enumerate(self.choices))
+        names = ("value",) if self.dist == "constant" else ("low", "high")
+        return tuple(((n,), getattr(self, n), repr(n)) for n in names)
 
     def sample(self, rng: np.random.Generator):
         """Draw one value from this distribution using ``rng``."""
@@ -177,59 +189,18 @@ class Distribution:
                 return choice
         return self.choices[-1]
 
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering (relevant fields only)."""
-        out: dict = {"dist": self.dist}
-        if self.dist == "constant":
-            out["value"] = self.value
-        elif self.dist == "uniform":
-            out["low"], out["high"] = self.low, self.high
-        elif self.dist == "normal":
-            out["mean"], out["std"] = self.mean, self.std
-        else:
-            out["choices"] = list(self.choices)
-            if self.weights is not None:
-                out["weights"] = list(self.weights)
-        return out
-
-    @classmethod
-    def from_dict(cls, d) -> "Distribution":
-        """Rebuild from :meth:`to_dict` output; a bare number (or a
-        bare string, as a single discrete choice) is a constant."""
-        if isinstance(d, Distribution):
-            return d
-        if isinstance(d, (int, float)):
-            return cls(dist="constant", value=float(d))
-        if isinstance(d, str):
-            return cls(dist="discrete", choices=(d,))
-        if not isinstance(d, dict):
-            raise ExperimentError(
-                f"cannot parse distribution from {type(d).__name__}")
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown distribution fields {sorted(unknown)}")
-        if "choices" in kw:
-            kw["choices"] = tuple(kw["choices"])
-        if kw.get("weights") is not None:
-            kw["weights"] = tuple(kw["weights"])
-        return cls(**kw)
-
-    def canonical(self) -> dict:
-        """Canonical JSON-able identity (folds into the study digest)."""
-        return self.to_dict()
-
 
 # ---------------------------------------------------------------------------
 # traffic + jitter
 # ---------------------------------------------------------------------------
 
-_TRAFFIC_MODELS = ("bernoulli", "rll", "dc-balanced")
+#: longest drawn bit stream: a draw's pattern (``n_bits * subdiv``
+#: characters with jitter) must stay a size one scenario can render
+MAX_BITS = 4096
 
 
 @dataclass(frozen=True)
-class TrafficModel:
+class TrafficModel(Record):
     """Random bit-stream generator for one draw.
 
     ``model`` picks the line code family, ``n_bits`` the stream length;
@@ -245,31 +216,20 @@ class TrafficModel:
       the bounded bit is forced -- DC-free traffic by construction.
     """
 
-    model: str = "bernoulli"
-    n_bits: int = 32
-    p_one: float = 0.5
-    min_run: int = 1
-    max_run: int = 6
-    max_disparity: int = 3
+    model: str = fld(Str(choices=("bernoulli", "rll", "dc-balanced")),
+                     "bernoulli", always=True)
+    n_bits: int = fld(Int(ge=1, le=MAX_BITS), 32, always=True)
+    p_one: float = fld(Num(ge=0.0, le=1.0), 0.5,
+                       omit=when("model", "bernoulli"))
+    min_run: int = fld(Int(ge=1), 1, omit=when("model", "rll"))
+    max_run: int = fld(Int(ge=1), 6, omit=when("model", "rll"))
+    max_disparity: int = fld(Int(ge=1), 3,
+                             omit=when("model", "dc-balanced"))
 
     def __post_init__(self):
-        if self.model not in _TRAFFIC_MODELS:
-            raise ExperimentError(
-                f"unknown traffic model {self.model!r}; pick from "
-                f"{_TRAFFIC_MODELS}")
-        if int(self.n_bits) < 1:
-            raise ExperimentError("need n_bits >= 1")
-        object.__setattr__(self, "n_bits", int(self.n_bits))
-        if not 0.0 <= self.p_one <= 1.0:
-            raise ExperimentError("need 0 <= p_one <= 1")
-        if not 1 <= int(self.min_run) <= int(self.max_run):
-            raise ExperimentError("need 1 <= min_run <= max_run")
-        object.__setattr__(self, "min_run", int(self.min_run))
-        object.__setattr__(self, "max_run", int(self.max_run))
-        if int(self.max_disparity) < 1:
-            raise ExperimentError("need max_disparity >= 1")
-        object.__setattr__(self, "max_disparity",
-                           int(self.max_disparity))
+        super().__post_init__()
+        if self.min_run > self.max_run:
+            raise bad("max_run", "must be >= {min_run}", ("min_run",))
 
     def sample_bits(self, rng: np.random.Generator) -> str:
         """Draw one ``n_bits``-long "0"/"1" string from the model."""
@@ -300,36 +260,9 @@ class TrafficModel:
             disparity += 1 if b else -1
         return "".join(out)
 
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering (relevant fields only)."""
-        out: dict = {"model": self.model, "n_bits": self.n_bits}
-        if self.model == "bernoulli":
-            out["p_one"] = self.p_one
-        elif self.model == "rll":
-            out["min_run"], out["max_run"] = self.min_run, self.max_run
-        else:
-            out["max_disparity"] = self.max_disparity
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrafficModel":
-        """Rebuild from :meth:`to_dict` output."""
-        if isinstance(d, TrafficModel):
-            return d
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown traffic fields {sorted(unknown)}")
-        return cls(**kw)
-
-    def canonical(self) -> dict:
-        """Canonical JSON-able identity (folds into the study digest)."""
-        return self.to_dict()
-
 
 @dataclass(frozen=True)
-class JitterSpec:
+class JitterSpec(Record):
     """Edge-timing jitter, rendered on a sub-bit raster.
 
     Every bit boundary of a drawn stream is displaced by a random offset
@@ -344,47 +277,16 @@ class JitterSpec:
     Offsets are clipped to ±45% of a bit so edges never cross.
     """
 
-    dist: str = "normal"
-    scale: float = 20e-12
-    subdiv: int = 8
-
-    def __post_init__(self):
-        if self.dist not in ("normal", "uniform"):
-            raise ExperimentError(
-                f"jitter dist must be 'normal' or 'uniform', "
-                f"not {self.dist!r}")
-        if self.scale < 0.0:
-            raise ExperimentError("jitter scale must be >= 0")
-        if not 2 <= int(self.subdiv) <= 64:
-            raise ExperimentError("need 2 <= subdiv <= 64")
-        object.__setattr__(self, "subdiv", int(self.subdiv))
+    dist: str = fld(Str(choices=("normal", "uniform")), "normal",
+                    always=True)
+    scale: float = fld(Num(ge=0.0), 20e-12, always=True)
+    subdiv: int = fld(Int(ge=2, le=64), 8, always=True)
 
     def offsets(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` edge offsets in seconds."""
         if self.dist == "normal":
             return rng.normal(0.0, self.scale, n)
         return rng.uniform(-self.scale, self.scale, n)
-
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering."""
-        return {"dist": self.dist, "scale": self.scale,
-                "subdiv": self.subdiv}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JitterSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        if isinstance(d, JitterSpec):
-            return d
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown jitter fields {sorted(unknown)}")
-        return cls(**kw)
-
-    def canonical(self) -> dict:
-        """Canonical JSON-able identity (folds into the study digest)."""
-        return self.to_dict()
 
 
 def _render_pattern(bits: str, bit_time: float, jitter, rng
@@ -420,7 +322,7 @@ def _render_pattern(bits: str, bit_time: float, jitter, rng
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StochasticSpec:
+class StochasticSpec(Record):
     """The ``[stochastic]`` table: seed, draw budget and distributions.
 
     ``params`` maps load-spec field names (``"r"``, ``"c"``, ``"z0"``,
@@ -434,86 +336,29 @@ class StochasticSpec:
     tuple of pairs) so specs hash and compare by value.
     """
 
-    seed: int = 0
-    n_draws: int = 32
-    traffic: TrafficModel = field(default_factory=TrafficModel)
-    jitter: JitterSpec | None = None
-    corner: Distribution | None = None
-    params: tuple = ()
-    stop_ci: float | None = None
-    min_draws: int = 16
+    _table = "stochastic"
+
+    seed: int = fld(Int(ge=0), 0, always=True)
+    n_draws: int = fld(Int(ge=1, le=MAX_SCENARIOS), 32, always=True)
+    traffic: TrafficModel = fld(Table(TrafficModel), factory=TrafficModel,
+                                always=True)
+    jitter: JitterSpec | None = fld(Table(JitterSpec, optional=True), None)
+    corner: Distribution | None = fld(Table(Distribution, optional=True),
+                                      None)
+    params: tuple = fld(Map(Table(Distribution)), ())
+    stop_ci: float | None = fld(Num(gt=0.0, lt=0.5, optional=True), None)
+    min_draws: int = fld(Int(ge=1), 16)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            # numpy's SeedSequence takes non-negative entropy only
-            raise ExperimentError(
-                f"stochastic.seed must be a non-negative integer, not "
-                f"{self.seed}")
-        if int(self.n_draws) < 1:
-            raise ExperimentError("need n_draws >= 1")
-        if int(self.n_draws) > MAX_SCENARIOS:
-            raise ExperimentError(
-                f"stochastic.n_draws = {int(self.n_draws)} exceeds the "
-                f"admission ceiling of {MAX_SCENARIOS} draws")
-        object.__setattr__(self, "n_draws", int(self.n_draws))
-        object.__setattr__(self, "traffic",
-                           TrafficModel.from_dict(self.traffic)
-                           if not isinstance(self.traffic, TrafficModel)
-                           else self.traffic)
-        if self.jitter is not None and not isinstance(self.jitter,
-                                                      JitterSpec):
-            object.__setattr__(self, "jitter",
-                               JitterSpec.from_dict(self.jitter))
-        if self.corner is not None and not isinstance(self.corner,
-                                                      Distribution):
-            object.__setattr__(self, "corner",
-                               Distribution.from_dict(self.corner))
-        params = self.params
-        if isinstance(params, dict):
-            params = tuple(sorted(params.items()))
-        params = tuple((str(name), Distribution.from_dict(dist))
-                       for name, dist in params)
-        object.__setattr__(self, "params",
-                           tuple(sorted(params, key=lambda p: p[0])))
-        if self.stop_ci is not None:
-            stop_ci = float(self.stop_ci)
-            if not 0.0 < stop_ci < 0.5:
-                raise ExperimentError("need 0 < stop_ci < 0.5")
-            object.__setattr__(self, "stop_ci", stop_ci)
-        if int(self.min_draws) < 1:
-            raise ExperimentError("need min_draws >= 1")
-        object.__setattr__(self, "min_draws", int(self.min_draws))
-
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering (the ``[stochastic]``
-        table of :meth:`StochasticStudy.to_dict`)."""
-        out: dict = {"seed": self.seed, "n_draws": self.n_draws,
-                     "traffic": self.traffic.to_dict()}
-        if self.jitter is not None:
-            out["jitter"] = self.jitter.to_dict()
-        if self.corner is not None:
-            out["corner"] = self.corner.to_dict()
-        if self.params:
-            out["params"] = {name: dist.to_dict()
-                             for name, dist in self.params}
-        if self.stop_ci is not None:
-            out["stop_ci"] = self.stop_ci
-        if self.min_draws != 16:
-            out["min_draws"] = self.min_draws
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StochasticSpec":
-        """Rebuild from :meth:`to_dict` output."""
-        if isinstance(d, StochasticSpec):
-            return d
-        kw = dict(d)
-        unknown = set(kw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ExperimentError(
-                f"unknown stochastic fields {sorted(unknown)}")
-        return cls(**kw)
+        super().__post_init__()
+        corner = self.corner
+        if corner is not None and corner.dist != "discrete":
+            raise bad("corner", f"must be a discrete distribution over "
+                                f"{list(CORNERS)}")
+        for i, name in enumerate(corner.choices if corner else ()):
+            if name not in CORNERS:
+                raise FieldError(f"must be one of {list(CORNERS)}, not "
+                                 f"{name!r}", ("corner", "choices", i))
 
     def canonical(self) -> dict:
         """Canonical JSON-able identity of the whole sampler config.
@@ -524,16 +369,9 @@ class StochasticSpec:
         and ``stop_ci``/``min_draws`` fold in too, because they change
         how much of the grid an inline run executes.
         """
-        doc: dict = {"seed": self.seed, "n_draws": self.n_draws,
-                     "traffic": self.traffic.canonical(),
-                     "jitter": None if self.jitter is None
-                     else self.jitter.canonical(),
-                     "corner": None if self.corner is None
-                     else self.corner.canonical(),
-                     "params": {name: dist.canonical()
-                                for name, dist in self.params}}
+        doc = to_dict(self, keep=("jitter", "corner", "params"))
+        doc.pop("min_draws", None)
         if self.stop_ci is not None:
-            doc["stop_ci"] = self.stop_ci
             doc["min_draws"] = self.min_draws
         return doc
 
@@ -565,39 +403,39 @@ class StochasticStudy(Study):
     honors ``stochastic.stop_ci`` sequential stopping.
     """
 
-    stochastic: StochasticSpec = field(default_factory=StochasticSpec)
+    stochastic: StochasticSpec = fld(Table(StochasticSpec),
+                                     factory=StochasticSpec, always=True,
+                                     required=True)
 
     def __post_init__(self):
-        # the sampler first: the base class's size check reads n_draws
-        if not isinstance(self.stochastic, StochasticSpec):
-            object.__setattr__(self, "stochastic",
-                               StochasticSpec.from_dict(self.stochastic))
         super().__post_init__()
-        # parameter spread must name real numeric fields of every load
-        # and draw numbers; failing at render time would cost the job
+        # every draw of a spread must fit every load's field and its
+        # kind bounds: failing at render or build would cost the job
         for name, dist in self.stochastic.params:
-            for load in self.loads:
-                if name not in {f.name for f in fields(type(load))}:
-                    raise ExperimentError(
-                        f"stochastic param {name!r} is not a field of "
-                        f"{type(load).__name__}")
-                if not isinstance(getattr(load, name), (int, float)):
-                    raise ExperimentError(
-                        f"stochastic param {name!r} is not numeric on "
-                        f"{type(load).__name__}")
-            if not all(isinstance(v, numbers.Real)
-                       and not isinstance(v, bool)
-                       for v in dist.parameters()):
-                raise ExperimentError(
-                    f"stochastic.params.{name} must draw numbers, not "
-                    f"{dist.to_dict()}")
+            at = ("stochastic", "params", name)
+            for i, load in enumerate(self.loads):
+                f = plan(type(load)).get(name)
+                where = f"{type(load).__name__} (loads[{i}])"
+                if f is None:
+                    raise FieldError(f"is not a field of {where}", at)
+                if type(f.conv) is not Num:
+                    raise FieldError(f"is not numeric on {where}", at)
+                bound = get_kind(load.kind).bounds.get(name, f.conv)
+                for segs, x, label in dist.support():
+                    try:
+                        bound.parse(x)
+                    except FieldError as exc:
+                        raise FieldError(
+                            f"{label} {exc.problem} (for loads[{i}].{name}"
+                            f", a {load.kind!r} load)", at + segs,
+                            ("std",)) from None
 
     def _check_patterns(self) -> None:
         """Traffic is sampled, never enumerated: no pattern axis."""
         if self.patterns:
-            raise ExperimentError(
-                "a StochasticStudy samples its patterns from the "
-                "traffic model; the 'patterns' axis must stay empty")
+            raise FieldError(
+                "must stay empty: a StochasticStudy samples its patterns "
+                "from the traffic model", ("patterns",))
 
     def __len__(self) -> int:
         """Number of draws (the sampled grid's size)."""
@@ -644,30 +482,6 @@ class StochasticStudy(Study):
         with get_tracer().span("stochastic.sample", n_draws=spec.n_draws,
                                seed=spec.seed, traffic=spec.traffic.model):
             return tuple(self._render_draw(i) for i in range(spec.n_draws))
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Lossless JSON/TOML-able rendering; the sampler config lands
-        in the ``[stochastic]`` table and the empty ``patterns`` axis is
-        omitted."""
-        out = super().to_dict()
-        out.pop("patterns", None)
-        out["stochastic"] = self.stochastic.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StochasticStudy":
-        """Rebuild from :meth:`to_dict` output (also accepts the dict
-        nested under a ``"study"`` table, like the base class)."""
-        kw = dict(_study_table(d))
-        sto = kw.get("stochastic")
-        if sto is None:
-            raise ExperimentError(
-                "a StochasticStudy needs a [stochastic] table")
-        if not isinstance(sto, StochasticSpec):
-            kw["stochastic"] = _coerce_field(
-                "stochastic", StochasticSpec.from_dict, sto)
-        return super().from_dict(kw)
 
     def canonical(self) -> str:
         """Canonical JSON of the sampler config *and* the rendered

@@ -23,6 +23,7 @@ MODULES = [
     "repro.emc.radiated",
     "repro.emc.metrics",
     "repro.studies.kinds",
+    "repro.studies.schema",
     "repro.studies.spec",
     "repro.studies.stochastic",
     "repro.studies.simulate",

@@ -194,6 +194,19 @@ class TestThirdPartyKind:
         assert reloaded.digest() == study.digest()
         assert isinstance(reloaded.loads[0], spec_cls)
 
+    def test_plain_fields_are_read_by_their_default_type(self, rail_kind):
+        """An out-of-tree spec declares no schema metadata: its float
+        fields take finite numbers (ints read as floats), and a bad value
+        is refused naming its path."""
+        _, spec_cls = rail_kind
+        study = Study.from_dict({"patterns": ["01"], "loads": [
+            {"kind": "test-rail", "r_snub": 22, "label": "snub"}]})
+        assert study.loads[0] == spec_cls(r_snub=22.0, label="snub")
+        for value in ("a", float("inf"), True):
+            with pytest.raises(ExperimentError, match=r"loads\[0\]\.r_snub"):
+                Study.from_dict({"patterns": ["01"], "loads": [
+                    {"kind": "test-rail", "r_snub": value}]})
+
     def test_unregistered_kind_fails_study_construction(self, rail_kind):
         _, spec_cls = rail_kind
         load = spec_cls()

@@ -11,6 +11,7 @@ client) must never be simulated again.
 import http.client
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -687,7 +688,7 @@ class TestHTTPService:
         (5, "table of fields"),
         ({"loads": 5}, "'loads'"),
         ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]},
-         "'loads'"),
+         "loads[0].r"),
         ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
         ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
         ({"patterns": ["01"], "runner": {"shared_waveforms": True}},
@@ -713,13 +714,24 @@ class TestHTTPService:
          "stochastic.seed"),
         ({"loads": [{"kind": "r"}], "stochastic": {"params": {"r": "abc"}}},
          "stochastic.params.r"),
+        # these passed parsing and failed only at run (or raised a bare
+        # TypeError); the answer names the full path
+        ({"patterns": [5]}, "patterns[0]"),
+        ({"patterns": ["01"], "loads": [{"kind": "rx",
+                                         "receiver": "NOPE"}]},
+         "loads[0].receiver"),
+        ({"loads": [{"kind": "r"}], "stochastic": {"corner": "weird"}},
+         "stochastic.corner"),
+        ({"loads": [{"kind": "line"}], "stochastic": {"params": {
+            "r": {"dist": "uniform", "low": "a", "high": 60.0}}}},
+         "stochastic.params.r.low"),
     ])
     def test_malformed_study_is_400(self, http_service, doc, field):
         """A malformed body answers 400 naming the field; the
         connection is not dropped."""
         url, _service = http_service
         with pytest.raises(ExperimentError,
-                           match=f"service error 400.*{field}"):
+                           match=f"service error 400.*{re.escape(field)}"):
             submit_study(url, doc)
 
     def test_study_over_the_ceiling_is_400(self, http_service):

@@ -10,6 +10,7 @@ cache, so it must fail a test first.
 
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -330,11 +331,12 @@ class TestCanonicalFormIsPinned:
         assert mc.digest() == "49d6bd7b4f5b0d47b82e4bc24d70aafa"
 
 
-#: malformed study documents and the top-level field each error must name
+#: malformed study documents and the field path each error must name
 MALFORMED = [
     (5, "table of fields"),
     ({"loads": 5}, "'loads'"),
-    ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]}, "'loads'"),
+    ({"patterns": ["01"], "loads": [{"kind": "r", "r": "abc"}]},
+     "loads[0].r"),
     ({"patterns": ["01"], "bit_time": "fast"}, "'bit_time'"),
     # removed runner options are rejected, never silently ignored
     ({"patterns": ["01"], "runner": {"backend": "fd"}}, "runner"),
@@ -358,6 +360,48 @@ MALFORMED = [
     ({"loads": [{"kind": "r"}], "stochastic": {"params": {
         "r": {"dist": "uniform", "low": "a", "high": "b"}}}},
      "stochastic.params.r"),
+    # a bad nested field is named by its full path
+    ({"patterns": [5]}, "patterns[0]"),
+    ({"patterns": ["01", "0x"]}, "patterns[1]"),
+    ({"patterns": ["01"], "loads": [{"kind": "rx", "receiver": "NOPE"}]},
+     "loads[0].receiver"),
+    ({"patterns": ["01"], "drivers": ["MD9"]}, "drivers[0]"),
+    ({"patterns": ["01"], "corners": ["typ", "weird"]}, "corners[1]"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"corner": "weird"}},
+     "stochastic.corner"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"corner": 5}},
+     "stochastic.corner"),
+    ({"patterns": ["01"], "bit_time": 0.0}, "bit_time"),
+    ({"patterns": ["01"], "bit_time": -2e-9}, "bit_time"),
+    ({"patterns": ["01"], "dt": -1e-12}, "dt"),
+    ({"patterns": ["01"], "t_stop": 0.0}, "t_stop"),
+    ({"patterns": ["01"], "loads": [{"kind": "r", "r": float("inf")}]},
+     "loads[0].r"),
+    ({"patterns": ["01"], "loads": [{"kind": "r"},
+                                    {"kind": "line", "c": float("nan")}]},
+     "loads[1].c"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"n_draws": 2.7}},
+     "stochastic.n_draws"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"seed": 2.7}},
+     "stochastic.seed"),
+    ({"loads": [{"kind": "r"}], "stochastic": {"seed": True}},
+     "stochastic.seed"),
+    ({"patterns": ["01"], "spectral": {"n_fft": 2.5}}, "spectral.n_fft"),
+    ({"patterns": ["01"], "name": 5}, "name"),
+    ({"patterns": ["01"], "loads": [{"kind": "r", "label": 5}]},
+     "loads[0].label"),
+    ({"loads": [{"kind": "line"}], "stochastic": {"params": {
+        "r": {"dist": "uniform", "low": -1e9, "high": 60.0}}}},
+     "stochastic.params.r.low"),
+    ({"loads": [{"kind": "line"}], "stochastic": {"params": {
+        "r": {"dist": "normal", "mean": 50.0, "std": 10.0}}}},
+     "stochastic.params.r.mean"),
+    ({"loads": [{"kind": "line"}], "stochastic": {"params": {
+        "r": {"dist": "uniform", "low": "a", "high": 60.0}}}},
+     "stochastic.params.r.low"),
+    ({"patterns": ["01"], "spectral": {"quantity": "i_port",
+                                       "antenna": {"points": [[1e6]]}}},
+     "spectral.antenna.points[0]"),
 ]
 
 
@@ -374,6 +418,11 @@ NONPHYSICAL = [
     ({"kind": "rx", "td": -1e-9}, "'td'"),
     ({"kind": "rx", "z0": 0.0}, "'z0'"),
     ({"kind": "rx", "c": -1e-12}, "'c'"),
+    ({"kind": "line", "r": float("inf")}, "'r'"),
+    ({"kind": "rx", "receiver": "NOPE"}, "'receiver'"),
+    ({"kind": "coupled", "r_far": 0.0}, "'r_far'"),
+    ({"kind": "coupled", "l_mut": 400e-9}, "'l_mut'.*loads.0.\\.l_self"),
+    ({"kind": "coupled", "c_mut": 200e-12}, "'c_mut'.*loads.0.\\.c_self"),
 ]
 
 
@@ -467,6 +516,15 @@ class TestNonPhysicalLoads:
             {"kind": "rx", "td": 0.0, "r": 0.0},
             {"kind": "line", "c": 0.0}]})
 
+    def test_spread_inside_the_bounds_is_accepted(self):
+        """A normal spread whose mean +- 6 std stays inside the field's
+        bounds (the quickstart's N(50, 2.5) on a line's r) is read, and
+        a uniform spread may touch a closed bound."""
+        Study.from_dict({"loads": [{"kind": "line"}], "stochastic": {
+            "params": {"r": {"dist": "normal", "mean": 50.0, "std": 2.5},
+                       "c": {"dist": "uniform", "low": 0.0,
+                             "high": 1e-12}}}})
+
 
 #: unknown mask names and the spectral field each error must name
 UNKNOWN_MASKS = [
@@ -508,12 +566,12 @@ class TestUnknownMasks:
 
 
 class TestMalformedInputs:
-    """Bad field types surface as ExperimentError naming the field, not
-    as a bare TypeError/ValueError."""
+    """Bad field types surface as ExperimentError naming the field's
+    path, not as a bare TypeError/ValueError."""
 
     @pytest.mark.parametrize("doc, field", MALFORMED)
     def test_from_dict_names_the_field(self, doc, field):
-        with pytest.raises(ExperimentError, match=field):
+        with pytest.raises(ExperimentError, match=re.escape(field)):
             Study.from_dict(doc)
 
     def test_study_size_has_an_admission_ceiling(self, tmp_path, capsys):
@@ -555,3 +613,109 @@ class TestMalformedInputs:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the boundary property: any one-field mutation of a valid document
+# ---------------------------------------------------------------------------
+
+#: a valid plain study document touching every table of the schema
+PLAIN_DOC = {
+    "name": "boundary", "patterns": ["01", "0110"],
+    "drivers": ["MD2"], "corners": ["slow", "typ"],
+    "bit_time": 2e-9, "dt": 25e-12, "t_stop": 8e-9,
+    "loads": [
+        {"kind": "r", "r": 50.0, "label": "matched"},
+        {"kind": "line", "z0": 65.0, "td": 1e-9, "r": 1e3, "c": 2e-12,
+         "spectral": {"quantity": "v_port", "window": "blackman",
+                      "mask": {"name": "inline", "unit": "dBuV",
+                               "segments": [[1e6, 1e8, 80.0, 70.0],
+                                            [1e8, 1e9, 70.0, 60.0]]}}},
+        {"kind": "rx", "z0": 50.0, "td": 0.0, "r": 0.0,
+         "receiver": "MD4"},
+        {"kind": "coupled", "length": 0.05, "l_mut": 30e-9},
+    ],
+    "spectral": {"quantity": "i_port", "n_fft": 4096, "mask": "board-i",
+                 "detectors": ["peak", "average"], "prf": 1e3,
+                 "antenna": {"kind": "table", "distance": 3.0,
+                             "points": [[1e6, -20.0], [1e9, 10.0]],
+                             "cm_fraction": 0.01},
+                 "radiated_mask": "fcc-15b"},
+    "runner": {"n_workers": 1, "use_result_cache": True,
+               "disk_cache": ".cache-boundary"},
+}
+
+#: a valid Monte Carlo document touching every sampler table
+STOCHASTIC_DOC = {
+    "bit_time": 1e-9, "drivers": ["MD2"], "corners": ["typ"],
+    "loads": [{"kind": "line", "z0": 50.0, "td": 1e-9, "r": 50.0}],
+    "spectral": {"mask": "board-b"},
+    "stochastic": {
+        "seed": 7, "n_draws": 4, "stop_ci": 0.1, "min_draws": 2,
+        "traffic": {"model": "rll", "n_bits": 8, "min_run": 1,
+                    "max_run": 3},
+        "jitter": {"dist": "uniform", "scale": 5e-11, "subdiv": 4},
+        "corner": {"dist": "discrete", "choices": ["slow", "fast"],
+                   "weights": [1.0, 2.0]},
+        "params": {"r": {"dist": "uniform", "low": 40.0, "high": 60.0},
+                   "z0": {"dist": "normal", "mean": 50.0, "std": 2.0},
+                   "c": {"dist": "constant", "value": 1e-12}}},
+}
+
+#: any JSON value; integers stay small or extreme, since a valid draw
+#: budget renders every draw (10 s at the 10**5 ceiling)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(-1000, 1000)
+    | st.sampled_from([10**5 + 1, 2**63, -2**63, 10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, prefix=()):
+    """Every (path, rendered path) below ``doc``, parents first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        path = (*prefix, key)
+        yield path, "".join(f"[{k}]" if isinstance(k, int)
+                            else f".{k}" for k in path).lstrip(".")
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path)
+
+
+def _mutated(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestBoundaryProperty:
+    """Any JSON value at any path of a valid document gives a study
+    whose grid and digest render, or an ExperimentError naming that
+    path -- never another exception, never a nameless refusal."""
+
+    @pytest.mark.parametrize("doc", [PLAIN_DOC, STOCHASTIC_DOC],
+                             ids=["plain", "stochastic"])
+    def test_base_documents_are_valid(self, doc):
+        study = Study.from_dict(doc)
+        assert Study.from_dict(study.to_dict()) == study
+        assert study.scenarios() and study.digest()
+
+    @pytest.mark.parametrize("doc", [PLAIN_DOC, STOCHASTIC_DOC],
+                             ids=["plain", "stochastic"])
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_one_field_mutation_answers_with_its_path(self, doc, data):
+        path, text = data.draw(st.sampled_from(list(_paths(doc))))
+        bad = _mutated(doc, path, data.draw(json_values))
+        try:
+            study = Study.from_dict(bad)
+            study.scenarios()
+            study.digest()
+        except ExperimentError as exc:
+            assert text in str(exc), (text, str(exc))
