@@ -36,16 +36,16 @@ with a leading "scenario" array axis:
   stepping ladder (groups of transistor-level MOSFET benches take the
   serial operating point instead, see :func:`_operating_points`).
 
-This is the one engine of every circuit whose nonlinear elements all
-provide a ``batch_bank`` (linear circuits included):
+This is the one transient engine: every nonlinear element provides a
+``batch_bank`` (a circuit holding one that does not is rejected with a
+:class:`CircuitError` naming it).
 :func:`~repro.circuit.transient.run_transient` runs a lone circuit as a
 batch of one, and :func:`~repro.circuit.dcop.solve_dcop` takes the DC
-point of a circuit holding a macromodel port from here.  The serial
-Newton engine serves only circuits holding a bank-less element (the IBIS
-driver, the C-V receiver, a behavioural current source).  A group that
-cannot advance together (different nonlinear skeletons, bank-incompatible
-members, a singular DC matrix) runs member by member, each a batch of one
-where it can be.
+point of a circuit holding an element without a scalar stamp (all but
+the transistor-level MOSFETs and diodes) from here.  A group that cannot
+advance together (different nonlinear skeletons, bank-incompatible
+members, a singular DC matrix) runs member by member, each a batch of
+one.
 
 Line waves live only in a run's companion groups, so a linear circuit may
 be solved again after a run -- at DC or transient -- and gets a fresh
@@ -67,10 +67,9 @@ from .mna import MNASystem, StackedSourceTable
 from .netlist import Circuit
 from .newton import NewtonOptions
 from .transient import (TransientOptions, TransientResult, _check_systems,
-                        _initial_solution, run_serial)
+                        _initial_solution)
 
-__all__ = ["batch_signature", "lockstep_eligible", "operating_point",
-           "run_transient_batch"]
+__all__ = ["batch_signature", "operating_point", "run_transient_batch"]
 
 
 def _element_signature(el) -> tuple:
@@ -102,27 +101,15 @@ def _topology(circuit: Circuit) -> tuple:
             *(_element_signature(el) for el in circuit.elements))
 
 
-def _ineligible_reason(circuits: list) -> str | None:
-    """Why this group cannot advance in lockstep (None when it can).
-
-    All checks are type/structure level so they run *before* any element
-    state is touched; a group rejected here runs member by member with
-    virgin elements.
-    """
-    sig0 = batch_signature(circuits[0])
-    if any(batch_signature(c) != sig0 for c in circuits[1:]):
-        return "structural signatures differ"
-    for el in circuits[0].elements:
+def _check_banks(circuit: Circuit) -> None:
+    """Raise :class:`CircuitError` naming the first nonlinear element of
+    ``circuit`` without a ``batch_bank``: the lockstep engine, the only
+    one, cannot evaluate it."""
+    for el in circuit.elements:
         if el.nonlinear and getattr(type(el), "batch_bank", None) is None:
-            return f"{type(el).__qualname__} provides no batch_bank"
-    return None
-
-
-def lockstep_eligible(circuit: Circuit) -> bool:
-    """Whether every nonlinear element of ``circuit`` provides a
-    ``batch_bank``: the lockstep engine then runs it (as a batch of one
-    when alone)."""
-    return _ineligible_reason([circuit]) is None
+            raise CircuitError(
+                f"{type(el).__qualname__} {el.name!r} provides no "
+                f"batch_bank; no engine can run {circuit.title!r}")
 
 
 def _make_banks(systems: list) -> list:
@@ -132,10 +119,10 @@ def _make_banks(systems: list) -> list:
     ``E`` positions in the bench, one row of ``N`` members each -- and
     returns its banks: the transistor-level devices bank every position
     in one bank, the macromodel ports bank each position on its own.
-    Raises :class:`CircuitError` when the members' nonlinear elements are
-    structurally compatible but not bank-compatible (different sampling
-    times or model orders, for instance); the caller turns that into a
-    per-member fallback.
+    Raises :class:`CircuitError` naming the element class when the
+    members' nonlinear elements are structurally compatible but not
+    bank-compatible (different sampling times or model orders, for
+    instance); the caller turns that into a per-member fallback.
     """
     rows: dict = {}
     for j, el in enumerate(systems[0]._nl):
@@ -144,7 +131,8 @@ def _make_banks(systems: list) -> list:
     for cls, grid in rows.items():
         made = cls.batch_bank(grid)
         if made is None:
-            raise CircuitError("nonlinear elements are not bank-compatible")
+            raise CircuitError(f"the {cls.__qualname__} elements are not "
+                               "bank-compatible")
         banks.extend(made)
     return banks
 
@@ -620,12 +608,9 @@ def operating_point(system: MNASystem,
                     newton: NewtonOptions = NewtonOptions()) -> np.ndarray:
     """The DC operating point of ``system``'s circuit as a lockstep
     group of one (:func:`_operating_points`): the DC solver of circuits
-    holding a macromodel port, which has no scalar stamp.  Raises
+    holding an element without a scalar stamp.  Raises
     :class:`CircuitError` when an element of the circuit has no bank."""
-    reason = _ineligible_reason([system.circuit])
-    if reason:
-        raise CircuitError(f"no DC solver for {system.circuit.title!r}: "
-                           f"{reason}")
+    _check_banks(system.circuit)
     return _operating_points([system], _make_banks([system]), newton,
                              _Pad([system]))[0]
 
@@ -642,10 +627,10 @@ def run_transient_batch(circuits, options: TransientOptions,
     smaller padded to the largest (:class:`_Pad`).  A member's result
     does not depend on which group of two or more members it runs in.  A
     group that cannot (different skeletons, bank-incompatible members, a
-    singular DC matrix, a nonlinear element without a bank) runs member
-    by member, as
+    singular DC matrix) runs member by member, as
     :func:`~repro.circuit.transient.run_transient` would run each alone
-    (``batched=False``).  ``options`` applies to
+    (``batched=False``).  A nonlinear element without a ``batch_bank``
+    raises :class:`CircuitError` naming it.  ``options`` applies to
     every member, exactly as it would alone.  ``systems`` gives each
     circuit's own :class:`~repro.circuit.mna.MNASystem` (built here when
     None).
@@ -661,8 +646,7 @@ def run_transient_batch(circuits, options: TransientOptions,
     per bank, nonlinear ports, padded member-steps, distinct netlist
     topologies and padded unknowns, or the fallback reason), with the
     group's ``transient.dcop`` span underneath it.
-    A declined group's span counts all its members; those run serially
-    export their ``transient.run`` spans underneath it.
+    A declined group's span counts all its members.
     """
     circuits = list(circuits)
     if t_stops is None:
@@ -679,22 +663,16 @@ def _fallback(circuits: list, options: TransientOptions, t_stops: list,
     """Run a declined group member by member, recording why it was
     declined on the span and in ``batch_fallbacks_total{reason}``.
 
-    Each member of a larger group is a batch of one where it can be; a
-    declined group of one goes to the serial engine.  The declined
-    group's span counts every member: a member run as a batch of one
-    exports no ``transient.batch`` span of its own (its Newton
-    iterations add to the group's), a member run serially its
-    ``transient.run`` span."""
+    Each member is a lockstep batch of one that exports no
+    ``transient.batch`` span of its own: the declined group's span
+    counts every member, and their Newton iterations add to it."""
     sp.set(members=len(circuits), fallback=reason)
     get_metrics().inc("batch_fallbacks_total", reason=reason)
     results = []
     lone = _Attrs()
     for c, t in zip(circuits, t_stops):
-        opts = replace(options, t_stop=t)
-        if len(circuits) > 1 and lockstep_eligible(c):
-            res = _run_transient_batch([c], opts, [t], lone, None)[0]
-        else:
-            res = run_serial(c, opts)
+        res = _run_transient_batch([c], replace(options, t_stop=t), [t],
+                                   lone, None)[0]
         res.batched = False     # the group did not advance together
         results.append(res)
     if lone.iters:
@@ -717,9 +695,11 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                          t_stops: list, sp, systems) -> list[TransientResult]:
     if not circuits:
         return []
-    reason = _ineligible_reason(circuits)
-    if reason:
-        return _fallback(circuits, options, t_stops, sp, reason)
+    sig0 = batch_signature(circuits[0])
+    if any(batch_signature(c) != sig0 for c in circuits[1:]):
+        return _fallback(circuits, options, t_stops, sp,
+                         "structural signatures differ")
+    _check_banks(circuits[0])   # the members share its element types
     if options.dt <= 0.0 or min(t_stops) <= options.dt:
         raise CircuitError("need 0 < dt < t_stop")
     theta = options.resolved_theta()
@@ -739,6 +719,8 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
     try:
         banks = _make_banks(systems)
     except CircuitError:
+        if len(circuits) == 1:
+            raise
         return _fallback(circuits, options, t_stops, sp,
                          "nonlinear elements are not bank-compatible")
 
@@ -754,7 +736,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
             return _fallback(circuits, options, t_stops, sp,
                              "singular DC matrix")
     else:
-        X = pad.stack([_initial_solution(c, s, options, options.newton)
+        X = pad.stack([_initial_solution(c, s, options.ic)
                        for c, s in zip(circuits, systems)])
     # banked elements are initialized by their bank, in one pass
     banked = {id(el) for bank in banks for el in bank.els}
@@ -828,7 +810,7 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
                 passes += p
                 if idx.size:
                     # retry failed members from the previous accepted
-                    # solution, no predictor -- exactly like the serial loop
+                    # solution, no predictor
                     x_re, failed, last, it, p = ports.newton(
                         Y0[:, idx], X[:, idx], every[idx], t, idx)
                     newton_iters += it

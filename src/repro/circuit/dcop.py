@@ -54,10 +54,11 @@ def solve_dcop(circuit: Circuit, *, options: NewtonOptions = NewtonOptions(),
 
     Strategy: plain Newton first; on failure, the homotopy ladder of
     :func:`dcop_ladder`.  Every Newton iteration of every stage counts
-    into the ``dcop_newton_iters`` counter.  A circuit holding a
-    macromodel port, which has no scalar stamp, takes the same steps as
-    a lockstep group of one (:func:`repro.circuit.batch.operating_point`),
-    from ``x = 0`` and on the default ladder: ``x0`` and ``gmin_steps``
+    into the ``dcop_newton_iters`` counter.  A circuit holding an
+    element without a scalar stamp (anything nonlinear but the MOSFETs
+    and diodes) takes the same steps as a lockstep group of one
+    (:func:`repro.circuit.batch.operating_point`), from ``x = 0`` and
+    on the default ladder: ``x0`` and ``gmin_steps``
     tune the serial solver only, and passing either for such a circuit
     raises :class:`CircuitError`.
     """

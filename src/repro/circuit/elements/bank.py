@@ -3,7 +3,10 @@
 The grid-batched transient backend (:mod:`repro.circuit.batch`) evaluates
 every nonlinear element class of a group through one vectorized *bank*:
 :class:`DeviceBank` is the base of the transistor-level devices' banks,
-:class:`NodeBank` that of the one-port macromodels' banks.
+:class:`NodeBank` that of the one-port macromodels' banks, and
+:class:`ShuntBank` the one bank of every :class:`ShuntPort` (a static
+port characteristic beside a shunt capacitance: the IBIS driver and the
+C-V receiver).
 A device bank holds the ``(E, N)`` grid of a class's elements -- ``E``
 positions in the bench, ``N`` members -- with per-element parameters and
 limiter state as ``(E, N)`` arrays, so process corners differ only in
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DeviceBank", "NodeBank", "index_of", "pick", "scatter"]
+from ..netlist import Element
+
+__all__ = ["DeviceBank", "NodeBank", "ShuntBank", "ShuntPort", "index_of",
+           "one_port", "pick", "scatter"]
 
 
 def index_of(items: list, item) -> int:
@@ -37,6 +43,12 @@ def pick(M: np.ndarray, idx, axis: int) -> np.ndarray:
 def scatter(index: np.ndarray, n: int) -> np.ndarray:
     """One-hot ``(n, len(index))`` matrix summing entries into slots."""
     return (index[None, :] == np.arange(n)[:, None]).astype(float)
+
+
+def one_port(els) -> bool:
+    """Whether every element sits on the same ungrounded node."""
+    node = els[0].nodes[0]
+    return node >= 0 and all(el.nodes[0] == node for el in els)
 
 
 class DeviceBank:
@@ -142,3 +154,125 @@ class NodeBank:
         v = V[0]
         self._last_i = self.eval_dc(v, np.zeros(v.size, dtype=bool))[0]
         self.flush()
+
+
+class ShuntPort(Element):
+    """A one-port element: a static characteristic beside a shunt
+    capacitance ``capacitance`` (F), the load-line view of a buffer.
+
+    Subclasses implement ``static(v, t)``, the port current (into the
+    element) and conductance ``(i, g)`` of the characteristic at port
+    voltage ``v`` and time ``t``.  Only :class:`ShuntBank` evaluates the
+    element, on the lockstep engine of :mod:`repro.circuit.batch`; it
+    adds the capacitor's theta-method companion and writes back the
+    port current of the last accepted step (:meth:`current`).  The DC
+    base matrix carries a nominal port conductance :attr:`G_DC` that the
+    bank takes back out, so a port whose node has no other DC path (a
+    driver into a line and a capacitor) does not leave the DC matrix
+    singular up to ``gmin``.
+    """
+
+    nonlinear = True
+
+    #: nominal port conductance of the DC base matrix (S)
+    G_DC = 1e-3
+
+    def __init__(self, name: str, port: str, model, capacitance: float):
+        super().__init__(name, [port])
+        self.model = model
+        self.capacitance = float(capacitance)
+        self._dt = None
+        self._theta = 1.0
+        self._last_i = 0.0
+
+    def prepare(self, dt, theta):
+        self._dt = dt
+        self._theta = theta
+
+    def stamp_dc(self, st) -> None:
+        st.conductance(self.nodes[0], -1, self.G_DC)
+
+    def static(self, v: float, t: float) -> tuple[float, float]:
+        raise NotImplementedError
+
+    def current(self, x) -> float:
+        """Port current (into the element) at the last accepted step, or
+        at the DC operating point after a DC analysis."""
+        return self._last_i
+
+    @classmethod
+    def batch_bank(cls, rows) -> "list[ShuntBank] | None":
+        """One :class:`ShuntBank` per row (a position in the bench, over
+        the members); ``None`` when a row's elements sit on different or
+        grounded ports."""
+        rows = [list(els) for els in rows]
+        if not all(one_port(els) for els in rows):
+            return None
+        return [ShuntBank(els) for els in rows]
+
+
+class ShuntBank(NodeBank):
+    """Lockstep evaluator over N :class:`ShuntPort` elements on one node.
+
+    Each member's static ``(i, g)`` comes from its own element; the bank
+    adds the theta-method companion of the shunt capacitances, ``i_c =
+    gc (v - v_prev) - (1 - theta) / theta i_c,prev`` with ``gc = C /
+    (theta dt)``, whose history term is constant over a step and so is
+    refreshed once per accepted step.  At DC the capacitors are open.
+    """
+
+    g_dc = ShuntPort.G_DC
+
+    def __init__(self, els: list):
+        self.els = els
+        self.node = els[0].nodes[0]
+        self.n_models = len({id(el.model) for el in els})
+        self.c = np.array([el.capacitance for el in els])
+        self._last_i = np.zeros(len(els))
+        self._t = None      # time of the last accepted step
+
+    def _static(self, V: np.ndarray, t: float, idx=None):
+        """Members' static ``(i, g)`` at port voltages ``V``."""
+        els = self.els if idx is None else [self.els[m] for m in idx]
+        i, g = np.array([el.static(v, t)
+                         for el, v in zip(els, V.tolist())]).T
+        return i, g
+
+    def init_state(self, X: np.ndarray) -> None:
+        """Settle the capacitors at each member's port voltage in its
+        row of ``X`` (N, size), with no current, for the transient the
+        elements were prepared for."""
+        first = self.els[0]
+        self.gc = self.c / (first._theta * first._dt)
+        self.k = (1.0 - first._theta) / first._theta
+        self.v_prev = X[:, self.node].copy()
+        self.ic_prev = np.zeros_like(self.v_prev)
+        self.hist = self.gc * self.v_prev
+
+    def eval(self, V, t, idx=None):
+        """Port current and conductance of members ``idx`` (all when
+        None): the static characteristic plus the capacitor's companion."""
+        i, g = self._static(V, t, idx)
+        gc, hist = (self.gc, self.hist) if idx is None \
+            else (self.gc[idx], self.hist[idx])
+        return i + gc * V - hist, g + gc
+
+    def eval_dc(self, V, active):
+        """The static characteristic at ``t = 0``; stateless."""
+        return self._static(V, 0.0)
+
+    def accept(self, V: np.ndarray, t: float) -> None:
+        """Accept the step: advance every capacitor's history."""
+        self.ic_prev = self.gc * (V - self.v_prev) - self.k * self.ic_prev
+        self.v_prev = V.copy()
+        self.hist = self.gc * self.v_prev + self.k * self.ic_prev
+        self._t = t
+
+    def flush(self) -> None:
+        """Write each member's port current of the last accepted step
+        back onto its element."""
+        if self._t is not None:
+            self._last_i = self._static(self.v_prev, self._t)[0] \
+                + self.ic_prev
+        for el, i in zip(self.els, self._last_i.tolist()):
+            el._last_i = i

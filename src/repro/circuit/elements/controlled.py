@@ -1,8 +1,8 @@
 """Linear controlled sources (VCCS, VCVS, CCCS, CCVS) and behavioral sources.
 
-The behavioral :class:`NonlinearCurrentSource` / :class:`NonlinearConductance`
-are the building blocks used by the macromodel synthesis backend (Section 2 of
-the paper: "RC circuits with controlled sources").
+The behavioral :class:`NonlinearCurrentSource` is the building block of
+the macromodel synthesis backend (Section 2 of the paper: "RC circuits
+with controlled sources").
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 
 from ...errors import CircuitError
 from ..netlist import Element
+from .bank import index_of
 
 __all__ = ["VCCS", "VCVS", "CCCS", "CCVS", "NonlinearCurrentSource"]
 
@@ -113,7 +114,8 @@ class NonlinearCurrentSource(Element):
     If ``dfdv`` is omitted a forward-difference approximation is used.
 
     This is the engine-level realization of SPICE "B" sources and the target
-    of the macromodel synthesis backend.
+    of the macromodel synthesis backend.  Its bank (:meth:`batch_bank`)
+    calls ``f`` and ``dfdv`` member by member.
     """
 
     nonlinear = True
@@ -125,32 +127,66 @@ class NonlinearCurrentSource(Element):
         self.dfdv = dfdv
         self.n_controls = len(controls)
 
-    def _control_voltages(self, x) -> np.ndarray:
-        ctl = self.nodes[2:]
-        return np.array([x[n] if n >= 0 else 0.0 for n in ctl])
-
-    def stamp_nonlinear(self, st, x, t):
-        a, b = self.nodes[0], self.nodes[1]
-        vs = self._control_voltages(x)
+    def linearize(self, vs: np.ndarray, t: float) -> tuple[float, np.ndarray]:
+        """``(i, grad)`` at the control voltages ``vs``."""
         i0 = float(self.f(vs, t))
         if self.dfdv is not None:
-            grad = np.asarray(self.dfdv(vs, t), dtype=float)
-        else:
-            grad = np.empty(self.n_controls)
-            eps = 1e-7
-            for k in range(self.n_controls):
-                vp = vs.copy()
-                vp[k] += eps
-                grad[k] = (float(self.f(vp, t)) - i0) / eps
-        # Linearized: i ~= i0 + grad . (v - vs)
-        for k, ctl in enumerate(self.nodes[2:]):
-            g = grad[k]
-            if ctl >= 0:
-                if a >= 0:
-                    st.add_A(a, ctl, g)
-                if b >= 0:
-                    st.add_A(b, ctl, -g)
-        rhs = i0 - float(grad @ vs)
-        # current leaves node a: KCL row a gets +i = +(rhs + grad.v)
-        st.add_b(a, -rhs)
-        st.add_b(b, rhs)
+            return i0, np.asarray(self.dfdv(vs, t), dtype=float)
+        grad = np.empty(self.n_controls)
+        eps = 1e-7
+        for k in range(self.n_controls):
+            vp = vs.copy()
+            vp[k] += eps
+            grad[k] = (float(self.f(vp, t)) - i0) / eps
+        return i0, grad
+
+    @classmethod
+    def batch_bank(cls, rows) -> "list[_SourceBank]":
+        """One bank per row (a source's position in the bench)."""
+        return [_SourceBank(list(els)) for els in rows]
+
+
+class _SourceBank:
+    """Lockstep evaluator over N behavioral sources at one position.
+
+    One column ``u = e_a - e_b`` and one control term per distinct
+    control node (a node listed twice sums its gradients), the
+    multi-term form of :class:`repro.circuit.batch._Ports`.  Each
+    member's ``f``/``dfdv`` runs on its own control voltages; the
+    sources are stateless, at DC as in a transient step.
+    """
+
+    def __init__(self, els: list):
+        self.els = els
+        a, b, *ctl = els[0].nodes
+        nodes: list = []
+        self.pos = [index_of(nodes, n) for n in ctl]
+        self.cols = [(a, b)]
+        # a source of time alone keeps one zero term, on its own port
+        self.terms = [(0, n, -1) for n in nodes] or [(0, a, b)]
+        self.n_models = len({el.f for el in els})
+
+    def linearize(self, V, t, active, idx=None):
+        """``(ieq (1, n), c (T, n), None)`` at the control voltages ``V``
+        (T, n) of members ``idx`` (all when None)."""
+        els = self.els if idx is None else [self.els[m] for m in idx]
+        ieq = np.empty((1, V.shape[1]))
+        c = np.zeros(V.shape)
+        for m, el in enumerate(els):
+            vs = V[self.pos, m]
+            i0, grad = el.linearize(vs, t)
+            np.add.at(c[:, m], self.pos, grad)
+            ieq[0, m] = i0 - float(grad @ vs)
+        return ieq, c, None
+
+    def linearize_dc(self, V, active):
+        return self.linearize(V, 0.0, active)
+
+    def init_state(self, X) -> None:
+        pass
+
+    def update(self, V, t) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass

@@ -245,21 +245,19 @@ class TripletStamper(Stamper):
 class MNASystem:
     """Assembles and solves the MNA equations of a bound :class:`Circuit`.
 
-    With ``woodbury=True`` (default), serial Newton steps solve against
-    the constant linear part and apply each iteration's nonlinear stamps
-    as a low-rank Sherman-Morrison-Woodbury correction -- a device touches
-    a few matrix entries, so an iteration needs no assembled matrix.
+    Serial DC Newton steps (:meth:`solve_step`) solve against the
+    constant linear part and apply each iteration's nonlinear stamps as a
+    low-rank Sherman-Morrison-Woodbury correction -- a device touches a
+    few matrix entries, so an iteration needs no assembled matrix.
     Every base solve is numpy's LAPACK ``gesv`` (a fresh factorization
     per call), the only linear solver the process loads.
     """
 
-    def __init__(self, circuit: Circuit, gmin: float = 1e-12,
-                 woodbury: bool = True):
+    def __init__(self, circuit: Circuit, gmin: float = 1e-12):
         circuit.validate()
         self.circuit = circuit
         self.n_nodes = circuit.n_nodes
         self.gmin = gmin
-        self.woodbury = woodbury
         # Assign branch-current unknowns.
         m = 0
         for el in circuit.elements:
@@ -275,7 +273,6 @@ class MNASystem:
         self._rhs_els = [el for el in circuit.elements
                          if type(el).stamp_rhs_table
                          is not Element.stamp_rhs_table]
-        self._upd_els = None          # memoized update_state eligibility scan
         self._A_base: np.ndarray | None = None
         self._dt = None
         self._theta = None
@@ -287,26 +284,10 @@ class MNASystem:
         self._wb_S = None             # E_C^T B^-1 E_R  (q x p)
 
     @property
-    def upd_els(self) -> list:
-        """Elements overriding ``update_state`` (the nonlinear ones that
-        carry state), memoized on the system.
-
-        The transient loop used to re-derive this scan (a ``type``-level
-        attribute comparison per element) on every ``run_transient`` call;
-        repeated runs of the same assembled system -- grouped dispatch, the
-        legacy figure scripts -- now pay for it once.
-        """
-        if self._upd_els is None:
-            self._upd_els = [el for el in self.circuit.elements
-                             if type(el).update_state
-                             is not Element.update_state]
-        return self._upd_els
-
-    @property
     def lockstep_only(self) -> list:
-        """Nonlinear elements with no scalar stamp (the macromodel ports):
-        only the lockstep engine of :mod:`repro.circuit.batch` solves a
-        circuit holding one."""
+        """Nonlinear elements with no scalar stamp (all but the MOSFETs
+        and diodes): only the lockstep engine of :mod:`repro.circuit.batch`
+        takes the DC point of a circuit holding one."""
         return [el for el in self._nl if type(el).stamp_nonlinear
                 is Element.stamp_nonlinear]
 
@@ -413,14 +394,6 @@ class MNASystem:
             raise SingularMatrixError(
                 f"MNA matrix is singular: {exc}") from exc
 
-    def solve_linear_step(self, b: np.ndarray) -> np.ndarray:
-        """Advance one step of a circuit with no nonlinear elements.
-
-        One base-matrix solve -- no Newton iteration, no matrix assembly.
-        ``build_base`` must have been called.
-        """
-        return self.solve(self._A_base, b)
-
     # -- Woodbury fast path -----------------------------------------------------
     def _wb_prepare(self, rows, cols):
         """(Re)build the position-dependent Woodbury caches."""
@@ -441,12 +414,9 @@ class MNASystem:
                    ) -> tuple[np.ndarray, bool]:
         """One Newton linear solve via the low-rank update path.
 
-        Returns ``(x_new, limited)``.  Falls back to full assembly when the
-        Woodbury path is disabled or the correction is ill-conditioned.
+        Returns ``(x_new, limited)``.  Falls back to full assembly when
+        the correction is ill-conditioned.
         """
-        if not self.woodbury:
-            A, b, limited = self.assemble_iter(x, t, b_step, scratch=True)
-            return self.solve(A, b), limited
         if self._b_scratch is None:
             self._b_scratch = np.empty(self.size)
         b = self._b_scratch

@@ -37,11 +37,14 @@ class Element:
       source over a whole time grid (a one-point grid for DC).
     * :meth:`stamp_nonlinear` -- per-Newton-iteration linearized stamps of
       nonlinear elements (Jacobian into ``A``, companion current into
-      ``b``) on the serial engine.  The macromodel ports have none: their
-      vectorized ``batch_bank`` is their only evaluation.
-    * :meth:`update_state` -- called once per *accepted* timestep with the
-      converged solution so a nonlinear element can advance its internal
-      history.
+      ``b``) for the serial DC solver (:func:`~repro.circuit.dcop.solve_dcop`).
+      Only the transistor-level MOSFET and diode have one.
+    * :meth:`update_state` -- advances the internal history of an element
+      with a scalar stamp after an accepted step.
+
+    Every nonlinear element provides a ``batch_bank`` classmethod: its
+    vectorized bank is how the lockstep engine of
+    :mod:`repro.circuit.batch`, the only transient engine, evaluates it.
 
     The companion history of the linear reactive and delayed elements
     (capacitors, inductors, their matrix forms, ideal and coupled lines)
@@ -100,9 +103,9 @@ class Element:
     def stamp_nonlinear(self, st, x: np.ndarray, t: float) -> None:
         """Stamp linearized nonlinear contributions around the iterate ``x``.
 
-        A nonlinear element that does not override this (a macromodel
-        port) has no scalar stamp: only its ``batch_bank`` evaluates it,
-        on the lockstep engine of :mod:`repro.circuit.batch`.
+        A nonlinear element that does not override this has no scalar
+        stamp: only its ``batch_bank`` evaluates it, on the lockstep
+        engine of :mod:`repro.circuit.batch`.
         """
         raise CircuitError(f"{type(self).__name__} {self.name!r} has no "
                            "scalar stamp")

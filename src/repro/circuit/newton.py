@@ -39,28 +39,18 @@ class NewtonResult:
 def newton_solve(system: MNASystem, x0: np.ndarray, t: float,
                  options: NewtonOptions = NewtonOptions(), *,
                  extra_gmin: float = 0.0,
-                 source_scale: float = 1.0,
-                 b_step: np.ndarray | None = None) -> NewtonResult:
+                 source_scale: float = 1.0) -> NewtonResult:
     """Iterate ``x <- solve(A(x), b(x))`` until the update is within tolerance.
 
     The assembled system is already in linearized-companion form, so the plain
     fixed-point ``x_next = A(x)^-1 b(x)`` *is* the Newton step.  Updates are
-    clamped to ``max_dv`` on voltage unknowns for robustness.
-
-    ``b_step`` lets the transient loop hand in the per-step RHS it already
-    assembled from the precomputed source table; when omitted, the source
-    RHS at ``t`` is assembled here (DC analyses).  The array is never
-    mutated, so a caller-owned step buffer can be passed directly.
+    clamped to ``max_dv`` on voltage unknowns for robustness.  The
+    source RHS at ``t``, scaled by ``source_scale``, is assembled once.
     """
     n = system.n_nodes
     x = np.array(x0, dtype=float, copy=True)
     delta_norm = np.inf
-    if b_step is None:
-        b_step = system.assemble_rhs(t, source_scale)
-    elif source_scale != 1.0:
-        # a precomputed RHS is scaled here, not re-assembled, so source
-        # stepping composes with the table path
-        b_step = b_step * source_scale
+    b_step = system.assemble_rhs(t, source_scale)
     fast_path = extra_gmin == 0.0
     for it in range(1, options.max_iter + 1):
         if fast_path:

@@ -10,10 +10,12 @@ Integration is the theta method: ``theta = 0.5`` (trapezoidal) by default,
 damped trapezoidal behaviour (``theta = 0.55`` is a good choice for stiff
 switching circuits).
 
-:func:`run_transient` hands every circuit whose nonlinear elements all
-provide a vectorized bank to the lockstep engine of
-:mod:`repro.circuit.batch` (a batch of one); the serial Newton engine
-here (:func:`run_serial`) runs the rest.
+:func:`run_transient` runs a circuit on the lockstep engine of
+:mod:`repro.circuit.batch` as a batch of one: every nonlinear element
+provides a vectorized bank (``batch_bank``), and a circuit holding one
+that does not is rejected with a :class:`CircuitError` naming it.  This
+module holds the options, the result and the initial conditions the
+engine shares.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CircuitError, ConvergenceError
-from ..obs import get_metrics, get_tracer
-from .companion import build_companion_groups
-from .dcop import solve_dcop
+from ..errors import CircuitError
+from .dcop import solve_dcop  # noqa: F401 -- perfbench/layers.py wraps it here
 from .mna import MNASystem
 from .netlist import Circuit
-from .newton import NewtonOptions, newton_solve
+from .newton import NewtonOptions
 
-__all__ = ["TransientOptions", "TransientResult", "run_transient",
-           "run_serial"]
+__all__ = ["TransientOptions", "TransientResult", "run_transient"]
 
 _METHOD_THETA = {"trap": 0.5, "be": 1.0, "damped": 0.55}
 
@@ -47,12 +46,11 @@ class TransientOptions:
     bundle; ``strict``: raise on Newton failure (else carry the best iterate
     forward and record the event in ``TransientResult.warnings``).
 
-    The engine follows from the circuit, not from an option (see
-    :func:`run_transient`): a circuit with no nonlinear element advances
-    by one solve of its constant matrix per step, any other by damped
-    Newton, and the companion history of every reactive or delayed
-    element advances in the struct-of-arrays groups of
-    :mod:`repro.circuit.companion`.
+    The step follows from the circuit, not from an option: a circuit
+    with no nonlinear element advances by one solve of its constant
+    matrix per step, any other by damped Newton, and the companion
+    history of every reactive or delayed element advances in the
+    struct-of-arrays groups of :mod:`repro.circuit.companion`.
     """
 
     dt: float = 1e-12
@@ -80,7 +78,8 @@ class TransientResult:
     """Uniformly sampled transient solution with name-based accessors.
 
     ``batched`` is True when the run advanced with its group on the
-    lockstep engine (:mod:`repro.circuit.batch`).
+    lockstep engine (:mod:`repro.circuit.batch`), False for a member of a
+    declined group, which ran alone.
     """
 
     batched = False
@@ -153,11 +152,10 @@ class TransientResult:
         return np.interp(times, self.t, self.v(node))
 
 
-def _initial_solution(circuit: Circuit, system: MNASystem, options,
-                      newton_opts: NewtonOptions) -> np.ndarray:
-    ic = options.ic
-    if isinstance(ic, str) and ic == "dcop":
-        return solve_dcop(circuit, options=newton_opts, system=system).x
+def _initial_solution(circuit: Circuit, system: MNASystem,
+                      ic) -> np.ndarray:
+    """The initial solution of ``ic`` ``"zero"`` or a mapping of node
+    names to voltages (the engine solves ``"dcop"`` itself)."""
     if isinstance(ic, str) and ic == "zero":
         return np.zeros(system.size)
     if isinstance(ic, dict):
@@ -185,117 +183,12 @@ def run_transient(circuit: Circuit, options: TransientOptions,
                   system: MNASystem | None = None) -> TransientResult:
     """Run a fixed-step transient analysis and return the full solution.
 
-    A circuit whose nonlinear elements all provide a ``batch_bank``
-    (linear circuits included) runs on the lockstep engine of
-    :mod:`repro.circuit.batch` as a batch of one (a ``transient.batch``
-    span, ``batched=True``); any other goes to the serial Newton engine
-    of :func:`run_serial`.  A ``system`` must be an :class:`MNASystem`
-    of ``circuit`` itself (:class:`CircuitError` otherwise).
+    The circuit runs on the lockstep engine of :mod:`repro.circuit.batch`
+    as a batch of one (a ``transient.batch`` span, ``batched=True``).
+    A ``system`` must be an :class:`MNASystem` of ``circuit`` itself;
+    :class:`CircuitError` otherwise, and for a nonlinear element without
+    a ``batch_bank``.
     """
-    from .batch import lockstep_eligible, run_transient_batch  # builds on us
-    if lockstep_eligible(circuit):
-        return run_transient_batch(
-            [circuit], options, systems=system and [system])[0]
-    return run_serial(circuit, options, system)
-
-
-def run_serial(circuit: Circuit, options: TransientOptions,
-               system: MNASystem | None = None) -> TransientResult:
-    """The serial Newton engine: one circuit, one scalar stamp per
-    nonlinear element and step.
-
-    It serves the circuits holding a nonlinear element without a
-    ``batch_bank``; raises :class:`CircuitError` for one that also
-    holds a macromodel port, which has no scalar stamp.  When tracing is
-    enabled (:func:`repro.obs.configure_tracing`) the run exports one
-    ``transient.run`` span carrying the step count, fast-path/Newton
-    split and total Newton iterations; ``solver_steps``/``newton_iters``
-    counters accumulate in the metrics registry either way.
-    """
-    with get_tracer().span("transient.run") as sp:
-        return _run_transient(circuit, options, system, sp)
-
-
-def _run_transient(circuit: Circuit, options: TransientOptions,
-                   system: MNASystem | None, sp) -> TransientResult:
-    if options.dt <= 0.0 or options.t_stop <= options.dt:
-        raise CircuitError("need 0 < dt < t_stop")
-    _check_systems([circuit], [system])
-    theta = options.resolved_theta()
-    sys_ = system or MNASystem(circuit)
-    if sys_.lockstep_only:
-        raise CircuitError(
-            f"{sys_.lockstep_only[0].name!r} runs only on the lockstep "
-            "engine, which cannot run this circuit")
-
-    x0 = _initial_solution(circuit, sys_, options, options.newton)
-    for el in circuit.elements:
-        el.init_state(x0, sys_)
-    # only nonlinear elements that track state need the per-step callback
-    # (memoized on the system: repeated runs skip the per-element scan)
-    upd_els = sys_.upd_els
-
-    sys_.build_base(options.dt, theta)
-
-    n_steps = int(round(options.t_stop / options.dt))
-    t_grid = options.dt * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, sys_.size))
-    xs[0] = x0
-    warnings: list[str] = []
-    newton_steps = newton_iters = newton_retries = 0
-
-    # Per-analysis precomputation: every source waveform is sampled over the
-    # whole grid in one vectorized pass, and the reactive and delayed
-    # elements are gathered into struct-of-arrays companion groups.  The
-    # per-step Python work left is one table-row copy and the group updates.
-    b_src = sys_.build_source_table(t_grid)
-    comp = build_companion_groups(sys_.circuit.elements, options.dt, x0)
-    b_buf = np.empty(sys_.size)
-    linear = sys_.is_linear
-
-    x = x0
-    x_prev = x0
-    dt = options.dt
-    try:
-        for k in range(1, n_steps + 1):
-            t = t_grid[k]
-            b_src.fill_row(k, b_buf)
-            comp.add_rhs(b_buf)
-            if linear:
-                x = sys_.solve_linear_step(b_buf)
-            else:
-                # linear predictor as the Newton starting point
-                guess = 2.0 * x - x_prev if k > 1 else x
-                res = newton_solve(sys_, guess, t, options.newton,
-                                   b_step=b_buf)
-                newton_steps += 1
-                newton_iters += res.iterations
-                if not res.converged:
-                    # retry from the previous accepted solution, no predictor
-                    res = newton_solve(sys_, x, t, options.newton,
-                                       b_step=b_buf)
-                    newton_retries += 1
-                    newton_iters += res.iterations
-                if not res.converged:
-                    msg = (f"transient Newton failed at t={t:.4g}s "
-                           f"(|delta|={res.delta_norm:.3g})")
-                    if options.strict:
-                        raise ConvergenceError(msg, time=t,
-                                               residual=res.delta_norm)
-                    warnings.append(msg)
-                x_prev = x
-                x = res.x
-            comp.update(x)
-            for el in upd_els:
-                el.update_state(x, t, dt, theta)
-            xs[k] = x
-    finally:
-        comp.flush()
-    sp.set(size=sys_.size, n_steps=n_steps, linear=linear,
-           newton_steps=newton_steps, newton_iters=newton_iters,
-           newton_retries=newton_retries, n_warnings=len(warnings))
-    met = get_metrics()
-    met.inc("solver_steps", n_steps)
-    if newton_iters:
-        met.inc("newton_iters", newton_iters)
-    return TransientResult(circuit, sys_, t_grid, xs, warnings)
+    from .batch import run_transient_batch  # the batch engine builds on us
+    return run_transient_batch(
+        [circuit], options, systems=system and [system])[0]

@@ -13,9 +13,7 @@ demonstrates against the PW-RBF model.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..circuit.netlist import Element
+from ..circuit.elements.bank import ShuntPort
 from ..circuit.waveforms import BitPattern
 from ..errors import IbisError
 from .tables import IbisCorner
@@ -23,25 +21,23 @@ from .tables import IbisCorner
 __all__ = ["IbisDriverElement"]
 
 
-class IbisDriverElement(Element):
-    """One-port IBIS output buffer with a scheduled bit pattern."""
+class IbisDriverElement(ShuntPort):
+    """One-port IBIS output buffer with a scheduled bit pattern.
 
-    nonlinear = True
+    The static characteristic is the switched table sum above, the shunt
+    capacitance ``C_comp``; the element's :class:`ShuntBank
+    <repro.circuit.elements.bank.ShuntBank>` evaluates it.
+    """
 
     def __init__(self, name: str, port: str, corner: IbisCorner,
                  edges, initial_state: str = "0"):
-        super().__init__(name, [port])
-        self.corner = corner
+        super().__init__(name, port, corner, corner.c_comp)
         if initial_state not in ("0", "1"):
             raise IbisError("initial_state must be '0' or '1'")
         self.initial_state = initial_state
         self.edges = sorted((float(t), d) for t, d in edges)
         self._t_rise = corner.ramp.rise_time(corner.vdd)
         self._t_fall = corner.ramp.fall_time(corner.vdd)
-        self._v_prev = 0.0
-        self._ic_prev = 0.0
-        self._dt = None
-        self._theta = 1.0
 
     @classmethod
     def for_pattern(cls, name: str, port: str, corner: IbisCorner,
@@ -67,21 +63,9 @@ class IbisDriverElement(Element):
                 k_pu = 1.0 - min((t - t_edge) / tau, 1.0)
         return k_pu, 1.0 - k_pu
 
-    # -- element hooks ------------------------------------------------------------
-    def prepare(self, dt, theta):
-        self._dt = dt
-        self._theta = theta
-
-    def _port_voltage(self, x) -> float:
-        node = self.nodes[0]
-        return float(x[node]) if node >= 0 else 0.0
-
-    def init_state(self, x, system) -> None:
-        self._v_prev = self._port_voltage(x)
-        self._ic_prev = 0.0
-
-    def _iv(self, v: float, t: float) -> tuple[float, float]:
-        c = self.corner
+    def static(self, v: float, t: float) -> tuple[float, float]:
+        """Pad current and its slope with the stages switched for ``t``."""
+        c = self.model
         k_pu, k_pd = self.coefficients(t)
         i = c.static_current(v, k_pu, k_pd)
         g = (k_pu * c.pullup.conductance(v)
@@ -89,27 +73,3 @@ class IbisDriverElement(Element):
              + c.power_clamp.conductance(v)
              + c.gnd_clamp.conductance(v))
         return i, g
-
-    def stamp_nonlinear(self, st, x, t):
-        node = self.nodes[0]
-        v = self._port_voltage(x)
-        i, g = self._iv(v, t)
-        st.conductance(node, -1, g)
-        st.add_b(node, -(i - g * v))
-        if self._dt is not None and self.corner.c_comp > 0.0:
-            gc = self.corner.c_comp / (self._theta * self._dt)
-            st.conductance(node, -1, gc)
-            ic_hist = gc * self._v_prev \
-                + (1.0 - self._theta) / self._theta * self._ic_prev
-            st.inject(node, ic_hist)
-
-    def update_state(self, x, t, dt, theta):
-        v_new = self._port_voltage(x)
-        gc = self.corner.c_comp / (theta * dt)
-        self._ic_prev = gc * (v_new - self._v_prev) \
-            - (1.0 - theta) / theta * self._ic_prev
-        self._v_prev = v_new
-
-    def current(self, x) -> float:
-        v = self._port_voltage(x)
-        return self._iv(v, 0.0)[0] + self._ic_prev

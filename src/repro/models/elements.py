@@ -9,8 +9,9 @@ solution exactly like a transistor-level device.
 The pw-RBF driver and the parametric receiver are evaluated only through
 their vectorized banks (``batch_bank``) on the lockstep engine of
 :mod:`repro.circuit.batch`, which solves a lone circuit as a batch of one;
-the banks own every history.  The C-V baseline receiver keeps a scalar
-stamp for the serial engine.
+the banks own every history.  The C-V baseline receiver is a
+:class:`~repro.circuit.elements.bank.ShuntPort`, evaluated by the bank
+it shares with the IBIS driver.
 
 For the text-netlist/state-space route see :mod:`repro.models.synthesis`.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuit.elements.bank import NodeBank
+from ..circuit.elements.bank import NodeBank, ShuntPort, one_port
 from ..circuit.netlist import Element
 from ..circuit.waveforms import BitPattern
 from ..errors import ModelError
@@ -103,7 +104,7 @@ class PWRBFDriverElement(_DiscretePortElement):
             if any(el.ts != first.ts or el.model.order != first.model.order
                    for el in els[1:]):
                 return None
-            if not _one_port(els):
+            if not one_port(els):
                 return None
         return [_DriverBank(els) for els in rows]
 
@@ -145,70 +146,26 @@ class ParametricReceiverElement(_DiscretePortElement):
         for els in rows:
             orders = {(el.ts, el.model.linear.order, el.model.up_order,
                        el.model.down_order) for el in els}
-            if len(orders) != 1 or not _one_port(els):
+            if len(orders) != 1 or not one_port(els):
                 return None
         return [_ReceiverBank(els) for els in rows]
 
 
-class CVReceiverElement(Element):
+class CVReceiverElement(ShuntPort):
     """C-V baseline receiver: shunt C plus static nonlinear resistor.
 
-    Continuous-time (no ``ts`` lock): the capacitor uses the standard
-    theta-method companion, the resistor a table linearization.
+    Continuous-time (no ``ts`` lock): its :class:`ShuntBank
+    <repro.circuit.elements.bank.ShuntBank>` gives the capacitor the
+    standard theta-method companion, the resistor a table linearization.
     """
 
-    nonlinear = True
-
     def __init__(self, name: str, port: str, model: CVReceiverModel):
-        super().__init__(name, [port])
-        self.model = model
-        self._v_prev = 0.0
-        self._ic_prev = 0.0
-        self._dt = None
-        self._theta = 1.0
+        super().__init__(name, port, model, model.capacitance)
 
-    def prepare(self, dt, theta):
-        self._dt = dt
-        self._theta = theta
-
-    def _port_voltage(self, x) -> float:
-        node = self.nodes[0]
-        return float(x[node]) if node >= 0 else 0.0
-
-    def init_state(self, x, system) -> None:
-        self._v_prev = self._port_voltage(x)
-        self._ic_prev = 0.0
-
-    def stamp_nonlinear(self, st, x, t):
-        node = self.nodes[0]
-        v = self._port_voltage(x)
-        i_st = float(self.model.static_current(np.array(v)))
-        g_st = self.model.static_conductance(v)
-        st.conductance(node, -1, g_st)
-        st.add_b(node, -(i_st - g_st * v))
-        if self._dt is not None:
-            gc = self.model.capacitance / (self._theta * self._dt)
-            st.conductance(node, -1, gc)
-            ic_hist = gc * self._v_prev \
-                + (1.0 - self._theta) / self._theta * self._ic_prev
-            st.inject(node, ic_hist)
-
-    def update_state(self, x, t, dt, theta):
-        v_new = self._port_voltage(x)
-        gc = self.model.capacitance / (theta * dt)
-        self._ic_prev = gc * (v_new - self._v_prev) \
-            - (1.0 - theta) / theta * self._ic_prev
-        self._v_prev = v_new
-
-    def current(self, x) -> float:
-        v = self._port_voltage(x)
-        return float(self.model.static_current(np.array(v))) + self._ic_prev
-
-
-def _one_port(els) -> bool:
-    """Whether every element sits on the same ungrounded node."""
-    node = els[0].nodes[0]
-    return node >= 0 and all(el.nodes[0] == node for el in els)
+    def static(self, v: float, t: float) -> tuple[float, float]:
+        """The table's current and slope at ``v``."""
+        return (float(self.model.static_current(np.array(v))),
+                self.model.static_conductance(v))
 
 
 def _padded(net: GaussianRBF, dim: int) -> GaussianRBF:

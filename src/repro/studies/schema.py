@@ -43,7 +43,9 @@ def _path_text(root: str, path: tuple) -> str:
 class FieldError(ExperimentError):
     """A bad study field, named by its ``path`` (field names and list
     indices) below the table ``root``.  ``{name}`` in ``problem`` renders
-    as the path of the sibling field ``name`` in ``refs``."""
+    as the path of the sibling field ``name`` in ``refs``; a tuple ref
+    ``(a, b)`` is the field at ``a``, ``b`` in place of the path's last
+    two segments (``{a, b}`` in ``problem``)."""
 
     def __init__(self, problem: str, path: tuple = (), refs=(),
                  root: str = ""):
@@ -65,8 +67,10 @@ class FieldError(ExperimentError):
     def __str__(self) -> str:
         problem = self.problem
         for name in self.refs:
-            problem = problem.replace("{%s}" % name, _path_text(
-                self.root, self.path[:-1] + (name,)))
+            rel = name if isinstance(name, tuple) else (name,)
+            problem = problem.replace(
+                "{%s}" % ", ".join(map(str, rel)),
+                _path_text(self.root, self.path[:-len(rel)] + rel))
         where = _path_text(self.root, self.path)
         return f"{where}: {problem}" if where else problem
 

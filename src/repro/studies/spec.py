@@ -79,7 +79,7 @@ class _Rows(List):
         self.columns, self.n_f = columns, n_f
 
     def _parse(self, value):
-        rows, prev = super()._parse(value), 0.0
+        rows, prev, at = super()._parse(value), 0.0, None
         for i, row in enumerate(rows):
             if len(row) != len(self.columns):
                 raise FieldError(f"must be [{', '.join(self.columns)}]",
@@ -87,10 +87,13 @@ class _Rows(List):
             for j, f in enumerate(row[:self.n_f]):
                 strict = i == 0 or j > 0  # a row may start where one ends
                 if not (f > prev if strict else f >= prev):
+                    # either field may be the bad one: name both
+                    after = "" if at is None else ", the value of {%d, %d}" % at
                     raise FieldError(f"must be {'>' if strict else '>='} "
-                                     f"{prev:g} (frequencies are positive "
-                                     f"and increase), got {f!r}", (i, j))
-                prev = f
+                                     f"{prev:g}{after} (frequencies are "
+                                     f"positive and increase), got {f!r}",
+                                     (i, j), () if at is None else (at,))
+                prev, at = f, (i, j)
         return rows
 
     def _render(self, value):

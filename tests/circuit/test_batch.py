@@ -1,12 +1,13 @@
 """Grid-batched transient backend: equivalence, eligibility, fallback.
 
 The batched path must be a pure execution detail: for any group it
-accepts, every member's waveforms must match a fresh serial
-``run_transient`` of the same circuit to well below solver tolerance,
-and any group it cannot accept must silently fall back to the serial
-path.  Fresh circuits are built per backend -- a transient run consumes
-and rewrites element state (histories, DC fixed points), so the two
-backends must never share element objects.
+accepts, every member's waveforms must match a fresh lone
+``run_transient`` of the same circuit (a batch of one) to well below
+solver tolerance, and any group it cannot accept must silently run
+member by member.  A lone run is checked against closed-form solutions
+and circuit identities.  Fresh circuits are built per run -- a transient
+run consumes and rewrites element state (histories, DC fixed points), so
+two runs must never share element objects.
 """
 
 import warnings
@@ -23,8 +24,9 @@ from repro.circuit import (Capacitor, Circuit, CoupledIdealLine, Diode,
                            TransientOptions, VoltageSource, batch_signature,
                            run_transient, run_transient_batch, solve_dcop)
 from repro.circuit.elements import DiodeParams
-from repro.circuit.transient import run_serial
-from repro.circuit.waveforms import Constant, Pulse
+from repro.circuit.netlist import Element
+from repro.circuit.waveforms import Constant, Pulse, Step
+from repro.errors import CircuitError
 from repro.models import PWRBFDriverElement, ParametricReceiverElement
 from repro.obs import Tracer, set_tracer
 
@@ -60,7 +62,7 @@ def random_params(kind, rng, n):
 
 
 def assert_batch_matches_serial(param_sets, opts=OPTS, expect_batched=True):
-    """Batch over fresh circuits == serial over fresh circuits."""
+    """Batch over fresh circuits == lone runs of fresh circuits."""
     batched = run_transient_batch(
         [linear_bench(*p) for p in param_sets], opts)
     for p, res in zip(param_sets, batched):
@@ -177,16 +179,30 @@ class TestDriverLineGroup:
 class TestEligibilityAndFallback:
     def test_empty_and_singleton(self, fresh_metrics):
         """A lone circuit is a lockstep batch of one, through either
-        entry point, and matches the serial engine."""
+        entry point: an RC low-pass fed a ramp follows the closed-form
+        response to within the trapezoidal rule's error at tau / 100."""
         assert run_transient_batch([], OPTS) == []
-        params = ("rc", 50., 1e-12, 50., 1e-9)
-        [res] = run_transient_batch([linear_bench(*params)], OPTS)
-        lone = run_transient(linear_bench(*params), OPTS)
-        ref = run_serial(linear_bench(*params), OPTS)
+        r, c, tr = 1e3, 1e-12, 0.1e-9
+        tau = r * c
+
+        def rc():
+            ckt = Circuit("rc")
+            ckt.add(VoltageSource("vin", "in", "0",
+                                  Step(v0=0.0, v1=1.0, t0=0.0, rise=tr)))
+            ckt.add(Resistor("r1", "in", "out", r))
+            ckt.add(Capacitor("c1", "out", "0", c))
+            return ckt
+        opts = TransientOptions(dt=tau / 100, t_stop=5 * tau, ic="zero")
+        [res] = run_transient_batch([rc()], opts)
+        lone = run_transient(rc(), opts)
         assert res.batched and lone.batched
-        assert not getattr(ref, "batched", False)
-        for r in (res, lone):
-            np.testing.assert_allclose(r.x, ref.x, rtol=TOL, atol=TOL)
+        np.testing.assert_array_equal(res.x, lone.x)
+        t = res.t
+        during = (t - tau + tau * np.exp(-t / tau)) / tr
+        at_tr = (tr - tau + tau * np.exp(-tr / tau)) / tr
+        exact = np.where(t <= tr, during,
+                         1.0 + (at_tr - 1.0) * np.exp(-(t - tr) / tau))
+        assert np.max(np.abs(res.v("out") - exact)) < 2e-4
         assert fresh_metrics.total("batch_fallbacks_total") == 0
 
     def test_mixed_topologies_fall_back(self):
@@ -203,25 +219,41 @@ class TestEligibilityAndFallback:
             ref = run_transient(bench(diode), OPTS)
             np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
 
-    def test_two_nonlinear_elements_fall_back(self):
-        """A nonlinear element class without a batch bank (here beside a
-        banked diode) sends the group member by member."""
-        def bench():
+    def test_bankless_element_is_named(self):
+        """A behavioural source beside a banked diode batches with it; a
+        user-defined nonlinear element without a bank has no engine, and
+        the error names it, alone or in a group."""
+        def bench(gain):
             ckt = linear_bench("rc", 80.0, 1e-12, 50.0, 1e-9)
             ckt.add(Diode("d1", "out", "0"))
             ckt.add(NonlinearCurrentSource(
-                "g2", "in", "0", ["in"], lambda vs, t: 1e-3 * np.tanh(vs[0]),
-                lambda vs, t: [1e-3 / np.cosh(vs[0]) ** 2]))
+                "g2", "out", "0", ["out"],
+                lambda vs, t: gain * np.tanh(vs[0]),
+                lambda vs, t: [gain / np.cosh(vs[0]) ** 2]))
             return ckt
-        batched = run_transient_batch([bench(), bench()], OPTS)
-        ref = run_transient(bench(), OPTS)
-        for res in batched:
-            assert not getattr(res, "batched", False)
+        gains = (1e-3, 4e-3)
+        batched = run_transient_batch([bench(g) for g in gains], OPTS)
+        for gain, res in zip(gains, batched):
+            assert res.batched
+            ref = run_transient(bench(gain), OPTS)
             np.testing.assert_allclose(res.x, ref.x, rtol=TOL, atol=TOL)
+
+        class Custom(Element):
+            nonlinear = True
+
+        def custom():
+            ckt = linear_bench("rc", 80.0, 1e-12, 50.0, 1e-9)
+            ckt.add(Custom("x1", ["out", "0"]))
+            return ckt
+        for group in ([custom()], [custom(), custom()],
+                      [custom(), linear_bench("rc", 50., 1e-12, 50., 1e-9)]):
+            with pytest.raises(CircuitError, match="Custom 'x1'"):
+                run_transient_batch(group, OPTS)
 
     def test_singular_dc_matrix_falls_back(self, fresh_metrics):
         """An inductor across the source shorts it at DC: the group goes
-        member by member and raises what serial raises."""
+        member by member and raises what a lone run raises, LAPACK's
+        error with no warning."""
         from repro.circuit import Inductor
         from repro.errors import SingularMatrixError
 
@@ -229,18 +261,15 @@ class TestEligibilityAndFallback:
             ckt = linear_bench("r", r, 0.0, 0.0, 0.0)
             ckt.add(Inductor("lsh", "in", "0", 1e-9))
             return ckt
-        with pytest.raises(SingularMatrixError):
-            run_transient(bench(50.0), OPTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                run_transient(bench(50.0), OPTS)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
         with pytest.raises(SingularMatrixError):
             run_transient_batch([bench(50.0), bench(80.0)], OPTS)
         assert fresh_metrics.value("batch_fallbacks_total",
                                    reason="singular DC matrix") == 1
-        # the serial engine's base solve raises LAPACK's error, no warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularMatrixError) as err:
-                run_serial(bench(50.0), OPTS)
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_signature_separates_structure_not_values(self):
         """The signature is the nonlinear skeleton: linear networks of

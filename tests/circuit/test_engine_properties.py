@@ -1,9 +1,7 @@
 """Engine-level property and equivalence tests.
 
-Cross-validates the independent solve paths (the serial engine's dense
-assembly vs its Woodbury low-rank updates, and the lockstep engine against
-both) and checks physical invariants (KCL residuals, passivity,
-convergence reporting) on randomized circuits.
+Checks physical invariants of the transient engine (KCL residuals,
+passivity, convergence reporting) on randomized circuits.
 """
 
 import numpy as np
@@ -14,7 +12,6 @@ from hypothesis import strategies as st
 from repro.circuit import (Capacitor, Circuit, Diode, MNASystem, Resistor,
                            TransientOptions, VoltageSource, run_transient)
 from repro.circuit.companion import build_companion_groups
-from repro.circuit.transient import run_serial
 from repro.circuit.waveforms import Pulse, Step
 from repro.errors import ConvergenceError
 
@@ -36,27 +33,6 @@ def diode_ladder(n_sections=4, seed=0):
     return ckt
 
 
-class TestSolvePathEquivalence:
-    @given(st.integers(0, 50))
-    @settings(max_examples=12, deadline=None)
-    def test_woodbury_equals_dense(self, seed):
-        """The serial engine's low-rank fast path must be bit-comparable
-        to its full assembly, and the lockstep engine (a batch of one,
-        the diodes in their bank) must track both."""
-        opts = TransientOptions(dt=20e-12, t_stop=3e-9, method="damped")
-        fast, slow = diode_ladder(seed=seed), diode_ladder(seed=seed)
-        res_fast = run_serial(fast, opts,
-                              system=MNASystem(fast, woodbury=True))
-        res_slow = run_serial(slow, opts,
-                              system=MNASystem(slow, woodbury=False))
-        np.testing.assert_allclose(res_fast.x, res_slow.x,
-                                   rtol=1e-9, atol=1e-12)
-        lockstep = run_transient(diode_ladder(seed=seed), opts)
-        assert lockstep.batched
-        np.testing.assert_allclose(lockstep.x, res_fast.x,
-                                   rtol=1e-9, atol=1e-9)
-
-
 class TestPhysicalInvariants:
     @given(st.integers(0, 30))
     @settings(max_examples=10, deadline=None)
@@ -75,7 +51,7 @@ class TestPhysicalInvariants:
         comp = build_companion_groups(ckt.elements, opts.dt, x[0])
         for t, x_k in zip(res.t[1:-1], x[1:-1]):
             comp.update(x_k)
-            for el in sys_.upd_els:
+            for el in ckt.elements:
                 el.update_state(x_k, t, opts.dt, theta)
         b_step = sys_.assemble_rhs(res.t[-1])
         comp.add_rhs(b_step)

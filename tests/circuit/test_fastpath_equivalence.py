@@ -184,7 +184,7 @@ class TestWoodburyStepEquivalence:
         drv = build_driver(ckt, MD2, "d1", "out", initial_state="0")
         drv.drive_pattern("01", 2e-9)
         ckt.add(Resistor("rl", "out", "0", 50.0))
-        sys_ = MNASystem(ckt, woodbury=True)
+        sys_ = MNASystem(ckt)
         op = solve_dcop(ckt, system=sys_)
         for el in ckt.elements:
             el.init_state(op.x, sys_)

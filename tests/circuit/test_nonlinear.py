@@ -290,3 +290,16 @@ class TestNonlinearCurrentSource:
         ckt.add(Resistor("rl", "out", "0", 1e3))
         op = solve_dcop(ckt)
         assert op.v("out") == pytest.approx(1.5, rel=1e-6)
+
+    def test_source_of_time_alone(self):
+        # no control node: i(t) = 1 mA sin(wt) into 50 ohm (and the
+        # engine's 1e-12 S gmin, 5e-11 of it)
+        w = 1e9
+        ckt = Circuit("nl4")
+        ckt.add(NonlinearCurrentSource(
+            "g1", "a", "0", controls=[],
+            f=lambda vs, t: 1e-3 * np.sin(w * t), dfdv=lambda vs, t: []))
+        ckt.add(Resistor("r1", "a", "0", 50.0))
+        res = run_transient(ckt, TransientOptions(dt=10e-12, t_stop=2e-9))
+        np.testing.assert_allclose(res.v("a"), -50e-3 * np.sin(w * res.t),
+                                   rtol=1e-10, atol=1e-15)

@@ -207,41 +207,75 @@ def test_dcop_reports_each_port_dc_current(md2_model, md4_model):
 
 
 def test_engine_per_circuit_in_the_trace(md2_model, md4_cv):
-    """A lone circuit whose nonlinear elements all bank exports one
-    ``transient.batch`` span (a group of one) and no ``transient.run``;
-    one holding a bank-less element (the C-V receiver) runs serially.
-    A circuit holding both kinds has no engine."""
+    """Every lone circuit is a lockstep group of one: a pw-RBF driver
+    bench, a C-V receiver bench and a bench holding both each export one
+    ``transient.batch`` span over one ``transient.dcop`` span."""
     ts = md2_model.ts
     opts = TransientOptions(dt=ts, t_stop=2e-9, method="damped")
 
-    def bench(receiver):
+    def bench(driver, receiver):
         ckt = Circuit("lone")
-        if receiver:
-            ckt.add(VoltageSource("vs", "in", "0", forcing(1.0, ts, 0.5e-9)))
-            ckt.add(Resistor("rs", "in", "out", 50.0))
-            ckt.add(CVReceiverElement("rx", "out", md4_cv))
-        else:
+        if driver:
             ckt.add(PWRBFDriverElement.for_pattern("drv", "out", md2_model,
                                                    "01", 1e-9, 2e-9))
             ckt.add(Resistor("rl", "out", "0", 75.0))
+        else:
+            ckt.add(VoltageSource("vs", "in", "0", forcing(1.0, ts, 0.5e-9)))
+            ckt.add(Resistor("rs", "in", "out", 50.0))
+        if receiver:
+            ckt.add(CVReceiverElement("rx", "out", md4_cv))
         return ckt
 
-    spans = {}
-    for receiver in (False, True):
+    for driver, receiver in ((True, False), (False, True), (True, True)):
         tracer = Tracer(collect=True)
         set_tracer(tracer)
         try:
-            res = run_transient(bench(receiver), opts)
+            res = run_transient(bench(driver, receiver), opts)
         finally:
             set_tracer(None)
-        spans[receiver] = sorted(sp.name for sp in tracer.finished)
-        assert res.batched != receiver
-    assert spans[False] == ["transient.batch", "transient.dcop"]
-    assert spans[True] == ["transient.run"]
-    mixed = bench(False)
-    mixed.add(CVReceiverElement("rx", "out", md4_cv))
-    with pytest.raises(CircuitError, match="runs only on the lockstep"):
-        run_transient(mixed, opts)
+        assert res.batched
+        assert sorted(sp.name for sp in tracer.finished) == [
+            "transient.batch", "transient.dcop"]
+
+
+def test_pwrbf_driver_into_cv_receiver_kcl(md2_model, md4_cv):
+    """A pw-RBF driver and a C-V receiver on one pad, beside a 75 ohm
+    load.  Ammeters in series with each port read what the solved
+    circuit pushes into it: the currents sum to zero at the pad; the
+    driver's is its free-run model current at the solved voltage; the
+    receiver's is its static current plus its capacitance's
+    theta-method current, recomputed here from the pad voltage.  Both
+    within the Newton tolerance's reach (1e-8 A, as above)."""
+    ts = md2_model.ts
+    n = 400
+    ckt = Circuit("drv-cv")
+    drv = PWRBFDriverElement.for_pattern("drv", "dp", md2_model,
+                                         "0000000110", 0.8e-9, n * ts)
+    ckt.add(drv)
+    ckt.add(CurrentProbe("idrv", "pad", "dp"))
+    ckt.add(CurrentProbe("irx", "pad", "rp"))
+    ckt.add(CVReceiverElement("rx", "rp", md4_cv))
+    ckt.add(Resistor("rl", "pad", "0", 75.0))
+    opts = TransientOptions(dt=ts, t_stop=n * ts, method="damped")
+    res = run_transient(ckt, opts)
+    assert res.batched
+    v = res.v("pad")
+    assert np.ptp(v) > 0.5 * md2_model.vdd
+    # the load and the engine's gmin (1e-12 S) carry the rest
+    kcl = res.i("idrv") + res.i("irx") + v / 75.0 + 1e-12 * v
+    assert np.abs(kcl).max() < 1e-13
+    i_drv_ref = md2_model.simulate(res.v("dp"), drv.wh[:n + 1],
+                                   drv.wl[:n + 1])
+    theta = opts.resolved_theta()
+    gc = md4_cv.capacitance / (theta * ts)
+    ic = np.zeros_like(v)
+    for k in range(1, v.size):
+        ic[k] = gc * (v[k] - v[k - 1]) - (1.0 - theta) / theta * ic[k - 1]
+    i_rx_ref = md4_cv.static_current(v) + ic
+    for probe, ref in (("idrv", i_drv_ref), ("irx", i_rx_ref)):
+        assert np.abs(ref).max() > 1e-4
+        np.testing.assert_allclose(res.i(probe)[SETTLE:], ref[SETTLE:],
+                                   rtol=0, atol=1e-8)
 
 
 def test_no_engine_for_a_macromodel_beside_a_transistor_device(md2_model):

@@ -49,6 +49,23 @@ def rc_bench(r, with_cap=True):
     return ckt
 
 
+def cascade(halves):
+    """25 ohm into a 0.4 ns, 50 ohm line -- one piece or two halves --
+    loaded by 150 ohm."""
+    ckt = Circuit("cascade")
+    ckt.add(VoltageSource("vs", "in", "0",
+                          Pulse(v1=0.0, v2=1.0, delay=0.1e-9, rise=0.1e-9,
+                                width=1e-9)))
+    ckt.add(Resistor("rs", "in", "ne", 25.0))
+    if halves:
+        ckt.add(IdealLine("t1", "ne", "mid", 50.0, 0.2e-9))
+        ckt.add(IdealLine("t2", "mid", "fe", 50.0, 0.2e-9))
+    else:
+        ckt.add(IdealLine("t1", "ne", "fe", 50.0, 0.4e-9))
+    ckt.add(Resistor("rl", "fe", "0", 150.0))
+    return ckt
+
+
 OPTS = TransientOptions(dt=25e-12, t_stop=1e-9)
 
 
@@ -97,18 +114,19 @@ class TestBatchFallbackCounter:
 
     def test_declined_group_spans_count_each_member_once(self,
                                                          fresh_metrics):
-        """The members of a declined group of lockstep-eligible circuits
-        run as batches of one inside the group's span and export no
-        ``transient.batch`` span of their own: over all such spans the
-        members sum to the group's size, every one a fallback member.
-        A member holding a bank-less element exports its serial span."""
-        clamp = rc_bench(60.0)
+        """The members of a declined group run as batches of one inside
+        the group's span and export no ``transient.batch`` span of their
+        own: over all such spans the members sum to the group's size,
+        every one a fallback member.  Each member is checked against a
+        reference of its own: its lone run, the same waveforms from one
+        line of ``td`` as from two cascaded lines of ``td / 2``, and KCL
+        at the port of a behavioural source."""
+        clamp = rc_bench(60.0, with_cap=False)
         clamp.add(NonlinearCurrentSource(
-            "g1", "out", "0", ["out"], lambda vs, t: 1e-3 * np.tanh(vs[0]),
-            lambda vs, t: [1e-3 / np.cosh(vs[0]) ** 2]))
-        for group, n_serial in (
-                ([diode_clamp(), rc_bench(80.0, with_cap=False)], 0),
-                ([diode_clamp(), rc_bench(80.0), clamp], 1)):
+            "g1", "out", "0", ["out"], lambda vs, t: 1e-2 * np.tanh(vs[0]),
+            lambda vs, t: [1e-2 / np.cosh(vs[0]) ** 2]))
+        for group in ([diode_clamp(), rc_bench(80.0, with_cap=False)],
+                      [diode_clamp(), cascade(True), clamp]):
             tracer = Tracer(collect=True)
             set_tracer(tracer)
             try:
@@ -117,19 +135,26 @@ class TestBatchFallbackCounter:
                 set_tracer(None)
             batches = [sp for sp in tracer.finished
                        if sp.name == "transient.batch"]
-            runs = [sp for sp in tracer.finished
-                    if sp.name == "transient.run"]
             assert len(batches) == 1
             assert batches[0].attrs["members"] == len(group)
             assert batches[0].attrs["fallback"] == (
                 "structural signatures differ")
-            assert len(runs) == n_serial
             assert not any(r.batched for r in results)
             for ckt, res in zip(group, results):
                 ref = run_transient(ckt, OPTS)
                 np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-12)
         # the diode clamp's lockstep Newton iterations count on the span
         assert batches[0].attrs["newton_iters"] > 0
+        one = run_transient(cascade(False), OPTS)
+        # the halves' extra node leaks through its gmin (1e-12 S): a few
+        # 1e-11 V behind a 50 ohm line
+        np.testing.assert_allclose(results[1].v("fe"), one.v("fe"),
+                                   rtol=0, atol=1e-10)
+        assert np.ptp(one.v("fe")) > 0.5
+        v_in, v = results[2].v("in"), results[2].v("out")
+        kcl = (v_in - v) / 25.0 - v / 60.0 - 1e-2 * np.tanh(v)
+        assert np.ptp(v) > 0.2
+        assert np.abs(kcl).max() < 1e-9
 
     def test_batched_group_counts_no_fallback(self, fresh_metrics):
         results = run_transient_batch(
@@ -138,19 +163,19 @@ class TestBatchFallbackCounter:
         assert fresh_metrics.total("batch_fallbacks_total") == 0
 
     def test_single_member_and_prometheus_rendering(self, fresh_metrics):
-        """A lone member is a lockstep batch of one, no fallback; a lone
-        member holding a bank-less element is declined, and its reason
+        """A lone member is a lockstep batch of one, no fallback, and
+        follows the RC charging law; a declined group's reason
         renders."""
         [res] = run_transient_batch([rc_bench(50.0)], OPTS)
         assert res.batched
         assert fresh_metrics.total("batch_fallbacks_total") == 0
-        ckt = rc_bench(50.0)
-        ckt.add(NonlinearCurrentSource(
-            "g1", "out", "0", ["out"], lambda vs, t: 1e-3 * np.tanh(vs[0]),
-            lambda vs, t: [1e-3 / np.cosh(vs[0]) ** 2]))
-        [res] = run_transient_batch([ckt], OPTS)
-        assert not res.batched
-        reason = "NonlinearCurrentSource provides no batch_bank"
+        # 1 V through 25 || 50 ohm into 1 pF: the pulse's flat top
+        # settles to the divider's 2/3 V within tau = 16.7 ps
+        top = (res.t > 0.5e-9) & (res.t < 1.1e-9)
+        np.testing.assert_allclose(res.v("out")[top], 2.0 / 3.0, atol=1e-9)
+        results = run_transient_batch([diode_clamp(), rc_bench(80.0)], OPTS)
+        assert not any(r.batched for r in results)
+        reason = "structural signatures differ"
         assert fresh_metrics.value("batch_fallbacks_total",
                                    reason=reason) == 1
         text = fresh_metrics.render_prometheus()

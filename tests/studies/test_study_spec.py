@@ -706,6 +706,16 @@ class TestBoundaryProperty:
         assert Study.from_dict(study.to_dict()) == study
         assert study.scenarios() and study.digest()
 
+    def test_an_ordering_error_names_both_fields(self):
+        """A frequency raised past the next one is refused at the next,
+        whose message names the raised one too."""
+        bad = _mutated(PLAIN_DOC, ("spectral", "antenna", "points", 0, 0),
+                       2e9)
+        with pytest.raises(ExperimentError) as err:
+            Study.from_dict(bad).scenarios()
+        assert "spectral.antenna.points[1][0]: must be >= 2e+09, the value " \
+            "of spectral.antenna.points[0][0]" in str(err.value)
+
     @pytest.mark.parametrize("doc", [PLAIN_DOC, STOCHASTIC_DOC],
                              ids=["plain", "stochastic"])
     @settings(max_examples=250, deadline=None)
