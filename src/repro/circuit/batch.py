@@ -644,8 +644,9 @@ def run_transient_batch(circuits, options: TransientOptions,
     A ``transient.batch`` span wraps the whole group (members, step
     count, lockstep Newton member-iterations and passes, distinct models
     per bank, nonlinear ports, padded member-steps, distinct netlist
-    topologies and padded unknowns, or the fallback reason), with the
-    group's ``transient.dcop`` span underneath it.
+    topologies and padded unknowns, the MiB of run-long state -- solution
+    matrix, bank timelines, line histories -- or the fallback reason),
+    with the group's ``transient.dcop`` span underneath it.
     A declined group's span counts all its members.
     """
     circuits = list(circuits)
@@ -853,7 +854,11 @@ def _run_transient_batch(circuits: list, options: TransientOptions,
            padded_steps=padded,
            topologies=len({_topology(c) for c in circuits}),
            padded=pad.padded,
-           n_warnings=sum(len(w) for w in warnings))
+           n_warnings=sum(len(w) for w in warnings),
+           state_mb=(xs.nbytes + comp.history_nbytes
+                     # a driver bank's weight timelines; others hold none
+                     + sum(getattr(b, "timeline_nbytes", 0) for b in banks)
+                     ) / 2**20)
     met = get_metrics()
     met.inc("solver_steps", member_steps)
     if newton_iters:

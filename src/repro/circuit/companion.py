@@ -14,8 +14,11 @@ collapse to a handful of numpy operations regardless of the element count:
 * :class:`IdealLine` -- scalar Branin lines, batched with a shared wave
   history and precomputed constant interpolation fractions,
 * :class:`CoupledIdealLine` -- modal Branin lines, batched per conductor
-  count with a shared preallocated wave-history array and vectorized
-  delayed-lookup interpolation.
+  count with a shared wave history and vectorized delayed-lookup
+  interpolation.
+
+A line group's wave history is a ring of its longest delay's rows plus
+two, so it grows with the delay, not with the run length.
 
 A circuit with one such element is a group of one.  The C/L groups load
 their state from the elements after ``init_state`` (which applies an
@@ -209,11 +212,15 @@ class _CapacitanceMatrixGroup:
 class _CoupledLineGroup:
     """All N-conductor :class:`CoupledIdealLine` elements of one size.
 
-    The modal waves of every line live in one preallocated
-    ``(rows, n_el, 2n)`` array shared by the whole group; the delayed
-    lookups of every mode of every line collapse to two gathers and a
-    vectorized interpolation (linear between accepted steps, clamped to
-    the first row before a wave arrives and to the newest row after it).
+    The modal waves of every line live in one ``(koff_max + 2, n_el,
+    2n)`` ring shared by the whole group: step ``k`` reads rows ``k -
+    koff_max`` to ``k - 1`` at most, and row ``k`` lands in slot ``k %
+    (koff_max + 2)``.  The delayed lookups of every mode of every line
+    collapse to two gathers and a vectorized interpolation (linear
+    between accepted steps, clamped to the first row before a wave
+    arrives and to the newest row after it).  A wave that has not
+    arrived means fewer than ``koff_max`` rows, so the ring has not
+    wrapped and slot 0 still holds the first row.
     """
 
     def __init__(self, els: list[CoupledIdealLine], dt: float,
@@ -252,9 +259,10 @@ class _CoupledLineGroup:
         self._one_m_frac = 1.0 - self._frac
         self._koff_max = int(self._koff.max())
         self._interior = int(self._koff.min()) >= 2
-        # wave history: row k holds [a1_modes, a2_modes] accepted at t_k;
-        # row 0 is each line's own W^T v + zm i at the initial solution
-        self._hist = np.empty((256, n_el, 2 * n))
+        # wave history: row k holds [a1_modes, a2_modes] accepted at t_k,
+        # in slot k % (koff_max + 2); row 0 is each line's own
+        # W^T v + zm i at the initial solution
+        self._hist = np.empty((self._koff_max + 2, n_el, 2 * n))
         for e, el in enumerate(els):
             v1 = np.where(self.m1[e], x0[self.c1[e]], 0.0)
             v2 = np.where(self.m2[e], x0[self.c2[e]], 0.0)
@@ -266,10 +274,11 @@ class _CoupledLineGroup:
         """Interpolated (a1, a2) of every mode at its own delayed time.
 
         Called while stamping step ``k = self._rows`` (rows ``0..k-1`` are
-        recorded): clamp to row 0 before the wave arrives and to the newest
-        row at the record end.
+        recorded, the newest ``koff_max + 2`` of them in the ring): clamp
+        to row 0 before the wave arrives and to the newest row at the
+        record end.
         """
-        H = self._hist
+        H, ring = self._hist, self._hist.shape[0]
         e, mn, mf = self._e_idx, self._m_near, self._m_far
         nrow = self._rows
         if nrow == 1:
@@ -277,23 +286,25 @@ class _CoupledLineGroup:
         k_idx = nrow - self._koff
         if self._interior and nrow > self._koff_max:
             # steady state: every mode reads strictly inside the record
-            a1 = self._one_m_frac * H[k_idx, e, mn] \
-                + self._frac * H[k_idx + 1, e, mn]
-            a2 = self._one_m_frac * H[k_idx, e, mf] \
-                + self._frac * H[k_idx + 1, e, mf]
+            k0, k1 = k_idx % ring, (k_idx + 1) % ring
+            a1 = self._one_m_frac * H[k0, e, mn] \
+                + self._frac * H[k1, e, mn]
+            a2 = self._one_m_frac * H[k0, e, mf] \
+                + self._frac * H[k1, e, mf]
             return a1, a2
         kc = np.clip(k_idx, 0, nrow - 2)
+        k0, k1 = kc % ring, (kc + 1) % ring
         frac = self._frac
-        a1 = (1.0 - frac) * H[kc, e, mn] + frac * H[kc + 1, e, mn]
-        a2 = (1.0 - frac) * H[kc, e, mf] + frac * H[kc + 1, e, mf]
+        a1 = (1.0 - frac) * H[k0, e, mn] + frac * H[k1, e, mn]
+        a2 = (1.0 - frac) * H[k0, e, mf] + frac * H[k1, e, mf]
         low = k_idx < 0           # t_delayed <= 0: wave not yet arrived
         high = k_idx >= nrow - 1  # beyond the newest recorded row
         if low.any():
             a1 = np.where(low, H[0, e, mn], a1)
             a2 = np.where(low, H[0, e, mf], a2)
         if high.any():
-            a1 = np.where(high, H[nrow - 1, e, mn], a1)
-            a2 = np.where(high, H[nrow - 1, e, mf], a2)
+            a1 = np.where(high, H[(nrow - 1) % ring, e, mn], a1)
+            a2 = np.where(high, H[(nrow - 1) % ring, e, mf], a2)
         return a1, a2
 
     def add_rhs(self, rhs: np.ndarray) -> None:
@@ -309,12 +320,9 @@ class _CoupledLineGroup:
         vm2 = np.einsum("eki,ek->ei", self.W, v2)
         a1 = vm1 + self.zm * x[self.br1]
         a2 = vm2 + self.zm * x[self.br2]
-        if self._rows == self._hist.shape[0]:
-            grown = np.empty((2 * self._rows,) + self._hist.shape[1:])
-            grown[:self._rows] = self._hist
-            self._hist = grown
-        self._hist[self._rows, :, :self.n] = a1
-        self._hist[self._rows, :, self.n:] = a2
+        row = self._hist[self._rows % self._hist.shape[0]]
+        row[:, :self.n] = a1
+        row[:, self.n:] = a2
         self._rows += 1
 
 
@@ -322,13 +330,15 @@ class _IdealLineGroup:
     """All scalar :class:`IdealLine` elements of a circuit, batched.
 
     The incident waves ``a = v + z0*i`` of both ends of every line live in
-    one preallocated ``(rows, n_el, 2)`` array shared by the group.  As in
-    :class:`_CoupledLineGroup`, the fixed grid makes the delayed lookup of
-    element ``e`` at step ``k`` a constant row offset ``k - ceil(td/dt)``
-    plus a constant interpolation fraction, both precomputed, with the
-    same clamping at the record ends.  Every per-line constant is stored
-    at the ``(n_el, 2)`` shape of a row, so a step is a few gathers
-    (``take``) and contiguous ufuncs.
+    one ``(koff_max + 2, n_el, 2)`` ring shared by the group, row ``k``
+    in slot ``k % (koff_max + 2)``.  As in :class:`_CoupledLineGroup`,
+    the fixed grid makes the delayed lookup of element ``e`` at step
+    ``k`` a constant row offset ``k - ceil(td/dt)`` plus a constant
+    interpolation fraction, both precomputed, with the same clamping at
+    the record ends.  Every per-line constant is stored at the ``(n_el,
+    2)`` shape of a row, so a step is a few gathers (``take`` with
+    ``mode="wrap"``, which folds a row index into the ring) and
+    contiguous ufuncs.
     """
 
     def __init__(self, els: list[IdealLine], dt: float, x0: np.ndarray,
@@ -355,8 +365,9 @@ class _IdealLineGroup:
         # index of line e's delayed row among the (n_el, 2) rows of the
         # flattened history, less nrow * n_el
         self._flat = self._e_idx - self._koff * n_el
-        # row k holds [a1, a2] accepted at t_k; row 0 the initial solution's
-        self._hist = np.empty((256, n_el, 2))
+        # row k holds [a1, a2] accepted at t_k, in slot k % (koff_max + 2);
+        # row 0 the initial solution's
+        self._hist = np.empty((self._koff_max + 2, n_el, 2))
         self._record(x0, self._hist[0])
         self._rows = 1
 
@@ -369,7 +380,7 @@ class _IdealLineGroup:
         """``[a1, a2]`` of line ``e`` at history row ``k[e]`` (n_el, 2)."""
         n_el = self._e_idx.size
         return self._hist.reshape(-1, 2).take(k * n_el + self._e_idx,
-                                              axis=0)
+                                              axis=0, mode="wrap")
 
     def _lookup(self) -> np.ndarray:
         """Interpolated ``[a1, a2]`` (n_el, 2) of every line at its own
@@ -383,8 +394,8 @@ class _IdealLineGroup:
             n_el = self._e_idx.size
             rows = H.reshape(-1, 2)
             at = self._flat + nrow * n_el
-            return self._one_m_frac * rows.take(at, axis=0) \
-                + self._frac * rows.take(at + n_el, axis=0)
+            return self._one_m_frac * rows.take(at, axis=0, mode="wrap") \
+                + self._frac * rows.take(at + n_el, axis=0, mode="wrap")
         k_idx = nrow - self._koff
         kc = np.clip(k_idx, 0, nrow - 2)
         a = self._one_m_frac * self._rows_at(kc) \
@@ -394,18 +405,14 @@ class _IdealLineGroup:
         if low.any():
             a = np.where(low[:, None], H[0], a)
         if high.any():
-            a = np.where(high[:, None], H[nrow - 1], a)
+            a = np.where(high[:, None], H[(nrow - 1) % H.shape[0]], a)
         return a
 
     def add_rhs(self, rhs: np.ndarray) -> None:
         rhs[self.emf] += self._lookup().ravel()
 
     def update(self, x: np.ndarray) -> None:
-        if self._rows == self._hist.shape[0]:
-            grown = np.empty((2 * self._rows,) + self._hist.shape[1:])
-            grown[:self._rows] = self._hist
-            self._hist = grown
-        self._record(x, self._hist[self._rows])
+        self._record(x, self._hist[self._rows % self._hist.shape[0]])
         self._rows += 1
 
 
@@ -429,6 +436,12 @@ class CompanionGroups:
         for g in self.groups:
             if hasattr(g, "flush"):
                 g.flush()
+
+    @property
+    def history_nbytes(self) -> int:
+        """Bytes of the line groups' wave-history rings."""
+        return sum(g._hist.nbytes for g in self.groups
+                   if hasattr(g, "_hist"))
 
 
 def _by_size(els):

@@ -1,7 +1,9 @@
 """Copy-on-read clones of records a cache never mutates.
 
 A result cache hands every hit out as a private clone of its entry, so a
-caller may edit a hit in place without changing what later hits see.
+caller may edit a hit in place without changing what later hits see.  A
+freshly computed result becomes the entry itself, and the caller gets a
+clone of it too, so a cold result is never stored twice.
 Copying every array up front makes each hit cost the entry's whole size
 even when the caller reads none of the arrays (a Monte Carlo pass that
 reads the verdicts and one spectrum per draw).  A clone made by

@@ -199,7 +199,8 @@ class _DriverBank(NodeBank):
     histories stack into one ``(2r, N)`` array ``[v(k-1..k-r),
     i(k-1..k-r)]``, their switching-weight timelines into one ``(n_w, 2,
     N)`` array (high, low per step; a shorter timeline pads with its last
-    sample, the clamp of a lookup past its end), and both RBF submodels
+    sample, the clamp of a lookup past its end) whose columns the
+    elements' ``wh``/``wl`` then view, and both RBF submodels
     of every member's model evaluate through one
     :class:`~repro.models.rbf.StackedRBF`.  The history terms are reduced
     once per accepted step, so a Newton pass only adds the present
@@ -230,6 +231,9 @@ class _DriverBank(NodeBank):
             self.W[:n, 0, m] = el.wh
             self.W[:n, 1, m] = el.wl
             self.W[n:, :, m] = (el.wh[-1], el.wl[-1])
+            # the element reads its timeline out of W from now on, so
+            # the run holds one copy of it
+            el.wh, el.wl = self.W[:n, 0, m], self.W[:n, 1, m]
         self.rbf = StackedRBF(([el.model.sub_high for el in els],
                                [el.model.sub_low for el in els]))
         self.parked = StackedRBF(([
@@ -238,6 +242,11 @@ class _DriverBank(NodeBank):
         self.i_dc = np.zeros(len(els))
         self._last_i = np.zeros(len(els))
         self._t = None      # the time of the weights in self._w
+
+    @property
+    def timeline_nbytes(self) -> int:
+        """Bytes of the stacked weight timelines."""
+        return self.W.nbytes
 
     def _static_history(self, v: np.ndarray, i: np.ndarray) -> np.ndarray:
         """History columns ``(2r, N)`` of the static regressor

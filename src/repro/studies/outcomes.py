@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,19 +94,8 @@ class ScenarioOutcome(CopyOnRead):
             return None
         return all(checks)
 
-    def copy_data(self, **overrides) -> "ScenarioOutcome":
-        """Clone with private containers (no aliasing of mutable arrays)."""
-        fields = dict(
-            t=self.t.copy(), v_port=self.v_port.copy(),
-            metrics=dict(self.metrics or {}), warnings=list(self.warnings),
-            probes={k: v.copy() for k, v in self.probes.items()},
-            spectra={k: s.copy() for k, s in self.spectra.items()},
-            verdicts_by=dict(self.verdicts_by))
-        fields.update(overrides)
-        return replace(self, **fields)
-
     def copy_on_read(self, **overrides) -> "ScenarioOutcome":
-        """Like :meth:`copy_data`, but the arrays (``t``, ``v_port``,
+        """Clone with private containers whose arrays (``t``, ``v_port``,
         ``probes``, each spectrum's ``f``/``mag``) are copied the first
         time they are read, so a clone nobody reads costs no array
         copies.  Only for an outcome that never changes afterwards: a

@@ -494,10 +494,12 @@ class ScenarioRunner:
             for idx, sc in pending:
                 out = outcomes[idx]
                 if out.ok:
-                    # store a private copy so in-place edits on the returned
-                    # outcome cannot poison later cache hits
+                    # the entry is the engine's outcome; the caller gets a
+                    # copy-on-read clone of it, as a hit does, so an
+                    # in-place edit cannot poison later cache hits
                     key = sc.key()
-                    self._result_cache[key] = out.copy_data()
+                    self._result_cache[key] = out
+                    outcomes[idx] = out.copy_on_read()
                     if self._disk is not None:
                         self._disk.put(self._disk_key(sc, key), {
                             "t": out.t, "v_port": out.v_port,

@@ -317,7 +317,7 @@ _DECLARED: dict = {}
 
 def declare(cls, **convs) -> None:
     """Give fields of ``cls`` and its subclasses without their own
-    metadata a converter (``name=Conv``)."""
+    metadata a converter (``name=Conv``) or a whole :class:`Meta`."""
     _DECLARED[cls] = convs
 
 
@@ -327,7 +327,8 @@ def _meta(cls, f, default) -> Meta:
         return f.metadata["schema"]
     for klass in cls.__mro__:
         if f.name in _DECLARED.get(klass, {}):
-            return Meta(_DECLARED[klass][f.name])
+            meta = _DECLARED[klass][f.name]
+            return meta if isinstance(meta, Meta) else Meta(meta)
     # bool before int: a bool is an int
     return Meta(Is(bool, "true or false") if isinstance(default, bool)
                 else Int() if isinstance(default, int)

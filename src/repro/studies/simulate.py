@@ -14,6 +14,7 @@ branching here.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,33 +129,52 @@ def _build_bench(sc: Scenario, model: PWRBFDriverModel):
     return ckt, obs, spec, dt, t_stop
 
 
-def _finish_outcome(sc: Scenario, model: PWRBFDriverModel, res, obs: str,
+class _Observed(NamedTuple):
+    """A member's observed waveforms, copied out of its group's
+    solution matrix so that the matrix can go before post-processing."""
+
+    t: np.ndarray
+    v: np.ndarray
+    probes: dict
+    warnings: list
+
+
+def _observe(sc: Scenario, res, obs: str, spec) -> "_Observed | Exception":
+    """Copy the waveforms post-processing reads out of ``res``: the
+    observed node, the load's probes and, for an ``i_port`` spectral
+    request, the ammeter's current (under ``probes["i_port"]``).  A
+    failure is returned, not raised, so that it stays the member's."""
+    try:
+        probes = {name: res.v(node).copy()
+                  for name, node in sc.load.probes().items()}
+        if spec is not None and spec.quantity == "i_port":
+            probes["i_port"] = res.probe("i(iprobe)").copy()
+        return _Observed(res.t, res.v(obs).copy(), probes,
+                         list(res.warnings))
+    except Exception as exc:  # noqa: BLE001 - isolate the bad member
+        return exc
+
+
+def _finish_outcome(sc: Scenario, model: PWRBFDriverModel, seen: _Observed,
                     spec, t0: float) -> ScenarioOutcome:
     """Waveforms to outcome (post-simulation half; raises on error).
 
-    Extracts the observed waveforms from the transient result, computes
-    the requested spectra / detector weightings / radiated estimate /
-    mask verdicts, and assembles the :class:`ScenarioOutcome` with the
-    EMC metric summary.  ``t0`` is the ``perf_counter`` start stamp of
-    the work attributed to this scenario.
+    Computes the requested spectra / detector weightings / radiated
+    estimate / mask verdicts of the observed waveforms and assembles the
+    :class:`ScenarioOutcome` with the EMC metric summary.  ``t0`` is the
+    ``perf_counter`` start stamp of the work attributed to this scenario.
     """
-    # copy: res.v() is a view into the full (n_steps, size) solution
-    # matrix, which must not stay alive per retained outcome
-    v = res.v(obs).copy()
-    probes = {name: res.v(node).copy()
-              for name, node in sc.load.probes().items()}
+    t, v, probes = seen.t, seen.v, seen.probes
     spectra: dict = {}
     verdicts_by: dict = {}
     verdict = None
     if spec is not None:
         if spec.quantity == "i_port":
-            wave = res.probe("i(iprobe)").copy()
-            probes["i_port"] = wave
-            unit = "A"
+            wave, unit = probes["i_port"], "A"
         else:
             wave, unit = v, "V"
         spectrum = amplitude_spectrum(
-            res.t, wave, window=spec.window, n_fft=spec.n_fft,
+            t, wave, window=spec.window, n_fft=spec.n_fft,
             unit=unit, label=f"{sc.resolved_name()}:{spec.quantity}")
         spectra[spec.quantity] = spectrum
         mask = spec.resolved_mask()
@@ -176,10 +196,10 @@ def _finish_outcome(sc: Scenario, model: PWRBFDriverModel, res, obs: str,
                     verdicts_by[f"rad:{det}"] = rmask.check(e_spec)
         verdict = worst_verdict(verdicts_by.values())
     return ScenarioOutcome(
-        scenario=sc, t=res.t, v_port=v,
-        metrics=_emc_metrics(res.t, v, model.vdd, sc, probes,
+        scenario=sc, t=t, v_port=v,
+        metrics=_emc_metrics(t, v, model.vdd, sc, probes,
                              spectra, verdict, verdicts_by),
-        warnings=list(res.warnings),
+        warnings=seen.warnings,
         elapsed_s=time.perf_counter() - t0, probes=probes,
         spectra=spectra, verdict=verdict, verdicts_by=verdicts_by)
 
@@ -229,7 +249,9 @@ def simulate_scenario_batch(items) -> list[ScenarioOutcome]:
     member stopping at its own ``t_stop``; that call decides whether the
     group runs in lockstep or member by member (a lone member is a
     lockstep batch of one).  Per-member waveforms, metrics and spectra
-    match a lone run of the same scenario to 1e-9.  ``elapsed_s`` is the
+    match a lone run of the same scenario to 1e-9.  Each member's
+    observed waveforms are copied out before post-processing, which runs
+    after the group's solution matrix is released.  ``elapsed_s`` is the
     group's wall time amortized evenly over its members.  Each member
     exports one ``scenario`` span (name, kind, status) after the group's
     ``transient.batch`` span.
@@ -246,11 +268,9 @@ def simulate_scenario_batch(items) -> list[ScenarioOutcome]:
     benches: list = []   # (pos, ckt, obs, spec, dt, t_stop)
     for pos, (sc, model) in enumerate(items):
         try:
-            ckt, obs, spec, dt, t_stop = _build_bench(sc, model)
+            benches.append((pos, *_build_bench(sc, model)))
         except Exception as exc:  # noqa: BLE001 - isolate the bad member
             outcomes[pos] = _failed(sc, exc, t0)
-            continue
-        benches.append((pos, ckt, obs, spec, dt, t_stop))
     if not benches:
         return outcomes
     if len(benches) > 1 and len({b[4] for b in benches}) != 1:
@@ -268,14 +288,22 @@ def simulate_scenario_batch(items) -> list[ScenarioOutcome]:
         pos = benches[0][0]
         outcomes[pos] = _failed(items[pos][0], exc, t0)
         return outcomes
-    for (pos, _, obs, spec, _, _), res in zip(benches, results):
+    observed = [(pos, spec, _observe(items[pos][0], res, obs, spec))
+                for (pos, _, obs, spec, _, _), res in zip(benches, results)]
+    # the results hold the group's solution matrix, the benches the
+    # driver elements, whose timelines view the bank's: neither is read
+    # again, so post-processing runs without them
+    del results, benches
+    for pos, spec, seen in observed:
         sc, model = items[pos]
+        if isinstance(seen, Exception):
+            outcomes[pos] = _failed(sc, seen, t0)
+            continue
         with get_tracer().span("scenario", scenario=sc.resolved_name(),
                                kind=sc.load.kind) as sp:
             try:
-                outcomes[pos] = _finish_outcome(sc, model, res, obs,
-                                                spec, t0)
-                sp.set(status="ok", n_warnings=len(res.warnings))
+                outcomes[pos] = _finish_outcome(sc, model, seen, spec, t0)
+                sp.set(status="ok", n_warnings=len(seen.warnings))
             except Exception as exc:  # noqa: BLE001 - isolate the bad member
                 sp.set(status="error")
                 outcomes[pos] = _error_outcome(sc, exc, 0.0)

@@ -49,8 +49,9 @@ from ..experiments.cache import canonical_json as _canonical_json
 from ..experiments.cache import scenario_key_digest
 from ..memo import Memoized, generation
 from .kinds import _register_builtin_kinds, get_kind
-from .schema import (Conv, FieldError, Int, Is, List, Num, PathStr, Record,
-                     Str, Table, bad, declare, fld, from_dict, plan, to_dict)
+from .schema import (Conv, FieldError, Int, Is, List, Meta, Num, PathStr,
+                     Record, Str, Table, bad, declare, fld, from_dict, plan,
+                     to_dict)
 
 __all__ = ["SpectralSpec", "BaseLoadSpec", "LoadSpec", "CoupledLoadSpec",
            "Scenario", "scenario_grid", "CORNERS", "MAX_SCENARIOS",
@@ -102,12 +103,16 @@ class _Rows(List):
                                     else row)] for row in value]
 
 
-declare(LimitMask, name=Str(), unit=Str(choices=_UNIT_TO_QUANTITY),
+# a saved study spells out a mask's unit and a cable antenna's geometry
+# even at their defaults
+declare(LimitMask, name=Str(),
+        unit=Meta(Str(choices=_UNIT_TO_QUANTITY), always=True),
         segments=_Rows(("f_lo", "f_hi", "db_lo", "db_hi"), 2))
-declare(AntennaModel, kind=Str(choices=("cable", "table")),
-        length=Num(gt=0.0), distance=Num(gt=0.0),
-        points=_Rows(("f", "k_db"), 1), cm_fraction=Num(gt=0.0, le=1.0),
-        label=Str())
+declare(AntennaModel, kind=Meta(Str(choices=("cable", "table")), always=True),
+        length=Meta(Num(gt=0.0), always=True),
+        distance=Meta(Num(gt=0.0), always=True),
+        points=_Rows(("f", "k_db"), 1),
+        cm_fraction=Meta(Num(gt=0.0, le=1.0), always=True), label=Str())
 
 
 class _Mask(Conv):

@@ -4,6 +4,8 @@
   gives a private, writable copy, and later reads give that same copy.
 * Writes to one hit never reach the entry, another hit or a later one,
   whether the hit's arrays were read before or after the others'.
+* The entry is the cold outcome itself, and the cold pass returns a
+  clone of it: writes to the cold outcome never reach a later hit.
 * An unread clone pickles, compares and ``replace``s like an eager copy;
   a name that is no field still raises ``AttributeError``.
 """
@@ -56,8 +58,12 @@ class TestSpectrumClone:
         assert not hasattr(_spectrum(), "nope")
 
 
-@pytest.fixture()
-def warm_runner(md2_model):
+def _snapshot(out):
+    """A private deep copy of an outcome (a pickle round trip)."""
+    return pickle.loads(pickle.dumps(out))
+
+
+def _runner(md2_model):
     study = Study(patterns=("0110",), loads=(LoadSpec(kind="r", r=50.0),),
                   spectral=SpectralSpec(mask="board-b",
                                         detectors=("peak", "quasi-peak"),
@@ -65,8 +71,14 @@ def warm_runner(md2_model):
     runner = ScenarioRunner(models={("MD2", "typ"): md2_model},
                             n_workers=1)
     (sc,) = study.scenarios()
+    return runner, sc
+
+
+@pytest.fixture()
+def warm_runner(md2_model):
+    runner, sc = _runner(md2_model)
     cold = runner.run([sc])[0]
-    return runner, sc, cold.copy_data()
+    return runner, sc, _snapshot(cold)
 
 
 class TestRunnerHits:
@@ -103,3 +115,31 @@ class TestRunnerHits:
             hit.v_port[:] = 3.0
         np.testing.assert_array_equal(runner.run([sc])[0].v_port,
                                       ref.v_port)
+
+
+class TestColdOutcome:
+    def test_writes_to_the_cold_outcome_stay_in_it(self, md2_model):
+        runner, sc = _runner(md2_model)
+        cold = runner.run([sc])[0]
+        assert not cold.cache_hit
+        # a clone of the entry, holding no array until one is read
+        assert not {"t", "v_port", "probes", "spectra"} & set(vars(cold))
+        ref = _snapshot(cold)
+        cold.t[:] = -1.0
+        cold.v_port += 7.0
+        for spec in cold.spectra.values():
+            spec.mag[:] = 0.0
+            spec.f[:] = 0.0
+            spec.meta["edited"] = True
+        cold.metrics["overshoot"] = 99.0
+        cold.verdicts_by.clear()
+        hit = runner.run([sc])[0]
+        assert hit.cache_hit
+        np.testing.assert_array_equal(hit.t, ref.t)
+        np.testing.assert_array_equal(hit.v_port, ref.v_port)
+        for name, spec in ref.spectra.items():
+            np.testing.assert_array_equal(hit.spectra[name].f, spec.f)
+            np.testing.assert_array_equal(hit.spectra[name].mag, spec.mag)
+            assert hit.spectra[name].meta == spec.meta
+        assert hit.metrics == ref.metrics
+        assert hit.verdicts_by == ref.verdicts_by and hit.passed == ref.passed

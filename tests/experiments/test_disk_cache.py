@@ -11,6 +11,7 @@
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,7 @@ class TestPrivateHits:
                                 disk_cache=tmp_path)
         first = runner.run([sc])[0]
         assert first.cache_hit and first.spectra
-        ref = first.copy_data()
+        ref = pickle.loads(pickle.dumps(first))   # a private copy
         # a fresh runner's disk hit is writable in place ...
         first.t[:] = -1.0
         first.v_port += 7.0

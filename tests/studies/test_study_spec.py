@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emc import MASKS, LimitMask, register_mask
+from repro.emc import MASKS, LimitMask, get_mask, register_mask
 from repro.errors import ExperimentError
 from repro.experiments import AntennaModel
 from repro.experiments.cache import scenario_key_digest
@@ -146,6 +146,31 @@ class TestRoundTrips:
         for fname in ("s.toml", "s.json"):
             path = s.save(tmp_path / fname)
             assert Study.load(path) == s
+
+    def test_saved_file_spells_out_mask_unit_and_antenna(self, tmp_path):
+        """An inline mask keeps its unit, and a cable antenna its kind,
+        length, distance and cm_fraction, in a saved study file even at
+        their defaults; the digest (which reads the mask's and the
+        antenna's own ``key()``) is the same after loading."""
+        import tomllib
+        masked = Study(patterns=("0101",),
+                       spectral=SpectralSpec(mask=get_mask("board-b")))
+        radiated = Study(patterns=("0101",), spectral=SpectralSpec(
+            quantity="i_port", antenna=AntennaModel()))
+        for fname in ("s.toml", "s.json"):
+            for study, table, want in (
+                    (masked, "mask", {"name": "board-b", "unit": "dBuV"}),
+                    (radiated, "antenna",
+                     {"kind": "cable", "length": 1.0, "distance": 10.0,
+                      "cm_fraction": 1.0})):
+                path = study.save(tmp_path / fname)
+                text = path.read_text(encoding="utf-8")
+                doc = json.loads(text) if fname.endswith(".json") \
+                    else tomllib.loads(text)
+                got = doc["spectral"][table]
+                assert {k: got.get(k) for k in want} == want
+                back = Study.load(path)
+                assert back == study and back.digest() == study.digest()
 
     def test_load_errors_are_clean(self, tmp_path):
         with pytest.raises(ExperimentError, match="cannot read"):
@@ -284,7 +309,6 @@ class TestCanonicalFormIsPinned:
 
     def test_inline_mask_matches_registered_name(self):
         """Mask names resolve to content in the canonical form."""
-        from repro.emc import get_mask
         named = SpectralSpec(mask="board-b")
         inline = SpectralSpec(mask=get_mask("board-b"))
         assert named.canonical() == inline.canonical()
